@@ -141,15 +141,15 @@ def _cmd_cam(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.image).stem
     prov = {"stage": f"cam-{args.mode}", "seed": cfg.seed, "config_hash": cfg.digest()}
+    tau_fg, tau_bg = cfg.train.tau_fg, cfg.train.tau_bg
     if args.mode == "static":
-        res = run_static_pipeline(image, weights, bank, present, cfg)
-        cams, labels = res.cams, res.labels
+        res = run_static_pipeline(image, weights, bank, present, cfg.static_policy(), tau_fg, tau_bg)
     else:
         if not args.adapter:
             raise UsageError("dynamic mode requires --adapter")
         adapter, _, _, _ = load_checkpoint(args.adapter)
-        res = dynamic_cam(image, weights, adapter, bank, present, cfg)
-        cams, labels = res.cams, res.labels
+        res = dynamic_cam(image, weights, adapter, bank, present, cfg.train.calibration(), tau_fg, tau_bg)
+    cams, labels = res.cams, res.labels
     save_cams(out_dir / f"{stem}.cams.json", cams, provenance=prov)
     pixels = upsample_labels(labels, weights.patch_size).astype(np.uint8)
     write_pgm(out_dir / f"{stem}.pseudo.pgm", pixels, comment=f"provenance stage={prov['stage']} seed={prov['seed']} config={prov['config_hash']}")

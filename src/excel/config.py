@@ -2,7 +2,8 @@
 
 Path keys (weights, knowledge, dataset, out_dir) plus the policy selector
 sit alongside every training field; unknown keys are rejected so typos
-never silently fall back to defaults. The config hash in every artifact's
+never silently fall back to defaults, and every value is type-checked
+against its field where it is parsed. The config hash in every artifact's
 provenance is the digest of the full flat mapping.
 """
 
@@ -11,8 +12,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .encoder import AttentionPolicy
 from .errors import UsageError
 from .hashing import config_digest
+from .static_calibration import policy_from_name
 from .training_eval import TrainConfig
 
 PATH_KEYS = ("weights", "knowledge", "dataset", "out_dir")
@@ -31,17 +34,14 @@ class PipelineConfig:
     def seed(self) -> int:
         return self.train.seed
 
-    def __getattr__(self, name):
-        # convenience passthrough: config.tau_fg etc. read the train block
-        train = object.__getattribute__(self, "train")
-        if hasattr(train, name):
-            return getattr(train, name)
-        raise AttributeError(name)
+    def static_policy(self) -> AttentionPolicy:
+        """Attention policy of the exported static stage. Training and
+        dynamic CAMs use `train.calibration()` whatever this selects."""
+        return policy_from_name(self.policy, self.train.calib_layers, self.train.calib_weights)
 
     def validate(self):
         self.train.validate()
-        if self.policy not in ("vanilla", "value_value", "intra_correlation"):
-            raise UsageError(f"unknown attention policy '{self.policy}'")
+        self.static_policy()
         for key in PATH_KEYS:
             if not getattr(self, key):
                 raise UsageError(f"config is missing required path '{key}'")
@@ -63,28 +63,43 @@ class PipelineConfig:
         return config_digest(mapping)
 
 
-_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+_TRAIN_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_STR_KEYS = (*PATH_KEYS, "policy")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _typed(key: str, value, kind):
+    """`value` checked against the field type `kind`; ints stay exact,
+    floats accept either JSON number."""
+    if kind is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise UsageError(f"config key '{key}' must be an integer, got {value!r}")
+        return value
+    if kind is float:
+        if not _is_number(value):
+            raise UsageError(f"config key '{key}' must be a number, got {value!r}")
+        return float(value)
+    if kind is str:
+        if not isinstance(value, str):
+            raise UsageError(f"config key '{key}' must be a string, got {value!r}")
+        return value
+    # calib_weights, the one tuple field
+    if not isinstance(value, (list, tuple)) or len(value) != 3 or not all(_is_number(w) for w in value):
+        raise UsageError(f"config key '{key}' must be a list of 3 numbers, got {value!r}")
+    return tuple(float(w) for w in value)
 
 
 def parse_config(mapping: dict) -> PipelineConfig:
-    known = set(PATH_KEYS) | {"policy", "seed"} | _TRAIN_FIELDS
+    known = set(_STR_KEYS) | set(_TRAIN_TYPES)
     unknown = sorted(set(mapping) - known)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    train_kwargs = {k: mapping[k] for k in _TRAIN_FIELDS if k in mapping}
-    if "seed" in mapping:
-        train_kwargs["seed"] = int(mapping["seed"])
-    if "calib_weights" in train_kwargs:
-        train_kwargs["calib_weights"] = tuple(train_kwargs["calib_weights"])
-    cfg = PipelineConfig(
-        weights=str(mapping.get("weights", "")),
-        knowledge=str(mapping.get("knowledge", "")),
-        dataset=str(mapping.get("dataset", "")),
-        out_dir=str(mapping.get("out_dir", "")),
-        policy=str(mapping.get("policy", "intra_correlation")),
-        train=TrainConfig(**train_kwargs),
-    )
-    return cfg
+    train = {k: _typed(k, mapping[k], kind) for k, kind in _TRAIN_TYPES.items() if k in mapping}
+    paths = {k: _typed(k, mapping[k], str) for k in _STR_KEYS if k in mapping}
+    return PipelineConfig(**paths, train=TrainConfig(**train))
 
 
 def load_config(path) -> PipelineConfig:

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .encoder import LAYER_COUNT, EncoderWeights, IntraCorrelationBiased, LayerTrace, encode, relation_bias
+from .encoder import (
+    LAYER_COUNT,
+    EncoderWeights,
+    IntraCorrelation,
+    IntraCorrelationBiased,
+    LayerTrace,
+    encode,
+)
 from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
 from .static_calibration import (
@@ -184,22 +191,6 @@ def dynamic_relation(features: np.ndarray, alpha: float, beta: float) -> Relatio
     return RelationMatrix(raw=raw, masked=masked)
 
 
-def biased_attention(attn: np.ndarray, relation) -> np.ndarray:
-    """Add the row-softmaxed relation to an attention map.
-
-    `attn` may be the (hw x hw) grid map or the full (hw+1 x hw+1) map with
-    CLS at index 0; a grid-sized relation is embedded with zero bias on the
-    CLS row and column.
-    """
-    if isinstance(relation, RelationMatrix):
-        relation = relation.masked
-    attn = nm.as_f32(attn, "attention map")
-    if attn.ndim != 2 or attn.shape[0] != attn.shape[1]:
-        raise DataError(f"attention map must be square, got {attn.shape}")
-    bias = relation_bias(relation, attn.shape[0])
-    return (attn.astype(np.float64) + bias.astype(np.float64)).astype(np.float32)
-
-
 # --------------------------------------------------------------------------
 # affinity supervision
 
@@ -244,13 +235,21 @@ def build_affinity_batch(
     )
 
 
-def _as_batch(labels_or_batch, sample_limit=None, rng=None) -> AffinityBatch:
-    if isinstance(labels_or_batch, AffinityBatch):
-        return labels_or_batch
-    return build_affinity_batch(labels_or_batch, sample_limit=sample_limit, rng=rng)
+def _pair_affinity(feats: np.ndarray):
+    """Sigmoid-cosine affinities of (hw, D_d) float64 features.
+
+    Returns (norms, unit features, u) with u = sigmoid(cos), (hw, hw).
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", feats, feats))
+    if norms.min(initial=np.inf) < 1e-12:
+        raise NumericError(f"zero-norm dynamic feature column {int(np.argmin(norms))}")
+    fhat = feats / norms[:, None]
+    cos = fhat @ fhat.T
+    u = 1.0 / (1.0 + np.exp(-cos))
+    return norms, fhat, u
 
 
-def _loss_from_sim(u: np.ndarray, batch: AffinityBatch) -> float:
+def _pair_loss(u: np.ndarray, batch: AffinityBatch) -> float:
     loss = 0.0
     if batch.n_pos:
         loss += (1.0 - u[batch.positive[:, 0], batch.positive[:, 1]]).sum() / batch.n_pos
@@ -259,51 +258,34 @@ def _loss_from_sim(u: np.ndarray, batch: AffinityBatch) -> float:
     return float(loss)
 
 
-def diversity_loss(
-    features: np.ndarray, labels_or_batch, sample_limit: int | None = None, rng: Rng | None = None
-) -> float:
+def diversity_loss(features: np.ndarray, batch: AffinityBatch) -> float:
     """Affinity loss on sigmoid(cos) token similarities of (D_d, hw) features:
     mean(1 - u) over positive pairs plus mean(u) over negative pairs."""
-    batch = _as_batch(labels_or_batch, sample_limit, rng)
-    cos = nm.cosine_matrix(features, features).astype(np.float64)
-    u = 1.0 / (1.0 + np.exp(-cos))
-    return _loss_from_sim(u, batch)
+    feats = nm.as_f32(features, "dynamic features").T.astype(np.float64)
+    return _pair_loss(_pair_affinity(feats)[2], batch)
 
 
 # --------------------------------------------------------------------------
 # gradients
 
 
-def adapter_diversity_loss(trace: LayerTrace, params: AdapterParams, labels_or_batch) -> float:
+def adapter_diversity_loss(trace: LayerTrace, params: AdapterParams, batch: AffinityBatch) -> float:
     """Diversity loss evaluated end-to-end in float64 from the adapter
     parameters. This is the exact function the analytic gradient
     differentiates, which is what a finite-difference probe must call."""
-    batch = _as_batch(labels_or_batch)
     feats, _, _ = _adapter_forward64(trace, params)
-    norms = np.sqrt(np.einsum("ij,ij->i", feats, feats))
-    if norms.min(initial=np.inf) < 1e-12:
-        raise NumericError(f"zero-norm dynamic feature column {int(np.argmin(norms))}")
-    fhat = feats / norms[:, None]
-    cos = fhat @ fhat.T
-    u = 1.0 / (1.0 + np.exp(-cos))
-    return _loss_from_sim(u, batch)
+    return _pair_loss(_pair_affinity(feats)[2], batch)
 
 
 def diversity_loss_gradient(
-    trace: LayerTrace, params: AdapterParams, labels_or_batch
+    trace: LayerTrace, params: AdapterParams, batch: AffinityBatch
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss value plus exact reverse-mode gradients for every adapter
     parameter, keyed like AdapterParams.to_dict()."""
-    batch = _as_batch(labels_or_batch)
     feats, zcat, xs = _adapter_forward64(trace, params)
     hw = feats.shape[0]
-    norms = np.sqrt(np.einsum("ij,ij->i", feats, feats))
-    if norms.min(initial=np.inf) < 1e-12:
-        raise NumericError(f"zero-norm dynamic feature column {int(np.argmin(norms))}")
-    fhat = feats / norms[:, None]
-    cos = fhat @ fhat.T
-    u = 1.0 / (1.0 + np.exp(-cos))
-    loss = _loss_from_sim(u, batch)
+    norms, fhat, u = _pair_affinity(feats)
+    loss = _pair_loss(u, batch)
 
     g_u = np.zeros((hw, hw), dtype=np.float64)
     if batch.n_pos:
@@ -370,29 +352,29 @@ def dynamic_cam(
     params: AdapterParams,
     bank,
     present: list[int],
-    config,
+    calibration: IntraCorrelation,
+    tau_fg: float,
+    tau_bg: float,
     static_trace: LayerTrace | None = None,
 ) -> DynamicResult:
     """Re-encode with the relation-biased policy and refine dynamic CAMs.
 
-    The relation comes from the adapter run over the calibrated trace of
-    the same image (computed here when not supplied).
+    The relation comes from the adapter run over the trace of the same
+    image under `calibration` (computed here when not supplied); the
+    biased re-encode adds it to that same calibrated attention.
     """
     if static_trace is None:
-        from .static_calibration import policy_from_name
-
-        policy = policy_from_name("intra_correlation", config.calib_layers, config.calib_weights)
-        static_trace = encode(image, weights, policy)
+        static_trace = encode(image, weights, calibration)
     features = adapter_forward(static_trace, params)
     relation = dynamic_relation(features, params.alpha, params.beta)
     biased = IntraCorrelationBiased(
-        layers=config.calib_layers,
-        weights=tuple(config.calib_weights),
+        layers=calibration.layers,
+        weights=calibration.weights,
         relation=relation.masked,
     )
     trace = encode(image, weights, biased)
     cams = static_cam(trace.patch_features, bank, present)
-    labels = cam_to_pseudo_label(cams, config.tau_fg, config.tau_bg)
+    labels = cam_to_pseudo_label(cams, tau_fg, tau_bg)
     return DynamicResult(
         cams=cams,
         labels=labels,

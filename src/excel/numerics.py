@@ -45,29 +45,6 @@ def transpose(a) -> np.ndarray:
     return np.ascontiguousarray(a.T)
 
 
-def concat(arrays, axis: int = 0) -> np.ndarray:
-    arrays = [as_f32(a, f"concat input {i}") for i, a in enumerate(arrays)]
-    if not arrays:
-        raise DataError("concat: no inputs")
-    ref = list(arrays[0].shape)
-    for i, a in enumerate(arrays[1:], start=1):
-        got = list(a.shape)
-        if len(got) != len(ref) or any(
-            g != r for ax, (g, r) in enumerate(zip(got, ref)) if ax != axis % len(ref)
-        ):
-            raise DataError(f"concat shape mismatch along axis {axis}: {ref} vs {got}")
-    return np.ascontiguousarray(np.concatenate(arrays, axis=axis))
-
-
-def mean(a, axis=None):
-    """Mean with float64 accumulation; scalar for axis=None, float32 array otherwise."""
-    a = as_f32(a, "mean input")
-    out = a.astype(np.float64).mean(axis=axis)
-    if axis is None:
-        return float(out)
-    return out.astype(F32)
-
-
 _SIGMOID_LO = np.nextafter(np.float32(0.0), np.float32(1.0))
 _SIGMOID_HI = np.nextafter(np.float32(1.0), np.float32(0.0))
 

@@ -89,9 +89,12 @@ def stage_static(cfg: PipelineConfig, weights, bank, dataset: ToyDataset):
     out_dir = Path(cfg.out_dir) / "static"
     out_dir.mkdir(parents=True, exist_ok=True)
     prov = _provenance(cfg, "static")
+    policy = cfg.static_policy()
     results = {}
     for rec in dataset.images:
-        res = run_static_pipeline(rec.image, weights, bank, rec.labels, cfg)
+        res = run_static_pipeline(
+            rec.image, weights, bank, rec.labels, policy, cfg.train.tau_fg, cfg.train.tau_bg
+        )
         save_cams(out_dir / f"{rec.name}.cams.json", res.cams, provenance=prov)
         _export_label_map(out_dir / f"{rec.name}.pseudo.pgm", res.labels, weights.patch_size, prov)
         results[rec.name] = res
@@ -117,7 +120,8 @@ def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapt
     prov = _provenance(cfg, "dynamic")
     # the adapter consumes the calibrated trace; reuse the static pass only
     # when it ran under the calibrated policy (dynamic_cam recomputes otherwise)
-    reuse_traces = cfg.policy == "intra_correlation"
+    calibration = cfg.train.calibration()
+    reuse_traces = cfg.static_policy() == calibration
     results = {}
     for rec in dataset.images:
         res = dynamic_cam(
@@ -126,7 +130,9 @@ def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapt
             adapter,
             bank,
             rec.labels,
-            cfg,
+            calibration,
+            cfg.train.tau_fg,
+            cfg.train.tau_bg,
             static_trace=static_results[rec.name].trace if reuse_traces else None,
         )
         save_cams(out_dir / f"{rec.name}.cams.json", res.cams, provenance=prov)

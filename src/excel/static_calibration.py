@@ -14,13 +14,13 @@ import numpy as np
 from . import numerics as nm
 from .blobio import load_tensors, save_tensors
 from .encoder import (
+    AttentionPolicy,
     EncoderWeights,
     IntraCorrelation,
     LayerTrace,
     VanillaQK,
     ValueValueLast,
     encode,
-    self_attention,
 )
 from .errors import DataError, UsageError
 from .text_enrichment import TextRepresentation
@@ -40,26 +40,6 @@ class CamStack:
 
 
 PseudoLabelMap = np.ndarray  # (h, w) uint8: class id, 0 background, 255 ignore
-
-
-def intra_correlation(q: np.ndarray, k: np.ndarray, v: np.ndarray, weights) -> np.ndarray:
-    """Weighted sum of the three within-space self-attention maps for one
-    head's (T, D_s) projections: w1*SA(q,q) + w2*SA(k,k) + w3*SA(v,v)."""
-    q = nm.as_f32(q, "q")
-    k = nm.as_f32(k, "k")
-    v = nm.as_f32(v, "v")
-    if not (q.shape == k.shape == v.shape):
-        raise DataError(f"q/k/v shapes differ: {q.shape} {k.shape} {v.shape}")
-    if len(weights) != 3:
-        raise DataError(f"expected 3 correlation weights, got {len(weights)}")
-    head_dim = q.shape[1]
-    w1, w2, w3 = (float(w) for w in weights)
-    mix = (
-        w1 * self_attention(q, head_dim).astype(np.float64)
-        + w2 * self_attention(k, head_dim).astype(np.float64)
-        + w3 * self_attention(v, head_dim).astype(np.float64)
-    )
-    return mix.astype(np.float32)
 
 
 def static_cam(
@@ -109,7 +89,7 @@ class StaticResult:
     trace: LayerTrace
 
 
-def policy_from_name(name: str, calib_layers: int, calib_weights) -> object:
+def policy_from_name(name: str, calib_layers: int, calib_weights) -> AttentionPolicy:
     if name == "vanilla":
         return VanillaQK()
     if name == "value_value":
@@ -124,20 +104,14 @@ def run_static_pipeline(
     weights: EncoderWeights,
     bank: TextRepresentation,
     present: list[int],
-    config,
+    policy: AttentionPolicy,
+    tau_fg: float,
+    tau_bg: float,
 ) -> StaticResult:
-    """encode -> static_cam -> cam_to_pseudo_label with zero learnable state.
-
-    `config` needs policy, calib_layers, calib_weights, tau_fg, tau_bg.
-    """
-    policy = policy_from_name(
-        getattr(config, "policy", "intra_correlation"),
-        config.calib_layers,
-        config.calib_weights,
-    )
+    """encode -> static_cam -> cam_to_pseudo_label with zero learnable state."""
     trace = encode(image, weights, policy)
     cams = static_cam(trace.patch_features, bank, present)
-    labels = cam_to_pseudo_label(cams, config.tau_fg, config.tau_bg)
+    labels = cam_to_pseudo_label(cams, tau_fg, tau_bg)
     return StaticResult(cams=cams, labels=labels, trace=trace)
 
 

@@ -23,7 +23,7 @@ from .dynamic_calibration import (
     dynamic_cam,
     init_adapter,
 )
-from .encoder import LAYER_COUNT, EncoderWeights, LayerTrace, encode
+from .encoder import LAYER_COUNT, EncoderWeights, IntraCorrelation, LayerTrace, encode
 from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
 from .static_calibration import IGNORE_LABEL, run_static_pipeline
@@ -56,12 +56,8 @@ class TrainConfig:
     fusion_kernel: int = 1
     adapter_init_sigma: float = 0.02
     pair_sample_limit: int = 4096
-    ms_refresh: str = "epoch"  # "epoch" or "once"
     checkpoint_every: int = 0  # 0 = final checkpoint only
     divergence_threshold: float = 1000.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def validate(self):
         checks = [
@@ -87,7 +83,6 @@ class TrainConfig:
             (self.fusion_kernel in (1, 3), f"fusion kernel must be 1 or 3, got {self.fusion_kernel}"),
             (self.adapter_init_sigma >= 0, "adapter init sigma must be >= 0"),
             (self.pair_sample_limit >= 1, "pair sample limit must be >= 1"),
-            (self.ms_refresh in ("epoch", "once"), f"ms_refresh must be 'epoch' or 'once', got {self.ms_refresh!r}"),
             (self.checkpoint_every >= 0, "checkpoint_every must be >= 0"),
             (self.divergence_threshold > 0, "divergence threshold must be positive"),
         ]
@@ -99,6 +94,11 @@ class TrainConfig:
         d = asdict(self)
         d["calib_weights"] = list(self.calib_weights)
         return d
+
+    def calibration(self) -> IntraCorrelation:
+        """The calibrated attention that training and dynamic CAMs consume,
+        whatever policy the exported static stage uses."""
+        return IntraCorrelation(layers=self.calib_layers, weights=tuple(self.calib_weights))
 
 
 # --------------------------------------------------------------------------
@@ -128,52 +128,42 @@ def _stacked_patch_features(trace: LayerTrace) -> np.ndarray:
     return np.concatenate([f[1:].astype(np.float64) for f in trace.features], axis=1)
 
 
-def seg_logits(trace: LayerTrace, head: SegHead) -> np.ndarray:
-    """Per-patch logits (num_labels, h, w)."""
-    x = _stacked_patch_features(trace)
-    logits = x @ head.w.astype(np.float64).T + head.b.astype(np.float64)
-    gh, gw = trace.grid
-    return np.ascontiguousarray(logits.astype(np.float32).T).reshape(head.num_labels, gh, gw)
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy of (n, L) float64 logits against n labels, 255
+    ignored. Returns (loss, probs, valid mask, target labels) over the
+    non-ignored rows."""
+    flat_labels = np.asarray(labels).reshape(-1).astype(np.int64)
+    valid = flat_labels != IGNORE_LABEL
+    if not valid.any():
+        raise NumericError("segmentation loss undefined: every pixel is ignored")
+    target = flat_labels[valid]
+    if target.max(initial=0) >= logits.shape[1]:
+        raise DataError(f"label value {int(target.max())} outside 0..{logits.shape[1] - 1}")
+    z = logits[valid] - logits[valid].max(axis=1, keepdims=True)
+    exp = np.exp(z)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    picked = np.log(probs[np.arange(target.shape[0]), target])
+    return float(-picked.mean()), probs, valid, target
 
 
 def seg_loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy over non-ignored pixels."""
+    """Mean cross-entropy of (L, h, w) logits over non-ignored pixels."""
     logits = nm.as_f32(logits, "logits")
     labels = np.asarray(labels)
     if logits.ndim != 3 or logits.shape[1:] != labels.shape:
         raise DataError(f"logit shape {logits.shape} does not match labels {labels.shape}")
     flat_logits = logits.reshape(logits.shape[0], -1).T.astype(np.float64)
-    flat_labels = labels.reshape(-1).astype(np.int64)
-    valid = flat_labels != IGNORE_LABEL
-    if not valid.any():
-        raise NumericError("segmentation loss undefined: every pixel is ignored")
-    if flat_labels[valid].max(initial=0) >= logits.shape[0]:
-        raise DataError(
-            f"label value {int(flat_labels[valid].max())} outside 0..{logits.shape[0] - 1}"
-        )
-    z = flat_logits[valid]
-    z = z - z.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    picked = log_probs[np.arange(z.shape[0]), flat_labels[valid]]
-    return float(-picked.mean())
+    return _cross_entropy(flat_logits, labels)[0]
 
 
 def seg_loss_gradient(trace: LayerTrace, head: SegHead, labels: np.ndarray):
     """(loss, {"w": gw, "b": gb}) for the affine head under cross-entropy."""
     x = _stacked_patch_features(trace)
     logits = x @ head.w.astype(np.float64).T + head.b.astype(np.float64)
-    flat_labels = np.asarray(labels).reshape(-1).astype(np.int64)
-    valid = flat_labels != IGNORE_LABEL
-    if not valid.any():
-        raise NumericError("segmentation loss undefined: every pixel is ignored")
-    z = logits[valid] - logits[valid].max(axis=1, keepdims=True)
-    exp = np.exp(z)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    n = int(valid.sum())
-    picked = np.log(probs[np.arange(n), flat_labels[valid]])
-    loss = float(-picked.mean())
+    loss, probs, valid, target = _cross_entropy(logits, labels)
+    n = target.shape[0]
     g_logits = probs.copy()
-    g_logits[np.arange(n), flat_labels[valid]] -= 1.0
+    g_logits[np.arange(n), target] -= 1.0
     g_logits /= n
     return loss, {"w": g_logits.T @ x[valid], "b": g_logits.sum(axis=0)}
 
@@ -188,6 +178,11 @@ def total_loss(seg: float, div: float, gamma: float) -> float:
 
 # --------------------------------------------------------------------------
 # AdamW
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -209,7 +204,8 @@ def adamw_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
-    config,
+    lr: float,
+    weight_decay: float,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One decoupled-weight-decay Adam update; returns new params and state.
 
@@ -217,11 +213,8 @@ def adamw_step(
     '.b'). Moments are bias-corrected; math runs in float64, storage stays
     float32.
     """
-    lr = float(config.lr)
-    wd = float(config.weight_decay)
-    b1 = float(getattr(config, "adam_beta1", 0.9))
-    b2 = float(getattr(config, "adam_beta2", 0.999))
-    eps = float(getattr(config, "adam_eps", 1e-8))
+    lr = float(lr)
+    wd = float(weight_decay)
     t = state.step + 1
     new_params, new_m, new_v = {}, {}, {}
     for name in sorted(params):
@@ -231,12 +224,12 @@ def adamw_step(
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
             raise DataError(f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
-        m = state.m[name].astype(np.float64) * b1 + (1 - b1) * g
-        v = state.v[name].astype(np.float64) * b2 + (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
+        m = state.m[name].astype(np.float64) * ADAM_BETA1 + (1 - ADAM_BETA1) * g
+        v = state.v[name].astype(np.float64) * ADAM_BETA2 + (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
         decay = 0.0 if name.endswith(".b") else wd
-        updated = p * (1 - lr * decay) - lr * m_hat / (np.sqrt(v_hat) + eps)
+        updated = p * (1 - lr * decay) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if not np.isfinite(updated).all():
             raise NumericError(f"non-finite update for parameter '{name}'")
         new_params[name] = updated.astype(np.float32)
@@ -325,23 +318,24 @@ def _split_params(params: dict, adapter: AdapterParams, head: SegHead):
     return adapter_new, head_new
 
 
-def _static_results(dataset, weights, bank, config):
+def _static_results(dataset, weights, bank, config: TrainConfig):
+    calibration = config.calibration()
     return {
-        rec.name: run_static_pipeline(rec.image, weights, bank, rec.labels, config)
+        rec.name: run_static_pipeline(
+            rec.image, weights, bank, rec.labels, calibration, config.tau_fg, config.tau_bg
+        )
         for rec in dataset.images
     }
 
 
-def _batch_records(dataset, config, iteration):
+def _batch_records(dataset, batch_size: int, iteration: int):
     n = len(dataset.images)
-    return [
-        dataset.images[(iteration * config.batch_size + j) % n]
-        for j in range(config.batch_size)
-    ]
+    return [dataset.images[(iteration * batch_size + j) % n] for j in range(batch_size)]
 
 
-def _iteration_losses(records, static_cache, weights, bank, config, adapter, head, rng):
+def _iteration_losses(records, static_cache, weights, bank, config: TrainConfig, adapter, head, rng):
     """Mean losses and summed gradients for one iteration's batch."""
+    calibration = config.calibration()
     seg_sum, div_sum = 0.0, 0.0
     grad_acc: dict[str, np.ndarray] = {}
     for j, rec in enumerate(records):
@@ -351,7 +345,15 @@ def _iteration_losses(records, static_cache, weights, bank, config, adapter, hea
         )
         div, div_grads = diversity_loss_gradient(sres.trace, adapter, batch)
         dyn = dynamic_cam(
-            rec.image, weights, adapter, bank, rec.labels, config, static_trace=sres.trace
+            rec.image,
+            weights,
+            adapter,
+            bank,
+            rec.labels,
+            calibration,
+            config.tau_fg,
+            config.tau_bg,
+            static_trace=sres.trace,
         )
         seg, seg_grads = seg_loss_gradient(sres.trace, head, dyn.labels)
         seg_sum += seg
@@ -369,10 +371,11 @@ def _iteration_losses(records, static_cache, weights, bank, config, adapter, hea
 def train_loop(dataset, weights: EncoderWeights, bank: TextRepresentation, config: TrainConfig, out_dir=None, provenance=None) -> TrainResult:
     """Seeded single-writer optimization of the adapter and segmentation head.
 
-    Per iteration: static pseudo labels (cached, refreshed per epoch),
-    adapter forward and diversity loss, dynamic pseudo labels, seg loss on
-    them, one AdamW step on the mean batch gradients. Emits a loss-curve
-    CSV and checkpoints when `out_dir` is given.
+    Static pseudo labels and traces come from one calibrated pass per image
+    before the first iteration; they depend only on frozen inputs. Per
+    iteration: adapter forward and diversity loss, dynamic pseudo labels,
+    seg loss on them, one AdamW step on the mean batch gradients. Emits a
+    loss-curve CSV and checkpoints when `out_dir` is given.
     """
     config.validate()
     rng = Rng(config.seed)
@@ -395,8 +398,7 @@ def train_loop(dataset, weights: EncoderWeights, bank: TextRepresentation, confi
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    iters_per_epoch = max(1, math.ceil(len(dataset.images) / config.batch_size))
-    static_cache = None
+    static_cache = _static_results(dataset, weights, bank, config) if config.iterations else {}
     curve: list[tuple[int, float, float, float]] = []
     ckpt_paths: list[Path] = []
     meta = {"train_config": config.to_dict(), "num_labels": num_labels, "dim": weights.dim}
@@ -414,10 +416,8 @@ def train_loop(dataset, weights: EncoderWeights, bank: TextRepresentation, confi
             ckpt_paths.append(p)
 
     for it in range(config.iterations):
-        if static_cache is None or (config.ms_refresh == "epoch" and it % iters_per_epoch == 0 and it > 0):
-            static_cache = _static_results(dataset, weights, bank, config)
         maybe_checkpoint(it)
-        records = _batch_records(dataset, config, it)
+        records = _batch_records(dataset, config.batch_size, it)
         seg_mean, div_mean, grads = _iteration_losses(
             records, static_cache, weights, bank, config, adapter, head, rng.child(f"it.{it}")
         )
@@ -428,7 +428,7 @@ def train_loop(dataset, weights: EncoderWeights, bank: TextRepresentation, confi
                 f"training diverged at iteration {it}: total loss {tot:.3f} "
                 f"(seg {seg_mean:.3f}, div {div_mean:.3f})"
             )
-        params, state = adamw_step(params, grads, state, config)
+        params, state = adamw_step(params, grads, state, config.lr, config.weight_decay)
         adapter, head = _split_params(params, adapter, head)
     if out_dir:
         final = save_checkpoint(
@@ -444,11 +444,11 @@ def train_loop(dataset, weights: EncoderWeights, bank: TextRepresentation, confi
     return TrainResult(adapter=adapter, head=head, curve=curve, state=state, checkpoint_paths=ckpt_paths)
 
 
-def replay_iteration(iteration, dataset, weights, bank, config, adapter, head):
+def replay_iteration(iteration, dataset, weights, bank, config: TrainConfig, adapter, head):
     """Recompute the logged batch losses for `iteration` from checkpointed
     parameters; mirrors the loop's batch selection and static cache."""
     static_cache = _static_results(dataset, weights, bank, config)
-    records = _batch_records(dataset, config, iteration)
+    records = _batch_records(dataset, config.batch_size, iteration)
     rng = Rng(config.seed).child(f"it.{iteration}")
     seg_mean, div_mean, _ = _iteration_losses(
         records, static_cache, weights, bank, config, adapter, head, rng

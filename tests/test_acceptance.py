@@ -73,23 +73,17 @@ def toy_run(fixture_paths, fixture_weights, fixture_dataset, fixture_kb):
         return evaluate(preds, gts, num_labels=len(fixture_dataset.class_names)).miou
 
     def static_pass(policy, which_bank):
-        class Cfg:
-            policy_name = policy
-
-        Cfg.policy = policy
-        Cfg.calib_layers = cfg.calib_layers
-        Cfg.calib_weights = cfg.calib_weights
-        Cfg.tau_fg = cfg.tau_fg
-        Cfg.tau_bg = cfg.tau_bg
         return {
-            rec.name: run_static_pipeline(rec.image, fixture_weights, which_bank, rec.labels, Cfg)
+            rec.name: run_static_pipeline(
+                rec.image, fixture_weights, which_bank, rec.labels, policy, cfg.tau_fg, cfg.tau_bg
+            )
             for rec in fixture_dataset.images
         }
 
     t0 = time.monotonic()
-    static_results = static_pass("intra_correlation", bank)
-    vanilla_results = static_pass("vanilla", bank)
-    unclustered_results = static_pass("intra_correlation", bank_unclustered)
+    static_results = static_pass(cfg.calibration(), bank)
+    vanilla_results = static_pass(VanillaQK(), bank)
+    unclustered_results = static_pass(cfg.calibration(), bank_unclustered)
 
     backbone_before = b"".join(
         arr.tobytes() for arr in fixture_weights.to_tensors().values()
@@ -105,7 +99,9 @@ def toy_run(fixture_paths, fixture_weights, fixture_dataset, fixture_kb):
             train_result.adapter,
             bank,
             rec.labels,
-            cfg,
+            cfg.calibration(),
+            cfg.tau_fg,
+            cfg.tau_bg,
             static_trace=static_results[rec.name].trace,
         ).labels
         for rec in fixture_dataset.images

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import excel
 from excel.cli import main
 from excel.config import parse_config, save_config
 from excel.images import read_pgm
@@ -192,6 +196,43 @@ def test_exit_code_usage_error():
     assert main(["run", "--config", "/nonexistent/config.json"]) == 1
     assert main(["definitely-not-a-command"]) == 1
     assert main(["cam", "--mode", "bogus"]) == 1
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"iterations": "ten"},
+        {"calib_weights": 5},
+        {"tau_fg": None},
+        {"lr": "0.1"},
+        {"seed": "x"},
+        {"batch_size": 2.5},
+    ],
+    ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()),
+)
+def test_exit_code_config_value_of_wrong_type(cli_fixtures, tmp_path, override):
+    # written raw: parse_config itself rejects these values
+    mapping = {
+        "weights": str(cli_fixtures / "encoder.json"),
+        "knowledge": str(cli_fixtures / "knowledge.json"),
+        "dataset": str(cli_fixtures / "dataset"),
+        "out_dir": str(tmp_path / "out"),
+        **override,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(mapping))
+    env = {**os.environ, "PYTHONPATH": str(Path(excel.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "excel", "run", "--config", str(cfg_path), "--mode", "static-only"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config key"), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_data_error(cli_fixtures, tmp_path):

@@ -8,7 +8,6 @@ from excel.dynamic_calibration import (
     AffinityBatch,
     adapter_diversity_loss,
     adapter_forward,
-    biased_attention,
     build_affinity_batch,
     diversity_loss,
     diversity_loss_gradient,
@@ -16,7 +15,7 @@ from excel.dynamic_calibration import (
     dynamic_relation,
     init_adapter,
 )
-from excel.encoder import LAYER_COUNT, LayerTrace
+from excel.encoder import LAYER_COUNT, IntraCorrelationBiased, LayerTrace, _head_attention, relation_bias
 from excel.errors import DataError, NumericError
 from excel.numerics import Rng
 from excel.static_calibration import run_static_pipeline
@@ -207,29 +206,37 @@ def test_relation_zero_column_error():
 # biased attention
 
 
+def biased_attention(o, weights, relation):
+    """The encoder's biased attention map for one head whose q, k and v
+    are all `o`: the weighted self-attention mix plus the relation bias."""
+    policy = IntraCorrelationBiased(layers=1, weights=weights, relation=relation)
+    bias = relation_bias(relation, o.shape[0])
+    return _head_attention(policy, LAYER_COUNT - 1, o, o, o, o.shape[1], bias)
+
+
 def test_biased_attention_uniform_relation():
-    attn = np.full((4, 4), 0.25, np.float32)
-    out = biased_attention(attn, np.zeros((4, 4), np.float32))
+    # identical tokens: every self-attention map is uniform 1/4
+    o = np.ones((4, 3), np.float32)
+    out = biased_attention(o, (1 / 3, 1 / 3, 1 / 3), np.zeros((4, 4), np.float32))
     np.testing.assert_allclose(out, 0.25 + 0.25, atol=1e-6)
 
 
 def test_biased_attention_identity_relation():
-    attn = np.zeros((3, 3), np.float32)
+    o = Rng(8).generator().standard_normal((3, 2)).astype(np.float32)
     rel = np.full((3, 3), -np.inf, np.float32)
     np.fill_diagonal(rel, 0.0)
-    out = biased_attention(attn, rel)
+    out = biased_attention(o, (0.0, 0.0, 0.0), rel)
     np.testing.assert_allclose(out, np.eye(3), atol=1e-7)
 
 
 def test_biased_attention_row_sums_additive():
     gen = Rng(9).generator()
-    attn = gen.random((5, 5)).astype(np.float32)
-    attn /= attn.sum(axis=1, keepdims=True)
+    o = gen.standard_normal((5, 3)).astype(np.float32)
     rel = gen.standard_normal((4, 4)).astype(np.float32)
     rel = np.where(rel >= 0, rel, np.float32(-np.inf))
     # ensure no dead rows
     np.fill_diagonal(rel, 1.0)
-    out = biased_attention(attn, rel)
+    out = biased_attention(o, (0.2, 0.3, 0.5), rel)
     sums = out.sum(axis=1)
     assert sums[0] == pytest.approx(1.0, abs=1e-5)  # CLS row: no bias
     np.testing.assert_allclose(sums[1:], 2.0, atol=1e-5)
@@ -270,7 +277,7 @@ def test_diversity_loss_two_orthogonal_groups():
     f[0, :2] = 1.0
     f[1, 2:] = 1.0
     labels = np.array([[1, 1], [2, 2]], np.uint8)
-    loss = diversity_loss(f, labels)
+    loss = diversity_loss(f, build_affinity_batch(labels))
     sig1 = 1 / (1 + math.exp(-1))
     expected = (1 - sig1) + 0.5
     assert loss == pytest.approx(expected, abs=1e-3)
@@ -281,7 +288,7 @@ def test_diversity_loss_near_collinear_saturates_low():
     base = gen.standard_normal(6)
     f = (base[:, None] + 1e-4 * gen.standard_normal((6, 9))).astype(np.float32)
     labels = np.ones((3, 3), np.uint8)
-    loss = diversity_loss(f, labels)
+    loss = diversity_loss(f, build_affinity_batch(labels))
     sig1 = 1 / (1 + math.exp(-1))
     assert loss == pytest.approx(1 - sig1, abs=1e-3)
     assert loss < 0.3
@@ -291,7 +298,7 @@ def test_diversity_loss_single_class_reduces_to_positive_term():
     gen = Rng(13).generator()
     f = gen.standard_normal((4, 6)).astype(np.float32)
     labels = np.full((2, 3), 2, np.uint8)
-    loss = diversity_loss(f, labels)
+    loss = diversity_loss(f, build_affinity_batch(labels))
     from excel.numerics import cosine_matrix, sigmoid
 
     u = sigmoid(cosine_matrix(f, f))
@@ -303,7 +310,7 @@ def test_diversity_loss_value_in_open_interval():
     for seed in range(20):
         f = gen.standard_normal((5, 9)).astype(np.float32)
         labels = gen.integers(0, 3, size=(3, 3)).astype(np.uint8)
-        loss = diversity_loss(f, labels)
+        loss = diversity_loss(f, build_affinity_batch(labels))
         assert 0.0 < loss < 2.0
 
 
@@ -323,8 +330,8 @@ def test_gradient_zero_on_plateau():
         alpha=3.0,
         beta=1.0,
     )
-    labels = np.ones((3, 3), np.uint8)
-    loss, grads = diversity_loss_gradient(trace, plateau, labels)
+    batch = build_affinity_batch(np.ones((3, 3), np.uint8))
+    loss, grads = diversity_loss_gradient(trace, plateau, batch)
     total = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
     assert total < 1e-6
 
@@ -385,7 +392,9 @@ def test_gradient_loss_matches_forward():
 def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, fixture_dataset):
     cfg = TrainConfig()
     rec = fixture_dataset.images[0]
-    static = run_static_pipeline(rec.image, fixture_weights, fixture_bank, rec.labels, cfg)
+    static = run_static_pipeline(
+        rec.image, fixture_weights, fixture_bank, rec.labels, cfg.calibration(), cfg.tau_fg, cfg.tau_bg
+    )
     zero = AdapterParams(
         deltas_w=[np.zeros((cfg.d_proj, 64), np.float32) for _ in range(LAYER_COUNT)],
         deltas_b=[np.zeros(cfg.d_proj, np.float32) for _ in range(LAYER_COUNT)],
@@ -395,7 +404,15 @@ def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, 
         beta=cfg.beta,
     )
     dyn = dynamic_cam(
-        rec.image, fixture_weights, zero, fixture_bank, rec.labels, cfg, static_trace=static.trace
+        rec.image,
+        fixture_weights,
+        zero,
+        fixture_bank,
+        rec.labels,
+        cfg.calibration(),
+        cfg.tau_fg,
+        cfg.tau_bg,
+        static_trace=static.trace,
     )
     # identical features -> cosines all one -> relation uniformly zero
     np.testing.assert_allclose(dyn.relation.raw, 0.0, atol=1e-6)
@@ -408,7 +425,8 @@ def test_dynamic_cam_deterministic(fixture_weights, fixture_bank, fixture_datase
     cfg = TrainConfig()
     rec = fixture_dataset.images[1]
     adapter = init_adapter(Rng(19), dim=64, d_proj=cfg.d_proj, d_dyn=cfg.d_dyn)
-    d1 = dynamic_cam(rec.image, fixture_weights, adapter, fixture_bank, rec.labels, cfg)
-    d2 = dynamic_cam(rec.image, fixture_weights, adapter, fixture_bank, rec.labels, cfg)
+    args = (rec.image, fixture_weights, adapter, fixture_bank, rec.labels)
+    d1 = dynamic_cam(*args, cfg.calibration(), cfg.tau_fg, cfg.tau_bg)
+    d2 = dynamic_cam(*args, cfg.calibration(), cfg.tau_fg, cfg.tau_bg)
     assert d1.cams.maps.tobytes() == d2.cams.maps.tobytes()
     assert np.array_equal(d1.labels, d2.labels)

@@ -121,10 +121,13 @@ def test_config_relative_paths_anchor_to_file(tmp_path):
     assert cfg.out_dir == str(tmp_path / "out")
 
 
-def test_config_passthrough_attributes():
+def test_config_train_fields_live_on_train():
     cfg = PipelineConfig(train=TrainConfig(tau_fg=0.6))
-    assert cfg.tau_fg == 0.6
+    assert cfg.train.tau_fg == 0.6
     assert cfg.policy == "intra_correlation"
+    # no passthrough: training fields are read from cfg.train only
+    with pytest.raises(AttributeError):
+        cfg.tau_fg
     with pytest.raises(AttributeError):
         cfg.not_a_field
 
@@ -216,24 +219,41 @@ def test_pipeline_static_only(tmp_path, fixture_paths):
 
 
 def test_pipeline_full_mode_with_vanilla_static_policy(tmp_path, fixture_paths):
-    # the exported static stage follows the selected policy, while the
-    # adapter keeps consuming calibrated traces
-    cfg = parse_config(
-        {
-            "seed": 11,
-            "weights": str(fixture_paths["weights"]),
-            "knowledge": str(fixture_paths["knowledge"]),
-            "dataset": str(fixture_paths["dataset"]),
-            "out_dir": str(tmp_path / "vrun"),
-            "policy": "vanilla",
-            "iterations": 2,
-            "batch_size": 4,
-            "clusters": 8,
-        }
-    )
-    artifacts, report = run_pipeline(cfg, mode="full")
-    assert artifacts.report.exists()
-    assert 0.0 <= report.miou <= 1.0
+    # the exported static stage follows the selected policy, while training
+    # and dynamic CAMs always consume the calibrated (intra-correlation) trace
+    def run(policy):
+        out = tmp_path / policy
+        cfg = parse_config(
+            {
+                "seed": 11,
+                "weights": str(fixture_paths["weights"]),
+                "knowledge": str(fixture_paths["knowledge"]),
+                "dataset": str(fixture_paths["dataset"]),
+                "out_dir": str(out),
+                "policy": policy,
+                "iterations": 2,
+                "batch_size": 4,
+                "clusters": 8,
+            }
+        )
+        artifacts, report = run_pipeline(cfg, mode="full")
+        assert artifacts.report.exists()
+        assert 0.0 <= report.miou <= 1.0
+        return out, report
+
+    vanilla, vanilla_report = run("vanilla")
+    calibrated, calibrated_report = run("intra_correlation")
+
+    def blobs(root, pattern):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.glob(pattern))}
+
+    for pattern in ("dynamic/*.bin", "train/*.bin", "train/loss_curve.csv"):
+        got, want = blobs(vanilla, pattern), blobs(calibrated, pattern)
+        assert got and got == want, pattern
+    static_v, static_c = blobs(vanilla, "static/*.bin"), blobs(calibrated, "static/*.bin")
+    assert static_v.keys() == static_c.keys()
+    assert all(static_v[k] != static_c[k] for k in static_v)
+    assert vanilla_report.miou == calibrated_report.miou
 
 
 def test_pipeline_unknown_mode(fixture_paths, tmp_path):

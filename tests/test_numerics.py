@@ -197,15 +197,9 @@ def test_matmul_rejects_non_finite_inputs():
         nm.matmul(bad, np.zeros((2, 2), np.float32))
 
 
-def test_transpose_concat_mean():
+def test_transpose():
     a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
     np.testing.assert_array_equal(nm.transpose(a), a.T)
-    np.testing.assert_array_equal(
-        nm.concat([a, a], axis=0), np.concatenate([a, a], axis=0)
-    )
-    assert nm.mean(a) == pytest.approx(2.5)
-    with pytest.raises(DataError, match="concat shape mismatch"):
-        nm.concat([a, np.zeros((2, 3), np.float32)], axis=0)
 
 
 # --------------------------------------------------------------------------

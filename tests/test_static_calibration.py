@@ -6,13 +6,12 @@ from excel.numerics import Rng
 from excel.static_calibration import (
     CamStack,
     cam_to_pseudo_label,
-    intra_correlation,
     load_cams,
     run_static_pipeline,
     save_cams,
     static_cam,
 )
-from excel.encoder import self_attention
+from excel.encoder import LAYER_COUNT, IntraCorrelation, VanillaQK, _head_attention, self_attention
 from excel.text_enrichment import TextRepresentation
 from excel.training_eval import TrainConfig
 
@@ -33,6 +32,12 @@ def bank_from_columns(columns):
 
 # --------------------------------------------------------------------------
 # intra_correlation
+
+
+def intra_correlation(q, k, v, weights):
+    """The encoder's attention map for one head in a calibrated layer."""
+    policy = IntraCorrelation(layers=1, weights=weights)
+    return _head_attention(policy, LAYER_COUNT - 1, q, k, v, q.shape[1], None)
 
 
 def test_intra_correlation_selector_weights():
@@ -66,13 +71,6 @@ def test_intra_correlation_matches_three_way_oracle():
     oracle = w[0] * naive_sa(q) + w[1] * naive_sa(k) + w[2] * naive_sa(v)
     np.testing.assert_allclose(intra_correlation(q, k, v, w), oracle, atol=1e-5)
     np.testing.assert_allclose(intra_correlation(q, k, v, w).sum(axis=1), 1.0, atol=1e-5)
-
-
-def test_intra_correlation_shape_mismatch():
-    a = np.zeros((4, 3), np.float32)
-    b = np.zeros((5, 3), np.float32)
-    with pytest.raises(DataError):
-        intra_correlation(a, b, a, (1, 1, 1))
 
 
 # --------------------------------------------------------------------------
@@ -173,10 +171,15 @@ def test_pseudo_label_threshold_ordering():
         cam_to_pseudo_label(stack_for([[0.5]]), 1.2, 0.2)
 
 
-def test_pseudo_labels_only_from_present_classes(fixture_weights, fixture_bank, fixture_dataset):
+def static_result(rec, weights, bank, policy=None):
     cfg = TrainConfig()
+    policy = cfg.calibration() if policy is None else policy
+    return run_static_pipeline(rec.image, weights, bank, rec.labels, policy, cfg.tau_fg, cfg.tau_bg)
+
+
+def test_pseudo_labels_only_from_present_classes(fixture_weights, fixture_bank, fixture_dataset):
     for rec in fixture_dataset.images[:6]:
-        res = run_static_pipeline(rec.image, fixture_weights, fixture_bank, rec.labels, cfg)
+        res = static_result(rec, fixture_weights, fixture_bank)
         found = set(np.unique(res.labels).tolist()) - {0, 255}
         assert found <= set(rec.labels)
 
@@ -186,38 +189,23 @@ def test_pseudo_labels_only_from_present_classes(fixture_weights, fixture_bank, 
 
 
 def test_static_pipeline_deterministic(fixture_weights, fixture_bank, fixture_dataset):
-    cfg = TrainConfig()
     rec = fixture_dataset.images[0]
-    r1 = run_static_pipeline(rec.image, fixture_weights, fixture_bank, rec.labels, cfg)
-    r2 = run_static_pipeline(rec.image, fixture_weights, fixture_bank, rec.labels, cfg)
+    r1 = static_result(rec, fixture_weights, fixture_bank)
+    r2 = static_result(rec, fixture_weights, fixture_bank)
     assert r1.cams.maps.tobytes() == r2.cams.maps.tobytes()
     assert np.array_equal(r1.labels, r2.labels)
 
 
 def test_static_pipeline_zero_layers_matches_vanilla(fixture_weights, fixture_bank, fixture_dataset):
     rec = fixture_dataset.images[0]
-
-    class CfgZero(TrainConfig):
-        pass
-
-    cfg_zero = CfgZero(calib_layers=0)
-    res_zero = run_static_pipeline(rec.image, fixture_weights, fixture_bank, rec.labels, cfg_zero)
-
-    class V:
-        policy = "vanilla"
-        calib_layers = 5
-        calib_weights = (1 / 3, 1 / 3, 1 / 3)
-        tau_fg = cfg_zero.tau_fg
-        tau_bg = cfg_zero.tau_bg
-
-    res_vanilla = run_static_pipeline(rec.image, fixture_weights, fixture_bank, rec.labels, V)
+    res_zero = static_result(rec, fixture_weights, fixture_bank, IntraCorrelation(layers=0))
+    res_vanilla = static_result(rec, fixture_weights, fixture_bank, VanillaQK())
     assert res_zero.cams.maps.tobytes() == res_vanilla.cams.maps.tobytes()
 
 
 def test_cam_export_roundtrip(tmp_path, fixture_weights, fixture_bank, fixture_dataset):
-    cfg = TrainConfig()
     rec = fixture_dataset.images[2]
-    res = run_static_pipeline(rec.image, fixture_weights, fixture_bank, rec.labels, cfg)
+    res = static_result(rec, fixture_weights, fixture_bank)
     path = save_cams(tmp_path / "c.cams.json", res.cams, provenance={"stage": "static"})
     loaded = load_cams(path)
     assert loaded.class_ids == res.cams.class_ids

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from excel import training_eval
 from excel.dynamic_calibration import init_adapter
 from excel.encoder import IntraCorrelation, VanillaQK, encode
 from excel.errors import DataError, NumericError, UsageError
@@ -22,7 +23,6 @@ from excel.training_eval import (
     replay_iteration,
     report_text,
     save_checkpoint,
-    seg_logits,
     seg_loss,
     seg_loss_gradient,
     total_loss,
@@ -144,8 +144,7 @@ def _params(seed=4):
 def test_adamw_zero_grad_zero_decay_is_identity():
     params = _params()
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    cfg = small_config(lr=1e-2, weight_decay=0.0)
-    new_params, state = adamw_step(params, grads, init_adam_state(params), cfg)
+    new_params, state = adamw_step(params, grads, init_adam_state(params), lr=1e-2, weight_decay=0.0)
     for k in params:
         assert np.array_equal(new_params[k], params[k])
     assert state.step == 1
@@ -156,8 +155,7 @@ def test_adamw_first_step_closed_form():
     gen = Rng(6).generator()
     grads = {k: gen.standard_normal(v.shape) for k, v in params.items()}
     lr, eps = 1e-3, 1e-8
-    cfg = small_config(lr=lr, weight_decay=0.0)
-    new_params, _ = adamw_step(params, grads, init_adam_state(params), cfg)
+    new_params, _ = adamw_step(params, grads, init_adam_state(params), lr=lr, weight_decay=0.0)
     for k in params:
         g = grads[k]
         expected = params[k].astype(np.float64) - lr * g / (np.abs(g) + eps)
@@ -168,8 +166,7 @@ def test_adamw_decay_only_shrinks_weights_not_biases():
     params = _params(7)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     lr, wd = 1e-2, 1e-1
-    cfg = small_config(lr=lr, weight_decay=wd)
-    new_params, _ = adamw_step(params, grads, init_adam_state(params), cfg)
+    new_params, _ = adamw_step(params, grads, init_adam_state(params), lr=lr, weight_decay=wd)
     np.testing.assert_allclose(
         new_params["layer.w"], params["layer.w"] * (1 - lr * wd), atol=1e-7
     )
@@ -177,13 +174,10 @@ def test_adamw_decay_only_shrinks_weights_not_biases():
 
 
 def test_adamw_lr_zero_is_identity():
-    from types import SimpleNamespace
-
     params = _params(8)
     gen = Rng(9).generator()
     grads = {k: gen.standard_normal(v.shape) for k, v in params.items()}
-    cfg = SimpleNamespace(lr=0.0, weight_decay=1e-2)
-    new_params, _ = adamw_step(params, grads, init_adam_state(params), cfg)
+    new_params, _ = adamw_step(params, grads, init_adam_state(params), lr=0.0, weight_decay=1e-2)
     for k in params:
         assert np.array_equal(new_params[k], params[k])
 
@@ -193,16 +187,15 @@ def test_adamw_nonfinite_update_raises():
     grads = {k: np.full(v.shape, np.nan) for k, v in params.items()}
     cfg = small_config()
     with pytest.raises(NumericError, match="non-finite"):
-        adamw_step(params, grads, init_adam_state(params), cfg)
+        adamw_step(params, grads, init_adam_state(params), cfg.lr, cfg.weight_decay)
 
 
 def test_adamw_moment_accumulation_two_steps():
     params = {"p.w": np.zeros(1, np.float32)}
     g1 = {"p.w": np.array([1.0])}
-    cfg = small_config(lr=1e-3, weight_decay=0.0)
     state = init_adam_state(params)
-    p1, state = adamw_step(params, g1, state, cfg)
-    p2, state = adamw_step(p1, g1, state, cfg)
+    p1, state = adamw_step(params, g1, state, lr=1e-3, weight_decay=0.0)
+    p2, state = adamw_step(p1, g1, state, lr=1e-3, weight_decay=0.0)
     b1, b2, eps = 0.9, 0.999, 1e-8
     m = (b1 * 0.1 + 0.1) / (1 - b1**2)  # bias-corrected after two equal grads
     v = (b2 * 0.001 + 0.001) / (1 - b2**2)
@@ -401,13 +394,32 @@ def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_bank, fi
         assert tot == pytest.approx(curve[k][3], abs=1e-5)
 
 
-def test_train_loop_with_pair_subsampling_and_single_refresh(fixture_weights, fixture_bank, fixture_dataset):
-    cfg = small_config(iterations=2, pair_sample_limit=10, ms_refresh="once")
+def test_train_loop_with_pair_subsampling(fixture_weights, fixture_bank, fixture_dataset):
+    cfg = small_config(iterations=2, pair_sample_limit=10)
     r1 = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg)
     r2 = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg)
     assert r1.curve == r2.curve
     for a, b in zip(r1.adapter.to_dict().values(), r2.adapter.to_dict().values()):
         assert np.array_equal(a, b)
+
+
+def test_train_loop_runs_one_static_pass_per_image(monkeypatch, fixture_weights, fixture_bank, fixture_dataset):
+    # static results depend only on frozen inputs, so 17 iterations over
+    # 32 images in batches of 4 (two full epochs and one more iteration)
+    # still encode each image statically once
+    calls = []
+    real = training_eval.run_static_pipeline
+
+    def counting(image, weights, bank, present, policy, tau_fg, tau_bg):
+        calls.append(image.tobytes())
+        return real(image, weights, bank, present, policy, tau_fg, tau_bg)
+
+    monkeypatch.setattr(training_eval, "run_static_pipeline", counting)
+    cfg = small_config(iterations=17, batch_size=4)
+    train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg)
+    assert len(fixture_dataset.images) == 32
+    assert len(calls) == 32
+    assert sorted(calls) == sorted(rec.image.tobytes() for rec in fixture_dataset.images)
 
 
 def test_config_validation_errors():
@@ -419,6 +431,4 @@ def test_config_validation_errors():
         small_config(fusion_kernel=2).validate()
     with pytest.raises(UsageError):
         small_config(calib_weights=(1, 1)).validate()
-    with pytest.raises(UsageError):
-        small_config(ms_refresh="sometimes").validate()
     small_config().validate()
