@@ -11,11 +11,13 @@ Manifest (UTF-8, JSON):
     }
 
 Blob: little-endian IEEE-754 binary32 values, row-major, packed back to
-back at the declared byte offsets with no gaps. Loading verifies the
-checksum first, then that the declared tensors tile the blob exactly.
+back at the declared byte offsets with no gaps. Loading validates the
+manifest's structure, then verifies the checksum, then that the declared
+tensors tile the blob exactly.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,6 +78,34 @@ def save_tensors(path, tensors, meta=None, provenance=None) -> Path:
     return path
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _parse_entries(path: Path, entries) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, offset) per declared tensor; rejects malformed entries."""
+    if not isinstance(entries, list):
+        raise DataError(f"manifest {path} has no 'tensors' list")
+    parsed, seen = [], set()
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DataError(f"manifest {path} tensor entry {i} is not an object")
+        name = entry.get("name")
+        if not isinstance(name, str) or not name:
+            raise DataError(f"manifest {path} tensor entry {i} has no name")
+        if name in seen:
+            raise DataError(f"manifest {path} declares tensor '{name}' twice")
+        seen.add(name)
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(_is_count(s) for s in shape):
+            raise ShapeError(f"tensor '{name}' in {path} has shape {shape!r}, not a list of counts")
+        offset = entry.get("offset")
+        if not _is_count(offset):
+            raise ShapeError(f"tensor '{name}' in {path} has offset {offset!r}, not a byte count")
+        parsed.append((name, tuple(shape), offset))
+    return parsed
+
+
 def load_tensors(path) -> TensorFile:
     path = Path(path)
     if not path.exists():
@@ -84,9 +114,18 @@ def load_tensors(path) -> TensorFile:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest {path} is not a JSON object")
     if manifest.get("format") != FORMAT_TAG:
         raise DataError(f"manifest {path} has unknown format tag {manifest.get('format')!r}")
-    blob_path = path.parent / manifest["blob"]
+    blob_name = manifest.get("blob")
+    if not isinstance(blob_name, str) or not blob_name or Path(blob_name).name != blob_name:
+        raise DataError(f"manifest {path} has blob {blob_name!r}, not a file name next to it")
+    for key in ("meta", "provenance"):
+        if not isinstance(manifest.get(key, {}), dict):
+            raise DataError(f"manifest {path} has a '{key}' that is not an object")
+    entries = _parse_entries(path, manifest.get("tensors"))
+    blob_path = path.parent / blob_name
     if not blob_path.exists():
         raise DataError(f"blob not found: {blob_path}")
     blob = blob_path.read_bytes()
@@ -97,23 +136,28 @@ def load_tensors(path) -> TensorFile:
             f"blob {blob_path} checksum {actual} does not match manifest {declared}"
         )
     tensors: dict[str, np.ndarray] = {}
-    covered = 0
-    for entry in manifest["tensors"]:
-        name = entry["name"]
-        shape = tuple(int(s) for s in entry["shape"])
-        offset = int(entry["offset"])
-        nbytes = 4 * int(np.prod(shape, dtype=np.int64)) if shape else 4
-        if offset < 0 or offset + nbytes > len(blob):
+    spans = []
+    for name, shape, offset in entries:
+        nbytes = 4 * math.prod(shape)
+        if offset + nbytes > len(blob):
             raise ShapeError(
                 f"tensor '{name}' ({shape} at offset {offset}) extends past "
                 f"blob end ({len(blob)} bytes)"
             )
         flat = np.frombuffer(blob, dtype="<f4", count=nbytes // 4, offset=offset)
         tensors[name] = np.ascontiguousarray(flat.reshape(shape).astype(np.float32))
-        covered += nbytes
-    if covered != len(blob):
+        spans.append((offset, offset + nbytes, name))
+    end = 0
+    for start, stop, name in sorted(spans):
+        if start != end:
+            raise ShapeError(
+                f"tensor '{name}' in {path} starts at byte {start}, but the tensors "
+                f"before it end at byte {end}"
+            )
+        end = stop
+    if end != len(blob):
         raise ShapeError(
-            f"manifest {path} declares {covered} bytes of tensors but blob "
+            f"manifest {path} declares {end} bytes of tensors but blob "
             f"holds {len(blob)}"
         )
     return TensorFile(

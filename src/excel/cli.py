@@ -147,7 +147,7 @@ def _cmd_cam(args) -> int:
     else:
         if not args.adapter:
             raise UsageError("dynamic mode requires --adapter")
-        adapter, _, _, _ = load_checkpoint(args.adapter)
+        adapter, _, _ = load_checkpoint(args.adapter)
         res = dynamic_cam(image, weights, adapter, bank, present, cfg.train.calibration(), tau_fg, tau_bg)
     cams, labels = res.cams, res.labels
     save_cams(out_dir / f"{stem}.cams.json", cams, provenance=prov)
@@ -221,7 +221,7 @@ def _cmd_attn_report(args) -> int:
                 from .dynamic_calibration import adapter_forward, dynamic_relation
                 from .encoder import encode
 
-                adapter, _, _, _ = load_checkpoint(args.adapter)
+                adapter, _, _ = load_checkpoint(args.adapter)
                 trace = encode(image, weights, IntraCorrelation(layers=args.calib_layers))
                 relation = dynamic_relation(
                     adapter_forward(trace, adapter), adapter.alpha, adapter.beta

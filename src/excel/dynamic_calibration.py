@@ -361,7 +361,8 @@ def dynamic_cam(
 
     The relation comes from the adapter run over the trace of the same
     image under `calibration` (computed here when not supplied); the
-    biased re-encode adds it to that same calibrated attention.
+    biased re-encode adds it to that same calibrated attention, resuming
+    from that trace below the first calibrated layer.
     """
     if static_trace is None:
         static_trace = encode(image, weights, calibration)
@@ -372,7 +373,7 @@ def dynamic_cam(
         weights=calibration.weights,
         relation=relation.masked,
     )
-    trace = encode(image, weights, biased)
+    trace = encode(image, weights, biased, prefix=static_trace)
     cams = static_cam(trace.patch_features, bank, present)
     labels = cam_to_pseudo_label(cams, tau_fg, tau_bg)
     return DynamicResult(

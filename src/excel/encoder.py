@@ -2,8 +2,9 @@
 
 The encoder is deliberately small and bit-reproducible: float32 weights,
 float64 accumulation, no dropout, no batch dimension. Every forward pass
-captures the per-layer tensors (normalized layer inputs, per-head q/k/v,
-attention maps) that the calibration stages consume.
+captures the per-layer tensors (residual stream and normalized layer
+inputs, per-head q/k/v, attention maps) that the calibration stages
+consume, and a later pass can resume from that capture.
 
 Shapes: token matrices are (T, D) with the CLS token at row 0 and
 T = h*w + 1 grid tokens; per-head tensors are (H, T, D_s) with
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import numerics as nm
 from .blobio import TensorFile, load_tensors, save_tensors
-from .errors import DataError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 
 LAYER_COUNT = 12
 LN_EPS = 1e-5
@@ -258,6 +259,8 @@ class LayerTrace:
     """Per-layer capture of one encoder forward pass."""
 
     grid: tuple[int, int]
+    modified_layers: frozenset[int]  # layers whose attention the policy replaced
+    inputs: list[np.ndarray]  # 13 x (T, D): residual stream entering each layer, then the final norm
     features: list[np.ndarray]  # 12 x (T, D): normalized input projected to q/k/v
     queries: list[np.ndarray]  # 12 x (H, T, D_s)
     keys: list[np.ndarray]
@@ -281,7 +284,7 @@ def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarra
 
 def gelu(x: np.ndarray) -> np.ndarray:
     # sigmoid-weighted linear unit, the usual cheap GELU stand-in
-    return (x.astype(np.float64) * nm.sigmoid(1.702 * x).astype(np.float64)).astype(np.float32)
+    return (x.astype(np.float64) * nm.sigmoid_unchecked(1.702 * x).astype(np.float64)).astype(np.float32)
 
 
 def patchify(image: np.ndarray, weights: EncoderWeights) -> np.ndarray:
@@ -314,14 +317,22 @@ def patchify(image: np.ndarray, weights: EncoderWeights) -> np.ndarray:
     return (tokens + weights.pos_embed).astype(np.float32)
 
 
-def _scaled_self_logits(o: np.ndarray, head_dim: int) -> np.ndarray:
-    logits = nm.matmul(o, nm.transpose(o))
+def _times_transposed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b^T, unchecked. The contiguous transposed copy gives einsum the
+    operand layout, hence the summation order and the bits, of
+    nm.matmul(a, nm.transpose(b))."""
+    return nm.matmul_unchecked(a, np.ascontiguousarray(b.T))
+
+
+def _scaled_logits(a: np.ndarray, b: np.ndarray, head_dim: int) -> np.ndarray:
+    logits = _times_transposed(a, b)
     return (logits.astype(np.float64) / math.sqrt(head_dim)).astype(np.float32)
 
 
 def self_attention(o: np.ndarray, head_dim: int) -> np.ndarray:
-    """softmax(o o^T / sqrt(head_dim)) for one head's (T, D_s) tokens."""
-    return nm.softmax_rows(_scaled_self_logits(o, head_dim))
+    """softmax(o o^T / sqrt(head_dim)) for one head's (T, D_s) tokens.
+    Unchecked: `encode` checks q, k and v before attention."""
+    return nm.softmax_rows_unchecked(_scaled_logits(o, o, head_dim))
 
 
 def relation_bias(relation: np.ndarray, tokens: int) -> np.ndarray:
@@ -354,9 +365,7 @@ def _head_attention(
     bias: np.ndarray | None,
 ) -> np.ndarray:
     if layer not in policy.modified_layers():
-        logits = nm.matmul(q, nm.transpose(k))
-        logits = (logits.astype(np.float64) / math.sqrt(head_dim)).astype(np.float32)
-        return nm.softmax_rows(logits)
+        return nm.softmax_rows_unchecked(_scaled_logits(q, k, head_dim))
     if isinstance(policy, ValueValueLast):
         return self_attention(v, head_dim)
     w1, w2, w3 = policy.weights
@@ -370,22 +379,68 @@ def _head_attention(
     return attn
 
 
-def encode(image: np.ndarray, weights: EncoderWeights, policy: AttentionPolicy) -> LayerTrace:
-    """Run the full encoder, substituting the policy's attention map in its
-    modified layers, and capture the per-layer tensors."""
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise NumericError(f"encoder {what} contain non-finite values")
+    return x
+
+
+def _resume_layer(prefix: LayerTrace, tokens: np.ndarray, policy: AttentionPolicy) -> int:
+    """First layer `policy` modifies, after checking that `prefix` holds
+    the same image's pass through the unmodified layers below it."""
+    start = min(policy.modified_layers(), default=LAYER_COUNT)
+    if len(prefix.inputs) != LAYER_COUNT + 1:
+        raise DataError(f"prefix trace records {len(prefix.inputs)} layer inputs, expected {LAYER_COUNT + 1}")
+    if not np.array_equal(prefix.inputs[0], tokens):
+        raise DataError("prefix trace was encoded from a different image")
+    lowest = min(prefix.modified_layers, default=LAYER_COUNT)
+    if lowest < start:
+        raise DataError(f"prefix trace modified layer {lowest}, below the resume layer {start}")
+    return start
+
+
+def encode(
+    image: np.ndarray,
+    weights: EncoderWeights,
+    policy: AttentionPolicy,
+    prefix: LayerTrace | None = None,
+) -> LayerTrace:
+    """Run the encoder, substituting the policy's attention map in its
+    modified layers, and capture the per-layer tensors.
+
+    With `prefix`, a trace of the same image and weights whose policy left
+    the layers below `policy`'s first modified layer untouched, those
+    layers are copied from it and the pass resumes from its residual
+    stream there; the result is bit-identical to a full pass.
+
+    The image and relation matrix are checked where they enter; after that
+    each product's output (q, k, v, the residual stream after attention
+    and after the MLP, the final tokens) is checked for finiteness once, so
+    a non-finite weight or input still raises NumericError.
+    """
     tokens = patchify(image, weights)
     t_count, dim = tokens.shape
     heads, d_s = weights.heads, weights.head_dim
     bias = None
     if isinstance(policy, IntraCorrelationBiased):
         bias = relation_bias(policy.relation, t_count)
-    features, qs, ks, vs, attns = [], [], [], [], []
-    x = tokens
-    for layer, lw in enumerate(weights.layers):
+    if prefix is None:
+        start, x = 0, tokens
+        inputs, features, qs, ks, vs, attns = [], [], [], [], [], []
+    else:
+        start = _resume_layer(prefix, tokens, policy)
+        x = prefix.inputs[start]
+        inputs, features, qs, ks, vs, attns = (
+            seq[:start]
+            for seq in (prefix.inputs, prefix.features, prefix.queries, prefix.keys, prefix.values, prefix.attentions)
+        )
+    for layer in range(start, LAYER_COUNT):
+        lw = weights.layers[layer]
+        inputs.append(x)
         h = layer_norm(x, lw.ln1_scale, lw.ln1_shift)
-        q = nm.matmul(h, nm.transpose(lw.q_w)) + lw.q_b
-        k = nm.matmul(h, nm.transpose(lw.k_w)) + lw.k_b
-        v = nm.matmul(h, nm.transpose(lw.v_w)) + lw.v_b
+        q = _finite(_times_transposed(h, lw.q_w) + lw.q_b, f"layer {layer} queries")
+        k = _finite(_times_transposed(h, lw.k_w) + lw.k_b, f"layer {layer} keys")
+        v = _finite(_times_transposed(h, lw.v_w) + lw.v_b, f"layer {layer} values")
         q_h = np.ascontiguousarray(q.reshape(t_count, heads, d_s).transpose(1, 0, 2))
         k_h = np.ascontiguousarray(k.reshape(t_count, heads, d_s).transpose(1, 0, 2))
         v_h = np.ascontiguousarray(v.reshape(t_count, heads, d_s).transpose(1, 0, 2))
@@ -394,24 +449,29 @@ def encode(image: np.ndarray, weights: EncoderWeights, policy: AttentionPolicy) 
         for head in range(heads):
             a = _head_attention(policy, layer, q_h[head], k_h[head], v_h[head], d_s, bias)
             attn[head] = a
-            ctx[head] = nm.matmul(a, v_h[head])
+            ctx[head] = nm.matmul_unchecked(a, v_h[head])
         merged = np.ascontiguousarray(ctx.transpose(1, 0, 2)).reshape(t_count, dim)
-        attn_out = nm.matmul(merged, nm.transpose(lw.out_w)) + lw.out_b
+        attn_out = _times_transposed(merged, lw.out_w) + lw.out_b
         x = (x.astype(np.float64) + attn_out.astype(np.float64)).astype(np.float32)
+        _finite(x, f"layer {layer} attention outputs")
         h2 = layer_norm(x, lw.ln2_scale, lw.ln2_shift)
-        hidden = gelu(nm.matmul(h2, nm.transpose(lw.fc_w)) + lw.fc_b)
-        mlp_out = nm.matmul(hidden, nm.transpose(lw.proj_w)) + lw.proj_b
+        hidden = gelu(_times_transposed(h2, lw.fc_w) + lw.fc_b)
+        mlp_out = _times_transposed(hidden, lw.proj_w) + lw.proj_b
         x = (x.astype(np.float64) + mlp_out.astype(np.float64)).astype(np.float32)
+        _finite(x, f"layer {layer} MLP outputs")
         features.append(h)
         qs.append(q_h)
         ks.append(k_h)
         vs.append(v_h)
         attns.append(attn)
-    final = layer_norm(x, weights.final_scale, weights.final_shift)
+    inputs.append(x)
+    final = _finite(layer_norm(x, weights.final_scale, weights.final_shift), "final tokens")
     gh, gw = weights.grid
     patch_features = np.ascontiguousarray(final[1:].T).reshape(dim, gh, gw)
     return LayerTrace(
         grid=weights.grid,
+        modified_layers=frozenset(policy.modified_layers()),
+        inputs=inputs,
         features=features,
         queries=qs,
         keys=ks,

@@ -5,7 +5,9 @@ storage. Every reduction or product accumulates in float64 and rounds
 back to float32 once, so results never depend on summation chunking or
 BLAS thread counts (matrix products go through einsum, not BLAS). -inf
 is admitted only as the masking sentinel of relation matrices fed to
-softmax_rows; NaN and +inf are rejected at every public boundary.
+softmax_rows; NaN and +inf are rejected at every public boundary. The
+`*_unchecked` variants skip that input check for hot loops that check
+what they compute instead (the encoder); the arithmetic is shared.
 """
 
 from dataclasses import dataclass
@@ -36,8 +38,15 @@ def matmul(a, b) -> np.ndarray:
     b = as_f32(b, "matmul rhs")
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DataError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = np.einsum("ij,jk->ik", a.astype(np.float64), b.astype(np.float64))
-    return out.astype(F32)
+    return matmul_unchecked(a, b)
+
+
+def matmul_unchecked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`matmul` without its input checks, for callers that check the
+    finiteness of what they compute from the result instead. Both operands
+    must be C-contiguous matrices: the layout fixes einsum's summation
+    order, hence the result bits."""
+    return np.einsum("ij,jk->ik", a.astype(np.float64), b.astype(np.float64)).astype(F32)
 
 
 def transpose(a) -> np.ndarray:
@@ -55,7 +64,11 @@ def sigmoid(a) -> np.ndarray:
     Outputs stay strictly inside (0, 1): saturated values clamp to the
     nearest representable float32 neighbors of 0 and 1.
     """
-    a = as_f32(a, "sigmoid input")
+    return sigmoid_unchecked(as_f32(a, "sigmoid input"))
+
+
+def sigmoid_unchecked(a: np.ndarray) -> np.ndarray:
+    """`sigmoid` of a float32 array without the finiteness check."""
     x = a.astype(np.float64)
     out = np.empty_like(x)
     pos = x >= 0
@@ -74,6 +87,12 @@ def softmax_rows(m) -> np.ndarray:
     m = as_f32(m, "softmax input", allow_neg_inf=True)
     if m.ndim != 2:
         raise DataError(f"softmax_rows expects a matrix, got shape {m.shape}")
+    return softmax_rows_unchecked(m)
+
+
+def softmax_rows_unchecked(m: np.ndarray) -> np.ndarray:
+    """`softmax_rows` of a float32 matrix without the finiteness check;
+    an all -inf row still raises."""
     x = m.astype(np.float64)
     row_max = np.max(x, axis=1)
     dead = np.isneginf(row_max)

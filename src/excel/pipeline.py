@@ -85,7 +85,9 @@ def _export_label_map(path, labels, patch_size, prov):
     write_pgm(path, pixels, comment=_pgm_comment(prov))
 
 
-def stage_static(cfg: PipelineConfig, weights, bank, dataset: ToyDataset):
+def stage_static(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, keep_traces: bool):
+    """Static CAMs and pseudo labels for every image; each result keeps its
+    encoder trace only with `keep_traces`, for later stages to reuse."""
     out_dir = Path(cfg.out_dir) / "static"
     out_dir.mkdir(parents=True, exist_ok=True)
     prov = _provenance(cfg, "static")
@@ -97,31 +99,36 @@ def stage_static(cfg: PipelineConfig, weights, bank, dataset: ToyDataset):
         )
         save_cams(out_dir / f"{rec.name}.cams.json", res.cams, provenance=prov)
         _export_label_map(out_dir / f"{rec.name}.pseudo.pgm", res.labels, weights.patch_size, prov)
-        results[rec.name] = res
+        results[rec.name] = res if keep_traces else dataclasses.replace(res, trace=None)
     return results, out_dir
 
 
-def stage_train(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, resume: bool = False):
+def stage_train(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, static_cache, resume: bool = False):
     out_dir = Path(cfg.out_dir) / "train"
     final = out_dir / f"checkpoint_{cfg.train.iterations:06d}.json"
     if _check_resume(final, cfg, resume):
-        adapter, head, _, _ = load_checkpoint(final)
+        adapter, head, _ = load_checkpoint(final)
         return adapter, head, out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     result = train_loop(
-        dataset, weights, bank, cfg.train, out_dir=out_dir, provenance=_provenance(cfg, "train")
+        dataset,
+        weights,
+        bank,
+        cfg.train,
+        out_dir=out_dir,
+        provenance=_provenance(cfg, "train"),
+        static_cache=static_cache,
     )
     return result.adapter, result.head, out_dir
 
 
-def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapter, static_results):
+def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapter, static_cache):
+    """Dynamic CAMs for every image; `static_cache` holds calibrated static
+    results with traces (dynamic_cam encodes them itself without it)."""
     out_dir = Path(cfg.out_dir) / "dynamic"
     out_dir.mkdir(parents=True, exist_ok=True)
     prov = _provenance(cfg, "dynamic")
-    # the adapter consumes the calibrated trace; reuse the static pass only
-    # when it ran under the calibrated policy (dynamic_cam recomputes otherwise)
     calibration = cfg.train.calibration()
-    reuse_traces = cfg.static_policy() == calibration
     results = {}
     for rec in dataset.images:
         res = dynamic_cam(
@@ -133,7 +140,7 @@ def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapt
             calibration,
             cfg.train.tau_fg,
             cfg.train.tau_bg,
-            static_trace=static_results[rec.name].trace if reuse_traces else None,
+            static_trace=static_cache[rec.name].trace if static_cache else None,
         )
         save_cams(out_dir / f"{rec.name}.cams.json", res.cams, provenance=prov)
         _export_label_map(out_dir / f"{rec.name}.pseudo.pgm", res.labels, weights.patch_size, prov)
@@ -177,13 +184,16 @@ def run_pipeline(cfg: PipelineConfig, mode: str = "full", resume: bool = False):
     weights = load_weights(cfg.weights)
     dataset = load_dataset(cfg.dataset, patch_size=weights.patch_size)
     bank, bank_path = stage_attributes(cfg, resume=resume)
-    static_results, static_dir = stage_static(cfg, weights, bank, dataset)
+    # training and dynamic CAMs consume the calibrated pass; when the
+    # exported static stage runs that same policy, its results are that
+    # pass, so every image is encoded under it once per run
+    shared = mode == "full" and cfg.static_policy() == cfg.train.calibration()
+    static_results, static_dir = stage_static(cfg, weights, bank, dataset, keep_traces=shared)
+    static_cache = static_results if shared else None
     train_dir = dynamic_dir = None
     if mode == "full":
-        adapter, head, train_dir = stage_train(cfg, weights, bank, dataset, resume=resume)
-        dynamic_results, dynamic_dir = stage_dynamic(
-            cfg, weights, bank, dataset, adapter, static_results
-        )
+        adapter, head, train_dir = stage_train(cfg, weights, bank, dataset, static_cache, resume=resume)
+        dynamic_results, dynamic_dir = stage_dynamic(cfg, weights, bank, dataset, adapter, static_cache)
         labels = {name: res.labels for name, res in dynamic_results.items()}
         report, report_path = stage_eval(cfg, dataset, labels, weights.patch_size, "dynamic")
     else:

@@ -86,7 +86,7 @@ def cam_to_pseudo_label(cams: CamStack, tau_fg: float, tau_bg: float) -> PseudoL
 class StaticResult:
     cams: CamStack
     labels: PseudoLabelMap
-    trace: LayerTrace
+    trace: LayerTrace | None  # None once a caller has dropped it
 
 
 def policy_from_name(name: str, calib_layers: int, calib_weights) -> AttentionPolicy:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nm
 from .blobio import load_tensors, save_tensors
-from .errors import DataError, UsageError
+from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
 
 TEMPLATE_TEXT = "a clean origami of [CLASS]"
@@ -171,7 +171,7 @@ def cluster_attributes(kb: KnowledgeBase, b: int, rng: Rng, max_iters: int = 100
         diff = points - centroids[new_assignment]
         obj = float(np.einsum("ij,ij->i", diff, diff).sum())
         if obj > prev_obj * (1 + 1e-12) + 1e-12:
-            raise AssertionError(f"k-means objective increased: {prev_obj} -> {obj}")
+            raise NumericError(f"k-means objective increased: {prev_obj} -> {obj}")
         history.append(obj)
         prev_obj = obj
         if np.array_equal(new_assignment, assignment) and not empties:

@@ -242,6 +242,11 @@ def adamw_step(
 # checkpoints
 
 
+def _opt_path(path) -> Path:
+    """The AdamW sidecar manifest next to checkpoint manifest `path`."""
+    return Path(path).with_name(Path(path).stem + ".opt.json")
+
+
 def save_checkpoint(path, adapter: AdapterParams, head: SegHead, meta: dict, state: AdamState | None = None, provenance=None) -> Path:
     tensors = {f"adapter.{k}": v for k, v in adapter.to_dict().items()}
     tensors["seghead.w"] = head.w
@@ -262,7 +267,7 @@ def save_checkpoint(path, adapter: AdapterParams, head: SegHead, meta: dict, sta
             opt_tensors[f"m.{name}"] = state.m[name]
             opt_tensors[f"v.{name}"] = state.v[name]
         save_tensors(
-            path.with_name(path.stem + ".opt.json"),
+            _opt_path(path),
             opt_tensors,
             meta={"step": state.step},
             provenance=provenance,
@@ -271,7 +276,8 @@ def save_checkpoint(path, adapter: AdapterParams, head: SegHead, meta: dict, sta
 
 
 def load_checkpoint(path):
-    """Returns (adapter, head, meta, state-or-None)."""
+    """Returns (adapter, head, meta). The optimizer sidecar is not read;
+    `load_adam_state` reads it."""
     tf = load_tensors(path)
     meta = tf.meta
     adapter = AdapterParams(
@@ -284,17 +290,18 @@ def load_checkpoint(path):
         fusion_kernel=int(meta["fusion_kernel"]),
     )
     head = SegHead(w=tf.require("seghead.w"), b=tf.require("seghead.b"))
-    state = None
-    opt_path = Path(path).with_name(Path(path).stem + ".opt.json")
-    if opt_path.exists():
-        otf = load_tensors(opt_path)
-        names = sorted({n[2:] for n in otf.names() if n.startswith("m.")})
-        state = AdamState(
-            m={n: otf.require(f"m.{n}") for n in names},
-            v={n: otf.require(f"v.{n}") for n in names},
-            step=int(otf.meta["step"]),
-        )
-    return adapter, head, meta, state
+    return adapter, head, meta
+
+
+def load_adam_state(path) -> AdamState:
+    """AdamW moments and step saved next to the checkpoint manifest `path`."""
+    otf = load_tensors(_opt_path(path))
+    names = sorted({n[2:] for n in otf.names() if n.startswith("m.")})
+    return AdamState(
+        m={n: otf.require(f"m.{n}") for n in names},
+        v={n: otf.require(f"v.{n}") for n in names},
+        step=int(otf.meta["step"]),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -368,11 +375,22 @@ def _iteration_losses(records, static_cache, weights, bank, config: TrainConfig,
     return seg_sum / n, div_sum / n, grads
 
 
-def train_loop(dataset, weights: EncoderWeights, bank: TextRepresentation, config: TrainConfig, out_dir=None, provenance=None) -> TrainResult:
+def train_loop(
+    dataset,
+    weights: EncoderWeights,
+    bank: TextRepresentation,
+    config: TrainConfig,
+    out_dir=None,
+    provenance=None,
+    static_cache: dict | None = None,
+) -> TrainResult:
     """Seeded single-writer optimization of the adapter and segmentation head.
 
     Static pseudo labels and traces come from one calibrated pass per image
-    before the first iteration; they depend only on frozen inputs. Per
+    before the first iteration; they depend only on frozen inputs. A caller
+    that already ran that pass (`run_static_pipeline` under
+    `config.calibration()`, with traces) hands it in as `static_cache`,
+    keyed by image name. Per
     iteration: adapter forward and diversity loss, dynamic pseudo labels,
     seg loss on them, one AdamW step on the mean batch gradients. Emits a
     loss-curve CSV and checkpoints when `out_dir` is given.
@@ -398,7 +416,8 @@ def train_loop(dataset, weights: EncoderWeights, bank: TextRepresentation, confi
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    static_cache = _static_results(dataset, weights, bank, config) if config.iterations else {}
+    if static_cache is None and config.iterations:
+        static_cache = _static_results(dataset, weights, bank, config)
     curve: list[tuple[int, float, float, float]] = []
     ckpt_paths: list[Path] = []
     meta = {"train_config": config.to_dict(), "num_labels": num_labels, "dim": weights.dim}

@@ -179,7 +179,7 @@ def _tiny_gradient_instance(seed):
     gen = Rng(seed).generator()
     feats = [gen.standard_normal((10, 8)).astype(np.float32) for _ in range(12)]
     trace = LayerTrace(
-        grid=(3, 3), features=feats, queries=[], keys=[], values=[],
+        grid=(3, 3), modified_layers=frozenset(), inputs=[], features=feats, queries=[], keys=[], values=[],
         attentions=[], tokens=feats[-1], patch_features=np.zeros((8, 3, 3), np.float32),
     )
     adapter = init_adapter(Rng(seed).child("a"), dim=8, d_proj=4, d_dyn=6, sigma=0.5)

@@ -73,6 +73,17 @@ def test_manifest_blob_size_disagreement(tmp_path):
         load_tensors(path)
 
 
+def test_overlapping_entries_rejected(tmp_path):
+    # beta moved onto alpha's first bytes leaves its own bytes unclaimed:
+    # the sizes still add up to the blob, but the tensors do not tile it
+    path = save_tensors(tmp_path / "t.json", _sample_tensors())
+    manifest = json.loads(path.read_text())
+    manifest["tensors"][1]["offset"] = 0
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ShapeError, match="starts at byte"):
+        load_tensors(path)
+
+
 def test_entry_past_blob_end(tmp_path):
     path = save_tensors(tmp_path / "t.json", _sample_tensors())
     manifest = json.loads(path.read_text())

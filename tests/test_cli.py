@@ -235,6 +235,45 @@ def test_exit_code_config_value_of_wrong_type(cli_fixtures, tmp_path, override):
     assert not (tmp_path / "out").exists()
 
 
+def _first_entry(manifest, **changes):
+    manifest["tensors"][0].update(changes)
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda m: {k: v for k, v in m.items() if k != "tensors"},
+        lambda m: {k: v for k, v in m.items() if k != "blob"},
+        lambda m: _first_entry(m, shape=[-64, 48]),
+        lambda m: _first_entry(m, shape=["sixty-four", 48]),
+        lambda m: [m],
+        lambda m: _first_entry(m, offset="0"),
+        lambda m: _first_entry(m, name=m["tensors"][1]["name"]),
+    ],
+    ids=["no-tensors", "no-blob", "negative-shape", "string-shape", "json-list", "string-offset", "duplicate-name"],
+)
+def test_exit_code_malformed_weights_manifest(cli_fixtures, tmp_path, mutate):
+    manifest = json.loads((cli_fixtures / "encoder.json").read_text())
+    (tmp_path / "bad.bin").write_bytes((cli_fixtures / "encoder.bin").read_bytes())
+    manifest["blob"] = "bad.bin"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(manifest)))
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    env = {**os.environ, "PYTHONPATH": str(Path(excel.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "excel", "cam", "--weights", str(bad), "--bank", str(tmp_path / "bank.json"),
+         "--image", str(image), "--labels", "1", "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(bad) in lines[0], proc.stderr
+
+
 def test_exit_code_data_error(cli_fixtures, tmp_path):
     # valid config pointing at a broken weights file -> data error (2)
     bad_weights = tmp_path / "bad.json"

@@ -25,6 +25,8 @@ from excel.training_eval import TrainConfig
 def trace_from_features(features, grid):
     return LayerTrace(
         grid=grid,
+        modified_layers=frozenset(),
+        inputs=[],
         features=features,
         queries=[],
         keys=[],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from excel.encoder import (
     EncoderWeights,
     IntraCorrelation,
     IntraCorrelationBiased,
+    LayerTrace,
     LayerWeights,
     VanillaQK,
     ValueValueLast,
@@ -20,7 +22,7 @@ from excel.encoder import (
     relation_bias,
     save_weights,
 )
-from excel.errors import ChecksumError, DataError, ShapeError
+from excel.errors import ChecksumError, DataError, NumericError, ShapeError
 from excel.numerics import Rng
 
 
@@ -391,3 +393,69 @@ def test_trace_captures_qkv_and_features(fixture_weights):
     assert trace.queries[0].shape == (4, 17, 16)
     assert trace.patch_features.shape == (64, 4, 4)
     assert np.isfinite(trace.patch_features).all()
+
+
+# --------------------------------------------------------------------------
+# resuming from a frozen prefix
+
+
+def assert_traces_identical(got, want):
+    for f in dataclasses.fields(LayerTrace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, list):
+            assert len(a) == len(b), f.name
+            for i, (x, y) in enumerate(zip(a, b)):
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), (f.name, i)
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+def masked_relation(seed, hw):
+    raw = Rng(seed).generator().standard_normal((hw, hw)).astype(np.float32)
+    return np.where(raw >= 0, raw, np.float32(-np.inf))
+
+
+@pytest.mark.parametrize("calib_layers", [0, 5, 12])
+def test_prefix_resume_matches_full_biased_encode(fixture_weights, calib_layers):
+    image = random_image(60, 64)
+    static = encode(image, fixture_weights, IntraCorrelation(layers=calib_layers))
+    biased = IntraCorrelationBiased(layers=calib_layers, relation=masked_relation(61, 16))
+    full = encode(image, fixture_weights, biased)
+    resumed = encode(image, fixture_weights, biased, prefix=static)
+    assert len(full.inputs) == LAYER_COUNT + 1
+    assert_traces_identical(resumed, full)
+    # the frozen layers are shared with the prefix, not recomputed
+    start = LAYER_COUNT - calib_layers
+    for layer in range(start):
+        assert resumed.attentions[layer] is static.attentions[layer]
+
+
+def test_mismatched_prefix_refused(fixture_weights):
+    biased = IntraCorrelationBiased(layers=5, relation=masked_relation(62, 16))
+    image = random_image(62, 64)
+    other = encode(random_image(63, 64), fixture_weights, IntraCorrelation(layers=5))
+    with pytest.raises(DataError, match="different image"):
+        encode(image, fixture_weights, biased, prefix=other)
+    # layer 5 is calibrated in the prefix but must be plain below layer 7
+    deeper = encode(image, fixture_weights, IntraCorrelation(layers=7))
+    with pytest.raises(DataError, match="below the resume layer"):
+        encode(image, fixture_weights, biased, prefix=deeper)
+
+
+@pytest.mark.parametrize("field", ["q_w", "k_w", "v_w", "out_w", "fc_w", "proj_w"])
+def test_non_finite_weight_raises_numeric_error(field):
+    w = tiny_weights(seed=64)
+    poisoned = getattr(w.layers[3], field).copy()
+    poisoned[0, 0] = np.nan
+    w.layers[3] = dataclasses.replace(w.layers[3], **{field: poisoned})
+    with pytest.raises(NumericError, match="layer 3"):
+        encode(random_image(64, 8), w, IntraCorrelation(layers=5))
+
+
+def test_non_finite_image_raises_numeric_error():
+    image = random_image(65, 8)
+    image[1, 2, 3] = np.nan
+    with pytest.raises(NumericError):
+        encode(image, tiny_weights(seed=65), VanillaQK())

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from excel import dynamic_calibration, encoder, static_calibration
 from excel.config import PipelineConfig, load_config, parse_config, save_config
 from excel.dataset import load_dataset
+from excel.encoder import IntraCorrelation, IntraCorrelationBiased
 from excel.errors import UsageError
 from excel.fixtures import FixtureSpec, generate_fixtures
 from excel.pipeline import run_pipeline
@@ -254,6 +256,44 @@ def test_pipeline_full_mode_with_vanilla_static_policy(tmp_path, fixture_paths):
     assert static_v.keys() == static_c.keys()
     assert all(static_v[k] != static_c[k] for k in static_v)
     assert vanilla_report.miou == calibrated_report.miou
+
+
+def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeypatch, tmp_path, fixture_paths, fixture_dataset):
+    # training and dynamic CAMs reuse the calibrated static pass, and each
+    # biased re-encode runs only the calibrated layers
+    calibrated, biased_heads = [], []
+    real_encode, real_head = encoder.encode, encoder._head_attention
+
+    def counting_encode(image, weights, policy, prefix=None):
+        if isinstance(policy, IntraCorrelationBiased):
+            biased_heads.append(0)
+        elif isinstance(policy, IntraCorrelation):
+            calibrated.append(image.tobytes())
+        return real_encode(image, weights, policy, prefix)
+
+    def counting_head(policy, *args):
+        if isinstance(policy, IntraCorrelationBiased):
+            biased_heads[-1] += 1
+        return real_head(policy, *args)
+
+    for module in (static_calibration, dynamic_calibration):
+        monkeypatch.setattr(module, "encode", counting_encode)
+    monkeypatch.setattr(encoder, "_head_attention", counting_head)
+    cfg = parse_config(
+        {
+            "seed": 7,
+            "weights": str(fixture_paths["weights"]),
+            "knowledge": str(fixture_paths["knowledge"]),
+            "dataset": str(fixture_paths["dataset"]),
+            "out_dir": str(tmp_path / "run"),
+            "iterations": 17,
+        }
+    )
+    run_pipeline(cfg, mode="full")
+    images = sorted(rec.image.tobytes() for rec in fixture_dataset.images)
+    assert sorted(calibrated) == images  # 32 calibrated encodes, not 64
+    assert len(biased_heads) == cfg.train.iterations * cfg.train.batch_size + len(images)
+    assert set(biased_heads) == {4 * cfg.train.calib_layers}
 
 
 def test_pipeline_unknown_mode(fixture_paths, tmp_path):

@@ -17,6 +17,7 @@ from excel.training_eval import (
     evaluate,
     init_adam_state,
     init_seg_head,
+    load_adam_state,
     load_checkpoint,
     mean_row_entropy,
     read_loss_curve,
@@ -363,13 +364,14 @@ def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_bank, fixture_d
     cfg = small_config(iterations=2)
     result = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg, out_dir=tmp_path)
     path = tmp_path / "checkpoint_000002.json"
-    adapter, head, meta, state = load_checkpoint(path)
+    adapter, head, meta = load_checkpoint(path)
+    state = load_adam_state(path)
     for a, b in zip(adapter.to_dict().values(), result.adapter.to_dict().values()):
         assert np.array_equal(a, b)
     assert np.array_equal(head.w, result.head.w)
     assert meta["iteration"] == 2
     assert meta["train_config"]["lr"] == cfg.lr
-    assert state is not None and state.step == 2
+    assert state.step == 2
     for name in state.m:
         assert np.array_equal(state.m[name], result.state.m[name])
 
@@ -385,7 +387,7 @@ def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_bank, fi
     result = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg, out_dir=tmp_path)
     curve = {row[0]: row for row in result.curve}
     for k in (0, 2):
-        adapter, head, meta, _ = load_checkpoint(tmp_path / f"checkpoint_{k:06d}.json")
+        adapter, head, meta = load_checkpoint(tmp_path / f"checkpoint_{k:06d}.json")
         seg, div, tot = replay_iteration(
             k, fixture_dataset, fixture_weights, fixture_bank, cfg, adapter, head
         )
