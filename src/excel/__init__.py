@@ -5,7 +5,7 @@ features and enriched class text embeddings. The package covers the whole
 desk-scale loop: deterministic numeric primitives, a minimal 12-layer ViT
 with pluggable attention calibration, text-embedding clustering and
 enrichment, a trainable relation adapter with an affinity diversity loss,
-AdamW training of adapter plus segmentation head, and evaluation.
+AdamW training of that adapter, and evaluation.
 """
 
 __version__ = "0.1.0"

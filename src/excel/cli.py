@@ -64,7 +64,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="pipeline config for thresholds and policy")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", help="train adapter and segmentation head")
+    p = sub.add_parser("train", help="train the relation adapter on the diversity loss")
     p.add_argument("--config", required=True)
 
     p = sub.add_parser("eval", help="evaluate predicted label maps against ground truth")
@@ -147,7 +147,7 @@ def _cmd_cam(args) -> int:
     else:
         if not args.adapter:
             raise UsageError("dynamic mode requires --adapter")
-        adapter, _, _ = load_checkpoint(args.adapter)
+        adapter, _ = load_checkpoint(args.adapter)
         res = dynamic_cam(image, weights, adapter, bank, present, cfg.train.calibration(), tau_fg, tau_bg)
     cams, labels = res.cams, res.labels
     save_cams(out_dir / f"{stem}.cams.json", cams, provenance=prov)
@@ -173,8 +173,8 @@ def _cmd_train(args) -> int:
         out_dir=out_dir,
         provenance={"stage": "train", "seed": cfg.seed, "config_hash": cfg.digest()},
     )
-    final = result.curve[-1] if result.curve else (0, 0.0, 0.0, 0.0)
-    print(f"trained {cfg.train.iterations} iterations; final total loss {final[3]:.4f}")
+    final = result.curve[-1][1] if result.curve else 0.0
+    print(f"trained {cfg.train.iterations} iterations; final diversity loss {final:.4f}")
     print(f"checkpoints: {out_dir}")
     return EXIT_OK
 
@@ -221,7 +221,7 @@ def _cmd_attn_report(args) -> int:
                 from .dynamic_calibration import adapter_forward, dynamic_relation
                 from .encoder import encode
 
-                adapter, _, _ = load_checkpoint(args.adapter)
+                adapter, _ = load_checkpoint(args.adapter)
                 trace = encode(image, weights, IntraCorrelation(layers=args.calib_layers))
                 relation = dynamic_relation(
                     adapter_forward(trace, adapter), adapter.alpha, adapter.beta

@@ -130,17 +130,24 @@ def load_weights(manifest_path) -> EncoderWeights:
     return weights_from_tensorfile(tf)
 
 
+def _is_positive_int(value) -> bool:
+    return type(value) is int and value >= 1
+
+
 def weights_from_tensorfile(tf: TensorFile) -> EncoderWeights:
     meta = tf.meta
-    for key in ("dim", "heads", "layers", "patch_size", "grid", "mlp_dim"):
+    counts = ("dim", "heads", "layers", "patch_size", "mlp_dim")
+    for key in (*counts, "grid"):
         if key not in meta:
             raise DataError(f"encoder manifest {tf.path} lacks meta key '{key}'")
-    dim = int(meta["dim"])
-    heads = int(meta["heads"])
-    depth = int(meta["layers"])
-    patch = int(meta["patch_size"])
-    grid = (int(meta["grid"][0]), int(meta["grid"][1]))
-    mlp_dim = int(meta["mlp_dim"])
+    for key in counts:
+        if not _is_positive_int(meta[key]):
+            raise DataError(f"encoder manifest {tf.path} meta '{key}' must be a positive integer, got {meta[key]!r}")
+    grid = meta["grid"]
+    if not isinstance(grid, list) or len(grid) != 2 or not all(_is_positive_int(g) for g in grid):
+        raise DataError(f"encoder manifest {tf.path} meta 'grid' must be a list of 2 positive integers, got {grid!r}")
+    dim, heads, depth, patch, mlp_dim = (meta[key] for key in counts)
+    grid = tuple(grid)
     if depth != LAYER_COUNT:
         raise DataError(f"encoder depth must be {LAYER_COUNT}, manifest declares {depth}")
     if dim % heads != 0:

@@ -53,6 +53,8 @@ def _parse_netpbm(path, expected_magic: bytes):
         width, height, maxval = (int(f) for f in fields)
     except ValueError as exc:
         raise DataError(f"{path}: bad header fields {fields}") from exc
+    if width < 1 or height < 1:
+        raise DataError(f"{path}: image dimensions must be positive, got {width}x{height}")
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
     return width, height, data[pos:], comments

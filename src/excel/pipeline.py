@@ -107,8 +107,8 @@ def stage_train(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, static_
     out_dir = Path(cfg.out_dir) / "train"
     final = out_dir / f"checkpoint_{cfg.train.iterations:06d}.json"
     if _check_resume(final, cfg, resume):
-        adapter, head, _ = load_checkpoint(final)
-        return adapter, head, out_dir
+        adapter, _ = load_checkpoint(final)
+        return adapter, out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     result = train_loop(
         dataset,
@@ -119,7 +119,7 @@ def stage_train(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, static_
         provenance=_provenance(cfg, "train"),
         static_cache=static_cache,
     )
-    return result.adapter, result.head, out_dir
+    return result.adapter, out_dir
 
 
 def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapter, static_cache):
@@ -192,7 +192,7 @@ def run_pipeline(cfg: PipelineConfig, mode: str = "full", resume: bool = False):
     static_cache = static_results if shared else None
     train_dir = dynamic_dir = None
     if mode == "full":
-        adapter, head, train_dir = stage_train(cfg, weights, bank, dataset, static_cache, resume=resume)
+        adapter, train_dir = stage_train(cfg, weights, bank, dataset, static_cache, resume=resume)
         dynamic_results, dynamic_dir = stage_dynamic(cfg, weights, bank, dataset, adapter, static_cache)
         labels = {name: res.labels for name, res in dynamic_results.items()}
         report, report_path = stage_eval(cfg, dataset, labels, weights.patch_size, "dynamic")

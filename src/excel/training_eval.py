@@ -1,9 +1,8 @@
-"""Segmentation head, combined objective, AdamW loop, metrics and reports.
+"""Adapter training on the diversity loss, AdamW, checkpoints, metrics
+and reports.
 
-The segmentation head is a per-patch affine classifier over the twelve
-concatenated frozen layer features (12*D inputs, C+1 logits including
-background). Training touches only the adapter and this head; encoder
-weights are never written.
+Training touches only the relation adapter; encoder weights are never
+written.
 """
 
 import csv
@@ -17,13 +16,11 @@ from . import numerics as nm
 from .blobio import load_tensors, save_tensors
 from .dynamic_calibration import (
     AdapterParams,
-    adapter_diversity_loss,
     build_affinity_batch,
     diversity_loss_gradient,
-    dynamic_cam,
     init_adapter,
 )
-from .encoder import LAYER_COUNT, EncoderWeights, IntraCorrelation, LayerTrace, encode
+from .encoder import LAYER_COUNT, EncoderWeights, IntraCorrelation, encode
 from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
 from .static_calibration import IGNORE_LABEL, run_static_pipeline
@@ -38,7 +35,6 @@ from .text_enrichment import TextRepresentation
 class TrainConfig:
     lr: float = 1e-4
     weight_decay: float = 1e-2
-    gamma: float = 0.1
     iterations: int = 500
     batch_size: int = 4
     seed: int = 0
@@ -63,7 +59,6 @@ class TrainConfig:
         checks = [
             (self.lr > 0, f"lr must be positive, got {self.lr}"),
             (self.weight_decay >= 0, f"weight decay must be >= 0, got {self.weight_decay}"),
-            (self.gamma >= 0, f"gamma must be >= 0, got {self.gamma}"),
             (self.iterations >= 0, f"iterations must be >= 0, got {self.iterations}"),
             (self.batch_size >= 1, f"batch size must be >= 1, got {self.batch_size}"),
             (
@@ -99,81 +94,6 @@ class TrainConfig:
         """The calibrated attention that training and dynamic CAMs consume,
         whatever policy the exported static stage uses."""
         return IntraCorrelation(layers=self.calib_layers, weights=tuple(self.calib_weights))
-
-
-# --------------------------------------------------------------------------
-# segmentation head
-
-
-@dataclass
-class SegHead:
-    w: np.ndarray  # (num_labels, 12*D)
-    b: np.ndarray  # (num_labels,)
-
-    @property
-    def num_labels(self) -> int:
-        return self.b.shape[0]
-
-
-def init_seg_head(rng: Rng, dim: int, num_labels: int, sigma: float = 0.02) -> SegHead:
-    gen = rng.generator()
-    return SegHead(
-        w=(sigma * gen.standard_normal((num_labels, LAYER_COUNT * dim))).astype(np.float32),
-        b=np.zeros(num_labels, dtype=np.float32),
-    )
-
-
-def _stacked_patch_features(trace: LayerTrace) -> np.ndarray:
-    """(hw, 12*D) float64: per-layer features concatenated channel-wise."""
-    return np.concatenate([f[1:].astype(np.float64) for f in trace.features], axis=1)
-
-
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy of (n, L) float64 logits against n labels, 255
-    ignored. Returns (loss, probs, valid mask, target labels) over the
-    non-ignored rows."""
-    flat_labels = np.asarray(labels).reshape(-1).astype(np.int64)
-    valid = flat_labels != IGNORE_LABEL
-    if not valid.any():
-        raise NumericError("segmentation loss undefined: every pixel is ignored")
-    target = flat_labels[valid]
-    if target.max(initial=0) >= logits.shape[1]:
-        raise DataError(f"label value {int(target.max())} outside 0..{logits.shape[1] - 1}")
-    z = logits[valid] - logits[valid].max(axis=1, keepdims=True)
-    exp = np.exp(z)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    picked = np.log(probs[np.arange(target.shape[0]), target])
-    return float(-picked.mean()), probs, valid, target
-
-
-def seg_loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of (L, h, w) logits over non-ignored pixels."""
-    logits = nm.as_f32(logits, "logits")
-    labels = np.asarray(labels)
-    if logits.ndim != 3 or logits.shape[1:] != labels.shape:
-        raise DataError(f"logit shape {logits.shape} does not match labels {labels.shape}")
-    flat_logits = logits.reshape(logits.shape[0], -1).T.astype(np.float64)
-    return _cross_entropy(flat_logits, labels)[0]
-
-
-def seg_loss_gradient(trace: LayerTrace, head: SegHead, labels: np.ndarray):
-    """(loss, {"w": gw, "b": gb}) for the affine head under cross-entropy."""
-    x = _stacked_patch_features(trace)
-    logits = x @ head.w.astype(np.float64).T + head.b.astype(np.float64)
-    loss, probs, valid, target = _cross_entropy(logits, labels)
-    n = target.shape[0]
-    g_logits = probs.copy()
-    g_logits[np.arange(n), target] -= 1.0
-    g_logits /= n
-    return loss, {"w": g_logits.T @ x[valid], "b": g_logits.sum(axis=0)}
-
-
-def total_loss(seg: float, div: float, gamma: float) -> float:
-    """Combined objective seg + gamma * div."""
-    out = float(seg) + float(gamma) * float(div)
-    if not math.isfinite(out):
-        raise NumericError(f"total loss is not finite: seg={seg} div={div}")
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -247,10 +167,8 @@ def _opt_path(path) -> Path:
     return Path(path).with_name(Path(path).stem + ".opt.json")
 
 
-def save_checkpoint(path, adapter: AdapterParams, head: SegHead, meta: dict, state: AdamState | None = None, provenance=None) -> Path:
+def save_checkpoint(path, adapter: AdapterParams, meta: dict, state: AdamState | None = None, provenance=None) -> Path:
     tensors = {f"adapter.{k}": v for k, v in adapter.to_dict().items()}
-    tensors["seghead.w"] = head.w
-    tensors["seghead.b"] = head.b
     full_meta = dict(meta)
     full_meta.update(
         {
@@ -275,22 +193,38 @@ def save_checkpoint(path, adapter: AdapterParams, head: SegHead, meta: dict, sta
     return out
 
 
-def load_checkpoint(path):
-    """Returns (adapter, head, meta). The optimizer sidecar is not read;
-    `load_adam_state` reads it."""
-    tf = load_tensors(path)
+def _relation_meta(tf) -> tuple[float, float, int]:
+    """(alpha, beta, fusion_kernel) from a checkpoint's meta, type-checked."""
     meta = tf.meta
+    for key in ("alpha", "beta", "fusion_kernel"):
+        if key not in meta:
+            raise DataError(f"checkpoint {tf.path} lacks meta key '{key}'")
+    for key in ("alpha", "beta"):
+        value = meta[key]
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise DataError(f"checkpoint {tf.path} meta '{key}' must be a finite number, got {value!r}")
+    kernel = meta["fusion_kernel"]
+    if type(kernel) is not int or kernel not in (1, 3):
+        raise DataError(f"checkpoint {tf.path} meta 'fusion_kernel' must be 1 or 3, got {kernel!r}")
+    return float(meta["alpha"]), float(meta["beta"]), kernel
+
+
+def load_checkpoint(path):
+    """Returns (adapter, meta). Tensors other than `adapter.*`, such as the
+    segmentation-head pair older checkpoints carry, are ignored. The
+    optimizer sidecar is not read; `load_adam_state` reads it."""
+    tf = load_tensors(path)
+    alpha, beta, kernel = _relation_meta(tf)
     adapter = AdapterParams(
         deltas_w=[tf.require(f"adapter.delta.{i:02d}.w") for i in range(LAYER_COUNT)],
         deltas_b=[tf.require(f"adapter.delta.{i:02d}.b") for i in range(LAYER_COUNT)],
         fusion_w=tf.require("adapter.fusion.w"),
         fusion_b=tf.require("adapter.fusion.b"),
-        alpha=float(meta["alpha"]),
-        beta=float(meta["beta"]),
-        fusion_kernel=int(meta["fusion_kernel"]),
+        alpha=alpha,
+        beta=beta,
+        fusion_kernel=kernel,
     )
-    head = SegHead(w=tf.require("seghead.w"), b=tf.require("seghead.b"))
-    return adapter, head, meta
+    return adapter, tf.meta
 
 
 def load_adam_state(path) -> AdamState:
@@ -311,18 +245,9 @@ def load_adam_state(path) -> AdamState:
 @dataclass
 class TrainResult:
     adapter: AdapterParams
-    head: SegHead
-    curve: list[tuple[int, float, float, float]]
+    curve: list[tuple[int, float]]  # (iteration, mean diversity loss)
     state: AdamState
     checkpoint_paths: list[Path] = field(default_factory=list)
-
-
-def _split_params(params: dict, adapter: AdapterParams, head: SegHead):
-    adapter_new = adapter.replace(
-        {k[len("adapter.") :]: v for k, v in params.items() if k.startswith("adapter.")}
-    )
-    head_new = SegHead(w=params["seghead.w"], b=params["seghead.b"])
-    return adapter_new, head_new
 
 
 def _static_results(dataset, weights, bank, config: TrainConfig):
@@ -340,10 +265,10 @@ def _batch_records(dataset, batch_size: int, iteration: int):
     return [dataset.images[(iteration * batch_size + j) % n] for j in range(batch_size)]
 
 
-def _iteration_losses(records, static_cache, weights, bank, config: TrainConfig, adapter, head, rng):
-    """Mean losses and summed gradients for one iteration's batch."""
-    calibration = config.calibration()
-    seg_sum, div_sum = 0.0, 0.0
+def _iteration_loss(records, static_cache, config: TrainConfig, adapter, rng):
+    """Mean diversity loss and mean gradients, keyed `adapter.*`, for one
+    iteration's batch."""
+    div_sum = 0.0
     grad_acc: dict[str, np.ndarray] = {}
     for j, rec in enumerate(records):
         sres = static_cache[rec.name]
@@ -351,28 +276,12 @@ def _iteration_losses(records, static_cache, weights, bank, config: TrainConfig,
             sres.labels, sample_limit=config.pair_sample_limit, rng=rng.child(f"pairs.{j}")
         )
         div, div_grads = diversity_loss_gradient(sres.trace, adapter, batch)
-        dyn = dynamic_cam(
-            rec.image,
-            weights,
-            adapter,
-            bank,
-            rec.labels,
-            calibration,
-            config.tau_fg,
-            config.tau_bg,
-            static_trace=sres.trace,
-        )
-        seg, seg_grads = seg_loss_gradient(sres.trace, head, dyn.labels)
-        seg_sum += seg
         div_sum += div
         for k, g in div_grads.items():
             key = f"adapter.{k}"
-            grad_acc[key] = grad_acc.get(key, 0.0) + config.gamma * g
-        grad_acc["seghead.w"] = grad_acc.get("seghead.w", 0.0) + seg_grads["w"]
-        grad_acc["seghead.b"] = grad_acc.get("seghead.b", 0.0) + seg_grads["b"]
+            grad_acc[key] = grad_acc.get(key, 0.0) + g
     n = len(records)
-    grads = {k: v / n for k, v in grad_acc.items()}
-    return seg_sum / n, div_sum / n, grads
+    return div_sum / n, {k: v / n for k, v in grad_acc.items()}
 
 
 def train_loop(
@@ -384,20 +293,20 @@ def train_loop(
     provenance=None,
     static_cache: dict | None = None,
 ) -> TrainResult:
-    """Seeded single-writer optimization of the adapter and segmentation head.
+    """Seeded single-writer optimization of the adapter on the diversity loss.
 
     Static pseudo labels and traces come from one calibrated pass per image
     before the first iteration; they depend only on frozen inputs. A caller
     that already ran that pass (`run_static_pipeline` under
     `config.calibration()`, with traces) hands it in as `static_cache`,
-    keyed by image name. Per
-    iteration: adapter forward and diversity loss, dynamic pseudo labels,
-    seg loss on them, one AdamW step on the mean batch gradients. Emits a
-    loss-curve CSV and checkpoints when `out_dir` is given.
+    keyed by image name, and training then makes no encoder call. Per
+    iteration: affinity pairs from the static labels, the diversity loss
+    and its gradient on the cached traces, one AdamW step on the mean batch
+    gradients. Emits a loss-curve CSV and checkpoints when `out_dir` is
+    given.
     """
     config.validate()
     rng = Rng(config.seed)
-    num_labels = len(bank.class_names) + 1
     adapter = init_adapter(
         rng.child("adapter"),
         weights.dim,
@@ -408,26 +317,22 @@ def train_loop(
         alpha=config.alpha,
         beta=config.beta,
     )
-    head = init_seg_head(rng.child("seghead"), weights.dim, num_labels, config.adapter_init_sigma)
     params = {f"adapter.{k}": v for k, v in adapter.to_dict().items()}
-    params["seghead.w"] = head.w
-    params["seghead.b"] = head.b
     state = init_adam_state(params)
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     if static_cache is None and config.iterations:
         static_cache = _static_results(dataset, weights, bank, config)
-    curve: list[tuple[int, float, float, float]] = []
+    curve: list[tuple[int, float]] = []
     ckpt_paths: list[Path] = []
-    meta = {"train_config": config.to_dict(), "num_labels": num_labels, "dim": weights.dim}
+    meta = {"train_config": config.to_dict(), "dim": weights.dim}
 
     def maybe_checkpoint(iteration):
         if out_dir and config.checkpoint_every and iteration % config.checkpoint_every == 0:
             p = save_checkpoint(
                 out_dir / f"checkpoint_{iteration:06d}.json",
                 adapter,
-                head,
                 {**meta, "iteration": iteration},
                 state,
                 provenance=provenance,
@@ -437,50 +342,41 @@ def train_loop(
     for it in range(config.iterations):
         maybe_checkpoint(it)
         records = _batch_records(dataset, config.batch_size, it)
-        seg_mean, div_mean, grads = _iteration_losses(
-            records, static_cache, weights, bank, config, adapter, head, rng.child(f"it.{it}")
-        )
-        tot = total_loss(seg_mean, div_mean, config.gamma)
-        curve.append((it, seg_mean, div_mean, tot))
-        if tot > config.divergence_threshold:
-            raise NumericError(
-                f"training diverged at iteration {it}: total loss {tot:.3f} "
-                f"(seg {seg_mean:.3f}, div {div_mean:.3f})"
-            )
+        div_mean, grads = _iteration_loss(records, static_cache, config, adapter, rng.child(f"it.{it}"))
+        curve.append((it, div_mean))
+        if not math.isfinite(div_mean) or div_mean > config.divergence_threshold:
+            raise NumericError(f"training diverged at iteration {it}: diversity loss {div_mean:.3f}")
         params, state = adamw_step(params, grads, state, config.lr, config.weight_decay)
-        adapter, head = _split_params(params, adapter, head)
+        adapter = adapter.replace({k[len("adapter.") :]: v for k, v in params.items()})
     if out_dir:
         final = save_checkpoint(
             out_dir / f"checkpoint_{config.iterations:06d}.json",
             adapter,
-            head,
             {**meta, "iteration": config.iterations},
             state,
             provenance=provenance,
         )
         ckpt_paths.append(final)
         write_loss_curve(out_dir / "loss_curve.csv", curve)
-    return TrainResult(adapter=adapter, head=head, curve=curve, state=state, checkpoint_paths=ckpt_paths)
+    return TrainResult(adapter=adapter, curve=curve, state=state, checkpoint_paths=ckpt_paths)
 
 
-def replay_iteration(iteration, dataset, weights, bank, config: TrainConfig, adapter, head):
-    """Recompute the logged batch losses for `iteration` from checkpointed
-    parameters; mirrors the loop's batch selection and static cache."""
+def replay_iteration(iteration, dataset, weights, bank, config: TrainConfig, adapter) -> float:
+    """Recompute the logged mean diversity loss for `iteration` from
+    checkpointed parameters; mirrors the loop's batch selection and static
+    cache."""
     static_cache = _static_results(dataset, weights, bank, config)
     records = _batch_records(dataset, config.batch_size, iteration)
     rng = Rng(config.seed).child(f"it.{iteration}")
-    seg_mean, div_mean, _ = _iteration_losses(
-        records, static_cache, weights, bank, config, adapter, head, rng
-    )
-    return seg_mean, div_mean, total_loss(seg_mean, div_mean, config.gamma)
+    return _iteration_loss(records, static_cache, config, adapter, rng)[0]
 
 
 def write_loss_curve(path, curve):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "seg", "div", "total"])
-        for it, seg, div, tot in curve:
-            writer.writerow([it, repr(float(seg)), repr(float(div)), repr(float(tot))])
+        writer.writerow(["iteration", "div"])
+        for it, div in curve:
+            writer.writerow([it, repr(float(div))])
     return Path(path)
 
 
@@ -490,7 +386,7 @@ def read_loss_curve(path):
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            rows.append((int(row[0]), float(row[1]), float(row[2]), float(row[3])))
+            rows.append((int(row[0]), float(row[1])))
     return rows
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import excel
+from excel.blobio import load_tensors, save_tensors
 from excel.cli import main
 from excel.config import parse_config, save_config
 from excel.images import read_pgm
@@ -19,6 +20,16 @@ def cli_fixtures(tmp_path_factory):
     code = main(["gen-fixtures", "--seed", "42", "--out", str(root), "--images", "8"])
     assert code == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def cli_trained(cli_fixtures, tmp_path_factory):
+    """A one-iteration `excel train` run: (its out_dir, its config path)."""
+    root = tmp_path_factory.mktemp("clitrain")
+    out_dir = root / "dynrun"
+    cfg_path = write_cli_config(root / "cfg.json", cli_fixtures, out_dir, iterations=1)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    return out_dir, cfg_path
 
 
 def write_cli_config(path, fixture_root, out_dir, **overrides):
@@ -133,36 +144,53 @@ def test_train_cli(cli_fixtures, tmp_path):
     assert (out_dir / "train" / "checkpoint_000002.json").exists()
 
 
-def test_cam_dynamic_cli(cli_fixtures, tmp_path):
-    out_dir = tmp_path / "dynrun"
-    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out_dir, iterations=1)
-    assert main(["train", "--config", str(cfg_path)]) == 0
+def _with_head_tensors(checkpoint, path):
+    """A copy of `checkpoint` in the older layout, which also stored an
+    affine segmentation head and its label count."""
+    tf = load_tensors(checkpoint)
+    tensors = {name: tf.require(name) for name in tf.names()}
+    tensors["seghead.w"] = np.full((4, 12 * 64), 0.5, np.float32)
+    tensors["seghead.b"] = np.zeros(4, np.float32)
+    return save_tensors(path, tensors, meta={**tf.meta, "num_labels": 4}, provenance=tf.provenance)
+
+
+def test_cam_dynamic_cli(cli_fixtures, cli_trained, tmp_path):
+    out_dir, cfg_path = cli_trained
+    checkpoint = out_dir / "train" / "checkpoint_000001.json"
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
     labels = json.loads((cli_fixtures / "dataset" / "labels.json").read_text())[image.stem]
+
+    def cam(adapter, out):
+        return main(
+            [
+                "cam",
+                "--mode",
+                "dynamic",
+                "--weights",
+                str(cli_fixtures / "encoder.json"),
+                "--bank",
+                str(out_dir / "attrs.json"),
+                "--image",
+                str(image),
+                "--labels",
+                ",".join(str(v) for v in labels),
+                "--adapter",
+                str(adapter),
+                "--config",
+                str(cfg_path),
+                "--out",
+                str(out),
+            ]
+        )
+
     out = tmp_path / "dyncams"
-    code = main(
-        [
-            "cam",
-            "--mode",
-            "dynamic",
-            "--weights",
-            str(cli_fixtures / "encoder.json"),
-            "--bank",
-            str(out_dir / "attrs.json"),
-            "--image",
-            str(image),
-            "--labels",
-            ",".join(str(v) for v in labels),
-            "--adapter",
-            str(out_dir / "train" / "checkpoint_000001.json"),
-            "--config",
-            str(cfg_path),
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
+    assert cam(checkpoint, out) == 0
     assert (out / f"{image.stem}.pseudo.pgm").exists()
+    # a checkpoint that also carries the head tensors loads, with the same result
+    legacy = _with_head_tensors(checkpoint, tmp_path / "legacy.json")
+    assert cam(legacy, tmp_path / "legacycams") == 0
+    for path in sorted(out.iterdir()):
+        assert (tmp_path / "legacycams" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_attn_report_cli(cli_fixtures, tmp_path):
@@ -250,8 +278,14 @@ def _first_entry(manifest, **changes):
         lambda m: [m],
         lambda m: _first_entry(m, offset="0"),
         lambda m: _first_entry(m, name=m["tensors"][1]["name"]),
+        lambda m: {**m, "meta": {**m["meta"], "grid": 4}},
+        lambda m: {**m, "meta": {**m["meta"], "dim": "64"}},
+        lambda m: {**m, "meta": {**m["meta"], "heads": 0}},
     ],
-    ids=["no-tensors", "no-blob", "negative-shape", "string-shape", "json-list", "string-offset", "duplicate-name"],
+    ids=[
+        "no-tensors", "no-blob", "negative-shape", "string-shape", "json-list", "string-offset", "duplicate-name",
+        "grid-int", "dim-string", "heads-zero",
+    ],
 )
 def test_exit_code_malformed_weights_manifest(cli_fixtures, tmp_path, mutate):
     manifest = json.loads((cli_fixtures / "encoder.json").read_text())
@@ -264,6 +298,48 @@ def test_exit_code_malformed_weights_manifest(cli_fixtures, tmp_path, mutate):
     proc = subprocess.run(
         [sys.executable, "-m", "excel", "cam", "--weights", str(bad), "--bank", str(tmp_path / "bank.json"),
          "--image", str(image), "--labels", "1", "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(bad) in lines[0], proc.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("alpha", None),
+        ("beta", None),
+        ("fusion_kernel", None),
+        ("alpha", "3.0"),
+        ("beta", True),
+        ("fusion_kernel", 2),
+        ("fusion_kernel", 1.0),
+    ],
+    ids=["no-alpha", "no-beta", "no-fusion-kernel", "alpha-string", "beta-bool", "fusion-kernel-2", "fusion-kernel-float"],
+)
+def test_exit_code_malformed_checkpoint_meta(cli_fixtures, cli_trained, tmp_path, key, value):
+    # None deletes the key
+    out_dir, _ = cli_trained
+    checkpoint = out_dir / "train" / "checkpoint_000001.json"
+    manifest = json.loads(checkpoint.read_text())
+    (tmp_path / "bad.bin").write_bytes(checkpoint.with_suffix(".bin").read_bytes())
+    manifest["blob"] = "bad.bin"
+    if value is None:
+        del manifest["meta"][key]
+    else:
+        manifest["meta"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(manifest))
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    env = {**os.environ, "PYTHONPATH": str(Path(excel.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "excel", "cam", "--mode", "dynamic", "--weights", str(cli_fixtures / "encoder.json"),
+         "--bank", str(out_dir / "attrs.json"), "--image", str(image), "--labels", "1", "--adapter", str(bad),
+         "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
         env=env,

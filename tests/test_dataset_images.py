@@ -47,6 +47,14 @@ def test_pgm_truncated_payload(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("dims", [b"-1 -3", b"0 4", b"4 -2"])
+def test_pgm_non_positive_dimensions(tmp_path, dims):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5\n" + dims + b"\n255\nabc")
+    with pytest.raises(DataError, match="dimensions must be positive"):
+        read_pgm(path)
+
+
 def test_wrong_magic(tmp_path):
     path = tmp_path / "x.pgm"
     write_ppm(tmp_path / "x.ppm", np.zeros((2, 2, 3), np.uint8))

@@ -105,6 +105,9 @@ def test_config_round_trip(tmp_path):
 def test_config_unknown_key_rejected():
     with pytest.raises(UsageError, match="unknown config keys: iterationz"):
         parse_config({"iterationz": 3})
+    # removed training knobs are unknown keys too
+    with pytest.raises(UsageError, match="unknown config keys: gamma"):
+        parse_config({"gamma": 0.1})
 
 
 def test_config_relative_paths_anchor_to_file(tmp_path):
@@ -259,13 +262,15 @@ def test_pipeline_full_mode_with_vanilla_static_policy(tmp_path, fixture_paths):
 
 
 def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeypatch, tmp_path, fixture_paths, fixture_dataset):
-    # training and dynamic CAMs reuse the calibrated static pass, and each
-    # biased re-encode runs only the calibrated layers
-    calibrated, biased_heads = [], []
+    # training and dynamic CAMs reuse the calibrated static pass, training
+    # makes no biased encode, and each biased re-encode runs only the
+    # calibrated layers
+    calibrated, biased, biased_heads = [], [], []
     real_encode, real_head = encoder.encode, encoder._head_attention
 
     def counting_encode(image, weights, policy, prefix=None):
         if isinstance(policy, IntraCorrelationBiased):
+            biased.append(image.tobytes())
             biased_heads.append(0)
         elif isinstance(policy, IntraCorrelation):
             calibrated.append(image.tobytes())
@@ -292,7 +297,7 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
     run_pipeline(cfg, mode="full")
     images = sorted(rec.image.tobytes() for rec in fixture_dataset.images)
     assert sorted(calibrated) == images  # 32 calibrated encodes, not 64
-    assert len(biased_heads) == cfg.train.iterations * cfg.train.batch_size + len(images)
+    assert sorted(biased) == images  # one per image, all in stage_dynamic
     assert set(biased_heads) == {4 * cfg.train.calib_layers}
 
 

@@ -3,20 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from excel import training_eval
+from excel import dynamic_calibration, encoder, static_calibration, training_eval
 from excel.dynamic_calibration import init_adapter
 from excel.encoder import IntraCorrelation, VanillaQK, encode
 from excel.errors import DataError, NumericError, UsageError
 from excel.numerics import Rng
 from excel.training_eval import (
     AdamState,
-    SegHead,
     TrainConfig,
     adamw_step,
     attn_report,
     evaluate,
     init_adam_state,
-    init_seg_head,
     load_adam_state,
     load_checkpoint,
     mean_row_entropy,
@@ -24,9 +22,6 @@ from excel.training_eval import (
     replay_iteration,
     report_text,
     save_checkpoint,
-    seg_loss,
-    seg_loss_gradient,
-    total_loss,
     train_loop,
     upsample_labels,
     write_loss_curve,
@@ -37,97 +32,6 @@ def small_config(**overrides):
     defaults = dict(iterations=3, batch_size=2, seed=5, clusters=8, topk=4)
     defaults.update(overrides)
     return TrainConfig(**defaults)
-
-
-# --------------------------------------------------------------------------
-# seg loss
-
-
-def test_seg_loss_saturated_one_hot():
-    labels = np.array([[0, 1], [2, 0]], np.uint8)
-    logits = np.zeros((3, 2, 2), np.float32)
-    for y in range(2):
-        for x in range(2):
-            logits[labels[y, x], y, x] = 10.0
-    assert seg_loss(logits, labels) < 1e-3
-
-
-def test_seg_loss_uniform_logits_log_classes():
-    labels = np.zeros((2, 2), np.uint8)
-    logits = np.zeros((3, 2, 2), np.float32)
-    assert seg_loss(logits, labels) == pytest.approx(math.log(3.0), abs=1e-6)
-
-
-def test_seg_loss_matches_per_pixel_loop():
-    gen = Rng(1).generator()
-    logits = gen.standard_normal((4, 3, 3)).astype(np.float32)
-    labels = gen.integers(0, 4, size=(3, 3)).astype(np.uint8)
-    labels[1, 1] = 255
-    total, count = 0.0, 0
-    for y in range(3):
-        for x in range(3):
-            if labels[y, x] == 255:
-                continue
-            z = logits[:, y, x].astype(np.float64)
-            p = np.exp(z - z.max())
-            p /= p.sum()
-            total += -math.log(p[labels[y, x]])
-            count += 1
-    assert seg_loss(logits, labels) == pytest.approx(total / count, abs=1e-6)
-
-
-def test_seg_loss_ignores_excluded_and_all_ignored_raises():
-    logits = np.zeros((2, 1, 2), np.float32)
-    labels = np.array([[255, 0]], np.uint8)
-    assert seg_loss(logits, labels) == pytest.approx(math.log(2.0), abs=1e-6)
-    with pytest.raises(NumericError, match="ignored"):
-        seg_loss(logits, np.full((1, 2), 255, np.uint8))
-    with pytest.raises(DataError, match="outside"):
-        seg_loss(logits, np.array([[7, 0]], np.uint8))
-
-
-def test_seg_loss_gradient_matches_finite_differences(fixture_weights, fixture_dataset):
-    rec = fixture_dataset.images[0]
-    trace = encode(rec.image, fixture_weights, IntraCorrelation(layers=5))
-    head = init_seg_head(Rng(2), 64, 4, sigma=0.5)
-    head64 = SegHead(w=head.w.astype(np.float64), b=head.b.astype(np.float64))
-    gen = Rng(3).generator()
-    labels = gen.integers(0, 4, size=(4, 4)).astype(np.uint8)
-    loss, grads = seg_loss_gradient(trace, head64, labels)
-
-    x = np.concatenate([f[1:].astype(np.float64) for f in trace.features], axis=1)
-    flat_labels = labels.reshape(-1)
-
-    def loss64(head):
-        z = x @ head.w.T + head.b
-        z = z - z.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        return float(-logp[np.arange(z.shape[0]), flat_labels].mean())
-
-    assert loss == pytest.approx(loss64(head64), rel=1e-9)
-    eps = 1e-4
-    for name, arr in (("w", head64.w), ("b", head64.b)):
-        flat = arr.reshape(-1)
-        an = grads[name].reshape(-1)
-        idx = gen.choice(flat.shape[0], size=min(40, flat.shape[0]), replace=False)
-        for i in idx:
-            orig = flat[i]
-            flat[i] = orig + eps
-            lp = loss64(head64)
-            flat[i] = orig - eps
-            lm = loss64(head64)
-            flat[i] = orig
-            fd = (lp - lm) / (2 * eps)
-            assert an[i] == pytest.approx(fd, abs=2e-6)
-
-
-def test_total_loss():
-    assert total_loss(1.0, 2.0, 0.0) == 1.0
-    assert total_loss(1.0, 2.0, 0.1) == pytest.approx(1.2)
-    for gamma in (0.0, 0.3, 0.7):
-        assert total_loss(0.5, 1.5, gamma) == pytest.approx(0.5 + gamma * 1.5)
-    with pytest.raises(NumericError):
-        total_loss(float("nan"), 1.0, 0.1)
 
 
 # --------------------------------------------------------------------------
@@ -354,21 +258,29 @@ def test_train_loop_checkpoints_byte_identical(tmp_path, fixture_weights, fixtur
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_train_loop_divergence_aborts(fixture_weights, fixture_bank, fixture_dataset):
+def test_train_loop_divergence_aborts(monkeypatch, fixture_weights, fixture_bank, fixture_dataset):
     cfg = small_config(iterations=2, divergence_threshold=1e-6)
     with pytest.raises(NumericError, match="diverged"):
         train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg)
+    # a non-finite loss aborts too, whatever the threshold
+    real = training_eval.diversity_loss_gradient
+
+    def nan_loss(*args):
+        return float("nan"), real(*args)[1]
+
+    monkeypatch.setattr(training_eval, "diversity_loss_gradient", nan_loss)
+    with pytest.raises(NumericError, match="diverged at iteration 0: diversity loss nan"):
+        train_loop(fixture_dataset, fixture_weights, fixture_bank, small_config(iterations=2))
 
 
 def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_bank, fixture_dataset):
     cfg = small_config(iterations=2)
     result = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg, out_dir=tmp_path)
     path = tmp_path / "checkpoint_000002.json"
-    adapter, head, meta = load_checkpoint(path)
+    adapter, meta = load_checkpoint(path)
     state = load_adam_state(path)
     for a, b in zip(adapter.to_dict().values(), result.adapter.to_dict().values()):
         assert np.array_equal(a, b)
-    assert np.array_equal(head.w, result.head.w)
     assert meta["iteration"] == 2
     assert meta["train_config"]["lr"] == cfg.lr
     assert state.step == 2
@@ -377,7 +289,7 @@ def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_bank, fixture_d
 
 
 def test_loss_curve_roundtrip(tmp_path):
-    curve = [(0, 1.5, 0.25, 1.525), (1, 1.25, 0.125, 1.2625)]
+    curve = [(0, 0.25), (1, 0.125)]
     path = write_loss_curve(tmp_path / "c.csv", curve)
     assert read_loss_curve(path) == curve
 
@@ -387,13 +299,9 @@ def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_bank, fi
     result = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg, out_dir=tmp_path)
     curve = {row[0]: row for row in result.curve}
     for k in (0, 2):
-        adapter, head, meta = load_checkpoint(tmp_path / f"checkpoint_{k:06d}.json")
-        seg, div, tot = replay_iteration(
-            k, fixture_dataset, fixture_weights, fixture_bank, cfg, adapter, head
-        )
-        assert seg == pytest.approx(curve[k][1], abs=1e-5)
-        assert div == pytest.approx(curve[k][2], abs=1e-5)
-        assert tot == pytest.approx(curve[k][3], abs=1e-5)
+        adapter, meta = load_checkpoint(tmp_path / f"checkpoint_{k:06d}.json")
+        div = replay_iteration(k, fixture_dataset, fixture_weights, fixture_bank, cfg, adapter)
+        assert div == pytest.approx(curve[k][1], abs=1e-5)
 
 
 def test_train_loop_with_pair_subsampling(fixture_weights, fixture_bank, fixture_dataset):
@@ -418,10 +326,28 @@ def test_train_loop_runs_one_static_pass_per_image(monkeypatch, fixture_weights,
 
     monkeypatch.setattr(training_eval, "run_static_pipeline", counting)
     cfg = small_config(iterations=17, batch_size=4)
-    train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg)
+    first = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg)
     assert len(fixture_dataset.images) == 32
     assert len(calls) == 32
     assert sorted(calls) == sorted(rec.image.tobytes() for rec in fixture_dataset.images)
+
+    # handed that pass as the static cache, training makes no encoder call
+    cache = {
+        rec.name: real(rec.image, fixture_weights, fixture_bank, rec.labels, cfg.calibration(), cfg.tau_fg, cfg.tau_bg)
+        for rec in fixture_dataset.images
+    }
+    encodes = []
+    real_encode = encoder.encode
+
+    def counting_encode(*args, **kwargs):
+        encodes.append(1)
+        return real_encode(*args, **kwargs)
+
+    for module in (encoder, static_calibration, dynamic_calibration, training_eval):
+        monkeypatch.setattr(module, "encode", counting_encode)
+    cached = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg, static_cache=cache)
+    assert encodes == []
+    assert cached.curve == first.curve
 
 
 def test_config_validation_errors():
