@@ -50,6 +50,24 @@ class TensorFile:
     def names(self) -> list[str]:
         return list(self.tensors)
 
+    def meta_value(self, key: str, valid, expected: str):
+        """Meta value `key`; a DataError naming the file when it is absent
+        or fails `valid`, a predicate described by `expected`."""
+        if key not in self.meta:
+            raise DataError(f"manifest {self.path} lacks meta key '{key}'")
+        value = self.meta[key]
+        if not valid(value):
+            raise DataError(f"manifest {self.path} meta '{key}' must be {expected}, got {value!r}")
+        return value
+
+
+def is_positive_int(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def is_finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
 
 def save_tensors(path, tensors, meta=None, provenance=None) -> Path:
     """Write manifest + blob. `tensors` is an ordered name -> array mapping."""
@@ -108,11 +126,11 @@ def _parse_entries(path: Path, entries) -> list[tuple[str, tuple[int, ...], int]
 
 def load_tensors(path) -> TensorFile:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"manifest not found: {path}")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"manifest {path} is not a JSON object")
@@ -126,7 +144,7 @@ def load_tensors(path) -> TensorFile:
             raise DataError(f"manifest {path} has a '{key}' that is not an object")
     entries = _parse_entries(path, manifest.get("tensors"))
     blob_path = path.parent / blob_name
-    if not blob_path.exists():
+    if not blob_path.is_file():
         raise DataError(f"blob not found: {blob_path}")
     blob = blob_path.read_bytes()
     declared = manifest.get("checksum_fnv1a64", "")

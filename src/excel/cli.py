@@ -12,19 +12,19 @@ from pathlib import Path
 import numpy as np
 
 from .blobio import save_tensors
-from .config import load_config
-from .dataset import load_dataset
+from .config import PipelineConfig, load_config
+from .dataset import load_class_names, load_dataset
 from .dynamic_calibration import dynamic_cam
 from .encoder import IntraCorrelation, IntraCorrelationBiased, VanillaQK, ValueValueLast, load_weights
 from .errors import EXIT_OK, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
 from .hashing import config_digest
-from .images import read_pgm, write_pgm
+from .images import read_pgm, read_ppm, rgb_to_chw
 from .numerics import Rng
-from .pipeline import run_pipeline, stage_attributes
-from .static_calibration import run_static_pipeline, save_cams
+from .pipeline import run_pipeline, run_provenance, stage_attributes, write_cam_outputs
+from .static_calibration import run_static_pipeline
 from .text_enrichment import build_text_bank, ingest_knowledge, load_bank, save_bank
-from .training_eval import attn_report, evaluate, load_checkpoint, report_text, train_loop, upsample_labels
+from .training_eval import attn_report, evaluate, load_checkpoint, report_text, train_loop
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,13 +88,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_image(path) -> np.ndarray:
-    from .images import read_ppm
-
-    rgb = read_ppm(path)
-    return np.ascontiguousarray(rgb.transpose(2, 0, 1).astype(np.float32) / 255.0)
-
-
 def _cmd_gen_fixtures(args) -> int:
     spec = FixtureSpec(
         classes=args.classes,
@@ -121,26 +114,19 @@ def _cmd_build_attrs(args) -> int:
     return EXIT_OK
 
 
-def _cam_config(args):
-    if args.config:
-        return load_config(args.config)
-    from .config import PipelineConfig
-
-    return PipelineConfig()
-
-
 def _cmd_cam(args) -> int:
-    cfg = _cam_config(args)
-    weights = load_weights(args.weights)
-    bank = load_bank(args.bank)
-    image = _load_image(args.image)
-    present = [int(v) for v in args.labels.split(",") if v.strip()]
+    try:
+        present = [int(v) for v in args.labels.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"--labels must be comma-separated class ids, got {args.labels!r}") from None
     if not present:
         raise UsageError("--labels must list at least one class id")
+    cfg = load_config(args.config) if args.config else PipelineConfig()
+    weights = load_weights(args.weights)
+    bank = load_bank(args.bank)
+    image = rgb_to_chw(read_ppm(args.image))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.image).stem
-    prov = {"stage": f"cam-{args.mode}", "seed": cfg.seed, "config_hash": cfg.digest()}
     tau_fg, tau_bg = cfg.train.tau_fg, cfg.train.tau_bg
     if args.mode == "static":
         res = run_static_pipeline(image, weights, bank, present, cfg.static_policy(), tau_fg, tau_bg)
@@ -149,12 +135,10 @@ def _cmd_cam(args) -> int:
             raise UsageError("dynamic mode requires --adapter")
         adapter, _ = load_checkpoint(args.adapter)
         res = dynamic_cam(image, weights, adapter, bank, present, cfg.train.calibration(), tau_fg, tau_bg)
-    cams, labels = res.cams, res.labels
-    save_cams(out_dir / f"{stem}.cams.json", cams, provenance=prov)
-    pixels = upsample_labels(labels, weights.patch_size).astype(np.uint8)
-    write_pgm(out_dir / f"{stem}.pseudo.pgm", pixels, comment=f"provenance stage={prov['stage']} seed={prov['seed']} config={prov['config_hash']}")
-    print(f"cams: {out_dir / (stem + '.cams.json')}")
-    print(f"pseudo: {out_dir / (stem + '.pseudo.pgm')}")
+    prov = run_provenance(cfg, f"cam-{args.mode}")
+    cams_path, pgm_path = write_cam_outputs(out_dir, Path(args.image).stem, res, weights.patch_size, prov)
+    print(f"cams: {cams_path}")
+    print(f"pseudo: {pgm_path}")
     return EXIT_OK
 
 
@@ -171,7 +155,7 @@ def _cmd_train(args) -> int:
         bank,
         cfg.train,
         out_dir=out_dir,
-        provenance={"stage": "train", "seed": cfg.seed, "config_hash": cfg.digest()},
+        provenance=run_provenance(cfg, "train"),
     )
     final = result.curve[-1][1] if result.curve else 0.0
     print(f"trained {cfg.train.iterations} iterations; final diversity loss {final:.4f}")
@@ -180,7 +164,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    class_names = json.loads(Path(args.classes).read_text(encoding="utf-8"))["classes"]
+    class_names = load_class_names(args.classes)
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
     preds, gts = [], []
     for gt_path in sorted(gt_dir.glob("*.pgm")):
@@ -205,7 +189,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_attn_report(args) -> int:
     weights = load_weights(args.weights)
-    image = _load_image(args.image)
+    image = rgb_to_chw(read_ppm(args.image))
     policies = {}
     for name in args.policies.split(","):
         name = name.strip()

@@ -104,11 +104,11 @@ def parse_config(mapping: dict) -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise UsageError(f"config file not found: {path}")
     try:
         mapping = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(mapping, dict):
         raise UsageError(f"config {path} must hold a JSON object")

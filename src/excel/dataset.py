@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .images import read_pgm, read_ppm
+from .images import read_pgm, read_ppm, rgb_to_chw
 from .static_calibration import IGNORE_LABEL
 
 
@@ -37,12 +37,35 @@ class ToyDataset:
     class_names: list[str]  # index 0 is background
     images: list[ImageRecord]
 
-    @property
-    def num_foreground(self) -> int:
-        return len(self.class_names) - 1
 
-    def __len__(self) -> int:
-        return len(self.images)
+def _read_json(path: Path):
+    if not path.is_file():
+        raise DataError(f"{path} not found")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_class_names(path) -> list[str]:
+    """The class names of a `classes.json`, background first."""
+    path = Path(path)
+    doc = _read_json(path)
+    names = doc.get("classes") if isinstance(doc, dict) else None
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise DataError(f'{path} must hold {{"classes": [<class names>...]}}')
+    if not names or names[0] != "background":
+        raise DataError(f"{path} must start with 'background', got {names[:1]}")
+    return names
+
+
+def _load_label_table(path: Path) -> dict:
+    table = _read_json(path)
+    if not isinstance(table, dict) or not all(
+        isinstance(ids, list) and all(type(v) is int for v in ids) for ids in table.values()
+    ):
+        raise DataError(f"{path} must map each image stem to a list of integer class ids")
+    return table
 
 
 def load_dataset(root, patch_size: int | None = None) -> ToyDataset:
@@ -52,11 +75,9 @@ def load_dataset(root, patch_size: int | None = None) -> ToyDataset:
     for req in (classes_path, labels_path, root / "images", root / "masks"):
         if not req.exists():
             raise DataError(f"dataset root {root} lacks {req.name}")
-    class_names = json.loads(classes_path.read_text(encoding="utf-8"))["classes"]
-    if not class_names or class_names[0] != "background":
-        raise DataError(f"classes.json must start with 'background', got {class_names[:1]}")
+    class_names = load_class_names(classes_path)
     num_fg = len(class_names) - 1
-    label_table = json.loads(labels_path.read_text(encoding="utf-8"))
+    label_table = _load_label_table(labels_path)
     records = []
     for image_path in sorted((root / "images").glob("*.ppm")):
         stem = image_path.stem
@@ -82,18 +103,17 @@ def load_dataset(root, patch_size: int | None = None) -> ToyDataset:
             raise DataError(
                 f"mask for '{stem}' contains class id {max(mask_ids)} outside 1..{num_fg}"
             )
-        labels = sorted(int(v) for v in label_table[stem])
+        labels = sorted(label_table[stem])
         if any(not 1 <= v <= num_fg for v in labels):
             raise DataError(f"label list for '{stem}' contains ids outside 1..{num_fg}")
         if set(labels) != mask_ids:
             raise DataError(
                 f"label list for '{stem}' is {labels} but its mask contains {sorted(mask_ids)}"
             )
-        image = np.ascontiguousarray(rgb.transpose(2, 0, 1).astype(np.float32) / 255.0)
-        records.append(ImageRecord(name=stem, image=image, mask=mask, labels=labels))
+        records.append(ImageRecord(name=stem, image=rgb_to_chw(rgb), mask=mask, labels=labels))
     if not records:
         raise DataError(f"dataset root {root} contains no images")
-    return ToyDataset(root=root, class_names=list(class_names), images=records)
+    return ToyDataset(root=root, class_names=class_names, images=records)
 
 
 def save_dataset(root, class_names, records, comment: str | None = None):

@@ -176,10 +176,6 @@ class RelationMatrix:
     raw: np.ndarray  # (hw, hw) float32
     masked: np.ndarray  # raw where raw >= 0, else -inf
 
-    @property
-    def size(self) -> int:
-        return self.raw.shape[0]
-
 
 def dynamic_relation(features: np.ndarray, alpha: float, beta: float) -> RelationMatrix:
     """Token relations r = alpha*(cos - beta*mean(cos)) with negatives masked
@@ -199,8 +195,6 @@ def dynamic_relation(features: np.ndarray, alpha: float, beta: float) -> Relatio
 class AffinityBatch:
     positive: np.ndarray  # (P, 2) int32 ordered token-index pairs
     negative: np.ndarray  # (N, 2)
-    n_pos: int  # normalization counts; equal to len() unless a test overrides
-    n_neg: int
 
 
 def build_affinity_batch(
@@ -225,14 +219,7 @@ def build_affinity_batch(
         keep.sort()
         pairs = pairs[keep]
         same = same[keep]
-    positive = pairs[same]
-    negative = pairs[~same]
-    return AffinityBatch(
-        positive=positive,
-        negative=negative,
-        n_pos=int(positive.shape[0]),
-        n_neg=int(negative.shape[0]),
-    )
+    return AffinityBatch(positive=pairs[same], negative=pairs[~same])
 
 
 def _pair_affinity(feats: np.ndarray):
@@ -250,11 +237,12 @@ def _pair_affinity(feats: np.ndarray):
 
 
 def _pair_loss(u: np.ndarray, batch: AffinityBatch) -> float:
+    pos, neg = batch.positive, batch.negative
     loss = 0.0
-    if batch.n_pos:
-        loss += (1.0 - u[batch.positive[:, 0], batch.positive[:, 1]]).sum() / batch.n_pos
-    if batch.n_neg:
-        loss += u[batch.negative[:, 0], batch.negative[:, 1]].sum() / batch.n_neg
+    if len(pos):
+        loss += (1.0 - u[pos[:, 0], pos[:, 1]]).sum() / len(pos)
+    if len(neg):
+        loss += u[neg[:, 0], neg[:, 1]].sum() / len(neg)
     return float(loss)
 
 
@@ -287,11 +275,12 @@ def diversity_loss_gradient(
     norms, fhat, u = _pair_affinity(feats)
     loss = _pair_loss(u, batch)
 
+    pos, neg = batch.positive, batch.negative
     g_u = np.zeros((hw, hw), dtype=np.float64)
-    if batch.n_pos:
-        np.add.at(g_u, (batch.positive[:, 0], batch.positive[:, 1]), -1.0 / batch.n_pos)
-    if batch.n_neg:
-        np.add.at(g_u, (batch.negative[:, 0], batch.negative[:, 1]), 1.0 / batch.n_neg)
+    if len(pos):
+        np.add.at(g_u, (pos[:, 0], pos[:, 1]), -1.0 / len(pos))
+    if len(neg):
+        np.add.at(g_u, (neg[:, 0], neg[:, 1]), 1.0 / len(neg))
     g_cos = g_u * u * (1.0 - u)
     g_fhat = (g_cos + g_cos.T) @ fhat
     # project through the normalization: d(f/|f|) kills the radial component
@@ -341,9 +330,6 @@ def diversity_loss_gradient(
 class DynamicResult:
     cams: CamStack
     labels: PseudoLabelMap
-    trace: LayerTrace
-    relation: RelationMatrix
-    dynamic_features: np.ndarray
 
 
 def dynamic_cam(
@@ -366,8 +352,7 @@ def dynamic_cam(
     """
     if static_trace is None:
         static_trace = encode(image, weights, calibration)
-    features = adapter_forward(static_trace, params)
-    relation = dynamic_relation(features, params.alpha, params.beta)
+    relation = dynamic_relation(adapter_forward(static_trace, params), params.alpha, params.beta)
     biased = IntraCorrelationBiased(
         layers=calibration.layers,
         weights=calibration.weights,
@@ -375,11 +360,4 @@ def dynamic_cam(
     )
     trace = encode(image, weights, biased, prefix=static_trace)
     cams = static_cam(trace.patch_features, bank, present)
-    labels = cam_to_pseudo_label(cams, tau_fg, tau_bg)
-    return DynamicResult(
-        cams=cams,
-        labels=labels,
-        trace=trace,
-        relation=relation,
-        dynamic_features=features,
-    )
+    return DynamicResult(cams=cams, labels=cam_to_pseudo_label(cams, tau_fg, tau_bg))

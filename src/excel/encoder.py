@@ -2,9 +2,9 @@
 
 The encoder is deliberately small and bit-reproducible: float32 weights,
 float64 accumulation, no dropout, no batch dimension. Every forward pass
-captures the per-layer tensors (residual stream and normalized layer
-inputs, per-head q/k/v, attention maps) that the calibration stages
-consume, and a later pass can resume from that capture.
+records what its consumers read: the residual stream entering each layer
+(a later pass resumes from it), the normalized layer inputs (the
+adapter's features) and the attention maps.
 
 Shapes: token matrices are (T, D) with the CLS token at row 0 and
 T = h*w + 1 grid tokens; per-head tensors are (H, T, D_s) with
@@ -17,10 +17,10 @@ Attention policies:
   IntraCorrelation      w1*SA(q,q) + w2*SA(k,k) + w3*SA(v,v) in the last
                         `layers` blocks; the mix replaces q-k attention.
   IntraCorrelationBiased  IntraCorrelation plus softmax(R) added row-wise,
-                        where R is a (hw x hw) token-relation matrix. R is
-                        embedded into the (T x T) map with zero bias on the
-                        CLS row/column, so grid rows sum to sum(w) + 1 and
-                        the CLS row to sum(w).
+                        where R is the grid-sized (hw x hw) token-relation
+                        matrix. R is embedded into the (T x T) map with zero
+                        bias on the CLS row/column, so grid rows sum to
+                        sum(w) + 1 and the CLS row to sum(w).
 """
 
 import math
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .blobio import TensorFile, load_tensors, save_tensors
+from .blobio import TensorFile, is_positive_int, load_tensors, save_tensors
 from .errors import DataError, NumericError, ShapeError
 
 LAYER_COUNT = 12
@@ -75,10 +75,6 @@ class EncoderWeights:
     @property
     def head_dim(self) -> int:
         return self.dim // self.heads
-
-    @property
-    def tokens(self) -> int:
-        return self.grid[0] * self.grid[1] + 1
 
     def to_tensors(self) -> dict[str, np.ndarray]:
         out = {
@@ -130,24 +126,18 @@ def load_weights(manifest_path) -> EncoderWeights:
     return weights_from_tensorfile(tf)
 
 
-def _is_positive_int(value) -> bool:
-    return type(value) is int and value >= 1
-
-
 def weights_from_tensorfile(tf: TensorFile) -> EncoderWeights:
-    meta = tf.meta
-    counts = ("dim", "heads", "layers", "patch_size", "mlp_dim")
-    for key in (*counts, "grid"):
-        if key not in meta:
-            raise DataError(f"encoder manifest {tf.path} lacks meta key '{key}'")
-    for key in counts:
-        if not _is_positive_int(meta[key]):
-            raise DataError(f"encoder manifest {tf.path} meta '{key}' must be a positive integer, got {meta[key]!r}")
-    grid = meta["grid"]
-    if not isinstance(grid, list) or len(grid) != 2 or not all(_is_positive_int(g) for g in grid):
-        raise DataError(f"encoder manifest {tf.path} meta 'grid' must be a list of 2 positive integers, got {grid!r}")
-    dim, heads, depth, patch, mlp_dim = (meta[key] for key in counts)
-    grid = tuple(grid)
+    dim, heads, depth, patch, mlp_dim = (
+        tf.meta_value(key, is_positive_int, "a positive integer")
+        for key in ("dim", "heads", "layers", "patch_size", "mlp_dim")
+    )
+    grid = tuple(
+        tf.meta_value(
+            "grid",
+            lambda g: isinstance(g, list) and len(g) == 2 and all(map(is_positive_int, g)),
+            "a list of 2 positive integers",
+        )
+    )
     if depth != LAYER_COUNT:
         raise DataError(f"encoder depth must be {LAYER_COUNT}, manifest declares {depth}")
     if dim % heads != 0:
@@ -230,7 +220,7 @@ class IntraCorrelation:
 
 @dataclass(frozen=True)
 class IntraCorrelationBiased(IntraCorrelation):
-    relation: np.ndarray = None  # (hw, hw) raw-masked, or (T, T) pre-embedded
+    relation: np.ndarray = None  # (hw, hw), -inf where masked
     name = "intra_correlation_biased"
 
     def __post_init__(self):
@@ -242,15 +232,21 @@ class IntraCorrelationBiased(IntraCorrelation):
 AttentionPolicy = VanillaQK | ValueValueLast | IntraCorrelation | IntraCorrelationBiased
 
 
+def _check_relation_shape(relation: np.ndarray, tokens: int):
+    shape = np.shape(relation)
+    if shape != (tokens - 1, tokens - 1):
+        raise ShapeError(f"relation matrix shape {shape} is not the grid size ({tokens - 1}, {tokens - 1})")
+
+
 def expected_row_sums(policy: AttentionPolicy, layer: int, tokens: int) -> np.ndarray:
     """Declared per-row attention sums at `layer` for an input of `tokens` rows."""
     if layer not in policy.modified_layers():
         return np.full(tokens, 1.0)
     if isinstance(policy, IntraCorrelationBiased):
+        _check_relation_shape(policy.relation, tokens)
         total = float(sum(policy.weights))
         sums = np.full(tokens, total + 1.0)
-        if policy.relation.shape[0] == tokens - 1:
-            sums[0] = total  # CLS row carries no relation bias
+        sums[0] = total  # CLS row carries no relation bias
         return sums
     if isinstance(policy, IntraCorrelation):
         return np.full(tokens, float(sum(policy.weights)))
@@ -269,16 +265,8 @@ class LayerTrace:
     modified_layers: frozenset[int]  # layers whose attention the policy replaced
     inputs: list[np.ndarray]  # 13 x (T, D): residual stream entering each layer, then the final norm
     features: list[np.ndarray]  # 12 x (T, D): normalized input projected to q/k/v
-    queries: list[np.ndarray]  # 12 x (H, T, D_s)
-    keys: list[np.ndarray]
-    values: list[np.ndarray]
     attentions: list[np.ndarray]  # 12 x (H, T, T)
-    tokens: np.ndarray  # (T, D) after the final norm
     patch_features: np.ndarray  # (D, h, w), CLS dropped
-
-    @property
-    def patch_count(self) -> int:
-        return self.grid[0] * self.grid[1]
 
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -343,23 +331,14 @@ def self_attention(o: np.ndarray, head_dim: int) -> np.ndarray:
 
 
 def relation_bias(relation: np.ndarray, tokens: int) -> np.ndarray:
-    """Row-softmaxed relation embedded into the (T, T) attention map.
-
-    A grid-sized (T-1, T-1) relation lands on the patch block with zero
-    bias on the CLS row and column; a full (T, T) relation is softmaxed
-    as given.
-    """
+    """Row-softmaxed grid-sized (T-1, T-1) relation embedded into the
+    (T, T) attention map: it lands on the patch block with zero bias on
+    the CLS row and column."""
     relation = nm.as_f32(relation, "relation matrix", allow_neg_inf=True)
-    if relation.shape == (tokens, tokens):
-        return nm.softmax_rows(relation)
-    if relation.shape == (tokens - 1, tokens - 1):
-        bias = np.zeros((tokens, tokens), dtype=np.float32)
-        bias[1:, 1:] = nm.softmax_rows(relation)
-        return bias
-    raise ShapeError(
-        f"relation matrix shape {relation.shape} matches neither ({tokens}, {tokens}) "
-        f"nor ({tokens - 1}, {tokens - 1})"
-    )
+    _check_relation_shape(relation, tokens)
+    bias = np.zeros((tokens, tokens), dtype=np.float32)
+    bias[1:, 1:] = nm.softmax_rows(relation)
+    return bias
 
 
 def _head_attention(
@@ -433,14 +412,11 @@ def encode(
         bias = relation_bias(policy.relation, t_count)
     if prefix is None:
         start, x = 0, tokens
-        inputs, features, qs, ks, vs, attns = [], [], [], [], [], []
+        inputs, features, attns = [], [], []
     else:
         start = _resume_layer(prefix, tokens, policy)
         x = prefix.inputs[start]
-        inputs, features, qs, ks, vs, attns = (
-            seq[:start]
-            for seq in (prefix.inputs, prefix.features, prefix.queries, prefix.keys, prefix.values, prefix.attentions)
-        )
+        inputs, features, attns = (seq[:start] for seq in (prefix.inputs, prefix.features, prefix.attentions))
     for layer in range(start, LAYER_COUNT):
         lw = weights.layers[layer]
         inputs.append(x)
@@ -467,9 +443,6 @@ def encode(
         x = (x.astype(np.float64) + mlp_out.astype(np.float64)).astype(np.float32)
         _finite(x, f"layer {layer} MLP outputs")
         features.append(h)
-        qs.append(q_h)
-        ks.append(k_h)
-        vs.append(v_h)
         attns.append(attn)
     inputs.append(x)
     final = _finite(layer_norm(x, weights.final_scale, weights.final_shift), "final tokens")
@@ -480,10 +453,6 @@ def encode(
         modified_layers=frozenset(policy.modified_layers()),
         inputs=inputs,
         features=features,
-        queries=qs,
-        keys=ks,
-        values=vs,
         attentions=attns,
-        tokens=final,
         patch_features=patch_features,
     )

@@ -21,6 +21,7 @@ from .dataset import save_dataset
 from .encoder import LAYER_COUNT, EncoderWeights, IntraCorrelation, LayerWeights, encode, save_weights
 from .errors import UsageError
 from .hashing import config_digest
+from .images import rgb_to_chw
 from .numerics import Rng
 from .text_enrichment import TEMPLATE_TEXT
 
@@ -52,12 +53,15 @@ class FixtureSpec:
     calib_gain: float = 16.0
 
     def validate(self):
+        for name in ("classes", "images", "image_size", "dim", "heads", "patch_size"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name.replace('_', ' ')} must be positive, got {getattr(self, name)}")
         if not 1 <= self.classes <= len(PALETTE):
             raise UsageError(f"classes must be 1..{len(PALETTE)}, got {self.classes}")
-        if self.image_size % (2 * self.patch_size):
+        if self.image_size % (2 * self.patch_size) or self.image_size < 4 * self.patch_size:
             raise UsageError(
                 f"image size {self.image_size} must be a multiple of two patches "
-                f"({2 * self.patch_size})"
+                f"({2 * self.patch_size}) and at least four (disks span 3x3 patches at offset 0 or 1)"
             )
         if self.dim % self.heads:
             raise UsageError(f"dim {self.dim} not divisible by heads {self.heads}")
@@ -216,8 +220,7 @@ def _probe_feature_means(weights, spec: FixtureSpec, probe_gen):
         count = 0
         for quadrant in range(4):
             rgb, mask, _ = render_image(probe_gen, spec, class_id, "rect", quadrant)
-            image = np.ascontiguousarray(rgb.transpose(2, 0, 1).astype(np.float32) / 255.0)
-            trace = encode(image, weights, policy)
+            trace = encode(rgb_to_chw(rgb), weights, policy)
             gh, gw = trace.grid
             token_class = mask.reshape(gh, p, gw, p).transpose(0, 2, 1, 3).reshape(gh, gw, -1)
             inside = (token_class == class_id).all(axis=2).reshape(-1)

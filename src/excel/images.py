@@ -24,6 +24,8 @@ def _write_netpbm(path, magic: bytes, dims: tuple[int, int], payload: bytes, com
 
 
 def _parse_netpbm(path, expected_magic: bytes):
+    if not Path(path).is_file():
+        raise DataError(f"{path}: no such file")
     data = Path(path).read_bytes()
     if not data.startswith(expected_magic):
         raise DataError(f"{path}: expected {expected_magic.decode()} file")
@@ -58,6 +60,11 @@ def _parse_netpbm(path, expected_magic: bytes):
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
     return width, height, data[pos:], comments
+
+
+def rgb_to_chw(rgb: np.ndarray) -> np.ndarray:
+    """(H, W, 3) uint8 pixels -> the encoder's (3, H, W) float32 image in [0, 1]."""
+    return np.ascontiguousarray(rgb.transpose(2, 0, 1).astype(np.float32) / 255.0)
 
 
 def write_ppm(path, rgb: np.ndarray, comment: str | None = None):

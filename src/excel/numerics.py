@@ -144,7 +144,6 @@ class Rng:
     """
 
     seed: int
-    algorithm: str = "pcg64"
 
     def __post_init__(self):
         object.__setattr__(self, "seed", int(self.seed) & 0xFFFFFFFFFFFFFFFF)

@@ -40,7 +40,8 @@ class PipelineArtifacts:
     report: Path
 
 
-def _provenance(cfg: PipelineConfig, stage: str) -> dict:
+def run_provenance(cfg: PipelineConfig, stage: str) -> dict:
+    """The {stage, seed, config_hash} stamp of an artifact produced under `cfg`."""
     return {"stage": stage, "seed": cfg.seed, "config_hash": cfg.digest()}
 
 
@@ -59,10 +60,6 @@ def _check_resume(path: Path, cfg: PipelineConfig, resume: bool) -> bool:
     return True
 
 
-def _pgm_comment(prov: dict) -> str:
-    return f"provenance stage={prov['stage']} seed={prov['seed']} config={prov['config_hash']}"
-
-
 def stage_attributes(cfg: PipelineConfig, resume: bool = False):
     out = Path(cfg.out_dir) / "attrs.json"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -76,13 +73,19 @@ def stage_attributes(cfg: PipelineConfig, resume: bool = False):
         lam=cfg.train.lam,
         rng=Rng(cfg.seed).child("attributes"),
     )
-    save_bank(out, bank, provenance=_provenance(cfg, "attributes"))
+    save_bank(out, bank, provenance=run_provenance(cfg, "attributes"))
     return bank, out
 
 
-def _export_label_map(path, labels, patch_size, prov):
-    pixels = upsample_labels(labels, patch_size).astype(np.uint8)
-    write_pgm(path, pixels, comment=_pgm_comment(prov))
+def write_cam_outputs(out_dir: Path, stem: str, result, patch_size: int, prov: dict) -> tuple[Path, Path]:
+    """`<stem>.cams.json` and the pixel-resolution `<stem>.pseudo.pgm` of a
+    static or dynamic result, both stamped with `prov`; returns their paths."""
+    cams_path = save_cams(out_dir / f"{stem}.cams.json", result.cams, provenance=prov)
+    pgm_path = out_dir / f"{stem}.pseudo.pgm"
+    pixels = upsample_labels(result.labels, patch_size).astype(np.uint8)
+    comment = f"provenance stage={prov['stage']} seed={prov['seed']} config={prov['config_hash']}"
+    write_pgm(pgm_path, pixels, comment=comment)
+    return cams_path, pgm_path
 
 
 def stage_static(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, keep_traces: bool):
@@ -90,15 +93,14 @@ def stage_static(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, keep_t
     encoder trace only with `keep_traces`, for later stages to reuse."""
     out_dir = Path(cfg.out_dir) / "static"
     out_dir.mkdir(parents=True, exist_ok=True)
-    prov = _provenance(cfg, "static")
+    prov = run_provenance(cfg, "static")
     policy = cfg.static_policy()
     results = {}
     for rec in dataset.images:
         res = run_static_pipeline(
             rec.image, weights, bank, rec.labels, policy, cfg.train.tau_fg, cfg.train.tau_bg
         )
-        save_cams(out_dir / f"{rec.name}.cams.json", res.cams, provenance=prov)
-        _export_label_map(out_dir / f"{rec.name}.pseudo.pgm", res.labels, weights.patch_size, prov)
+        write_cam_outputs(out_dir, rec.name, res, weights.patch_size, prov)
         results[rec.name] = res if keep_traces else dataclasses.replace(res, trace=None)
     return results, out_dir
 
@@ -116,7 +118,7 @@ def stage_train(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, static_
         bank,
         cfg.train,
         out_dir=out_dir,
-        provenance=_provenance(cfg, "train"),
+        provenance=run_provenance(cfg, "train"),
         static_cache=static_cache,
     )
     return result.adapter, out_dir
@@ -127,7 +129,7 @@ def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapt
     results with traces (dynamic_cam encodes them itself without it)."""
     out_dir = Path(cfg.out_dir) / "dynamic"
     out_dir.mkdir(parents=True, exist_ok=True)
-    prov = _provenance(cfg, "dynamic")
+    prov = run_provenance(cfg, "dynamic")
     calibration = cfg.train.calibration()
     results = {}
     for rec in dataset.images:
@@ -142,8 +144,7 @@ def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapt
             cfg.train.tau_bg,
             static_trace=static_cache[rec.name].trace if static_cache else None,
         )
-        save_cams(out_dir / f"{rec.name}.cams.json", res.cams, provenance=prov)
-        _export_label_map(out_dir / f"{rec.name}.pseudo.pgm", res.labels, weights.patch_size, prov)
+        write_cam_outputs(out_dir, rec.name, res, weights.patch_size, prov)
         results[rec.name] = res
     return results, out_dir
 
@@ -152,7 +153,7 @@ def stage_eval(cfg: PipelineConfig, dataset: ToyDataset, label_maps: dict, patch
     preds = [upsample_labels(label_maps[rec.name], patch_size) for rec in dataset.images]
     gts = [rec.mask for rec in dataset.images]
     report = evaluate(preds, gts, num_labels=len(dataset.class_names))
-    prov = _provenance(cfg, "eval")
+    prov = run_provenance(cfg, "eval")
     payload = {"provenance": prov, "evaluated_stage": stage_name, **report.to_dict()}
     report_path = Path(cfg.out_dir) / "report.json"
     report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

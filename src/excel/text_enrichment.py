@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .blobio import load_tensors, save_tensors
+from .blobio import is_finite_number, is_positive_int, load_tensors, save_tensors
 from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
 
@@ -28,7 +28,6 @@ TEMPLATE_TEXT = "a clean origami of [CLASS]"
 class KnowledgeBase:
     embeddings: np.ndarray  # (D, n*C), unit columns, class-major order
     class_index: np.ndarray  # (n*C,) int32 column -> class
-    texts: list[str]
     templates: np.ndarray  # (D, C), unit columns
     class_names: list[str]
     n: int
@@ -47,21 +46,23 @@ def _normalize_columns(m: np.ndarray, what: str) -> np.ndarray:
     return (m64 / norms).astype(np.float32)
 
 
+def _is_name_list(value) -> bool:
+    return isinstance(value, list) and len(value) > 0 and all(isinstance(v, str) for v in value)
+
+
+_NAMES = "a non-empty list of strings"
+_POSITIVE = "a positive integer"
+
+
 def ingest_knowledge(path) -> KnowledgeBase:
     """Load a knowledge file and L2-normalize every embedding column."""
     tf = load_tensors(path)
-    meta = tf.meta
-    for key in ("classes", "n", "dim"):
-        if key not in meta:
-            raise DataError(f"knowledge manifest {tf.path} lacks meta key '{key}'")
-    class_names = list(meta["classes"])
-    n = int(meta["n"])
-    dim = int(meta["dim"])
+    class_names = list(tf.meta_value("classes", _is_name_list, _NAMES))
+    n = tf.meta_value("n", is_positive_int, _POSITIVE)
+    dim = tf.meta_value("dim", is_positive_int, _POSITIVE)
     templates = []
     blocks = []
     class_index = []
-    texts = []
-    desc_texts = meta.get("description_texts") or {}
     for c, name in enumerate(class_names):
         template = tf.require(f"template.{c:02d}", (dim,))
         desc = tf.require(f"descriptions.{c:02d}")
@@ -78,15 +79,11 @@ def ingest_knowledge(path) -> KnowledgeBase:
         templates.append(template)
         blocks.append(desc.T)
         class_index.extend([c] * n)
-        names = desc_texts.get(str(c), [])
-        for i in range(n):
-            texts.append(names[i] if i < len(names) else f"{name} description {i}")
     embeddings = _normalize_columns(np.concatenate(blocks, axis=1), "descriptions")
     template_mat = _normalize_columns(np.stack(templates, axis=1), "templates")
     return KnowledgeBase(
         embeddings=embeddings,
         class_index=np.asarray(class_index, dtype=np.int32),
-        texts=texts,
         templates=template_mat,
         class_names=class_names,
         n=n,
@@ -331,15 +328,39 @@ def save_bank(path, bank: TextRepresentation, provenance=None) -> Path:
     return save_tensors(path, tensors, meta=meta, provenance=provenance)
 
 
+def _is_neighbor_table(value, classes: int) -> bool:
+    """One {indices, scores} entry per class, two equally long lists."""
+    return (
+        isinstance(value, list)
+        and len(value) == classes
+        and all(
+            isinstance(e, dict)
+            and isinstance(e.get("indices"), list)
+            and isinstance(e.get("scores"), list)
+            and len(e["indices"]) == len(e["scores"])
+            and all(type(i) is int for i in e["indices"])
+            and all(is_finite_number(s) for s in e["scores"])
+            for e in value
+        )
+    )
+
+
 def load_bank(path) -> TextRepresentation:
     tf = load_tensors(path)
-    meta = tf.meta
-    class_names = list(meta["classes"])
-    dim = int(meta["dim"])
+    class_names = list(tf.meta_value("classes", _is_name_list, _NAMES))
+    dim = tf.meta_value("dim", is_positive_int, _POSITIVE)
+    lam = tf.meta_value("lambda", is_finite_number, "a finite number")
+    topk = tf.meta_value("topk", is_positive_int, _POSITIVE)
+    clustered = tf.meta_value("clustered", lambda v: type(v) is bool, "true or false")
+    neighbors = tf.meta_value(
+        "neighbors",
+        lambda v: _is_neighbor_table(v, len(class_names)),
+        f"a list of {len(class_names)} objects holding equally long 'indices' and 'scores' lists",
+    )
     templates = nm.transpose(tf.require("templates", (len(class_names), dim)))
     enriched = nm.transpose(tf.require("enriched", (len(class_names), dim)))
     attrs = None
-    if meta.get("clustered"):
+    if clustered:
         centroids = nm.transpose(tf.require("centroids"))
         raw = nm.transpose(tf.require("raw_centroids"))
         attrs = AttributeSpace(
@@ -348,14 +369,13 @@ def load_bank(path) -> TextRepresentation:
             assignment=np.zeros(0, dtype=np.int32),
             inertia=0.0,
         )
-    neighbors = meta.get("neighbors", [])
     return TextRepresentation(
         class_names=class_names,
         templates=templates,
         enriched=enriched,
         neighbor_indices=[np.asarray(e["indices"], dtype=np.int32) for e in neighbors],
         neighbor_scores=[np.asarray(e["scores"], dtype=np.float32) for e in neighbors],
-        lam=float(meta["lambda"]),
-        topk=int(meta["topk"]),
+        lam=float(lam),
+        topk=topk,
         attributes=attrs,
     )

@@ -7,13 +7,13 @@ written.
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import numerics as nm
-from .blobio import load_tensors, save_tensors
+from .blobio import is_finite_number, load_tensors, save_tensors
 from .dynamic_calibration import (
     AdapterParams,
     build_affinity_batch,
@@ -162,59 +162,20 @@ def adamw_step(
 # checkpoints
 
 
-def _opt_path(path) -> Path:
-    """The AdamW sidecar manifest next to checkpoint manifest `path`."""
-    return Path(path).with_name(Path(path).stem + ".opt.json")
-
-
-def save_checkpoint(path, adapter: AdapterParams, meta: dict, state: AdamState | None = None, provenance=None) -> Path:
+def save_checkpoint(path, adapter: AdapterParams, meta: dict, provenance=None) -> Path:
+    """One tensor file: the adapter parameters plus its relation settings."""
     tensors = {f"adapter.{k}": v for k, v in adapter.to_dict().items()}
-    full_meta = dict(meta)
-    full_meta.update(
-        {
-            "alpha": adapter.alpha,
-            "beta": adapter.beta,
-            "fusion_kernel": adapter.fusion_kernel,
-        }
-    )
-    path = Path(path)
-    out = save_tensors(path, tensors, meta=full_meta, provenance=provenance)
-    if state is not None:
-        opt_tensors = {}
-        for name in sorted(state.m):
-            opt_tensors[f"m.{name}"] = state.m[name]
-            opt_tensors[f"v.{name}"] = state.v[name]
-        save_tensors(
-            _opt_path(path),
-            opt_tensors,
-            meta={"step": state.step},
-            provenance=provenance,
-        )
-    return out
-
-
-def _relation_meta(tf) -> tuple[float, float, int]:
-    """(alpha, beta, fusion_kernel) from a checkpoint's meta, type-checked."""
-    meta = tf.meta
-    for key in ("alpha", "beta", "fusion_kernel"):
-        if key not in meta:
-            raise DataError(f"checkpoint {tf.path} lacks meta key '{key}'")
-    for key in ("alpha", "beta"):
-        value = meta[key]
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise DataError(f"checkpoint {tf.path} meta '{key}' must be a finite number, got {value!r}")
-    kernel = meta["fusion_kernel"]
-    if type(kernel) is not int or kernel not in (1, 3):
-        raise DataError(f"checkpoint {tf.path} meta 'fusion_kernel' must be 1 or 3, got {kernel!r}")
-    return float(meta["alpha"]), float(meta["beta"]), kernel
+    full_meta = {**meta, "alpha": adapter.alpha, "beta": adapter.beta, "fusion_kernel": adapter.fusion_kernel}
+    return save_tensors(path, tensors, meta=full_meta, provenance=provenance)
 
 
 def load_checkpoint(path):
     """Returns (adapter, meta). Tensors other than `adapter.*`, such as the
-    segmentation-head pair older checkpoints carry, are ignored. The
-    optimizer sidecar is not read; `load_adam_state` reads it."""
+    segmentation-head pair older checkpoints carry, are ignored, and so is
+    the optimizer sidecar file they were written with."""
     tf = load_tensors(path)
-    alpha, beta, kernel = _relation_meta(tf)
+    alpha, beta = (float(tf.meta_value(key, is_finite_number, "a finite number")) for key in ("alpha", "beta"))
+    kernel = tf.meta_value("fusion_kernel", lambda k: type(k) is int and k in (1, 3), "1 or 3")
     adapter = AdapterParams(
         deltas_w=[tf.require(f"adapter.delta.{i:02d}.w") for i in range(LAYER_COUNT)],
         deltas_b=[tf.require(f"adapter.delta.{i:02d}.b") for i in range(LAYER_COUNT)],
@@ -227,17 +188,6 @@ def load_checkpoint(path):
     return adapter, tf.meta
 
 
-def load_adam_state(path) -> AdamState:
-    """AdamW moments and step saved next to the checkpoint manifest `path`."""
-    otf = load_tensors(_opt_path(path))
-    names = sorted({n[2:] for n in otf.names() if n.startswith("m.")})
-    return AdamState(
-        m={n: otf.require(f"m.{n}") for n in names},
-        v={n: otf.require(f"v.{n}") for n in names},
-        step=int(otf.meta["step"]),
-    )
-
-
 # --------------------------------------------------------------------------
 # training loop
 
@@ -246,8 +196,6 @@ def load_adam_state(path) -> AdamState:
 class TrainResult:
     adapter: AdapterParams
     curve: list[tuple[int, float]]  # (iteration, mean diversity loss)
-    state: AdamState
-    checkpoint_paths: list[Path] = field(default_factory=list)
 
 
 def _static_results(dataset, weights, bank, config: TrainConfig):
@@ -325,19 +273,16 @@ def train_loop(
     if static_cache is None and config.iterations:
         static_cache = _static_results(dataset, weights, bank, config)
     curve: list[tuple[int, float]] = []
-    ckpt_paths: list[Path] = []
     meta = {"train_config": config.to_dict(), "dim": weights.dim}
 
     def maybe_checkpoint(iteration):
         if out_dir and config.checkpoint_every and iteration % config.checkpoint_every == 0:
-            p = save_checkpoint(
+            save_checkpoint(
                 out_dir / f"checkpoint_{iteration:06d}.json",
                 adapter,
                 {**meta, "iteration": iteration},
-                state,
                 provenance=provenance,
             )
-            ckpt_paths.append(p)
 
     for it in range(config.iterations):
         maybe_checkpoint(it)
@@ -349,16 +294,14 @@ def train_loop(
         params, state = adamw_step(params, grads, state, config.lr, config.weight_decay)
         adapter = adapter.replace({k[len("adapter.") :]: v for k, v in params.items()})
     if out_dir:
-        final = save_checkpoint(
+        save_checkpoint(
             out_dir / f"checkpoint_{config.iterations:06d}.json",
             adapter,
             {**meta, "iteration": config.iterations},
-            state,
             provenance=provenance,
         )
-        ckpt_paths.append(final)
         write_loss_curve(out_dir / "loss_curve.csv", curve)
-    return TrainResult(adapter=adapter, curve=curve, state=state, checkpoint_paths=ckpt_paths)
+    return TrainResult(adapter=adapter, curve=curve)
 
 
 def replay_iteration(iteration, dataset, weights, bank, config: TrainConfig, adapter) -> float:

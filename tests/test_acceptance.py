@@ -179,8 +179,7 @@ def _tiny_gradient_instance(seed):
     gen = Rng(seed).generator()
     feats = [gen.standard_normal((10, 8)).astype(np.float32) for _ in range(12)]
     trace = LayerTrace(
-        grid=(3, 3), modified_layers=frozenset(), inputs=[], features=feats, queries=[], keys=[], values=[],
-        attentions=[], tokens=feats[-1], patch_features=np.zeros((8, 3, 3), np.float32),
+        grid=(3, 3), modified_layers=frozenset(), inputs=[], features=feats, attentions=[], patch_features=np.zeros((8, 3, 3), np.float32),
     )
     adapter = init_adapter(Rng(seed).child("a"), dim=8, d_proj=4, d_dyn=6, sigma=0.5)
     adapter = AdapterParams(
@@ -234,7 +233,6 @@ def _random_kb(seed, classes=2, n=10, dim=8):
     return KnowledgeBase(
         embeddings=emb,
         class_index=np.repeat(np.arange(classes, dtype=np.int32), n),
-        texts=[""] * (classes * n),
         templates=emb[:, :classes].copy(),
         class_names=[f"c{i}" for i in range(classes)],
         n=n,
@@ -270,7 +268,6 @@ def test_criterion_4_clustering_oracle():
     kb = KnowledgeBase(
         embeddings=points.T.astype(np.float32),
         class_index=np.zeros(2 * per_blob, np.int32),
-        texts=[""] * (2 * per_blob),
         templates=points[:1].T.astype(np.float32),
         class_names=["only"],
         n=2 * per_blob,

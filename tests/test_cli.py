@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,10 @@ import excel
 from excel.blobio import load_tensors, save_tensors
 from excel.cli import main
 from excel.config import parse_config, save_config
+from excel.encoder import save_weights
+from excel.fixtures import FixtureSpec, make_encoder_weights
 from excel.images import read_pgm
+from excel.numerics import Rng
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +34,21 @@ def cli_trained(cli_fixtures, tmp_path_factory):
     cfg_path = write_cli_config(root / "cfg.json", cli_fixtures, out_dir, iterations=1)
     assert main(["train", "--config", str(cfg_path)]) == 0
     return out_dir, cfg_path
+
+
+def run_excel(*argv):
+    """`python -m excel *argv` in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(excel.__file__).parent.parent)}
+    return subprocess.run([sys.executable, "-m", "excel", *argv], capture_output=True, text=True, env=env)
+
+
+def one_error_line(returncode, stderr, expected_code) -> str:
+    """The single `error:` line of a failed command, after checking its exit code."""
+    assert returncode == expected_code, stderr
+    assert "Traceback" not in stderr
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+    return lines[0]
 
 
 def write_cli_config(path, fixture_root, out_dir, **overrides):
@@ -249,17 +268,8 @@ def test_exit_code_config_value_of_wrong_type(cli_fixtures, tmp_path, override):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(mapping))
-    env = {**os.environ, "PYTHONPATH": str(Path(excel.__file__).parent.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "excel", "run", "--config", str(cfg_path), "--mode", "static-only"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: config key"), proc.stderr
+    proc = run_excel("run", "--config", str(cfg_path), "--mode", "static-only")
+    assert one_error_line(proc.returncode, proc.stderr, 1).startswith("error: config key")
     assert not (tmp_path / "out").exists()
 
 
@@ -294,18 +304,11 @@ def test_exit_code_malformed_weights_manifest(cli_fixtures, tmp_path, mutate):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(mutate(manifest)))
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
-    env = {**os.environ, "PYTHONPATH": str(Path(excel.__file__).parent.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "excel", "cam", "--weights", str(bad), "--bank", str(tmp_path / "bank.json"),
-         "--image", str(image), "--labels", "1", "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env=env,
+    proc = run_excel(
+        "cam", "--weights", str(bad), "--bank", str(tmp_path / "bank.json"),
+        "--image", str(image), "--labels", "1", "--out", str(tmp_path / "out"),
     )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and str(bad) in lines[0], proc.stderr
+    assert str(bad) in one_error_line(proc.returncode, proc.stderr, 2)
 
 
 @pytest.mark.parametrize(
@@ -335,19 +338,12 @@ def test_exit_code_malformed_checkpoint_meta(cli_fixtures, cli_trained, tmp_path
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(manifest))
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
-    env = {**os.environ, "PYTHONPATH": str(Path(excel.__file__).parent.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "excel", "cam", "--mode", "dynamic", "--weights", str(cli_fixtures / "encoder.json"),
-         "--bank", str(out_dir / "attrs.json"), "--image", str(image), "--labels", "1", "--adapter", str(bad),
-         "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env=env,
+    proc = run_excel(
+        "cam", "--mode", "dynamic", "--weights", str(cli_fixtures / "encoder.json"),
+        "--bank", str(out_dir / "attrs.json"), "--image", str(image), "--labels", "1", "--adapter", str(bad),
+        "--out", str(tmp_path / "out"),
     )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and str(bad) in lines[0], proc.stderr
+    assert str(bad) in one_error_line(proc.returncode, proc.stderr, 2)
 
 
 def test_exit_code_data_error(cli_fixtures, tmp_path):
@@ -369,3 +365,132 @@ def test_exit_code_numeric_error(cli_fixtures, tmp_path):
         divergence_threshold=1e-9,
     )
     assert main(["run", "--config", str(cfg_path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--heads", "0"),
+        ("--image-size", "0"),
+        ("--patch-size", "0"),
+        ("--dim", "-4"),
+        ("--images", "0"),
+        ("--classes", "0"),
+    ],
+)
+def test_exit_code_non_positive_fixture_spec(tmp_path, flag, value):
+    proc = run_excel("gen-fixtures", flag, value, "--out", str(tmp_path / "fx"))
+    assert "must be positive" in one_error_line(proc.returncode, proc.stderr, 1)
+    assert not (tmp_path / "fx").exists()
+
+
+@pytest.mark.parametrize("labels", ["a", "1,x", "1.5"])
+def test_exit_code_cam_labels_not_class_ids(cli_fixtures, cli_trained, tmp_path, labels):
+    out_dir, _ = cli_trained
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    proc = run_excel(
+        "cam", "--weights", str(cli_fixtures / "encoder.json"), "--bank", str(out_dir / "attrs.json"),
+        "--image", str(image), "--labels", labels, "--out", str(tmp_path / "out"),
+    )
+    assert "--labels" in one_error_line(proc.returncode, proc.stderr, 1)
+    assert not (tmp_path / "out").exists()
+
+
+def _with_meta(manifest_path, out_path, key, value):
+    """A copy of a tensor file whose meta `key` is `value`; None deletes it."""
+    tf = load_tensors(manifest_path)
+    meta = {k: v for k, v in tf.meta.items() if k != key}
+    if value is not None:
+        meta[key] = value
+    tensors = {name: tf.require(name) for name in tf.names()}
+    return save_tensors(out_path, tensors, meta=meta, provenance=tf.provenance)
+
+
+@pytest.fixture(scope="module")
+def tiny_weights(tmp_path_factory):
+    """A 16-dim encoder manifest, quick to checksum, for cases that fail after the weights load."""
+    spec = FixtureSpec(image_size=32, dim=16, heads=2, patch_size=8, mlp_dim=32)
+    return save_weights(tmp_path_factory.mktemp("tiny") / "encoder.json", make_encoder_weights(Rng(0), spec))
+
+
+def _main_error(capsys, argv, expected_code) -> str:
+    code = main(argv)
+    return one_error_line(code, capsys.readouterr().err, expected_code)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("lambda", None),
+        ("classes", None),
+        ("dim", "64"),
+        ("topk", 0),
+        ("clustered", 1),
+        ("neighbors", [{"indices": [0], "scores": []}]),
+    ],
+    ids=["no-lambda", "no-classes", "dim-string", "topk-zero", "clustered-int", "neighbors-ragged"],
+)
+def test_exit_code_malformed_bank_meta(cli_fixtures, cli_trained, tiny_weights, tmp_path, capsys, key, value):
+    out_dir, _ = cli_trained
+    bad = _with_meta(out_dir / "attrs.json", tmp_path / "bank.json", key, value)
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    argv = ["cam", "--weights", str(tiny_weights), "--bank", str(bad),
+            "--image", str(image), "--labels", "1", "--out", str(tmp_path / "out")]
+    assert f"'{key}'" in _main_error(capsys, argv, 2)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("n", "x"), ("dim", None), ("classes", "red-shape")], ids=["n-string", "no-dim", "classes-string"]
+)
+def test_exit_code_malformed_knowledge_meta(cli_fixtures, tmp_path, capsys, key, value):
+    bad = _with_meta(cli_fixtures / "knowledge.json", tmp_path / "kb.json", key, value)
+    argv = ["build-attrs", "--kb", str(bad), "--clusters", "8", "--out", str(tmp_path / "bank.json")]
+    assert f"'{key}'" in _main_error(capsys, argv, 2)
+
+
+@pytest.mark.parametrize(
+    "classes", [None, '{"classes": 5}', "{not json", '["background"]', '{"classes": ["red-shape"]}'],
+    ids=["missing", "int", "malformed", "list", "no-background"],
+)
+def test_exit_code_eval_bad_classes(cli_fixtures, tmp_path, capsys, classes):
+    path = tmp_path / "classes.json"
+    if classes is not None:
+        path.write_text(classes)
+    masks = str(cli_fixtures / "dataset" / "masks")
+    argv = ["eval", "--pred-dir", masks, "--gt-dir", masks, "--classes", str(path)]
+    assert str(path) in _main_error(capsys, argv, 2)
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("classes.json", lambda doc: {"classes": 5}),
+        ("classes.json", lambda doc: {"names": doc["classes"]}),
+        ("labels.json", lambda doc: {**doc, "img_0000": 1}),
+        ("labels.json", lambda doc: {**doc, "img_0000": [str(v) for v in doc["img_0000"]]}),
+        ("labels.json", lambda doc: sorted(doc)),
+    ],
+    ids=["classes-int", "classes-renamed", "labels-int", "labels-string-ids", "labels-list"],
+)
+def test_exit_code_dataset_bad_json(cli_fixtures, tmp_path, capsys, name, edit):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(cli_fixtures / "dataset", dataset)
+    (dataset / name).write_text(json.dumps(edit(json.loads((dataset / name).read_text()))))
+    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", dataset=str(dataset))
+    argv = ["run", "--config", str(cfg_path), "--mode", "static-only"]
+    assert str(dataset / name) in _main_error(capsys, argv, 2)
+
+
+@pytest.mark.parametrize("what", ["image-missing", "image-directory", "weights-directory", "config-directory"])
+def test_exit_code_missing_or_directory_input(cli_fixtures, cli_trained, tiny_weights, tmp_path, capsys, what):
+    out_dir, cfg_path = cli_trained
+    inputs = {
+        "--weights": str(tiny_weights),
+        "--image": str(next((cli_fixtures / "dataset" / "images").glob("*.ppm"))),
+        "--config": str(cfg_path),
+    }
+    flag = {"image": "--image", "weights": "--weights", "config": "--config"}[what.split("-")[0]]
+    inputs[flag] = str(tmp_path / "missing.ppm") if what == "image-missing" else str(tmp_path)
+    argv = ["cam", "--bank", str(out_dir / "attrs.json"), "--labels", "1", "--out", str(tmp_path / "out")]
+    argv += [part for item in inputs.items() for part in item]
+    assert inputs[flag] in _main_error(capsys, argv, 1 if flag == "--config" else 2)

@@ -28,11 +28,7 @@ def trace_from_features(features, grid):
         modified_layers=frozenset(),
         inputs=[],
         features=features,
-        queries=[],
-        keys=[],
-        values=[],
         attentions=[],
-        tokens=features[-1],
         patch_features=np.zeros((features[0].shape[1],) + grid, np.float32),
     )
 
@@ -217,18 +213,23 @@ def biased_attention(o, weights, relation):
 
 
 def test_biased_attention_uniform_relation():
-    # identical tokens: every self-attention map is uniform 1/4
-    o = np.ones((4, 3), np.float32)
+    # identical tokens: every self-attention map is uniform 1/5; the
+    # uniform relation adds 1/4 on the grid block, nothing on CLS
+    o = np.ones((5, 3), np.float32)
     out = biased_attention(o, (1 / 3, 1 / 3, 1 / 3), np.zeros((4, 4), np.float32))
-    np.testing.assert_allclose(out, 0.25 + 0.25, atol=1e-6)
+    expected = np.full((5, 5), 0.2)
+    expected[1:, 1:] += 0.25
+    np.testing.assert_allclose(out, expected, atol=1e-6)
 
 
 def test_biased_attention_identity_relation():
-    o = Rng(8).generator().standard_normal((3, 2)).astype(np.float32)
+    o = Rng(8).generator().standard_normal((4, 2)).astype(np.float32)
     rel = np.full((3, 3), -np.inf, np.float32)
     np.fill_diagonal(rel, 0.0)
     out = biased_attention(o, (0.0, 0.0, 0.0), rel)
-    np.testing.assert_allclose(out, np.eye(3), atol=1e-7)
+    expected = np.zeros((4, 4))
+    expected[1:, 1:] = np.eye(3)
+    np.testing.assert_allclose(out, expected, atol=1e-7)
 
 
 def test_biased_attention_row_sums_additive():
@@ -252,9 +253,9 @@ def test_affinity_batch_full_pairing_counts():
     labels = np.array([[1, 1], [0, 255]], np.uint8)
     batch = build_affinity_batch(labels)
     valid = 3
-    assert batch.n_pos + batch.n_neg == valid * valid
-    assert batch.n_pos == 5  # (0,0),(0,1),(1,0),(1,1) same-class plus (2,2)
-    assert batch.n_neg == 4
+    assert len(batch.positive) + len(batch.negative) == valid * valid
+    assert len(batch.positive) == 5  # (0,0),(0,1),(1,0),(1,1) same-class plus (2,2)
+    assert len(batch.negative) == 4
 
 
 def test_affinity_batch_all_ignored_raises():
@@ -268,7 +269,7 @@ def test_affinity_batch_sampling_deterministic():
     labels = gen.integers(0, 3, size=(6, 6)).astype(np.uint8)
     b1 = build_affinity_batch(labels, sample_limit=100, rng=Rng(11))
     b2 = build_affinity_batch(labels, sample_limit=100, rng=Rng(11))
-    assert b1.n_pos + b1.n_neg == 100
+    assert len(b1.positive) + len(b1.negative) == 100
     assert np.array_equal(b1.positive, b2.positive)
     assert np.array_equal(b1.negative, b2.negative)
 
@@ -344,14 +345,13 @@ def test_gradient_linearity_duplicated_pairs_double():
     doubled = AffinityBatch(
         positive=np.concatenate([batch.positive, batch.positive]),
         negative=np.concatenate([batch.negative, batch.negative]),
-        n_pos=batch.n_pos,  # keep original normalization: loss doubles
-        n_neg=batch.n_neg,
     )
+    # each term is a mean over its pairs: every pair twice, twice the count
     loss1, grads1 = diversity_loss_gradient(trace, adapter, batch)
     loss2, grads2 = diversity_loss_gradient(trace, adapter, doubled)
-    assert loss2 == pytest.approx(2 * loss1, rel=1e-12)
+    assert loss2 == pytest.approx(loss1, rel=1e-12)
     for name in grads1:
-        np.testing.assert_allclose(grads2[name], 2 * grads1[name], rtol=1e-10, atol=1e-15)
+        np.testing.assert_allclose(grads2[name], grads1[name], rtol=1e-10, atol=1e-15)
 
 
 @pytest.mark.parametrize("fusion_kernel", [1, 3])
@@ -417,7 +417,8 @@ def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, 
         static_trace=static.trace,
     )
     # identical features -> cosines all one -> relation uniformly zero
-    np.testing.assert_allclose(dyn.relation.raw, 0.0, atol=1e-6)
+    relation = dynamic_relation(adapter_forward(static.trace, zero), zero.alpha, zero.beta)
+    np.testing.assert_allclose(relation.raw, 0.0, atol=1e-6)
     assert np.array_equal(
         dyn.cams.maps.argmax(axis=0), static.cams.maps.argmax(axis=0)
     )

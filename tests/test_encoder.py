@@ -258,16 +258,17 @@ def test_icb_cls_row_carries_no_bias():
     assert sums[1] == pytest.approx(2.0)
 
 
-def test_icb_full_size_relation_biases_every_row():
-    # a pre-embedded (T, T) relation also biases the CLS row
+def test_icb_token_sized_relation_raises():
+    # only the grid-sized (hw, hw) relation is accepted; a (T, T) one,
+    # which would also bias the CLS row, is a shape error everywhere
     w = tiny_weights(seed=31)
-    relation = np.zeros((5, 5), np.float32)
-    policy = IntraCorrelationBiased(layers=2, relation=relation)
-    trace = encode(random_image(31, 8), w, policy)
-    np.testing.assert_allclose(trace.attentions[11].sum(axis=2), 2.0, atol=1e-5)
-    np.testing.assert_allclose(
-        expected_row_sums(policy, 11, 5), np.full(5, 2.0), atol=0
-    )
+    policy = IntraCorrelationBiased(layers=2, relation=np.zeros((5, 5), np.float32))
+    with pytest.raises(ShapeError, match=r"not the grid size \(4, 4\)"):
+        encode(random_image(31, 8), w, policy)
+    with pytest.raises(ShapeError):
+        expected_row_sums(policy, 11, 5)
+    with pytest.raises(ShapeError):
+        relation_bias(policy.relation, 5)
 
 
 def test_intra_identity_attention_on_scaled_orthogonal_values():
@@ -347,13 +348,12 @@ def test_icb_identity_relation_adds_identity():
 
 def test_relation_bias_shapes():
     hw = 4
-    full = relation_bias(np.zeros((hw + 1, hw + 1), np.float32), hw + 1)
-    np.testing.assert_allclose(full.sum(axis=1), 1.0, atol=1e-6)
     grid = relation_bias(np.zeros((hw, hw), np.float32), hw + 1)
-    assert grid[0].sum() == 0.0
+    assert grid[0].sum() == 0.0 and grid[:, 0].sum() == 0.0
     np.testing.assert_allclose(grid[1:].sum(axis=1), 1.0, atol=1e-6)
-    with pytest.raises(ShapeError):
-        relation_bias(np.zeros((3, 3), np.float32), hw + 1)
+    for shape in ((3, 3), (hw + 1, hw + 1), (hw, hw + 1)):
+        with pytest.raises(ShapeError):
+            relation_bias(np.zeros(shape, np.float32), hw + 1)
 
 
 # --------------------------------------------------------------------------
@@ -375,7 +375,7 @@ def test_zero_modified_layers_equals_vanilla(fixture_weights):
     t_ic = encode(image, fixture_weights, IntraCorrelation(layers=0))
     t_qk = encode(image, fixture_weights, VanillaQK())
     assert t_ic.patch_features.tobytes() == t_qk.patch_features.tobytes()
-    assert t_ic.tokens.tobytes() == t_qk.tokens.tobytes()
+    assert t_ic.inputs[-1].tobytes() == t_qk.inputs[-1].tobytes()
 
 
 def test_per_head_attention_shape(fixture_weights):
@@ -390,7 +390,6 @@ def test_trace_captures_qkv_and_features(fixture_weights):
     trace = encode(random_image(53, 64), fixture_weights, VanillaQK())
     assert len(trace.features) == 12
     assert trace.features[0].shape == (17, 64)
-    assert trace.queries[0].shape == (4, 17, 16)
     assert trace.patch_features.shape == (64, 4, 4)
     assert np.isfinite(trace.patch_features).all()
 

@@ -72,6 +72,8 @@ def test_fixture_validation():
         FixtureSpec(classes=0).validate()
     with pytest.raises(UsageError):
         FixtureSpec(image_size=40).validate()
+    with pytest.raises(UsageError, match="at least four"):
+        FixtureSpec(image_size=32).validate()  # two patches: no room for a 3x3-patch disk
     with pytest.raises(UsageError):
         FixtureSpec(dim=30, heads=4).validate()
 
@@ -177,6 +179,15 @@ def test_pipeline_emits_all_artifacts(short_run):
     assert (out / "dynamic").exists() and len(list((out / "dynamic").glob("*.cams.json"))) == 32
     assert artifacts.report.exists() and (out / "report.txt").exists()
     assert 0.0 <= report.miou <= 1.0
+
+
+def test_checkpoint_is_one_tensor_file(short_run):
+    # manifest and blob per checkpoint; no optimizer sidecar next to them
+    _, _, _, out = short_run
+    names = sorted(p.name for p in (out / "train").iterdir())
+    expected = [f"checkpoint_{i:06d}.{ext}" for i in (0, 2, 4) for ext in ("bin", "json")]
+    assert names == expected + ["loss_curve.csv"]
+    assert not list(out.rglob("*.opt.*"))
 
 
 def test_pipeline_provenance_stamped(short_run):

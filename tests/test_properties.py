@@ -1,0 +1,202 @@
+"""Property tests of the exit-code contract. A weights manifest, a config
+or a PGM header mutated into an invalid one makes `excel.cli.main` return
+1, 2 or 3; no exception escapes it."""
+
+import dataclasses
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from excel.blobio import is_positive_int
+from excel.cli import main
+from excel.config import PATH_KEYS
+from excel.fixtures import FixtureSpec, generate_fixtures
+from excel.training_eval import TrainConfig
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
+DELETE = "<delete>"
+FAILED = {1, 2, 3}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**40), 2**40) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _other_than(value):
+    """The key deleted, or any JSON value that differs from `value`."""
+    return st.just(DELETE) | json_values.filter(lambda v: v != value)
+
+
+def _set(container, key, value):
+    if value is DELETE:
+        container.pop(key, None)
+    else:
+        container[key] = value
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """A 2-image, 32 px fixture tree (8 px patches) with a 16-dim encoder and its bank."""
+    root = tmp_path_factory.mktemp("props")
+    spec = FixtureSpec(classes=2, images=2, image_size=32, dim=16, heads=2, patch_size=8, mlp_dim=32)
+    generate_fixtures(5, spec, root)
+    assert main(["build-attrs", "--kb", str(root / "knowledge.json"), "--clusters", "4", "--out", str(root / "bank.json")]) == 0
+    return root
+
+
+# --------------------------------------------------------------------------
+# weights manifest
+
+
+def _weights_mutation(manifest):
+    """(where, key, value): a required field given a value that cannot be valid."""
+    meta, entries = manifest["meta"], manifest["tensors"]
+    top = st.sampled_from(["format", "blob", "checksum_fnv1a64", "tensors", "meta"]).flatmap(
+        lambda k: st.tuples(st.just("top"), st.just(k), _other_than(manifest[k]))
+    )
+    provenance = st.tuples(st.just("top"), st.just("provenance"), json_values.filter(lambda v: not isinstance(v, dict)))
+    counts = st.tuples(
+        st.just("meta"),
+        st.sampled_from(["dim", "heads", "layers", "patch_size", "mlp_dim"]),
+        st.just(DELETE) | json_values.filter(lambda v: not is_positive_int(v)),
+    )
+    grid = st.tuples(st.just("meta"), st.just("grid"), _other_than(meta["grid"]))
+    entry = st.tuples(st.integers(0, len(entries) - 1), st.sampled_from(["name", "shape", "offset"])).flatmap(
+        lambda ik: st.tuples(st.just(ik[0]), st.just(ik[1]), _other_than(entries[ik[0]][ik[1]]))
+    )
+    return top | provenance | counts | grid | entry
+
+
+@given(data=st.data())
+@PROPERTY
+def test_mutated_weights_manifest_fails_cleanly(small, data):
+    manifest = json.loads((small / "encoder.json").read_text())
+    where, key, value = data.draw(_weights_mutation(manifest))
+    target = {"top": manifest, "meta": manifest["meta"]}.get(where) or manifest["tensors"][where]
+    _set(target, key, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(small / "encoder.bin", Path(tmp) / "encoder.bin")
+        (Path(tmp) / "encoder.json").write_text(json.dumps(manifest))
+        argv = [
+            "cam", "--weights", str(Path(tmp) / "encoder.json"), "--bank", str(small / "bank.json"),
+            "--image", str(small / "dataset" / "images" / "img_0000.ppm"), "--labels", "1",
+            "--out", str(Path(tmp) / "out"),
+        ]
+        assert main(argv) in FAILED
+
+
+# --------------------------------------------------------------------------
+# config
+
+_NOT_INT = json_values.filter(lambda v: type(v) is not int)
+_NOT_NUMBER = json_values.filter(lambda v: type(v) not in (int, float))
+_NOT_POSITIVE = st.integers(max_value=0) | st.floats(max_value=0.0)
+_OUT_OF_RANGE = {
+    "lr": _NOT_POSITIVE,
+    "alpha": _NOT_POSITIVE,
+    "batch_size": st.integers(max_value=0),
+    "clusters": st.integers(max_value=0),
+    "iterations": st.integers(max_value=-1),
+    "calib_layers": st.integers(max_value=-1) | st.integers(min_value=13),
+    "fusion_kernel": st.integers().filter(lambda v: v not in (1, 3)),
+    "tau_fg": st.floats(min_value=1.0, exclude_min=True) | st.floats(max_value=0.25),
+    "policy": st.text(max_size=8).filter(lambda v: v not in ("vanilla", "value_value", "intra_correlation")),
+}
+
+
+_TRAIN_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+
+
+def _wrong_type(key):
+    kind = _TRAIN_TYPES.get(key, str)
+    if kind is int:
+        return _NOT_INT
+    if kind is float:
+        return _NOT_NUMBER
+    if kind is str:
+        return json_values.filter(lambda v: not isinstance(v, str))
+    return json_values.filter(lambda v: not (isinstance(v, list) and len(v) == 3))
+
+
+_KNOWN = (*PATH_KEYS, "policy", *_TRAIN_TYPES)
+_config_edits = (
+    st.sampled_from(_KNOWN).flatmap(lambda k: st.tuples(st.just(k), _wrong_type(k)))
+    | st.sampled_from(sorted(_OUT_OF_RANGE)).flatmap(lambda k: st.tuples(st.just(k), _OUT_OF_RANGE[k]))
+    | st.tuples(st.sampled_from(PATH_KEYS), st.just(DELETE))
+    | st.tuples(st.text(min_size=1, max_size=8).filter(lambda k: k not in _KNOWN), json_values)
+)
+
+
+@given(
+    edit=_config_edits,
+    raw=st.none() | st.binary(max_size=12) | json_values.filter(lambda v: not isinstance(v, dict)).map(json.dumps),
+)
+@PROPERTY
+def test_mutated_config_fails_cleanly(small, edit, raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        if raw is None:
+            mapping = {
+                "weights": str(small / "encoder.json"),
+                "knowledge": str(small / "knowledge.json"),
+                "dataset": str(small / "dataset"),
+                "out_dir": str(Path(tmp) / "out"),
+                "clusters": 4,
+            }
+            _set(mapping, *edit)
+            path.write_text(json.dumps(mapping))
+        elif isinstance(raw, bytes):
+            path.write_bytes(raw)  # any bytes: invalid JSON, or JSON without the paths
+        else:
+            path.write_text(raw)
+        assert main(["run", "--config", str(path), "--mode", "static-only"]) in FAILED
+
+
+# --------------------------------------------------------------------------
+# PGM header
+
+
+def _as_int(token: bytes):
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
+def _token_other_than(value: int):
+    """A header field that is not `value`: another integer, or no integer."""
+    free = st.binary(min_size=1, max_size=6).filter(lambda b: not any(c in b for c in b" \t\n\r\v\f#"))
+    return free.filter(lambda b: _as_int(b) != value)
+
+
+@given(data=st.data())
+@PROPERTY
+def test_mutated_pgm_header_fails_cleanly(small, data):
+    mask = (small / "dataset" / "masks" / "img_0000.pgm").read_bytes()
+    parts = {"magic": b"P5", "width": b"32", "height": b"32", "maxval": b"255"}
+    header = b"P5\n# stamp\n32 32\n255\n"
+    payload = mask[mask.index(b"\n255\n") + 5 :]
+    assert len(payload) == 32 * 32
+    field = data.draw(st.sampled_from(["magic", "width", "height", "maxval", "truncate", "payload"]))
+    if field == "magic":
+        parts["magic"] = data.draw(st.binary(max_size=3).filter(lambda b: not b.startswith(b"P5")))
+    elif field in ("width", "height", "maxval"):
+        parts[field] = data.draw(_token_other_than(int(parts[field])))
+    elif field == "payload":
+        payload = data.draw(st.binary(min_size=1, max_size=4).map(lambda extra: payload + extra) | st.integers(1, 1024).map(lambda k: payload[:-k]))
+    body = b"%s\n# stamp\n%s %s\n%s\n" % (parts["magic"], parts["width"], parts["height"], parts["maxval"]) + payload
+    if field == "truncate":
+        body = body[: data.draw(st.integers(0, len(header) - 1))]
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(small / "dataset" / "masks", Path(tmp) / "pred")
+        (Path(tmp) / "pred" / "img_0000.pgm").write_bytes(body)
+        argv = ["eval", "--pred-dir", str(Path(tmp) / "pred"), "--gt-dir", str(small / "dataset" / "masks"),
+                "--classes", str(small / "dataset" / "classes.json")]
+        assert main(argv) in FAILED

@@ -26,7 +26,6 @@ def synthetic_kb(seed=0, classes=3, n=20, dim=16):
     return KnowledgeBase(
         embeddings=emb,
         class_index=np.repeat(np.arange(classes, dtype=np.int32), n),
-        texts=[f"d{i}" for i in range(classes * n)],
         templates=templates,
         class_names=[f"class{i}" for i in range(classes)],
         n=n,
@@ -40,7 +39,6 @@ def kb_from_points(points):
     return KnowledgeBase(
         embeddings=points.astype(np.float32),
         class_index=np.zeros(m, dtype=np.int32),
-        texts=[f"p{i}" for i in range(m)],
         templates=points[:, :1].astype(np.float32),
         class_names=["only"],
         n=m,
@@ -78,7 +76,6 @@ def test_ingest_synthetic_roundtrip(tmp_path):
     path = write_knowledge(tmp_path)
     kb = ingest_knowledge(path)
     assert kb.embeddings.shape == (64, 60)
-    assert len(kb.texts) == 60
     assert kb.class_index.tolist() == [c for c in range(3) for _ in range(20)]
 
 

@@ -15,7 +15,6 @@ from excel.training_eval import (
     attn_report,
     evaluate,
     init_adam_state,
-    load_adam_state,
     load_checkpoint,
     mean_row_entropy,
     read_loss_curve,
@@ -278,14 +277,10 @@ def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_bank, fixture_d
     result = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg, out_dir=tmp_path)
     path = tmp_path / "checkpoint_000002.json"
     adapter, meta = load_checkpoint(path)
-    state = load_adam_state(path)
     for a, b in zip(adapter.to_dict().values(), result.adapter.to_dict().values()):
         assert np.array_equal(a, b)
     assert meta["iteration"] == 2
     assert meta["train_config"]["lr"] == cfg.lr
-    assert state.step == 2
-    for name in state.m:
-        assert np.array_equal(state.m[name], result.state.m[name])
 
 
 def test_loss_curve_roundtrip(tmp_path):
