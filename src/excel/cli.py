@@ -5,7 +5,9 @@ Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric error.
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -14,8 +16,8 @@ import numpy as np
 from .blobio import save_tensors
 from .config import PipelineConfig, load_config
 from .dataset import load_class_names, load_dataset
-from .dynamic_calibration import dynamic_cam
-from .encoder import IntraCorrelation, IntraCorrelationBiased, VanillaQK, ValueValueLast, load_weights
+from .dynamic_calibration import adapter_forward, dynamic_cam, dynamic_relation
+from .encoder import Calibration, encode, load_weights, named_calibration
 from .errors import EXIT_OK, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
 from .hashing import config_digest
@@ -30,6 +32,21 @@ from .training_eval import attn_report, evaluate, load_checkpoint, report_text, 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _non_negative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+# attn-report's short names for the encoder's named calibrations; icb is
+# ic plus the relation bias
+_REPORT_POLICIES = {"qk": "vanilla", "vv": "value_value", "ic": "intra_correlation", "icb": "intra_correlation"}
 
 
 def build_parser() -> _Parser:
@@ -50,7 +67,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kb", required=True)
     p.add_argument("--clusters", type=int, required=True)
     p.add_argument("--topk", type=int, default=8)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p.add_argument("--lambda", dest="lam", type=_non_negative_float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -133,7 +150,7 @@ def _cmd_cam(args) -> int:
     else:
         if not args.adapter:
             raise UsageError("dynamic mode requires --adapter")
-        adapter, _ = load_checkpoint(args.adapter)
+        adapter, _ = load_checkpoint(args.adapter, weights.dim)
         res = dynamic_cam(image, weights, adapter, bank, present, cfg.train.calibration(), tau_fg, tau_bg)
     prov = run_provenance(cfg, f"cam-{args.mode}")
     cams_path, pgm_path = write_cam_outputs(out_dir, Path(args.image).stem, res, weights.patch_size, prov)
@@ -188,33 +205,23 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_attn_report(args) -> int:
+    calibrated = Calibration(layers=args.calib_layers)
+    names = [name.strip() for name in args.policies.split(",")]
+    for name in names:
+        if name not in _REPORT_POLICIES:
+            raise UsageError(f"unknown policy '{name}' (use {','.join(_REPORT_POLICIES)})")
     weights = load_weights(args.weights)
     image = rgb_to_chw(read_ppm(args.image))
-    policies = {}
-    for name in args.policies.split(","):
-        name = name.strip()
-        if name == "qk":
-            policies["qk"] = VanillaQK()
-        elif name == "vv":
-            policies["vv"] = ValueValueLast()
-        elif name == "ic":
-            policies["ic"] = IntraCorrelation(layers=args.calib_layers)
-        elif name == "icb":
-            hw = weights.grid[0] * weights.grid[1]
-            if args.adapter:
-                from .dynamic_calibration import adapter_forward, dynamic_relation
-                from .encoder import encode
-
-                adapter, _ = load_checkpoint(args.adapter)
-                trace = encode(image, weights, IntraCorrelation(layers=args.calib_layers))
-                relation = dynamic_relation(
-                    adapter_forward(trace, adapter), adapter.alpha, adapter.beta
-                ).masked
-            else:
-                relation = np.zeros((hw, hw), dtype=np.float32)  # uniform bias
-            policies["icb"] = IntraCorrelationBiased(layers=args.calib_layers, relation=relation)
+    policies = {name: named_calibration(_REPORT_POLICIES[name], calibrated) for name in names}
+    if "icb" in policies:
+        if args.adapter:
+            adapter, _ = load_checkpoint(args.adapter, weights.dim)
+            features = adapter_forward(encode(image, weights, calibrated), adapter)
+            relation = dynamic_relation(features, adapter.alpha, adapter.beta).masked
         else:
-            raise UsageError(f"unknown policy '{name}' (use qk,vv,ic,icb)")
+            hw = weights.grid[0] * weights.grid[1]
+            relation = np.zeros((hw, hw), dtype=np.float32)  # uniform bias
+        policies["icb"] = dataclasses.replace(calibrated, relation=relation)
     report = attn_report(image, weights, policies)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,10 +12,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .encoder import AttentionPolicy
+from .encoder import Calibration, named_calibration
 from .errors import UsageError
 from .hashing import config_digest
-from .static_calibration import policy_from_name
 from .training_eval import TrainConfig
 
 PATH_KEYS = ("weights", "knowledge", "dataset", "out_dir")
@@ -34,10 +33,11 @@ class PipelineConfig:
     def seed(self) -> int:
         return self.train.seed
 
-    def static_policy(self) -> AttentionPolicy:
-        """Attention policy of the exported static stage. Training and
-        dynamic CAMs use `train.calibration()` whatever this selects."""
-        return policy_from_name(self.policy, self.train.calib_layers, self.train.calib_weights)
+    def static_policy(self) -> Calibration:
+        """Attention of the exported static stage, named by `policy`.
+        Training and dynamic CAMs use `train.calibration()` whatever this
+        selects."""
+        return named_calibration(self.policy, self.train.calibration())
 
     def validate(self):
         self.train.validate()

@@ -13,19 +13,13 @@ Gradients flow only into adapter parameters: the encoder trace is frozen
 and the pseudo-label targets are fixed, never differentiated through.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .encoder import (
-    LAYER_COUNT,
-    EncoderWeights,
-    IntraCorrelation,
-    IntraCorrelationBiased,
-    LayerTrace,
-    encode,
-)
+from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerTrace, encode
 from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
 from .static_calibration import (
@@ -338,12 +332,12 @@ def dynamic_cam(
     params: AdapterParams,
     bank,
     present: list[int],
-    calibration: IntraCorrelation,
+    calibration: Calibration,
     tau_fg: float,
     tau_bg: float,
     static_trace: LayerTrace | None = None,
 ) -> DynamicResult:
-    """Re-encode with the relation-biased policy and refine dynamic CAMs.
+    """Re-encode with the relation bias added and refine dynamic CAMs.
 
     The relation comes from the adapter run over the trace of the same
     image under `calibration` (computed here when not supplied); the
@@ -353,11 +347,7 @@ def dynamic_cam(
     if static_trace is None:
         static_trace = encode(image, weights, calibration)
     relation = dynamic_relation(adapter_forward(static_trace, params), params.alpha, params.beta)
-    biased = IntraCorrelationBiased(
-        layers=calibration.layers,
-        weights=calibration.weights,
-        relation=relation.masked,
-    )
+    biased = dataclasses.replace(calibration, relation=relation.masked)
     trace = encode(image, weights, biased, prefix=static_trace)
     cams = static_cam(trace.patch_features, bank, present)
     return DynamicResult(cams=cams, labels=cam_to_pseudo_label(cams, tau_fg, tau_bg))

@@ -1,4 +1,4 @@
-"""Minimal 12-layer pre-norm ViT with pluggable attention policies.
+"""Minimal 12-layer pre-norm ViT with one calibrated attention formula.
 
 The encoder is deliberately small and bit-reproducible: float32 weights,
 float64 accumulation, no dropout, no batch dimension. Every forward pass
@@ -11,16 +11,21 @@ T = h*w + 1 grid tokens; per-head tensors are (H, T, D_s) with
 D_s = D // H. Final patch features are returned as (D, h, w) with CLS
 dropped.
 
-Attention policies:
-  VanillaQK             softmax(q k^T / sqrt(D_s)) at every layer.
-  ValueValueLast        v-v self-similarity attention in the last layer only.
-  IntraCorrelation      w1*SA(q,q) + w2*SA(k,k) + w3*SA(v,v) in the last
-                        `layers` blocks; the mix replaces q-k attention.
-  IntraCorrelationBiased  IntraCorrelation plus softmax(R) added row-wise,
-                        where R is the grid-sized (hw x hw) token-relation
-                        matrix. R is embedded into the (T x T) map with zero
-                        bias on the CLS row/column, so grid rows sum to
-                        sum(w) + 1 and the CLS row to sum(w).
+Attention is one `Calibration(layers, weights, relation)`: the q-k map
+softmax(q k^T / sqrt(D_s)) below the last `layers` blocks, and in those
+blocks w1*SA(q,q) + w2*SA(k,k) + w3*SA(v,v) in its place, where
+SA(o,o) = softmax(o o^T / sqrt(D_s)). Three named settings of it are
+compared:
+  vanilla            layers = 0: q-k attention everywhere.
+  value_value        layers = 1, weights = (0, 0, 1): v-v attention in the
+                     last block only.
+  intra_correlation  the configured layers and weights (default 5 blocks,
+                     equal thirds).
+A relation adds softmax(R) row-wise in the calibrated blocks, where R is
+the grid-sized (hw x hw) token-relation matrix. R is embedded into the
+(T x T) map with zero bias on the CLS row/column, so grid rows sum to
+sum(w) + 1 and the CLS row to sum(w); unbiased calibrated rows sum to
+sum(w) and q-k rows to 1.
 """
 
 import math
@@ -31,7 +36,7 @@ import numpy as np
 
 from . import numerics as nm
 from .blobio import TensorFile, is_positive_int, load_tensors, save_tensors
-from .errors import DataError, NumericError, ShapeError
+from .errors import DataError, NumericError, ShapeError, UsageError
 
 LAYER_COUNT = 12
 LN_EPS = 1e-5
@@ -183,53 +188,54 @@ def weights_from_tensorfile(tf: TensorFile) -> EncoderWeights:
 
 
 # --------------------------------------------------------------------------
-# attention policies
+# calibrated attention
 
 
 @dataclass(frozen=True)
-class VanillaQK:
-    name = "vanilla"
+class Calibration:
+    """The attention of one encoder pass; see the module docstring. Every
+    value comes from a config key or a CLI flag, so a bad one is a usage
+    error."""
 
-    def modified_layers(self) -> set[int]:
-        return set()
-
-
-@dataclass(frozen=True)
-class ValueValueLast:
-    name = "value_value"
-
-    def modified_layers(self) -> set[int]:
-        return {LAYER_COUNT - 1}
-
-
-@dataclass(frozen=True)
-class IntraCorrelation:
     layers: int = 5
     weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    name = "intra_correlation"
+    relation: np.ndarray | None = None  # (hw, hw), -inf where masked
 
     def __post_init__(self):
         if not 0 <= self.layers <= LAYER_COUNT:
-            raise DataError(f"calibrated layer count {self.layers} outside 0..{LAYER_COUNT}")
-        if len(self.weights) != 3 or any(w < 0 for w in self.weights):
-            raise DataError(f"correlation weights must be 3 non-negative values, got {self.weights}")
+            raise UsageError(f"calib_layers must be in 0..{LAYER_COUNT}, got {self.layers}")
+        weights = tuple(self.weights)
+        if len(weights) != 3 or not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise UsageError(f"calib_weights must be 3 finite non-negative values, got {self.weights}")
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def name(self) -> str:
+        if self.relation is not None:
+            return "intra_correlation_biased"
+        if self.layers == 0:
+            return "vanilla"
+        if self == NAMED_CALIBRATIONS["value_value"]:
+            return "value_value"
+        return "intra_correlation"
 
     def modified_layers(self) -> set[int]:
         return set(range(LAYER_COUNT - self.layers, LAYER_COUNT))
 
 
-@dataclass(frozen=True)
-class IntraCorrelationBiased(IntraCorrelation):
-    relation: np.ndarray = None  # (hw, hw), -inf where masked
-    name = "intra_correlation_biased"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.relation is None:
-            raise DataError("biased policy requires a relation matrix")
+# the baselines are fixed settings; `intra_correlation` is the configured one
+NAMED_CALIBRATIONS = {
+    "vanilla": Calibration(layers=0),
+    "value_value": Calibration(layers=1, weights=(0.0, 0.0, 1.0)),
+    "intra_correlation": None,
+}
 
 
-AttentionPolicy = VanillaQK | ValueValueLast | IntraCorrelation | IntraCorrelationBiased
+def named_calibration(name: str, configured: Calibration) -> Calibration:
+    """The setting `name` from NAMED_CALIBRATIONS."""
+    if name not in NAMED_CALIBRATIONS:
+        raise UsageError(f"unknown attention policy '{name}' (use {', '.join(NAMED_CALIBRATIONS)})")
+    return NAMED_CALIBRATIONS[name] or configured
 
 
 def _check_relation_shape(relation: np.ndarray, tokens: int):
@@ -238,19 +244,15 @@ def _check_relation_shape(relation: np.ndarray, tokens: int):
         raise ShapeError(f"relation matrix shape {shape} is not the grid size ({tokens - 1}, {tokens - 1})")
 
 
-def expected_row_sums(policy: AttentionPolicy, layer: int, tokens: int) -> np.ndarray:
+def expected_row_sums(calibration: Calibration, layer: int, tokens: int) -> np.ndarray:
     """Declared per-row attention sums at `layer` for an input of `tokens` rows."""
-    if layer not in policy.modified_layers():
+    if layer < LAYER_COUNT - calibration.layers:
         return np.full(tokens, 1.0)
-    if isinstance(policy, IntraCorrelationBiased):
-        _check_relation_shape(policy.relation, tokens)
-        total = float(sum(policy.weights))
-        sums = np.full(tokens, total + 1.0)
-        sums[0] = total  # CLS row carries no relation bias
-        return sums
-    if isinstance(policy, IntraCorrelation):
-        return np.full(tokens, float(sum(policy.weights)))
-    return np.full(tokens, 1.0)
+    sums = np.full(tokens, float(sum(calibration.weights)))
+    if calibration.relation is not None:
+        _check_relation_shape(calibration.relation, tokens)
+        sums[1:] += 1.0  # the CLS row carries no relation bias
+    return sums
 
 
 # --------------------------------------------------------------------------
@@ -262,7 +264,7 @@ class LayerTrace:
     """Per-layer capture of one encoder forward pass."""
 
     grid: tuple[int, int]
-    modified_layers: frozenset[int]  # layers whose attention the policy replaced
+    modified_layers: frozenset[int]  # calibrated layers, whose q-k attention was replaced
     inputs: list[np.ndarray]  # 13 x (T, D): residual stream entering each layer, then the final norm
     features: list[np.ndarray]  # 12 x (T, D): normalized input projected to q/k/v
     attentions: list[np.ndarray]  # 12 x (H, T, T)
@@ -342,7 +344,7 @@ def relation_bias(relation: np.ndarray, tokens: int) -> np.ndarray:
 
 
 def _head_attention(
-    policy: AttentionPolicy,
+    calibration: Calibration,
     layer: int,
     q: np.ndarray,
     k: np.ndarray,
@@ -350,16 +352,14 @@ def _head_attention(
     head_dim: int,
     bias: np.ndarray | None,
 ) -> np.ndarray:
-    if layer not in policy.modified_layers():
+    if layer < LAYER_COUNT - calibration.layers:
         return nm.softmax_rows_unchecked(_scaled_logits(q, k, head_dim))
-    if isinstance(policy, ValueValueLast):
-        return self_attention(v, head_dim)
-    w1, w2, w3 = policy.weights
-    attn = (
-        w1 * self_attention(q, head_dim).astype(np.float64)
-        + w2 * self_attention(k, head_dim).astype(np.float64)
-        + w3 * self_attention(v, head_dim).astype(np.float64)
-    ).astype(np.float32)
+    # a zero weight's term is skipped: adding an exact 0.0 changes no bit
+    mix = np.zeros((q.shape[0], q.shape[0]), dtype=np.float64)
+    for w, o in zip(calibration.weights, (q, k, v)):
+        if w:
+            mix += w * self_attention(o, head_dim).astype(np.float64)
+    attn = mix.astype(np.float32)
     if bias is not None:
         attn = (attn.astype(np.float64) + bias.astype(np.float64)).astype(np.float32)
     return attn
@@ -371,10 +371,10 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _resume_layer(prefix: LayerTrace, tokens: np.ndarray, policy: AttentionPolicy) -> int:
-    """First layer `policy` modifies, after checking that `prefix` holds
-    the same image's pass through the unmodified layers below it."""
-    start = min(policy.modified_layers(), default=LAYER_COUNT)
+def _resume_layer(prefix: LayerTrace, tokens: np.ndarray, calibration: Calibration) -> int:
+    """First layer `calibration` modifies, after checking that `prefix`
+    holds the same image's pass through the unmodified layers below it."""
+    start = LAYER_COUNT - calibration.layers
     if len(prefix.inputs) != LAYER_COUNT + 1:
         raise DataError(f"prefix trace records {len(prefix.inputs)} layer inputs, expected {LAYER_COUNT + 1}")
     if not np.array_equal(prefix.inputs[0], tokens):
@@ -388,14 +388,14 @@ def _resume_layer(prefix: LayerTrace, tokens: np.ndarray, policy: AttentionPolic
 def encode(
     image: np.ndarray,
     weights: EncoderWeights,
-    policy: AttentionPolicy,
+    calibration: Calibration,
     prefix: LayerTrace | None = None,
 ) -> LayerTrace:
-    """Run the encoder, substituting the policy's attention map in its
-    modified layers, and capture the per-layer tensors.
+    """Run the encoder under `calibration` and capture the per-layer
+    tensors.
 
-    With `prefix`, a trace of the same image and weights whose policy left
-    the layers below `policy`'s first modified layer untouched, those
+    With `prefix`, a trace of the same image and weights that left the
+    layers below `calibration`'s first calibrated layer untouched, those
     layers are copied from it and the pass resumes from its residual
     stream there; the result is bit-identical to a full pass.
 
@@ -407,14 +407,12 @@ def encode(
     tokens = patchify(image, weights)
     t_count, dim = tokens.shape
     heads, d_s = weights.heads, weights.head_dim
-    bias = None
-    if isinstance(policy, IntraCorrelationBiased):
-        bias = relation_bias(policy.relation, t_count)
+    bias = None if calibration.relation is None else relation_bias(calibration.relation, t_count)
     if prefix is None:
         start, x = 0, tokens
         inputs, features, attns = [], [], []
     else:
-        start = _resume_layer(prefix, tokens, policy)
+        start = _resume_layer(prefix, tokens, calibration)
         x = prefix.inputs[start]
         inputs, features, attns = (seq[:start] for seq in (prefix.inputs, prefix.features, prefix.attentions))
     for layer in range(start, LAYER_COUNT):
@@ -430,7 +428,7 @@ def encode(
         attn = np.empty((heads, t_count, t_count), dtype=np.float32)
         ctx = np.empty((heads, t_count, d_s), dtype=np.float32)
         for head in range(heads):
-            a = _head_attention(policy, layer, q_h[head], k_h[head], v_h[head], d_s, bias)
+            a = _head_attention(calibration, layer, q_h[head], k_h[head], v_h[head], d_s, bias)
             attn[head] = a
             ctx[head] = nm.matmul_unchecked(a, v_h[head])
         merged = np.ascontiguousarray(ctx.transpose(1, 0, 2)).reshape(t_count, dim)
@@ -450,7 +448,7 @@ def encode(
     patch_features = np.ascontiguousarray(final[1:].T).reshape(dim, gh, gw)
     return LayerTrace(
         grid=weights.grid,
-        modified_layers=frozenset(policy.modified_layers()),
+        modified_layers=frozenset(calibration.modified_layers()),
         inputs=inputs,
         features=features,
         attentions=attns,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blobio import save_tensors
 from .dataset import save_dataset
-from .encoder import LAYER_COUNT, EncoderWeights, IntraCorrelation, LayerWeights, encode, save_weights
+from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerWeights, encode, save_weights
 from .errors import UsageError
 from .hashing import config_digest
 from .images import rgb_to_chw
@@ -210,7 +210,7 @@ def render_dataset(rng: Rng, spec: FixtureSpec):
 def _probe_feature_means(weights, spec: FixtureSpec, probe_gen):
     """Per-class and background mean calibrated patch features, probed from
     rectangle renders across all four quadrant placements."""
-    policy = IntraCorrelation(layers=spec.calib_layers)
+    calibration = Calibration(layers=spec.calib_layers)
     p = spec.patch_size
     class_means = {}
     bg_acc = np.zeros(spec.dim, dtype=np.float64)
@@ -220,7 +220,7 @@ def _probe_feature_means(weights, spec: FixtureSpec, probe_gen):
         count = 0
         for quadrant in range(4):
             rgb, mask, _ = render_image(probe_gen, spec, class_id, "rect", quadrant)
-            trace = encode(rgb_to_chw(rgb), weights, policy)
+            trace = encode(rgb_to_chw(rgb), weights, calibration)
             gh, gw = trace.grid
             token_class = mask.reshape(gh, p, gw, p).transpose(0, 2, 1, 3).reshape(gh, gw, -1)
             inside = (token_class == class_id).all(axis=2).reshape(-1)

@@ -109,7 +109,7 @@ def stage_train(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, static_
     out_dir = Path(cfg.out_dir) / "train"
     final = out_dir / f"checkpoint_{cfg.train.iterations:06d}.json"
     if _check_resume(final, cfg, resume):
-        adapter, _ = load_checkpoint(final)
+        adapter, _ = load_checkpoint(final, weights.dim)
         return adapter, out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     result = train_loop(

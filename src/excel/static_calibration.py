@@ -13,15 +13,7 @@ import numpy as np
 
 from . import numerics as nm
 from .blobio import load_tensors, save_tensors
-from .encoder import (
-    AttentionPolicy,
-    EncoderWeights,
-    IntraCorrelation,
-    LayerTrace,
-    VanillaQK,
-    ValueValueLast,
-    encode,
-)
+from .encoder import Calibration, EncoderWeights, LayerTrace, encode
 from .errors import DataError, UsageError
 from .text_enrichment import TextRepresentation
 
@@ -89,27 +81,17 @@ class StaticResult:
     trace: LayerTrace | None  # None once a caller has dropped it
 
 
-def policy_from_name(name: str, calib_layers: int, calib_weights) -> AttentionPolicy:
-    if name == "vanilla":
-        return VanillaQK()
-    if name == "value_value":
-        return ValueValueLast()
-    if name == "intra_correlation":
-        return IntraCorrelation(layers=calib_layers, weights=tuple(calib_weights))
-    raise UsageError(f"unknown attention policy '{name}'")
-
-
 def run_static_pipeline(
     image: np.ndarray,
     weights: EncoderWeights,
     bank: TextRepresentation,
     present: list[int],
-    policy: AttentionPolicy,
+    calibration: Calibration,
     tau_fg: float,
     tau_bg: float,
 ) -> StaticResult:
     """encode -> static_cam -> cam_to_pseudo_label with zero learnable state."""
-    trace = encode(image, weights, policy)
+    trace = encode(image, weights, calibration)
     cams = static_cam(trace.patch_features, bank, present)
     labels = cam_to_pseudo_label(cams, tau_fg, tau_bg)
     return StaticResult(cams=cams, labels=labels, trace=trace)

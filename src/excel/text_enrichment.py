@@ -22,6 +22,7 @@ from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
 
 TEMPLATE_TEXT = "a clean origami of [CLASS]"
+KMEANS_MAX_ITERS = 100  # Lloyd iterations before k-means stops unconverged
 
 
 @dataclass
@@ -127,7 +128,7 @@ def _kmeans_pp_seed(points: np.ndarray, b: int, gen: np.random.Generator) -> np.
     return points[chosen].copy()
 
 
-def cluster_attributes(kb: KnowledgeBase, b: int, rng: Rng, max_iters: int = 100) -> AttributeSpace:
+def cluster_attributes(kb: KnowledgeBase, b: int, rng: Rng) -> AttributeSpace:
     """Lloyd k-means with k-means++ seeding over the knowledge columns.
 
     The sum-of-squared-distances objective is checked to be non-increasing
@@ -146,7 +147,7 @@ def cluster_attributes(kb: KnowledgeBase, b: int, rng: Rng, max_iters: int = 100
     history: list[float] = []
     prev_obj = np.inf
     iterations = 0
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         iterations += 1
         d2 = (
             np.einsum("ij,ij->i", points, points)[:, None]
@@ -263,7 +264,6 @@ def build_text_bank(
     topk: int,
     lam: float,
     rng: Rng,
-    max_iters: int = 100,
     clustered: bool = True,
 ) -> TextRepresentation:
     """Cluster the knowledge base and enrich every class template.
@@ -274,7 +274,7 @@ def build_text_bank(
     indices, scores, columns = [], [], []
     attrs = None
     if clustered:
-        attrs = cluster_attributes(kb, clusters, rng.child("clustering"), max_iters=max_iters)
+        attrs = cluster_attributes(kb, clusters, rng.child("clustering"))
     for c in range(kb.num_classes):
         template = kb.templates[:, c]
         if clustered:

@@ -13,15 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .blobio import is_finite_number, load_tensors, save_tensors
+from .blobio import is_finite_number, is_positive_int, load_tensors, save_tensors
 from .dynamic_calibration import (
     AdapterParams,
     build_affinity_batch,
     diversity_loss_gradient,
     init_adapter,
 )
-from .encoder import LAYER_COUNT, EncoderWeights, IntraCorrelation, encode
-from .errors import DataError, NumericError, UsageError
+from .encoder import LAYER_COUNT, Calibration, EncoderWeights, encode
+from .errors import DataError, NumericError, ShapeError, UsageError
 from .numerics import Rng
 from .static_calibration import IGNORE_LABEL, run_static_pipeline
 from .text_enrichment import TextRepresentation
@@ -66,11 +66,6 @@ class TrainConfig:
                 f"thresholds must satisfy 0 <= tau_bg < tau_fg <= 1, got bg={self.tau_bg} fg={self.tau_fg}",
             ),
             (self.alpha > 0, f"alpha must be positive, got {self.alpha}"),
-            (0 <= self.calib_layers <= LAYER_COUNT, f"calib_layers outside 0..{LAYER_COUNT}"),
-            (
-                len(self.calib_weights) == 3 and all(w >= 0 for w in self.calib_weights),
-                f"calib_weights must be 3 non-negative values, got {self.calib_weights}",
-            ),
             (self.topk >= 1, f"topk must be >= 1, got {self.topk}"),
             (self.lam >= 0, f"lambda must be >= 0, got {self.lam}"),
             (self.clusters >= 1, f"clusters must be >= 1, got {self.clusters}"),
@@ -84,16 +79,18 @@ class TrainConfig:
         for ok, msg in checks:
             if not ok:
                 raise UsageError(msg)
+        self.calibration()
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["calib_weights"] = list(self.calib_weights)
         return d
 
-    def calibration(self) -> IntraCorrelation:
+    def calibration(self) -> Calibration:
         """The calibrated attention that training and dynamic CAMs consume,
-        whatever policy the exported static stage uses."""
-        return IntraCorrelation(layers=self.calib_layers, weights=tuple(self.calib_weights))
+        whatever policy the exported static stage uses; validates
+        `calib_layers` and `calib_weights`."""
+        return Calibration(layers=self.calib_layers, weights=self.calib_weights)
 
 
 # --------------------------------------------------------------------------
@@ -169,18 +166,34 @@ def save_checkpoint(path, adapter: AdapterParams, meta: dict, provenance=None) -
     return save_tensors(path, tensors, meta=full_meta, provenance=provenance)
 
 
-def load_checkpoint(path):
-    """Returns (adapter, meta). Tensors other than `adapter.*`, such as the
-    segmentation-head pair older checkpoints carry, are ignored, and so is
-    the optimizer sidecar file they were written with."""
+def load_checkpoint(path, dim: int):
+    """Returns (adapter, meta) for an adapter that reads `dim`-wide
+    encoder features. The meta `dim` must equal `dim`, and the tensor
+    shapes must agree with the meta: 12 deltas of one (d_proj, dim)
+    shape, `fusion.w` of shape (d_dyn, 12*d_proj) for kernel 1 or
+    (d_dyn, 12*d_proj, 3, 3) for kernel 3, `fusion.b` of shape (d_dyn,).
+    Tensors other than `adapter.*`, such as the segmentation-head pair
+    older checkpoints carry, are ignored, and so is the optimizer sidecar
+    file they were written with."""
     tf = load_tensors(path)
     alpha, beta = (float(tf.meta_value(key, is_finite_number, "a finite number")) for key in ("alpha", "beta"))
     kernel = tf.meta_value("fusion_kernel", lambda k: type(k) is int and k in (1, 3), "1 or 3")
+    width = tf.meta_value("dim", is_positive_int, "a positive integer")
+    if width != dim:
+        raise DataError(f"checkpoint {tf.path} adapts {width}-dim encoder features, the weights have dim {dim}")
+
+    def leading(name):
+        shape = tf.require(name).shape
+        if not shape:
+            raise ShapeError(f"tensor '{name}' in {tf.path} is a scalar")
+        return shape[0]
+
+    d_proj, d_dyn = leading("adapter.delta.00.w"), leading("adapter.fusion.w")
     adapter = AdapterParams(
-        deltas_w=[tf.require(f"adapter.delta.{i:02d}.w") for i in range(LAYER_COUNT)],
-        deltas_b=[tf.require(f"adapter.delta.{i:02d}.b") for i in range(LAYER_COUNT)],
-        fusion_w=tf.require("adapter.fusion.w"),
-        fusion_b=tf.require("adapter.fusion.b"),
+        deltas_w=[tf.require(f"adapter.delta.{i:02d}.w", (d_proj, width)) for i in range(LAYER_COUNT)],
+        deltas_b=[tf.require(f"adapter.delta.{i:02d}.b", (d_proj,)) for i in range(LAYER_COUNT)],
+        fusion_w=tf.require("adapter.fusion.w", (d_dyn, LAYER_COUNT * d_proj) + ((3, 3) if kernel == 3 else ())),
+        fusion_b=tf.require("adapter.fusion.b", (d_dyn,)),
         alpha=alpha,
         beta=beta,
         fusion_kernel=kernel,

@@ -21,15 +21,7 @@ from excel.dynamic_calibration import (
     dynamic_relation,
     init_adapter,
 )
-from excel.encoder import (
-    IntraCorrelation,
-    IntraCorrelationBiased,
-    LayerTrace,
-    VanillaQK,
-    ValueValueLast,
-    encode,
-    expected_row_sums,
-)
+from excel.encoder import NAMED_CALIBRATIONS, Calibration, LayerTrace, encode, expected_row_sums
 from excel.numerics import Rng, softmax_rows
 from excel.pipeline import run_pipeline
 from excel.static_calibration import run_static_pipeline
@@ -82,7 +74,7 @@ def toy_run(fixture_paths, fixture_weights, fixture_dataset, fixture_kb):
 
     t0 = time.monotonic()
     static_results = static_pass(cfg.calibration(), bank)
-    vanilla_results = static_pass(VanillaQK(), bank)
+    vanilla_results = static_pass(NAMED_CALIBRATIONS["vanilla"], bank)
     unclustered_results = static_pass(cfg.calibration(), bank_unclustered)
 
     backbone_before = b"".join(
@@ -135,10 +127,10 @@ def test_criterion_1_attention_stochasticity(fixture_weights):
         feats = gen.standard_normal((6, hw)).astype(np.float32)
         relation = dynamic_relation(feats, alpha=3.0, beta=float(gen.uniform(0, 1))).masked
         policies = [
-            VanillaQK(),
-            ValueValueLast(),
-            IntraCorrelation(layers=5),
-            IntraCorrelationBiased(layers=5, relation=relation),
+            NAMED_CALIBRATIONS["vanilla"],
+            NAMED_CALIBRATIONS["value_value"],
+            Calibration(layers=5),
+            Calibration(layers=5, relation=relation),
         ]
         for policy in policies:
             trace = encode(image, fixture_weights, policy)
@@ -245,7 +237,7 @@ def test_criterion_4_clustering_oracle():
     worst_gap = 0.0
     for seed in range(50):
         kb = _random_kb(seed)
-        space = cluster_attributes(kb, b=4, rng=Rng(seed), max_iters=60)
+        space = cluster_attributes(kb, b=4, rng=Rng(seed))
         hist = space.objective_history
         assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(hist, hist[1:]))
         points = kb.embeddings.T.astype(np.float64)
@@ -273,7 +265,7 @@ def test_criterion_4_clustering_oracle():
         n=2 * per_blob,
         dim=dim,
     )
-    space = cluster_attributes(kb, b=2, rng=Rng(4041), max_iters=100)
+    space = cluster_attributes(kb, b=2, rng=Rng(4041))
     blob_means = [points[:per_blob].mean(axis=0), points[per_blob:].mean(axis=0)]
     oracle = np.array([np.argmin([np.linalg.norm(p - m) for m in blob_means]) for p in points])
     c0 = space.raw_centroids[:, 0].astype(np.float64)

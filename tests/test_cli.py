@@ -36,9 +36,10 @@ def cli_trained(cli_fixtures, tmp_path_factory):
     return out_dir, cfg_path
 
 
-def run_excel(*argv):
-    """`python -m excel *argv` in a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(Path(excel.__file__).parent.parent)}
+def run_excel(*argv, **env):
+    """`python -m excel *argv` in a fresh interpreter, with `env` added to
+    its environment."""
+    env = {**os.environ, "PYTHONPATH": str(Path(excel.__file__).parent.parent), **env}
     return subprocess.run([sys.executable, "-m", "excel", *argv], capture_output=True, text=True, env=env)
 
 
@@ -346,6 +347,53 @@ def test_exit_code_malformed_checkpoint_meta(cli_fixtures, cli_trained, tmp_path
     assert str(bad) in one_error_line(proc.returncode, proc.stderr, 2)
 
 
+@pytest.fixture(scope="module")
+def narrow_weights(tmp_path_factory):
+    """A 32-dim, 2-head encoder for the fixture's 64 px images."""
+    spec = FixtureSpec(dim=32, heads=2, mlp_dim=64)
+    return save_weights(tmp_path_factory.mktemp("narrow") / "encoder.json", make_encoder_weights(Rng(0), spec))
+
+
+@pytest.mark.parametrize("case", ["cam-width", "attn-report-width", "kernel-3-flat-fusion"])
+def test_exit_code_checkpoint_mismatch(cli_fixtures, cli_trained, narrow_weights, tmp_path, case):
+    # the trained checkpoint adapts 64-dim features and has a kernel-1 (2-D) fusion.w
+    out_dir, _ = cli_trained
+    checkpoint = out_dir / "train" / "checkpoint_000001.json"
+    weights, expected = narrow_weights, "the weights have dim 32"
+    if case == "kernel-3-flat-fusion":
+        checkpoint = _with_meta(checkpoint, tmp_path / "k3.json", "fusion_kernel", 3)
+        weights, expected = cli_fixtures / "encoder.json", "tensor 'adapter.fusion.w'"
+    image = str(next((cli_fixtures / "dataset" / "images").glob("*.ppm")))
+    if case == "attn-report-width":
+        argv = ["attn-report", "--weights", str(weights), "--image", image, "--policies", "icb"]
+    else:
+        argv = ["cam", "--mode", "dynamic", "--weights", str(weights), "--bank", str(out_dir / "attrs.json"),
+                "--image", image, "--labels", "1"]
+    proc = run_excel(*argv, "--adapter", str(checkpoint), "--out", str(tmp_path / "out"))
+    line = one_error_line(proc.returncode, proc.stderr, 2)
+    assert str(checkpoint) in line and expected in line
+
+
+@pytest.mark.parametrize("value", ["13", "-1"])
+def test_exit_code_attn_report_calib_layers_out_of_range(cli_fixtures, tmp_path, value):
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    proc = run_excel(
+        "attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
+        "--calib-layers", value, "--out", str(tmp_path / "out"),
+    )
+    assert f"calib_layers must be in 0..12, got {value}" in one_error_line(proc.returncode, proc.stderr, 1)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "x"])
+def test_exit_code_build_attrs_lambda_not_finite_non_negative(cli_fixtures, tmp_path, capsys, value):
+    argv = ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "8",
+            "--lambda", value, "--out", str(tmp_path / "bank.json")]
+    line = _main_error(capsys, argv, 1)
+    assert "--lambda" in line and repr(value) in line
+    assert not (tmp_path / "bank.json").exists()
+
+
 def test_exit_code_data_error(cli_fixtures, tmp_path):
     # valid config pointing at a broken weights file -> data error (2)
     bad_weights = tmp_path / "bad.json"
@@ -494,3 +542,25 @@ def test_exit_code_missing_or_directory_input(cli_fixtures, cli_trained, tiny_we
     argv = ["cam", "--bank", str(out_dir / "attrs.json"), "--labels", "1", "--out", str(tmp_path / "out")]
     argv += [part for item in inputs.items() for part in item]
     assert inputs[flag] in _main_error(capsys, argv, 1 if flag == "--config" else 2)
+
+
+# --------------------------------------------------------------------------
+# thread-count independence
+
+
+def test_full_run_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the adapter's float64 products run through BLAS; one and two threads
+    # must leave byte-identical output trees
+    fixtures = tmp_path / "fx"
+    assert main(["gen-fixtures", "--seed", "42", "--out", str(fixtures), "--images", "4"]) == 0
+    trees = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads{threads}"
+        cfg = write_cli_config(
+            tmp_path / f"cfg{threads}.json", fixtures, out_dir, iterations=2, checkpoint_every=1
+        )
+        proc = run_excel("run", "--config", str(cfg), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        trees.append({p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()})
+    assert trees[0].keys() == trees[1].keys() and len(trees[0]) > 10
+    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []

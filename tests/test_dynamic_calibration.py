@@ -15,7 +15,7 @@ from excel.dynamic_calibration import (
     dynamic_relation,
     init_adapter,
 )
-from excel.encoder import LAYER_COUNT, IntraCorrelationBiased, LayerTrace, _head_attention, relation_bias
+from excel.encoder import LAYER_COUNT, Calibration, LayerTrace, _head_attention, relation_bias
 from excel.errors import DataError, NumericError
 from excel.numerics import Rng
 from excel.static_calibration import run_static_pipeline
@@ -207,9 +207,9 @@ def test_relation_zero_column_error():
 def biased_attention(o, weights, relation):
     """The encoder's biased attention map for one head whose q, k and v
     are all `o`: the weighted self-attention mix plus the relation bias."""
-    policy = IntraCorrelationBiased(layers=1, weights=weights, relation=relation)
+    calibration = Calibration(layers=1, weights=weights, relation=relation)
     bias = relation_bias(relation, o.shape[0])
-    return _head_attention(policy, LAYER_COUNT - 1, o, o, o, o.shape[1], bias)
+    return _head_attention(calibration, LAYER_COUNT - 1, o, o, o, o.shape[1], bias)
 
 
 def test_biased_attention_uniform_relation():

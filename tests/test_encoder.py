@@ -7,23 +7,26 @@ import pytest
 from excel.blobio import load_tensors, save_tensors
 from excel.encoder import (
     LAYER_COUNT,
+    NAMED_CALIBRATIONS,
+    Calibration,
     EncoderWeights,
-    IntraCorrelation,
-    IntraCorrelationBiased,
     LayerTrace,
     LayerWeights,
-    VanillaQK,
-    ValueValueLast,
+    _head_attention,
     encode,
     expected_row_sums,
     layer_norm,
     load_weights,
+    named_calibration,
     patchify,
     relation_bias,
     save_weights,
+    self_attention,
 )
-from excel.errors import ChecksumError, DataError, NumericError, ShapeError
+from excel.errors import ChecksumError, DataError, NumericError, ShapeError, UsageError
 from excel.numerics import Rng
+
+VANILLA, VALUE_VALUE = NAMED_CALIBRATIONS["vanilla"], NAMED_CALIBRATIONS["value_value"]
 
 
 def tiny_weights(
@@ -207,27 +210,47 @@ def test_patchify_token_matches_unfold_oracle():
 
 
 def test_vanilla_rows_sum_to_one(fixture_weights):
-    trace = encode(random_image(20, 64), fixture_weights, VanillaQK())
+    trace = encode(random_image(20, 64), fixture_weights, VANILLA)
     for attn in trace.attentions:
         np.testing.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-5)
 
 
 def test_policy_modified_layers():
-    assert VanillaQK().modified_layers() == set()
-    assert ValueValueLast().modified_layers() == {11}
-    assert IntraCorrelation(layers=5).modified_layers() == set(range(7, 12))
-    assert IntraCorrelation(layers=0).modified_layers() == set()
+    assert VANILLA.modified_layers() == set()
+    assert VALUE_VALUE.modified_layers() == {11}
+    assert Calibration(layers=5).modified_layers() == set(range(7, 12))
+    assert Calibration(layers=0).modified_layers() == set()
 
 
 def test_intra_correlation_policy_validation():
-    with pytest.raises(DataError):
-        IntraCorrelation(layers=13)
-    with pytest.raises(DataError):
-        IntraCorrelation(weights=(0.5, 0.5))
-    with pytest.raises(DataError):
-        IntraCorrelation(weights=(-0.1, 0.6, 0.5))
-    with pytest.raises(DataError):
-        IntraCorrelationBiased(layers=2, relation=None)
+    for bad in ({"layers": 13}, {"layers": -1}, {"weights": (0.5, 0.5)}, {"weights": (-0.1, 0.6, 0.5)},
+                {"weights": (float("inf"), 0.0, 0.0)}, {"weights": (float("nan"), 0.0, 0.0)}):
+        with pytest.raises(UsageError):
+            Calibration(**bad)
+    # a relation is optional: without one the calibration is unbiased
+    assert Calibration(layers=2, relation=None).name == "intra_correlation"
+
+
+def test_value_value_is_plain_value_self_attention():
+    # zero-weight terms are skipped, so the one-term mix is SA(v, v) itself
+    gen = Rng(32).generator()
+    q, k, v = (gen.standard_normal((5, 4)).astype(np.float32) for _ in range(3))
+    got = _head_attention(VALUE_VALUE, LAYER_COUNT - 1, q, k, v, 4, None)
+    assert got.tobytes() == self_attention(v, 4).tobytes()
+    assert not _head_attention(Calibration(layers=1, weights=(0, 0, 0)), LAYER_COUNT - 1, q, k, v, 4, None).any()
+
+
+def test_calibration_names():
+    configured = Calibration(layers=3, weights=(0.2, 0.3, 0.5))
+    assert named_calibration("vanilla", configured).name == "vanilla"
+    assert named_calibration("value_value", configured) == Calibration(layers=1, weights=(0, 0, 1))
+    assert named_calibration("value_value", configured).name == "value_value"
+    assert named_calibration("intra_correlation", configured) is configured
+    assert configured.name == "intra_correlation"
+    biased = dataclasses.replace(configured, relation=np.zeros((4, 4), np.float32))
+    assert biased.name == "intra_correlation_biased"
+    with pytest.raises(UsageError, match="unknown attention policy 'qk'"):
+        named_calibration("qk", configured)
 
 
 def test_row_sums_per_policy_constants():
@@ -238,10 +261,10 @@ def test_row_sums_per_policy_constants():
     raw = gen.standard_normal((hw, hw)).astype(np.float32)
     masked = np.where(raw >= 0, raw, np.float32(-np.inf))
     policies = [
-        VanillaQK(),
-        ValueValueLast(),
-        IntraCorrelation(layers=5, weights=(1 / 3, 1 / 3, 1 / 3)),
-        IntraCorrelationBiased(layers=5, weights=(1 / 3, 1 / 3, 1 / 3), relation=masked),
+        VANILLA,
+        VALUE_VALUE,
+        Calibration(layers=5, weights=(1 / 3, 1 / 3, 1 / 3)),
+        Calibration(layers=5, weights=(1 / 3, 1 / 3, 1 / 3), relation=masked),
     ]
     for policy in policies:
         trace = encode(image, w, policy)
@@ -252,7 +275,7 @@ def test_row_sums_per_policy_constants():
 
 
 def test_icb_cls_row_carries_no_bias():
-    policy = IntraCorrelationBiased(layers=5, relation=np.zeros((4, 4), np.float32))
+    policy = Calibration(layers=5, relation=np.zeros((4, 4), np.float32))
     sums = expected_row_sums(policy, 11, 5)
     assert sums[0] == pytest.approx(1.0)
     assert sums[1] == pytest.approx(2.0)
@@ -262,7 +285,7 @@ def test_icb_token_sized_relation_raises():
     # only the grid-sized (hw, hw) relation is accepted; a (T, T) one,
     # which would also bias the CLS row, is a shape error everywhere
     w = tiny_weights(seed=31)
-    policy = IntraCorrelationBiased(layers=2, relation=np.zeros((5, 5), np.float32))
+    policy = Calibration(layers=2, relation=np.zeros((5, 5), np.float32))
     with pytest.raises(ShapeError, match=r"not the grid size \(4, 4\)"):
         encode(random_image(31, 8), w, policy)
     with pytest.raises(ShapeError):
@@ -277,7 +300,7 @@ def test_intra_identity_attention_on_scaled_orthogonal_values():
     # identity map and the block output adds v exactly (out proj identity).
     dim = 8
     w = tiny_weights(dim=dim, heads=1, zero_mlp=True, v_scale=8.0, zero_pos=True, seed=40)
-    policy = IntraCorrelation(layers=LAYER_COUNT, weights=(0.0, 0.0, 1.0))
+    policy = Calibration(layers=LAYER_COUNT, weights=(0.0, 0.0, 1.0))
     # craft tokens: layer-norm maps Hadamard-like rows to themselves
     had = np.array(
         [
@@ -336,8 +359,8 @@ def test_icb_identity_relation_adds_identity():
     hw = 4
     relation = np.full((hw, hw), -np.inf, dtype=np.float32)
     np.fill_diagonal(relation, 0.0)
-    base = IntraCorrelation(layers=1)
-    biased = IntraCorrelationBiased(layers=1, relation=relation)
+    base = Calibration(layers=1)
+    biased = Calibration(layers=1, relation=relation)
     image = random_image(41, 8)
     attn_b = encode(image, w, base).attentions[11]
     attn_i = encode(image, w, biased).attentions[11]
@@ -362,7 +385,7 @@ def test_relation_bias_shapes():
 
 def test_encode_deterministic(fixture_weights):
     image = random_image(50, 64)
-    policy = IntraCorrelation(layers=5)
+    policy = Calibration(layers=5)
     t1 = encode(image, fixture_weights, policy)
     t2 = encode(image, fixture_weights, policy)
     assert t1.patch_features.tobytes() == t2.patch_features.tobytes()
@@ -372,22 +395,22 @@ def test_encode_deterministic(fixture_weights):
 
 def test_zero_modified_layers_equals_vanilla(fixture_weights):
     image = random_image(51, 64)
-    t_ic = encode(image, fixture_weights, IntraCorrelation(layers=0))
-    t_qk = encode(image, fixture_weights, VanillaQK())
+    t_ic = encode(image, fixture_weights, Calibration(layers=0))
+    t_qk = encode(image, fixture_weights, VANILLA)
     assert t_ic.patch_features.tobytes() == t_qk.patch_features.tobytes()
     assert t_ic.inputs[-1].tobytes() == t_qk.inputs[-1].tobytes()
 
 
 def test_per_head_attention_shape(fixture_weights):
     image = random_image(52, 64)
-    for policy in (VanillaQK(), ValueValueLast(), IntraCorrelation(layers=5)):
+    for policy in (VANILLA, VALUE_VALUE, Calibration(layers=5)):
         trace = encode(image, fixture_weights, policy)
         for attn in trace.attentions:
             assert attn.shape == (4, 17, 17)
 
 
 def test_trace_captures_qkv_and_features(fixture_weights):
-    trace = encode(random_image(53, 64), fixture_weights, VanillaQK())
+    trace = encode(random_image(53, 64), fixture_weights, VANILLA)
     assert len(trace.features) == 12
     assert trace.features[0].shape == (17, 64)
     assert trace.patch_features.shape == (64, 4, 4)
@@ -419,8 +442,8 @@ def masked_relation(seed, hw):
 @pytest.mark.parametrize("calib_layers", [0, 5, 12])
 def test_prefix_resume_matches_full_biased_encode(fixture_weights, calib_layers):
     image = random_image(60, 64)
-    static = encode(image, fixture_weights, IntraCorrelation(layers=calib_layers))
-    biased = IntraCorrelationBiased(layers=calib_layers, relation=masked_relation(61, 16))
+    static = encode(image, fixture_weights, Calibration(layers=calib_layers))
+    biased = Calibration(layers=calib_layers, relation=masked_relation(61, 16))
     full = encode(image, fixture_weights, biased)
     resumed = encode(image, fixture_weights, biased, prefix=static)
     assert len(full.inputs) == LAYER_COUNT + 1
@@ -432,13 +455,13 @@ def test_prefix_resume_matches_full_biased_encode(fixture_weights, calib_layers)
 
 
 def test_mismatched_prefix_refused(fixture_weights):
-    biased = IntraCorrelationBiased(layers=5, relation=masked_relation(62, 16))
+    biased = Calibration(layers=5, relation=masked_relation(62, 16))
     image = random_image(62, 64)
-    other = encode(random_image(63, 64), fixture_weights, IntraCorrelation(layers=5))
+    other = encode(random_image(63, 64), fixture_weights, Calibration(layers=5))
     with pytest.raises(DataError, match="different image"):
         encode(image, fixture_weights, biased, prefix=other)
     # layer 5 is calibrated in the prefix but must be plain below layer 7
-    deeper = encode(image, fixture_weights, IntraCorrelation(layers=7))
+    deeper = encode(image, fixture_weights, Calibration(layers=7))
     with pytest.raises(DataError, match="below the resume layer"):
         encode(image, fixture_weights, biased, prefix=deeper)
 
@@ -450,11 +473,11 @@ def test_non_finite_weight_raises_numeric_error(field):
     poisoned[0, 0] = np.nan
     w.layers[3] = dataclasses.replace(w.layers[3], **{field: poisoned})
     with pytest.raises(NumericError, match="layer 3"):
-        encode(random_image(64, 8), w, IntraCorrelation(layers=5))
+        encode(random_image(64, 8), w, Calibration(layers=5))
 
 
 def test_non_finite_image_raises_numeric_error():
     image = random_image(65, 8)
     image[1, 2, 3] = np.nan
     with pytest.raises(NumericError):
-        encode(image, tiny_weights(seed=65), VanillaQK())
+        encode(image, tiny_weights(seed=65), VANILLA)

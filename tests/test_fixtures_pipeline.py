@@ -7,7 +7,6 @@ import pytest
 from excel import dynamic_calibration, encoder, static_calibration
 from excel.config import PipelineConfig, load_config, parse_config, save_config
 from excel.dataset import load_dataset
-from excel.encoder import IntraCorrelation, IntraCorrelationBiased
 from excel.errors import UsageError
 from excel.fixtures import FixtureSpec, generate_fixtures
 from excel.pipeline import run_pipeline
@@ -280,15 +279,15 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
     real_encode, real_head = encoder.encode, encoder._head_attention
 
     def counting_encode(image, weights, policy, prefix=None):
-        if isinstance(policy, IntraCorrelationBiased):
+        if policy.name == "intra_correlation_biased":
             biased.append(image.tobytes())
             biased_heads.append(0)
-        elif isinstance(policy, IntraCorrelation):
+        elif policy.name == "intra_correlation":
             calibrated.append(image.tobytes())
         return real_encode(image, weights, policy, prefix)
 
     def counting_head(policy, *args):
-        if isinstance(policy, IntraCorrelationBiased):
+        if policy.name == "intra_correlation_biased":
             biased_heads[-1] += 1
         return real_head(policy, *args)
 

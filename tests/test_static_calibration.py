@@ -11,7 +11,7 @@ from excel.static_calibration import (
     save_cams,
     static_cam,
 )
-from excel.encoder import LAYER_COUNT, IntraCorrelation, VanillaQK, _head_attention, self_attention
+from excel.encoder import LAYER_COUNT, NAMED_CALIBRATIONS, Calibration, _head_attention, self_attention
 from excel.text_enrichment import TextRepresentation
 from excel.training_eval import TrainConfig
 
@@ -36,8 +36,8 @@ def bank_from_columns(columns):
 
 def intra_correlation(q, k, v, weights):
     """The encoder's attention map for one head in a calibrated layer."""
-    policy = IntraCorrelation(layers=1, weights=weights)
-    return _head_attention(policy, LAYER_COUNT - 1, q, k, v, q.shape[1], None)
+    calibration = Calibration(layers=1, weights=weights)
+    return _head_attention(calibration, LAYER_COUNT - 1, q, k, v, q.shape[1], None)
 
 
 def test_intra_correlation_selector_weights():
@@ -112,10 +112,10 @@ def test_static_cam_scale_invariance():
 
 
 def test_static_cam_values_in_unit_interval(fixture_weights, fixture_bank, fixture_dataset):
-    from excel.encoder import IntraCorrelation, encode
+    from excel.encoder import encode
 
     rec = fixture_dataset.images[0]
-    trace = encode(rec.image, fixture_weights, IntraCorrelation(layers=5))
+    trace = encode(rec.image, fixture_weights, Calibration(layers=5))
     cams = static_cam(trace.patch_features, fixture_bank, rec.labels)
     assert cams.maps.min() >= 0.0 and cams.maps.max() <= 1.0
 
@@ -198,8 +198,8 @@ def test_static_pipeline_deterministic(fixture_weights, fixture_bank, fixture_da
 
 def test_static_pipeline_zero_layers_matches_vanilla(fixture_weights, fixture_bank, fixture_dataset):
     rec = fixture_dataset.images[0]
-    res_zero = static_result(rec, fixture_weights, fixture_bank, IntraCorrelation(layers=0))
-    res_vanilla = static_result(rec, fixture_weights, fixture_bank, VanillaQK())
+    res_zero = static_result(rec, fixture_weights, fixture_bank, Calibration(layers=0, weights=(0.2, 0.3, 0.5)))
+    res_vanilla = static_result(rec, fixture_weights, fixture_bank, NAMED_CALIBRATIONS["vanilla"])
     assert res_zero.cams.maps.tobytes() == res_vanilla.cams.maps.tobytes()
 
 

@@ -115,7 +115,7 @@ def test_cluster_each_point_its_own_centroid():
     pts = gen.standard_normal((8, 6)).astype(np.float32)
     pts /= np.linalg.norm(pts.astype(np.float64), axis=0)
     kb = kb_from_points(pts)
-    space = cluster_attributes(kb, b=6, rng=Rng(3), max_iters=50)
+    space = cluster_attributes(kb, b=6, rng=Rng(3))
     assert space.inertia == pytest.approx(0.0, abs=1e-12)
     assert len(set(space.assignment.tolist())) == 6
 
@@ -137,7 +137,7 @@ def two_blob_kb(seed=4, per_blob=20, dim=12, noise=0.1):
 
 def test_cluster_two_blobs_recovers_assignment():
     kb, per_blob, noise = two_blob_kb()
-    space = cluster_attributes(kb, b=2, rng=Rng(5), max_iters=100)
+    space = cluster_attributes(kb, b=2, rng=Rng(5))
     points = kb.embeddings.T.astype(np.float64)
     blob_means = [points[:per_blob].mean(axis=0), points[per_blob:].mean(axis=0)]
     # brute-force nearest-mean oracle
@@ -158,14 +158,14 @@ def test_cluster_two_blobs_recovers_assignment():
 def test_cluster_objective_non_increasing_many_seeds():
     for seed in range(50):
         kb = synthetic_kb(seed=seed, classes=2, n=10, dim=8)
-        space = cluster_attributes(kb, b=4, rng=Rng(seed), max_iters=60)
+        space = cluster_attributes(kb, b=4, rng=Rng(seed))
         hist = space.objective_history
         assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(hist, hist[1:]))
 
 
 def test_centroids_equal_member_means():
     kb = synthetic_kb(seed=11)
-    space = cluster_attributes(kb, b=7, rng=Rng(11), max_iters=100)
+    space = cluster_attributes(kb, b=7, rng=Rng(11))
     points = kb.embeddings.T.astype(np.float64)
     for j in range(7):
         members = points[space.assignment == j]
@@ -178,7 +178,7 @@ def test_centroids_equal_member_means():
 def test_cluster_voc_sized_all_non_empty():
     # 20 classes x 20 descriptions -> 400 columns, 112 clusters
     kb = synthetic_kb(seed=12, classes=20, n=20, dim=32)
-    space = cluster_attributes(kb, b=112, rng=Rng(12), max_iters=100)
+    space = cluster_attributes(kb, b=112, rng=Rng(12))
     assert space.count == 112
     occupied = set(space.assignment.tolist())
     assert occupied == set(range(112))

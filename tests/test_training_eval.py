@@ -5,7 +5,7 @@ import pytest
 
 from excel import dynamic_calibration, encoder, static_calibration, training_eval
 from excel.dynamic_calibration import init_adapter
-from excel.encoder import IntraCorrelation, VanillaQK, encode
+from excel.encoder import NAMED_CALIBRATIONS, Calibration, encode
 from excel.errors import DataError, NumericError, UsageError
 from excel.numerics import Rng
 from excel.training_eval import (
@@ -210,7 +210,7 @@ def test_attn_report_fixture_policies(fixture_weights, fixture_dataset):
     report = attn_report(
         rec.image,
         fixture_weights,
-        {"qk": VanillaQK(), "ic": IntraCorrelation(layers=5)},
+        {"qk": NAMED_CALIBRATIONS["vanilla"], "ic": Calibration(layers=5)},
     )
     assert set(report) == {"qk", "ic"}
     hw = 16
@@ -218,7 +218,7 @@ def test_attn_report_fixture_policies(fixture_weights, fixture_dataset):
         assert 0.0 <= entry["mean_row_entropy"] <= math.log(17) + 1e-6
         assert entry["token_relation"].shape == (hw, hw)
     # independent entropy recomputation for one policy
-    trace = encode(rec.image, fixture_weights, VanillaQK())
+    trace = encode(rec.image, fixture_weights, NAMED_CALIBRATIONS["vanilla"])
     attn = trace.attentions[-1].astype(np.float64)
     rows = attn / attn.sum(axis=2, keepdims=True)
     ent = float(np.where(rows > 0, -rows * np.log(rows), 0.0).sum(axis=2).mean())
@@ -276,11 +276,36 @@ def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_bank, fixture_d
     cfg = small_config(iterations=2)
     result = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg, out_dir=tmp_path)
     path = tmp_path / "checkpoint_000002.json"
-    adapter, meta = load_checkpoint(path)
+    adapter, meta = load_checkpoint(path, fixture_weights.dim)
     for a, b in zip(adapter.to_dict().values(), result.adapter.to_dict().values()):
         assert np.array_equal(a, b)
     assert meta["iteration"] == 2
     assert meta["train_config"]["lr"] == cfg.lr
+
+
+@pytest.mark.parametrize(
+    "case", ["meta-dim", "weights-dim", "delta-width", "delta-bias", "fusion-rows", "fusion-bias", "kernel-3"]
+)
+def test_checkpoint_shapes_checked_against_meta(tmp_path, case):
+    adapter = init_adapter(Rng(1), dim=8, d_proj=4, d_dyn=6)
+    meta, dim = {"dim": 8}, 8
+    if case == "meta-dim":
+        meta = {"dim": 16}
+    elif case == "weights-dim":
+        dim = 16
+    elif case == "kernel-3":
+        adapter.fusion_kernel = 3  # a 2-D fusion.w declared as a 3x3 kernel
+    else:
+        name, shape = {
+            "delta-width": ("delta.05.w", (4, 9)),
+            "delta-bias": ("delta.11.b", (5,)),
+            "fusion-rows": ("fusion.w", (7, 48)),
+            "fusion-bias": ("fusion.b", (7,)),
+        }[case]
+        adapter = adapter.replace({**adapter.to_dict(), name: np.zeros(shape, np.float32)})
+    path = save_checkpoint(tmp_path / "ck.json", adapter, meta)
+    with pytest.raises(DataError, match="encoder features" if "dim" in case else "expected"):
+        load_checkpoint(path, dim)
 
 
 def test_loss_curve_roundtrip(tmp_path):
@@ -294,7 +319,7 @@ def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_bank, fi
     result = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg, out_dir=tmp_path)
     curve = {row[0]: row for row in result.curve}
     for k in (0, 2):
-        adapter, meta = load_checkpoint(tmp_path / f"checkpoint_{k:06d}.json")
+        adapter, meta = load_checkpoint(tmp_path / f"checkpoint_{k:06d}.json", fixture_weights.dim)
         div = replay_iteration(k, fixture_dataset, fixture_weights, fixture_bank, cfg, adapter)
         assert div == pytest.approx(curve[k][1], abs=1e-5)
 
