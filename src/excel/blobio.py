@@ -47,9 +47,6 @@ class TensorFile:
             )
         return arr
 
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
     def meta_value(self, key: str, valid, expected: str):
         """Meta value `key`; a DataError naming the file when it is absent
         or fails `valid`, a predicate described by `expected`."""

@@ -24,7 +24,7 @@ from .hashing import config_digest
 from .images import read_pgm, read_ppm, rgb_to_chw
 from .numerics import Rng
 from .pipeline import run_pipeline, run_provenance, stage_attributes, write_cam_outputs
-from .static_calibration import run_static_pipeline
+from .static_calibration import run_static_passes, run_static_pipeline
 from .text_enrichment import build_text_bank, ingest_knowledge, load_bank, save_bank
 from .training_eval import attn_report, evaluate, load_checkpoint, report_text, train_loop
 
@@ -138,6 +138,8 @@ def _cmd_cam(args) -> int:
         raise UsageError(f"--labels must be comma-separated class ids, got {args.labels!r}") from None
     if not present:
         raise UsageError("--labels must list at least one class id")
+    if args.mode == "dynamic" and not args.adapter:
+        raise UsageError("dynamic mode requires --adapter")
     cfg = load_config(args.config) if args.config else PipelineConfig()
     weights = load_weights(args.weights)
     bank = load_bank(args.bank)
@@ -148,10 +150,10 @@ def _cmd_cam(args) -> int:
     if args.mode == "static":
         res = run_static_pipeline(image, weights, bank, present, cfg.static_policy(), tau_fg, tau_bg)
     else:
-        if not args.adapter:
-            raise UsageError("dynamic mode requires --adapter")
         adapter, _ = load_checkpoint(args.adapter, weights.dim)
-        res = dynamic_cam(image, weights, adapter, bank, present, cfg.train.calibration(), tau_fg, tau_bg)
+        calibration = cfg.train.calibration()
+        trace = encode(image, weights, calibration)
+        res = dynamic_cam(image, weights, adapter, bank, present, calibration, tau_fg, tau_bg, trace)
     prov = run_provenance(cfg, f"cam-{args.mode}")
     cams_path, pgm_path = write_cam_outputs(out_dir, Path(args.image).stem, res, weights.patch_size, prov)
     print(f"cams: {cams_path}")
@@ -165,15 +167,11 @@ def _cmd_train(args) -> int:
     weights = load_weights(cfg.weights)
     dataset = load_dataset(cfg.dataset, patch_size=weights.patch_size)
     bank, _ = stage_attributes(cfg)
-    out_dir = Path(cfg.out_dir) / "train"
-    result = train_loop(
-        dataset,
-        weights,
-        bank,
-        cfg.train,
-        out_dir=out_dir,
-        provenance=run_provenance(cfg, "train"),
+    calibrated = run_static_passes(
+        dataset.images, weights, bank, cfg.train.calibration(), cfg.train.tau_fg, cfg.train.tau_bg, keep_traces=True
     )
+    out_dir = Path(cfg.out_dir) / "train"
+    result = train_loop(calibrated, weights.dim, cfg.train, out_dir=out_dir, provenance=run_provenance(cfg, "train"))
     final = result.curve[-1][1] if result.curve else 0.0
     print(f"trained {cfg.train.iterations} iterations; final diversity loss {final:.4f}")
     print(f"checkpoints: {out_dir}")

@@ -31,11 +31,16 @@ from .static_calibration import (
 )
 
 
+def fusion_shape(d_dyn: int, channels: int, kernel: int) -> tuple[int, ...]:
+    """Stored shape of `fusion.w`: the 1x1 kernel is kept flat."""
+    return (d_dyn, channels) if kernel == 1 else (d_dyn, channels, kernel, kernel)
+
+
 @dataclass
 class AdapterParams:
     deltas_w: list[np.ndarray]  # 12 x (d_proj, D)
     deltas_b: list[np.ndarray]  # 12 x (d_proj,)
-    fusion_w: np.ndarray  # (D_d, 12*d_proj) or (D_d, 12*d_proj, 3, 3)
+    fusion_w: np.ndarray  # fusion_shape(D_d, 12*d_proj, fusion_kernel)
     fusion_b: np.ndarray  # (D_d,)
     alpha: float
     beta: float
@@ -48,6 +53,12 @@ class AdapterParams:
     @property
     def d_dyn(self) -> int:
         return self.fusion_b.shape[0]
+
+    def fusion_kernel64(self) -> np.ndarray:
+        """`fusion.w` as a float64 (D_d, 12*d_proj, k, k) kernel, whichever
+        of its two stored shapes it has."""
+        k = self.fusion_kernel
+        return self.fusion_w.astype(np.float64).reshape(self.d_dyn, -1, k, k)
 
     def to_dict(self) -> dict[str, np.ndarray]:
         out = {}
@@ -93,12 +104,9 @@ def init_adapter(
         for _ in range(LAYER_COUNT)
     ]
     deltas_b = [np.zeros(d_proj, dtype=np.float32) for _ in range(LAYER_COUNT)]
-    if fusion_kernel == 1:
-        fusion_w = (sigma * gen.standard_normal((d_dyn, LAYER_COUNT * d_proj))).astype(np.float32)
-    else:
-        fusion_w = (
-            sigma * gen.standard_normal((d_dyn, LAYER_COUNT * d_proj, 3, 3))
-        ).astype(np.float32)
+    fusion_w = (
+        sigma * gen.standard_normal(fusion_shape(d_dyn, LAYER_COUNT * d_proj, fusion_kernel))
+    ).astype(np.float32)
     # a nonzero fusion bias keeps the dynamic features away from the zero
     # column degeneracy while the weights are still tiny
     fusion_b = (sigma * gen.standard_normal(d_dyn)).astype(np.float32)
@@ -117,30 +125,33 @@ def init_adapter(
 # forward
 
 
-def _fusion_forward(zcat: np.ndarray, params: AdapterParams, grid) -> np.ndarray:
-    """(hw, 12*d_proj) float64 -> (hw, D_d) float64."""
-    w = params.fusion_w.astype(np.float64)
-    b = params.fusion_b.astype(np.float64)
-    if params.fusion_kernel == 1:
-        return zcat @ w.T + b
+def _pad_grid(zcat: np.ndarray, grid, pad: int) -> np.ndarray:
+    """(hw, C) token rows -> the (gh + 2*pad, gw + 2*pad, C) zero-padded grid."""
     gh, gw = grid
-    cin = zcat.shape[1]
-    zgrid = zcat.reshape(gh, gw, cin)
-    zpad = np.zeros((gh + 2, gw + 2, cin), dtype=np.float64)
-    zpad[1:-1, 1:-1] = zgrid
-    out = np.empty((gh, gw, w.shape[0]), dtype=np.float64)
-    for dy in range(3):
-        for dx in range(3):
-            patch = zpad[dy : dy + gh, dx : dx + gw]  # (gh, gw, cin)
-            if dy == 0 and dx == 0:
-                out = np.einsum("yxi,oi->yxo", patch, w[:, :, dy, dx])
-            else:
-                out += np.einsum("yxi,oi->yxo", patch, w[:, :, dy, dx])
-    return out.reshape(gh * gw, -1) + b
+    zpad = np.zeros((gh + 2 * pad, gw + 2 * pad, zcat.shape[1]), dtype=np.float64)
+    zpad[pad : pad + gh, pad : pad + gw] = zcat.reshape(gh, gw, -1)
+    return zpad
+
+
+def _taps(grid, kernel: int):
+    """(dy, dx, window) for each tap of a size-preserving kernel x kernel
+    convolution: `window` selects the padded-grid tokens that tap reads."""
+    gh, gw = grid
+    return [(dy, dx, (slice(dy, dy + gh), slice(dx, dx + gw))) for dy in range(kernel) for dx in range(kernel)]
+
+
+def _fusion_forward(zpad: np.ndarray, params: AdapterParams, grid) -> np.ndarray:
+    """Padded (.., .., 12*d_proj) float64 grid -> (hw, D_d) float64: the
+    fusion convolution, one float64 product per kernel tap."""
+    w = params.fusion_kernel64()
+    hw = grid[0] * grid[1]
+    out = sum(zpad[win].reshape(hw, -1) @ w[:, :, dy, dx].T for dy, dx, win in _taps(grid, params.fusion_kernel))
+    return out + params.fusion_b.astype(np.float64)
 
 
 def _adapter_forward64(trace: LayerTrace, params: AdapterParams):
-    """Float64 adapter forward; returns (features (hw, D_d), zcat, layer inputs)."""
+    """Float64 adapter forward; returns (features (hw, D_d), the padded
+    projection grid the fusion reads, layer inputs)."""
     if len(trace.features) != LAYER_COUNT:
         raise DataError(f"trace has {len(trace.features)} layers, expected {LAYER_COUNT}")
     xs = [f[1:].astype(np.float64) for f in trace.features]  # CLS dropped
@@ -148,9 +159,8 @@ def _adapter_forward64(trace: LayerTrace, params: AdapterParams):
         x @ params.deltas_w[i].astype(np.float64).T + params.deltas_b[i].astype(np.float64)
         for i, x in enumerate(xs)
     ]
-    zcat = np.concatenate(zs, axis=1)
-    feats = _fusion_forward(zcat, params, trace.grid)
-    return feats, zcat, xs
+    zpad = _pad_grid(np.concatenate(zs, axis=1), trace.grid, params.fusion_kernel // 2)
+    return _fusion_forward(zpad, params, trace.grid), zpad, xs
 
 
 def adapter_forward(trace: LayerTrace, params: AdapterParams) -> np.ndarray:
@@ -264,7 +274,7 @@ def diversity_loss_gradient(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss value plus exact reverse-mode gradients for every adapter
     parameter, keyed like AdapterParams.to_dict()."""
-    feats, zcat, xs = _adapter_forward64(trace, params)
+    feats, zpad, xs = _adapter_forward64(trace, params)
     hw = feats.shape[0]
     norms, fhat, u = _pair_affinity(feats)
     loss = _pair_loss(u, batch)
@@ -281,30 +291,17 @@ def diversity_loss_gradient(
     radial = np.einsum("ij,ij->i", g_fhat, fhat)
     g_feats = (g_fhat - radial[:, None] * fhat) / norms[:, None]
 
-    grads: dict[str, np.ndarray] = {}
-    w = params.fusion_w.astype(np.float64)
-    if params.fusion_kernel == 1:
-        grads["fusion.w"] = g_feats.T @ zcat
-        grads["fusion.b"] = g_feats.sum(axis=0)
-        g_zcat = g_feats @ w
-    else:
-        gh, gw = trace.grid
-        cin = zcat.shape[1]
-        zpad = np.zeros((gh + 2, gw + 2, cin), dtype=np.float64)
-        zpad[1:-1, 1:-1] = zcat.reshape(gh, gw, cin)
-        g_out = g_feats.reshape(gh, gw, -1)
-        g_w = np.zeros_like(w)
-        g_zpad = np.zeros_like(zpad)
-        for dy in range(3):
-            for dx in range(3):
-                patch = zpad[dy : dy + gh, dx : dx + gw]
-                g_w[:, :, dy, dx] = np.einsum("yxo,yxi->oi", g_out, patch)
-                g_zpad[dy : dy + gh, dx : dx + gw] += np.einsum(
-                    "yxo,oi->yxi", g_out, w[:, :, dy, dx]
-                )
-        grads["fusion.w"] = g_w
-        grads["fusion.b"] = g_out.sum(axis=(0, 1))
-        g_zcat = g_zpad[1:-1, 1:-1].reshape(gh * gw, cin)
+    # the fusion convolution's transpose, tap by tap
+    gh, gw = trace.grid
+    pad = params.fusion_kernel // 2
+    w = params.fusion_kernel64()
+    g_w = np.empty_like(w)
+    g_zpad = np.zeros_like(zpad)
+    for dy, dx, win in _taps(trace.grid, params.fusion_kernel):
+        g_w[:, :, dy, dx] = g_feats.T @ zpad[win].reshape(hw, -1)
+        g_zpad[win] += (g_feats @ w[:, :, dy, dx]).reshape(gh, gw, -1)
+    grads = {"fusion.w": g_w.reshape(params.fusion_w.shape), "fusion.b": g_feats.sum(axis=0)}
+    g_zcat = g_zpad[pad : pad + gh, pad : pad + gw].reshape(hw, -1)
     d_proj = params.d_proj
     for i, x in enumerate(xs):
         g_z = g_zcat[:, i * d_proj : (i + 1) * d_proj]
@@ -335,17 +332,15 @@ def dynamic_cam(
     calibration: Calibration,
     tau_fg: float,
     tau_bg: float,
-    static_trace: LayerTrace | None = None,
+    static_trace: LayerTrace,
 ) -> DynamicResult:
     """Re-encode with the relation bias added and refine dynamic CAMs.
 
-    The relation comes from the adapter run over the trace of the same
-    image under `calibration` (computed here when not supplied); the
-    biased re-encode adds it to that same calibrated attention, resuming
-    from that trace below the first calibrated layer.
+    `static_trace` is the trace of the same image under `calibration`.
+    The relation comes from the adapter run over it; the biased re-encode
+    adds that relation to the same calibrated attention, resuming from
+    the trace below the first calibrated layer.
     """
-    if static_trace is None:
-        static_trace = encode(image, weights, calibration)
     relation = dynamic_relation(adapter_forward(static_trace, params), params.alpha, params.beta)
     biased = dataclasses.replace(calibration, relation=relation.masked)
     trace = encode(image, weights, biased, prefix=static_trace)

@@ -2,12 +2,15 @@
 
 Arrays are plain numpy ndarrays in C (row-major) order with float32
 storage. Every reduction or product accumulates in float64 and rounds
-back to float32 once, so results never depend on summation chunking or
-BLAS thread counts (matrix products go through einsum, not BLAS). -inf
-is admitted only as the masking sentinel of relation matrices fed to
-softmax_rows; NaN and +inf are rejected at every public boundary. The
-`*_unchecked` variants skip that input check for hot loops that check
-what they compute instead (the encoder); the arithmetic is shared.
+back to float32 once. The products here go through einsum; the
+adapter's float64 products (`dynamic_calibration`) go through BLAS. What
+is tested is that outputs are byte-identical across runs and across 1
+or 2 BLAS/OpenMP threads on one machine; equal bits across CPUs are not
+promised. -inf is admitted only as the masking sentinel of relation
+matrices fed to softmax_rows; NaN and +inf are rejected at every public
+boundary. The `*_unchecked` variants skip that input check for hot
+loops that check what they compute instead (the encoder); the
+arithmetic is shared.
 """
 
 from dataclasses import dataclass

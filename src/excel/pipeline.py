@@ -19,7 +19,7 @@ from .dynamic_calibration import dynamic_cam
 from .encoder import load_weights
 from .errors import UsageError
 from .images import write_pgm
-from .static_calibration import run_static_pipeline, save_cams
+from .static_calibration import run_static_passes, save_cams
 from .text_enrichment import build_text_bank, ingest_knowledge, load_bank, save_bank
 from .training_eval import (
     evaluate,
@@ -89,50 +89,42 @@ def write_cam_outputs(out_dir: Path, stem: str, result, patch_size: int, prov: d
 
 
 def stage_static(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, keep_traces: bool):
-    """Static CAMs and pseudo labels for every image; each result keeps its
-    encoder trace only with `keep_traces`, for later stages to reuse."""
+    """Static CAMs and pseudo labels for every image, in dataset order;
+    each result keeps its encoder trace only with `keep_traces`, for later
+    stages to reuse."""
     out_dir = Path(cfg.out_dir) / "static"
     out_dir.mkdir(parents=True, exist_ok=True)
     prov = run_provenance(cfg, "static")
-    policy = cfg.static_policy()
-    results = {}
-    for rec in dataset.images:
-        res = run_static_pipeline(
-            rec.image, weights, bank, rec.labels, policy, cfg.train.tau_fg, cfg.train.tau_bg
-        )
+    results = run_static_passes(
+        dataset.images, weights, bank, cfg.static_policy(), cfg.train.tau_fg, cfg.train.tau_bg, keep_traces
+    )
+    for rec, res in zip(dataset.images, results):
         write_cam_outputs(out_dir, rec.name, res, weights.patch_size, prov)
-        results[rec.name] = res if keep_traces else dataclasses.replace(res, trace=None)
     return results, out_dir
 
 
-def stage_train(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, static_cache, resume: bool = False):
+def stage_train(cfg: PipelineConfig, dim: int, calibrated, resume: bool = False):
+    """The adapter trained on `calibrated`, each image's pass under
+    `cfg.train.calibration()` with its trace, in dataset order."""
     out_dir = Path(cfg.out_dir) / "train"
     final = out_dir / f"checkpoint_{cfg.train.iterations:06d}.json"
     if _check_resume(final, cfg, resume):
-        adapter, _ = load_checkpoint(final, weights.dim)
+        adapter, _ = load_checkpoint(final, dim)
         return adapter, out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = train_loop(
-        dataset,
-        weights,
-        bank,
-        cfg.train,
-        out_dir=out_dir,
-        provenance=run_provenance(cfg, "train"),
-        static_cache=static_cache,
-    )
+    result = train_loop(calibrated, dim, cfg.train, out_dir=out_dir, provenance=run_provenance(cfg, "train"))
     return result.adapter, out_dir
 
 
-def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapter, static_cache):
-    """Dynamic CAMs for every image; `static_cache` holds calibrated static
-    results with traces (dynamic_cam encodes them itself without it)."""
+def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapter, calibrated):
+    """Dynamic CAMs for every image, each biased re-encode resuming from
+    the image's trace in `calibrated` (as for `stage_train`)."""
     out_dir = Path(cfg.out_dir) / "dynamic"
     out_dir.mkdir(parents=True, exist_ok=True)
     prov = run_provenance(cfg, "dynamic")
     calibration = cfg.train.calibration()
-    results = {}
-    for rec in dataset.images:
+    results = []
+    for rec, static in zip(dataset.images, calibrated):
         res = dynamic_cam(
             rec.image,
             weights,
@@ -142,15 +134,16 @@ def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapt
             calibration,
             cfg.train.tau_fg,
             cfg.train.tau_bg,
-            static_trace=static_cache[rec.name].trace if static_cache else None,
+            static.trace,
         )
         write_cam_outputs(out_dir, rec.name, res, weights.patch_size, prov)
-        results[rec.name] = res
+        results.append(res)
     return results, out_dir
 
 
-def stage_eval(cfg: PipelineConfig, dataset: ToyDataset, label_maps: dict, patch_size: int, stage_name: str):
-    preds = [upsample_labels(label_maps[rec.name], patch_size) for rec in dataset.images]
+def stage_eval(cfg: PipelineConfig, dataset: ToyDataset, label_maps: list, patch_size: int, stage_name: str):
+    """Scores `label_maps`, one per image in dataset order."""
+    preds = [upsample_labels(labels, patch_size) for labels in label_maps]
     gts = [rec.mask for rec in dataset.images]
     report = evaluate(preds, gts, num_labels=len(dataset.class_names))
     prov = run_provenance(cfg, "eval")
@@ -186,20 +179,22 @@ def run_pipeline(cfg: PipelineConfig, mode: str = "full", resume: bool = False):
     dataset = load_dataset(cfg.dataset, patch_size=weights.patch_size)
     bank, bank_path = stage_attributes(cfg, resume=resume)
     # training and dynamic CAMs consume the calibrated pass; when the
-    # exported static stage runs that same policy, its results are that
-    # pass, so every image is encoded under it once per run
-    shared = mode == "full" and cfg.static_policy() == cfg.train.calibration()
+    # exported static stage runs that same calibration, its results are
+    # that pass, so every image is encoded under it once per run
+    calibration = cfg.train.calibration()
+    shared = mode == "full" and cfg.static_policy() == calibration
     static_results, static_dir = stage_static(cfg, weights, bank, dataset, keep_traces=shared)
-    static_cache = static_results if shared else None
     train_dir = dynamic_dir = None
     if mode == "full":
-        adapter, train_dir = stage_train(cfg, weights, bank, dataset, static_cache, resume=resume)
-        dynamic_results, dynamic_dir = stage_dynamic(cfg, weights, bank, dataset, adapter, static_cache)
-        labels = {name: res.labels for name, res in dynamic_results.items()}
-        report, report_path = stage_eval(cfg, dataset, labels, weights.patch_size, "dynamic")
+        calibrated = static_results if shared else run_static_passes(
+            dataset.images, weights, bank, calibration, cfg.train.tau_fg, cfg.train.tau_bg, keep_traces=True
+        )
+        adapter, train_dir = stage_train(cfg, weights.dim, calibrated, resume=resume)
+        dynamic_results, dynamic_dir = stage_dynamic(cfg, weights, bank, dataset, adapter, calibrated)
+        label_maps, evaluated = [res.labels for res in dynamic_results], "dynamic"
     else:
-        labels = {name: res.labels for name, res in static_results.items()}
-        report, report_path = stage_eval(cfg, dataset, labels, weights.patch_size, "static")
+        label_maps, evaluated = [res.labels for res in static_results], "static"
+    report, report_path = stage_eval(cfg, dataset, label_maps, weights.patch_size, evaluated)
     return PipelineArtifacts(
         bank=bank_path,
         static_dir=static_dir,

@@ -6,6 +6,7 @@ Pseudo labels come from a dual confidence band: the winning class above
 tau_fg, background below tau_bg, ignore (255) in between.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +96,25 @@ def run_static_pipeline(
     cams = static_cam(trace.patch_features, bank, present)
     labels = cam_to_pseudo_label(cams, tau_fg, tau_bg)
     return StaticResult(cams=cams, labels=labels, trace=trace)
+
+
+def run_static_passes(
+    records,
+    weights: EncoderWeights,
+    bank: TextRepresentation,
+    calibration: Calibration,
+    tau_fg: float,
+    tau_bg: float,
+    keep_traces: bool,
+) -> list[StaticResult]:
+    """`run_static_pipeline` over dataset records (`.image`, `.labels`), in
+    their order. Without `keep_traces` each trace is dropped as soon as its
+    image is done, so at most one is alive at a time."""
+    results = []
+    for rec in records:
+        res = run_static_pipeline(rec.image, weights, bank, rec.labels, calibration, tau_fg, tau_bg)
+        results.append(res if keep_traces else dataclasses.replace(res, trace=None))
+    return results
 
 
 # --------------------------------------------------------------------------

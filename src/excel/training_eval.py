@@ -18,13 +18,13 @@ from .dynamic_calibration import (
     AdapterParams,
     build_affinity_batch,
     diversity_loss_gradient,
+    fusion_shape,
     init_adapter,
 )
 from .encoder import LAYER_COUNT, Calibration, EncoderWeights, encode
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .numerics import Rng
-from .static_calibration import IGNORE_LABEL, run_static_pipeline
-from .text_enrichment import TextRepresentation
+from .static_calibration import IGNORE_LABEL, StaticResult
 
 
 # --------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def load_checkpoint(path, dim: int):
     adapter = AdapterParams(
         deltas_w=[tf.require(f"adapter.delta.{i:02d}.w", (d_proj, width)) for i in range(LAYER_COUNT)],
         deltas_b=[tf.require(f"adapter.delta.{i:02d}.b", (d_proj,)) for i in range(LAYER_COUNT)],
-        fusion_w=tf.require("adapter.fusion.w", (d_dyn, LAYER_COUNT * d_proj) + ((3, 3) if kernel == 3 else ())),
+        fusion_w=tf.require("adapter.fusion.w", fusion_shape(d_dyn, LAYER_COUNT * d_proj, kernel)),
         fusion_b=tf.require("adapter.fusion.b", (d_dyn,)),
         alpha=alpha,
         beta=beta,
@@ -211,66 +211,47 @@ class TrainResult:
     curve: list[tuple[int, float]]  # (iteration, mean diversity loss)
 
 
-def _static_results(dataset, weights, bank, config: TrainConfig):
-    calibration = config.calibration()
-    return {
-        rec.name: run_static_pipeline(
-            rec.image, weights, bank, rec.labels, calibration, config.tau_fg, config.tau_bg
-        )
-        for rec in dataset.images
-    }
-
-
-def _batch_records(dataset, batch_size: int, iteration: int):
-    n = len(dataset.images)
-    return [dataset.images[(iteration * batch_size + j) % n] for j in range(batch_size)]
-
-
-def _iteration_loss(records, static_cache, config: TrainConfig, adapter, rng):
-    """Mean diversity loss and mean gradients, keyed `adapter.*`, for one
-    iteration's batch."""
+def _iteration_loss(static: list[StaticResult], iteration: int, config: TrainConfig, adapter):
+    """Mean diversity loss and mean gradients, keyed like
+    `AdapterParams.to_dict()`, over `iteration`'s batch: `batch_size`
+    consecutive images, wrapping around the dataset."""
+    rng = Rng(config.seed).child(f"it.{iteration}")
     div_sum = 0.0
     grad_acc: dict[str, np.ndarray] = {}
-    for j, rec in enumerate(records):
-        sres = static_cache[rec.name]
+    for j in range(config.batch_size):
+        sres = static[(iteration * config.batch_size + j) % len(static)]
         batch = build_affinity_batch(
             sres.labels, sample_limit=config.pair_sample_limit, rng=rng.child(f"pairs.{j}")
         )
         div, div_grads = diversity_loss_gradient(sres.trace, adapter, batch)
         div_sum += div
         for k, g in div_grads.items():
-            key = f"adapter.{k}"
-            grad_acc[key] = grad_acc.get(key, 0.0) + g
-    n = len(records)
+            grad_acc[k] = grad_acc.get(k, 0.0) + g
+    n = config.batch_size
     return div_sum / n, {k: v / n for k, v in grad_acc.items()}
 
 
 def train_loop(
-    dataset,
-    weights: EncoderWeights,
-    bank: TextRepresentation,
+    static: list[StaticResult],
+    dim: int,
     config: TrainConfig,
     out_dir=None,
     provenance=None,
-    static_cache: dict | None = None,
 ) -> TrainResult:
     """Seeded single-writer optimization of the adapter on the diversity loss.
 
-    Static pseudo labels and traces come from one calibrated pass per image
-    before the first iteration; they depend only on frozen inputs. A caller
-    that already ran that pass (`run_static_pipeline` under
-    `config.calibration()`, with traces) hands it in as `static_cache`,
-    keyed by image name, and training then makes no encoder call. Per
-    iteration: affinity pairs from the static labels, the diversity loss
-    and its gradient on the cached traces, one AdamW step on the mean batch
+    `static` holds each image's calibrated pass (`run_static_pipeline`
+    under `config.calibration()`, traces kept), in dataset order; `dim` is
+    the encoder width. Training makes no encoder call. Per iteration:
+    affinity pairs from the static labels, the diversity loss and its
+    gradient on the static traces, one AdamW step on the mean batch
     gradients. Emits a loss-curve CSV and checkpoints when `out_dir` is
     given.
     """
     config.validate()
-    rng = Rng(config.seed)
     adapter = init_adapter(
-        rng.child("adapter"),
-        weights.dim,
+        Rng(config.seed).child("adapter"),
+        dim,
         d_proj=config.d_proj,
         d_dyn=config.d_dyn,
         fusion_kernel=config.fusion_kernel,
@@ -278,15 +259,13 @@ def train_loop(
         alpha=config.alpha,
         beta=config.beta,
     )
-    params = {f"adapter.{k}": v for k, v in adapter.to_dict().items()}
+    params = adapter.to_dict()
     state = init_adam_state(params)
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    if static_cache is None and config.iterations:
-        static_cache = _static_results(dataset, weights, bank, config)
     curve: list[tuple[int, float]] = []
-    meta = {"train_config": config.to_dict(), "dim": weights.dim}
+    meta = {"train_config": config.to_dict(), "dim": dim}
 
     def maybe_checkpoint(iteration):
         if out_dir and config.checkpoint_every and iteration % config.checkpoint_every == 0:
@@ -299,13 +278,12 @@ def train_loop(
 
     for it in range(config.iterations):
         maybe_checkpoint(it)
-        records = _batch_records(dataset, config.batch_size, it)
-        div_mean, grads = _iteration_loss(records, static_cache, config, adapter, rng.child(f"it.{it}"))
+        div_mean, grads = _iteration_loss(static, it, config, adapter)
         curve.append((it, div_mean))
         if not math.isfinite(div_mean) or div_mean > config.divergence_threshold:
             raise NumericError(f"training diverged at iteration {it}: diversity loss {div_mean:.3f}")
         params, state = adamw_step(params, grads, state, config.lr, config.weight_decay)
-        adapter = adapter.replace({k[len("adapter.") :]: v for k, v in params.items()})
+        adapter = adapter.replace(params)
     if out_dir:
         save_checkpoint(
             out_dir / f"checkpoint_{config.iterations:06d}.json",
@@ -317,14 +295,10 @@ def train_loop(
     return TrainResult(adapter=adapter, curve=curve)
 
 
-def replay_iteration(iteration, dataset, weights, bank, config: TrainConfig, adapter) -> float:
+def replay_iteration(iteration: int, static: list[StaticResult], config: TrainConfig, adapter) -> float:
     """Recompute the logged mean diversity loss for `iteration` from
-    checkpointed parameters; mirrors the loop's batch selection and static
-    cache."""
-    static_cache = _static_results(dataset, weights, bank, config)
-    records = _batch_records(dataset, config.batch_size, iteration)
-    rng = Rng(config.seed).child(f"it.{iteration}")
-    return _iteration_loss(records, static_cache, config, adapter, rng)[0]
+    checkpointed parameters and the static results `train_loop` was given."""
+    return _iteration_loss(static, iteration, config, adapter)[0]
 
 
 def write_loss_curve(path, curve):

@@ -4,7 +4,9 @@ from excel.dataset import load_dataset
 from excel.encoder import load_weights
 from excel.fixtures import FixtureSpec, generate_fixtures
 from excel.numerics import Rng
+from excel.static_calibration import run_static_passes
 from excel.text_enrichment import build_text_bank, ingest_knowledge
+from excel.training_eval import TrainConfig
 
 FIXTURE_SEED = 42
 
@@ -34,4 +36,15 @@ def fixture_kb(fixture_paths):
 def fixture_bank(fixture_kb):
     return build_text_bank(
         fixture_kb, clusters=16, topk=8, lam=0.5, rng=Rng(7).child("attributes")
+    )
+
+
+@pytest.fixture(scope="session")
+def fixture_static(fixture_weights, fixture_bank, fixture_dataset):
+    """Each fixture image's calibrated static result, traces kept, in
+    dataset order: the pass that training and dynamic CAMs consume under
+    the default `TrainConfig` calibration and thresholds."""
+    cfg = TrainConfig()
+    return run_static_passes(
+        fixture_dataset.images, fixture_weights, fixture_bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
     )

@@ -24,7 +24,7 @@ from excel.dynamic_calibration import (
 from excel.encoder import NAMED_CALIBRATIONS, Calibration, LayerTrace, encode, expected_row_sums
 from excel.numerics import Rng, softmax_rows
 from excel.pipeline import run_pipeline
-from excel.static_calibration import run_static_pipeline
+from excel.static_calibration import run_static_passes
 from excel.text_enrichment import (
     AttributeSpace,
     KnowledgeBase,
@@ -46,46 +46,40 @@ def ok(num, message):
 
 
 @pytest.fixture(scope="module")
-def toy_run(fixture_paths, fixture_weights, fixture_dataset, fixture_kb):
+def toy_run(fixture_paths, fixture_weights, fixture_dataset, fixture_kb, fixture_bank, fixture_static):
+    # fixture_bank is clustered with cfg's topk and lam under seed 7, and
+    # fixture_static is its calibrated pass under cfg's calibration
     cfg = TrainConfig(iterations=TRAIN_ITERATIONS, seed=7)
-    bank = build_text_bank(
-        fixture_kb, clusters=16, topk=cfg.topk, lam=cfg.lam, rng=Rng(cfg.seed).child("attributes")
-    )
+    bank = fixture_bank
     bank_unclustered = build_text_bank(
         fixture_kb, clusters=16, topk=cfg.topk, lam=cfg.lam,
         rng=Rng(cfg.seed).child("attributes"), clustered=False,
     )
 
-    def miou_of(labels_by_name):
-        preds = [
-            upsample_labels(labels_by_name[rec.name], fixture_weights.patch_size)
-            for rec in fixture_dataset.images
-        ]
+    def miou_of(label_maps):
+        preds = [upsample_labels(labels, fixture_weights.patch_size) for labels in label_maps]
         gts = [rec.mask for rec in fixture_dataset.images]
         return evaluate(preds, gts, num_labels=len(fixture_dataset.class_names)).miou
 
-    def static_pass(policy, which_bank):
-        return {
-            rec.name: run_static_pipeline(
-                rec.image, fixture_weights, which_bank, rec.labels, policy, cfg.tau_fg, cfg.tau_bg
-            )
-            for rec in fixture_dataset.images
-        }
+    def static_labels(policy, which_bank):
+        results = run_static_passes(
+            fixture_dataset.images, fixture_weights, which_bank, policy, cfg.tau_fg, cfg.tau_bg, keep_traces=False
+        )
+        return [res.labels for res in results]
 
     t0 = time.monotonic()
-    static_results = static_pass(cfg.calibration(), bank)
-    vanilla_results = static_pass(NAMED_CALIBRATIONS["vanilla"], bank)
-    unclustered_results = static_pass(cfg.calibration(), bank_unclustered)
+    vanilla_labels = static_labels(NAMED_CALIBRATIONS["vanilla"], bank)
+    unclustered_labels = static_labels(cfg.calibration(), bank_unclustered)
 
     backbone_before = b"".join(
         arr.tobytes() for arr in fixture_weights.to_tensors().values()
     )
-    train_result = train_loop(fixture_dataset, fixture_weights, bank, cfg)
+    train_result = train_loop(fixture_static, fixture_weights.dim, cfg)
     backbone_after = b"".join(
         arr.tobytes() for arr in fixture_weights.to_tensors().values()
     )
-    dynamic_labels = {
-        rec.name: dynamic_cam(
+    dynamic_labels = [
+        dynamic_cam(
             rec.image,
             fixture_weights,
             train_result.adapter,
@@ -94,17 +88,16 @@ def toy_run(fixture_paths, fixture_weights, fixture_dataset, fixture_kb):
             cfg.calibration(),
             cfg.tau_fg,
             cfg.tau_bg,
-            static_trace=static_results[rec.name].trace,
+            static.trace,
         ).labels
-        for rec in fixture_dataset.images
-    }
+        for rec, static in zip(fixture_dataset.images, fixture_static)
+    ]
     elapsed = time.monotonic() - t0
     return {
         "config": cfg,
-        "bank": bank,
-        "miou_static": miou_of({k: v.labels for k, v in static_results.items()}),
-        "miou_vanilla": miou_of({k: v.labels for k, v in vanilla_results.items()}),
-        "miou_unclustered": miou_of({k: v.labels for k, v in unclustered_results.items()}),
+        "miou_static": miou_of([res.labels for res in fixture_static]),
+        "miou_vanilla": miou_of(vanilla_labels),
+        "miou_unclustered": miou_of(unclustered_labels),
         "miou_dynamic": miou_of(dynamic_labels),
         "curve": train_result.curve,
         "backbone_unchanged": backbone_before == backbone_after,

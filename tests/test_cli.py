@@ -168,7 +168,7 @@ def _with_head_tensors(checkpoint, path):
     """A copy of `checkpoint` in the older layout, which also stored an
     affine segmentation head and its label count."""
     tf = load_tensors(checkpoint)
-    tensors = {name: tf.require(name) for name in tf.names()}
+    tensors = dict(tf.tensors)
     tensors["seghead.w"] = np.full((4, 12 * 64), 0.5, np.float32)
     tensors["seghead.b"] = np.zeros(4, np.float32)
     return save_tensors(path, tensors, meta={**tf.meta, "num_labels": 4}, provenance=tf.provenance)
@@ -444,13 +444,26 @@ def test_exit_code_cam_labels_not_class_ids(cli_fixtures, cli_trained, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_exit_code_cam_dynamic_without_adapter(cli_fixtures, cli_trained, tmp_path):
+    # a usage error, raised before the weights, bank or image are read
+    # and before --out is created
+    out_dir, _ = cli_trained
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    proc = run_excel(
+        "cam", "--mode", "dynamic", "--weights", str(cli_fixtures / "encoder.json"),
+        "--bank", str(out_dir / "attrs.json"), "--image", str(image), "--labels", "1", "--out", str(tmp_path / "out"),
+    )
+    assert "--adapter" in one_error_line(proc.returncode, proc.stderr, 1)
+    assert not (tmp_path / "out").exists()
+
+
 def _with_meta(manifest_path, out_path, key, value):
     """A copy of a tensor file whose meta `key` is `value`; None deletes it."""
     tf = load_tensors(manifest_path)
     meta = {k: v for k, v in tf.meta.items() if k != key}
     if value is not None:
         meta[key] = value
-    tensors = {name: tf.require(name) for name in tf.names()}
+    tensors = dict(tf.tensors)
     return save_tensors(out_path, tensors, meta=meta, provenance=tf.provenance)
 
 

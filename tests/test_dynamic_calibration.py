@@ -18,7 +18,6 @@ from excel.dynamic_calibration import (
 from excel.encoder import LAYER_COUNT, Calibration, LayerTrace, _head_attention, relation_bias
 from excel.errors import DataError, NumericError
 from excel.numerics import Rng
-from excel.static_calibration import run_static_pipeline
 from excel.training_eval import TrainConfig
 
 
@@ -391,12 +390,9 @@ def test_gradient_loss_matches_forward():
 # dynamic CAMs
 
 
-def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, fixture_dataset):
+def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, fixture_dataset, fixture_static):
     cfg = TrainConfig()
-    rec = fixture_dataset.images[0]
-    static = run_static_pipeline(
-        rec.image, fixture_weights, fixture_bank, rec.labels, cfg.calibration(), cfg.tau_fg, cfg.tau_bg
-    )
+    rec, static = fixture_dataset.images[0], fixture_static[0]
     zero = AdapterParams(
         deltas_w=[np.zeros((cfg.d_proj, 64), np.float32) for _ in range(LAYER_COUNT)],
         deltas_b=[np.zeros(cfg.d_proj, np.float32) for _ in range(LAYER_COUNT)],
@@ -414,7 +410,7 @@ def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, 
         cfg.calibration(),
         cfg.tau_fg,
         cfg.tau_bg,
-        static_trace=static.trace,
+        static.trace,
     )
     # identical features -> cosines all one -> relation uniformly zero
     relation = dynamic_relation(adapter_forward(static.trace, zero), zero.alpha, zero.beta)
@@ -424,12 +420,12 @@ def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, 
     )
 
 
-def test_dynamic_cam_deterministic(fixture_weights, fixture_bank, fixture_dataset):
+def test_dynamic_cam_deterministic(fixture_weights, fixture_bank, fixture_dataset, fixture_static):
     cfg = TrainConfig()
     rec = fixture_dataset.images[1]
     adapter = init_adapter(Rng(19), dim=64, d_proj=cfg.d_proj, d_dyn=cfg.d_dyn)
-    args = (rec.image, fixture_weights, adapter, fixture_bank, rec.labels)
-    d1 = dynamic_cam(*args, cfg.calibration(), cfg.tau_fg, cfg.tau_bg)
-    d2 = dynamic_cam(*args, cfg.calibration(), cfg.tau_fg, cfg.tau_bg)
+    args = (rec.image, fixture_weights, adapter, fixture_bank, rec.labels, cfg.calibration(), cfg.tau_fg, cfg.tau_bg)
+    d1 = dynamic_cam(*args, fixture_static[1].trace)
+    d2 = dynamic_cam(*args, fixture_static[1].trace)
     assert d1.cams.maps.tobytes() == d2.cams.maps.tobytes()
     assert np.array_equal(d1.labels, d2.labels)

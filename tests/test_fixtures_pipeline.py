@@ -272,9 +272,10 @@ def test_pipeline_full_mode_with_vanilla_static_policy(tmp_path, fixture_paths):
 
 
 def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeypatch, tmp_path, fixture_paths, fixture_dataset):
-    # training and dynamic CAMs reuse the calibrated static pass, training
-    # makes no biased encode, and each biased re-encode runs only the
-    # calibrated layers
+    # training and dynamic CAMs share one calibrated pass per image, whether
+    # the static stage exports that pass (the default) or another policy
+    # (vanilla); training makes no biased encode, and each biased re-encode
+    # runs only the calibrated layers
     calibrated, biased, biased_heads = [], [], []
     real_encode, real_head = encoder.encode, encoder._head_attention
 
@@ -294,21 +295,25 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
     for module in (static_calibration, dynamic_calibration):
         monkeypatch.setattr(module, "encode", counting_encode)
     monkeypatch.setattr(encoder, "_head_attention", counting_head)
-    cfg = parse_config(
-        {
-            "seed": 7,
-            "weights": str(fixture_paths["weights"]),
-            "knowledge": str(fixture_paths["knowledge"]),
-            "dataset": str(fixture_paths["dataset"]),
-            "out_dir": str(tmp_path / "run"),
-            "iterations": 17,
-        }
-    )
-    run_pipeline(cfg, mode="full")
     images = sorted(rec.image.tobytes() for rec in fixture_dataset.images)
-    assert sorted(calibrated) == images  # 32 calibrated encodes, not 64
-    assert sorted(biased) == images  # one per image, all in stage_dynamic
-    assert set(biased_heads) == {4 * cfg.train.calib_layers}
+    for policy, iterations in (("intra_correlation", 17), ("vanilla", 2)):
+        for log in (calibrated, biased, biased_heads):
+            log.clear()
+        cfg = parse_config(
+            {
+                "seed": 7,
+                "weights": str(fixture_paths["weights"]),
+                "knowledge": str(fixture_paths["knowledge"]),
+                "dataset": str(fixture_paths["dataset"]),
+                "out_dir": str(tmp_path / policy),
+                "policy": policy,
+                "iterations": iterations,
+            }
+        )
+        run_pipeline(cfg, mode="full")
+        assert sorted(calibrated) == images, policy  # 32 calibrated encodes, not 64
+        assert sorted(biased) == images, policy  # one per image, all in stage_dynamic
+        assert set(biased_heads) == {4 * cfg.train.calib_layers}
 
 
 def test_pipeline_unknown_mode(fixture_paths, tmp_path):

@@ -234,9 +234,9 @@ def test_attn_report_requires_policy():
 # training loop
 
 
-def test_train_loop_zero_iterations_returns_init(fixture_weights, fixture_bank, fixture_dataset):
+def test_train_loop_zero_iterations_returns_init(fixture_weights, fixture_static):
     cfg = small_config(iterations=0)
-    result = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg)
+    result = train_loop(fixture_static, fixture_weights.dim, cfg)
     fresh = init_adapter(
         Rng(cfg.seed).child("adapter"), fixture_weights.dim,
         d_proj=cfg.d_proj, d_dyn=cfg.d_dyn, fusion_kernel=cfg.fusion_kernel,
@@ -247,20 +247,20 @@ def test_train_loop_zero_iterations_returns_init(fixture_weights, fixture_bank, 
     assert result.curve == []
 
 
-def test_train_loop_checkpoints_byte_identical(tmp_path, fixture_weights, fixture_bank, fixture_dataset):
+def test_train_loop_checkpoints_byte_identical(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=3)
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
-    train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg, out_dir=out1)
-    train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg, out_dir=out2)
+    train_loop(fixture_static, fixture_weights.dim, cfg, out_dir=out1)
+    train_loop(fixture_static, fixture_weights.dim, cfg, out_dir=out2)
     for name in ("checkpoint_000003.json", "checkpoint_000003.bin", "loss_curve.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_train_loop_divergence_aborts(monkeypatch, fixture_weights, fixture_bank, fixture_dataset):
+def test_train_loop_divergence_aborts(monkeypatch, fixture_weights, fixture_static):
     cfg = small_config(iterations=2, divergence_threshold=1e-6)
     with pytest.raises(NumericError, match="diverged"):
-        train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg)
+        train_loop(fixture_static, fixture_weights.dim, cfg)
     # a non-finite loss aborts too, whatever the threshold
     real = training_eval.diversity_loss_gradient
 
@@ -269,12 +269,12 @@ def test_train_loop_divergence_aborts(monkeypatch, fixture_weights, fixture_bank
 
     monkeypatch.setattr(training_eval, "diversity_loss_gradient", nan_loss)
     with pytest.raises(NumericError, match="diverged at iteration 0: diversity loss nan"):
-        train_loop(fixture_dataset, fixture_weights, fixture_bank, small_config(iterations=2))
+        train_loop(fixture_static, fixture_weights.dim, small_config(iterations=2))
 
 
-def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_bank, fixture_dataset):
+def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=2)
-    result = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg, out_dir=tmp_path)
+    result = train_loop(fixture_static, fixture_weights.dim, cfg, out_dir=tmp_path)
     path = tmp_path / "checkpoint_000002.json"
     adapter, meta = load_checkpoint(path, fixture_weights.dim)
     for a, b in zip(adapter.to_dict().values(), result.adapter.to_dict().values()):
@@ -314,48 +314,47 @@ def test_loss_curve_roundtrip(tmp_path):
     assert read_loss_curve(path) == curve
 
 
-def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_bank, fixture_dataset):
+def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=4, checkpoint_every=2)
-    result = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg, out_dir=tmp_path)
+    result = train_loop(fixture_static, fixture_weights.dim, cfg, out_dir=tmp_path)
     curve = {row[0]: row for row in result.curve}
     for k in (0, 2):
         adapter, meta = load_checkpoint(tmp_path / f"checkpoint_{k:06d}.json", fixture_weights.dim)
-        div = replay_iteration(k, fixture_dataset, fixture_weights, fixture_bank, cfg, adapter)
+        div = replay_iteration(k, fixture_static, cfg, adapter)
         assert div == pytest.approx(curve[k][1], abs=1e-5)
 
 
-def test_train_loop_with_pair_subsampling(fixture_weights, fixture_bank, fixture_dataset):
+def test_train_loop_with_pair_subsampling(fixture_weights, fixture_static):
     cfg = small_config(iterations=2, pair_sample_limit=10)
-    r1 = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg)
-    r2 = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg)
+    r1 = train_loop(fixture_static, fixture_weights.dim, cfg)
+    r2 = train_loop(fixture_static, fixture_weights.dim, cfg)
     assert r1.curve == r2.curve
     for a, b in zip(r1.adapter.to_dict().values(), r2.adapter.to_dict().values()):
         assert np.array_equal(a, b)
 
 
-def test_train_loop_runs_one_static_pass_per_image(monkeypatch, fixture_weights, fixture_bank, fixture_dataset):
-    # static results depend only on frozen inputs, so 17 iterations over
-    # 32 images in batches of 4 (two full epochs and one more iteration)
-    # still encode each image statically once
+def test_train_loop_runs_one_static_pass_per_image(monkeypatch, fixture_weights, fixture_bank, fixture_dataset, fixture_static):
+    # the static results depend only on frozen inputs: run_static_passes
+    # encodes each image once, and 17 iterations over 32 images in batches
+    # of 4 (two full epochs and one more iteration) then train on those
+    # results without a single encoder call
     calls = []
-    real = training_eval.run_static_pipeline
+    real = static_calibration.run_static_pipeline
 
     def counting(image, weights, bank, present, policy, tau_fg, tau_bg):
         calls.append(image.tobytes())
         return real(image, weights, bank, present, policy, tau_fg, tau_bg)
 
-    monkeypatch.setattr(training_eval, "run_static_pipeline", counting)
+    monkeypatch.setattr(static_calibration, "run_static_pipeline", counting)
     cfg = small_config(iterations=17, batch_size=4)
-    first = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg)
+    static = static_calibration.run_static_passes(
+        fixture_dataset.images, fixture_weights, fixture_bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
+    )
     assert len(fixture_dataset.images) == 32
-    assert len(calls) == 32
-    assert sorted(calls) == sorted(rec.image.tobytes() for rec in fixture_dataset.images)
+    assert calls == [rec.image.tobytes() for rec in fixture_dataset.images]
+    for got, want in zip(static, fixture_static):
+        assert np.array_equal(got.cams.maps, want.cams.maps) and np.array_equal(got.labels, want.labels)
 
-    # handed that pass as the static cache, training makes no encoder call
-    cache = {
-        rec.name: real(rec.image, fixture_weights, fixture_bank, rec.labels, cfg.calibration(), cfg.tau_fg, cfg.tau_bg)
-        for rec in fixture_dataset.images
-    }
     encodes = []
     real_encode = encoder.encode
 
@@ -365,9 +364,9 @@ def test_train_loop_runs_one_static_pass_per_image(monkeypatch, fixture_weights,
 
     for module in (encoder, static_calibration, dynamic_calibration, training_eval):
         monkeypatch.setattr(module, "encode", counting_encode)
-    cached = train_loop(fixture_dataset, fixture_weights, fixture_bank, cfg, static_cache=cache)
+    result = train_loop(static, fixture_weights.dim, cfg)
     assert encodes == []
-    assert cached.curve == first.curve
+    assert len(result.curve) == 17
 
 
 def test_config_validation_errors():
