@@ -14,6 +14,10 @@ Blob: little-endian IEEE-754 binary32 values, row-major, packed back to
 back at the declared byte offsets with no gaps. Loading validates the
 manifest's structure, then verifies the checksum, then that the declared
 tensors tile the blob exactly.
+
+Every JSON file the package writes, manifests included, goes through
+`write_json` (2-space indent, sorted keys, trailing newline), and every
+JSON object it reads goes through `read_json_object`.
 """
 
 import json
@@ -23,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ChecksumError, DataError, MissingTensorError, ShapeError
+from .errors import ChecksumError, DataError, ExcelError, MissingTensorError, ShapeError
 from .hashing import fnv1a64
 
 FORMAT_TAG = "excel-tensors-v1"
@@ -66,6 +70,28 @@ def is_finite_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
+def write_json(path, value) -> Path:
+    """`value` as JSON: 2-space indent, sorted keys, one trailing newline."""
+    path = Path(path)
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def read_json_object(path, what: str, error: type[ExcelError]) -> dict:
+    """The JSON object in `path`, else `error` naming `what` and the path:
+    a missing file, bytes that are not UTF-8 JSON, or another JSON value."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise error(f"{what} {path} is not a JSON object")
+    return value
+
+
 def save_tensors(path, tensors, meta=None, provenance=None) -> Path:
     """Write manifest + blob. `tensors` is an ordered name -> array mapping."""
     path = Path(path)
@@ -89,8 +115,7 @@ def save_tensors(path, tensors, meta=None, provenance=None) -> Path:
         "provenance": provenance or {},
     }
     blob_path.write_bytes(blob)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return write_json(path, manifest)
 
 
 def _is_count(value) -> bool:
@@ -123,14 +148,7 @@ def _parse_entries(path: Path, entries) -> list[tuple[str, tuple[int, ...], int]
 
 def load_tensors(path) -> TensorFile:
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"manifest not found: {path}")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataError(f"manifest {path} is not a JSON object")
+    manifest = read_json_object(path, "manifest", DataError)
     if manifest.get("format") != FORMAT_TAG:
         raise DataError(f"manifest {path} has unknown format tag {manifest.get('format')!r}")
     blob_name = manifest.get("blob")

@@ -6,24 +6,23 @@ Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric error.
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .blobio import save_tensors
+from .blobio import save_tensors, write_json
 from .config import PipelineConfig, load_config
 from .dataset import load_class_names, load_dataset
 from .dynamic_calibration import adapter_forward, dynamic_cam, dynamic_relation
 from .encoder import Calibration, encode, load_weights, named_calibration
-from .errors import EXIT_OK, ExcelError, UsageError
+from .errors import EXIT_DATA, EXIT_OK, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
 from .hashing import config_digest
 from .images import read_pgm, read_ppm, rgb_to_chw
 from .numerics import Rng
-from .pipeline import run_pipeline, run_provenance, stage_attributes, write_cam_outputs
+from .pipeline import check_bank_dim, run_pipeline, run_provenance, stage_attributes, write_cam_outputs
 from .static_calibration import run_static_passes, run_static_pipeline
 from .text_enrichment import build_text_bank, ingest_knowledge, load_bank, save_bank
 from .training_eval import attn_report, evaluate, load_checkpoint, report_text, train_loop
@@ -144,17 +143,19 @@ def _cmd_cam(args) -> int:
     weights = load_weights(args.weights)
     bank = load_bank(args.bank)
     image = rgb_to_chw(read_ppm(args.image))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    adapter = load_checkpoint(args.adapter, weights.dim)[0] if args.mode == "dynamic" else None
+    # every input is read and checked against the others before the encode
+    check_bank_dim(bank, args.bank, weights, args.weights)
     tau_fg, tau_bg = cfg.train.tau_fg, cfg.train.tau_bg
     if args.mode == "static":
         res = run_static_pipeline(image, weights, bank, present, cfg.static_policy(), tau_fg, tau_bg)
     else:
-        adapter, _ = load_checkpoint(args.adapter, weights.dim)
         calibration = cfg.train.calibration()
         trace = encode(image, weights, calibration)
         res = dynamic_cam(image, weights, adapter, bank, present, calibration, tau_fg, tau_bg, trace)
     prov = run_provenance(cfg, f"cam-{args.mode}")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cams_path, pgm_path = write_cam_outputs(out_dir, Path(args.image).stem, res, weights.patch_size, prov)
     print(f"cams: {cams_path}")
     print(f"pseudo: {pgm_path}")
@@ -166,7 +167,8 @@ def _cmd_train(args) -> int:
     cfg.validate()
     weights = load_weights(cfg.weights)
     dataset = load_dataset(cfg.dataset, patch_size=weights.patch_size)
-    bank, _ = stage_attributes(cfg)
+    bank, bank_path = stage_attributes(cfg)
+    check_bank_dim(bank, f"{bank_path} (from {cfg.knowledge})", weights, cfg.weights)
     calibrated = run_static_passes(
         dataset.images, weights, bank, cfg.train.calibration(), cfg.train.tau_fg, cfg.train.tau_bg, keep_traces=True
     )
@@ -196,9 +198,7 @@ def _cmd_eval(args) -> int:
     text = report_text(report, class_names)
     print(text, end="")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(args.out, report.to_dict())
     return EXIT_OK
 
 
@@ -230,9 +230,7 @@ def _cmd_attn_report(args) -> int:
         )
         summary[name] = {"mean_row_entropy": entry["mean_row_entropy"]}
         print(f"{name}: mean row entropy {entry['mean_row_entropy']:.4f}")
-    (out_dir / "attn_report.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "attn_report.json", summary)
     return EXIT_OK
 
 
@@ -263,6 +261,9 @@ def main(argv=None) -> int:
     except ExcelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

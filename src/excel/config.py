@@ -8,10 +8,10 @@ provenance is the digest of the full flat mapping.
 """
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .blobio import is_finite_number, read_json_object, write_json
 from .encoder import Calibration, named_calibration
 from .errors import UsageError
 from .hashing import config_digest
@@ -67,28 +67,25 @@ _TRAIN_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 _STR_KEYS = (*PATH_KEYS, "policy")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _typed(key: str, value, kind):
     """`value` checked against the field type `kind`; ints stay exact,
-    floats accept either JSON number."""
+    floats accept either finite JSON number (the parser also reads
+    `Infinity` and `NaN`)."""
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise UsageError(f"config key '{key}' must be an integer, got {value!r}")
         return value
     if kind is float:
-        if not _is_number(value):
-            raise UsageError(f"config key '{key}' must be a number, got {value!r}")
+        if not is_finite_number(value):
+            raise UsageError(f"config key '{key}' must be a finite number, got {value!r}")
         return float(value)
     if kind is str:
         if not isinstance(value, str):
             raise UsageError(f"config key '{key}' must be a string, got {value!r}")
         return value
     # calib_weights, the one tuple field
-    if not isinstance(value, (list, tuple)) or len(value) != 3 or not all(_is_number(w) for w in value):
-        raise UsageError(f"config key '{key}' must be a list of 3 numbers, got {value!r}")
+    if not isinstance(value, (list, tuple)) or len(value) != 3 or not all(is_finite_number(w) for w in value):
+        raise UsageError(f"config key '{key}' must be a list of 3 finite numbers, got {value!r}")
     return tuple(float(w) for w in value)
 
 
@@ -104,15 +101,7 @@ def parse_config(mapping: dict) -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"config file not found: {path}")
-    try:
-        mapping = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(mapping, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
-    cfg = parse_config(mapping)
+    cfg = parse_config(read_json_object(path, "config", UsageError))
     base = path.parent
     for key in PATH_KEYS:
         value = getattr(cfg, key)
@@ -121,8 +110,5 @@ def load_config(path) -> PipelineConfig:
     return cfg
 
 
-def save_config(path, cfg: PipelineConfig):
-    Path(path).write_text(
-        json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return Path(path)
+def save_config(path, cfg: PipelineConfig) -> Path:
+    return write_json(path, cfg.to_dict())

@@ -12,12 +12,12 @@ the set of foreground ids present in its mask, and the loader enforces
 that.
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .blobio import read_json_object, write_json
 from .errors import DataError
 from .images import read_pgm, read_ppm, rgb_to_chw
 from .static_calibration import IGNORE_LABEL
@@ -38,20 +38,10 @@ class ToyDataset:
     images: list[ImageRecord]
 
 
-def _read_json(path: Path):
-    if not path.is_file():
-        raise DataError(f"{path} not found")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def load_class_names(path) -> list[str]:
     """The class names of a `classes.json`, background first."""
     path = Path(path)
-    doc = _read_json(path)
-    names = doc.get("classes") if isinstance(doc, dict) else None
+    names = read_json_object(path, "class list", DataError).get("classes")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise DataError(f'{path} must hold {{"classes": [<class names>...]}}')
     if not names or names[0] != "background":
@@ -60,8 +50,8 @@ def load_class_names(path) -> list[str]:
 
 
 def _load_label_table(path: Path) -> dict:
-    table = _read_json(path)
-    if not isinstance(table, dict) or not all(
+    table = read_json_object(path, "label table", DataError)
+    if not all(
         isinstance(ids, list) and all(type(v) is int for v in ids) for ids in table.values()
     ):
         raise DataError(f"{path} must map each image stem to a list of integer class ids")
@@ -129,10 +119,6 @@ def save_dataset(root, class_names, records, comment: str | None = None):
         write_ppm(root / "images" / f"{name}.ppm", rgb, comment=comment)
         write_pgm(root / "masks" / f"{name}.pgm", mask, comment=comment)
         label_table[name] = sorted(int(v) for v in labels)
-    (root / "classes.json").write_text(
-        json.dumps({"classes": list(class_names)}, indent=2) + "\n", encoding="utf-8"
-    )
-    (root / "labels.json").write_text(
-        json.dumps(label_table, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(root / "classes.json", {"classes": list(class_names)})
+    write_json(root / "labels.json", label_table)
     return root

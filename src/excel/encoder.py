@@ -62,6 +62,20 @@ class LayerWeights:
     proj_b: np.ndarray
 
 
+# each layer's tensors in file order: the name under "layers.NN.", the
+# LayerWeights field, and the shape in axes of d = dim and m = mlp_dim
+LAYER_TENSORS = (
+    ("ln1.scale", "ln1_scale", "d"), ("ln1.shift", "ln1_shift", "d"),
+    ("attn.q.w", "q_w", "dd"), ("attn.q.b", "q_b", "d"),
+    ("attn.k.w", "k_w", "dd"), ("attn.k.b", "k_b", "d"),
+    ("attn.v.w", "v_w", "dd"), ("attn.v.b", "v_b", "d"),
+    ("attn.out.w", "out_w", "dd"), ("attn.out.b", "out_b", "d"),
+    ("ln2.scale", "ln2_scale", "d"), ("ln2.shift", "ln2_shift", "d"),
+    ("mlp.fc.w", "fc_w", "md"), ("mlp.fc.b", "fc_b", "m"),
+    ("mlp.proj.w", "proj_w", "dm"), ("mlp.proj.b", "proj_b", "d"),
+)
+
+
 @dataclass
 class EncoderWeights:
     dim: int
@@ -89,23 +103,8 @@ class EncoderWeights:
             "pos_embed": self.pos_embed,
         }
         for i, lw in enumerate(self.layers):
-            p = f"layers.{i:02d}."
-            out[p + "ln1.scale"] = lw.ln1_scale
-            out[p + "ln1.shift"] = lw.ln1_shift
-            out[p + "attn.q.w"] = lw.q_w
-            out[p + "attn.q.b"] = lw.q_b
-            out[p + "attn.k.w"] = lw.k_w
-            out[p + "attn.k.b"] = lw.k_b
-            out[p + "attn.v.w"] = lw.v_w
-            out[p + "attn.v.b"] = lw.v_b
-            out[p + "attn.out.w"] = lw.out_w
-            out[p + "attn.out.b"] = lw.out_b
-            out[p + "ln2.scale"] = lw.ln2_scale
-            out[p + "ln2.shift"] = lw.ln2_shift
-            out[p + "mlp.fc.w"] = lw.fc_w
-            out[p + "mlp.fc.b"] = lw.fc_b
-            out[p + "mlp.proj.w"] = lw.proj_w
-            out[p + "mlp.proj.b"] = lw.proj_b
+            for name, attr, _ in LAYER_TENSORS:
+                out[f"layers.{i:02d}.{name}"] = getattr(lw, attr)
         out["ln_final.scale"] = self.final_scale
         out["ln_final.shift"] = self.final_shift
         return out
@@ -148,29 +147,16 @@ def weights_from_tensorfile(tf: TensorFile) -> EncoderWeights:
     if dim % heads != 0:
         raise DataError(f"dim {dim} not divisible by heads {heads}")
     tokens = grid[0] * grid[1] + 1
-    layers = []
-    for i in range(LAYER_COUNT):
-        p = f"layers.{i:02d}."
-        layers.append(
-            LayerWeights(
-                ln1_scale=tf.require(p + "ln1.scale", (dim,)),
-                ln1_shift=tf.require(p + "ln1.shift", (dim,)),
-                q_w=tf.require(p + "attn.q.w", (dim, dim)),
-                q_b=tf.require(p + "attn.q.b", (dim,)),
-                k_w=tf.require(p + "attn.k.w", (dim, dim)),
-                k_b=tf.require(p + "attn.k.b", (dim,)),
-                v_w=tf.require(p + "attn.v.w", (dim, dim)),
-                v_b=tf.require(p + "attn.v.b", (dim,)),
-                out_w=tf.require(p + "attn.out.w", (dim, dim)),
-                out_b=tf.require(p + "attn.out.b", (dim,)),
-                ln2_scale=tf.require(p + "ln2.scale", (dim,)),
-                ln2_shift=tf.require(p + "ln2.shift", (dim,)),
-                fc_w=tf.require(p + "mlp.fc.w", (mlp_dim, dim)),
-                fc_b=tf.require(p + "mlp.fc.b", (mlp_dim,)),
-                proj_w=tf.require(p + "mlp.proj.w", (dim, mlp_dim)),
-                proj_b=tf.require(p + "mlp.proj.b", (dim,)),
-            )
+    sizes = {"d": dim, "m": mlp_dim}
+    layers = [
+        LayerWeights(
+            **{
+                attr: tf.require(f"layers.{i:02d}.{name}", tuple(sizes[a] for a in axes))
+                for name, attr, axes in LAYER_TENSORS
+            }
         )
+        for i in range(LAYER_COUNT)
+    ]
     return EncoderWeights(
         dim=dim,
         heads=heads,

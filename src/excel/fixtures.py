@@ -10,20 +10,19 @@ the classes by construction; description embeddings are noisy copies of
 the template.
 """
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .blobio import save_tensors
+from .blobio import write_json
 from .dataset import save_dataset
 from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerWeights, encode, save_weights
 from .errors import UsageError
 from .hashing import config_digest
 from .images import rgb_to_chw
 from .numerics import Rng
-from .text_enrichment import TEMPLATE_TEXT
+from .text_enrichment import save_knowledge
 
 PALETTE = [
     ("red", (220, 30, 30)),
@@ -234,15 +233,16 @@ def _probe_feature_means(weights, spec: FixtureSpec, probe_gen):
     return class_means, bg_acc / bg_count
 
 
-def build_knowledge_tensors(rng: Rng, spec: FixtureSpec, weights: EncoderWeights):
-    """Templates are background-contrast prototypes (class mean minus
-    background mean of the probed calibrated features), so background
-    tokens anchor the low end of every class map. Descriptions are noisy
-    unit-normalized copies of the template."""
+def build_knowledge_embeddings(rng: Rng, spec: FixtureSpec, weights: EncoderWeights):
+    """Per-class templates (dim,) and descriptions (n, dim). Templates are
+    background-contrast prototypes (class mean minus background mean of
+    the probed calibrated features), so background tokens anchor the low
+    end of every class map. Descriptions are noisy unit-normalized copies
+    of the template."""
     probe_gen = rng.child("probes").generator()
     noise_gen = rng.child("descriptions").generator()
     class_means, bg_mean = _probe_feature_means(weights, spec, probe_gen)
-    tensors = {}
+    templates, descriptions = [], []
     for c in range(1, spec.classes + 1):
         proto = class_means[c] - bg_mean
         template = proto / np.linalg.norm(proto)
@@ -250,9 +250,9 @@ def build_knowledge_tensors(rng: Rng, spec: FixtureSpec, weights: EncoderWeights
             (spec.n_descriptions, spec.dim)
         )
         descs /= np.linalg.norm(descs, axis=1, keepdims=True)
-        tensors[f"template.{c - 1:02d}"] = template.astype(np.float32)
-        tensors[f"descriptions.{c - 1:02d}"] = descs.astype(np.float32)
-    return tensors
+        templates.append(template.astype(np.float32))
+        descriptions.append(descs.astype(np.float32))
+    return templates, descriptions
 
 
 # --------------------------------------------------------------------------
@@ -272,29 +272,17 @@ def generate_fixtures(seed: int, spec: FixtureSpec, out_dir) -> dict:
     }
     weights = make_encoder_weights(rng.child("encoder"), spec)
     weights_path = save_weights(out_dir / "encoder.json", weights, provenance=provenance)
-    knowledge = build_knowledge_tensors(rng.child("knowledge"), spec, weights)
-    knowledge_path = save_tensors(
-        out_dir / "knowledge.json",
-        knowledge,
-        meta={
-            "classes": spec.class_names()[1:],
-            "n": spec.n_descriptions,
-            "dim": spec.dim,
-            "template_text": TEMPLATE_TEXT,
-        },
-        provenance=provenance,
+    templates, descriptions = build_knowledge_embeddings(rng.child("knowledge"), spec, weights)
+    knowledge_path = save_knowledge(
+        out_dir / "knowledge.json", spec.class_names()[1:], templates, descriptions, provenance=provenance
     )
     records = render_dataset(rng.child("dataset"), spec)
     comment = f"provenance stage=fixtures seed={seed} config={provenance['config_hash']}"
     dataset_dir = save_dataset(out_dir / "dataset", spec.class_names(), records, comment=comment)
-    (out_dir / "fixture_spec.json").write_text(
-        json.dumps({"spec": asdict(spec), "provenance": provenance}, indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
+    spec_path = write_json(out_dir / "fixture_spec.json", {"spec": asdict(spec), "provenance": provenance})
     return {
         "weights": weights_path,
         "knowledge": knowledge_path,
         "dataset": dataset_dir,
-        "spec": out_dir / "fixture_spec.json",
+        "spec": spec_path,
     }

@@ -6,21 +6,20 @@ directory whose artifacts carry a different config hash is refused.
 """
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .blobio import load_tensors
+from .blobio import load_tensors, read_json_object, write_json
 from .config import PipelineConfig, save_config
 from .dataset import ToyDataset, load_dataset
 from .dynamic_calibration import dynamic_cam
-from .encoder import load_weights
-from .errors import UsageError
+from .encoder import EncoderWeights, load_weights
+from .errors import DataError, UsageError
 from .images import write_pgm
 from .static_calibration import run_static_passes, save_cams
-from .text_enrichment import build_text_bank, ingest_knowledge, load_bank, save_bank
+from .text_enrichment import TextRepresentation, build_text_bank, ingest_knowledge, load_bank, save_bank
 from .training_eval import (
     evaluate,
     load_checkpoint,
@@ -45,19 +44,34 @@ def run_provenance(cfg: PipelineConfig, stage: str) -> dict:
     return {"stage": stage, "seed": cfg.seed, "config_hash": cfg.digest()}
 
 
-def _check_resume(path: Path, cfg: PipelineConfig, resume: bool) -> bool:
-    """True when `path` holds a reusable artifact for this config."""
-    if not path.exists():
-        return False
-    if not resume:
-        return False
-    recorded = load_tensors(path).provenance.get("config_hash")
-    if recorded != cfg.digest():
+def _require_config_hash(path: Path, provenance, cfg: PipelineConfig):
+    """Refuses to resume over `path` unless its `provenance` stamp carries
+    this config's hash."""
+    if not isinstance(provenance, dict):
+        raise DataError(f"{path} has a 'provenance' that is not an object")
+    if provenance.get("config_hash") != cfg.digest():
         raise UsageError(
             f"refusing to resume: {path} was produced with config hash "
-            f"{recorded}, current config hashes to {cfg.digest()}"
+            f"{provenance.get('config_hash')}, current config hashes to {cfg.digest()}"
         )
+
+
+def _check_resume(path: Path, cfg: PipelineConfig, resume: bool) -> bool:
+    """True when `path` holds a reusable artifact for this config."""
+    if not (resume and path.exists()):
+        return False
+    _require_config_hash(path, load_tensors(path).provenance, cfg)
     return True
+
+
+def check_bank_dim(bank: TextRepresentation, bank_source: str, weights: EncoderWeights, weights_path):
+    """A DataError naming both files unless the bank's embeddings have the
+    encoder's width, checked before any image is encoded."""
+    if bank.dim != weights.dim:
+        raise DataError(
+            f"text bank {bank_source} has dim {bank.dim}, but encoder weights "
+            f"{weights_path} have dim {weights.dim}"
+        )
 
 
 def stage_attributes(cfg: PipelineConfig, resume: bool = False):
@@ -148,8 +162,7 @@ def stage_eval(cfg: PipelineConfig, dataset: ToyDataset, label_maps: list, patch
     report = evaluate(preds, gts, num_labels=len(dataset.class_names))
     prov = run_provenance(cfg, "eval")
     payload = {"provenance": prov, "evaluated_stage": stage_name, **report.to_dict()}
-    report_path = Path(cfg.out_dir) / "report.json"
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    report_path = write_json(Path(cfg.out_dir) / "report.json", payload)
     (Path(cfg.out_dir) / "report.txt").write_text(
         report_text(report, dataset.class_names), encoding="utf-8"
     )
@@ -165,19 +178,15 @@ def run_pipeline(cfg: PipelineConfig, mode: str = "full", resume: bool = False):
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     report_path = out_root / "report.json"
-    if report_path.exists() and resume:
-        recorded = json.loads(report_path.read_text(encoding="utf-8")).get("provenance", {})
-        if recorded.get("config_hash") != cfg.digest():
-            raise UsageError(
-                f"refusing to resume into {out_root}: existing report has config hash "
-                f"{recorded.get('config_hash')}, current config hashes to {cfg.digest()}"
-            )
+    if resume and report_path.exists():
+        _require_config_hash(report_path, read_json_object(report_path, "report", DataError).get("provenance", {}), cfg)
     # the recorded copy points out_dir at its own directory, so identical
     # runs into different locations leave byte-identical trees
     save_config(out_root / "run_config.json", dataclasses.replace(cfg, out_dir="."))
     weights = load_weights(cfg.weights)
     dataset = load_dataset(cfg.dataset, patch_size=weights.patch_size)
     bank, bank_path = stage_attributes(cfg, resume=resume)
+    check_bank_dim(bank, f"{bank_path} (from {cfg.knowledge})", weights, cfg.weights)
     # training and dynamic CAMs consume the calibrated pass; when the
     # exported static stage runs that same calibration, its results are
     # that pass, so every image is encoded under it once per run

@@ -55,6 +55,18 @@ _NAMES = "a non-empty list of strings"
 _POSITIVE = "a positive integer"
 
 
+def save_knowledge(path, class_names, templates, descriptions, provenance=None) -> Path:
+    """Write the knowledge file `ingest_knowledge` reads: per class `c`,
+    `templates[c]` of shape (dim,) and `descriptions[c]` of shape (n, dim)."""
+    tensors = {}
+    for c, (template, desc) in enumerate(zip(templates, descriptions)):
+        tensors[f"template.{c:02d}"] = template
+        tensors[f"descriptions.{c:02d}"] = desc
+    n, dim = len(descriptions[0]), len(templates[0])
+    meta = {"classes": list(class_names), "n": n, "dim": dim, "template_text": TEMPLATE_TEXT}
+    return save_tensors(path, tensors, meta=meta, provenance=provenance)
+
+
 def ingest_knowledge(path) -> KnowledgeBase:
     """Load a knowledge file and L2-normalize every embedding column."""
     tf = load_tensors(path)
@@ -104,10 +116,6 @@ class AttributeSpace:
     inertia: float
     objective_history: list[float] = field(default_factory=list)
     iterations: int = 0
-
-    @property
-    def count(self) -> int:
-        return self.centroids.shape[1]
 
 
 def _kmeans_pp_seed(points: np.ndarray, b: int, gen: np.random.Generator) -> np.ndarray:
@@ -176,10 +184,9 @@ def cluster_attributes(kb: KnowledgeBase, b: int, rng: Rng) -> AttributeSpace:
             assignment = new_assignment
             break
         assignment = new_assignment
-    raw = np.empty((kb.dim, b), dtype=np.float64)
-    for j in range(b):
-        members = points[assignment == j]
-        raw[:, j] = members.mean(axis=0) if len(members) else centroids[j]
+    # the last update left every centroid at its members' mean (or at a
+    # re-seeded point when it had none)
+    raw = np.ascontiguousarray(centroids.T)
     return AttributeSpace(
         centroids=_normalize_columns(raw.astype(np.float32), "centroids"),
         raw_centroids=raw.astype(np.float32),
@@ -194,8 +201,9 @@ def cluster_attributes(kb: KnowledgeBase, b: int, rng: Rng) -> AttributeSpace:
 # hunting and enrichment
 
 
-def hunt_attributes(template: np.ndarray, attrs: AttributeSpace, k: int):
-    """Top-k centroids by dot-product score; ties break toward lower index.
+def hunt_attributes(template: np.ndarray, centroids: np.ndarray, k: int):
+    """Top-k columns of the (D, B) `centroids` by dot-product score; ties
+    break toward lower index.
 
     Returns (indices, scores) sorted by descending score. k past the
     centroid count returns everything.
@@ -204,9 +212,9 @@ def hunt_attributes(template: np.ndarray, attrs: AttributeSpace, k: int):
         raise UsageError(f"neighbor count must be >= 1, got {k}")
     template = nm.as_f32(template, "template").reshape(-1)
     scores = np.einsum(
-        "d,db->b", template.astype(np.float64), attrs.centroids.astype(np.float64)
+        "d,db->b", template.astype(np.float64), centroids.astype(np.float64)
     )
-    order = np.argsort(-scores, kind="stable")[: min(k, attrs.count)]
+    order = np.argsort(-scores, kind="stable")[:k]
     return order.astype(np.int32), scores[order].astype(np.float32)
 
 
@@ -241,7 +249,9 @@ class TextRepresentation:
     neighbor_scores: list[np.ndarray]
     lam: float
     topk: int
-    attributes: AttributeSpace | None = None
+    # (D, B) attribute centroids, unit columns and raw member means; None unclustered
+    centroids: np.ndarray | None = None
+    raw_centroids: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -272,14 +282,15 @@ def build_text_bank(
     description embeddings directly (the no-clustering baseline).
     """
     indices, scores, columns = [], [], []
-    attrs = None
+    centroids = raw = None
     if clustered:
         attrs = cluster_attributes(kb, clusters, rng.child("clustering"))
+        centroids, raw = attrs.centroids, attrs.raw_centroids
     for c in range(kb.num_classes):
         template = kb.templates[:, c]
         if clustered:
-            idx, sc = hunt_attributes(template, attrs, topk)
-            neighbors = attrs.centroids[:, idx]
+            idx, sc = hunt_attributes(template, centroids, topk)
+            neighbors = centroids[:, idx]
         else:
             idx = np.nonzero(kb.class_index == c)[0].astype(np.int32)
             neighbors = kb.embeddings[:, idx]
@@ -297,7 +308,8 @@ def build_text_bank(
         neighbor_scores=scores,
         lam=lam,
         topk=topk,
-        attributes=attrs,
+        centroids=centroids,
+        raw_centroids=raw,
     )
 
 
@@ -310,15 +322,15 @@ def save_bank(path, bank: TextRepresentation, provenance=None) -> Path:
         "templates": nm.transpose(bank.templates),
         "enriched": nm.transpose(bank.enriched),
     }
-    if bank.attributes is not None:
-        tensors["centroids"] = nm.transpose(bank.attributes.centroids)
-        tensors["raw_centroids"] = nm.transpose(bank.attributes.raw_centroids)
+    if bank.centroids is not None:
+        tensors["centroids"] = nm.transpose(bank.centroids)
+        tensors["raw_centroids"] = nm.transpose(bank.raw_centroids)
     meta = {
         "classes": bank.class_names,
         "dim": bank.dim,
         "lambda": bank.lam,
         "topk": bank.topk,
-        "clustered": bank.attributes is not None,
+        "clustered": bank.centroids is not None,
         "neighbors": [
             {"indices": [int(i) for i in idx], "scores": [float(s) for s in sc]}
             for idx, sc in zip(bank.neighbor_indices, bank.neighbor_scores)
@@ -359,16 +371,10 @@ def load_bank(path) -> TextRepresentation:
     )
     templates = nm.transpose(tf.require("templates", (len(class_names), dim)))
     enriched = nm.transpose(tf.require("enriched", (len(class_names), dim)))
-    attrs = None
+    centroids = raw = None
     if clustered:
         centroids = nm.transpose(tf.require("centroids"))
         raw = nm.transpose(tf.require("raw_centroids"))
-        attrs = AttributeSpace(
-            centroids=centroids,
-            raw_centroids=raw,
-            assignment=np.zeros(0, dtype=np.int32),
-            inertia=0.0,
-        )
     return TextRepresentation(
         class_names=class_names,
         templates=templates,
@@ -377,5 +383,6 @@ def load_bank(path) -> TextRepresentation:
         neighbor_scores=[np.asarray(e["scores"], dtype=np.float32) for e in neighbors],
         lam=float(lam),
         topk=topk,
-        attributes=attrs,
+        centroids=centroids,
+        raw_centroids=raw,
     )

@@ -26,7 +26,6 @@ from excel.numerics import Rng, softmax_rows
 from excel.pipeline import run_pipeline
 from excel.static_calibration import run_static_passes
 from excel.text_enrichment import (
-    AttributeSpace,
     KnowledgeBase,
     build_text_bank,
     cluster_attributes,
@@ -234,7 +233,7 @@ def test_criterion_4_clustering_oracle():
         hist = space.objective_history
         assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(hist, hist[1:]))
         points = kb.embeddings.T.astype(np.float64)
-        for j in range(space.count):
+        for j in range(space.centroids.shape[1]):
             members = points[space.assignment == j]
             if len(members):
                 gap = np.abs(space.raw_centroids[:, j] - members.mean(axis=0)).max()
@@ -282,13 +281,9 @@ def test_criterion_5_tse_identities(fixture_kb, toy_run):
         b = int(gen.integers(2, 24))
         centroids = gen.standard_normal((8, b)).astype(np.float32)
         centroids /= np.linalg.norm(centroids.astype(np.float64), axis=0)
-        space = AttributeSpace(
-            centroids=centroids, raw_centroids=centroids.copy(),
-            assignment=np.zeros(b, np.int32), inertia=0.0,
-        )
         t = gen.standard_normal(8).astype(np.float32)
         k = int(gen.integers(1, b))
-        idx, scores = hunt_attributes(t, space, k)
+        idx, scores = hunt_attributes(t, centroids, k)
         full = t.astype(np.float64) @ centroids.astype(np.float64)
         unselected = np.delete(full, idx)
         assert scores.min() >= unselected.max() - 1e-9

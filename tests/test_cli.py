@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 
 import excel
-from excel.blobio import load_tensors, save_tensors
+from excel.blobio import load_tensors, save_tensors, write_json
 from excel.cli import main
 from excel.config import parse_config, save_config
 from excel.encoder import save_weights
-from excel.fixtures import FixtureSpec, make_encoder_weights
+from excel.fixtures import FixtureSpec, generate_fixtures, make_encoder_weights
 from excel.images import read_pgm
 from excel.numerics import Rng
+from excel.text_enrichment import build_text_bank, ingest_knowledge, save_bank
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +257,14 @@ def test_exit_code_usage_error():
         {"lr": "0.1"},
         {"seed": "x"},
         {"batch_size": 2.5},
+        # JSON's parser reads Infinity and NaN; a config number must be finite
+        {"lr": math.inf},
+        {"beta": math.nan},
+        {"alpha": math.inf},
+        {"lam": math.inf},
+        {"weight_decay": math.inf},
+        {"adapter_init_sigma": math.inf},
+        {"calib_weights": [math.nan, 0.5, 0.5]},
     ],
     ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()),
 )
@@ -542,19 +552,99 @@ def test_exit_code_dataset_bad_json(cli_fixtures, tmp_path, capsys, name, edit):
     assert str(dataset / name) in _main_error(capsys, argv, 2)
 
 
-@pytest.mark.parametrize("what", ["image-missing", "image-directory", "weights-directory", "config-directory"])
+@pytest.mark.parametrize(
+    "what", ["image-missing", "image-directory", "weights-directory", "config-directory", "adapter-missing"]
+)
 def test_exit_code_missing_or_directory_input(cli_fixtures, cli_trained, tiny_weights, tmp_path, capsys, what):
     out_dir, cfg_path = cli_trained
     inputs = {
         "--weights": str(tiny_weights),
         "--image": str(next((cli_fixtures / "dataset" / "images").glob("*.ppm"))),
         "--config": str(cfg_path),
+        "--adapter": str(out_dir / "train" / "checkpoint_000001.json"),
     }
-    flag = {"image": "--image", "weights": "--weights", "config": "--config"}[what.split("-")[0]]
-    inputs[flag] = str(tmp_path / "missing.ppm") if what == "image-missing" else str(tmp_path)
-    argv = ["cam", "--bank", str(out_dir / "attrs.json"), "--labels", "1", "--out", str(tmp_path / "out")]
+    flag = f"--{what.split('-')[0]}"
+    inputs[flag] = str(tmp_path / "missing.ppm") if what.endswith("-missing") else str(tmp_path)
+    argv = ["cam", "--mode", "dynamic", "--bank", str(out_dir / "attrs.json"), "--labels", "1",
+            "--out", str(tmp_path / "out")]
     argv += [part for item in inputs.items() for part in item]
     assert inputs[flag] in _main_error(capsys, argv, 1 if flag == "--config" else 2)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "report", ["not json", "[1]", '{"provenance": 5}', "[" * 100_000], ids=["not-json", "list", "provenance-int", "deep"]
+)
+def test_exit_code_resume_over_corrupt_report(cli_fixtures, tmp_path, report):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "report.json").write_text(report)
+    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out_dir)
+    proc = run_excel("run", "--config", str(cfg_path), "--resume")
+    assert str(out_dir / "report.json") in one_error_line(proc.returncode, proc.stderr, 2)
+
+
+@pytest.mark.parametrize("case", ["build-attrs-no-dir", "build-attrs-under-file", "eval-no-dir"])
+def test_exit_code_unwritable_output_path(cli_fixtures, tmp_path, case):
+    (tmp_path / "afile").write_text("")
+    parent = tmp_path / ("afile" if case == "build-attrs-under-file" else "nodir")
+    if case.startswith("build-attrs"):
+        argv = ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "8",
+                "--out", str(parent / "bank.json")]
+    else:
+        masks = str(cli_fixtures / "dataset" / "masks")
+        argv = ["eval", "--pred-dir", masks, "--gt-dir", masks, "--classes",
+                str(cli_fixtures / "dataset" / "classes.json"), "--out", str(parent / "eval.json")]
+    proc = run_excel(*argv)
+    assert str(parent) in one_error_line(proc.returncode, proc.stderr, 2)
+
+
+@pytest.fixture(scope="module")
+def narrow_fixtures(tmp_path_factory):
+    """32-dim fixtures for the 64 px images: (knowledge file, a bank built from it)."""
+    root = tmp_path_factory.mktemp("narrowfx")
+    paths = generate_fixtures(42, FixtureSpec(images=4, dim=32, heads=2, mlp_dim=64), root)
+    bank = build_text_bank(ingest_knowledge(paths["knowledge"]), clusters=8, topk=4, lam=0.5, rng=Rng(0))
+    return paths["knowledge"], save_bank(root / "bank.json", bank)
+
+
+@pytest.mark.parametrize("case", ["cam-static", "cam-dynamic", "run"])
+def test_exit_code_bank_dim_mismatch_before_encode(cli_fixtures, cli_trained, narrow_fixtures, tmp_path, case):
+    # a 32-dim bank or knowledge file against the 64-dim weights fails where
+    # the two meet, naming both files, before an image is encoded or --out made
+    knowledge, bank = narrow_fixtures
+    out = tmp_path / "out"
+    weights = cli_fixtures / "encoder.json"
+    if case == "run":
+        cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out, knowledge=str(knowledge))
+        proc = run_excel("run", "--config", str(cfg_path))
+        named = knowledge
+    else:
+        image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+        checkpoint = cli_trained[0] / "train" / "checkpoint_000001.json"
+        proc = run_excel("cam", "--mode", case.split("-")[1], "--weights", str(weights), "--bank", str(bank),
+                         "--image", str(image), "--labels", "1", "--adapter", str(checkpoint), "--out", str(out))
+        named = bank
+    line = one_error_line(proc.returncode, proc.stderr, 2)
+    assert str(named) in line and str(weights) in line and "dim 32" in line
+    assert not (out / "static").exists() if case == "run" else not out.exists()
+
+
+# --------------------------------------------------------------------------
+# one JSON layout
+
+
+def test_every_json_file_has_the_one_layout(cli_fixtures, tmp_path):
+    # gen-fixtures and a full run write each JSON file as write_json would
+    out_dir = tmp_path / "out"
+    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out_dir, iterations=2, checkpoint_every=1)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    files = sorted([cfg_path, *cli_fixtures.rglob("*.json"), *out_dir.rglob("*.json")])
+    assert len(files) > 20
+    for path in files:
+        written = path.read_bytes()
+        canonical = write_json(tmp_path / "canonical.json", json.loads(written)).read_bytes()
+        assert written == canonical, path
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from excel.blobio import save_tensors
 from excel.errors import DataError, UsageError
 from excel.numerics import Rng, cosine_matrix, minmax_norm
 from excel.text_enrichment import (
-    AttributeSpace,
     KnowledgeBase,
     build_text_bank,
     cluster_attributes,
@@ -179,7 +178,7 @@ def test_cluster_voc_sized_all_non_empty():
     # 20 classes x 20 descriptions -> 400 columns, 112 clusters
     kb = synthetic_kb(seed=12, classes=20, n=20, dim=32)
     space = cluster_attributes(kb, b=112, rng=Rng(12))
-    assert space.count == 112
+    assert space.centroids.shape[1] == 112
     occupied = set(space.assignment.tolist())
     assert occupied == set(range(112))
 
@@ -207,23 +206,17 @@ def test_cluster_deterministic():
 def test_hunt_all_centroids_sorted():
     kb = synthetic_kb(seed=20)
     space = cluster_attributes(kb, b=6, rng=Rng(20))
-    idx, scores = hunt_attributes(kb.templates[:, 0], space, k=6)
+    idx, scores = hunt_attributes(kb.templates[:, 0], space.centroids, k=6)
     assert len(idx) == 6
     assert all(scores[i] >= scores[i + 1] for i in range(5))
-    assert hunt_attributes(kb.templates[:, 0], space, k=100)[0].shape == (6,)
+    assert hunt_attributes(kb.templates[:, 0], space.centroids, k=100)[0].shape == (6,)
 
 
 def test_hunt_top1_is_matching_centroid():
     dim = 8
     centroids = np.eye(dim, 5, dtype=np.float32)
-    space = AttributeSpace(
-        centroids=centroids,
-        raw_centroids=centroids.copy(),
-        assignment=np.zeros(5, np.int32),
-        inertia=0.0,
-    )
     template = centroids[:, 3]
-    idx, scores = hunt_attributes(template, space, k=1)
+    idx, scores = hunt_attributes(template, centroids, k=1)
     assert idx[0] == 3
     assert scores[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -235,15 +228,9 @@ def test_hunt_matches_full_sort_oracle():
         dim = int(gen.integers(4, 16))
         centroids = gen.standard_normal((dim, b)).astype(np.float32)
         centroids /= np.linalg.norm(centroids.astype(np.float64), axis=0)
-        space = AttributeSpace(
-            centroids=centroids,
-            raw_centroids=centroids.copy(),
-            assignment=np.zeros(b, np.int32),
-            inertia=0.0,
-        )
         t = gen.standard_normal(dim).astype(np.float32)
         k = int(gen.integers(1, b + 1))
-        idx, scores = hunt_attributes(t, space, k)
+        idx, scores = hunt_attributes(t, centroids, k)
         full = t.astype(np.float64) @ centroids.astype(np.float64)
         oracle = sorted(range(b), key=lambda j: (-full[j], j))[:k]
         assert idx.tolist() == oracle
@@ -251,13 +238,7 @@ def test_hunt_matches_full_sort_oracle():
 
 def test_hunt_tie_breaks_to_lower_index():
     centroids = np.stack([np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])], axis=1).astype(np.float32)
-    space = AttributeSpace(
-        centroids=centroids,
-        raw_centroids=centroids.copy(),
-        assignment=np.zeros(3, np.int32),
-        inertia=0.0,
-    )
-    idx, _ = hunt_attributes(np.array([1.0, 0.0], np.float32), space, k=2)
+    idx, _ = hunt_attributes(np.array([1.0, 0.0], np.float32), centroids, k=2)
     assert idx.tolist() == [0, 1]
 
 
@@ -268,15 +249,9 @@ def test_hunt_selected_minimum_dominates_unselected():
         dim = 8
         centroids = gen.standard_normal((dim, b)).astype(np.float32)
         centroids /= np.linalg.norm(centroids.astype(np.float64), axis=0)
-        space = AttributeSpace(
-            centroids=centroids,
-            raw_centroids=centroids.copy(),
-            assignment=np.zeros(b, np.int32),
-            inertia=0.0,
-        )
         t = gen.standard_normal(dim).astype(np.float32)
         k = int(gen.integers(1, b))
-        idx, scores = hunt_attributes(t, space, k)
+        idx, scores = hunt_attributes(t, centroids, k)
         full = t.astype(np.float64) @ centroids.astype(np.float64)
         unselected = np.delete(full, idx)
         if unselected.size:
@@ -332,14 +307,14 @@ def test_bank_deterministic(fixture_kb):
     b1 = build_text_bank(fixture_kb, clusters=8, topk=4, lam=0.5, rng=Rng(41))
     b2 = build_text_bank(fixture_kb, clusters=8, topk=4, lam=0.5, rng=Rng(41))
     assert b1.enriched.tobytes() == b2.enriched.tobytes()
-    assert b1.attributes.centroids.tobytes() == b2.attributes.centroids.tobytes()
+    assert b1.centroids.tobytes() == b2.centroids.tobytes()
 
 
 def test_bank_matches_independent_recomputation(fixture_kb):
     bank = build_text_bank(fixture_kb, clusters=16, topk=8, lam=0.5, rng=Rng(42))
     for c in range(fixture_kb.num_classes):
         t = fixture_kb.templates[:, c].astype(np.float64)
-        centroids = bank.attributes.centroids.astype(np.float64)
+        centroids = bank.centroids.astype(np.float64)
         scores = t @ centroids
         order = sorted(range(centroids.shape[1]), key=lambda j: (-scores[j], j))[:8]
         sel = centroids[:, order]
@@ -360,7 +335,7 @@ def test_bank_matches_independent_recomputation(fixture_kb):
 
 def test_bank_unclustered_uses_own_descriptions(fixture_kb):
     bank = build_text_bank(fixture_kb, clusters=16, topk=8, lam=0.5, rng=Rng(43), clustered=False)
-    assert bank.attributes is None
+    assert bank.centroids is None and bank.raw_centroids is None
     for c in range(fixture_kb.num_classes):
         assert np.array_equal(
             bank.neighbor_indices[c], np.nonzero(fixture_kb.class_index == c)[0]
@@ -379,7 +354,8 @@ def test_bank_save_load_roundtrip(tmp_path, fixture_kb):
         assert np.array_equal(a, b)
     for a, b in zip(loaded.neighbor_scores, bank.neighbor_scores):
         assert np.array_equal(a, b)  # float32 -> JSON float -> float32 is exact
-    assert loaded.attributes.centroids.tobytes() == bank.attributes.centroids.tobytes()
+    assert loaded.centroids.tobytes() == bank.centroids.tobytes()
+    assert loaded.raw_centroids.tobytes() == bank.raw_centroids.tobytes()
 
 
 def test_argmax_class_invariant_under_positive_scaling(fixture_kb):

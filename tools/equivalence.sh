@@ -1,0 +1,66 @@
+#!/usr/bin/env bash
+# Runs a fixed set of CLI commands with the package in checkout SRC and
+# leaves every output they write, and their stdout, under OUT. Two
+# checkouts produce byte-identical outputs when
+#     tools/equivalence.sh OLD /tmp/eq-old && tools/equivalence.sh NEW /tmp/eq-new
+#     diff -r /tmp/eq-old /tmp/eq-new
+# prints nothing. Everything runs under one BLAS/OpenMP thread with paths
+# relative to OUT, so the recorded configs and provenance hashes agree.
+# About 25 s on a 2-vCPU VM.
+set -euo pipefail
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC OUT" >&2
+    exit 1
+fi
+src=$(cd "$1" && pwd)/src
+mkdir -p "$2"
+cd "$2"
+export PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+excel() { python3 -m excel "$@"; }
+
+# config NAME OUT_DIR FIXTURES [EXTRA_JSON_MEMBERS]
+config() {
+    printf '{"seed": 7, "weights": "%s/encoder.json", "knowledge": "%s/knowledge.json", "dataset": "%s/dataset", "out_dir": "%s"%s}\n' \
+        "$3" "$3" "$3" "$2" "${4:+, $4}" > "$1"
+}
+
+excel gen-fixtures --out fx > gen-fixtures.log
+excel gen-fixtures --out fx256 --image-size 256 --images 8 > gen-fixtures-256.log
+
+config full.json full fx '"iterations": 17, "checkpoint_every": 8'
+excel run --config full.json > run-full.log
+config resumed.json resumed fx '"iterations": 17, "checkpoint_every": 8'
+cp -r full resumed
+excel run --config resumed.json --resume > run-resumed.log
+
+config kernel3.json kernel3 fx '"iterations": 5, "fusion_kernel": 3, "d_dyn": 64'
+excel run --config kernel3.json > run-kernel3.log
+config vanilla.json vanilla fx '"iterations": 5, "policy": "vanilla"'
+excel run --config vanilla.json > run-vanilla.log
+config static256.json static256 fx256
+excel run --config static256.json --mode static-only > run-static256.log
+
+config train.json train fx '"iterations": 5, "checkpoint_every": 2'
+excel train --config train.json > train.log
+
+excel build-attrs --kb fx/knowledge.json --clusters 16 --lambda 0.5 --seed 7 --out bank-0.5.json > build-attrs-0.5.log
+excel build-attrs --kb fx/knowledge.json --clusters 16 --lambda 0 --seed 7 --out bank-0.json > build-attrs-0.log
+
+for stem in img_0000 img_0001 img_0002; do
+    labels=$(python3 -c 'import json, sys; print(",".join(map(str, json.load(open(sys.argv[1]))[sys.argv[2]])))' \
+        fx/dataset/labels.json "$stem")
+    for mode in static dynamic; do
+        excel cam --mode "$mode" --weights fx/encoder.json --bank full/attrs.json \
+            --image "fx/dataset/images/$stem.ppm" --labels "$labels" \
+            --adapter full/train/checkpoint_000017.json --config full.json \
+            --out "cam-$mode" >> "cam-$mode.log"
+    done
+done
+
+excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.ppm \
+    --policies qk,vv,ic,icb --out attn > attn.log
+excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.ppm \
+    --policies icb,qk --adapter full/train/checkpoint_000017.json --calib-layers 3 --out attn-adapter > attn-adapter.log
+
+excel eval --pred-dir full/dynamic --gt-dir fx/dataset/masks --classes fx/dataset/classes.json \
+    --out eval.json > eval.log
