@@ -17,12 +17,12 @@ from .config import PipelineConfig, load_config
 from .dataset import load_class_names, load_dataset
 from .dynamic_calibration import adapter_forward, dynamic_cam, dynamic_relation
 from .encoder import Calibration, encode, load_weights, named_calibration
-from .errors import EXIT_DATA, EXIT_OK, ExcelError, UsageError
+from .errors import EXIT_DATA, EXIT_OK, DataError, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
 from .hashing import config_digest
 from .images import read_pgm, read_ppm, rgb_to_chw
 from .numerics import Rng
-from .pipeline import check_bank_dim, run_pipeline, run_provenance, stage_attributes, write_cam_outputs
+from .pipeline import check_bank_classes, check_bank_dim, run_pipeline, run_provenance, stage_attributes, write_cam_outputs
 from .static_calibration import run_static_passes, run_static_pipeline
 from .text_enrichment import build_text_bank, ingest_knowledge, load_bank, save_bank
 from .training_eval import attn_report, evaluate, load_checkpoint, report_text, train_loop
@@ -146,6 +146,12 @@ def _cmd_cam(args) -> int:
     adapter = load_checkpoint(args.adapter, weights.dim)[0] if args.mode == "dynamic" else None
     # every input is read and checked against the others before the encode
     check_bank_dim(bank, args.bank, weights, args.weights)
+    outside = [c for c in present if not 1 <= c <= bank.num_classes]
+    if outside:
+        raise DataError(
+            f"--labels lists class id {outside[0]}, but text bank {args.bank} "
+            f"has classes 1..{bank.num_classes}"
+        )
     tau_fg, tau_bg = cfg.train.tau_fg, cfg.train.tau_bg
     if args.mode == "static":
         res = run_static_pipeline(image, weights, bank, present, cfg.static_policy(), tau_fg, tau_bg)
@@ -168,7 +174,9 @@ def _cmd_train(args) -> int:
     weights = load_weights(cfg.weights)
     dataset = load_dataset(cfg.dataset, patch_size=weights.patch_size)
     bank, bank_path = stage_attributes(cfg)
-    check_bank_dim(bank, f"{bank_path} (from {cfg.knowledge})", weights, cfg.weights)
+    bank_source = f"{bank_path} (from {cfg.knowledge})"
+    check_bank_dim(bank, bank_source, weights, cfg.weights)
+    check_bank_classes(bank, bank_source, dataset)
     calibrated = run_static_passes(
         dataset.images, weights, bank, cfg.train.calibration(), cfg.train.tau_fg, cfg.train.tau_bg, keep_traces=True
     )

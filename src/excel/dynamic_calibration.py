@@ -31,94 +31,69 @@ from .static_calibration import (
 )
 
 
-def fusion_shape(d_dyn: int, channels: int, kernel: int) -> tuple[int, ...]:
-    """Stored shape of `fusion.w`: the 1x1 kernel is kept flat."""
-    return (d_dyn, channels) if kernel == 1 else (d_dyn, channels, kernel, kernel)
+def delta_names(layer: int) -> tuple[str, str]:
+    """The (weight, bias) tensor names of layer `layer`'s projection."""
+    return f"delta.{layer:02d}.w", f"delta.{layer:02d}.b"
+
+
+def adapter_shapes(dim: int, d_proj: int, d_dyn: int, kernel: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable adapter tensor, in file order: per
+    layer a (d_proj, dim) weight and a (d_proj,) bias, then `fusion.w`
+    (the 1x1 kernel kept flat) and the (d_dyn,) `fusion.b`."""
+    shapes = {}
+    for layer in range(LAYER_COUNT):
+        w, b = delta_names(layer)
+        shapes[w], shapes[b] = (d_proj, dim), (d_proj,)
+    channels = LAYER_COUNT * d_proj
+    shapes["fusion.w"] = (d_dyn, channels) if kernel == 1 else (d_dyn, channels, kernel, kernel)
+    shapes["fusion.b"] = (d_dyn,)
+    return shapes
 
 
 @dataclass
 class AdapterParams:
-    deltas_w: list[np.ndarray]  # 12 x (d_proj, D)
-    deltas_b: list[np.ndarray]  # 12 x (d_proj,)
-    fusion_w: np.ndarray  # fusion_shape(D_d, 12*d_proj, fusion_kernel)
-    fusion_b: np.ndarray  # (D_d,)
+    tensors: dict[str, np.ndarray]  # adapter_shapes order
     alpha: float
     beta: float
-    fusion_kernel: int = 1
 
     @property
-    def d_proj(self) -> int:
-        return self.deltas_w[0].shape[0]
-
-    @property
-    def d_dyn(self) -> int:
-        return self.fusion_b.shape[0]
+    def kernel(self) -> int:
+        """Fusion kernel size, read from the shape of `fusion.w`."""
+        w = self.tensors["fusion.w"]
+        return 1 if w.ndim == 2 else w.shape[-1]
 
     def fusion_kernel64(self) -> np.ndarray:
         """`fusion.w` as a float64 (D_d, 12*d_proj, k, k) kernel, whichever
         of its two stored shapes it has."""
-        k = self.fusion_kernel
-        return self.fusion_w.astype(np.float64).reshape(self.d_dyn, -1, k, k)
-
-    def to_dict(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i in range(LAYER_COUNT):
-            out[f"delta.{i:02d}.w"] = self.deltas_w[i]
-            out[f"delta.{i:02d}.b"] = self.deltas_b[i]
-        out["fusion.w"] = self.fusion_w
-        out["fusion.b"] = self.fusion_b
-        return out
-
-    def replace(self, params: dict[str, np.ndarray]) -> "AdapterParams":
-        return AdapterParams(
-            deltas_w=[params[f"delta.{i:02d}.w"] for i in range(LAYER_COUNT)],
-            deltas_b=[params[f"delta.{i:02d}.b"] for i in range(LAYER_COUNT)],
-            fusion_w=params["fusion.w"],
-            fusion_b=params["fusion.b"],
-            alpha=self.alpha,
-            beta=self.beta,
-            fusion_kernel=self.fusion_kernel,
-        )
-
-    def param_count(self) -> int:
-        return int(sum(a.size for a in self.to_dict().values()))
+        w, k = self.tensors["fusion.w"], self.kernel
+        return w.astype(np.float64).reshape(w.shape[0], w.shape[1], k, k)
 
 
 def init_adapter(
     rng: Rng,
     dim: int,
-    d_proj: int = 64,
-    d_dyn: int = 256,
-    fusion_kernel: int = 1,
-    sigma: float = 0.02,
-    alpha: float = 3.0,
-    beta: float = 1.0,
+    d_proj: int,
+    d_dyn: int,
+    fusion_kernel: int,
+    sigma: float,
+    alpha: float,
+    beta: float,
 ) -> AdapterParams:
+    """Delta biases start at zero; every other tensor is drawn N(0, sigma^2)
+    in table order."""
     if fusion_kernel not in (1, 3):
         raise UsageError(f"fusion kernel must be 1 or 3, got {fusion_kernel}")
     if alpha <= 0:
         raise UsageError(f"scaling factor must be positive, got {alpha}")
     gen = rng.generator()
-    deltas_w = [
-        (sigma * gen.standard_normal((d_proj, dim))).astype(np.float32)
-        for _ in range(LAYER_COUNT)
-    ]
-    deltas_b = [np.zeros(d_proj, dtype=np.float32) for _ in range(LAYER_COUNT)]
-    fusion_w = (
-        sigma * gen.standard_normal(fusion_shape(d_dyn, LAYER_COUNT * d_proj, fusion_kernel))
-    ).astype(np.float32)
     # a nonzero fusion bias keeps the dynamic features away from the zero
     # column degeneracy while the weights are still tiny
-    fusion_b = (sigma * gen.standard_normal(d_dyn)).astype(np.float32)
-    return AdapterParams(
-        deltas_w=deltas_w,
-        deltas_b=deltas_b,
-        fusion_w=fusion_w,
-        fusion_b=fusion_b,
-        alpha=alpha,
-        beta=beta,
-        fusion_kernel=fusion_kernel,
-    )
+    zero = {delta_names(layer)[1] for layer in range(LAYER_COUNT)}
+    tensors = {}
+    for name, shape in adapter_shapes(dim, d_proj, d_dyn, fusion_kernel).items():
+        draw = np.zeros(shape) if name in zero else sigma * gen.standard_normal(shape)
+        tensors[name] = draw.astype(np.float32)
+    return AdapterParams(tensors, alpha, beta)
 
 
 # --------------------------------------------------------------------------
@@ -145,8 +120,8 @@ def _fusion_forward(zpad: np.ndarray, params: AdapterParams, grid) -> np.ndarray
     fusion convolution, one float64 product per kernel tap."""
     w = params.fusion_kernel64()
     hw = grid[0] * grid[1]
-    out = sum(zpad[win].reshape(hw, -1) @ w[:, :, dy, dx].T for dy, dx, win in _taps(grid, params.fusion_kernel))
-    return out + params.fusion_b.astype(np.float64)
+    out = sum(zpad[win].reshape(hw, -1) @ w[:, :, dy, dx].T for dy, dx, win in _taps(grid, params.kernel))
+    return out + params.tensors["fusion.b"].astype(np.float64)
 
 
 def _adapter_forward64(trace: LayerTrace, params: AdapterParams):
@@ -155,11 +130,11 @@ def _adapter_forward64(trace: LayerTrace, params: AdapterParams):
     if len(trace.features) != LAYER_COUNT:
         raise DataError(f"trace has {len(trace.features)} layers, expected {LAYER_COUNT}")
     xs = [f[1:].astype(np.float64) for f in trace.features]  # CLS dropped
-    zs = [
-        x @ params.deltas_w[i].astype(np.float64).T + params.deltas_b[i].astype(np.float64)
-        for i, x in enumerate(xs)
-    ]
-    zpad = _pad_grid(np.concatenate(zs, axis=1), trace.grid, params.fusion_kernel // 2)
+    zs = []
+    for layer, x in enumerate(xs):
+        w, b = (params.tensors[name].astype(np.float64) for name in delta_names(layer))
+        zs.append(x @ w.T + b)
+    zpad = _pad_grid(np.concatenate(zs, axis=1), trace.grid, params.kernel // 2)
     return _fusion_forward(zpad, params, trace.grid), zpad, xs
 
 
@@ -273,7 +248,7 @@ def diversity_loss_gradient(
     trace: LayerTrace, params: AdapterParams, batch: AffinityBatch
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss value plus exact reverse-mode gradients for every adapter
-    parameter, keyed like AdapterParams.to_dict()."""
+    tensor, keyed like `params.tensors`."""
     feats, zpad, xs = _adapter_forward64(trace, params)
     hw = feats.shape[0]
     norms, fhat, u = _pair_affinity(feats)
@@ -293,20 +268,19 @@ def diversity_loss_gradient(
 
     # the fusion convolution's transpose, tap by tap
     gh, gw = trace.grid
-    pad = params.fusion_kernel // 2
+    pad = params.kernel // 2
     w = params.fusion_kernel64()
     g_w = np.empty_like(w)
     g_zpad = np.zeros_like(zpad)
-    for dy, dx, win in _taps(trace.grid, params.fusion_kernel):
+    for dy, dx, win in _taps(trace.grid, params.kernel):
         g_w[:, :, dy, dx] = g_feats.T @ zpad[win].reshape(hw, -1)
         g_zpad[win] += (g_feats @ w[:, :, dy, dx]).reshape(gh, gw, -1)
-    grads = {"fusion.w": g_w.reshape(params.fusion_w.shape), "fusion.b": g_feats.sum(axis=0)}
+    grads = {"fusion.w": g_w.reshape(params.tensors["fusion.w"].shape), "fusion.b": g_feats.sum(axis=0)}
     g_zcat = g_zpad[pad : pad + gh, pad : pad + gw].reshape(hw, -1)
-    d_proj = params.d_proj
-    for i, x in enumerate(xs):
-        g_z = g_zcat[:, i * d_proj : (i + 1) * d_proj]
-        grads[f"delta.{i:02d}.w"] = g_z.T @ x
-        grads[f"delta.{i:02d}.b"] = g_z.sum(axis=0)
+    for layer, (x, g_z) in enumerate(zip(xs, np.split(g_zcat, LAYER_COUNT, axis=1))):
+        w_name, b_name = delta_names(layer)
+        grads[w_name] = g_z.T @ x
+        grads[b_name] = g_z.sum(axis=0)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for adapter parameter '{name}'")

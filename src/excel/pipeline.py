@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blobio import load_tensors, read_json_object, write_json
+from .blobio import read_json_object, write_json
 from .config import PipelineConfig, save_config
 from .dataset import ToyDataset, load_dataset
 from .dynamic_calibration import dynamic_cam
@@ -21,6 +21,7 @@ from .images import write_pgm
 from .static_calibration import run_static_passes, save_cams
 from .text_enrichment import TextRepresentation, build_text_bank, ingest_knowledge, load_bank, save_bank
 from .training_eval import (
+    checkpoint_path,
     evaluate,
     load_checkpoint,
     report_text,
@@ -44,9 +45,14 @@ def run_provenance(cfg: PipelineConfig, stage: str) -> dict:
     return {"stage": stage, "seed": cfg.seed, "config_hash": cfg.digest()}
 
 
-def _require_config_hash(path: Path, provenance, cfg: PipelineConfig):
-    """Refuses to resume over `path` unless its `provenance` stamp carries
-    this config's hash."""
+def _check_resume(path: Path, cfg: PipelineConfig, resume: bool) -> bool:
+    """True when `path`, a tensor-file manifest or `report.json`, holds a
+    reusable artifact for this config. Reads only the JSON file's
+    `provenance` stamp, and refuses to resume over a stamp without this
+    config's hash."""
+    if not (resume and path.exists()):
+        return False
+    provenance = read_json_object(path, "artifact", DataError).get("provenance", {})
     if not isinstance(provenance, dict):
         raise DataError(f"{path} has a 'provenance' that is not an object")
     if provenance.get("config_hash") != cfg.digest():
@@ -54,13 +60,6 @@ def _require_config_hash(path: Path, provenance, cfg: PipelineConfig):
             f"refusing to resume: {path} was produced with config hash "
             f"{provenance.get('config_hash')}, current config hashes to {cfg.digest()}"
         )
-
-
-def _check_resume(path: Path, cfg: PipelineConfig, resume: bool) -> bool:
-    """True when `path` holds a reusable artifact for this config."""
-    if not (resume and path.exists()):
-        return False
-    _require_config_hash(path, load_tensors(path).provenance, cfg)
     return True
 
 
@@ -71,6 +70,16 @@ def check_bank_dim(bank: TextRepresentation, bank_source: str, weights: EncoderW
         raise DataError(
             f"text bank {bank_source} has dim {bank.dim}, but encoder weights "
             f"{weights_path} have dim {weights.dim}"
+        )
+
+
+def check_bank_classes(bank: TextRepresentation, bank_source: str, dataset: ToyDataset):
+    """A DataError naming the bank and `classes.json` unless the bank's
+    classes are the dataset's foreground classes, in the same order."""
+    if bank.class_names != dataset.class_names[1:]:
+        raise DataError(
+            f"text bank {bank_source} has classes {bank.class_names}, but "
+            f"{dataset.root / 'classes.json'} lists foreground classes {dataset.class_names[1:]}"
         )
 
 
@@ -121,7 +130,7 @@ def stage_train(cfg: PipelineConfig, dim: int, calibrated, resume: bool = False)
     """The adapter trained on `calibrated`, each image's pass under
     `cfg.train.calibration()` with its trace, in dataset order."""
     out_dir = Path(cfg.out_dir) / "train"
-    final = out_dir / f"checkpoint_{cfg.train.iterations:06d}.json"
+    final = checkpoint_path(out_dir, cfg.train.iterations)
     if _check_resume(final, cfg, resume):
         adapter, _ = load_checkpoint(final, dim)
         return adapter, out_dir
@@ -177,16 +186,16 @@ def run_pipeline(cfg: PipelineConfig, mode: str = "full", resume: bool = False):
     cfg.validate()
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    report_path = out_root / "report.json"
-    if resume and report_path.exists():
-        _require_config_hash(report_path, read_json_object(report_path, "report", DataError).get("provenance", {}), cfg)
+    _check_resume(out_root / "report.json", cfg, resume)
     # the recorded copy points out_dir at its own directory, so identical
     # runs into different locations leave byte-identical trees
     save_config(out_root / "run_config.json", dataclasses.replace(cfg, out_dir="."))
     weights = load_weights(cfg.weights)
     dataset = load_dataset(cfg.dataset, patch_size=weights.patch_size)
     bank, bank_path = stage_attributes(cfg, resume=resume)
-    check_bank_dim(bank, f"{bank_path} (from {cfg.knowledge})", weights, cfg.weights)
+    bank_source = f"{bank_path} (from {cfg.knowledge})"
+    check_bank_dim(bank, bank_source, weights, cfg.weights)
+    check_bank_classes(bank, bank_source, dataset)
     # training and dynamic CAMs consume the calibrated pass; when the
     # exported static stage runs that same calibration, its results are
     # that pass, so every image is encoded under it once per run

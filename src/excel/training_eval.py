@@ -16,12 +16,12 @@ from . import numerics as nm
 from .blobio import is_finite_number, is_positive_int, load_tensors, save_tensors
 from .dynamic_calibration import (
     AdapterParams,
+    adapter_shapes,
     build_affinity_batch,
     diversity_loss_gradient,
-    fusion_shape,
     init_adapter,
 )
-from .encoder import LAYER_COUNT, Calibration, EncoderWeights, encode
+from .encoder import Calibration, EncoderWeights, encode
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .numerics import Rng
 from .static_calibration import IGNORE_LABEL, StaticResult
@@ -124,7 +124,8 @@ def adamw_step(
     lr: float,
     weight_decay: float,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One decoupled-weight-decay Adam update; returns new params and state.
+    """One decoupled-weight-decay Adam update; returns new params, in the
+    order of `params`, and state.
 
     Decay multiplies weights by (1 - lr*wd) and skips biases (names ending
     '.b'). Moments are bias-corrected; math runs in float64, storage stays
@@ -134,7 +135,7 @@ def adamw_step(
     wd = float(weight_decay)
     t = state.step + 1
     new_params, new_m, new_v = {}, {}, {}
-    for name in sorted(params):
+    for name in params:
         if name not in grads:
             raise DataError(f"no gradient supplied for parameter '{name}'")
         p = params[name].astype(np.float64)
@@ -159,22 +160,27 @@ def adamw_step(
 # checkpoints
 
 
+def checkpoint_path(out_dir, iteration: int) -> Path:
+    """Where training into `out_dir` writes the adapter after `iteration` steps."""
+    return Path(out_dir) / f"checkpoint_{iteration:06d}.json"
+
+
 def save_checkpoint(path, adapter: AdapterParams, meta: dict, provenance=None) -> Path:
-    """One tensor file: the adapter parameters plus its relation settings."""
-    tensors = {f"adapter.{k}": v for k, v in adapter.to_dict().items()}
-    full_meta = {**meta, "alpha": adapter.alpha, "beta": adapter.beta, "fusion_kernel": adapter.fusion_kernel}
+    """One tensor file: the adapter tensors, in table order under the
+    `adapter.` prefix, plus its relation settings."""
+    tensors = {f"adapter.{k}": v for k, v in adapter.tensors.items()}
+    full_meta = {**meta, "alpha": adapter.alpha, "beta": adapter.beta, "fusion_kernel": adapter.kernel}
     return save_tensors(path, tensors, meta=full_meta, provenance=provenance)
 
 
 def load_checkpoint(path, dim: int):
     """Returns (adapter, meta) for an adapter that reads `dim`-wide
-    encoder features. The meta `dim` must equal `dim`, and the tensor
-    shapes must agree with the meta: 12 deltas of one (d_proj, dim)
-    shape, `fusion.w` of shape (d_dyn, 12*d_proj) for kernel 1 or
-    (d_dyn, 12*d_proj, 3, 3) for kernel 3, `fusion.b` of shape (d_dyn,).
-    Tensors other than `adapter.*`, such as the segmentation-head pair
-    older checkpoints carry, are ignored, and so is the optimizer sidecar
-    file they were written with."""
+    encoder features. The meta `dim` must equal `dim`, and every tensor
+    must have its `adapter_shapes` shape for the meta `fusion_kernel` and
+    the widths of `delta.00.w` and `fusion.w`. Tensors other than
+    `adapter.*`, such as the segmentation-head pair older checkpoints
+    carry, are ignored, and so is the optimizer sidecar file they were
+    written with."""
     tf = load_tensors(path)
     alpha, beta = (float(tf.meta_value(key, is_finite_number, "a finite number")) for key in ("alpha", "beta"))
     kernel = tf.meta_value("fusion_kernel", lambda k: type(k) is int and k in (1, 3), "1 or 3")
@@ -183,22 +189,14 @@ def load_checkpoint(path, dim: int):
         raise DataError(f"checkpoint {tf.path} adapts {width}-dim encoder features, the weights have dim {dim}")
 
     def leading(name):
-        shape = tf.require(name).shape
+        shape = tf.require(f"adapter.{name}").shape
         if not shape:
-            raise ShapeError(f"tensor '{name}' in {tf.path} is a scalar")
+            raise ShapeError(f"tensor 'adapter.{name}' in {tf.path} is a scalar")
         return shape[0]
 
-    d_proj, d_dyn = leading("adapter.delta.00.w"), leading("adapter.fusion.w")
-    adapter = AdapterParams(
-        deltas_w=[tf.require(f"adapter.delta.{i:02d}.w", (d_proj, width)) for i in range(LAYER_COUNT)],
-        deltas_b=[tf.require(f"adapter.delta.{i:02d}.b", (d_proj,)) for i in range(LAYER_COUNT)],
-        fusion_w=tf.require("adapter.fusion.w", fusion_shape(d_dyn, LAYER_COUNT * d_proj, kernel)),
-        fusion_b=tf.require("adapter.fusion.b", (d_dyn,)),
-        alpha=alpha,
-        beta=beta,
-        fusion_kernel=kernel,
-    )
-    return adapter, tf.meta
+    shapes = adapter_shapes(dim, leading("delta.00.w"), leading("fusion.w"), kernel)
+    tensors = {name: tf.require(f"adapter.{name}", shape) for name, shape in shapes.items()}
+    return AdapterParams(tensors, alpha, beta), tf.meta
 
 
 # --------------------------------------------------------------------------
@@ -212,9 +210,9 @@ class TrainResult:
 
 
 def _iteration_loss(static: list[StaticResult], iteration: int, config: TrainConfig, adapter):
-    """Mean diversity loss and mean gradients, keyed like
-    `AdapterParams.to_dict()`, over `iteration`'s batch: `batch_size`
-    consecutive images, wrapping around the dataset."""
+    """Mean diversity loss and mean gradients, keyed like the adapter's
+    tensors, over `iteration`'s batch: `batch_size` consecutive images,
+    wrapping around the dataset."""
     rng = Rng(config.seed).child(f"it.{iteration}")
     div_sum = 0.0
     grad_acc: dict[str, np.ndarray] = {}
@@ -259,38 +257,24 @@ def train_loop(
         alpha=config.alpha,
         beta=config.beta,
     )
-    params = adapter.to_dict()
-    state = init_adam_state(params)
+    state = init_adam_state(adapter.tensors)
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     curve: list[tuple[int, float]] = []
     meta = {"train_config": config.to_dict(), "dim": dim}
-
-    def maybe_checkpoint(iteration):
-        if out_dir and config.checkpoint_every and iteration % config.checkpoint_every == 0:
-            save_checkpoint(
-                out_dir / f"checkpoint_{iteration:06d}.json",
-                adapter,
-                {**meta, "iteration": iteration},
-                provenance=provenance,
-            )
-
-    for it in range(config.iterations):
-        maybe_checkpoint(it)
+    for it in range(config.iterations + 1):
+        final = it == config.iterations
+        if out_dir and (final or (config.checkpoint_every and it % config.checkpoint_every == 0)):
+            save_checkpoint(checkpoint_path(out_dir, it), adapter, {**meta, "iteration": it}, provenance=provenance)
+        if final:
+            break
         div_mean, grads = _iteration_loss(static, it, config, adapter)
         curve.append((it, div_mean))
         if not math.isfinite(div_mean) or div_mean > config.divergence_threshold:
             raise NumericError(f"training diverged at iteration {it}: diversity loss {div_mean:.3f}")
-        params, state = adamw_step(params, grads, state, config.lr, config.weight_decay)
-        adapter = adapter.replace(params)
+        adapter.tensors, state = adamw_step(adapter.tensors, grads, state, config.lr, config.weight_decay)
     if out_dir:
-        save_checkpoint(
-            out_dir / f"checkpoint_{config.iterations:06d}.json",
-            adapter,
-            {**meta, "iteration": config.iterations},
-            provenance=provenance,
-        )
         write_loss_curve(out_dir / "loss_curve.csv", curve)
     return TrainResult(adapter=adapter, curve=curve)
 

@@ -165,14 +165,8 @@ def _tiny_gradient_instance(seed):
     trace = LayerTrace(
         grid=(3, 3), modified_layers=frozenset(), inputs=[], features=feats, attentions=[], patch_features=np.zeros((8, 3, 3), np.float32),
     )
-    adapter = init_adapter(Rng(seed).child("a"), dim=8, d_proj=4, d_dyn=6, sigma=0.5)
-    adapter = AdapterParams(
-        deltas_w=[a.astype(np.float64) for a in adapter.deltas_w],
-        deltas_b=[a.astype(np.float64) for a in adapter.deltas_b],
-        fusion_w=adapter.fusion_w.astype(np.float64),
-        fusion_b=adapter.fusion_b.astype(np.float64),
-        alpha=adapter.alpha, beta=adapter.beta, fusion_kernel=adapter.fusion_kernel,
-    )
+    adapter = init_adapter(Rng(seed).child("a"), 8, 4, 6, 1, 0.5, 3.0, 1.0)
+    adapter = AdapterParams({k: a.astype(np.float64) for k, a in adapter.tensors.items()}, adapter.alpha, adapter.beta)
     labels = gen.integers(0, 3, size=(3, 3)).astype(np.uint8)
     labels[0, 0] = 255
     return trace, adapter, labels
@@ -186,7 +180,7 @@ def test_criterion_3_gradient_oracle():
         trace, adapter, labels = _tiny_gradient_instance(seed)
         batch = build_affinity_batch(labels)
         _, grads = diversity_loss_gradient(trace, adapter, batch)
-        for name, arr in adapter.to_dict().items():
+        for name, arr in adapter.tensors.items():
             flat = arr.reshape(-1)
             fd = np.zeros(flat.shape[0])
             for i in range(flat.shape[0]):

@@ -630,6 +630,45 @@ def test_exit_code_bank_dim_mismatch_before_encode(cli_fixtures, cli_trained, na
     assert not (out / "static").exists() if case == "run" else not out.exists()
 
 
+@pytest.fixture(scope="module")
+def two_class_knowledge(tmp_path_factory):
+    """A knowledge file for two classes, one fewer than the dataset's."""
+    root = tmp_path_factory.mktemp("twoclass")
+    return generate_fixtures(42, FixtureSpec(classes=2, images=4), root)["knowledge"]
+
+
+@pytest.mark.parametrize("case", ["run-two-classes", "run-reordered", "train-reordered"])
+def test_exit_code_bank_classes_differ_from_dataset(cli_fixtures, two_class_knowledge, tmp_path, case):
+    # a knowledge file whose classes are not the dataset's foreground classes
+    # in order fails where the two meet, naming both files, before any CAM
+    if case == "run-two-classes":
+        knowledge = two_class_knowledge
+    else:
+        source = cli_fixtures / "knowledge.json"
+        reordered = load_tensors(source).meta["classes"][::-1]
+        knowledge = _with_meta(source, tmp_path / "knowledge.json", "classes", reordered)
+    out = tmp_path / "out"
+    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out, knowledge=str(knowledge))
+    proc = run_excel(case.split("-")[0], "--config", str(cfg_path))
+    line = one_error_line(proc.returncode, proc.stderr, 2)
+    assert str(knowledge) in line and str(cli_fixtures / "dataset" / "classes.json") in line
+    assert not (out / "static").exists() and not (out / "train").exists()
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+def test_exit_code_cam_labels_outside_bank(cli_fixtures, cli_trained, tmp_path, mode):
+    # --labels ids are checked against the bank's classes before the encode
+    out_dir, _ = cli_trained
+    bank, out = out_dir / "attrs.json", tmp_path / "out"
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    proc = run_excel("cam", "--mode", mode, "--weights", str(cli_fixtures / "encoder.json"), "--bank", str(bank),
+                     "--image", str(image), "--labels", "1,9",
+                     "--adapter", str(out_dir / "train" / "checkpoint_000001.json"), "--out", str(out))
+    line = one_error_line(proc.returncode, proc.stderr, 2)
+    assert "--labels" in line and "class id 9" in line and str(bank) in line
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # one JSON layout
 

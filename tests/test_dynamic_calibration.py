@@ -8,6 +8,7 @@ from excel.dynamic_calibration import (
     AffinityBatch,
     adapter_diversity_loss,
     adapter_forward,
+    adapter_shapes,
     build_affinity_batch,
     diversity_loss,
     diversity_loss_gradient,
@@ -39,20 +40,9 @@ def tiny_setup(seed=0, fusion_kernel=1, grid=(3, 3), dim=8, d_proj=4, d_dyn=6, s
     t = grid[0] * grid[1] + 1
     feats = [gen.standard_normal((t, dim)).astype(np.float32) for _ in range(LAYER_COUNT)]
     trace = trace_from_features(feats, grid)
-    adapter = init_adapter(
-        Rng(seed).child("adapter"), dim=dim, d_proj=d_proj, d_dyn=d_dyn,
-        fusion_kernel=fusion_kernel, sigma=sigma,
-    )
+    adapter = init_adapter(Rng(seed).child("adapter"), dim, d_proj, d_dyn, fusion_kernel, sigma, 3.0, 1.0)
     if float64:
-        adapter = AdapterParams(
-            deltas_w=[a.astype(np.float64) for a in adapter.deltas_w],
-            deltas_b=[a.astype(np.float64) for a in adapter.deltas_b],
-            fusion_w=adapter.fusion_w.astype(np.float64),
-            fusion_b=adapter.fusion_b.astype(np.float64),
-            alpha=adapter.alpha,
-            beta=adapter.beta,
-            fusion_kernel=adapter.fusion_kernel,
-        )
+        adapter = AdapterParams({k: a.astype(np.float64) for k, a in adapter.tensors.items()}, adapter.alpha, adapter.beta)
     labels = gen.integers(0, 3, size=grid).astype(np.uint8)
     labels[0, 0] = 255
     return trace, adapter, labels
@@ -64,14 +54,7 @@ def tiny_setup(seed=0, fusion_kernel=1, grid=(3, 3), dim=8, d_proj=4, d_dyn=6, s
 
 def test_adapter_zero_maps_zero_bias_gives_zero():
     trace, adapter, _ = tiny_setup(seed=1)
-    zero = AdapterParams(
-        deltas_w=[np.zeros_like(a) for a in adapter.deltas_w],
-        deltas_b=[np.zeros_like(a) for a in adapter.deltas_b],
-        fusion_w=np.zeros_like(adapter.fusion_w),
-        fusion_b=np.zeros_like(adapter.fusion_b),
-        alpha=3.0,
-        beta=1.0,
-    )
+    zero = AdapterParams({k: np.zeros_like(a) for k, a in adapter.tensors.items()}, 3.0, 1.0)
     out = adapter_forward(trace, zero)
     assert out.shape == (6, 9)
     assert (out == 0.0).all()
@@ -84,17 +67,10 @@ def test_adapter_single_layer_block_selector():
     feats[only] = trace.features[only]
     trace_sparse = trace_from_features(feats, trace.grid)
     # zero every delta except the live layer; fusion = identity-ish slice sum
-    sel = AdapterParams(
-        deltas_w=[
-            (np.eye(4, 8) if i == only else np.zeros((4, 8))).astype(np.float64)
-            for i in range(LAYER_COUNT)
-        ],
-        deltas_b=[np.zeros(4) for _ in range(LAYER_COUNT)],
-        fusion_w=np.ones((6, 48)),
-        fusion_b=np.zeros(6),
-        alpha=3.0,
-        beta=1.0,
-    )
+    tensors = {name: np.zeros(shape) for name, shape in adapter_shapes(8, 4, 6, 1).items()}
+    tensors[f"delta.{only:02d}.w"] = np.eye(4, 8)
+    tensors["fusion.w"] = np.ones((6, 48))
+    sel = AdapterParams(tensors, 3.0, 1.0)
     out = adapter_forward(trace_sparse, sel)
     expected_rows = trace.features[only][1:, :4].astype(np.float64).sum(axis=1)
     np.testing.assert_allclose(out, np.tile(expected_rows, (6, 1)), atol=1e-5)
@@ -108,9 +84,9 @@ def test_adapter_matches_per_token_loop_oracle():
         parts = []
         for l in range(LAYER_COUNT):
             x = trace.features[l][1 + tok].astype(np.float64)
-            parts.append(adapter.deltas_w[l] @ x + adapter.deltas_b[l])
+            parts.append(adapter.tensors[f"delta.{l:02d}.w"] @ x + adapter.tensors[f"delta.{l:02d}.b"])
         z = np.concatenate(parts)
-        expected = adapter.fusion_w @ z + adapter.fusion_b
+        expected = adapter.tensors["fusion.w"] @ z + adapter.tensors["fusion.b"]
         np.testing.assert_allclose(out[:, tok], expected, atol=1e-4)
 
 
@@ -120,16 +96,17 @@ def test_adapter_conv3_matches_neighborhood_oracle():
     gh, gw = trace.grid
     z = np.zeros((gh, gw, 48))
     for l in range(LAYER_COUNT):
-        proj = trace.features[l][1:].astype(np.float64) @ adapter.deltas_w[l].T + adapter.deltas_b[l]
+        w, b = adapter.tensors[f"delta.{l:02d}.w"], adapter.tensors[f"delta.{l:02d}.b"]
+        proj = trace.features[l][1:].astype(np.float64) @ w.T + b
         z[:, :, l * 4 : (l + 1) * 4] = proj.reshape(gh, gw, 4)
     zpad = np.zeros((gh + 2, gw + 2, 48))
     zpad[1:-1, 1:-1] = z
     for y in range(gh):
         for x in range(gw):
-            acc = adapter.fusion_b.copy()
+            acc = adapter.tensors["fusion.b"].copy()
             for dy in range(3):
                 for dx in range(3):
-                    acc += adapter.fusion_w[:, :, dy, dx] @ zpad[y + dy, x + dx]
+                    acc += adapter.tensors["fusion.w"][:, :, dy, dx] @ zpad[y + dy, x + dx]
             np.testing.assert_allclose(out[:, y * gw + x], acc, atol=1e-4)
 
 
@@ -141,8 +118,8 @@ def test_adapter_requires_twelve_layers():
 
 
 def test_adapter_param_count_reported():
-    adapter = init_adapter(Rng(0), dim=8, d_proj=4, d_dyn=6)
-    assert adapter.param_count() == 12 * (4 * 8 + 4) + 6 * 48 + 6
+    adapter = init_adapter(Rng(0), 8, 4, 6, 1, 0.02, 3.0, 1.0)
+    assert sum(a.size for a in adapter.tensors.values()) == 12 * (4 * 8 + 4) + 6 * 48 + 6
 
 
 # --------------------------------------------------------------------------
@@ -324,14 +301,8 @@ def test_gradient_zero_on_plateau():
     # zero delta maps with a nonzero fusion bias: all dynamic features are
     # the same vector, cosines sit at their maximum, gradients vanish
     trace, adapter, _ = tiny_setup(seed=15)
-    plateau = AdapterParams(
-        deltas_w=[np.zeros_like(a) for a in adapter.deltas_w],
-        deltas_b=[np.zeros_like(a) for a in adapter.deltas_b],
-        fusion_w=np.zeros_like(adapter.fusion_w),
-        fusion_b=np.ones_like(adapter.fusion_b),
-        alpha=3.0,
-        beta=1.0,
-    )
+    plateau = AdapterParams({k: np.zeros_like(a) for k, a in adapter.tensors.items()}, 3.0, 1.0)
+    plateau.tensors["fusion.b"] = np.ones_like(adapter.tensors["fusion.b"])
     batch = build_affinity_batch(np.ones((3, 3), np.uint8))
     loss, grads = diversity_loss_gradient(trace, plateau, batch)
     total = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
@@ -361,7 +332,7 @@ def test_gradient_matches_central_differences(fusion_kernel):
     batch = build_affinity_batch(labels)
     loss, grads = diversity_loss_gradient(trace, adapter, batch)
     worst = 0.0
-    for name, arr in adapter.to_dict().items():
+    for name, arr in adapter.tensors.items():
         flat = arr.reshape(-1)
         fd = np.zeros(flat.shape[0])
         for i in range(flat.shape[0]):
@@ -393,14 +364,9 @@ def test_gradient_loss_matches_forward():
 def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, fixture_dataset, fixture_static):
     cfg = TrainConfig()
     rec, static = fixture_dataset.images[0], fixture_static[0]
-    zero = AdapterParams(
-        deltas_w=[np.zeros((cfg.d_proj, 64), np.float32) for _ in range(LAYER_COUNT)],
-        deltas_b=[np.zeros(cfg.d_proj, np.float32) for _ in range(LAYER_COUNT)],
-        fusion_w=np.zeros((cfg.d_dyn, LAYER_COUNT * cfg.d_proj), np.float32),
-        fusion_b=np.ones(cfg.d_dyn, np.float32),
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-    )
+    shapes = adapter_shapes(64, cfg.d_proj, cfg.d_dyn, cfg.fusion_kernel)
+    zero = AdapterParams({name: np.zeros(shape, np.float32) for name, shape in shapes.items()}, cfg.alpha, cfg.beta)
+    zero.tensors["fusion.b"] = np.ones(cfg.d_dyn, np.float32)
     dyn = dynamic_cam(
         rec.image,
         fixture_weights,
@@ -423,7 +389,9 @@ def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, 
 def test_dynamic_cam_deterministic(fixture_weights, fixture_bank, fixture_dataset, fixture_static):
     cfg = TrainConfig()
     rec = fixture_dataset.images[1]
-    adapter = init_adapter(Rng(19), dim=64, d_proj=cfg.d_proj, d_dyn=cfg.d_dyn)
+    adapter = init_adapter(
+        Rng(19), 64, cfg.d_proj, cfg.d_dyn, cfg.fusion_kernel, cfg.adapter_init_sigma, cfg.alpha, cfg.beta
+    )
     args = (rec.image, fixture_weights, adapter, fixture_bank, rec.labels, cfg.calibration(), cfg.tau_fg, cfg.tau_bg)
     d1 = dynamic_cam(*args, fixture_static[1].trace)
     d2 = dynamic_cam(*args, fixture_static[1].trace)

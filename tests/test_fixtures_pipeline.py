@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from excel import dynamic_calibration, encoder, static_calibration
+from excel import blobio, dynamic_calibration, encoder, pipeline, static_calibration, text_enrichment, training_eval
 from excel.config import PipelineConfig, load_config, parse_config, save_config
 from excel.dataset import load_dataset
 from excel.errors import UsageError
@@ -213,6 +213,24 @@ def test_pipeline_resume_same_hash_reuses(short_run):
     cfg, artifacts, report, out = short_run
     artifacts2, report2 = run_pipeline(cfg, mode="full", resume=True)
     assert report2.miou == report.miou
+
+
+def test_pipeline_resume_loads_each_tensor_file_once(monkeypatch, short_run, fixture_paths):
+    # the resume check reads only each manifest's provenance, so the bank
+    # and the final checkpoint are loaded once, like the weights
+    cfg, _, _, out = short_run
+    loads = []
+    real = blobio.load_tensors
+
+    def counting(path):
+        loads.append(Path(path))
+        return real(path)
+
+    # every module that may hold the name, whether or not it does today
+    for module in (encoder, pipeline, static_calibration, text_enrichment, training_eval):
+        monkeypatch.setattr(module, "load_tensors", counting, raising=False)
+    run_pipeline(cfg, mode="full", resume=True)
+    assert sorted(loads) == sorted([Path(fixture_paths["weights"]), out / "attrs.json", out / "train" / "checkpoint_000004.json"])
 
 
 def test_pipeline_static_only(tmp_path, fixture_paths):

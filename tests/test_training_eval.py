@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from excel import dynamic_calibration, encoder, static_calibration, training_eva
 from excel.dynamic_calibration import init_adapter
 from excel.encoder import NAMED_CALIBRATIONS, Calibration, encode
 from excel.errors import DataError, NumericError, UsageError
+from excel.blobio import load_tensors, save_tensors
 from excel.numerics import Rng
 from excel.training_eval import (
     AdamState,
@@ -239,10 +241,10 @@ def test_train_loop_zero_iterations_returns_init(fixture_weights, fixture_static
     result = train_loop(fixture_static, fixture_weights.dim, cfg)
     fresh = init_adapter(
         Rng(cfg.seed).child("adapter"), fixture_weights.dim,
-        d_proj=cfg.d_proj, d_dyn=cfg.d_dyn, fusion_kernel=cfg.fusion_kernel,
-        sigma=cfg.adapter_init_sigma, alpha=cfg.alpha, beta=cfg.beta,
+        cfg.d_proj, cfg.d_dyn, cfg.fusion_kernel, cfg.adapter_init_sigma, cfg.alpha, cfg.beta,
     )
-    for a, b in zip(result.adapter.to_dict().values(), fresh.to_dict().values()):
+    assert list(result.adapter.tensors) == list(fresh.tensors)
+    for a, b in zip(result.adapter.tensors.values(), fresh.tensors.values()):
         assert np.array_equal(a, b)
     assert result.curve == []
 
@@ -277,7 +279,8 @@ def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_static):
     result = train_loop(fixture_static, fixture_weights.dim, cfg, out_dir=tmp_path)
     path = tmp_path / "checkpoint_000002.json"
     adapter, meta = load_checkpoint(path, fixture_weights.dim)
-    for a, b in zip(adapter.to_dict().values(), result.adapter.to_dict().values()):
+    assert list(adapter.tensors) == list(result.adapter.tensors)
+    for a, b in zip(adapter.tensors.values(), result.adapter.tensors.values()):
         assert np.array_equal(a, b)
     assert meta["iteration"] == 2
     assert meta["train_config"]["lr"] == cfg.lr
@@ -287,25 +290,41 @@ def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_static):
     "case", ["meta-dim", "weights-dim", "delta-width", "delta-bias", "fusion-rows", "fusion-bias", "kernel-3"]
 )
 def test_checkpoint_shapes_checked_against_meta(tmp_path, case):
-    adapter = init_adapter(Rng(1), dim=8, d_proj=4, d_dyn=6)
+    adapter = init_adapter(Rng(1), 8, 4, 6, 1, 0.02, 3.0, 1.0)
     meta, dim = {"dim": 8}, 8
     if case == "meta-dim":
         meta = {"dim": 16}
     elif case == "weights-dim":
         dim = 16
-    elif case == "kernel-3":
-        adapter.fusion_kernel = 3  # a 2-D fusion.w declared as a 3x3 kernel
-    else:
+    elif case != "kernel-3":
         name, shape = {
             "delta-width": ("delta.05.w", (4, 9)),
             "delta-bias": ("delta.11.b", (5,)),
             "fusion-rows": ("fusion.w", (7, 48)),
             "fusion-bias": ("fusion.b", (7,)),
         }[case]
-        adapter = adapter.replace({**adapter.to_dict(), name: np.zeros(shape, np.float32)})
+        adapter.tensors[name] = np.zeros(shape, np.float32)
     path = save_checkpoint(tmp_path / "ck.json", adapter, meta)
+    if case == "kernel-3":  # a 2-D fusion.w declared as a 3x3 kernel
+        tf = load_tensors(path)
+        path = save_tensors(path, tf.tensors, meta={**tf.meta, "fusion_kernel": 3})
     with pytest.raises(DataError, match="encoder features" if "dim" in case else "expected"):
         load_checkpoint(path, dim)
+
+
+@pytest.mark.parametrize("kernel", [1, 3])
+def test_checkpoint_layout_is_the_adapter_table(tmp_path, fixture_weights, fixture_static, kernel):
+    # train_loop writes the tensors in table order: the twelve (w, b) delta
+    # pairs by layer, then the fusion pair, not AdamW's or any sorted order
+    cfg = small_config(iterations=2, fusion_kernel=kernel, d_proj=4, d_dyn=8)
+    train_loop(fixture_static, fixture_weights.dim, cfg, out_dir=tmp_path)
+    manifest = json.loads((tmp_path / "checkpoint_000002.json").read_text())
+    names = [entry["name"] for entry in manifest["tensors"]]
+    deltas = [f"adapter.delta.{i:02d}.{part}" for i in range(12) for part in ("w", "b")]
+    assert names == deltas + ["adapter.fusion.w", "adapter.fusion.b"]
+    fusion_shape = manifest["tensors"][-2]["shape"]
+    assert fusion_shape == ([8, 48] if kernel == 1 else [8, 48, 3, 3])
+    assert manifest["meta"]["fusion_kernel"] == kernel
 
 
 def test_loss_curve_roundtrip(tmp_path):
@@ -329,7 +348,7 @@ def test_train_loop_with_pair_subsampling(fixture_weights, fixture_static):
     r1 = train_loop(fixture_static, fixture_weights.dim, cfg)
     r2 = train_loop(fixture_static, fixture_weights.dim, cfg)
     assert r1.curve == r2.curve
-    for a, b in zip(r1.adapter.to_dict().values(), r2.adapter.to_dict().values()):
+    for a, b in zip(r1.adapter.tensors.values(), r2.adapter.tensors.values()):
         assert np.array_equal(a, b)
 
 

@@ -6,7 +6,7 @@
 #     diff -r /tmp/eq-old /tmp/eq-new
 # prints nothing. Everything runs under one BLAS/OpenMP thread with paths
 # relative to OUT, so the recorded configs and provenance hashes agree.
-# About 25 s on a 2-vCPU VM.
+# About 30 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -56,6 +56,14 @@ for stem in img_0000 img_0001 img_0002; do
             --out "cam-$mode" >> "cam-$mode.log"
     done
 done
+
+# the kernel-3 adapter read back from its checkpoint, not kept in memory;
+# `$labels` still holds the ids of img_0002, the last image above
+excel cam --mode dynamic --weights fx/encoder.json --bank kernel3/attrs.json \
+    --image fx/dataset/images/img_0002.ppm --labels "$labels" \
+    --adapter kernel3/train/checkpoint_000005.json --config kernel3.json --out cam-kernel3 > cam-kernel3.log
+excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0002.ppm \
+    --policies icb --adapter kernel3/train/checkpoint_000005.json --out attn-kernel3 > attn-kernel3.log
 
 excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.ppm \
     --policies qk,vv,ic,icb --out attn > attn.log
