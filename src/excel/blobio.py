@@ -66,6 +66,11 @@ def is_positive_int(value) -> bool:
     return type(value) is int and value >= 1
 
 
+def is_grid(value) -> bool:
+    """A meta `grid`: the (h, w) token grid as a list of 2 positive ints."""
+    return isinstance(value, list) and len(value) == 2 and all(map(is_positive_int, value))
+
+
 def is_finite_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 

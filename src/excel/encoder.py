@@ -7,9 +7,9 @@ records what its consumers read: the residual stream entering each layer
 adapter's features) and the attention maps.
 
 Shapes: token matrices are (T, D) with the CLS token at row 0 and
-T = h*w + 1 grid tokens; per-head tensors are (H, T, D_s) with
-D_s = D // H. Final patch features are returned as (D, h, w) with CLS
-dropped.
+T = h*w + 1 grid tokens; per-head tensors are computed as one
+(H, T, D_s) stack with D_s = D // H. Final patch features are returned
+as (D, h, w) with CLS dropped.
 
 Attention is one `Calibration(layers, weights, relation)`: the q-k map
 softmax(q k^T / sqrt(D_s)) below the last `layers` blocks, and in those
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .blobio import TensorFile, is_positive_int, load_tensors, save_tensors
+from .blobio import TensorFile, is_grid, is_positive_int, load_tensors, save_tensors
 from .errors import DataError, NumericError, ShapeError, UsageError
 
 LAYER_COUNT = 12
@@ -135,13 +135,7 @@ def weights_from_tensorfile(tf: TensorFile) -> EncoderWeights:
         tf.meta_value(key, is_positive_int, "a positive integer")
         for key in ("dim", "heads", "layers", "patch_size", "mlp_dim")
     )
-    grid = tuple(
-        tf.meta_value(
-            "grid",
-            lambda g: isinstance(g, list) and len(g) == 2 and all(map(is_positive_int, g)),
-            "a list of 2 positive integers",
-        )
-    )
+    grid = tuple(tf.meta_value("grid", is_grid, "a list of 2 positive integers"))
     if depth != LAYER_COUNT:
         raise DataError(f"encoder depth must be {LAYER_COUNT}, manifest declares {depth}")
     if dim % heads != 0:
@@ -300,22 +294,20 @@ def patchify(image: np.ndarray, weights: EncoderWeights) -> np.ndarray:
     return (tokens + weights.pos_embed).astype(np.float32)
 
 
-def _times_transposed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b^T, unchecked. The contiguous transposed copy gives einsum the
-    operand layout, hence the summation order and the bits, of
-    nm.matmul(a, nm.transpose(b))."""
-    return nm.matmul_unchecked(a, np.ascontiguousarray(b.T))
-
-
-def _scaled_logits(a: np.ndarray, b: np.ndarray, head_dim: int) -> np.ndarray:
-    logits = _times_transposed(a, b)
-    return (logits.astype(np.float64) / math.sqrt(head_dim)).astype(np.float32)
+def _attention(a: np.ndarray, b: np.ndarray, head_dim: int) -> np.ndarray:
+    """softmax(a b^T / sqrt(head_dim)) of one head's (T, D_s) tokens or an
+    (H, T, D_s) stack; the logits are rounded to float32 before the
+    scaling and after it. Unchecked: `encode` checks q, k and v before
+    attention."""
+    logits = nm.matmul_unchecked(a, b.swapaxes(-1, -2))
+    np.divide(logits, math.sqrt(head_dim), out=logits, dtype=np.float64)
+    return nm.softmax_rows_unchecked(logits)
 
 
 def self_attention(o: np.ndarray, head_dim: int) -> np.ndarray:
-    """softmax(o o^T / sqrt(head_dim)) for one head's (T, D_s) tokens.
-    Unchecked: `encode` checks q, k and v before attention."""
-    return nm.softmax_rows_unchecked(_scaled_logits(o, o, head_dim))
+    """softmax(o o^T / sqrt(head_dim)), the SA(o, o) term of a calibrated
+    layer."""
+    return _attention(o, o, head_dim)
 
 
 def relation_bias(relation: np.ndarray, tokens: int) -> np.ndarray:
@@ -338,16 +330,20 @@ def _head_attention(
     head_dim: int,
     bias: np.ndarray | None,
 ) -> np.ndarray:
+    """Attention maps at `layer` of every head of the (H, T, D_s) stacks
+    q, k and v, or of one head's (T, D_s) tokens."""
     if layer < LAYER_COUNT - calibration.layers:
-        return nm.softmax_rows_unchecked(_scaled_logits(q, k, head_dim))
-    # a zero weight's term is skipped: adding an exact 0.0 changes no bit
-    mix = np.zeros((q.shape[0], q.shape[0]), dtype=np.float64)
+        return _attention(q, k, head_dim)
+    # a zero weight's term is skipped: adding an exact 0.0 changes no bit.
+    # A ufunc with a float64 `dtype` casts its float32 inputs in buffered
+    # chunks, so few (H, T, T) float64 temporaries are alive at once.
+    mix = np.zeros(q.shape[:-1] + (q.shape[-2],), dtype=np.float64)
     for w, o in zip(calibration.weights, (q, k, v)):
         if w:
-            mix += w * self_attention(o, head_dim).astype(np.float64)
+            mix += np.multiply(self_attention(o, head_dim), w, dtype=np.float64)
     attn = mix.astype(np.float32)
     if bias is not None:
-        attn = (attn.astype(np.float64) + bias.astype(np.float64)).astype(np.float32)
+        np.add(attn, bias, out=attn, dtype=np.float64)
     return attn
 
 
@@ -405,25 +401,20 @@ def encode(
         lw = weights.layers[layer]
         inputs.append(x)
         h = layer_norm(x, lw.ln1_scale, lw.ln1_shift)
-        q = _finite(_times_transposed(h, lw.q_w) + lw.q_b, f"layer {layer} queries")
-        k = _finite(_times_transposed(h, lw.k_w) + lw.k_b, f"layer {layer} keys")
-        v = _finite(_times_transposed(h, lw.v_w) + lw.v_b, f"layer {layer} values")
-        q_h = np.ascontiguousarray(q.reshape(t_count, heads, d_s).transpose(1, 0, 2))
-        k_h = np.ascontiguousarray(k.reshape(t_count, heads, d_s).transpose(1, 0, 2))
-        v_h = np.ascontiguousarray(v.reshape(t_count, heads, d_s).transpose(1, 0, 2))
-        attn = np.empty((heads, t_count, t_count), dtype=np.float32)
-        ctx = np.empty((heads, t_count, d_s), dtype=np.float32)
-        for head in range(heads):
-            a = _head_attention(calibration, layer, q_h[head], k_h[head], v_h[head], d_s, bias)
-            attn[head] = a
-            ctx[head] = nm.matmul_unchecked(a, v_h[head])
-        merged = np.ascontiguousarray(ctx.transpose(1, 0, 2)).reshape(t_count, dim)
-        attn_out = _times_transposed(merged, lw.out_w) + lw.out_b
+        q_h, k_h, v_h = (
+            _finite(nm.matmul_unchecked(h, w.T) + b, f"layer {layer} {what}")
+            .reshape(t_count, heads, d_s)
+            .swapaxes(0, 1)
+            for w, b, what in ((lw.q_w, lw.q_b, "queries"), (lw.k_w, lw.k_b, "keys"), (lw.v_w, lw.v_b, "values"))
+        )
+        attn = _head_attention(calibration, layer, q_h, k_h, v_h, d_s, bias)
+        merged = nm.matmul_unchecked(attn, v_h).swapaxes(0, 1).reshape(t_count, dim)
+        attn_out = nm.matmul_unchecked(merged, lw.out_w.T) + lw.out_b
         x = (x.astype(np.float64) + attn_out.astype(np.float64)).astype(np.float32)
         _finite(x, f"layer {layer} attention outputs")
         h2 = layer_norm(x, lw.ln2_scale, lw.ln2_shift)
-        hidden = gelu(_times_transposed(h2, lw.fc_w) + lw.fc_b)
-        mlp_out = _times_transposed(hidden, lw.proj_w) + lw.proj_b
+        hidden = gelu(nm.matmul_unchecked(h2, lw.fc_w.T) + lw.fc_b)
+        mlp_out = nm.matmul_unchecked(hidden, lw.proj_w.T) + lw.proj_b
         x = (x.astype(np.float64) + mlp_out.astype(np.float64)).astype(np.float32)
         _finite(x, f"layer {layer} MLP outputs")
         features.append(h)

@@ -2,10 +2,10 @@
 
 Arrays are plain numpy ndarrays in C (row-major) order with float32
 storage. Every reduction or product accumulates in float64 and rounds
-back to float32 once. The products here go through einsum; the
-adapter's float64 products (`dynamic_calibration`) go through BLAS. What
-is tested is that outputs are byte-identical across runs and across 1
-or 2 BLAS/OpenMP threads on one machine; equal bits across CPUs are not
+back to float32 once. Every matrix product, here and in the other
+modules, is float64 `@` (BLAS). What is tested is that outputs are
+byte-identical across runs and across 1 or 2 BLAS/OpenMP threads on one
+machine, at T=17 and at T=257 tokens; equal bits across CPUs are not
 promised. -inf is admitted only as the masking sentinel of relation
 matrices fed to softmax_rows; NaN and +inf are rejected at every public
 boundary. The `*_unchecked` variants skip that input check for hot
@@ -46,10 +46,9 @@ def matmul(a, b) -> np.ndarray:
 
 def matmul_unchecked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`matmul` without its input checks, for callers that check the
-    finiteness of what they compute from the result instead. Both operands
-    must be C-contiguous matrices: the layout fixes einsum's summation
-    order, hence the result bits."""
-    return np.einsum("ij,jk->ik", a.astype(np.float64), b.astype(np.float64)).astype(F32)
+    finiteness of what they compute from the result instead. Operands may
+    be transposed views or (H, ., .) stacks."""
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(F32)
 
 
 def transpose(a) -> np.ndarray:
@@ -94,16 +93,18 @@ def softmax_rows(m) -> np.ndarray:
 
 
 def softmax_rows_unchecked(m: np.ndarray) -> np.ndarray:
-    """`softmax_rows` of a float32 matrix without the finiteness check;
-    an all -inf row still raises."""
+    """`softmax_rows` over the last axis of a float32 matrix or stack of
+    matrices, without the finiteness check; an all -inf row still raises.
+    Works in place on one float64 copy."""
     x = m.astype(np.float64)
-    row_max = np.max(x, axis=1)
+    row_max = np.max(x, axis=-1, keepdims=True)
     dead = np.isneginf(row_max)
     if dead.any():
-        raise NumericError(f"degenerate attention row {int(np.argmax(dead))}")
-    e = np.exp(x - row_max[:, None])  # exp(-inf) == 0 exactly
-    out = e / e.sum(axis=1)[:, None]
-    return out.astype(F32)
+        raise NumericError(f"degenerate attention row {int(np.argmax(dead)) % m.shape[-2]}")
+    x -= row_max
+    np.exp(x, out=x)  # exp(-inf) == 0 exactly
+    x /= x.sum(axis=-1, keepdims=True)
+    return x.astype(F32)
 
 
 def cosine_matrix(a, b) -> np.ndarray:
@@ -119,7 +120,7 @@ def cosine_matrix(a, b) -> np.ndarray:
     for side, norms in (("lhs", na), ("rhs", nb)):
         if norms.min(initial=np.inf) < 1e-12:
             raise NumericError(f"zero-norm column {int(np.argmin(norms))} in cosine {side}")
-    sim = np.einsum("di,dj->ij", a64 / na, b64 / nb)
+    sim = (a64 / na).T @ (b64 / nb)
     return sim.astype(F32)
 
 

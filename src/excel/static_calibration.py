@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .blobio import load_tensors, save_tensors
+from .blobio import is_grid, is_positive_int, load_tensors, save_tensors
 from .encoder import Calibration, EncoderWeights, LayerTrace, encode
 from .errors import DataError, UsageError
 from .text_enrichment import TextRepresentation
@@ -127,9 +127,14 @@ def save_cams(path, cams: CamStack, provenance=None) -> Path:
     return save_tensors(path, tensors, meta=meta, provenance=provenance)
 
 
+def _is_class_id_list(value) -> bool:
+    ints = isinstance(value, list) and len(value) > 0 and all(map(is_positive_int, value))
+    return ints and value == sorted(set(value))
+
+
 def load_cams(path) -> CamStack:
     tf = load_tensors(path)
-    class_ids = [int(c) for c in tf.meta["class_ids"]]
-    grid = (int(tf.meta["grid"][0]), int(tf.meta["grid"][1]))
+    class_ids = tf.meta_value("class_ids", _is_class_id_list, "a non-empty ascending list of positive integers")
+    grid = tuple(tf.meta_value("grid", is_grid, "a list of 2 positive integers"))
     maps = np.stack([tf.require(f"cam.{cid:03d}", grid) for cid in class_ids], axis=0)
     return CamStack(maps=maps, class_ids=class_ids, grid=grid)

@@ -211,9 +211,7 @@ def hunt_attributes(template: np.ndarray, centroids: np.ndarray, k: int):
     if k < 1:
         raise UsageError(f"neighbor count must be >= 1, got {k}")
     template = nm.as_f32(template, "template").reshape(-1)
-    scores = np.einsum(
-        "d,db->b", template.astype(np.float64), centroids.astype(np.float64)
-    )
+    scores = template.astype(np.float64) @ centroids.astype(np.float64)
     order = np.argsort(-scores, kind="stable")[:k]
     return order.astype(np.int32), scores[order].astype(np.float32)
 
@@ -232,11 +230,9 @@ def enrich(template: np.ndarray, neighbors: np.ndarray, lam: float) -> np.ndarra
         raise DataError("enrich: empty neighbor set")
     if lam == 0.0:
         return template.copy()
-    scores = np.einsum("d,dk->k", template.astype(np.float64), neighbors.astype(np.float64))
+    scores = template.astype(np.float64) @ neighbors.astype(np.float64)
     weights = nm.softmax_rows(scores[None, :].astype(np.float32))[0]
-    folded = np.einsum(
-        "dk,k->d", neighbors.astype(np.float64), weights.astype(np.float64)
-    )
+    folded = neighbors.astype(np.float64) @ weights.astype(np.float64)
     return (template.astype(np.float64) + lam * folded).astype(np.float32)
 
 
@@ -294,9 +290,7 @@ def build_text_bank(
         else:
             idx = np.nonzero(kb.class_index == c)[0].astype(np.int32)
             neighbors = kb.embeddings[:, idx]
-            sc = np.einsum(
-                "d,dk->k", template.astype(np.float64), neighbors.astype(np.float64)
-            ).astype(np.float32)
+            sc = (template.astype(np.float64) @ neighbors.astype(np.float64)).astype(np.float32)
         indices.append(idx)
         scores.append(sc)
         columns.append(enrich(template, neighbors, lam))

@@ -690,19 +690,32 @@ def test_every_json_file_has_the_one_layout(cli_fixtures, tmp_path):
 # thread-count independence
 
 
-def test_full_run_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the adapter's float64 products run through BLAS; one and two threads
-    # must leave byte-identical output trees
+def assert_run_bytes_do_not_depend_on_blas_threads(tmp_path, fixture_args, run_args, min_files, **overrides):
+    """`excel run` under 1 and 2 BLAS/OpenMP threads on fixtures made by
+    `gen-fixtures *fixture_args` must leave byte-identical output trees."""
     fixtures = tmp_path / "fx"
-    assert main(["gen-fixtures", "--seed", "42", "--out", str(fixtures), "--images", "4"]) == 0
+    assert main(["gen-fixtures", "--seed", "42", "--out", str(fixtures), *fixture_args]) == 0
     trees = []
     for threads in ("1", "2"):
         out_dir = tmp_path / f"threads{threads}"
-        cfg = write_cli_config(
-            tmp_path / f"cfg{threads}.json", fixtures, out_dir, iterations=2, checkpoint_every=1
-        )
-        proc = run_excel("run", "--config", str(cfg), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        cfg = write_cli_config(tmp_path / f"cfg{threads}.json", fixtures, out_dir, **overrides)
+        proc = run_excel("run", "--config", str(cfg), *run_args, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
         trees.append({p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()})
-    assert trees[0].keys() == trees[1].keys() and len(trees[0]) > 10
+    assert trees[0].keys() == trees[1].keys() and len(trees[0]) > min_files
     assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
+
+
+def test_full_run_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a small full pipeline at T=17 tokens, adapter training included
+    assert_run_bytes_do_not_depend_on_blas_threads(
+        tmp_path, ["--images", "4"], [], 10, iterations=2, checkpoint_every=1
+    )
+
+
+def test_static_run_bytes_at_256px_do_not_depend_on_blas_threads(tmp_path):
+    # at T=257 tokens the encoder's products are large enough for BLAS to
+    # split them across threads
+    assert_run_bytes_do_not_depend_on_blas_threads(
+        tmp_path, ["--images", "2", "--image-size", "256"], ["--mode", "static-only"], 4
+    )

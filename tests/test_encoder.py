@@ -240,6 +240,41 @@ def test_value_value_is_plain_value_self_attention():
     assert not _head_attention(Calibration(layers=1, weights=(0, 0, 0)), LAYER_COUNT - 1, q, k, v, 4, None).any()
 
 
+@pytest.mark.parametrize("tokens", [17, 257])
+@pytest.mark.parametrize(
+    "calibration, layer, biased",
+    [
+        (VANILLA, 0, False),
+        (Calibration(layers=1, weights=(0.2, 0.3, 0.5)), LAYER_COUNT - 1, False),
+        (VALUE_VALUE, LAYER_COUNT - 1, False),
+        (Calibration(layers=1, weights=(0.2, 0.3, 0.5)), LAYER_COUNT - 1, True),
+    ],
+    ids=["qk", "calibrated", "value-value", "biased"],
+)
+def test_stacked_head_attention_equals_per_head_calls(tokens, calibration, layer, biased):
+    # the encoder's (H, T, D_s) views of one (T, D) projection, against
+    # each head's contiguous (T, D_s) matrix on its own
+    heads, d_s = 4, 16
+    gen = Rng(33).generator()
+    q, k, v = (
+        gen.standard_normal((tokens, heads * d_s)).astype(np.float32).reshape(tokens, heads, d_s).swapaxes(0, 1)
+        for _ in range(3)
+    )
+    bias = None
+    if biased:
+        relation = gen.standard_normal((tokens - 1, tokens - 1)).astype(np.float32)
+        bias = relation_bias(relation, tokens)
+    stacked = _head_attention(calibration, layer, q, k, v, d_s, bias)
+    per_head = np.stack(
+        [
+            _head_attention(calibration, layer, *(np.ascontiguousarray(o[h]) for o in (q, k, v)), d_s, bias)
+            for h in range(heads)
+        ]
+    )
+    assert stacked.shape == (heads, tokens, tokens) and stacked.dtype == np.float32
+    assert stacked.tobytes() == per_head.tobytes()
+
+
 def test_calibration_names():
     configured = Calibration(layers=3, weights=(0.2, 0.3, 0.5))
     assert named_calibration("vanilla", configured).name == "vanilla"

@@ -331,7 +331,7 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
         run_pipeline(cfg, mode="full")
         assert sorted(calibrated) == images, policy  # 32 calibrated encodes, not 64
         assert sorted(biased) == images, policy  # one per image, all in stage_dynamic
-        assert set(biased_heads) == {4 * cfg.train.calib_layers}
+        assert set(biased_heads) == {cfg.train.calib_layers}  # one all-heads call per calibrated layer
 
 
 def test_pipeline_unknown_mode(fixture_paths, tmp_path):

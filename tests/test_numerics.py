@@ -34,6 +34,23 @@ def test_softmax_degenerate_row_raises():
         nm.softmax_rows(row)
 
 
+def test_softmax_unchecked_on_a_stack_equals_per_matrix_calls():
+    gen = Rng(102).generator()
+    stack = gen.standard_normal((4, 17, 17)).astype(np.float32) * 5
+    stack[gen.random(stack.shape) < 0.25] = -np.inf
+    stack[..., 0] = 0.0  # no row is entirely masked
+    got = nm.softmax_rows_unchecked(stack)
+    want = np.stack([nm.softmax_rows_unchecked(m) for m in stack])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_softmax_unchecked_degenerate_row_in_a_stack_raises():
+    stack = np.zeros((3, 4, 5), dtype=np.float32)
+    stack[2, 1] = -np.inf
+    with pytest.raises(NumericError, match="degenerate attention row 1"):
+        nm.softmax_rows_unchecked(stack)
+
+
 def test_softmax_rejects_nan_and_posinf():
     with pytest.raises(NumericError):
         nm.softmax_rows(np.array([[np.nan, 0.0]], dtype=np.float32))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,26 @@ def test_cam_export_roundtrip(tmp_path, fixture_weights, fixture_bank, fixture_d
     assert loaded.class_ids == res.cams.class_ids
     assert loaded.grid == res.cams.grid
     assert loaded.maps.tobytes() == res.cams.maps.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda meta: meta.pop("class_ids"), "lacks meta key 'class_ids'"),
+        (lambda meta: meta.update(grid=4), "meta 'grid'"),
+        (lambda meta: meta.update(class_ids=["x"]), "meta 'class_ids'"),
+        (lambda meta: meta.update(class_ids=[1, "x"]), "meta 'class_ids'"),
+        (lambda meta: meta.update(class_ids=[3, 1]), "meta 'class_ids'"),
+        (lambda meta: meta.update(class_ids=[]), "meta 'class_ids'"),
+    ],
+    ids=["no-class-ids", "scalar-grid", "string-class-id", "mixed-class-ids", "descending-class-ids", "no-class-id"],
+)
+def test_load_cams_rejects_bad_meta(tmp_path, edit, key):
+    cams = CamStack(maps=np.zeros((2, 2, 3), dtype=np.float32), class_ids=[1, 3], grid=(2, 3))
+    path = save_cams(tmp_path / "c.cams.json", cams)
+    manifest = json.loads(path.read_text())
+    edit(manifest["meta"])
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=key) as err:
+        load_cams(path)
+    assert str(path) in str(err.value)

@@ -6,7 +6,7 @@
 #     diff -r /tmp/eq-old /tmp/eq-new
 # prints nothing. Everything runs under one BLAS/OpenMP thread with paths
 # relative to OUT, so the recorded configs and provenance hashes agree.
-# About 30 s on a 2-vCPU VM.
+# About 35 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -37,6 +37,8 @@ config kernel3.json kernel3 fx '"iterations": 5, "fusion_kernel": 3, "d_dyn": 64
 excel run --config kernel3.json > run-kernel3.log
 config vanilla.json vanilla fx '"iterations": 5, "policy": "vanilla"'
 excel run --config vanilla.json > run-vanilla.log
+config valuevalue.json valuevalue fx '"iterations": 5, "policy": "value_value"'
+excel run --config valuevalue.json > run-valuevalue.log
 config static256.json static256 fx256
 excel run --config static256.json --mode static-only > run-static256.log
 
@@ -69,6 +71,8 @@ excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.p
     --policies qk,vv,ic,icb --out attn > attn.log
 excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.ppm \
     --policies icb,qk --adapter full/train/checkpoint_000017.json --calib-layers 3 --out attn-adapter > attn-adapter.log
+excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0001.ppm \
+    --policies ic,icb --calib-layers 12 --out attn-all-layers > attn-all-layers.log
 
 excel eval --pred-dir full/dynamic --gt-dir fx/dataset/masks --classes fx/dataset/classes.json \
     --out eval.json > eval.log
