@@ -101,6 +101,8 @@ def save_tensors(path, tensors, meta=None, provenance=None) -> Path:
     """Write manifest + blob. `tensors` is an ordered name -> array mapping."""
     path = Path(path)
     blob_path = path.with_suffix(".bin")
+    if blob_path == path:
+        raise DataError(f"manifest path {path} is its own blob's name: use another suffix than .bin")
     entries = []
     chunks = []
     offset = 0

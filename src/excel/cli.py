@@ -156,9 +156,8 @@ def _cmd_cam(args) -> int:
     if args.mode == "static":
         res = run_static_pipeline(image, weights, bank, present, cfg.static_policy(), tau_fg, tau_bg)
     else:
-        calibration = cfg.train.calibration()
-        trace = encode(image, weights, calibration)
-        res = dynamic_cam(image, weights, adapter, bank, present, calibration, tau_fg, tau_bg, trace)
+        trace = encode(image, weights, cfg.train.calibration())
+        res = dynamic_cam(image, weights, adapter, bank, present, tau_fg, tau_bg, trace)
     prov = run_provenance(cfg, f"cam-{args.mode}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -13,22 +13,15 @@ Gradients flow only into adapter parameters: the encoder trace is frozen
 and the pseudo-label targets are fixed, never differentiated through.
 """
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics as nm
-from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerTrace, encode
+from .encoder import LAYER_COUNT, EncoderWeights, LayerTrace, encode
 from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
-from .static_calibration import (
-    CamStack,
-    IGNORE_LABEL,
-    PseudoLabelMap,
-    cam_to_pseudo_label,
-    static_cam,
-)
+from .static_calibration import IGNORE_LABEL, CamResult, PseudoLabelMap, cam_to_pseudo_label, static_cam
 
 
 def delta_names(layer: int) -> tuple[str, str]:
@@ -291,32 +284,25 @@ def diversity_loss_gradient(
 # dynamic CAM generation
 
 
-@dataclass
-class DynamicResult:
-    cams: CamStack
-    labels: PseudoLabelMap
-
-
 def dynamic_cam(
     image: np.ndarray,
     weights: EncoderWeights,
     params: AdapterParams,
     bank,
     present: list[int],
-    calibration: Calibration,
     tau_fg: float,
     tau_bg: float,
     static_trace: LayerTrace,
-) -> DynamicResult:
+) -> CamResult:
     """Re-encode with the relation bias added and refine dynamic CAMs.
 
-    `static_trace` is the trace of the same image under `calibration`.
-    The relation comes from the adapter run over it; the biased re-encode
-    adds that relation to the same calibrated attention, resuming from
-    the trace below the first calibrated layer.
+    `static_trace` is the calibrated pass of the same image. The relation
+    comes from the adapter run over it; the biased re-encode adds that
+    relation to the calibration the trace records, resuming from the
+    trace below the first calibrated layer. The biased trace is not kept.
     """
     relation = dynamic_relation(adapter_forward(static_trace, params), params.alpha, params.beta)
-    biased = dataclasses.replace(calibration, relation=relation.masked)
+    biased = replace(static_trace.calibration, relation=relation.masked)
     trace = encode(image, weights, biased, prefix=static_trace)
     cams = static_cam(trace.patch_features, bank, present)
-    return DynamicResult(cams=cams, labels=cam_to_pseudo_label(cams, tau_fg, tau_bg))
+    return CamResult(cams=cams, labels=cam_to_pseudo_label(cams, tau_fg, tau_bg), trace=None)

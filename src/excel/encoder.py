@@ -2,9 +2,11 @@
 
 The encoder is deliberately small and bit-reproducible: float32 weights,
 float64 accumulation, no dropout, no batch dimension. Every forward pass
-records what its consumers read: the residual stream entering each layer
-(a later pass resumes from it), the normalized layer inputs (the
-adapter's features) and the attention maps.
+records what its consumers read: the calibration it ran under, the
+residual stream entering each layer (a later pass resumes from it) and
+the normalized layer inputs (the adapter's features). Attention maps are
+not kept; `layer_attention` recomputes one layer's maps from the trace,
+bit for bit, when a reader asks for them.
 
 Shapes: token matrices are (T, D) with the CLS token at row 0 and
 T = h*w + 1 grid tokens; per-head tensors are computed as one
@@ -244,10 +246,9 @@ class LayerTrace:
     """Per-layer capture of one encoder forward pass."""
 
     grid: tuple[int, int]
-    modified_layers: frozenset[int]  # calibrated layers, whose q-k attention was replaced
+    calibration: Calibration  # the attention the pass ran under
     inputs: list[np.ndarray]  # 13 x (T, D): residual stream entering each layer, then the final norm
     features: list[np.ndarray]  # 12 x (T, D): normalized input projected to q/k/v
-    attentions: list[np.ndarray]  # 12 x (H, T, T)
     patch_features: np.ndarray  # (D, h, w), CLS dropped
 
 
@@ -321,6 +322,10 @@ def relation_bias(relation: np.ndarray, tokens: int) -> np.ndarray:
     return bias
 
 
+def _calibration_bias(calibration: Calibration, tokens: int) -> np.ndarray | None:
+    return None if calibration.relation is None else relation_bias(calibration.relation, tokens)
+
+
 def _head_attention(
     calibration: Calibration,
     layer: int,
@@ -353,6 +358,17 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
+def _heads_qkv(h: np.ndarray, lw: LayerWeights, heads: int, layer: int):
+    """The (H, T, D_s) query, key and value stacks of layer `layer`'s
+    normalized input `h`, each checked finite."""
+    return tuple(
+        _finite(nm.matmul_unchecked(h, w.T) + b, f"layer {layer} {what}")
+        .reshape(h.shape[0], heads, -1)
+        .swapaxes(0, 1)
+        for w, b, what in ((lw.q_w, lw.q_b, "queries"), (lw.k_w, lw.k_b, "keys"), (lw.v_w, lw.v_b, "values"))
+    )
+
+
 def _resume_layer(prefix: LayerTrace, tokens: np.ndarray, calibration: Calibration) -> int:
     """First layer `calibration` modifies, after checking that `prefix`
     holds the same image's pass through the unmodified layers below it."""
@@ -361,7 +377,7 @@ def _resume_layer(prefix: LayerTrace, tokens: np.ndarray, calibration: Calibrati
         raise DataError(f"prefix trace records {len(prefix.inputs)} layer inputs, expected {LAYER_COUNT + 1}")
     if not np.array_equal(prefix.inputs[0], tokens):
         raise DataError("prefix trace was encoded from a different image")
-    lowest = min(prefix.modified_layers, default=LAYER_COUNT)
+    lowest = min(prefix.calibration.modified_layers(), default=LAYER_COUNT)
     if lowest < start:
         raise DataError(f"prefix trace modified layer {lowest}, below the resume layer {start}")
     return start
@@ -389,24 +405,19 @@ def encode(
     tokens = patchify(image, weights)
     t_count, dim = tokens.shape
     heads, d_s = weights.heads, weights.head_dim
-    bias = None if calibration.relation is None else relation_bias(calibration.relation, t_count)
+    bias = _calibration_bias(calibration, t_count)
     if prefix is None:
         start, x = 0, tokens
-        inputs, features, attns = [], [], []
+        inputs, features = [], []
     else:
         start = _resume_layer(prefix, tokens, calibration)
         x = prefix.inputs[start]
-        inputs, features, attns = (seq[:start] for seq in (prefix.inputs, prefix.features, prefix.attentions))
+        inputs, features = prefix.inputs[:start], prefix.features[:start]
     for layer in range(start, LAYER_COUNT):
         lw = weights.layers[layer]
         inputs.append(x)
         h = layer_norm(x, lw.ln1_scale, lw.ln1_shift)
-        q_h, k_h, v_h = (
-            _finite(nm.matmul_unchecked(h, w.T) + b, f"layer {layer} {what}")
-            .reshape(t_count, heads, d_s)
-            .swapaxes(0, 1)
-            for w, b, what in ((lw.q_w, lw.q_b, "queries"), (lw.k_w, lw.k_b, "keys"), (lw.v_w, lw.v_b, "values"))
-        )
+        q_h, k_h, v_h = _heads_qkv(h, lw, heads, layer)
         attn = _head_attention(calibration, layer, q_h, k_h, v_h, d_s, bias)
         merged = nm.matmul_unchecked(attn, v_h).swapaxes(0, 1).reshape(t_count, dim)
         attn_out = nm.matmul_unchecked(merged, lw.out_w.T) + lw.out_b
@@ -418,16 +429,20 @@ def encode(
         x = (x.astype(np.float64) + mlp_out.astype(np.float64)).astype(np.float32)
         _finite(x, f"layer {layer} MLP outputs")
         features.append(h)
-        attns.append(attn)
     inputs.append(x)
     final = _finite(layer_norm(x, weights.final_scale, weights.final_shift), "final tokens")
     gh, gw = weights.grid
     patch_features = np.ascontiguousarray(final[1:].T).reshape(dim, gh, gw)
     return LayerTrace(
-        grid=weights.grid,
-        modified_layers=frozenset(calibration.modified_layers()),
-        inputs=inputs,
-        features=features,
-        attentions=attns,
-        patch_features=patch_features,
+        grid=weights.grid, calibration=calibration, inputs=inputs, features=features, patch_features=patch_features
     )
+
+
+def layer_attention(trace: LayerTrace, weights: EncoderWeights, layer: int) -> np.ndarray:
+    """The (H, T, T) attention maps of `layer` in the pass `trace` records,
+    recomputed from that layer's normalized input under the trace's
+    calibration: the bytes the pass itself used."""
+    h = trace.features[layer]
+    q_h, k_h, v_h = _heads_qkv(h, weights.layers[layer], weights.heads, layer)
+    bias = _calibration_bias(trace.calibration, h.shape[0])
+    return _head_attention(trace.calibration, layer, q_h, k_h, v_h, weights.head_dim, bias)

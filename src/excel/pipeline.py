@@ -145,20 +145,10 @@ def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapt
     out_dir = Path(cfg.out_dir) / "dynamic"
     out_dir.mkdir(parents=True, exist_ok=True)
     prov = run_provenance(cfg, "dynamic")
-    calibration = cfg.train.calibration()
+    tau_fg, tau_bg = cfg.train.tau_fg, cfg.train.tau_bg
     results = []
     for rec, static in zip(dataset.images, calibrated):
-        res = dynamic_cam(
-            rec.image,
-            weights,
-            adapter,
-            bank,
-            rec.labels,
-            calibration,
-            cfg.train.tau_fg,
-            cfg.train.tau_bg,
-            static.trace,
-        )
+        res = dynamic_cam(rec.image, weights, adapter, bank, rec.labels, tau_fg, tau_bg, static.trace)
         write_cam_outputs(out_dir, rec.name, res, weights.patch_size, prov)
         results.append(res)
     return results, out_dir

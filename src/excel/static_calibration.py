@@ -76,10 +76,12 @@ def cam_to_pseudo_label(cams: CamStack, tau_fg: float, tau_bg: float) -> PseudoL
 
 
 @dataclass
-class StaticResult:
+class CamResult:
+    """One image's CAMs and pseudo labels, static or dynamic."""
+
     cams: CamStack
     labels: PseudoLabelMap
-    trace: LayerTrace | None  # None once a caller has dropped it
+    trace: LayerTrace | None  # the static pass; None once dropped, and for dynamic CAMs
 
 
 def run_static_pipeline(
@@ -90,12 +92,12 @@ def run_static_pipeline(
     calibration: Calibration,
     tau_fg: float,
     tau_bg: float,
-) -> StaticResult:
+) -> CamResult:
     """encode -> static_cam -> cam_to_pseudo_label with zero learnable state."""
     trace = encode(image, weights, calibration)
     cams = static_cam(trace.patch_features, bank, present)
     labels = cam_to_pseudo_label(cams, tau_fg, tau_bg)
-    return StaticResult(cams=cams, labels=labels, trace=trace)
+    return CamResult(cams=cams, labels=labels, trace=trace)
 
 
 def run_static_passes(
@@ -106,7 +108,7 @@ def run_static_passes(
     tau_fg: float,
     tau_bg: float,
     keep_traces: bool,
-) -> list[StaticResult]:
+) -> list[CamResult]:
     """`run_static_pipeline` over dataset records (`.image`, `.labels`), in
     their order. Without `keep_traces` each trace is dropped as soon as its
     image is done, so at most one is alive at a time."""

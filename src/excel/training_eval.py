@@ -21,10 +21,10 @@ from .dynamic_calibration import (
     diversity_loss_gradient,
     init_adapter,
 )
-from .encoder import Calibration, EncoderWeights, encode
+from .encoder import LAYER_COUNT, Calibration, EncoderWeights, encode, layer_attention
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .numerics import Rng
-from .static_calibration import IGNORE_LABEL, StaticResult
+from .static_calibration import IGNORE_LABEL, CamResult
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +209,7 @@ class TrainResult:
     curve: list[tuple[int, float]]  # (iteration, mean diversity loss)
 
 
-def _iteration_loss(static: list[StaticResult], iteration: int, config: TrainConfig, adapter):
+def _iteration_loss(static: list[CamResult], iteration: int, config: TrainConfig, adapter):
     """Mean diversity loss and mean gradients, keyed like the adapter's
     tensors, over `iteration`'s batch: `batch_size` consecutive images,
     wrapping around the dataset."""
@@ -230,7 +230,7 @@ def _iteration_loss(static: list[StaticResult], iteration: int, config: TrainCon
 
 
 def train_loop(
-    static: list[StaticResult],
+    static: list[CamResult],
     dim: int,
     config: TrainConfig,
     out_dir=None,
@@ -279,7 +279,7 @@ def train_loop(
     return TrainResult(adapter=adapter, curve=curve)
 
 
-def replay_iteration(iteration: int, static: list[StaticResult], config: TrainConfig, adapter) -> float:
+def replay_iteration(iteration: int, static: list[CamResult], config: TrainConfig, adapter) -> float:
     """Recompute the logged mean diversity loss for `iteration` from
     checkpointed parameters and the static results `train_loop` was given."""
     return _iteration_loss(static, iteration, config, adapter)[0]
@@ -421,7 +421,7 @@ def attn_report(image, weights: EncoderWeights, policies: dict) -> dict:
         dim = trace.patch_features.shape[0]
         flat = trace.patch_features.reshape(dim, -1)
         out[name] = {
-            "mean_row_entropy": mean_row_entropy(trace.attentions[-1]),
+            "mean_row_entropy": mean_row_entropy(layer_attention(trace, weights, LAYER_COUNT - 1)),
             "token_relation": nm.cosine_matrix(flat, flat),
         }
     return out

@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from excel.dataset import load_dataset
@@ -20,6 +23,16 @@ def fixture_paths(tmp_path_factory):
 @pytest.fixture(scope="session")
 def fixture_weights(fixture_paths):
     return load_weights(fixture_paths["weights"])
+
+
+@pytest.fixture(scope="session")
+def wide_weights(fixture_weights):
+    """The fixture encoder for 256 px images: a 16x16 grid (T=257), with
+    positional embeddings drawn for that grid."""
+    grid = (16, 16)
+    gen = Rng(FIXTURE_SEED).child("wide").generator()
+    pos_embed = 0.02 * gen.standard_normal((grid[0] * grid[1] + 1, fixture_weights.dim))
+    return dataclasses.replace(fixture_weights, grid=grid, pos_embed=pos_embed.astype(np.float32))
 
 
 @pytest.fixture(scope="session")

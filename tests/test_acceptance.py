@@ -21,7 +21,15 @@ from excel.dynamic_calibration import (
     dynamic_relation,
     init_adapter,
 )
-from excel.encoder import NAMED_CALIBRATIONS, Calibration, LayerTrace, encode, expected_row_sums
+from excel.encoder import (
+    LAYER_COUNT,
+    NAMED_CALIBRATIONS,
+    Calibration,
+    LayerTrace,
+    encode,
+    expected_row_sums,
+    layer_attention,
+)
 from excel.numerics import Rng, softmax_rows
 from excel.pipeline import run_pipeline
 from excel.static_calibration import run_static_passes
@@ -84,7 +92,6 @@ def toy_run(fixture_paths, fixture_weights, fixture_dataset, fixture_kb, fixture
             train_result.adapter,
             bank,
             rec.labels,
-            cfg.calibration(),
             cfg.tau_fg,
             cfg.tau_bg,
             static.trace,
@@ -126,8 +133,9 @@ def test_criterion_1_attention_stochasticity(fixture_weights):
         ]
         for policy in policies:
             trace = encode(image, fixture_weights, policy)
-            for layer, attn in enumerate(trace.attentions):
+            for layer in range(LAYER_COUNT):
                 expected = expected_row_sums(policy, layer, tokens)
+                attn = layer_attention(trace, fixture_weights, layer)
                 err = np.abs(attn.sum(axis=2) - expected[None, :]).max()
                 worst = max(worst, float(err))
                 assert err <= 1e-5
@@ -163,7 +171,7 @@ def _tiny_gradient_instance(seed):
     gen = Rng(seed).generator()
     feats = [gen.standard_normal((10, 8)).astype(np.float32) for _ in range(12)]
     trace = LayerTrace(
-        grid=(3, 3), modified_layers=frozenset(), inputs=[], features=feats, attentions=[], patch_features=np.zeros((8, 3, 3), np.float32),
+        grid=(3, 3), calibration=Calibration(layers=0), inputs=[], features=feats, patch_features=np.zeros((8, 3, 3), np.float32),
     )
     adapter = init_adapter(Rng(seed).child("a"), 8, 4, 6, 1, 0.5, 3.0, 1.0)
     adapter = AdapterParams({k: a.astype(np.float64) for k, a in adapter.tensors.items()}, adapter.alpha, adapter.beta)

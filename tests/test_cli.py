@@ -584,19 +584,23 @@ def test_exit_code_resume_over_corrupt_report(cli_fixtures, tmp_path, report):
     assert str(out_dir / "report.json") in one_error_line(proc.returncode, proc.stderr, 2)
 
 
-@pytest.mark.parametrize("case", ["build-attrs-no-dir", "build-attrs-under-file", "eval-no-dir"])
+@pytest.mark.parametrize(
+    "case", ["build-attrs-no-dir", "build-attrs-under-file", "build-attrs-bin-suffix", "eval-no-dir"]
+)
 def test_exit_code_unwritable_output_path(cli_fixtures, tmp_path, case):
     (tmp_path / "afile").write_text("")
-    parent = tmp_path / ("afile" if case == "build-attrs-under-file" else "nodir")
+    # a `.bin` manifest would be overwritten by its own blob: refused, nothing written
+    named = tmp_path / {"build-attrs-under-file": "afile", "build-attrs-bin-suffix": "bank.bin"}.get(case, "nodir")
     if case.startswith("build-attrs"):
-        argv = ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "8",
-                "--out", str(parent / "bank.json")]
+        out = named if case == "build-attrs-bin-suffix" else named / "bank.json"
+        argv = ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "8", "--out", str(out)]
     else:
         masks = str(cli_fixtures / "dataset" / "masks")
         argv = ["eval", "--pred-dir", masks, "--gt-dir", masks, "--classes",
-                str(cli_fixtures / "dataset" / "classes.json"), "--out", str(parent / "eval.json")]
+                str(cli_fixtures / "dataset" / "classes.json"), "--out", str(named / "eval.json")]
     proc = run_excel(*argv)
-    assert str(parent) in one_error_line(proc.returncode, proc.stderr, 2)
+    assert str(named) in one_error_line(proc.returncode, proc.stderr, 2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
 @pytest.fixture(scope="module")

@@ -25,10 +25,9 @@ from excel.training_eval import TrainConfig
 def trace_from_features(features, grid):
     return LayerTrace(
         grid=grid,
-        modified_layers=frozenset(),
+        calibration=Calibration(layers=0),
         inputs=[],
         features=features,
-        attentions=[],
         patch_features=np.zeros((features[0].shape[1],) + grid, np.float32),
     )
 
@@ -373,7 +372,6 @@ def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, 
         zero,
         fixture_bank,
         rec.labels,
-        cfg.calibration(),
         cfg.tau_fg,
         cfg.tau_bg,
         static.trace,
@@ -392,7 +390,7 @@ def test_dynamic_cam_deterministic(fixture_weights, fixture_bank, fixture_datase
     adapter = init_adapter(
         Rng(19), 64, cfg.d_proj, cfg.d_dyn, cfg.fusion_kernel, cfg.adapter_init_sigma, cfg.alpha, cfg.beta
     )
-    args = (rec.image, fixture_weights, adapter, fixture_bank, rec.labels, cfg.calibration(), cfg.tau_fg, cfg.tau_bg)
+    args = (rec.image, fixture_weights, adapter, fixture_bank, rec.labels, cfg.tau_fg, cfg.tau_bg)
     d1 = dynamic_cam(*args, fixture_static[1].trace)
     d2 = dynamic_cam(*args, fixture_static[1].trace)
     assert d1.cams.maps.tobytes() == d2.cams.maps.tobytes()

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from excel import encoder
 from excel.blobio import load_tensors, save_tensors
 from excel.encoder import (
     LAYER_COUNT,
@@ -15,6 +16,7 @@ from excel.encoder import (
     _head_attention,
     encode,
     expected_row_sums,
+    layer_attention,
     layer_norm,
     load_weights,
     named_calibration,
@@ -211,7 +213,8 @@ def test_patchify_token_matches_unfold_oracle():
 
 def test_vanilla_rows_sum_to_one(fixture_weights):
     trace = encode(random_image(20, 64), fixture_weights, VANILLA)
-    for attn in trace.attentions:
+    for layer in range(LAYER_COUNT):
+        attn = layer_attention(trace, fixture_weights, layer)
         np.testing.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-5)
 
 
@@ -303,9 +306,9 @@ def test_row_sums_per_policy_constants():
     ]
     for policy in policies:
         trace = encode(image, w, policy)
-        for layer, attn in enumerate(trace.attentions):
+        for layer in range(LAYER_COUNT):
             expected = expected_row_sums(policy, layer, 5)
-            sums = attn.sum(axis=2)
+            sums = layer_attention(trace, w, layer).sum(axis=2)
             np.testing.assert_allclose(sums, np.tile(expected, (sums.shape[0], 1)), atol=1e-5)
 
 
@@ -368,7 +371,7 @@ def test_intra_identity_attention_on_scaled_orthogonal_values():
     w.cls_token = cls_row
 
     trace = encode(image, w, policy)
-    attn0 = trace.attentions[0][0]
+    attn0 = layer_attention(trace, w, 0)[0]
     # scaled orthogonal values: logits 8^2*8 / sqrt(8) on the diagonal, 0 off
     np.testing.assert_allclose(attn0, np.eye(5), atol=1e-6)
 
@@ -397,8 +400,8 @@ def test_icb_identity_relation_adds_identity():
     base = Calibration(layers=1)
     biased = Calibration(layers=1, relation=relation)
     image = random_image(41, 8)
-    attn_b = encode(image, w, base).attentions[11]
-    attn_i = encode(image, w, biased).attentions[11]
+    attn_b = layer_attention(encode(image, w, base), w, 11)
+    attn_i = layer_attention(encode(image, w, biased), w, 11)
     eye = np.zeros((5, 5), np.float32)
     eye[1:, 1:] = np.eye(hw)
     np.testing.assert_allclose(attn_i, attn_b + eye[None], atol=1e-6)
@@ -424,7 +427,8 @@ def test_encode_deterministic(fixture_weights):
     t1 = encode(image, fixture_weights, policy)
     t2 = encode(image, fixture_weights, policy)
     assert t1.patch_features.tobytes() == t2.patch_features.tobytes()
-    for a, b in zip(t1.attentions, t2.attentions):
+    for layer in range(LAYER_COUNT):
+        a, b = (layer_attention(t, fixture_weights, layer) for t in (t1, t2))
         assert a.tobytes() == b.tobytes()
 
 
@@ -440,8 +444,8 @@ def test_per_head_attention_shape(fixture_weights):
     image = random_image(52, 64)
     for policy in (VANILLA, VALUE_VALUE, Calibration(layers=5)):
         trace = encode(image, fixture_weights, policy)
-        for attn in trace.attentions:
-            assert attn.shape == (4, 17, 17)
+        for layer in range(LAYER_COUNT):
+            assert layer_attention(trace, fixture_weights, layer).shape == (4, 17, 17)
 
 
 def test_trace_captures_qkv_and_features(fixture_weights):
@@ -486,7 +490,44 @@ def test_prefix_resume_matches_full_biased_encode(fixture_weights, calib_layers)
     # the frozen layers are shared with the prefix, not recomputed
     start = LAYER_COUNT - calib_layers
     for layer in range(start):
-        assert resumed.attentions[layer] is static.attentions[layer]
+        assert resumed.features[layer] is static.features[layer]
+
+
+def encode_capturing_maps(monkeypatch, image, weights, calibration, prefix=None):
+    """`encode`'s trace and, by layer, the bytes of each attention map the
+    pass computed."""
+    maps, real = {}, encoder._head_attention
+
+    def capture(calibration, layer, *args):
+        attn = real(calibration, layer, *args)
+        maps[layer] = attn.tobytes()
+        return attn
+
+    with monkeypatch.context() as patched:
+        patched.setattr(encoder, "_head_attention", capture)
+        trace = encode(image, weights, calibration, prefix)
+    return trace, maps
+
+
+@pytest.mark.parametrize("size", [64, 256], ids=["T17", "T257"])
+def test_layer_attention_recomputes_the_encoded_maps(monkeypatch, fixture_weights, wide_weights, size):
+    weights = fixture_weights if size == 64 else wide_weights
+    image = random_image(66, size)
+    relation = masked_relation(67, weights.grid[0] * weights.grid[1])
+    calibrated = Calibration(layers=5)
+    biased = Calibration(layers=5, relation=relation)
+    for calibration in (VANILLA, VALUE_VALUE, calibrated, biased):
+        trace, maps = encode_capturing_maps(monkeypatch, image, weights, calibration)
+        assert sorted(maps) == list(range(LAYER_COUNT))
+        for layer in range(LAYER_COUNT):
+            assert layer_attention(trace, weights, layer).tobytes() == maps[layer], (calibration.name, layer)
+    # a biased pass resumed from the calibrated one computes the calibrated
+    # layers; below them its maps are the prefix's
+    static, static_maps = encode_capturing_maps(monkeypatch, image, weights, calibrated)
+    resumed, resumed_maps = encode_capturing_maps(monkeypatch, image, weights, biased, prefix=static)
+    assert sorted(resumed_maps) == list(range(LAYER_COUNT - 5, LAYER_COUNT))
+    for layer, want in (static_maps | resumed_maps).items():
+        assert layer_attention(resumed, weights, layer).tobytes() == want, layer
 
 
 def test_mismatched_prefix_refused(fixture_weights):

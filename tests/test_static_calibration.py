@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from excel.static_calibration import (
     CamStack,
     cam_to_pseudo_label,
     load_cams,
+    run_static_passes,
     run_static_pipeline,
     save_cams,
     static_cam,
@@ -203,6 +206,35 @@ def test_static_pipeline_zero_layers_matches_vanilla(fixture_weights, fixture_ba
     res_zero = static_result(rec, fixture_weights, fixture_bank, Calibration(layers=0, weights=(0.2, 0.3, 0.5)))
     res_vanilla = static_result(rec, fixture_weights, fixture_bank, NAMED_CALIBRATIONS["vanilla"])
     assert res_zero.cams.maps.tobytes() == res_vanilla.cams.maps.tobytes()
+
+
+def arrays_in(value):
+    """Every array reachable from `value` through dataclass fields, lists
+    and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from arrays_in(getattr(value, f.name))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from arrays_in(item)
+
+
+def test_kept_trace_holds_inputs_features_and_patch_features_only(wide_weights, fixture_bank):
+    # at T=257 a kept trace is 13 layer inputs, 12 normalized features and
+    # the patch features, float32, each in a buffer of its own size; no
+    # (H, T, T) attention map
+    cfg = TrainConfig()
+    record = SimpleNamespace(image=Rng(68).generator().random((3, 256, 256)).astype(np.float32), labels=[1, 2])
+    [result] = run_static_passes(
+        [record], wide_weights, fixture_bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
+    )
+    tokens, dim, (gh, gw) = 257, wide_weights.dim, wide_weights.grid
+    arrays = list(arrays_in(result.trace))
+    assert sum(a.nbytes for a in arrays) == (13 + 12) * tokens * dim * 4 + dim * gh * gw * 4
+    assert all(a.dtype == np.float32 and (a.base is None or a.base.nbytes == a.nbytes) for a in arrays)
+    assert not any(a.shape == (wide_weights.heads, tokens, tokens) for a in arrays)
 
 
 def test_cam_export_roundtrip(tmp_path, fixture_weights, fixture_bank, fixture_dataset):

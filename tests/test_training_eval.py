@@ -6,7 +6,7 @@ import pytest
 
 from excel import dynamic_calibration, encoder, static_calibration, training_eval
 from excel.dynamic_calibration import init_adapter
-from excel.encoder import NAMED_CALIBRATIONS, Calibration, encode
+from excel.encoder import LAYER_COUNT, NAMED_CALIBRATIONS, Calibration, encode, layer_attention
 from excel.errors import DataError, NumericError, UsageError
 from excel.blobio import load_tensors, save_tensors
 from excel.numerics import Rng
@@ -221,7 +221,7 @@ def test_attn_report_fixture_policies(fixture_weights, fixture_dataset):
         assert entry["token_relation"].shape == (hw, hw)
     # independent entropy recomputation for one policy
     trace = encode(rec.image, fixture_weights, NAMED_CALIBRATIONS["vanilla"])
-    attn = trace.attentions[-1].astype(np.float64)
+    attn = layer_attention(trace, fixture_weights, LAYER_COUNT - 1).astype(np.float64)
     rows = attn / attn.sum(axis=2, keepdims=True)
     ent = float(np.where(rows > 0, -rows * np.log(rows), 0.0).sum(axis=2).mean())
     assert report["qk"]["mean_row_entropy"] == pytest.approx(ent, abs=1e-9)

@@ -41,6 +41,9 @@ config valuevalue.json valuevalue fx '"iterations": 5, "policy": "value_value"'
 excel run --config valuevalue.json > run-valuevalue.log
 config static256.json static256 fx256
 excel run --config static256.json --mode static-only > run-static256.log
+# a full run at T=257: biased re-encodes resumed from 256 px traces
+config full256.json full256 fx256 '"iterations": 2'
+excel run --config full256.json > run-full256.log
 
 config train.json train fx '"iterations": 5, "checkpoint_every": 2'
 excel train --config train.json > train.log
@@ -73,6 +76,8 @@ excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.p
     --policies icb,qk --adapter full/train/checkpoint_000017.json --calib-layers 3 --out attn-adapter > attn-adapter.log
 excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0001.ppm \
     --policies ic,icb --calib-layers 12 --out attn-all-layers > attn-all-layers.log
+excel attn-report --weights fx256/encoder.json --image fx256/dataset/images/img_0003.ppm \
+    --policies qk,vv,ic,icb --adapter full256/train/checkpoint_000002.json --out attn-256 > attn-256.log
 
 excel eval --pred-dir full/dynamic --gt-dir fx/dataset/masks --classes fx/dataset/classes.json \
     --out eval.json > eval.log
