@@ -13,7 +13,7 @@ Manifest (UTF-8, JSON):
 Blob: little-endian IEEE-754 binary32 values, row-major, packed back to
 back at the declared byte offsets with no gaps. Loading validates the
 manifest's structure, then verifies the checksum, then that the declared
-tensors tile the blob exactly.
+tensors tile the blob exactly, then that every value is finite.
 
 Every JSON file the package writes, manifests included, goes through
 `write_json` (2-space indent, sorted keys, trailing newline), and every
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ChecksumError, DataError, ExcelError, MissingTensorError, ShapeError
+from .errors import ChecksumError, DataError, ExcelError, MissingTensorError, NumericError, ShapeError
 from .hashing import fnv1a64
 
 FORMAT_TAG = "excel-tensors-v1"
@@ -200,6 +200,9 @@ def load_tensors(path) -> TensorFile:
             f"manifest {path} declares {end} bytes of tensors but blob "
             f"holds {len(blob)}"
         )
+    for name, arr in tensors.items():
+        if not np.isfinite(arr).all():
+            raise NumericError(f"tensor '{name}' in {path} contains non-finite values")
     return TensorFile(
         path=path,
         tensors=tensors,

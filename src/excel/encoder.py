@@ -44,38 +44,24 @@ LAYER_COUNT = 12
 LN_EPS = 1e-5
 
 
-@dataclass
-class LayerWeights:
-    ln1_scale: np.ndarray
-    ln1_shift: np.ndarray
-    q_w: np.ndarray
-    q_b: np.ndarray
-    k_w: np.ndarray
-    k_b: np.ndarray
-    v_w: np.ndarray
-    v_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
-    ln2_scale: np.ndarray
-    ln2_shift: np.ndarray
-    fc_w: np.ndarray
-    fc_b: np.ndarray
-    proj_w: np.ndarray
-    proj_b: np.ndarray
-
-
-# each layer's tensors in file order: the name under "layers.NN.", the
-# LayerWeights field, and the shape in axes of d = dim and m = mlp_dim
+# each layer's tensors in file order: the name under "layers.NN." and the
+# shape in axes of d = dim and m = mlp_dim
 LAYER_TENSORS = (
-    ("ln1.scale", "ln1_scale", "d"), ("ln1.shift", "ln1_shift", "d"),
-    ("attn.q.w", "q_w", "dd"), ("attn.q.b", "q_b", "d"),
-    ("attn.k.w", "k_w", "dd"), ("attn.k.b", "k_b", "d"),
-    ("attn.v.w", "v_w", "dd"), ("attn.v.b", "v_b", "d"),
-    ("attn.out.w", "out_w", "dd"), ("attn.out.b", "out_b", "d"),
-    ("ln2.scale", "ln2_scale", "d"), ("ln2.shift", "ln2_shift", "d"),
-    ("mlp.fc.w", "fc_w", "md"), ("mlp.fc.b", "fc_b", "m"),
-    ("mlp.proj.w", "proj_w", "dm"), ("mlp.proj.b", "proj_b", "d"),
+    ("ln1.scale", "d"), ("ln1.shift", "d"),
+    ("attn.q.w", "dd"), ("attn.q.b", "d"),
+    ("attn.k.w", "dd"), ("attn.k.b", "d"),
+    ("attn.v.w", "dd"), ("attn.v.b", "d"),
+    ("attn.out.w", "dd"), ("attn.out.b", "d"),
+    ("ln2.scale", "d"), ("ln2.shift", "d"),
+    ("mlp.fc.w", "md"), ("mlp.fc.b", "m"),
+    ("mlp.proj.w", "dm"), ("mlp.proj.b", "d"),
 )
+
+
+def layer_shapes(dim: int, mlp_dim: int) -> dict[str, tuple[int, ...]]:
+    """Each layer's tensor names, in file order, with their shapes."""
+    sizes = {"d": dim, "m": mlp_dim}
+    return {name: tuple(sizes[a] for a in axes) for name, axes in LAYER_TENSORS}
 
 
 @dataclass
@@ -89,7 +75,7 @@ class EncoderWeights:
     patch_b: np.ndarray  # (D,)
     cls_token: np.ndarray  # (D,)
     pos_embed: np.ndarray  # (h*w + 1, D)
-    layers: list[LayerWeights]
+    layers: list[dict[str, np.ndarray]]  # per layer, keyed as in layer_shapes
     final_scale: np.ndarray
     final_shift: np.ndarray
 
@@ -105,8 +91,7 @@ class EncoderWeights:
             "pos_embed": self.pos_embed,
         }
         for i, lw in enumerate(self.layers):
-            for name, attr, _ in LAYER_TENSORS:
-                out[f"layers.{i:02d}.{name}"] = getattr(lw, attr)
+            out.update((f"layers.{i:02d}.{name}", arr) for name, arr in lw.items())
         out["ln_final.scale"] = self.final_scale
         out["ln_final.shift"] = self.final_shift
         return out
@@ -143,14 +128,9 @@ def weights_from_tensorfile(tf: TensorFile) -> EncoderWeights:
     if dim % heads != 0:
         raise DataError(f"dim {dim} not divisible by heads {heads}")
     tokens = grid[0] * grid[1] + 1
-    sizes = {"d": dim, "m": mlp_dim}
+    shapes = layer_shapes(dim, mlp_dim)
     layers = [
-        LayerWeights(
-            **{
-                attr: tf.require(f"layers.{i:02d}.{name}", tuple(sizes[a] for a in axes))
-                for name, attr, axes in LAYER_TENSORS
-            }
-        )
+        {name: tf.require(f"layers.{i:02d}.{name}", shape) for name, shape in shapes.items()}
         for i in range(LAYER_COUNT)
     ]
     return EncoderWeights(
@@ -358,14 +338,14 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _heads_qkv(h: np.ndarray, lw: LayerWeights, heads: int, layer: int):
+def _heads_qkv(h: np.ndarray, lw: dict[str, np.ndarray], heads: int, layer: int):
     """The (H, T, D_s) query, key and value stacks of layer `layer`'s
     normalized input `h`, each checked finite."""
     return tuple(
-        _finite(nm.matmul_unchecked(h, w.T) + b, f"layer {layer} {what}")
+        _finite(nm.matmul_unchecked(h, lw[f"attn.{o}.w"].T) + lw[f"attn.{o}.b"], f"layer {layer} {what}")
         .reshape(h.shape[0], heads, -1)
         .swapaxes(0, 1)
-        for w, b, what in ((lw.q_w, lw.q_b, "queries"), (lw.k_w, lw.k_b, "keys"), (lw.v_w, lw.v_b, "values"))
+        for o, what in (("q", "queries"), ("k", "keys"), ("v", "values"))
     )
 
 
@@ -416,16 +396,16 @@ def encode(
     for layer in range(start, LAYER_COUNT):
         lw = weights.layers[layer]
         inputs.append(x)
-        h = layer_norm(x, lw.ln1_scale, lw.ln1_shift)
+        h = layer_norm(x, lw["ln1.scale"], lw["ln1.shift"])
         q_h, k_h, v_h = _heads_qkv(h, lw, heads, layer)
         attn = _head_attention(calibration, layer, q_h, k_h, v_h, d_s, bias)
         merged = nm.matmul_unchecked(attn, v_h).swapaxes(0, 1).reshape(t_count, dim)
-        attn_out = nm.matmul_unchecked(merged, lw.out_w.T) + lw.out_b
+        attn_out = nm.matmul_unchecked(merged, lw["attn.out.w"].T) + lw["attn.out.b"]
         x = (x.astype(np.float64) + attn_out.astype(np.float64)).astype(np.float32)
         _finite(x, f"layer {layer} attention outputs")
-        h2 = layer_norm(x, lw.ln2_scale, lw.ln2_shift)
-        hidden = gelu(nm.matmul_unchecked(h2, lw.fc_w.T) + lw.fc_b)
-        mlp_out = nm.matmul_unchecked(hidden, lw.proj_w.T) + lw.proj_b
+        h2 = layer_norm(x, lw["ln2.scale"], lw["ln2.shift"])
+        hidden = gelu(nm.matmul_unchecked(h2, lw["mlp.fc.w"].T) + lw["mlp.fc.b"])
+        mlp_out = nm.matmul_unchecked(hidden, lw["mlp.proj.w"].T) + lw["mlp.proj.b"]
         x = (x.astype(np.float64) + mlp_out.astype(np.float64)).astype(np.float32)
         _finite(x, f"layer {layer} MLP outputs")
         features.append(h)

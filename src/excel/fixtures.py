@@ -17,7 +17,7 @@ import numpy as np
 
 from .blobio import write_json
 from .dataset import save_dataset
-from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerWeights, encode, save_weights
+from .encoder import LAYER_COUNT, Calibration, EncoderWeights, encode, layer_shapes, save_weights
 from .errors import UsageError
 from .hashing import config_digest
 from .images import rgb_to_chw
@@ -62,6 +62,9 @@ class FixtureSpec:
                 f"image size {self.image_size} must be a multiple of two patches "
                 f"({2 * self.patch_size}) and at least four (disks span 3x3 patches at offset 0 or 1)"
             )
+        if self.dim < 2:
+            # layer norm over one channel is constant: every probed feature is zero
+            raise UsageError(f"dim must be at least 2, got {self.dim}")
         if self.dim % self.heads:
             raise UsageError(f"dim {self.dim} not divisible by heads {self.heads}")
 
@@ -75,13 +78,13 @@ class FixtureSpec:
 
 def make_encoder_weights(rng: Rng, spec: FixtureSpec) -> EncoderWeights:
     """Gaussian weights (sigma from the fixture parameters) with identity
-    out-projections and zero biases.
+    out-projections and zero biases, each layer drawn in `layer_shapes` order.
 
-    Layer-norm scales are 1 except in the last `calib_layers` blocks, where
-    they are `calib_gain`: boosted projection norms there make value-space
-    self-similarity content-selective (and plain q-k attention sharply
-    random), so attention policies actually separate on random weights.
-    Early layers stay gentle so patch identity survives to that depth.
+    Layer-norm scales are 1 except `ln1.scale` in the last `calib_layers`
+    blocks, which is `calib_gain`: boosted projection norms there make
+    value-space self-similarity content-selective (and plain q-k attention
+    sharply random), so attention policies actually separate on random
+    weights. Early layers stay gentle so patch identity survives to that depth.
     """
     gen = rng.generator()
     d, p = spec.dim, spec.patch_size
@@ -91,29 +94,17 @@ def make_encoder_weights(rng: Rng, spec: FixtureSpec) -> EncoderWeights:
     def g(*shape):
         return (sigma * gen.standard_normal(shape)).astype(np.float32)
 
-    layers = []
-    for layer_idx in range(LAYER_COUNT):
-        boosted = layer_idx >= LAYER_COUNT - spec.calib_layers
-        layers.append(
-            LayerWeights(
-                ln1_scale=np.full(d, spec.calib_gain if boosted else 1.0, dtype=np.float32),
-                ln1_shift=np.zeros(d, dtype=np.float32),
-                q_w=g(d, d),
-                q_b=np.zeros(d, dtype=np.float32),
-                k_w=g(d, d),
-                k_b=np.zeros(d, dtype=np.float32),
-                v_w=g(d, d),
-                v_b=np.zeros(d, dtype=np.float32),
-                out_w=np.eye(d, dtype=np.float32),
-                out_b=np.zeros(d, dtype=np.float32),
-                ln2_scale=np.ones(d, dtype=np.float32),
-                ln2_shift=np.zeros(d, dtype=np.float32),
-                fc_w=g(spec.mlp_dim, d),
-                fc_b=np.zeros(spec.mlp_dim, dtype=np.float32),
-                proj_w=g(d, spec.mlp_dim),
-                proj_b=np.zeros(d, dtype=np.float32),
-            )
-        )
+    def draw(name, shape):
+        if name == "attn.out.w":
+            return np.eye(d, dtype=np.float32)
+        if name.endswith(".w"):
+            return g(*shape)
+        return np.full(shape, 1.0 if name.endswith(".scale") else 0.0, dtype=np.float32)
+
+    shapes = layer_shapes(d, spec.mlp_dim)
+    layers = [{name: draw(name, shape) for name, shape in shapes.items()} for _ in range(LAYER_COUNT)]
+    for lw in layers[LAYER_COUNT - spec.calib_layers :]:
+        lw["ln1.scale"] = np.full(d, spec.calib_gain, dtype=np.float32)
     return EncoderWeights(
         dim=d,
         heads=spec.heads,

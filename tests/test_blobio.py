@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from excel.blobio import load_tensors, save_tensors
-from excel.errors import ChecksumError, DataError, MissingTensorError, ShapeError
+from excel.errors import ChecksumError, DataError, MissingTensorError, NumericError, ShapeError
 from excel.hashing import fnv1a64
 from excel.numerics import Rng
 
@@ -32,6 +32,15 @@ def test_round_trip_bitwise(tmp_path):
     assert tf.provenance == {"stage": "x"}
     for name, arr in tensors.items():
         assert tf.require(name).tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_is_refused_at_load(tmp_path, value):
+    tensors = _sample_tensors()
+    tensors["beta"][3] = value
+    path = save_tensors(tmp_path / "t.json", tensors)
+    with pytest.raises(NumericError, match=r"tensor 'beta' in .*t\.json contains non-finite values"):
+        load_tensors(path)
 
 
 def test_save_twice_identical_bytes(tmp_path):

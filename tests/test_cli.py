@@ -166,6 +166,23 @@ def test_train_cli(cli_fixtures, tmp_path):
     assert (out_dir / "train" / "checkpoint_000002.json").exists()
 
 
+def test_train_and_run_write_the_same_training_output(cli_fixtures, tmp_path):
+    # `excel train` repeats run's stages up to training: for one config both
+    # must leave byte-identical train/ trees and attribute banks
+    trees = []
+    for command in ("train", "run"):
+        out_dir = tmp_path / command
+        cfg_path = write_cli_config(
+            tmp_path / f"{command}.json", cli_fixtures, out_dir, iterations=3, checkpoint_every=2
+        )
+        assert main([command, "--config", str(cfg_path)]) == 0
+        files = [out_dir / "attrs.json", out_dir / "attrs.bin", *sorted((out_dir / "train").rglob("*"))]
+        trees.append({p.relative_to(out_dir): p.read_bytes() for p in files if p.is_file()})
+    assert Path("train/checkpoint_000002.json") in trees[0]
+    assert trees[0].keys() == trees[1].keys()
+    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
+
+
 def _with_head_tensors(checkpoint, path):
     """A copy of `checkpoint` in the older layout, which also stored an
     affine segmentation head and its label count."""
@@ -440,6 +457,32 @@ def test_exit_code_non_positive_fixture_spec(tmp_path, flag, value):
     proc = run_excel("gen-fixtures", flag, value, "--out", str(tmp_path / "fx"))
     assert "must be positive" in one_error_line(proc.returncode, proc.stderr, 1)
     assert not (tmp_path / "fx").exists()
+
+
+def test_exit_code_fixture_dim_below_two(tmp_path):
+    # layer norm over one channel is constant, so a width-1 encoder would
+    # write an all-NaN knowledge file
+    proc = run_excel("gen-fixtures", "--dim", "1", "--heads", "1", "--out", str(tmp_path / "fx"))
+    assert "dim must be at least 2" in one_error_line(proc.returncode, proc.stderr, 1)
+    assert not (tmp_path / "fx").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("command", ["build-attrs", "run"])
+def test_exit_code_non_finite_knowledge(cli_fixtures, tmp_path, capsys, command, value):
+    tf = load_tensors(cli_fixtures / "knowledge.json")
+    poisoned = dict(tf.tensors)
+    poisoned["descriptions.00"] = poisoned["descriptions.00"].copy()
+    poisoned["descriptions.00"][1, 2] = value
+    kb = save_tensors(tmp_path / "kb_bad.json", poisoned, meta=tf.meta, provenance=tf.provenance)
+    if command == "build-attrs":
+        argv = ["build-attrs", "--kb", str(kb), "--clusters", "8", "--out", str(tmp_path / "bank.json")]
+    else:
+        cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", knowledge=str(kb))
+        argv = ["run", "--config", str(cfg_path)]
+    code = main(argv)
+    line = one_error_line(code, capsys.readouterr().err, 3)
+    assert "descriptions.00" in line and str(kb) in line and "non-finite" in line
 
 
 @pytest.mark.parametrize("labels", ["a", "1,x", "1.5"])

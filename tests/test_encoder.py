@@ -12,7 +12,6 @@ from excel.encoder import (
     Calibration,
     EncoderWeights,
     LayerTrace,
-    LayerWeights,
     _head_attention,
     encode,
     expected_row_sums,
@@ -53,24 +52,24 @@ def tiny_weights(
     for _ in range(LAYER_COUNT):
         v_w = g(dim, dim) if v_scale is None else (v_scale * np.eye(dim)).astype(np.float32)
         layers.append(
-            LayerWeights(
-                ln1_scale=np.ones(dim, np.float32),
-                ln1_shift=np.zeros(dim, np.float32),
-                q_w=g(dim, dim),
-                q_b=np.zeros(dim, np.float32),
-                k_w=g(dim, dim),
-                k_b=np.zeros(dim, np.float32),
-                v_w=v_w,
-                v_b=np.zeros(dim, np.float32),
-                out_w=np.eye(dim, dtype=np.float32),
-                out_b=np.zeros(dim, np.float32),
-                ln2_scale=np.ones(dim, np.float32),
-                ln2_shift=np.zeros(dim, np.float32),
-                fc_w=np.zeros((mlp_dim, dim), np.float32) if zero_mlp else g(mlp_dim, dim),
-                fc_b=np.zeros(mlp_dim, np.float32),
-                proj_w=np.zeros((dim, mlp_dim), np.float32) if zero_mlp else g(dim, mlp_dim),
-                proj_b=np.zeros(dim, np.float32),
-            )
+            {
+                "ln1.scale": np.ones(dim, np.float32),
+                "ln1.shift": np.zeros(dim, np.float32),
+                "attn.q.w": g(dim, dim),
+                "attn.q.b": np.zeros(dim, np.float32),
+                "attn.k.w": g(dim, dim),
+                "attn.k.b": np.zeros(dim, np.float32),
+                "attn.v.w": v_w,
+                "attn.v.b": np.zeros(dim, np.float32),
+                "attn.out.w": np.eye(dim, dtype=np.float32),
+                "attn.out.b": np.zeros(dim, np.float32),
+                "ln2.scale": np.ones(dim, np.float32),
+                "ln2.shift": np.zeros(dim, np.float32),
+                "mlp.fc.w": np.zeros((mlp_dim, dim), np.float32) if zero_mlp else g(mlp_dim, dim),
+                "mlp.fc.b": np.zeros(mlp_dim, np.float32),
+                "mlp.proj.w": np.zeros((dim, mlp_dim), np.float32) if zero_mlp else g(dim, mlp_dim),
+                "mlp.proj.b": np.zeros(dim, np.float32),
+            }
         )
     tokens = grid[0] * grid[1] + 1
     return EncoderWeights(
@@ -377,7 +376,7 @@ def test_intra_identity_attention_on_scaled_orthogonal_values():
 
     # independent direct-computation oracle for the first block
     x = trace.features[0]  # LN'd tokens
-    v = x @ w.layers[0].v_w.T
+    v = x @ w.layers[0]["attn.v.w"].T
     logits = (v @ v.T) / np.sqrt(dim)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     oracle_attn = e / e.sum(axis=1, keepdims=True)
@@ -542,12 +541,12 @@ def test_mismatched_prefix_refused(fixture_weights):
         encode(image, fixture_weights, biased, prefix=deeper)
 
 
-@pytest.mark.parametrize("field", ["q_w", "k_w", "v_w", "out_w", "fc_w", "proj_w"])
-def test_non_finite_weight_raises_numeric_error(field):
+@pytest.mark.parametrize("name", ["attn.q.w", "attn.k.w", "attn.v.w", "attn.out.w", "mlp.fc.w", "mlp.proj.w"])
+def test_non_finite_weight_raises_numeric_error(name):
     w = tiny_weights(seed=64)
-    poisoned = getattr(w.layers[3], field).copy()
+    poisoned = w.layers[3][name].copy()
     poisoned[0, 0] = np.nan
-    w.layers[3] = dataclasses.replace(w.layers[3], **{field: poisoned})
+    w.layers[3] = {**w.layers[3], name: poisoned}
     with pytest.raises(NumericError, match="layer 3"):
         encode(random_image(64, 8), w, Calibration(layers=5))
 

@@ -26,6 +26,8 @@ config() {
 
 excel gen-fixtures --out fx > gen-fixtures.log
 excel gen-fixtures --out fx256 --image-size 256 --images 8 > gen-fixtures-256.log
+# a second encoder width, so the weight draw and loader are checked off the default
+excel gen-fixtures --out fx32 --dim 32 --heads 2 --images 4 > gen-fixtures-32.log
 
 config full.json full fx '"iterations": 17, "checkpoint_every": 8'
 excel run --config full.json > run-full.log
@@ -44,6 +46,8 @@ excel run --config static256.json --mode static-only > run-static256.log
 # a full run at T=257: biased re-encodes resumed from 256 px traces
 config full256.json full256 fx256 '"iterations": 2'
 excel run --config full256.json > run-full256.log
+config full32.json full32 fx32 '"iterations": 2'
+excel run --config full32.json > run-full32.log
 
 config train.json train fx '"iterations": 5, "checkpoint_every": 2'
 excel train --config train.json > train.log
