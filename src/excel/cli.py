@@ -14,18 +14,18 @@ import numpy as np
 
 from .blobio import save_tensors, write_json
 from .config import PipelineConfig, load_config
-from .dataset import load_class_names, load_dataset
-from .dynamic_calibration import adapter_forward, dynamic_cam, dynamic_relation
+from .dataset import load_class_names
+from .dynamic_calibration import biased_calibration, dynamic_cam
 from .encoder import Calibration, encode, load_weights, named_calibration
 from .errors import EXIT_DATA, EXIT_OK, DataError, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
 from .hashing import config_digest
 from .images import read_pgm, read_ppm, rgb_to_chw
 from .numerics import Rng
-from .pipeline import check_bank_classes, check_bank_dim, run_pipeline, run_provenance, stage_attributes, write_cam_outputs
+from .pipeline import check_bank_dim, load_inputs, run_pipeline, run_provenance, stage_train, write_cam_outputs
 from .static_calibration import run_static_passes, run_static_pipeline
 from .text_enrichment import build_text_bank, ingest_knowledge, load_bank, save_bank
-from .training_eval import attn_report, evaluate, load_checkpoint, report_text, train_loop
+from .training_eval import attn_report, evaluate, load_checkpoint, read_loss_curve, report_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,19 +169,14 @@ def _cmd_cam(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    cfg.validate()
-    weights = load_weights(cfg.weights)
-    dataset = load_dataset(cfg.dataset, patch_size=weights.patch_size)
-    bank, bank_path = stage_attributes(cfg)
-    bank_source = f"{bank_path} (from {cfg.knowledge})"
-    check_bank_dim(bank, bank_source, weights, cfg.weights)
-    check_bank_classes(bank, bank_source, dataset)
+    weights, dataset, bank = load_inputs(cfg)
     calibrated = run_static_passes(
         dataset.images, weights, bank, cfg.train.calibration(), cfg.train.tau_fg, cfg.train.tau_bg, keep_traces=True
     )
+    stage_train(cfg, weights.dim, calibrated)
     out_dir = Path(cfg.out_dir) / "train"
-    result = train_loop(calibrated, weights.dim, cfg.train, out_dir=out_dir, provenance=run_provenance(cfg, "train"))
-    final = result.curve[-1][1] if result.curve else 0.0
+    curve = read_loss_curve(out_dir / "loss_curve.csv")
+    final = curve[-1][1] if curve else 0.0
     print(f"trained {cfg.train.iterations} iterations; final diversity loss {final:.4f}")
     print(f"checkpoints: {out_dir}")
     return EXIT_OK
@@ -218,15 +213,13 @@ def _cmd_attn_report(args) -> int:
     weights = load_weights(args.weights)
     image = rgb_to_chw(read_ppm(args.image))
     policies = {name: named_calibration(_REPORT_POLICIES[name], calibrated) for name in names}
-    if "icb" in policies:
-        if args.adapter:
-            adapter, _ = load_checkpoint(args.adapter, weights.dim)
-            features = adapter_forward(encode(image, weights, calibrated), adapter)
-            relation = dynamic_relation(features, adapter.alpha, adapter.beta).masked
-        else:
-            hw = weights.grid[0] * weights.grid[1]
-            relation = np.zeros((hw, hw), dtype=np.float32)  # uniform bias
-        policies["icb"] = dataclasses.replace(calibrated, relation=relation)
+    if "icb" in policies and args.adapter:
+        adapter, _ = load_checkpoint(args.adapter, weights.dim)
+        policies["icb"] = biased_calibration(encode(image, weights, calibrated), adapter)
+    elif "icb" in policies:
+        hw = weights.grid[0] * weights.grid[1]
+        uniform = np.zeros((hw, hw), dtype=np.float32)  # uniform bias
+        policies["icb"] = dataclasses.replace(calibrated, relation=uniform)
     report = attn_report(image, weights, policies)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,8 +236,8 @@ def _cmd_attn_report(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    artifacts, report = run_pipeline(cfg, mode=args.mode, resume=args.resume)
-    print(f"report: {artifacts.report}")
+    report_path, report = run_pipeline(cfg, mode=args.mode, resume=args.resume)
+    print(f"report: {report_path}")
     print(f"mIoU: {report.miou:.4f}")
     return EXIT_OK
 

@@ -2,8 +2,8 @@
 
 Path keys (weights, knowledge, dataset, out_dir) plus the policy selector
 sit alongside every training field; unknown keys are rejected so typos
-never silently fall back to defaults, and every value is type-checked
-against its field where it is parsed. The config hash in every artifact's
+never silently fall back to defaults, and every value is type- and
+range-checked where it is parsed. The config hash in every artifact's
 provenance is the digest of the full flat mapping.
 """
 
@@ -39,9 +39,13 @@ class PipelineConfig:
         selects."""
         return named_calibration(self.policy, self.train.calibration())
 
-    def validate(self):
+    def __post_init__(self):
+        """Values are checked where a config is made, so every command refuses the same ones."""
         self.train.validate()
         self.static_policy()
+
+    def validate(self):
+        """Refuses a config without one of the paths a run reads or writes."""
         for key in PATH_KEYS:
             if not getattr(self, key):
                 raise UsageError(f"config is missing required path '{key}'")

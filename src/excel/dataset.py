@@ -58,7 +58,9 @@ def _load_label_table(path: Path) -> dict:
     return table
 
 
-def load_dataset(root, patch_size: int | None = None) -> ToyDataset:
+def load_dataset(root, image_size: tuple[int, int] | None = None) -> ToyDataset:
+    """The dataset under `root`; with `image_size` (height, width), every
+    image must have exactly that size."""
     root = Path(root)
     classes_path = root / "classes.json"
     labels_path = root / "labels.json"
@@ -83,10 +85,10 @@ def load_dataset(root, patch_size: int | None = None) -> ToyDataset:
                 f"image '{stem}' is {rgb.shape[1]}x{rgb.shape[0]} but its mask "
                 f"is {mask.shape[1]}x{mask.shape[0]}"
             )
-        if patch_size and (rgb.shape[0] % patch_size or rgb.shape[1] % patch_size):
+        if image_size and rgb.shape[:2] != image_size:
             raise DataError(
-                f"image '{stem}' dims {rgb.shape[1]}x{rgb.shape[0]} not divisible "
-                f"by patch size {patch_size}"
+                f"image {image_path} is {rgb.shape[1]}x{rgb.shape[0]}, but the encoder "
+                f"weights take {image_size[1]}x{image_size[0]} images"
             )
         mask_ids = set(int(v) for v in np.unique(mask)) - {0, IGNORE_LABEL}
         if any(v > num_fg for v in mask_ids):

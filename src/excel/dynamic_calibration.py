@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics as nm
-from .encoder import LAYER_COUNT, EncoderWeights, LayerTrace, encode
+from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerTrace, encode
 from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
 from .static_calibration import IGNORE_LABEL, CamResult, PseudoLabelMap, cam_to_pseudo_label, static_cam
@@ -284,6 +284,13 @@ def diversity_loss_gradient(
 # dynamic CAM generation
 
 
+def biased_calibration(trace: LayerTrace, params: AdapterParams) -> Calibration:
+    """The calibration `trace` records plus the masked relation of the
+    adapter run over `trace`: the attention of a biased re-encode."""
+    relation = dynamic_relation(adapter_forward(trace, params), params.alpha, params.beta)
+    return replace(trace.calibration, relation=relation.masked)
+
+
 def dynamic_cam(
     image: np.ndarray,
     weights: EncoderWeights,
@@ -296,13 +303,10 @@ def dynamic_cam(
 ) -> CamResult:
     """Re-encode with the relation bias added and refine dynamic CAMs.
 
-    `static_trace` is the calibrated pass of the same image. The relation
-    comes from the adapter run over it; the biased re-encode adds that
-    relation to the calibration the trace records, resuming from the
-    trace below the first calibrated layer. The biased trace is not kept.
+    `static_trace` is the calibrated pass of the same image. The biased
+    re-encode runs under its `biased_calibration`, resuming from the trace
+    below the first calibrated layer. The biased trace is not kept.
     """
-    relation = dynamic_relation(adapter_forward(static_trace, params), params.alpha, params.beta)
-    biased = replace(static_trace.calibration, relation=relation.masked)
-    trace = encode(image, weights, biased, prefix=static_trace)
+    trace = encode(image, weights, biased_calibration(static_trace, params), prefix=static_trace)
     cams = static_cam(trace.patch_features, bank, present)
     return CamResult(cams=cams, labels=cam_to_pseudo_label(cams, tau_fg, tau_bg), trace=None)

@@ -83,6 +83,11 @@ class EncoderWeights:
     def head_dim(self) -> int:
         return self.dim // self.heads
 
+    @property
+    def image_size(self) -> tuple[int, int]:
+        """(height, width) in pixels of the images the positional table fits."""
+        return self.grid[0] * self.patch_size, self.grid[1] * self.patch_size
+
     def to_tensors(self) -> dict[str, np.ndarray]:
         out = {
             "patch_embed.w": self.patch_w,

@@ -6,7 +6,6 @@ directory whose artifacts carry a different config hash is refused.
 """
 
 import dataclasses
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +28,6 @@ from .training_eval import (
     upsample_labels,
 )
 from .numerics import Rng
-
-
-@dataclass
-class PipelineArtifacts:
-    bank: Path
-    static_dir: Path
-    train_dir: Path | None
-    dynamic_dir: Path | None
-    report: Path
 
 
 def run_provenance(cfg: PipelineConfig, stage: str) -> dict:
@@ -100,6 +90,22 @@ def stage_attributes(cfg: PipelineConfig, resume: bool = False):
     return bank, out
 
 
+def load_inputs(cfg: PipelineConfig, resume: bool = False):
+    """(weights, dataset, bank) of a run, each checked against the others
+    before any image is encoded: the config's paths, the resume stamp of
+    `report.json`, the dataset's image size against the weights, then the
+    attribute stage (its bank reused with `resume`) against both."""
+    cfg.validate()
+    _check_resume(Path(cfg.out_dir) / "report.json", cfg, resume)
+    weights = load_weights(cfg.weights)
+    dataset = load_dataset(cfg.dataset, image_size=weights.image_size)
+    bank, bank_path = stage_attributes(cfg, resume=resume)
+    bank_source = f"{bank_path} (from {cfg.knowledge})"
+    check_bank_dim(bank, bank_source, weights, cfg.weights)
+    check_bank_classes(bank, bank_source, dataset)
+    return weights, dataset, bank
+
+
 def write_cam_outputs(out_dir: Path, stem: str, result, patch_size: int, prov: dict) -> tuple[Path, Path]:
     """`<stem>.cams.json` and the pixel-resolution `<stem>.pseudo.pgm` of a
     static or dynamic result, both stamped with `prov`; returns their paths."""
@@ -111,19 +117,26 @@ def write_cam_outputs(out_dir: Path, stem: str, result, patch_size: int, prov: d
     return cams_path, pgm_path
 
 
+def export_cams(cfg: PipelineConfig, stage: str, dataset: ToyDataset, results, patch_size: int):
+    """The `<stage>/` directory with each image's CAM outputs, in dataset
+    order, stamped with the stage's provenance; made only once every
+    result is computed."""
+    out_dir = Path(cfg.out_dir) / stage
+    out_dir.mkdir(parents=True, exist_ok=True)
+    prov = run_provenance(cfg, stage)
+    for rec, res in zip(dataset.images, results):
+        write_cam_outputs(out_dir, rec.name, res, patch_size, prov)
+
+
 def stage_static(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, keep_traces: bool):
     """Static CAMs and pseudo labels for every image, in dataset order;
     each result keeps its encoder trace only with `keep_traces`, for later
     stages to reuse."""
-    out_dir = Path(cfg.out_dir) / "static"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prov = run_provenance(cfg, "static")
     results = run_static_passes(
         dataset.images, weights, bank, cfg.static_policy(), cfg.train.tau_fg, cfg.train.tau_bg, keep_traces
     )
-    for rec, res in zip(dataset.images, results):
-        write_cam_outputs(out_dir, rec.name, res, weights.patch_size, prov)
-    return results, out_dir
+    export_cams(cfg, "static", dataset, results, weights.patch_size)
+    return results
 
 
 def stage_train(cfg: PipelineConfig, dim: int, calibrated, resume: bool = False):
@@ -132,30 +145,25 @@ def stage_train(cfg: PipelineConfig, dim: int, calibrated, resume: bool = False)
     out_dir = Path(cfg.out_dir) / "train"
     final = checkpoint_path(out_dir, cfg.train.iterations)
     if _check_resume(final, cfg, resume):
-        adapter, _ = load_checkpoint(final, dim)
-        return adapter, out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result = train_loop(calibrated, dim, cfg.train, out_dir=out_dir, provenance=run_provenance(cfg, "train"))
-    return result.adapter, out_dir
+        return load_checkpoint(final, dim)[0]
+    return train_loop(calibrated, dim, cfg.train, out_dir=out_dir, provenance=run_provenance(cfg, "train")).adapter
 
 
 def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapter, calibrated):
     """Dynamic CAMs for every image, each biased re-encode resuming from
     the image's trace in `calibrated` (as for `stage_train`)."""
-    out_dir = Path(cfg.out_dir) / "dynamic"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prov = run_provenance(cfg, "dynamic")
     tau_fg, tau_bg = cfg.train.tau_fg, cfg.train.tau_bg
-    results = []
-    for rec, static in zip(dataset.images, calibrated):
-        res = dynamic_cam(rec.image, weights, adapter, bank, rec.labels, tau_fg, tau_bg, static.trace)
-        write_cam_outputs(out_dir, rec.name, res, weights.patch_size, prov)
-        results.append(res)
-    return results, out_dir
+    results = [
+        dynamic_cam(rec.image, weights, adapter, bank, rec.labels, tau_fg, tau_bg, static.trace)
+        for rec, static in zip(dataset.images, calibrated)
+    ]
+    export_cams(cfg, "dynamic", dataset, results, weights.patch_size)
+    return results
 
 
 def stage_eval(cfg: PipelineConfig, dataset: ToyDataset, label_maps: list, patch_size: int, stage_name: str):
-    """Scores `label_maps`, one per image in dataset order."""
+    """Scores `label_maps`, one per image in dataset order, into
+    `report.json` and `report.txt`; returns (report path, report)."""
     preds = [upsample_labels(labels, patch_size) for labels in label_maps]
     gts = [rec.mask for rec in dataset.images]
     report = evaluate(preds, gts, num_labels=len(dataset.class_names))
@@ -165,48 +173,30 @@ def stage_eval(cfg: PipelineConfig, dataset: ToyDataset, label_maps: list, patch
     (Path(cfg.out_dir) / "report.txt").write_text(
         report_text(report, dataset.class_names), encoding="utf-8"
     )
-    return report, report_path
+    return report_path, report
 
 
 def run_pipeline(cfg: PipelineConfig, mode: str = "full", resume: bool = False):
-    """Run every stage; `mode='static-only'` skips training and dynamic CAMs
-    and evaluates the training-free pseudo labels."""
+    """Run every stage and return (report path, report); `mode='static-only'`
+    skips training and dynamic CAMs and evaluates the training-free pseudo
+    labels."""
     if mode not in ("full", "static-only"):
         raise UsageError(f"unknown pipeline mode '{mode}'")
-    cfg.validate()
-    out_root = Path(cfg.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    _check_resume(out_root / "report.json", cfg, resume)
+    weights, dataset, bank = load_inputs(cfg, resume=resume)
     # the recorded copy points out_dir at its own directory, so identical
     # runs into different locations leave byte-identical trees
-    save_config(out_root / "run_config.json", dataclasses.replace(cfg, out_dir="."))
-    weights = load_weights(cfg.weights)
-    dataset = load_dataset(cfg.dataset, patch_size=weights.patch_size)
-    bank, bank_path = stage_attributes(cfg, resume=resume)
-    bank_source = f"{bank_path} (from {cfg.knowledge})"
-    check_bank_dim(bank, bank_source, weights, cfg.weights)
-    check_bank_classes(bank, bank_source, dataset)
+    save_config(Path(cfg.out_dir) / "run_config.json", dataclasses.replace(cfg, out_dir="."))
     # training and dynamic CAMs consume the calibrated pass; when the
     # exported static stage runs that same calibration, its results are
     # that pass, so every image is encoded under it once per run
     calibration = cfg.train.calibration()
     shared = mode == "full" and cfg.static_policy() == calibration
-    static_results, static_dir = stage_static(cfg, weights, bank, dataset, keep_traces=shared)
-    train_dir = dynamic_dir = None
+    results = stage_static(cfg, weights, bank, dataset, keep_traces=shared)
+    evaluated = "static"
     if mode == "full":
-        calibrated = static_results if shared else run_static_passes(
+        calibrated = results if shared else run_static_passes(
             dataset.images, weights, bank, calibration, cfg.train.tau_fg, cfg.train.tau_bg, keep_traces=True
         )
-        adapter, train_dir = stage_train(cfg, weights.dim, calibrated, resume=resume)
-        dynamic_results, dynamic_dir = stage_dynamic(cfg, weights, bank, dataset, adapter, calibrated)
-        label_maps, evaluated = [res.labels for res in dynamic_results], "dynamic"
-    else:
-        label_maps, evaluated = [res.labels for res in static_results], "static"
-    report, report_path = stage_eval(cfg, dataset, label_maps, weights.patch_size, evaluated)
-    return PipelineArtifacts(
-        bank=bank_path,
-        static_dir=static_dir,
-        train_dir=train_dir,
-        dynamic_dir=dynamic_dir,
-        report=report_path,
-    ), report
+        adapter = stage_train(cfg, weights.dim, calibrated, resume=resume)
+        results, evaluated = stage_dynamic(cfg, weights, bank, dataset, adapter, calibrated), "dynamic"
+    return stage_eval(cfg, dataset, [res.labels for res in results], weights.patch_size, evaluated)

@@ -37,7 +37,7 @@ def wide_weights(fixture_weights):
 
 @pytest.fixture(scope="session")
 def fixture_dataset(fixture_paths, fixture_weights):
-    return load_dataset(fixture_paths["dataset"], patch_size=fixture_weights.patch_size)
+    return load_dataset(fixture_paths["dataset"], image_size=fixture_weights.image_size)
 
 
 @pytest.fixture(scope="session")

@@ -167,20 +167,24 @@ def test_train_cli(cli_fixtures, tmp_path):
 
 
 def test_train_and_run_write_the_same_training_output(cli_fixtures, tmp_path):
-    # `excel train` repeats run's stages up to training: for one config both
-    # must leave byte-identical train/ trees and attribute banks
-    trees = []
-    for command in ("train", "run"):
-        out_dir = tmp_path / command
-        cfg_path = write_cli_config(
-            tmp_path / f"{command}.json", cli_fixtures, out_dir, iterations=3, checkpoint_every=2
-        )
-        assert main([command, "--config", str(cfg_path)]) == 0
-        files = [out_dir / "attrs.json", out_dir / "attrs.bin", *sorted((out_dir / "train").rglob("*"))]
-        trees.append({p.relative_to(out_dir): p.read_bytes() for p in files if p.is_file()})
-    assert Path("train/checkpoint_000002.json") in trees[0]
-    assert trees[0].keys() == trees[1].keys()
-    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
+    # `excel train` runs run's stages up to training: for one config both
+    # must leave byte-identical train/ trees and attribute banks, whether
+    # run's static stage is the calibrated pass (the default policy) or
+    # run makes that pass separately (value_value)
+    for policy in ("intra_correlation", "value_value"):
+        trees = []
+        for command in ("train", "run"):
+            out_dir = tmp_path / policy / command
+            cfg_path = write_cli_config(
+                tmp_path / f"{policy}-{command}.json", cli_fixtures, out_dir,
+                iterations=3, checkpoint_every=2, policy=policy,
+            )
+            assert main([command, "--config", str(cfg_path)]) == 0
+            files = [out_dir / "attrs.json", out_dir / "attrs.bin", *sorted((out_dir / "train").rglob("*"))]
+            trees.append({p.relative_to(out_dir): p.read_bytes() for p in files if p.is_file()})
+        assert Path("train/checkpoint_000002.json") in trees[0], policy
+        assert trees[0].keys() == trees[1].keys(), policy
+        assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == [], policy
 
 
 def _with_head_tensors(checkpoint, path):
@@ -700,6 +704,43 @@ def test_exit_code_bank_classes_differ_from_dataset(cli_fixtures, two_class_know
     line = one_error_line(proc.returncode, proc.stderr, 2)
     assert str(knowledge) in line and str(cli_fixtures / "dataset" / "classes.json") in line
     assert not (out / "static").exists() and not (out / "train").exists()
+
+
+@pytest.fixture(scope="module")
+def wide_dataset(tmp_path_factory):
+    """A dataset of 128 px images, twice the size the default weights take."""
+    root = tmp_path_factory.mktemp("widefx")
+    return generate_fixtures(42, FixtureSpec(images=2, image_size=128), root)["dataset"]
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_exit_code_dataset_image_size_differs_from_weights(cli_fixtures, wide_dataset, tmp_path, command):
+    # 128 px images against weights for 64 px fail while the dataset is
+    # loaded, naming the image and both sizes, before any output is written
+    out = tmp_path / "out"
+    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out, dataset=str(wide_dataset))
+    proc = run_excel(command, "--config", str(cfg_path))
+    line = one_error_line(proc.returncode, proc.stderr, 2)
+    assert str(wide_dataset / "images" / "img_0000.ppm") in line and "128x128" in line and "64x64" in line
+    assert not (out / "attrs.json").exists() and not (out / "static").exists() and not (out / "train").exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"fusion_kernel": 2}, {"alpha": -1}, {"lr": -1}, {"clusters": 0}, {"iterations": -5}],
+    ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()),
+)
+def test_exit_code_cam_config_value_out_of_range(cli_fixtures, cli_trained, tmp_path, capsys, override):
+    # `cam --config` refuses the config values that `run` and `train` refuse,
+    # even those a static CAM does not read
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(override))
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    argv = ["cam", "--mode", "static", "--weights", str(cli_fixtures / "encoder.json"),
+            "--bank", str(cli_trained[0] / "attrs.json"), "--image", str(image), "--labels", "1",
+            "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert "must be" in _main_error(capsys, argv, 1)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode", ["static", "dynamic"])

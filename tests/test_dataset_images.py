@@ -89,7 +89,7 @@ def toy_records(classes=2, n=4, size=8):
 def test_dataset_round_trip(tmp_path):
     names = ["background", "red", "green"]
     save_dataset(tmp_path / "ds", names, toy_records())
-    ds = load_dataset(tmp_path / "ds", patch_size=4)
+    ds = load_dataset(tmp_path / "ds", image_size=(8, 8))
     assert ds.class_names == names
     assert len(ds.images) == 4
     assert ds.images[0].name == "img_0000"
@@ -137,10 +137,13 @@ def test_dataset_label_mask_inconsistency(tmp_path):
         load_dataset(tmp_path / "ds")
 
 
-def test_dataset_dims_not_divisible(tmp_path):
+def test_dataset_image_size_differs_from_weights(tmp_path):
+    # the size the encoder weights take, (height, width), must match exactly,
+    # not only divide into patches
     save_dataset(tmp_path / "ds", ["background", "red", "green"], toy_records(size=8))
-    with pytest.raises(DataError, match="divisible"):
-        load_dataset(tmp_path / "ds", patch_size=3)
+    with pytest.raises(DataError, match=r"img_0000\.ppm is 8x8, but the encoder weights take 16x8 images"):
+        load_dataset(tmp_path / "ds", image_size=(8, 16))
+    assert len(load_dataset(tmp_path / "ds", image_size=(8, 8)).images) == 4
 
 
 def test_dataset_size_mismatch(tmp_path):

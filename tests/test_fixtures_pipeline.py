@@ -165,18 +165,18 @@ def short_run(tmp_path_factory, fixture_paths):
             "checkpoint_every": 2,
         }
     )
-    artifacts, report = run_pipeline(cfg, mode="full")
-    return cfg, artifacts, report, out
+    report_path, report = run_pipeline(cfg, mode="full")
+    return cfg, report_path, report, out
 
 
 def test_pipeline_emits_all_artifacts(short_run):
-    cfg, artifacts, report, out = short_run
-    assert artifacts.bank.exists()
+    cfg, report_path, report, out = short_run
+    assert (out / "attrs.json").exists()
     assert (out / "static").exists() and len(list((out / "static").glob("*.pseudo.pgm"))) == 32
     assert (out / "train" / "loss_curve.csv").exists()
     assert (out / "train" / "checkpoint_000004.json").exists()
     assert (out / "dynamic").exists() and len(list((out / "dynamic").glob("*.cams.json"))) == 32
-    assert artifacts.report.exists() and (out / "report.txt").exists()
+    assert report_path == out / "report.json" and report_path.exists() and (out / "report.txt").exists()
     assert 0.0 <= report.miou <= 1.0
 
 
@@ -190,11 +190,11 @@ def test_checkpoint_is_one_tensor_file(short_run):
 
 
 def test_pipeline_provenance_stamped(short_run):
-    cfg, artifacts, report, out = short_run
-    payload = json.loads(artifacts.report.read_text())
+    cfg, report_path, report, out = short_run
+    payload = json.loads(report_path.read_text())
     assert payload["provenance"]["config_hash"] == cfg.digest()
     assert payload["provenance"]["seed"] == cfg.seed
-    bank_manifest = json.loads(artifacts.bank.read_text())
+    bank_manifest = json.loads((out / "attrs.json").read_text())
     assert bank_manifest["provenance"]["config_hash"] == cfg.digest()
     from excel.images import read_comments
 
@@ -203,15 +203,15 @@ def test_pipeline_provenance_stamped(short_run):
 
 
 def test_pipeline_resume_hash_mismatch_refused(short_run, fixture_paths):
-    cfg, artifacts, report, out = short_run
+    cfg, _, report, out = short_run
     altered = parse_config({**cfg.to_dict(), "lr": 9e-4})
     with pytest.raises(UsageError, match="refusing to resume"):
         run_pipeline(altered, mode="full", resume=True)
 
 
 def test_pipeline_resume_same_hash_reuses(short_run):
-    cfg, artifacts, report, out = short_run
-    artifacts2, report2 = run_pipeline(cfg, mode="full", resume=True)
+    cfg, _, report, out = short_run
+    _, report2 = run_pipeline(cfg, mode="full", resume=True)
     assert report2.miou == report.miou
 
 
@@ -244,9 +244,10 @@ def test_pipeline_static_only(tmp_path, fixture_paths):
             "clusters": 8,
         }
     )
-    artifacts, report = run_pipeline(cfg, mode="static-only")
-    assert artifacts.train_dir is None and artifacts.dynamic_dir is None
-    payload = json.loads(artifacts.report.read_text())
+    report_path, report = run_pipeline(cfg, mode="static-only")
+    out = tmp_path / "static_run"
+    assert not (out / "train").exists() and not (out / "dynamic").exists()
+    payload = json.loads(report_path.read_text())
     assert payload["evaluated_stage"] == "static"
     assert report.miou > 0.5  # training-free labels are already informative
 
@@ -269,8 +270,8 @@ def test_pipeline_full_mode_with_vanilla_static_policy(tmp_path, fixture_paths):
                 "clusters": 8,
             }
         )
-        artifacts, report = run_pipeline(cfg, mode="full")
-        assert artifacts.report.exists()
+        report_path, report = run_pipeline(cfg, mode="full")
+        assert report_path.exists()
         assert 0.0 <= report.miou <= 1.0
         return out, report
 

@@ -6,7 +6,7 @@
 #     diff -r /tmp/eq-old /tmp/eq-new
 # prints nothing. Everything runs under one BLAS/OpenMP thread with paths
 # relative to OUT, so the recorded configs and provenance hashes agree.
-# About 35 s on a 2-vCPU VM.
+# About 40 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -51,6 +51,9 @@ excel run --config full32.json > run-full32.log
 
 config train.json train fx '"iterations": 5, "checkpoint_every": 2'
 excel train --config train.json > train.log
+# no iterations: the empty loss curve's print; the static policy does not reach training
+config train0.json train0 fx '"iterations": 0, "policy": "value_value"'
+excel train --config train0.json > train0.log
 
 excel build-attrs --kb fx/knowledge.json --clusters 16 --lambda 0.5 --seed 7 --out bank-0.5.json > build-attrs-0.5.log
 excel build-attrs --kb fx/knowledge.json --clusters 16 --lambda 0 --seed 7 --out bank-0.json > build-attrs-0.log
@@ -71,6 +74,9 @@ done
 excel cam --mode dynamic --weights fx/encoder.json --bank kernel3/attrs.json \
     --image fx/dataset/images/img_0002.ppm --labels "$labels" \
     --adapter kernel3/train/checkpoint_000005.json --config kernel3.json --out cam-kernel3 > cam-kernel3.log
+# a static CAM under the config's vanilla policy, not the training calibration
+excel cam --mode static --weights fx/encoder.json --bank vanilla/attrs.json \
+    --image fx/dataset/images/img_0002.ppm --labels "$labels" --config vanilla.json --out cam-vanilla > cam-vanilla.log
 excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0002.ppm \
     --policies icb --adapter kernel3/train/checkpoint_000005.json --out attn-kernel3 > attn-kernel3.log
 
