@@ -2,13 +2,17 @@
 
 Manifest (UTF-8, JSON):
     {
-      "format": "excel-tensors-v1",
+      "format": "excel-tensors-v2",
       "blob": "<filename relative to the manifest>",
-      "checksum_fnv1a64": "0x%016x over the entire blob file",
+      "checksum_sha256": "<64 lowercase hex digits: SHA-256 of the entire blob file>",
       "tensors": [{"name": str, "shape": [int, ...], "offset": int}, ...],
       "meta": {...},          # free-form, format-specific
       "provenance": {...}     # optional: stage, seed, config hash
     }
+
+`save_tensors` writes v2. `load_tensors` also reads "excel-tensors-v1",
+which differs only in its checksum: "checksum_fnv1a64", "0x%016x" of the
+64-bit FNV-1a of the blob. `CHECKSUMS` maps each tag to its key and digest.
 
 Blob: little-endian IEEE-754 binary32 values, row-major, packed back to
 back at the declared byte offsets with no gaps. Loading validates the
@@ -20,6 +24,7 @@ Every JSON file the package writes, manifests included, goes through
 JSON object it reads goes through `read_json_object`.
 """
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,7 +35,12 @@ import numpy as np
 from .errors import ChecksumError, DataError, ExcelError, MissingTensorError, NumericError, ShapeError
 from .hashing import fnv1a64
 
-FORMAT_TAG = "excel-tensors-v1"
+FORMAT_TAG = "excel-tensors-v2"
+# format tag -> (manifest key of the blob's checksum, the checksum of a blob)
+CHECKSUMS = {
+    "excel-tensors-v1": ("checksum_fnv1a64", lambda blob: f"0x{fnv1a64(blob):016x}"),
+    FORMAT_TAG: ("checksum_sha256", lambda blob: hashlib.sha256(blob).hexdigest()),
+}
 
 
 @dataclass
@@ -113,10 +123,11 @@ def save_tensors(path, tensors, meta=None, provenance=None) -> Path:
         chunks.append(raw)
         offset += len(raw)
     blob = b"".join(chunks)
+    checksum_key, checksum = CHECKSUMS[FORMAT_TAG]
     manifest = {
         "format": FORMAT_TAG,
         "blob": blob_path.name,
-        "checksum_fnv1a64": f"0x{fnv1a64(blob):016x}",
+        checksum_key: checksum(blob),
         "tensors": entries,
         "meta": meta or {},
         "provenance": provenance or {},
@@ -156,8 +167,13 @@ def _parse_entries(path: Path, entries) -> list[tuple[str, tuple[int, ...], int]
 def load_tensors(path) -> TensorFile:
     path = Path(path)
     manifest = read_json_object(path, "manifest", DataError)
-    if manifest.get("format") != FORMAT_TAG:
-        raise DataError(f"manifest {path} has unknown format tag {manifest.get('format')!r}")
+    tag = manifest.get("format")
+    if not isinstance(tag, str) or tag not in CHECKSUMS:
+        raise DataError(f"manifest {path} has unknown format tag {tag!r}")
+    checksum_key, checksum = CHECKSUMS[tag]
+    declared = manifest.get(checksum_key)
+    if not isinstance(declared, str):
+        raise DataError(f"manifest {path} of format {tag} needs a string '{checksum_key}', got {declared!r}")
     blob_name = manifest.get("blob")
     if not isinstance(blob_name, str) or not blob_name or Path(blob_name).name != blob_name:
         raise DataError(f"manifest {path} has blob {blob_name!r}, not a file name next to it")
@@ -169,8 +185,7 @@ def load_tensors(path) -> TensorFile:
     if not blob_path.is_file():
         raise DataError(f"blob not found: {blob_path}")
     blob = blob_path.read_bytes()
-    declared = manifest.get("checksum_fnv1a64", "")
-    actual = f"0x{fnv1a64(blob):016x}"
+    actual = checksum(blob)
     if declared != actual:
         raise ChecksumError(
             f"blob {blob_path} checksum {actual} does not match manifest {declared}"

@@ -9,7 +9,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a over raw bytes."""
+    """64-bit FNV-1a over raw bytes: the seed derivation of `Rng.child`
+    and the blob checksum of excel-tensors-v1 files."""
     h = FNV64_OFFSET
     for byte in data:
         h = ((h ^ byte) * FNV64_PRIME) & _MASK64

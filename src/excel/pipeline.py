@@ -73,37 +73,40 @@ def check_bank_classes(bank: TextRepresentation, bank_source: str, dataset: ToyD
         )
 
 
-def stage_attributes(cfg: PipelineConfig, resume: bool = False):
+def stage_attributes(cfg: PipelineConfig, weights: EncoderWeights, dataset: ToyDataset, resume: bool = False):
+    """The run's text bank, reused with `resume`, checked against the
+    weights and the dataset before a new one is saved."""
     out = Path(cfg.out_dir) / "attrs.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if _check_resume(out, cfg, resume):
-        return load_bank(out), out
-    kb = ingest_knowledge(cfg.knowledge)
-    bank = build_text_bank(
-        kb,
-        clusters=cfg.train.clusters,
-        topk=cfg.train.topk,
-        lam=cfg.train.lam,
-        rng=Rng(cfg.seed).child("attributes"),
-    )
-    save_bank(out, bank, provenance=run_provenance(cfg, "attributes"))
-    return bank, out
+    reused = _check_resume(out, cfg, resume)
+    if reused:
+        bank = load_bank(out)
+    else:
+        bank = build_text_bank(
+            ingest_knowledge(cfg.knowledge),
+            clusters=cfg.train.clusters,
+            topk=cfg.train.topk,
+            lam=cfg.train.lam,
+            rng=Rng(cfg.seed).child("attributes"),
+        )
+    bank_source = f"{out} (from {cfg.knowledge})"
+    check_bank_dim(bank, bank_source, weights, cfg.weights)
+    check_bank_classes(bank, bank_source, dataset)
+    if not reused:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        save_bank(out, bank, provenance=run_provenance(cfg, "attributes"))
+    return bank
 
 
 def load_inputs(cfg: PipelineConfig, resume: bool = False):
     """(weights, dataset, bank) of a run, each checked against the others
-    before any image is encoded: the config's paths, the resume stamp of
-    `report.json`, the dataset's image size against the weights, then the
-    attribute stage (its bank reused with `resume`) against both."""
+    before any image is encoded or output written: the config's paths, the
+    resume stamp of `report.json`, the dataset's image size against the
+    weights, then the attribute stage's bank against both."""
     cfg.validate()
     _check_resume(Path(cfg.out_dir) / "report.json", cfg, resume)
     weights = load_weights(cfg.weights)
     dataset = load_dataset(cfg.dataset, image_size=weights.image_size)
-    bank, bank_path = stage_attributes(cfg, resume=resume)
-    bank_source = f"{bank_path} (from {cfg.knowledge})"
-    check_bank_dim(bank, bank_source, weights, cfg.weights)
-    check_bank_classes(bank, bank_source, dataset)
-    return weights, dataset, bank
+    return weights, dataset, stage_attributes(cfg, weights, dataset, resume=resume)
 
 
 def write_cam_outputs(out_dir: Path, stem: str, result, patch_size: int, prov: dict) -> tuple[Path, Path]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -24,9 +25,18 @@ def _sample_tensors():
     }
 
 
+def test_seed_derivation_is_pinned():
+    # Rng.child derives every seed with fnv1a64: a changed digest there
+    # would change every output of the package
+    assert Rng(7).child("attributes").seed == 657384251398013429
+
+
 def test_round_trip_bitwise(tmp_path):
     tensors = _sample_tensors()
     path = save_tensors(tmp_path / "t.json", tensors, meta={"k": 1}, provenance={"stage": "x"})
+    manifest = json.loads(path.read_text())
+    assert manifest["format"] == "excel-tensors-v2" and "checksum_fnv1a64" not in manifest
+    assert manifest["checksum_sha256"] == hashlib.sha256((tmp_path / "t.bin").read_bytes()).hexdigest()
     tf = load_tensors(path)
     assert tf.meta == {"k": 1}
     assert tf.provenance == {"stage": "x"}
@@ -56,6 +66,68 @@ def test_truncated_blob_is_checksum_error(tmp_path):
     blob = tmp_path / "t.bin"
     blob.write_bytes(blob.read_bytes()[:-4])
     with pytest.raises(ChecksumError):
+        load_tensors(path)
+
+
+def test_corrupted_blob_is_checksum_error(tmp_path):
+    path = save_tensors(tmp_path / "t.json", _sample_tensors())
+    blob = tmp_path / "t.bin"
+    raw = bytearray(blob.read_bytes())
+    raw[5] ^= 0x01
+    blob.write_bytes(bytes(raw))
+    with pytest.raises(ChecksumError, match="does not match"):
+        load_tensors(path)
+
+
+def _write_v1(path, tensors):
+    """A hand-written excel-tensors-v1 manifest and its blob."""
+    blob = b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in tensors.values())
+    offsets = np.cumsum([0] + [4 * arr.size for arr in tensors.values()])
+    manifest = {
+        "format": "excel-tensors-v1",
+        "blob": "v1.bin",
+        "checksum_fnv1a64": f"0x{fnv1a64(blob):016x}",
+        "tensors": [
+            {"name": name, "shape": list(arr.shape), "offset": int(offset)}
+            for (name, arr), offset in zip(tensors.items(), offsets)
+        ],
+        "meta": {"k": 1},
+    }
+    path.with_name("v1.bin").write_bytes(blob)
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+def test_v1_file_still_loads_bitwise(tmp_path):
+    tensors = _sample_tensors()
+    path = _write_v1(tmp_path / "v1.json", tensors)
+    tf = load_tensors(path)
+    assert tf.meta == {"k": 1} and tf.provenance == {}
+    for name, arr in tensors.items():
+        assert tf.require(name).tobytes() == arr.tobytes()
+    blob = tmp_path / "v1.bin"
+    blob.write_bytes(blob.read_bytes()[:-4])
+    with pytest.raises(ChecksumError):
+        load_tensors(path)
+
+
+@pytest.mark.parametrize(
+    "tag, members, expected",
+    [
+        ("excel-tensors-v2", {}, "checksum_sha256"),
+        ("excel-tensors-v2", {"checksum_fnv1a64": "0x0123456789abcdef"}, "checksum_sha256"),
+        ("excel-tensors-v1", {"checksum_sha256": "00" * 32}, "checksum_fnv1a64"),
+        ("excel-tensors-v2", {"checksum_sha256": 12345}, "checksum_sha256"),
+        ("excel-tensors-v1", {"checksum_fnv1a64": None}, "checksum_fnv1a64"),
+    ],
+    ids=["v2-none", "v2-with-v1-key", "v1-with-v2-key", "v2-not-a-string", "v1-null"],
+)
+def test_checksum_key_must_match_format_tag(tmp_path, tag, members, expected):
+    path = save_tensors(tmp_path / "t.json", _sample_tensors())
+    manifest = json.loads(path.read_text())
+    del manifest["checksum_sha256"]
+    path.write_text(json.dumps({**manifest, "format": tag, **members}))
+    with pytest.raises(DataError, match=rf"manifest .*t\.json .*'{expected}'"):
         load_tensors(path)
 
 
@@ -106,6 +178,16 @@ def test_unknown_format_tag(tmp_path):
     path = save_tensors(tmp_path / "t.json", _sample_tensors())
     manifest = json.loads(path.read_text())
     manifest["format"] = "something-else"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="format tag"):
+        load_tensors(path)
+
+
+@pytest.mark.parametrize("tag", [["excel-tensors-v2"], {"v": 2}, None, 2])
+def test_format_tag_not_a_string(tmp_path, tag):
+    path = save_tensors(tmp_path / "t.json", _sample_tensors())
+    manifest = json.loads(path.read_text())
+    manifest["format"] = tag
     path.write_text(json.dumps(manifest))
     with pytest.raises(DataError, match="format tag"):
         load_tensors(path)

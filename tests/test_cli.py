@@ -14,6 +14,7 @@ from excel.blobio import load_tensors, save_tensors, write_json
 from excel.cli import main
 from excel.config import parse_config, save_config
 from excel.encoder import save_weights
+from excel.hashing import fnv1a64
 from excel.fixtures import FixtureSpec, generate_fixtures, make_encoder_weights
 from excel.images import read_pgm
 from excel.numerics import Rng
@@ -234,6 +235,41 @@ def test_cam_dynamic_cli(cli_fixtures, cli_trained, tmp_path):
     assert cam(legacy, tmp_path / "legacycams") == 0
     for path in sorted(out.iterdir()):
         assert (tmp_path / "legacycams" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def _as_v1(manifest_path, out_path):
+    """A copy of a tensor file in the excel-tensors-v1 format, which differs
+    from v2 only in its tag and its FNV-1a checksum."""
+    manifest = json.loads(Path(manifest_path).read_text())
+    blob = Path(manifest_path).with_name(manifest["blob"]).read_bytes()
+    del manifest["checksum_sha256"]
+    blob_path = out_path.with_suffix(".bin")
+    manifest.update(format="excel-tensors-v1", blob=blob_path.name, checksum_fnv1a64=f"0x{fnv1a64(blob):016x}")
+    blob_path.write_bytes(blob)
+    return write_json(out_path, manifest)
+
+
+def test_cam_dynamic_cli_reads_v1_files(cli_fixtures, cli_trained, tmp_path):
+    # v1 copies of the weights and the checkpoint give the CAMs and labels of the v2 files
+    out_dir, cfg_path = cli_trained
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    labels = json.loads((cli_fixtures / "dataset" / "labels.json").read_text())[image.stem]
+    v2 = {"weights": cli_fixtures / "encoder.json", "adapter": out_dir / "train" / "checkpoint_000001.json"}
+    v1 = {key: _as_v1(path, tmp_path / f"{key}-v1.json") for key, path in v2.items()}
+    for version, files in {"v1": v1, "v2": v2}.items():
+        code = main(
+            [
+                "cam", "--mode", "dynamic", "--weights", str(files["weights"]), "--bank", str(out_dir / "attrs.json"),
+                "--image", str(image), "--labels", ",".join(map(str, labels)), "--adapter", str(files["adapter"]),
+                "--config", str(cfg_path), "--out", str(tmp_path / version),
+            ]
+        )
+        assert code == 0
+    # the CAM blob, its manifest and the label pixels
+    written = sorted(p.name for p in (tmp_path / "v2").iterdir())
+    assert written == [f"{image.stem}.{ext}" for ext in ("cams.bin", "cams.json", "pseudo.pgm")]
+    for path in (tmp_path / "v2").iterdir():
+        assert (tmp_path / "v1" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_attn_report_cli(cli_fixtures, tmp_path):
@@ -703,7 +739,8 @@ def test_exit_code_bank_classes_differ_from_dataset(cli_fixtures, two_class_know
     proc = run_excel(case.split("-")[0], "--config", str(cfg_path))
     line = one_error_line(proc.returncode, proc.stderr, 2)
     assert str(knowledge) in line and str(cli_fixtures / "dataset" / "classes.json") in line
-    assert not (out / "static").exists() and not (out / "train").exists()
+    # the bank is checked before it is saved: no output directory is created
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

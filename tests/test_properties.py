@@ -56,9 +56,10 @@ def small(tmp_path_factory):
 
 
 def _weights_mutation(manifest):
-    """(where, key, value): a required field given a value that cannot be valid."""
+    """[(where, key, value), ...]: edits that leave a required field with a
+    value that cannot be valid."""
     meta, entries = manifest["meta"], manifest["tensors"]
-    top = st.sampled_from(["format", "blob", "checksum_fnv1a64", "tensors", "meta"]).flatmap(
+    top = st.sampled_from(["format", "blob", "checksum_sha256", "tensors", "meta"]).flatmap(
         lambda k: st.tuples(st.just("top"), st.just(k), _other_than(manifest[k]))
     )
     provenance = st.tuples(st.just("top"), st.just("provenance"), json_values.filter(lambda v: not isinstance(v, dict)))
@@ -71,16 +72,20 @@ def _weights_mutation(manifest):
     entry = st.tuples(st.integers(0, len(entries) - 1), st.sampled_from(["name", "shape", "offset"])).flatmap(
         lambda ik: st.tuples(st.just(ik[0]), st.just(ik[1]), _other_than(entries[ik[0]][ik[1]]))
     )
-    return top | provenance | counts | grid | entry
+    # the v2 checksum moved under the v1 key, or the tag set to v1, or both
+    to_v1_key = [("top", "checksum_sha256", DELETE), ("top", "checksum_fnv1a64", manifest["checksum_sha256"])]
+    to_v1_tag = [("top", "format", "excel-tensors-v1")]
+    v1 = st.sampled_from([to_v1_key, to_v1_tag, to_v1_key + to_v1_tag])
+    return (top | provenance | counts | grid | entry).map(lambda edit: [edit]) | v1
 
 
 @given(data=st.data())
 @PROPERTY
 def test_mutated_weights_manifest_fails_cleanly(small, data):
     manifest = json.loads((small / "encoder.json").read_text())
-    where, key, value = data.draw(_weights_mutation(manifest))
-    target = {"top": manifest, "meta": manifest["meta"]}.get(where) or manifest["tensors"][where]
-    _set(target, key, value)
+    for where, key, value in data.draw(_weights_mutation(manifest)):
+        target = {"top": manifest, "meta": manifest["meta"]}.get(where) or manifest["tensors"][where]
+        _set(target, key, value)
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copy(small / "encoder.bin", Path(tmp) / "encoder.bin")
         (Path(tmp) / "encoder.json").write_text(json.dumps(manifest))

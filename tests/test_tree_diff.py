@@ -1,0 +1,65 @@
+"""`tools/tree_diff.py` names every difference between two output trees
+and exits 1 on any."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "tree_diff.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("tree_diff", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _tree(root: Path, files: dict) -> Path:
+    for name, data in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data)
+    return root
+
+
+def test_identical_trees_exit_0(tmp_path, capsys):
+    files = {"a.json": b'{"x": 1}\n', "sub/b.bin": b"\x00\x01"}
+    old, new = _tree(tmp_path / "old", files), _tree(tmp_path / "new", files)
+    assert _load_tool().main([str(old), str(new)]) == 0
+    assert "2 files in both trees, 0 differ; 0 in one tree only" in capsys.readouterr().out
+
+
+def test_every_difference_is_named(tmp_path, capsys):
+    old = _tree(
+        tmp_path / "old",
+        {
+            "m.json": json.dumps({"format": "v1", "sum_a": "1", "t": [{"n": 1}], "same": 0}).encode(),
+            "same-pixels.pgm": b"P5\n# old\n2 1\n255\n\x01\x02",
+            "other-pixels.pgm": b"P5 2 1 255\n\x01\x02",
+            "x.bin": b"\x00",
+            "gone.csv": b"",
+        },
+    )
+    new = _tree(
+        tmp_path / "new",
+        {
+            "m.json": json.dumps({"format": "v2", "sum_b": "1", "t": [{"n": 1.0}], "same": 0}).encode(),
+            "same-pixels.pgm": b"P5\n# new\n2 1\n255\n\x01\x02",
+            "other-pixels.pgm": b"P5 2 1 255\n\x01\x03",
+            "x.bin": b"\x01",
+            "added.log": b"",
+        },
+    )
+    assert _load_tool().main([str(old), str(new)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "only in OLD: gone.csv" in out and "only in NEW: added.log" in out
+    assert "differs: m.json: keys format, sum_a (only in OLD), sum_b (only in NEW), t.0.n" in out
+    assert "differs: same-pixels.pgm: pixels identical, header differs" in out
+    assert "differs: other-pixels.pgm: pixels differ" in out
+    assert "differs: x.bin: bytes differ (1 -> 1 bytes)" in out
+    assert "JSON key path format: differs in 1 files" in out

@@ -3,9 +3,10 @@
 # leaves every output they write, and their stdout, under OUT. Two
 # checkouts produce byte-identical outputs when
 #     tools/equivalence.sh OLD /tmp/eq-old && tools/equivalence.sh NEW /tmp/eq-new
-#     diff -r /tmp/eq-old /tmp/eq-new
-# prints nothing. Everything runs under one BLAS/OpenMP thread with paths
-# relative to OUT, so the recorded configs and provenance hashes agree.
+#     tools/tree_diff.py /tmp/eq-old /tmp/eq-new
+# exits 0; otherwise it names every file and JSON key that differs.
+# Everything runs under one BLAS/OpenMP thread with paths relative to
+# OUT, so the recorded configs and provenance hashes agree.
 # About 40 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
