@@ -124,7 +124,9 @@ def _cmd_build_attrs(args) -> int:
     bank = build_text_bank(
         kb, clusters=args.clusters, topk=args.topk, lam=args.lam, rng=Rng(args.seed).child("attributes")
     )
-    prov = {"stage": "attributes", "seed": args.seed, "config_hash": config_digest(vars(args) | {"command": "build-attrs"})}
+    # the flags without --out, where the bank lands, as a run's hash leaves out out_dir
+    flags = {k: v for k, v in vars(args).items() if k != "out"}
+    prov = {"stage": "attributes", "seed": args.seed, "config_hash": config_digest(flags | {"command": "build-attrs"})}
     out = save_bank(args.out, bank, provenance=prov)
     print(f"bank: {out}")
     return EXIT_OK
@@ -152,11 +154,11 @@ def _cmd_cam(args) -> int:
             f"--labels lists class id {outside[0]}, but text bank {args.bank} "
             f"has classes 1..{bank.num_classes}"
         )
-    tau_fg, tau_bg = cfg.train.tau_fg, cfg.train.tau_bg
+    tau_fg, tau_bg = cfg.tau_fg, cfg.tau_bg
     if args.mode == "static":
         res = run_static_pipeline(image, weights, bank, present, cfg.static_policy(), tau_fg, tau_bg)
     else:
-        trace = encode(image, weights, cfg.train.calibration())
+        trace = encode(image, weights, cfg.calibration())
         res = dynamic_cam(image, weights, adapter, bank, present, tau_fg, tau_bg, trace)
     prov = run_provenance(cfg, f"cam-{args.mode}")
     out_dir = Path(args.out)
@@ -171,13 +173,13 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     weights, dataset, bank = load_inputs(cfg)
     calibrated = run_static_passes(
-        dataset.images, weights, bank, cfg.train.calibration(), cfg.train.tau_fg, cfg.train.tau_bg, keep_traces=True
+        dataset.images, weights, bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
     )
     stage_train(cfg, weights.dim, calibrated)
     out_dir = Path(cfg.out_dir) / "train"
     curve = read_loss_curve(out_dir / "loss_curve.csv")
     final = curve[-1][1] if curve else 0.0
-    print(f"trained {cfg.train.iterations} iterations; final diversity loss {final:.4f}")
+    print(f"trained {cfg.iterations} iterations; final diversity loss {final:.4f}")
     print(f"checkpoints: {out_dir}")
     return EXIT_OK
 

@@ -1,21 +1,20 @@
 """Pipeline configuration: one flat JSON object, validated strictly.
 
-Path keys (weights, knowledge, dataset, out_dir) plus the policy selector
-sit alongside every training field; unknown keys are rejected so typos
-never silently fall back to defaults, and every value is type- and
-range-checked where it is parsed. The config hash in every artifact's
-provenance is the digest of the full flat mapping.
+Every key is a field of `PipelineConfig`: the paths a run reads and
+writes, the policy of the exported static stage, and the settings of
+the attribute, calibration and training stages. Unknown keys are
+rejected so typos never silently fall back to defaults, and every value
+is type- and range-checked where a config is made. The config hash in
+every artifact's provenance is the digest of the full flat mapping.
 """
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .blobio import is_finite_number, read_json_object, write_json
 from .encoder import Calibration, named_calibration
 from .errors import UsageError
 from .hashing import config_digest
-from .training_eval import TrainConfig
 
 PATH_KEYS = ("weights", "knowledge", "dataset", "out_dir")
 
@@ -27,22 +26,66 @@ class PipelineConfig:
     dataset: str = ""
     out_dir: str = ""
     policy: str = "intra_correlation"
-    train: TrainConfig = field(default_factory=TrainConfig)
-
-    @property
-    def seed(self) -> int:
-        return self.train.seed
-
-    def static_policy(self) -> Calibration:
-        """Attention of the exported static stage, named by `policy`.
-        Training and dynamic CAMs use `train.calibration()` whatever this
-        selects."""
-        return named_calibration(self.policy, self.train.calibration())
+    lr: float = 1e-4
+    weight_decay: float = 1e-2
+    iterations: int = 500
+    batch_size: int = 4
+    seed: int = 0
+    tau_fg: float = 0.55
+    tau_bg: float = 0.25
+    alpha: float = 3.0
+    beta: float = 1.0
+    calib_layers: int = 5
+    calib_weights: tuple = (1 / 3, 1 / 3, 1 / 3)
+    topk: int = 8
+    lam: float = 0.5
+    clusters: int = 16
+    d_proj: int = 64
+    d_dyn: int = 256
+    fusion_kernel: int = 1
+    adapter_init_sigma: float = 0.02
+    pair_sample_limit: int = 4096
+    checkpoint_every: int = 0  # 0 = final checkpoint only
+    divergence_threshold: float = 1000.0
 
     def __post_init__(self):
         """Values are checked where a config is made, so every command refuses the same ones."""
-        self.train.validate()
+        checks = [
+            (self.lr > 0, f"lr must be positive, got {self.lr}"),
+            (self.weight_decay >= 0, f"weight decay must be >= 0, got {self.weight_decay}"),
+            (self.iterations >= 0, f"iterations must be >= 0, got {self.iterations}"),
+            (self.batch_size >= 1, f"batch size must be >= 1, got {self.batch_size}"),
+            (
+                0 <= self.tau_bg < self.tau_fg <= 1,
+                f"thresholds must satisfy 0 <= tau_bg < tau_fg <= 1, got bg={self.tau_bg} fg={self.tau_fg}",
+            ),
+            (self.alpha > 0, f"alpha must be positive, got {self.alpha}"),
+            (self.topk >= 1, f"topk must be >= 1, got {self.topk}"),
+            (self.lam >= 0, f"lambda must be >= 0, got {self.lam}"),
+            (self.clusters >= 1, f"clusters must be >= 1, got {self.clusters}"),
+            (self.d_proj >= 1 and self.d_dyn >= 1, "adapter dims must be >= 1"),
+            (self.fusion_kernel in (1, 3), f"fusion kernel must be 1 or 3, got {self.fusion_kernel}"),
+            (self.adapter_init_sigma >= 0, "adapter init sigma must be >= 0"),
+            (self.pair_sample_limit >= 1, "pair sample limit must be >= 1"),
+            (self.checkpoint_every >= 0, "checkpoint_every must be >= 0"),
+            (self.divergence_threshold > 0, "divergence threshold must be positive"),
+        ]
+        for ok, msg in checks:
+            if not ok:
+                raise UsageError(msg)
         self.static_policy()
+
+    def calibration(self) -> Calibration:
+        """The calibrated attention that training and dynamic CAMs consume,
+        whatever policy the exported static stage uses; validates
+        `calib_layers` and `calib_weights`."""
+        return Calibration(layers=self.calib_layers, weights=self.calib_weights)
+
+    def static_policy(self) -> Calibration:
+        """Attention of the exported static stage, named by `policy`.
+        Training and dynamic CAMs use `calibration()` whatever this
+        selects."""
+        return named_calibration(self.policy, self.calibration())
 
     def validate(self):
         """Refuses a config without one of the paths a run reads or writes."""
@@ -51,13 +94,7 @@ class PipelineConfig:
                 raise UsageError(f"config is missing required path '{key}'")
 
     def to_dict(self) -> dict:
-        out = {"policy": self.policy, "seed": self.train.seed}
-        for key in PATH_KEYS:
-            out[key] = getattr(self, key)
-        train = self.train.to_dict()
-        train.pop("seed")
-        out.update(train)
-        return out
+        return asdict(self) | {"calib_weights": list(self.calib_weights)}
 
     def digest(self) -> str:
         # identifies the computation: out_dir is where results land, not
@@ -67,8 +104,7 @@ class PipelineConfig:
         return config_digest(mapping)
 
 
-_TRAIN_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-_STR_KEYS = (*PATH_KEYS, "policy")
+_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
 def _typed(key: str, value, kind):
@@ -94,13 +130,10 @@ def _typed(key: str, value, kind):
 
 
 def parse_config(mapping: dict) -> PipelineConfig:
-    known = set(_STR_KEYS) | set(_TRAIN_TYPES)
-    unknown = sorted(set(mapping) - known)
+    unknown = sorted(set(mapping) - set(_TYPES))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    train = {k: _typed(k, mapping[k], kind) for k, kind in _TRAIN_TYPES.items() if k in mapping}
-    paths = {k: _typed(k, mapping[k], str) for k in _STR_KEYS if k in mapping}
-    return PipelineConfig(**paths, train=TrainConfig(**train))
+    return PipelineConfig(**{k: _typed(k, mapping[k], kind) for k, kind in _TYPES.items() if k in mapping})
 
 
 def load_config(path) -> PipelineConfig:

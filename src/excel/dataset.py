@@ -9,7 +9,8 @@ Layout under a root directory:
 Images load in lexicographic stem order so every traversal is
 reproducible. For synthetic data the label list of an image is exactly
 the set of foreground ids present in its mask, and the loader enforces
-that.
+that; every image needs a non-empty list, and `labels.json` names
+exactly the images under `images/`.
 """
 
 from dataclasses import dataclass
@@ -70,8 +71,12 @@ def load_dataset(root, image_size: tuple[int, int] | None = None) -> ToyDataset:
     class_names = load_class_names(classes_path)
     num_fg = len(class_names) - 1
     label_table = _load_label_table(labels_path)
+    image_paths = sorted((root / "images").glob("*.ppm"))
+    orphans = sorted(set(label_table) - {p.stem for p in image_paths})
+    if orphans:
+        raise DataError(f"labels.json lists image '{orphans[0]}', but {root / 'images'} has no {orphans[0]}.ppm")
     records = []
-    for image_path in sorted((root / "images").glob("*.ppm")):
+    for image_path in image_paths:
         stem = image_path.stem
         mask_path = root / "masks" / f"{stem}.pgm"
         if not mask_path.exists():
@@ -96,6 +101,8 @@ def load_dataset(root, image_size: tuple[int, int] | None = None) -> ToyDataset:
                 f"mask for '{stem}' contains class id {max(mask_ids)} outside 1..{num_fg}"
             )
         labels = sorted(label_table[stem])
+        if not labels:
+            raise DataError(f"label list for '{stem}' is empty: each image needs at least one foreground class")
         if any(not 1 <= v <= num_fg for v in labels):
             raise DataError(f"label list for '{stem}' contains ids outside 1..{num_fg}")
         if set(labels) != mask_ids:

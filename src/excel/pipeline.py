@@ -83,9 +83,9 @@ def stage_attributes(cfg: PipelineConfig, weights: EncoderWeights, dataset: ToyD
     else:
         bank = build_text_bank(
             ingest_knowledge(cfg.knowledge),
-            clusters=cfg.train.clusters,
-            topk=cfg.train.topk,
-            lam=cfg.train.lam,
+            clusters=cfg.clusters,
+            topk=cfg.topk,
+            lam=cfg.lam,
             rng=Rng(cfg.seed).child("attributes"),
         )
     bank_source = f"{out} (from {cfg.knowledge})"
@@ -135,27 +135,25 @@ def stage_static(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, keep_t
     """Static CAMs and pseudo labels for every image, in dataset order;
     each result keeps its encoder trace only with `keep_traces`, for later
     stages to reuse."""
-    results = run_static_passes(
-        dataset.images, weights, bank, cfg.static_policy(), cfg.train.tau_fg, cfg.train.tau_bg, keep_traces
-    )
+    results = run_static_passes(dataset.images, weights, bank, cfg.static_policy(), cfg.tau_fg, cfg.tau_bg, keep_traces)
     export_cams(cfg, "static", dataset, results, weights.patch_size)
     return results
 
 
 def stage_train(cfg: PipelineConfig, dim: int, calibrated, resume: bool = False):
     """The adapter trained on `calibrated`, each image's pass under
-    `cfg.train.calibration()` with its trace, in dataset order."""
+    `cfg.calibration()` with its trace, in dataset order."""
     out_dir = Path(cfg.out_dir) / "train"
-    final = checkpoint_path(out_dir, cfg.train.iterations)
+    final = checkpoint_path(out_dir, cfg.iterations)
     if _check_resume(final, cfg, resume):
         return load_checkpoint(final, dim)[0]
-    return train_loop(calibrated, dim, cfg.train, out_dir=out_dir, provenance=run_provenance(cfg, "train")).adapter
+    return train_loop(calibrated, dim, cfg, out_dir=out_dir, provenance=run_provenance(cfg, "train")).adapter
 
 
 def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapter, calibrated):
     """Dynamic CAMs for every image, each biased re-encode resuming from
     the image's trace in `calibrated` (as for `stage_train`)."""
-    tau_fg, tau_bg = cfg.train.tau_fg, cfg.train.tau_bg
+    tau_fg, tau_bg = cfg.tau_fg, cfg.tau_bg
     results = [
         dynamic_cam(rec.image, weights, adapter, bank, rec.labels, tau_fg, tau_bg, static.trace)
         for rec, static in zip(dataset.images, calibrated)
@@ -192,13 +190,13 @@ def run_pipeline(cfg: PipelineConfig, mode: str = "full", resume: bool = False):
     # training and dynamic CAMs consume the calibrated pass; when the
     # exported static stage runs that same calibration, its results are
     # that pass, so every image is encoded under it once per run
-    calibration = cfg.train.calibration()
+    calibration = cfg.calibration()
     shared = mode == "full" and cfg.static_policy() == calibration
     results = stage_static(cfg, weights, bank, dataset, keep_traces=shared)
     evaluated = "static"
     if mode == "full":
         calibrated = results if shared else run_static_passes(
-            dataset.images, weights, bank, calibration, cfg.train.tau_fg, cfg.train.tau_bg, keep_traces=True
+            dataset.images, weights, bank, calibration, cfg.tau_fg, cfg.tau_bg, keep_traces=True
         )
         adapter = stage_train(cfg, weights.dim, calibrated, resume=resume)
         results, evaluated = stage_dynamic(cfg, weights, bank, dataset, adapter, calibrated), "dynamic"

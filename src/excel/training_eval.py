@@ -7,13 +7,14 @@ written.
 
 import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import numerics as nm
 from .blobio import is_finite_number, is_positive_int, load_tensors, save_tensors
+from .config import PATH_KEYS, PipelineConfig
 from .dynamic_calibration import (
     AdapterParams,
     adapter_shapes,
@@ -21,76 +22,10 @@ from .dynamic_calibration import (
     diversity_loss_gradient,
     init_adapter,
 )
-from .encoder import LAYER_COUNT, Calibration, EncoderWeights, encode, layer_attention
+from .encoder import LAYER_COUNT, EncoderWeights, encode, layer_attention
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .numerics import Rng
 from .static_calibration import IGNORE_LABEL, CamResult
-
-
-# --------------------------------------------------------------------------
-# configuration
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 1e-4
-    weight_decay: float = 1e-2
-    iterations: int = 500
-    batch_size: int = 4
-    seed: int = 0
-    tau_fg: float = 0.55
-    tau_bg: float = 0.25
-    alpha: float = 3.0
-    beta: float = 1.0
-    calib_layers: int = 5
-    calib_weights: tuple = (1 / 3, 1 / 3, 1 / 3)
-    topk: int = 8
-    lam: float = 0.5
-    clusters: int = 16
-    d_proj: int = 64
-    d_dyn: int = 256
-    fusion_kernel: int = 1
-    adapter_init_sigma: float = 0.02
-    pair_sample_limit: int = 4096
-    checkpoint_every: int = 0  # 0 = final checkpoint only
-    divergence_threshold: float = 1000.0
-
-    def validate(self):
-        checks = [
-            (self.lr > 0, f"lr must be positive, got {self.lr}"),
-            (self.weight_decay >= 0, f"weight decay must be >= 0, got {self.weight_decay}"),
-            (self.iterations >= 0, f"iterations must be >= 0, got {self.iterations}"),
-            (self.batch_size >= 1, f"batch size must be >= 1, got {self.batch_size}"),
-            (
-                0 <= self.tau_bg < self.tau_fg <= 1,
-                f"thresholds must satisfy 0 <= tau_bg < tau_fg <= 1, got bg={self.tau_bg} fg={self.tau_fg}",
-            ),
-            (self.alpha > 0, f"alpha must be positive, got {self.alpha}"),
-            (self.topk >= 1, f"topk must be >= 1, got {self.topk}"),
-            (self.lam >= 0, f"lambda must be >= 0, got {self.lam}"),
-            (self.clusters >= 1, f"clusters must be >= 1, got {self.clusters}"),
-            (self.d_proj >= 1 and self.d_dyn >= 1, "adapter dims must be >= 1"),
-            (self.fusion_kernel in (1, 3), f"fusion kernel must be 1 or 3, got {self.fusion_kernel}"),
-            (self.adapter_init_sigma >= 0, "adapter init sigma must be >= 0"),
-            (self.pair_sample_limit >= 1, "pair sample limit must be >= 1"),
-            (self.checkpoint_every >= 0, "checkpoint_every must be >= 0"),
-            (self.divergence_threshold > 0, "divergence threshold must be positive"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise UsageError(msg)
-        self.calibration()
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["calib_weights"] = list(self.calib_weights)
-        return d
-
-    def calibration(self) -> Calibration:
-        """The calibrated attention that training and dynamic CAMs consume,
-        whatever policy the exported static stage uses; validates
-        `calib_layers` and `calib_weights`."""
-        return Calibration(layers=self.calib_layers, weights=self.calib_weights)
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +144,7 @@ class TrainResult:
     curve: list[tuple[int, float]]  # (iteration, mean diversity loss)
 
 
-def _iteration_loss(static: list[CamResult], iteration: int, config: TrainConfig, adapter):
+def _iteration_loss(static: list[CamResult], iteration: int, config: PipelineConfig, adapter):
     """Mean diversity loss and mean gradients, keyed like the adapter's
     tensors, over `iteration`'s batch: `batch_size` consecutive images,
     wrapping around the dataset."""
@@ -232,7 +167,7 @@ def _iteration_loss(static: list[CamResult], iteration: int, config: TrainConfig
 def train_loop(
     static: list[CamResult],
     dim: int,
-    config: TrainConfig,
+    config: PipelineConfig,
     out_dir=None,
     provenance=None,
 ) -> TrainResult:
@@ -246,7 +181,6 @@ def train_loop(
     gradients. Emits a loss-curve CSV and checkpoints when `out_dir` is
     given.
     """
-    config.validate()
     adapter = init_adapter(
         Rng(config.seed).child("adapter"),
         dim,
@@ -262,7 +196,9 @@ def train_loop(
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     curve: list[tuple[int, float]] = []
-    meta = {"train_config": config.to_dict(), "dim": dim}
+    # the settings the adapter was trained with: not the run's paths, nor the exported static stage's policy
+    settings = {k: v for k, v in config.to_dict().items() if k not in (*PATH_KEYS, "policy")}
+    meta = {"train_config": settings, "dim": dim}
     for it in range(config.iterations + 1):
         final = it == config.iterations
         if out_dir and (final or (config.checkpoint_every and it % config.checkpoint_every == 0)):
@@ -279,7 +215,7 @@ def train_loop(
     return TrainResult(adapter=adapter, curve=curve)
 
 
-def replay_iteration(iteration: int, static: list[CamResult], config: TrainConfig, adapter) -> float:
+def replay_iteration(iteration: int, static: list[CamResult], config: PipelineConfig, adapter) -> float:
     """Recompute the logged mean diversity loss for `iteration` from
     checkpointed parameters and the static results `train_loop` was given."""
     return _iteration_loss(static, iteration, config, adapter)[0]

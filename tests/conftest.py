@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from excel.config import PipelineConfig
 from excel.dataset import load_dataset
 from excel.encoder import load_weights
 from excel.fixtures import FixtureSpec, generate_fixtures
 from excel.numerics import Rng
 from excel.static_calibration import run_static_passes
 from excel.text_enrichment import build_text_bank, ingest_knowledge
-from excel.training_eval import TrainConfig
 
 FIXTURE_SEED = 42
 
@@ -56,8 +56,8 @@ def fixture_bank(fixture_kb):
 def fixture_static(fixture_weights, fixture_bank, fixture_dataset):
     """Each fixture image's calibrated static result, traces kept, in
     dataset order: the pass that training and dynamic CAMs consume under
-    the default `TrainConfig` calibration and thresholds."""
-    cfg = TrainConfig()
+    the default `PipelineConfig` calibration and thresholds."""
+    cfg = PipelineConfig()
     return run_static_passes(
         fixture_dataset.images, fixture_weights, fixture_bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
     )

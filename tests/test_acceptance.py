@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from excel.config import parse_config
+from excel.config import PipelineConfig, parse_config
 from excel.dynamic_calibration import (
     AdapterParams,
     adapter_diversity_loss,
@@ -39,7 +39,7 @@ from excel.text_enrichment import (
     cluster_attributes,
     hunt_attributes,
 )
-from excel.training_eval import TrainConfig, evaluate, train_loop, upsample_labels
+from excel.training_eval import evaluate, train_loop, upsample_labels
 
 TRAIN_ITERATIONS = 500
 
@@ -56,7 +56,7 @@ def ok(num, message):
 def toy_run(fixture_paths, fixture_weights, fixture_dataset, fixture_kb, fixture_bank, fixture_static):
     # fixture_bank is clustered with cfg's topk and lam under seed 7, and
     # fixture_static is its calibrated pass under cfg's calibration
-    cfg = TrainConfig(iterations=TRAIN_ITERATIONS, seed=7)
+    cfg = PipelineConfig(iterations=TRAIN_ITERATIONS, seed=7)
     bank = fixture_bank
     bank_unclustered = build_text_bank(
         fixture_kb, clusters=16, topk=cfg.topk, lam=cfg.lam,

@@ -12,11 +12,11 @@ import pytest
 import excel
 from excel.blobio import load_tensors, save_tensors, write_json
 from excel.cli import main
-from excel.config import parse_config, save_config
+from excel.config import PATH_KEYS, PipelineConfig, parse_config, save_config
 from excel.encoder import save_weights
 from excel.hashing import fnv1a64
 from excel.fixtures import FixtureSpec, generate_fixtures, make_encoder_weights
-from excel.images import read_pgm
+from excel.images import read_pgm, write_pgm
 from excel.numerics import Rng
 from excel.text_enrichment import build_text_bank, ingest_knowledge, save_bank
 
@@ -99,6 +99,28 @@ def test_build_attrs_cli(cli_fixtures, tmp_path):
     )
     assert code == 0
     assert out.exists() and out.with_suffix(".bin").exists()
+
+
+def test_build_attrs_manifest_leaves_out_its_path(cli_fixtures, tmp_path):
+    # --out is where the bank lands, not what it is: the same bank built
+    # into two directories stamps the same provenance
+    manifests = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        out = tmp_path / sub / "bank.json"
+        argv = ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "8", "--out", str(out)]
+        assert main(argv) == 0
+        manifests.append(out.read_bytes())
+    assert manifests[0] == manifests[1]
+
+
+def test_checkpoint_train_config_holds_the_settings(cli_trained):
+    # every config key but where the run reads and writes and the static
+    # stage's policy
+    meta = load_tensors(cli_trained[0] / "train" / "checkpoint_000001.json").meta
+    settings = set(PipelineConfig().to_dict()) - {*PATH_KEYS, "policy"}
+    assert set(meta["train_config"]) == settings
+    assert len(settings) == 21
 
 
 def test_cam_static_cli(cli_fixtures, tmp_path):
@@ -633,6 +655,21 @@ def test_exit_code_dataset_bad_json(cli_fixtures, tmp_path, capsys, name, edit):
     cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", dataset=str(dataset))
     argv = ["run", "--config", str(cfg_path), "--mode", "static-only"]
     assert str(dataset / name) in _main_error(capsys, argv, 2)
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_exit_code_empty_label_list(cli_fixtures, tmp_path, capsys, command):
+    # an image with no foreground class is refused with the other inputs,
+    # before any output is written
+    dataset = tmp_path / "dataset"
+    shutil.copytree(cli_fixtures / "dataset", dataset)
+    mask_path = dataset / "masks" / "img_0003.pgm"
+    write_pgm(mask_path, np.zeros_like(read_pgm(mask_path)))
+    labels = json.loads((dataset / "labels.json").read_text())
+    (dataset / "labels.json").write_text(json.dumps({**labels, "img_0003": []}))
+    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", dataset=str(dataset))
+    assert "img_0003" in _main_error(capsys, [command, "--config", str(cfg_path)], 2)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,25 @@ def test_dataset_missing_label_entry(tmp_path):
         load_dataset(tmp_path / "ds")
 
 
+def test_dataset_label_entry_without_image(tmp_path):
+    save_dataset(tmp_path / "ds", ["background", "red", "green"], toy_records())
+    labels_path = tmp_path / "ds" / "labels.json"
+    table = json.loads(labels_path.read_text())
+    table["ghost"] = [1]
+    labels_path.write_text(json.dumps(table))
+    with pytest.raises(DataError, match="ghost"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_dataset_empty_label_list(tmp_path):
+    records = toy_records()
+    name, rgb, mask, _ = records[0]
+    records[0] = (name, rgb, np.zeros_like(mask), [])
+    save_dataset(tmp_path / "ds", ["background", "red", "green"], records)
+    with pytest.raises(DataError, match=f"'{name}' is empty"):
+        load_dataset(tmp_path / "ds")
+
+
 def test_dataset_out_of_range_class(tmp_path):
     records = toy_records()
     name, rgb, mask, labels = records[0]

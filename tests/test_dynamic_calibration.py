@@ -19,7 +19,7 @@ from excel.dynamic_calibration import (
 from excel.encoder import LAYER_COUNT, Calibration, LayerTrace, _head_attention, relation_bias
 from excel.errors import DataError, NumericError
 from excel.numerics import Rng
-from excel.training_eval import TrainConfig
+from excel.config import PipelineConfig
 
 
 def trace_from_features(features, grid):
@@ -361,7 +361,7 @@ def test_gradient_loss_matches_forward():
 
 
 def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, fixture_dataset, fixture_static):
-    cfg = TrainConfig()
+    cfg = PipelineConfig()
     rec, static = fixture_dataset.images[0], fixture_static[0]
     shapes = adapter_shapes(64, cfg.d_proj, cfg.d_dyn, cfg.fusion_kernel)
     zero = AdapterParams({name: np.zeros(shape, np.float32) for name, shape in shapes.items()}, cfg.alpha, cfg.beta)
@@ -385,7 +385,7 @@ def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, 
 
 
 def test_dynamic_cam_deterministic(fixture_weights, fixture_bank, fixture_dataset, fixture_static):
-    cfg = TrainConfig()
+    cfg = PipelineConfig()
     rec = fixture_dataset.images[1]
     adapter = init_adapter(
         Rng(19), 64, cfg.d_proj, cfg.d_dyn, cfg.fusion_kernel, cfg.adapter_init_sigma, cfg.alpha, cfg.beta

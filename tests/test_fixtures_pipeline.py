@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from excel.errors import UsageError
 from excel.fixtures import FixtureSpec, generate_fixtures
 from excel.pipeline import run_pipeline
 from excel.text_enrichment import ingest_knowledge
-from excel.training_eval import TrainConfig
 
 
 def tree_bytes(root):
@@ -95,8 +95,8 @@ def test_config_round_trip(tmp_path):
         }
     )
     assert cfg.seed == 9
-    assert cfg.train.iterations == 7
-    assert cfg.train.calib_weights == (0.2, 0.3, 0.5)
+    assert cfg.iterations == 7
+    assert cfg.calib_weights == (0.2, 0.3, 0.5)
     path = save_config(tmp_path / "c.json", cfg)
     loaded = load_config(path)
     assert loaded.to_dict() == cfg.to_dict()
@@ -127,15 +127,20 @@ def test_config_relative_paths_anchor_to_file(tmp_path):
     assert cfg.out_dir == str(tmp_path / "out")
 
 
-def test_config_train_fields_live_on_train():
-    cfg = PipelineConfig(train=TrainConfig(tau_fg=0.6))
-    assert cfg.train.tau_fg == 0.6
+def test_config_is_one_flat_type():
+    cfg = PipelineConfig(tau_fg=0.6)
+    assert cfg.tau_fg == 0.6
     assert cfg.policy == "intra_correlation"
-    # no passthrough: training fields are read from cfg.train only
-    with pytest.raises(AttributeError):
-        cfg.tau_fg
+    # one field per config key, and the flat mapping holds exactly those
+    assert set(cfg.to_dict()) == {f.name for f in dataclasses.fields(PipelineConfig)}
     with pytest.raises(AttributeError):
         cfg.not_a_field
+
+
+def test_default_config_digest_is_pinned():
+    # every artifact's provenance stamps this hash; a change to the config
+    # type must not move it
+    assert PipelineConfig().digest() == "71199423484c7d0a"
 
 
 def test_config_hash_changes_with_values():
@@ -332,7 +337,7 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
         run_pipeline(cfg, mode="full")
         assert sorted(calibrated) == images, policy  # 32 calibrated encodes, not 64
         assert sorted(biased) == images, policy  # one per image, all in stage_dynamic
-        assert set(biased_heads) == {cfg.train.calib_layers}  # one all-heads call per calibrated layer
+        assert set(biased_heads) == {cfg.calib_layers}  # one all-heads call per calibrated layer
 
 
 def test_pipeline_unknown_mode(fixture_paths, tmp_path):

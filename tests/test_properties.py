@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 from excel.blobio import is_positive_int
 from excel.cli import main
-from excel.config import PATH_KEYS
+from excel.config import PATH_KEYS, PipelineConfig
 from excel.fixtures import FixtureSpec, generate_fixtures
-from excel.training_eval import TrainConfig
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 DELETE = "<delete>"
@@ -116,11 +115,11 @@ _OUT_OF_RANGE = {
 }
 
 
-_TRAIN_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 
 
 def _wrong_type(key):
-    kind = _TRAIN_TYPES.get(key, str)
+    kind = _TYPES[key]
     if kind is int:
         return _NOT_INT
     if kind is float:
@@ -130,7 +129,7 @@ def _wrong_type(key):
     return json_values.filter(lambda v: not (isinstance(v, list) and len(v) == 3))
 
 
-_KNOWN = (*PATH_KEYS, "policy", *_TRAIN_TYPES)
+_KNOWN = tuple(_TYPES)
 _config_edits = (
     st.sampled_from(_KNOWN).flatmap(lambda k: st.tuples(st.just(k), _wrong_type(k)))
     | st.sampled_from(sorted(_OUT_OF_RANGE)).flatmap(lambda k: st.tuples(st.just(k), _OUT_OF_RANGE[k]))

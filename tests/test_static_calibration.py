@@ -18,7 +18,7 @@ from excel.static_calibration import (
 )
 from excel.encoder import LAYER_COUNT, NAMED_CALIBRATIONS, Calibration, _head_attention, self_attention
 from excel.text_enrichment import TextRepresentation
-from excel.training_eval import TrainConfig
+from excel.config import PipelineConfig
 
 
 def bank_from_columns(columns):
@@ -177,7 +177,7 @@ def test_pseudo_label_threshold_ordering():
 
 
 def static_result(rec, weights, bank, policy=None):
-    cfg = TrainConfig()
+    cfg = PipelineConfig()
     policy = cfg.calibration() if policy is None else policy
     return run_static_pipeline(rec.image, weights, bank, rec.labels, policy, cfg.tau_fg, cfg.tau_bg)
 
@@ -225,7 +225,7 @@ def test_kept_trace_holds_inputs_features_and_patch_features_only(wide_weights, 
     # at T=257 a kept trace is 13 layer inputs, 12 normalized features and
     # the patch features, float32, each in a buffer of its own size; no
     # (H, T, T) attention map
-    cfg = TrainConfig()
+    cfg = PipelineConfig()
     record = SimpleNamespace(image=Rng(68).generator().random((3, 256, 256)).astype(np.float32), labels=[1, 2])
     [result] = run_static_passes(
         [record], wide_weights, fixture_bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True

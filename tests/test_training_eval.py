@@ -9,10 +9,10 @@ from excel.dynamic_calibration import init_adapter
 from excel.encoder import LAYER_COUNT, NAMED_CALIBRATIONS, Calibration, encode, layer_attention
 from excel.errors import DataError, NumericError, UsageError
 from excel.blobio import load_tensors, save_tensors
+from excel.config import PipelineConfig
 from excel.numerics import Rng
 from excel.training_eval import (
     AdamState,
-    TrainConfig,
     adamw_step,
     attn_report,
     evaluate,
@@ -32,7 +32,7 @@ from excel.training_eval import (
 def small_config(**overrides):
     defaults = dict(iterations=3, batch_size=2, seed=5, clusters=8, topk=4)
     defaults.update(overrides)
-    return TrainConfig(**defaults)
+    return PipelineConfig(**defaults)
 
 
 # --------------------------------------------------------------------------
@@ -390,11 +390,11 @@ def test_train_loop_runs_one_static_pass_per_image(monkeypatch, fixture_weights,
 
 def test_config_validation_errors():
     with pytest.raises(UsageError):
-        small_config(lr=0.0).validate()
+        small_config(lr=0.0)
     with pytest.raises(UsageError):
-        small_config(tau_fg=0.2, tau_bg=0.5).validate()
+        small_config(tau_fg=0.2, tau_bg=0.5)
     with pytest.raises(UsageError):
-        small_config(fusion_kernel=2).validate()
+        small_config(fusion_kernel=2)
     with pytest.raises(UsageError):
-        small_config(calib_weights=(1, 1)).validate()
-    small_config().validate()
+        small_config(calib_weights=(1, 1))
+    small_config()

@@ -19,10 +19,10 @@ cd "$2"
 export PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 excel() { python3 -m excel "$@"; }
 
-# config NAME OUT_DIR FIXTURES [EXTRA_JSON_MEMBERS]
+# [SEED=N] config NAME OUT_DIR FIXTURES [EXTRA_JSON_MEMBERS]; the seed defaults to 7
 config() {
-    printf '{"seed": 7, "weights": "%s/encoder.json", "knowledge": "%s/knowledge.json", "dataset": "%s/dataset", "out_dir": "%s"%s}\n' \
-        "$3" "$3" "$3" "$2" "${4:+, $4}" > "$1"
+    printf '{"seed": %s, "weights": "%s/encoder.json", "knowledge": "%s/knowledge.json", "dataset": "%s/dataset", "out_dir": "%s"%s}\n' \
+        "${SEED:-7}" "$3" "$3" "$3" "$2" "${4:+, $4}" > "$1"
 }
 
 excel gen-fixtures --out fx > gen-fixtures.log
@@ -55,6 +55,16 @@ excel train --config train.json > train.log
 # no iterations: the empty loss curve's print; the static policy does not reach training
 config train0.json train0 fx '"iterations": 0, "policy": "value_value"'
 excel train --config train0.json > train0.log
+# every config key off its default, so the parse, run_config.json and each
+# checkpoint's train_config are compared on values no other run sets
+every_key='"policy": "value_value", "lr": 2e-4, "weight_decay": 0.02, "iterations": 3, "batch_size": 3,
+    "tau_fg": 0.6, "tau_bg": 0.2, "alpha": 2.5, "beta": 0.9, "calib_layers": 4, "calib_weights": [0.5, 0.25, 0.25],
+    "topk": 6, "lam": 0.4, "clusters": 12, "d_proj": 32, "d_dyn": 128, "fusion_kernel": 3,
+    "adapter_init_sigma": 0.03, "pair_sample_limit": 2048, "checkpoint_every": 2, "divergence_threshold": 500.0'
+SEED=11 config every-key-run.json every-key-run fx32 "$every_key"
+excel run --config every-key-run.json > run-every-key.log
+SEED=11 config every-key-train.json every-key-train fx32 "$every_key"
+excel train --config every-key-train.json > train-every-key.log
 
 excel build-attrs --kb fx/knowledge.json --clusters 16 --lambda 0.5 --seed 7 --out bank-0.5.json > build-attrs-0.5.log
 excel build-attrs --kb fx/knowledge.json --clusters 16 --lambda 0 --seed 7 --out bank-0.json > build-attrs-0.log
