@@ -17,7 +17,9 @@ which differs only in its checksum: "checksum_fnv1a64", "0x%016x" of the
 Blob: little-endian IEEE-754 binary32 values, row-major, packed back to
 back at the declared byte offsets with no gaps. Loading validates the
 manifest's structure, then verifies the checksum, then that the declared
-tensors tile the blob exactly, then that every value is finite.
+tensors tile the blob exactly, then that every value is finite. The blob
+is read once into one writable buffer, and every loaded tensor is a
+float32 view of it, so a load peaks near the blob's size.
 
 Every JSON file the package writes, manifests included, goes through
 `write_json` (2-space indent, sorted keys, trailing newline), and every
@@ -184,7 +186,11 @@ def load_tensors(path) -> TensorFile:
     blob_path = path.parent / blob_name
     if not blob_path.is_file():
         raise DataError(f"blob not found: {blob_path}")
-    blob = blob_path.read_bytes()
+    # one read into one writable buffer; every tensor is a view of it. A
+    # file that changes size meanwhile fails the checksum below.
+    blob = bytearray(blob_path.stat().st_size)
+    with blob_path.open("rb") as f:
+        f.readinto(blob)
     actual = checksum(blob)
     if declared != actual:
         raise ChecksumError(
@@ -199,8 +205,7 @@ def load_tensors(path) -> TensorFile:
                 f"tensor '{name}' ({shape} at offset {offset}) extends past "
                 f"blob end ({len(blob)} bytes)"
             )
-        flat = np.frombuffer(blob, dtype="<f4", count=nbytes // 4, offset=offset)
-        tensors[name] = np.ascontiguousarray(flat.reshape(shape).astype(np.float32))
+        tensors[name] = np.frombuffer(blob, dtype="<f4", count=nbytes // 4, offset=offset).reshape(shape)
         spans.append((offset, offset + nbytes, name))
     end = 0
     for start, stop, name in sorted(spans):

@@ -19,7 +19,7 @@ from .dynamic_calibration import biased_calibration, dynamic_cam
 from .encoder import Calibration, encode, load_weights, named_calibration
 from .errors import EXIT_DATA, EXIT_OK, DataError, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
-from .hashing import config_digest
+from .hashing import config_digest, provenance
 from .images import read_pgm, read_ppm, rgb_to_chw
 from .numerics import Rng
 from .pipeline import check_bank_dim, load_inputs, run_pipeline, run_provenance, stage_train, write_cam_outputs
@@ -126,7 +126,7 @@ def _cmd_build_attrs(args) -> int:
     )
     # the flags without --out, where the bank lands, as a run's hash leaves out out_dir
     flags = {k: v for k, v in vars(args).items() if k != "out"}
-    prov = {"stage": "attributes", "seed": args.seed, "config_hash": config_digest(flags | {"command": "build-attrs"})}
+    prov = provenance("attributes", args.seed, config_digest(flags | {"command": "build-attrs"}))
     out = save_bank(args.out, bank, provenance=prov)
     print(f"bank: {out}")
     return EXIT_OK

@@ -56,12 +56,23 @@ LAYER_TENSORS = (
     ("mlp.fc.w", "md"), ("mlp.fc.b", "m"),
     ("mlp.proj.w", "dm"), ("mlp.proj.b", "d"),
 )
+# per layer, each tensor's name within the layer -> its file name
+LAYER_KEYS = tuple({name: f"layers.{i:02d}.{name}" for name, _ in LAYER_TENSORS} for i in range(LAYER_COUNT))
 
 
-def layer_shapes(dim: int, mlp_dim: int) -> dict[str, tuple[int, ...]]:
-    """Each layer's tensor names, in file order, with their shapes."""
+def encoder_shapes(dim: int, mlp_dim: int, patch_size: int, grid: tuple[int, int]) -> dict[str, tuple[int, ...]]:
+    """Every weights-file tensor name, in file order, with its shape."""
     sizes = {"d": dim, "m": mlp_dim}
-    return {name: tuple(sizes[a] for a in axes) for name, axes in LAYER_TENSORS}
+    shapes = {
+        "patch_embed.w": (dim, 3 * patch_size * patch_size),
+        "patch_embed.b": (dim,),
+        "cls_token": (dim,),
+        "pos_embed": (grid[0] * grid[1] + 1, dim),
+    }
+    for keys in LAYER_KEYS:
+        shapes.update((keys[name], tuple(sizes[a] for a in axes)) for name, axes in LAYER_TENSORS)
+    shapes["ln_final.scale"] = shapes["ln_final.shift"] = (dim,)
+    return shapes
 
 
 @dataclass
@@ -71,13 +82,14 @@ class EncoderWeights:
     patch_size: int
     grid: tuple[int, int]
     mlp_dim: int
-    patch_w: np.ndarray  # (D, 3 * patch^2)
-    patch_b: np.ndarray  # (D,)
-    cls_token: np.ndarray  # (D,)
-    pos_embed: np.ndarray  # (h*w + 1, D)
-    layers: list[dict[str, np.ndarray]]  # per layer, keyed as in layer_shapes
-    final_scale: np.ndarray
-    final_shift: np.ndarray
+    tensors: dict[str, np.ndarray]  # keyed and ordered as in encoder_shapes
+
+    @property
+    def layers(self) -> list[dict[str, np.ndarray]]:
+        """A view of `tensors`, built on each access: per layer, a dict of
+        its tensors under their names after "layers.NN."."""
+        t = self.tensors
+        return [{name: t[key] for name, key in keys.items()} for keys in LAYER_KEYS]
 
     @property
     def head_dim(self) -> int:
@@ -87,19 +99,6 @@ class EncoderWeights:
     def image_size(self) -> tuple[int, int]:
         """(height, width) in pixels of the images the positional table fits."""
         return self.grid[0] * self.patch_size, self.grid[1] * self.patch_size
-
-    def to_tensors(self) -> dict[str, np.ndarray]:
-        out = {
-            "patch_embed.w": self.patch_w,
-            "patch_embed.b": self.patch_b,
-            "cls_token": self.cls_token,
-            "pos_embed": self.pos_embed,
-        }
-        for i, lw in enumerate(self.layers):
-            out.update((f"layers.{i:02d}.{name}", arr) for name, arr in lw.items())
-        out["ln_final.scale"] = self.final_scale
-        out["ln_final.shift"] = self.final_shift
-        return out
 
     def meta(self) -> dict:
         return {
@@ -113,7 +112,7 @@ class EncoderWeights:
 
 
 def save_weights(path, weights: EncoderWeights, provenance=None) -> Path:
-    return save_tensors(path, weights.to_tensors(), meta=weights.meta(), provenance=provenance)
+    return save_tensors(path, weights.tensors, meta=weights.meta(), provenance=provenance)
 
 
 def load_weights(manifest_path) -> EncoderWeights:
@@ -132,26 +131,9 @@ def weights_from_tensorfile(tf: TensorFile) -> EncoderWeights:
         raise DataError(f"encoder depth must be {LAYER_COUNT}, manifest declares {depth}")
     if dim % heads != 0:
         raise DataError(f"dim {dim} not divisible by heads {heads}")
-    tokens = grid[0] * grid[1] + 1
-    shapes = layer_shapes(dim, mlp_dim)
-    layers = [
-        {name: tf.require(f"layers.{i:02d}.{name}", shape) for name, shape in shapes.items()}
-        for i in range(LAYER_COUNT)
-    ]
-    return EncoderWeights(
-        dim=dim,
-        heads=heads,
-        patch_size=patch,
-        grid=grid,
-        mlp_dim=mlp_dim,
-        patch_w=tf.require("patch_embed.w", (dim, 3 * patch * patch)),
-        patch_b=tf.require("patch_embed.b", (dim,)),
-        cls_token=tf.require("cls_token", (dim,)),
-        pos_embed=tf.require("pos_embed", (tokens, dim)),
-        layers=layers,
-        final_scale=tf.require("ln_final.scale", (dim,)),
-        final_shift=tf.require("ln_final.shift", (dim,)),
-    )
+    shapes = encoder_shapes(dim, mlp_dim, patch, grid)
+    tensors = {name: tf.require(name, shape) for name, shape in shapes.items()}
+    return EncoderWeights(dim=dim, heads=heads, patch_size=patch, grid=grid, mlp_dim=mlp_dim, tensors=tensors)
 
 
 # --------------------------------------------------------------------------
@@ -275,9 +257,10 @@ def patchify(image: np.ndarray, weights: EncoderWeights) -> np.ndarray:
         .transpose(1, 3, 0, 2, 4)
         .reshape(gh * gw, 3 * p * p)
     )
-    embedded = nm.matmul(patches, nm.transpose(weights.patch_w)) + weights.patch_b
-    tokens = np.concatenate([weights.cls_token[None, :], embedded], axis=0)
-    return (tokens + weights.pos_embed).astype(np.float32)
+    t = weights.tensors
+    embedded = nm.matmul(patches, nm.transpose(t["patch_embed.w"])) + t["patch_embed.b"]
+    tokens = np.concatenate([t["cls_token"][None, :], embedded], axis=0)
+    return (tokens + t["pos_embed"]).astype(np.float32)
 
 
 def _attention(a: np.ndarray, b: np.ndarray, head_dim: int) -> np.ndarray:
@@ -398,8 +381,9 @@ def encode(
         start = _resume_layer(prefix, tokens, calibration)
         x = prefix.inputs[start]
         inputs, features = prefix.inputs[:start], prefix.features[:start]
+    layers = weights.layers
     for layer in range(start, LAYER_COUNT):
-        lw = weights.layers[layer]
+        lw = layers[layer]
         inputs.append(x)
         h = layer_norm(x, lw["ln1.scale"], lw["ln1.shift"])
         q_h, k_h, v_h = _heads_qkv(h, lw, heads, layer)
@@ -415,7 +399,7 @@ def encode(
         _finite(x, f"layer {layer} MLP outputs")
         features.append(h)
     inputs.append(x)
-    final = _finite(layer_norm(x, weights.final_scale, weights.final_shift), "final tokens")
+    final = _finite(layer_norm(x, weights.tensors["ln_final.scale"], weights.tensors["ln_final.shift"]), "final tokens")
     gh, gw = weights.grid
     patch_features = np.ascontiguousarray(final[1:].T).reshape(dim, gh, gw)
     return LayerTrace(

@@ -17,9 +17,9 @@ import numpy as np
 
 from .blobio import write_json
 from .dataset import save_dataset
-from .encoder import LAYER_COUNT, Calibration, EncoderWeights, encode, layer_shapes, save_weights
+from .encoder import LAYER_COUNT, LAYER_KEYS, Calibration, EncoderWeights, encode, encoder_shapes, save_weights
 from .errors import UsageError
-from .hashing import config_digest
+from .hashing import config_digest, provenance, provenance_comment
 from .images import rgb_to_chw
 from .numerics import Rng
 from .text_enrichment import save_knowledge
@@ -78,7 +78,8 @@ class FixtureSpec:
 
 def make_encoder_weights(rng: Rng, spec: FixtureSpec) -> EncoderWeights:
     """Gaussian weights (sigma from the fixture parameters) with identity
-    out-projections and zero biases, each layer drawn in `layer_shapes` order.
+    out-projections, unit layer-norm scales and zero biases, stored in
+    `encoder_shapes` order but drawn layer tensors first, then the rest.
 
     Layer-norm scales are 1 except `ln1.scale` in the last `calib_layers`
     blocks, which is `calib_gain`: boosted projection norms there make
@@ -88,37 +89,21 @@ def make_encoder_weights(rng: Rng, spec: FixtureSpec) -> EncoderWeights:
     """
     gen = rng.generator()
     d, p = spec.dim, spec.patch_size
-    grid = spec.image_size // p
-    sigma = spec.weight_sigma
-
-    def g(*shape):
-        return (sigma * gen.standard_normal(shape)).astype(np.float32)
+    grid = (spec.image_size // p,) * 2
 
     def draw(name, shape):
-        if name == "attn.out.w":
+        if name.endswith("attn.out.w"):
             return np.eye(d, dtype=np.float32)
-        if name.endswith(".w"):
-            return g(*shape)
+        if name.endswith(".w") or name in ("cls_token", "pos_embed"):
+            return (spec.weight_sigma * gen.standard_normal(shape)).astype(np.float32)
         return np.full(shape, 1.0 if name.endswith(".scale") else 0.0, dtype=np.float32)
 
-    shapes = layer_shapes(d, spec.mlp_dim)
-    layers = [{name: draw(name, shape) for name, shape in shapes.items()} for _ in range(LAYER_COUNT)]
-    for lw in layers[LAYER_COUNT - spec.calib_layers :]:
-        lw["ln1.scale"] = np.full(d, spec.calib_gain, dtype=np.float32)
-    return EncoderWeights(
-        dim=d,
-        heads=spec.heads,
-        patch_size=p,
-        grid=(grid, grid),
-        mlp_dim=spec.mlp_dim,
-        patch_w=g(d, 3 * p * p),
-        patch_b=np.zeros(d, dtype=np.float32),
-        cls_token=g(d),
-        pos_embed=g(grid * grid + 1, d),
-        layers=layers,
-        final_scale=np.ones(d, dtype=np.float32),
-        final_shift=np.zeros(d, dtype=np.float32),
-    )
+    shapes = encoder_shapes(d, spec.mlp_dim, p, grid)
+    drawn = {name: draw(name, shapes[name]) for name in sorted(shapes, key=lambda n: not n.startswith("layers."))}
+    tensors = {name: drawn[name] for name in shapes}
+    for keys in LAYER_KEYS[LAYER_COUNT - spec.calib_layers :]:
+        tensors[keys["ln1.scale"]] = np.full(d, spec.calib_gain, dtype=np.float32)
+    return EncoderWeights(dim=d, heads=spec.heads, patch_size=p, grid=grid, mlp_dim=spec.mlp_dim, tensors=tensors)
 
 
 # --------------------------------------------------------------------------
@@ -256,21 +241,16 @@ def generate_fixtures(seed: int, spec: FixtureSpec, out_dir) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = Rng(seed)
-    provenance = {
-        "stage": "fixtures",
-        "seed": seed,
-        "config_hash": config_digest(asdict(spec)),
-    }
+    prov = provenance("fixtures", seed, config_digest(asdict(spec)))
     weights = make_encoder_weights(rng.child("encoder"), spec)
-    weights_path = save_weights(out_dir / "encoder.json", weights, provenance=provenance)
+    weights_path = save_weights(out_dir / "encoder.json", weights, provenance=prov)
     templates, descriptions = build_knowledge_embeddings(rng.child("knowledge"), spec, weights)
     knowledge_path = save_knowledge(
-        out_dir / "knowledge.json", spec.class_names()[1:], templates, descriptions, provenance=provenance
+        out_dir / "knowledge.json", spec.class_names()[1:], templates, descriptions, provenance=prov
     )
     records = render_dataset(rng.child("dataset"), spec)
-    comment = f"provenance stage=fixtures seed={seed} config={provenance['config_hash']}"
-    dataset_dir = save_dataset(out_dir / "dataset", spec.class_names(), records, comment=comment)
-    spec_path = write_json(out_dir / "fixture_spec.json", {"spec": asdict(spec), "provenance": provenance})
+    dataset_dir = save_dataset(out_dir / "dataset", spec.class_names(), records, comment=provenance_comment(prov))
+    spec_path = write_json(out_dir / "fixture_spec.json", {"spec": asdict(spec), "provenance": prov})
     return {
         "weights": weights_path,
         "knowledge": knowledge_path,

@@ -21,3 +21,13 @@ def config_digest(mapping: dict) -> str:
     """Stable hex digest of a JSON-serializable mapping."""
     blob = json.dumps(mapping, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def provenance(stage: str, seed: int, config_hash: str) -> dict:
+    """The {stage, seed, config_hash} stamp every artifact carries."""
+    return {"stage": stage, "seed": seed, "config_hash": config_hash}
+
+
+def provenance_comment(prov: dict) -> str:
+    """A provenance stamp as the comment line of a PPM or PGM image."""
+    return f"provenance stage={prov['stage']} seed={prov['seed']} config={prov['config_hash']}"

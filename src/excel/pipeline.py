@@ -16,6 +16,7 @@ from .dataset import ToyDataset, load_dataset
 from .dynamic_calibration import dynamic_cam
 from .encoder import EncoderWeights, load_weights
 from .errors import DataError, UsageError
+from .hashing import provenance, provenance_comment
 from .images import write_pgm
 from .static_calibration import run_static_passes, save_cams
 from .text_enrichment import TextRepresentation, build_text_bank, ingest_knowledge, load_bank, save_bank
@@ -31,8 +32,8 @@ from .numerics import Rng
 
 
 def run_provenance(cfg: PipelineConfig, stage: str) -> dict:
-    """The {stage, seed, config_hash} stamp of an artifact produced under `cfg`."""
-    return {"stage": stage, "seed": cfg.seed, "config_hash": cfg.digest()}
+    """The provenance stamp of an artifact produced under `cfg`."""
+    return provenance(stage, cfg.seed, cfg.digest())
 
 
 def _check_resume(path: Path, cfg: PipelineConfig, resume: bool) -> bool:
@@ -42,13 +43,13 @@ def _check_resume(path: Path, cfg: PipelineConfig, resume: bool) -> bool:
     config's hash."""
     if not (resume and path.exists()):
         return False
-    provenance = read_json_object(path, "artifact", DataError).get("provenance", {})
-    if not isinstance(provenance, dict):
+    stamp = read_json_object(path, "artifact", DataError).get("provenance", {})
+    if not isinstance(stamp, dict):
         raise DataError(f"{path} has a 'provenance' that is not an object")
-    if provenance.get("config_hash") != cfg.digest():
+    if stamp.get("config_hash") != cfg.digest():
         raise UsageError(
             f"refusing to resume: {path} was produced with config hash "
-            f"{provenance.get('config_hash')}, current config hashes to {cfg.digest()}"
+            f"{stamp.get('config_hash')}, current config hashes to {cfg.digest()}"
         )
     return True
 
@@ -115,8 +116,7 @@ def write_cam_outputs(out_dir: Path, stem: str, result, patch_size: int, prov: d
     cams_path = save_cams(out_dir / f"{stem}.cams.json", result.cams, provenance=prov)
     pgm_path = out_dir / f"{stem}.pseudo.pgm"
     pixels = upsample_labels(result.labels, patch_size).astype(np.uint8)
-    comment = f"provenance stage={prov['stage']} seed={prov['seed']} config={prov['config_hash']}"
-    write_pgm(pgm_path, pixels, comment=comment)
+    write_pgm(pgm_path, pixels, comment=provenance_comment(prov))
     return cams_path, pgm_path
 
 

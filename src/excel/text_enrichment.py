@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nm
 from .blobio import is_finite_number, is_positive_int, load_tensors, save_tensors
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, ShapeError, UsageError
 from .numerics import Rng
 
 TEMPLATE_TEXT = "a clean origami of [CLASS]"
@@ -367,8 +367,17 @@ def load_bank(path) -> TextRepresentation:
     enriched = nm.transpose(tf.require("enriched", (len(class_names), dim)))
     centroids = raw = None
     if clustered:
-        centroids = nm.transpose(tf.require("centroids"))
-        raw = nm.transpose(tf.require("raw_centroids"))
+        centroids = tf.require("centroids")
+        if centroids.ndim != 2 or centroids.shape[0] < 1 or centroids.shape[1] != dim:
+            raise ShapeError(
+                f"tensor 'centroids' in {tf.path} has shape {centroids.shape}, expected (B, {dim}) with B >= 1"
+            )
+        raw = nm.transpose(tf.require("raw_centroids", centroids.shape))
+        count = centroids.shape[0]
+        for name, e in zip(class_names, neighbors):
+            if not all(0 <= i < count for i in e["indices"]):
+                raise DataError(f"bank {tf.path} lists a neighbor of '{name}' outside centroids 0..{count - 1}")
+        centroids = nm.transpose(centroids)
     return TextRepresentation(
         class_names=class_names,
         templates=templates,

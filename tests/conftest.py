@@ -32,7 +32,8 @@ def wide_weights(fixture_weights):
     grid = (16, 16)
     gen = Rng(FIXTURE_SEED).child("wide").generator()
     pos_embed = 0.02 * gen.standard_normal((grid[0] * grid[1] + 1, fixture_weights.dim))
-    return dataclasses.replace(fixture_weights, grid=grid, pos_embed=pos_embed.astype(np.float32))
+    tensors = {**fixture_weights.tensors, "pos_embed": pos_embed.astype(np.float32)}
+    return dataclasses.replace(fixture_weights, grid=grid, tensors=tensors)
 
 
 @pytest.fixture(scope="session")

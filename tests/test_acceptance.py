@@ -79,11 +79,11 @@ def toy_run(fixture_paths, fixture_weights, fixture_dataset, fixture_kb, fixture
     unclustered_labels = static_labels(cfg.calibration(), bank_unclustered)
 
     backbone_before = b"".join(
-        arr.tobytes() for arr in fixture_weights.to_tensors().values()
+        arr.tobytes() for arr in fixture_weights.tensors.values()
     )
     train_result = train_loop(fixture_static, fixture_weights.dim, cfg)
     backbone_after = b"".join(
-        arr.tobytes() for arr in fixture_weights.to_tensors().values()
+        arr.tobytes() for arr in fixture_weights.tensors.values()
     )
     dynamic_labels = [
         dynamic_cam(

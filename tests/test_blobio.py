@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,26 @@ def test_non_finite_tensor_is_refused_at_load(tmp_path, value):
     path = save_tensors(tmp_path / "t.json", tensors)
     with pytest.raises(NumericError, match=r"tensor 'beta' in .*t\.json contains non-finite values"):
         load_tensors(path)
+
+
+def test_load_peak_is_one_blob_of_writable_views(tmp_path):
+    # an 8 MiB blob in 16 tensors: the finiteness check's per-tensor
+    # temporaries stay small next to the blob
+    gen = Rng(5).generator()
+    tensors = {f"t{i:02d}": gen.standard_normal((256, 512)).astype(np.float32) for i in range(16)}
+    path = save_tensors(tmp_path / "big.json", tensors)
+    blob_bytes = (tmp_path / "big.bin").stat().st_size
+    tracemalloc.start()
+    try:
+        tf = load_tensors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * blob_bytes, f"load peaked at {peak / blob_bytes:.2f}x the blob"
+    for name, arr in tensors.items():
+        loaded = tf.require(name, arr.shape)
+        assert loaded.dtype == np.float32 and loaded.flags.writeable and loaded.flags.c_contiguous
+        assert loaded.tobytes() == arr.tobytes()
 
 
 def test_save_twice_identical_bytes(tmp_path):

@@ -615,6 +615,20 @@ def test_exit_code_malformed_bank_meta(cli_fixtures, cli_trained, tiny_weights, 
     assert f"'{key}'" in _main_error(capsys, argv, 2)
 
 
+def test_exit_code_bank_centroids_wrong_shape(cli_fixtures, cli_trained, tmp_path):
+    # centroids must be (B, dim) and raw_centroids the same shape; a static
+    # CAM never reads them, so only the load can refuse them
+    tf = load_tensors(cli_trained[0] / "attrs.json")
+    tensors = {**tf.tensors, "centroids": np.ones((5, 3), np.float32), "raw_centroids": np.ones(7, np.float32)}
+    bad = save_tensors(tmp_path / "bad.json", tensors, meta=tf.meta, provenance=tf.provenance)
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    proc = run_excel("cam", "--mode", "static", "--weights", str(cli_fixtures / "encoder.json"), "--bank", str(bad),
+                     "--image", str(image), "--labels", "1", "--out", str(tmp_path / "out"))
+    line = one_error_line(proc.returncode, proc.stderr, 2)
+    assert "'centroids'" in line and "bad.json" in line
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key, value", [("n", "x"), ("dim", None), ("classes", "red-shape")], ids=["n-string", "no-dim", "classes-string"]
 )

@@ -25,6 +25,7 @@ from excel.encoder import (
     self_attention,
 )
 from excel.errors import ChecksumError, DataError, NumericError, ShapeError, UsageError
+from excel.fixtures import FixtureSpec, generate_fixtures
 from excel.numerics import Rng
 
 VANILLA, VALUE_VALUE = NAMED_CALIBRATIONS["vanilla"], NAMED_CALIBRATIONS["value_value"]
@@ -48,43 +49,39 @@ def tiny_weights(
     def g(*shape):
         return (sigma * gen.standard_normal(shape)).astype(np.float32)
 
-    layers = []
-    for _ in range(LAYER_COUNT):
+    tensors = {}
+    for i in range(LAYER_COUNT):
         v_w = g(dim, dim) if v_scale is None else (v_scale * np.eye(dim)).astype(np.float32)
-        layers.append(
-            {
-                "ln1.scale": np.ones(dim, np.float32),
-                "ln1.shift": np.zeros(dim, np.float32),
-                "attn.q.w": g(dim, dim),
-                "attn.q.b": np.zeros(dim, np.float32),
-                "attn.k.w": g(dim, dim),
-                "attn.k.b": np.zeros(dim, np.float32),
-                "attn.v.w": v_w,
-                "attn.v.b": np.zeros(dim, np.float32),
-                "attn.out.w": np.eye(dim, dtype=np.float32),
-                "attn.out.b": np.zeros(dim, np.float32),
-                "ln2.scale": np.ones(dim, np.float32),
-                "ln2.shift": np.zeros(dim, np.float32),
-                "mlp.fc.w": np.zeros((mlp_dim, dim), np.float32) if zero_mlp else g(mlp_dim, dim),
-                "mlp.fc.b": np.zeros(mlp_dim, np.float32),
-                "mlp.proj.w": np.zeros((dim, mlp_dim), np.float32) if zero_mlp else g(dim, mlp_dim),
-                "mlp.proj.b": np.zeros(dim, np.float32),
-            }
-        )
+        layer = {
+            "ln1.scale": np.ones(dim, np.float32),
+            "ln1.shift": np.zeros(dim, np.float32),
+            "attn.q.w": g(dim, dim),
+            "attn.q.b": np.zeros(dim, np.float32),
+            "attn.k.w": g(dim, dim),
+            "attn.k.b": np.zeros(dim, np.float32),
+            "attn.v.w": v_w,
+            "attn.v.b": np.zeros(dim, np.float32),
+            "attn.out.w": np.eye(dim, dtype=np.float32),
+            "attn.out.b": np.zeros(dim, np.float32),
+            "ln2.scale": np.ones(dim, np.float32),
+            "ln2.shift": np.zeros(dim, np.float32),
+            "mlp.fc.w": np.zeros((mlp_dim, dim), np.float32) if zero_mlp else g(mlp_dim, dim),
+            "mlp.fc.b": np.zeros(mlp_dim, np.float32),
+            "mlp.proj.w": np.zeros((dim, mlp_dim), np.float32) if zero_mlp else g(dim, mlp_dim),
+            "mlp.proj.b": np.zeros(dim, np.float32),
+        }
+        tensors.update((f"layers.{i:02d}.{name}", arr) for name, arr in layer.items())
     tokens = grid[0] * grid[1] + 1
+    tensors["patch_embed.w"] = g(dim, 3 * patch * patch)
+    tensors["patch_embed.b"] = np.zeros(dim, np.float32)
+    tensors["cls_token"] = g(dim)
+    tensors["pos_embed"] = np.zeros((tokens, dim), np.float32) if zero_pos else g(tokens, dim)
+    tensors["ln_final.scale"] = np.ones(dim, np.float32)
+    tensors["ln_final.shift"] = np.zeros(dim, np.float32)
+    # stored in file order, as loading and fixture drawing store them
+    order = encoder.encoder_shapes(dim, mlp_dim, patch, grid)
     return EncoderWeights(
-        dim=dim,
-        heads=heads,
-        patch_size=patch,
-        grid=grid,
-        mlp_dim=mlp_dim,
-        patch_w=g(dim, 3 * patch * patch),
-        patch_b=np.zeros(dim, np.float32),
-        cls_token=g(dim),
-        pos_embed=np.zeros((tokens, dim), np.float32) if zero_pos else g(tokens, dim),
-        layers=layers,
-        final_scale=np.ones(dim, np.float32),
-        final_shift=np.zeros(dim, np.float32),
+        dim=dim, heads=heads, patch_size=patch, grid=grid, mlp_dim=mlp_dim, tensors={k: tensors[k] for k in order}
     )
 
 
@@ -107,8 +104,26 @@ def test_weight_round_trip(tmp_path):
     w = tiny_weights(seed=3)
     path = save_weights(tmp_path / "w.json", w)
     loaded = load_weights(path)
-    for (a, b) in zip(w.to_tensors().values(), loaded.to_tensors().values()):
+    assert list(loaded.tensors) == list(w.tensors)
+    for (a, b) in zip(w.tensors.values(), loaded.tensors.values()):
         assert a.tobytes() == b.tobytes()
+
+
+def test_encoder_shapes_is_the_weights_file_table(fixture_paths, tmp_path):
+    # fixtures at the default size and at patch 8 (an 8x8 grid): the table
+    # lists the manifest's tensors in file order, and saving the loaded
+    # weights rewrites the manifest and blob byte for byte
+    patch8 = generate_fixtures(42, FixtureSpec(patch_size=8, images=4), tmp_path / "fx8")["weights"]
+    for i, path in enumerate((fixture_paths["weights"], patch8)):
+        manifest = json.loads(path.read_text())
+        w = load_weights(path)
+        shapes = encoder.encoder_shapes(w.dim, w.mlp_dim, w.patch_size, w.grid)
+        assert list(shapes) == [e["name"] for e in manifest["tensors"]]
+        assert list(shapes.values()) == [tuple(e["shape"]) for e in manifest["tensors"]]
+        (tmp_path / f"resaved{i}").mkdir()
+        resaved = save_weights(tmp_path / f"resaved{i}" / path.name, w, provenance=manifest["provenance"])
+        assert resaved.read_bytes() == path.read_bytes()
+        assert resaved.with_suffix(".bin").read_bytes() == path.with_suffix(".bin").read_bytes()
 
 
 def test_manifest_shape_disagreement_is_shape_error(tmp_path):
@@ -138,7 +153,7 @@ def test_missing_tensor_is_distinct_error(tmp_path):
     from excel.errors import MissingTensorError
 
     w = tiny_weights(seed=6)
-    tensors = w.to_tensors()
+    tensors = dict(w.tensors)
     tensors.pop("cls_token")
     path = save_tensors(tmp_path / "w.json", tensors, meta=w.meta())
     with pytest.raises(MissingTensorError, match="cls_token"):
@@ -187,8 +202,8 @@ def test_patchify_grid_mismatch_error():
 def test_patchify_zero_image_tokens_equal_bias():
     w = tiny_weights(zero_pos=True)
     bias = Rng(11).generator().standard_normal(8).astype(np.float32)
-    w.patch_b = bias
-    w.cls_token = bias.copy()  # CLS is its own parameter; pin it to the bias too
+    w.tensors["patch_embed.b"] = bias
+    w.tensors["cls_token"] = bias.copy()  # CLS is its own parameter; pin it to the bias too
     tokens = patchify(np.zeros((3, 8, 8), np.float32), w)
     for row in tokens:
         np.testing.assert_allclose(row, bias, atol=1e-7)
@@ -202,7 +217,8 @@ def test_patchify_token_matches_unfold_oracle():
     p = w.patch_size
     py, px = 1, 0
     vec = image[:, py * p : (py + 1) * p, px * p : (px + 1) * p].reshape(-1).astype(np.float64)
-    expected = w.patch_w.astype(np.float64) @ vec + w.patch_b + w.pos_embed[3]
+    t = w.tensors
+    expected = t["patch_embed.w"].astype(np.float64) @ vec + t["patch_embed.b"] + t["pos_embed"][3]
     np.testing.assert_allclose(tokens[3], expected, atol=1e-5)
 
 
@@ -355,19 +371,19 @@ def test_intra_identity_attention_on_scaled_orthogonal_values():
     tokens = np.vstack([cls_row, had[:4]])
 
     # choose patch embedding so patchify reproduces `tokens` exactly
-    w.cls_token = cls_row
+    w.tensors["cls_token"] = cls_row
     image = np.zeros((3, 8, 8), np.float32)
     for patch_idx in range(4):
         py, px = divmod(patch_idx, 2)
         image[0, py * 4 + 0, px * 4 + 0] = 1.0  # one indicator pixel per patch
-    # patch vector = e_(channel0, pixel0) -> patch_w column 0 within that patch
-    w.patch_w = np.zeros_like(w.patch_w)
+    # patch vector = e_(channel0, pixel0) -> patch_embed.w column 0 within that patch
+    w.tensors["patch_embed.w"] = np.zeros_like(w.tensors["patch_embed.w"])
     for patch_idx in range(4):
-        w.patch_w[:, 0] = 0  # same indicator column for every patch; instead use bias
+        w.tensors["patch_embed.w"][:, 0] = 0  # same indicator column for every patch; instead use bias
     # simpler: zero kernel, bias zero, then add tokens via pos embedding
-    w.patch_b = np.zeros(dim, np.float32)
-    w.pos_embed = np.vstack([np.zeros(dim, np.float32), had[:4]])
-    w.cls_token = cls_row
+    w.tensors["patch_embed.b"] = np.zeros(dim, np.float32)
+    w.tensors["pos_embed"] = np.vstack([np.zeros(dim, np.float32), had[:4]])
+    w.tensors["cls_token"] = cls_row
 
     trace = encode(image, w, policy)
     attn0 = layer_attention(trace, w, 0)[0]
@@ -544,9 +560,9 @@ def test_mismatched_prefix_refused(fixture_weights):
 @pytest.mark.parametrize("name", ["attn.q.w", "attn.k.w", "attn.v.w", "attn.out.w", "mlp.fc.w", "mlp.proj.w"])
 def test_non_finite_weight_raises_numeric_error(name):
     w = tiny_weights(seed=64)
-    poisoned = w.layers[3][name].copy()
+    poisoned = w.tensors[f"layers.03.{name}"].copy()
     poisoned[0, 0] = np.nan
-    w.layers[3] = {**w.layers[3], name: poisoned}
+    w.tensors[f"layers.03.{name}"] = poisoned
     with pytest.raises(NumericError, match="layer 3"):
         encode(random_image(64, 8), w, Calibration(layers=5))
 

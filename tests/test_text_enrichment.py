@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from excel.blobio import save_tensors
-from excel.errors import DataError, UsageError
+from excel.blobio import load_tensors, save_tensors
+from excel.errors import DataError, ShapeError, UsageError
 from excel.numerics import Rng, cosine_matrix, minmax_norm
 from excel.text_enrichment import (
     KnowledgeBase,
@@ -356,6 +356,32 @@ def test_bank_save_load_roundtrip(tmp_path, fixture_kb):
         assert np.array_equal(a, b)  # float32 -> JSON float -> float32 is exact
     assert loaded.centroids.tobytes() == bank.centroids.tobytes()
     assert loaded.raw_centroids.tobytes() == bank.raw_centroids.tobytes()
+
+
+@pytest.mark.parametrize(
+    "tensors, neighbor, error, match",
+    [
+        ({"centroids": (5, 3)}, None, ShapeError, r"'centroids' in .*bad\.json has shape \(5, 3\)"),
+        ({"centroids": (7,)}, None, ShapeError, r"'centroids' in .*bad\.json has shape \(7,\)"),
+        ({"centroids": (0, 64), "raw_centroids": (0, 64)}, None, ShapeError, r"'centroids' in .*bad\.json"),
+        ({"raw_centroids": (7,)}, None, ShapeError, r"'raw_centroids' in .*bad\.json has shape \(7,\)"),
+        ({"raw_centroids": (9, 64)}, None, ShapeError, r"'raw_centroids' in .*bad\.json has shape \(9, 64\)"),
+        ({}, 8, DataError, r"bad\.json lists a neighbor of '.*' outside centroids 0\.\.7"),
+        ({}, -1, DataError, r"bad\.json lists a neighbor of '.*' outside centroids 0\.\.7"),
+    ],
+    ids=["centroids-wrong-dim", "centroids-1d", "no-centroids", "raw-1d", "raw-other-count", "index-8", "index-negative"],
+)
+def test_load_bank_checks_centroids_and_neighbors(tmp_path, fixture_kb, tensors, neighbor, error, match):
+    # an 8-centroid bank re-saved with the named tensors replaced by
+    # ones of the given shape, or with a neighbor index out of 0..7
+    bank = build_text_bank(fixture_kb, clusters=8, topk=4, lam=0.5, rng=Rng(44))
+    tf = load_tensors(save_bank(tmp_path / "bank.json", bank))
+    arrays = {**tf.tensors, **{name: np.ones(shape, np.float32) for name, shape in tensors.items()}}
+    if neighbor is not None:
+        tf.meta["neighbors"][1]["indices"][0] = neighbor
+    bad = save_tensors(tmp_path / "bad.json", arrays, meta=tf.meta, provenance=tf.provenance)
+    with pytest.raises(error, match=match):
+        load_bank(bad)
 
 
 def test_argmax_class_invariant_under_positive_scaling(fixture_kb):

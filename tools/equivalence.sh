@@ -7,7 +7,7 @@
 # exits 0; otherwise it names every file and JSON key that differs.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
-# About 40 s on a 2-vCPU VM.
+# About 25 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -29,6 +29,8 @@ excel gen-fixtures --out fx > gen-fixtures.log
 excel gen-fixtures --out fx256 --image-size 256 --images 8 > gen-fixtures-256.log
 # a second encoder width, so the weight draw and loader are checked off the default
 excel gen-fixtures --out fx32 --dim 32 --heads 2 --images 4 > gen-fixtures-32.log
+# an 8x8 grid (T=65), which no other run uses
+excel gen-fixtures --out fx8 --patch-size 8 --images 4 > gen-fixtures-8.log
 
 config full.json full fx '"iterations": 17, "checkpoint_every": 8'
 excel run --config full.json > run-full.log
@@ -49,6 +51,8 @@ config full256.json full256 fx256 '"iterations": 2'
 excel run --config full256.json > run-full256.log
 config full32.json full32 fx32 '"iterations": 2'
 excel run --config full32.json > run-full32.log
+config full8.json full8 fx8 '"iterations": 2'
+excel run --config full8.json > run-full8.log
 
 config train.json train fx '"iterations": 5, "checkpoint_every": 2'
 excel train --config train.json > train.log
