@@ -8,6 +8,7 @@ is type- and range-checked where a config is made. The config hash in
 every artifact's provenance is the digest of the full flat mapping.
 """
 
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -50,6 +51,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         """Values are checked where a config is made, so every command refuses the same ones."""
+        for key in (f.name for f in fields(self) if f.type is float):
+            if not math.isfinite(getattr(self, key)):
+                raise UsageError(f"config key '{key}' must be a finite number, got {getattr(self, key)!r}")
         checks = [
             (self.lr > 0, f"lr must be positive, got {self.lr}"),
             (self.weight_decay >= 0, f"weight decay must be >= 0, got {self.weight_decay}"),
@@ -108,15 +112,15 @@ _TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
 def _typed(key: str, value, kind):
-    """`value` checked against the field type `kind`; ints stay exact,
-    floats accept either finite JSON number (the parser also reads
-    `Infinity` and `NaN`)."""
+    """`value` checked against the field type `kind`; ints stay exact and
+    floats accept either JSON number. `PipelineConfig` itself refuses the
+    `Infinity` and `NaN` the parser also reads."""
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise UsageError(f"config key '{key}' must be an integer, got {value!r}")
         return value
     if kind is float:
-        if not is_finite_number(value):
+        if type(value) not in (int, float):
             raise UsageError(f"config key '{key}' must be a finite number, got {value!r}")
         return float(value)
     if kind is str:

@@ -165,8 +165,12 @@ def dynamic_relation(features: np.ndarray, alpha: float, beta: float) -> Relatio
 
 @dataclass
 class AffinityBatch:
-    positive: np.ndarray  # (P, 2) int32 ordered token-index pairs
-    negative: np.ndarray  # (N, 2)
+    positive: np.ndarray  # (hw, hw) bool: ordered token pairs with one label
+    negative: np.ndarray  # (hw, hw) bool: ordered token pairs with two labels
+
+    def counts(self) -> tuple[int, int]:
+        """(positive, negative) pair counts, 1 for an empty term, whose sum is 0."""
+        return max(int(self.positive.sum()), 1), max(int(self.negative.sum()), 1)
 
 
 def build_affinity_batch(
@@ -175,23 +179,21 @@ def build_affinity_batch(
     """All ordered pairs of non-ignored tokens, split by label agreement.
 
     The diagonal counts as positive. With `sample_limit` set and exceeded,
-    a seeded uniform subsample of that many pairs is taken.
+    a seeded uniform subsample of that many pairs is drawn over the
+    row-major order of the valid pairs.
     """
     flat = np.asarray(labels).reshape(-1)
-    valid = np.nonzero(flat != IGNORE_LABEL)[0].astype(np.int32)
-    if valid.size == 0:
+    valid = flat != IGNORE_LABEL
+    if not valid.any():
         raise NumericError("degenerate affinity supervision: every token is ignored")
-    ii = np.repeat(valid, valid.size)
-    jj = np.tile(valid, valid.size)
-    same = flat[ii] == flat[jj]
-    pairs = np.stack([ii, jj], axis=1)
-    if sample_limit is not None and pairs.shape[0] > sample_limit:
-        gen = (rng or Rng(0)).generator()
-        keep = gen.permutation(pairs.shape[0])[:sample_limit]
-        keep.sort()
-        pairs = pairs[keep]
-        same = same[keep]
-    return AffinityBatch(positive=pairs[same], negative=pairs[~same])
+    pairs = valid[:, None] & valid[None, :]
+    if sample_limit is not None and pairs.sum() > sample_limit:
+        index = np.flatnonzero(pairs)
+        keep = (rng or Rng(0)).generator().permutation(index.size)[:sample_limit]
+        pairs = np.zeros_like(pairs)
+        pairs.flat[index[keep]] = True
+    same = flat[:, None] == flat[None, :]
+    return AffinityBatch(positive=pairs & same, negative=pairs & ~same)
 
 
 def _pair_affinity(feats: np.ndarray):
@@ -209,13 +211,8 @@ def _pair_affinity(feats: np.ndarray):
 
 
 def _pair_loss(u: np.ndarray, batch: AffinityBatch) -> float:
-    pos, neg = batch.positive, batch.negative
-    loss = 0.0
-    if len(pos):
-        loss += (1.0 - u[pos[:, 0], pos[:, 1]]).sum() / len(pos)
-    if len(neg):
-        loss += u[neg[:, 0], neg[:, 1]].sum() / len(neg)
-    return float(loss)
+    n_pos, n_neg = batch.counts()
+    return float((1.0 - u[batch.positive]).sum() / n_pos + u[batch.negative].sum() / n_neg)
 
 
 def diversity_loss(features: np.ndarray, batch: AffinityBatch) -> float:
@@ -247,12 +244,8 @@ def diversity_loss_gradient(
     norms, fhat, u = _pair_affinity(feats)
     loss = _pair_loss(u, batch)
 
-    pos, neg = batch.positive, batch.negative
-    g_u = np.zeros((hw, hw), dtype=np.float64)
-    if len(pos):
-        np.add.at(g_u, (pos[:, 0], pos[:, 1]), -1.0 / len(pos))
-    if len(neg):
-        np.add.at(g_u, (neg[:, 0], neg[:, 1]), 1.0 / len(neg))
+    n_pos, n_neg = batch.counts()
+    g_u = np.where(batch.positive, -1.0 / n_pos, np.where(batch.negative, 1.0 / n_neg, 0.0))
     g_cos = g_u * u * (1.0 - u)
     g_fhat = (g_cos + g_cos.T) @ fhat
     # project through the normalization: d(f/|f|) kills the radial component

@@ -10,6 +10,7 @@ the classes by construction; description embeddings are noisy copies of
 the template.
 """
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -52,9 +53,17 @@ class FixtureSpec:
     calib_gain: float = 16.0
 
     def validate(self):
-        for name in ("classes", "images", "image_size", "dim", "heads", "patch_size"):
+        for name in ("classes", "images", "image_size", "dim", "heads", "patch_size", "mlp_dim", "n_descriptions"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name.replace('_', ' ')} must be positive, got {getattr(self, name)}")
+        for name in ("weight_sigma", "description_noise", "calib_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name.replace('_', ' ')} must be finite, got {getattr(self, name)}")
+        if self.weight_sigma <= 0:
+            # all-zero weights probe zero features, whose templates do not normalize
+            raise UsageError(f"weight sigma must be positive, got {self.weight_sigma}")
+        if not 0 <= self.calib_layers <= LAYER_COUNT:
+            raise UsageError(f"calib layers must be 0..{LAYER_COUNT}, got {self.calib_layers}")
         if not 1 <= self.classes <= len(PALETTE):
             raise UsageError(f"classes must be 1..{len(PALETTE)}, got {self.classes}")
         if self.image_size % (2 * self.patch_size) or self.image_size < 4 * self.patch_size:
@@ -236,19 +245,19 @@ def build_knowledge_embeddings(rng: Rng, spec: FixtureSpec, weights: EncoderWeig
 
 
 def generate_fixtures(seed: int, spec: FixtureSpec, out_dir) -> dict:
-    """Write encoder weights, knowledge file and toy dataset under out_dir."""
+    """Write encoder weights, knowledge file and toy dataset under out_dir, made once all are built."""
     spec.validate()
+    rng = Rng(seed)
+    weights = make_encoder_weights(rng.child("encoder"), spec)
+    templates, descriptions = build_knowledge_embeddings(rng.child("knowledge"), spec, weights)
+    records = render_dataset(rng.child("dataset"), spec)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = Rng(seed)
     prov = provenance("fixtures", seed, config_digest(asdict(spec)))
-    weights = make_encoder_weights(rng.child("encoder"), spec)
     weights_path = save_weights(out_dir / "encoder.json", weights, provenance=prov)
-    templates, descriptions = build_knowledge_embeddings(rng.child("knowledge"), spec, weights)
     knowledge_path = save_knowledge(
         out_dir / "knowledge.json", spec.class_names()[1:], templates, descriptions, provenance=prov
     )
-    records = render_dataset(rng.child("dataset"), spec)
     dataset_dir = save_dataset(out_dir / "dataset", spec.class_names(), records, comment=provenance_comment(prov))
     spec_path = write_json(out_dir / "fixture_spec.json", {"spec": asdict(spec), "provenance": prov})
     return {

@@ -72,12 +72,9 @@ def sigmoid(a) -> np.ndarray:
 def sigmoid_unchecked(a: np.ndarray) -> np.ndarray:
     """`sigmoid` of a float32 array without the finiteness check."""
     x = a.astype(np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return np.clip(out.astype(F32), _SIGMOID_LO, _SIGMOID_HI)
+    # 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) below; e <= 1 cannot overflow
+    e = np.exp(-np.abs(x))
+    return np.clip((np.where(x >= 0, 1.0, e) / (1.0 + e)).astype(F32), _SIGMOID_LO, _SIGMOID_HI)
 
 
 def softmax_rows(m) -> np.ndarray:

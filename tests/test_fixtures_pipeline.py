@@ -77,6 +77,28 @@ def test_fixture_validation():
         FixtureSpec(dim=30, heads=4).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mlp_dim", 0),
+        ("n_descriptions", 0),
+        ("description_noise", float("nan")),
+        ("weight_sigma", 0.0),
+        ("weight_sigma", float("inf")),
+        ("calib_layers", 13),
+        ("calib_layers", -1),
+        ("calib_gain", float("inf")),
+    ],
+)
+def test_fixture_spec_refused_before_anything_is_written(tmp_path, field, value):
+    # a spec whose files loading would refuse is refused before out_dir exists
+    spec = FixtureSpec(classes=2, images=2, image_size=32, dim=16, heads=2, patch_size=8, mlp_dim=32)
+    setattr(spec, field, value)
+    with pytest.raises(UsageError, match=field.replace("_", " ")):
+        generate_fixtures(5, spec, tmp_path / "fx")
+    assert not (tmp_path / "fx").exists()
+
+
 # --------------------------------------------------------------------------
 # config
 
@@ -135,6 +157,20 @@ def test_config_is_one_flat_type():
     assert set(cfg.to_dict()) == {f.name for f in dataclasses.fields(PipelineConfig)}
     with pytest.raises(AttributeError):
         cfg.not_a_field
+
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(PipelineConfig) if f.type is float]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_config_made_in_code_refuses_non_finite_floats(key, value):
+    # the same check and message as a parsed file's
+    message = f"config key '{key}' must be a finite number, got {value!r}"
+    with pytest.raises(UsageError, match=message):
+        PipelineConfig(**{key: value})
+    with pytest.raises(UsageError, match=message):
+        parse_config({key: value})
 
 
 def test_default_config_digest_is_pinned():

@@ -208,6 +208,23 @@ def test_sigmoid_open_interval():
     assert 0.0 < out[0] < 1.0 and 0.0 < out[1] < 1.0
 
 
+def test_sigmoid_bytes_equal_two_branch_formula():
+    f32 = np.finfo(np.float32)
+    gen = Rng(19).generator()
+    draws = [scale * gen.standard_normal(500_000).astype(np.float32) for scale in (1, 10, 100, 1000)]
+    special = np.array([0.0, -0.0, 100.0, -100.0, 1e30, -1e30, f32.max, -f32.max, f32.tiny, -f32.tiny], np.float32)
+    a = np.concatenate(draws + [special]).astype(np.float32)
+    x = a.astype(np.float64)
+    expected = np.empty_like(x)
+    pos = x >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    lo, hi = np.nextafter(np.float32(0), np.float32(1)), np.nextafter(np.float32(1), np.float32(0))
+    expected = np.clip(expected.astype(np.float32), lo, hi)
+    assert nm.sigmoid_unchecked(a).tobytes() == expected.tobytes()
+
+
 def test_matmul_rejects_non_finite_inputs():
     bad = np.array([[np.nan, 1.0]], dtype=np.float32)
     with pytest.raises(NumericError):

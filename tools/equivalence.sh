@@ -44,6 +44,9 @@ config vanilla.json vanilla fx '"iterations": 5, "policy": "vanilla"'
 excel run --config vanilla.json > run-vanilla.log
 config valuevalue.json valuevalue fx '"iterations": 5, "policy": "value_value"'
 excel run --config valuevalue.json > run-valuevalue.log
+# one sampled pair per batch, so the limit binds on the 4x4 grid and one loss term is empty
+config limit1.json limit1 fx '"iterations": 5, "pair_sample_limit": 1'
+excel run --config limit1.json > run-limit1.log
 config static256.json static256 fx256
 excel run --config static256.json --mode static-only > run-static256.log
 # a full run at T=257: biased re-encodes resumed from 256 px traces
