@@ -8,7 +8,6 @@ is type- and range-checked where a config is made. The config hash in
 every artifact's provenance is the digest of the full flat mapping.
 """
 
-import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -50,10 +49,11 @@ class PipelineConfig:
     divergence_threshold: float = 1000.0
 
     def __post_init__(self):
-        """Values are checked where a config is made, so every command refuses the same ones."""
-        for key in (f.name for f in fields(self) if f.type is float):
-            if not math.isfinite(getattr(self, key)):
-                raise UsageError(f"config key '{key}' must be a finite number, got {getattr(self, key)!r}")
+        """Values are type- and range-checked where a config is made, so
+        every command refuses the same ones, whether it parsed them from a
+        file or was given them in code."""
+        for f in fields(self):
+            setattr(self, f.name, _typed(f.name, getattr(self, f.name), f.type))
         checks = [
             (self.lr > 0, f"lr must be positive, got {self.lr}"),
             (self.weight_decay >= 0, f"weight decay must be >= 0, got {self.weight_decay}"),
@@ -108,19 +108,16 @@ class PipelineConfig:
         return config_digest(mapping)
 
 
-_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
-
-
 def _typed(key: str, value, kind):
-    """`value` checked against the field type `kind`; ints stay exact and
-    floats accept either JSON number. `PipelineConfig` itself refuses the
-    `Infinity` and `NaN` the parser also reads."""
+    """`value` checked against the field type `kind`: ints stay exact,
+    floats accept an int or a float and must be finite, and the one tuple
+    field takes a list or tuple of 3 finite numbers."""
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise UsageError(f"config key '{key}' must be an integer, got {value!r}")
         return value
     if kind is float:
-        if type(value) not in (int, float):
+        if not is_finite_number(value):
             raise UsageError(f"config key '{key}' must be a finite number, got {value!r}")
         return float(value)
     if kind is str:
@@ -134,10 +131,10 @@ def _typed(key: str, value, kind):
 
 
 def parse_config(mapping: dict) -> PipelineConfig:
-    unknown = sorted(set(mapping) - set(_TYPES))
+    unknown = sorted(set(mapping) - {f.name for f in fields(PipelineConfig)})
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    return PipelineConfig(**{k: _typed(k, mapping[k], kind) for k, kind in _TYPES.items() if k in mapping})
+    return PipelineConfig(**mapping)
 
 
 def load_config(path) -> PipelineConfig:

@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics as nm
-from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerTrace, encode
+from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerTrace, chunks, encode_stack
 from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
-from .static_calibration import IGNORE_LABEL, CamResult, PseudoLabelMap, cam_to_pseudo_label, static_cam
+from .static_calibration import IGNORE_LABEL, CamResult, PseudoLabelMap, cam_result
 
 
 def delta_names(layer: int) -> tuple[str, str]:
@@ -59,7 +59,12 @@ class AdapterParams:
         """`fusion.w` as a float64 (D_d, 12*d_proj, k, k) kernel, whichever
         of its two stored shapes it has."""
         w, k = self.tensors["fusion.w"], self.kernel
-        return w.astype(np.float64).reshape(w.shape[0], w.shape[1], k, k)
+        return w.astype(np.float64, copy=False).reshape(w.shape[0], w.shape[1], k, k)
+
+    def as_float64(self) -> "AdapterParams":
+        """The same adapter with float64 copies of its tensors, which the
+        float64 forward and gradient then read without converting."""
+        return AdapterParams({k: v.astype(np.float64) for k, v in self.tensors.items()}, self.alpha, self.beta)
 
 
 def init_adapter(
@@ -114,7 +119,7 @@ def _fusion_forward(zpad: np.ndarray, params: AdapterParams, grid) -> np.ndarray
     w = params.fusion_kernel64()
     hw = grid[0] * grid[1]
     out = sum(zpad[win].reshape(hw, -1) @ w[:, :, dy, dx].T for dy, dx, win in _taps(grid, params.kernel))
-    return out + params.tensors["fusion.b"].astype(np.float64)
+    return out + params.tensors["fusion.b"].astype(np.float64, copy=False)
 
 
 def _adapter_forward64(trace: LayerTrace, params: AdapterParams):
@@ -125,7 +130,7 @@ def _adapter_forward64(trace: LayerTrace, params: AdapterParams):
     xs = [f[1:].astype(np.float64) for f in trace.features]  # CLS dropped
     zs = []
     for layer, x in enumerate(xs):
-        w, b = (params.tensors[name].astype(np.float64) for name in delta_names(layer))
+        w, b = (params.tensors[name].astype(np.float64, copy=False) for name in delta_names(layer))
         zs.append(x @ w.T + b)
     zpad = _pad_grid(np.concatenate(zs, axis=1), trace.grid, params.kernel // 2)
     return _fusion_forward(zpad, params, trace.grid), zpad, xs
@@ -284,6 +289,33 @@ def biased_calibration(trace: LayerTrace, params: AdapterParams) -> Calibration:
     return replace(trace.calibration, relation=relation.masked)
 
 
+def dynamic_cams(
+    images: list[np.ndarray],
+    weights: EncoderWeights,
+    params: AdapterParams,
+    bank,
+    presents: list[list[int]],
+    tau_fg: float,
+    tau_bg: float,
+    static_traces: list[LayerTrace],
+) -> list[CamResult]:
+    """Re-encode each image with its relation bias added and refine
+    dynamic CAMs, in order, one stacked pass per `encoder.chunks` chunk.
+
+    `static_traces[i]` is the calibrated pass of `images[i]`. Its biased
+    re-encode runs under its `biased_calibration`, resuming from the trace
+    below the first calibrated layer. The biased traces are not kept.
+    """
+    results = []
+    for part in chunks(len(images), weights):
+        prefixes = static_traces[part]
+        calibrations = [biased_calibration(trace, params) for trace in prefixes]
+        traces = encode_stack(images[part], weights, calibrations, prefixes=prefixes)
+        for trace, present in zip(traces, presents[part]):
+            results.append(replace(cam_result(trace, bank, present, tau_fg, tau_bg), trace=None))
+    return results
+
+
 def dynamic_cam(
     image: np.ndarray,
     weights: EncoderWeights,
@@ -294,12 +326,5 @@ def dynamic_cam(
     tau_bg: float,
     static_trace: LayerTrace,
 ) -> CamResult:
-    """Re-encode with the relation bias added and refine dynamic CAMs.
-
-    `static_trace` is the calibrated pass of the same image. The biased
-    re-encode runs under its `biased_calibration`, resuming from the trace
-    below the first calibrated layer. The biased trace is not kept.
-    """
-    trace = encode(image, weights, biased_calibration(static_trace, params), prefix=static_trace)
-    cams = static_cam(trace.patch_features, bank, present)
-    return CamResult(cams=cams, labels=cam_to_pseudo_label(cams, tau_fg, tau_bg), trace=None)
+    """`dynamic_cams` of one image."""
+    return dynamic_cams([image], weights, params, bank, [present], tau_fg, tau_bg, [static_trace])[0]

@@ -1,17 +1,21 @@
 """Minimal 12-layer pre-norm ViT with one calibrated attention formula.
 
 The encoder is deliberately small and bit-reproducible: float32 weights,
-float64 accumulation, no dropout, no batch dimension. Every forward pass
-records what its consumers read: the calibration it ran under, the
-residual stream entering each layer (a later pass resumes from it) and
-the normalized layer inputs (the adapter's features). Attention maps are
-not kept; `layer_attention` recomputes one layer's maps from the trace,
-bit for bit, when a reader asks for them.
+float64 accumulation, no dropout. One pass, `encode_stack`, runs a chunk
+of N images stacked along a leading axis, and each image's trace is
+bit-identical to a pass over that image alone (`encode`), because every
+product is the per-image product looped over the chunk. `chunks` sizes
+the chunks by the element count of their attention maps. Every pass
+records, per image, what its consumers read: the calibration it ran
+under, the residual stream entering each layer (a later pass resumes
+from it) and the normalized layer inputs (the adapter's features).
+Attention maps are not kept; `layer_attention` recomputes one layer's
+maps from the trace, bit for bit, when a reader asks for them.
 
-Shapes: token matrices are (T, D) with the CLS token at row 0 and
-T = h*w + 1 grid tokens; per-head tensors are computed as one
-(H, T, D_s) stack with D_s = D // H. Final patch features are returned
-as (D, h, w) with CLS dropped.
+Shapes: an image's token matrix is (T, D) with the CLS token at row 0
+and T = h*w + 1 grid tokens, and a chunk's is (N, T, D); per-head
+tensors are computed as one (N, H, T, D_s) stack with D_s = D // H.
+Final patch features are returned as (D, h, w) with CLS dropped.
 
 Attention is one `Calibration(layers, weights, relation)`: the q-k map
 softmax(q k^T / sqrt(D_s)) below the last `layers` blocks, and in those
@@ -220,16 +224,23 @@ class LayerTrace:
 
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """(x - mean) / sqrt(var + eps) * scale + shift over the last axis, in
+    float64 on one copy of `x`, rounded to float32 once."""
     x64 = x.astype(np.float64)
-    mu = x64.mean(axis=1, keepdims=True)
-    var = x64.var(axis=1, keepdims=True)
-    normed = (x64 - mu) / np.sqrt(var + LN_EPS)
-    return (normed * scale.astype(np.float64) + shift.astype(np.float64)).astype(np.float32)
+    mu = x64.mean(axis=-1, keepdims=True)
+    var = x64.var(axis=-1, keepdims=True)
+    x64 -= mu
+    x64 /= np.sqrt(var + LN_EPS)
+    x64 *= scale
+    x64 += shift
+    return x64.astype(np.float32)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    # sigmoid-weighted linear unit, the usual cheap GELU stand-in
-    return (x.astype(np.float64) * nm.sigmoid_unchecked(1.702 * x).astype(np.float64)).astype(np.float32)
+    """Sigmoid-weighted linear unit, the usual cheap GELU stand-in: the
+    float64 product of x and sigmoid(1.702 x), rounded to float32."""
+    s = nm.sigmoid_unchecked(1.702 * x)
+    return np.multiply(x, s, out=s, dtype=np.float64)
 
 
 def patchify(image: np.ndarray, weights: EncoderWeights) -> np.ndarray:
@@ -290,10 +301,6 @@ def relation_bias(relation: np.ndarray, tokens: int) -> np.ndarray:
     return bias
 
 
-def _calibration_bias(calibration: Calibration, tokens: int) -> np.ndarray | None:
-    return None if calibration.relation is None else relation_bias(calibration.relation, tokens)
-
-
 def _head_attention(
     calibration: Calibration,
     layer: int,
@@ -327,20 +334,19 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
 
 
 def _heads_qkv(h: np.ndarray, lw: dict[str, np.ndarray], heads: int, layer: int):
-    """The (H, T, D_s) query, key and value stacks of layer `layer`'s
-    normalized input `h`, each checked finite."""
+    """The (.., H, T, D_s) query, key and value stacks of layer `layer`'s
+    normalized (.., T, D) input `h`, each checked finite."""
     return tuple(
         _finite(nm.matmul_unchecked(h, lw[f"attn.{o}.w"].T) + lw[f"attn.{o}.b"], f"layer {layer} {what}")
-        .reshape(h.shape[0], heads, -1)
-        .swapaxes(0, 1)
+        .reshape(*h.shape[:-1], heads, -1)
+        .swapaxes(-3, -2)
         for o, what in (("q", "queries"), ("k", "keys"), ("v", "values"))
     )
 
 
-def _resume_layer(prefix: LayerTrace, tokens: np.ndarray, calibration: Calibration) -> int:
-    """First layer `calibration` modifies, after checking that `prefix`
-    holds the same image's pass through the unmodified layers below it."""
-    start = LAYER_COUNT - calibration.layers
+def _check_prefix(prefix: LayerTrace, tokens: np.ndarray, start: int):
+    """A DataError unless `prefix` holds the pass of the image with
+    `tokens` through layers below `start` left unmodified."""
     if len(prefix.inputs) != LAYER_COUNT + 1:
         raise DataError(f"prefix trace records {len(prefix.inputs)} layer inputs, expected {LAYER_COUNT + 1}")
     if not np.array_equal(prefix.inputs[0], tokens):
@@ -348,7 +354,119 @@ def _resume_layer(prefix: LayerTrace, tokens: np.ndarray, calibration: Calibrati
     lowest = min(prefix.calibration.modified_layers(), default=LAYER_COUNT)
     if lowest < start:
         raise DataError(f"prefix trace modified layer {lowest}, below the resume layer {start}")
-    return start
+
+
+# Element budget of one stacked pass's (N, H, T, T) float64 attention maps.
+# All 32 T=17 fixture images fit in one chunk; a T=257 image (or a ViT-B
+# T=197 one) fills a chunk alone, since stacking is slower there.
+CHUNK_ELEMENTS = 1 << 17
+
+
+def chunks(count: int, weights: EncoderWeights) -> list[slice]:
+    """Consecutive slices over `count` images, each as many images as fit
+    the maps of one stacked pass within CHUNK_ELEMENTS, and at least one."""
+    tokens = weights.grid[0] * weights.grid[1] + 1
+    size = max(1, CHUNK_ELEMENTS // (weights.heads * tokens * tokens))
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _shared_calibration(calibrations: list[Calibration]) -> Calibration:
+    """The first of `calibrations`, after checking that all of them agree
+    in everything but the relation matrix itself."""
+
+    def shared(c: Calibration):
+        return c.layers, c.weights, c.relation is not None
+
+    first = calibrations[0]
+    for c in calibrations[1:]:
+        if shared(c) != shared(first):
+            raise UsageError(
+                f"a stacked pass runs one calibration, but (layers, weights, relation) {shared(c)} "
+                f"differs from {shared(first)}"
+            )
+    return first
+
+
+def encode_stack(
+    images: list[np.ndarray],
+    weights: EncoderWeights,
+    calibrations: list[Calibration],
+    prefixes: list[LayerTrace] | None = None,
+) -> list[LayerTrace]:
+    """Run the encoder over a chunk of images in one stacked pass and
+    capture each image's per-layer tensors; trace i is bit-identical to a
+    pass over image i alone.
+
+    Image i runs under `calibrations[i]`. The calibrations must agree in
+    `layers` and `weights` and in whether they carry a relation; each
+    relation biases its own image. The chunk's tokens are one (N, T, D)
+    stack and its heads (N, H, T, D_s); every product is the per-image
+    product, looped over the chunk inside numpy.
+
+    With `prefixes`, prefix i a trace of image i and the same weights that
+    left the layers below the first calibrated layer untouched, those
+    layers are copied from it and the pass resumes from its residual
+    stream there; the result is bit-identical to a full pass.
+
+    The images and relation matrices are checked where they enter; after
+    that each product's output (q, k, v, the residual stream after
+    attention and after the MLP, the final tokens) is checked for
+    finiteness once, so a non-finite weight or input still raises
+    NumericError.
+    """
+    if not images or len(calibrations) != len(images) or (prefixes is not None and len(prefixes) != len(images)):
+        raise UsageError(
+            f"a stacked pass needs one calibration (and prefix) per image, got {len(images)} images, "
+            f"{len(calibrations)} calibrations and {'no' if prefixes is None else len(prefixes)} prefixes"
+        )
+    calibration = _shared_calibration(calibrations)
+    tokens = np.stack([patchify(image, weights) for image in images])
+    _, t_count, dim = tokens.shape
+    heads, d_s = weights.heads, weights.head_dim
+    bias = None
+    if calibration.relation is not None:
+        bias = np.stack([relation_bias(c.relation, t_count) for c in calibrations])[:, None]
+    if prefixes is None:
+        start, x = 0, tokens
+        inputs, features = [[] for _ in images], [[] for _ in images]
+    else:
+        start = LAYER_COUNT - calibration.layers
+        for prefix, tok in zip(prefixes, tokens):
+            _check_prefix(prefix, tok, start)
+        x = np.stack([prefix.inputs[start] for prefix in prefixes])
+        inputs = [prefix.inputs[:start] for prefix in prefixes]
+        features = [prefix.features[:start] for prefix in prefixes]
+    layers = weights.layers
+    for layer in range(start, LAYER_COUNT):
+        lw = layers[layer]
+        h = layer_norm(x, lw["ln1.scale"], lw["ln1.shift"])
+        for inp, feat, x_i, h_i in zip(inputs, features, x, h):
+            inp.append(x_i)
+            feat.append(h_i)
+        q_h, k_h, v_h = _heads_qkv(h, lw, heads, layer)
+        attn = _head_attention(calibration, layer, q_h, k_h, v_h, d_s, bias)
+        merged = nm.matmul_unchecked(attn, v_h).swapaxes(-3, -2).reshape(x.shape)
+        attn_out = nm.matmul_unchecked(merged, lw["attn.out.w"].T) + lw["attn.out.b"]
+        # float64 sums rounded to float32, written over the products' temporaries
+        x = np.add(x, attn_out, out=attn_out, dtype=np.float64)
+        _finite(x, f"layer {layer} attention outputs")
+        h2 = layer_norm(x, lw["ln2.scale"], lw["ln2.shift"])
+        hidden = gelu(nm.matmul_unchecked(h2, lw["mlp.fc.w"].T) + lw["mlp.fc.b"])
+        mlp_out = nm.matmul_unchecked(hidden, lw["mlp.proj.w"].T) + lw["mlp.proj.b"]
+        x = np.add(x, mlp_out, out=mlp_out, dtype=np.float64)
+        _finite(x, f"layer {layer} MLP outputs")
+    final = _finite(layer_norm(x, weights.tensors["ln_final.scale"], weights.tensors["ln_final.shift"]), "final tokens")
+    gh, gw = weights.grid
+    return [
+        LayerTrace(
+            grid=weights.grid,
+            calibration=c,
+            inputs=[*inp, x_i],
+            features=feat,
+            patch_features=np.ascontiguousarray(final_i[1:].T).reshape(dim, gh, gw),
+        )
+        for c, inp, feat, x_i, final_i in zip(calibrations, inputs, features, x, final)
+    ]
 
 
 def encode(
@@ -357,54 +475,9 @@ def encode(
     calibration: Calibration,
     prefix: LayerTrace | None = None,
 ) -> LayerTrace:
-    """Run the encoder under `calibration` and capture the per-layer
-    tensors.
-
-    With `prefix`, a trace of the same image and weights that left the
-    layers below `calibration`'s first calibrated layer untouched, those
-    layers are copied from it and the pass resumes from its residual
-    stream there; the result is bit-identical to a full pass.
-
-    The image and relation matrix are checked where they enter; after that
-    each product's output (q, k, v, the residual stream after attention
-    and after the MLP, the final tokens) is checked for finiteness once, so
-    a non-finite weight or input still raises NumericError.
-    """
-    tokens = patchify(image, weights)
-    t_count, dim = tokens.shape
-    heads, d_s = weights.heads, weights.head_dim
-    bias = _calibration_bias(calibration, t_count)
-    if prefix is None:
-        start, x = 0, tokens
-        inputs, features = [], []
-    else:
-        start = _resume_layer(prefix, tokens, calibration)
-        x = prefix.inputs[start]
-        inputs, features = prefix.inputs[:start], prefix.features[:start]
-    layers = weights.layers
-    for layer in range(start, LAYER_COUNT):
-        lw = layers[layer]
-        inputs.append(x)
-        h = layer_norm(x, lw["ln1.scale"], lw["ln1.shift"])
-        q_h, k_h, v_h = _heads_qkv(h, lw, heads, layer)
-        attn = _head_attention(calibration, layer, q_h, k_h, v_h, d_s, bias)
-        merged = nm.matmul_unchecked(attn, v_h).swapaxes(0, 1).reshape(t_count, dim)
-        attn_out = nm.matmul_unchecked(merged, lw["attn.out.w"].T) + lw["attn.out.b"]
-        x = (x.astype(np.float64) + attn_out.astype(np.float64)).astype(np.float32)
-        _finite(x, f"layer {layer} attention outputs")
-        h2 = layer_norm(x, lw["ln2.scale"], lw["ln2.shift"])
-        hidden = gelu(nm.matmul_unchecked(h2, lw["mlp.fc.w"].T) + lw["mlp.fc.b"])
-        mlp_out = nm.matmul_unchecked(hidden, lw["mlp.proj.w"].T) + lw["mlp.proj.b"]
-        x = (x.astype(np.float64) + mlp_out.astype(np.float64)).astype(np.float32)
-        _finite(x, f"layer {layer} MLP outputs")
-        features.append(h)
-    inputs.append(x)
-    final = _finite(layer_norm(x, weights.tensors["ln_final.scale"], weights.tensors["ln_final.shift"]), "final tokens")
-    gh, gw = weights.grid
-    patch_features = np.ascontiguousarray(final[1:].T).reshape(dim, gh, gw)
-    return LayerTrace(
-        grid=weights.grid, calibration=calibration, inputs=inputs, features=features, patch_features=patch_features
-    )
+    """`encode_stack` of one image: its pass under `calibration`, resumed
+    from `prefix` when one is given."""
+    return encode_stack([image], weights, [calibration], None if prefix is None else [prefix])[0]
 
 
 def layer_attention(trace: LayerTrace, weights: EncoderWeights, layer: int) -> np.ndarray:
@@ -413,5 +486,6 @@ def layer_attention(trace: LayerTrace, weights: EncoderWeights, layer: int) -> n
     calibration: the bytes the pass itself used."""
     h = trace.features[layer]
     q_h, k_h, v_h = _heads_qkv(h, weights.layers[layer], weights.heads, layer)
-    bias = _calibration_bias(trace.calibration, h.shape[0])
+    relation = trace.calibration.relation
+    bias = None if relation is None else relation_bias(relation, h.shape[0])
     return _head_attention(trace.calibration, layer, q_h, k_h, v_h, weights.head_dim, bias)

@@ -18,7 +18,16 @@ import numpy as np
 
 from .blobio import write_json
 from .dataset import save_dataset
-from .encoder import LAYER_COUNT, LAYER_KEYS, Calibration, EncoderWeights, encode, encoder_shapes, save_weights
+from .encoder import (
+    LAYER_COUNT,
+    LAYER_KEYS,
+    Calibration,
+    EncoderWeights,
+    chunks,
+    encode_stack,
+    encoder_shapes,
+    save_weights,
+)
 from .errors import UsageError
 from .hashing import config_digest, provenance, provenance_comment
 from .images import rgb_to_chw
@@ -193,29 +202,31 @@ def render_dataset(rng: Rng, spec: FixtureSpec):
 
 def _probe_feature_means(weights, spec: FixtureSpec, probe_gen):
     """Per-class and background mean calibrated patch features, probed from
-    rectangle renders across all four quadrant placements."""
+    rectangle renders across all four quadrant placements, in class then
+    quadrant order. Each stacked pass's renders are drawn just before it,
+    so one chunk's renders and traces are alive at a time."""
     calibration = Calibration(layers=spec.calib_layers)
     p = spec.patch_size
-    class_means = {}
+    class_ids = range(1, spec.classes + 1)
+    probes = [(class_id, quadrant) for class_id in class_ids for quadrant in range(4)]
+    sums = {class_id: np.zeros(spec.dim, dtype=np.float64) for class_id in class_ids}
+    counts = dict.fromkeys(class_ids, 0)
     bg_acc = np.zeros(spec.dim, dtype=np.float64)
     bg_count = 0
-    for class_id in range(1, spec.classes + 1):
-        acc = np.zeros(spec.dim, dtype=np.float64)
-        count = 0
-        for quadrant in range(4):
-            rgb, mask, _ = render_image(probe_gen, spec, class_id, "rect", quadrant)
-            trace = encode(rgb_to_chw(rgb), weights, calibration)
+    for part in chunks(len(probes), weights):
+        renders = [render_image(probe_gen, spec, class_id, "rect", quadrant) for class_id, quadrant in probes[part]]
+        traces = encode_stack([rgb_to_chw(rgb) for rgb, _, _ in renders], weights, [calibration] * len(renders))
+        for (class_id, _), (_, mask, _), trace in zip(probes[part], renders, traces):
             gh, gw = trace.grid
             token_class = mask.reshape(gh, p, gw, p).transpose(0, 2, 1, 3).reshape(gh, gw, -1)
             inside = (token_class == class_id).all(axis=2).reshape(-1)
             outside = (token_class == 0).all(axis=2).reshape(-1)
             feats = trace.patch_features.reshape(spec.dim, -1).astype(np.float64)
-            acc += feats[:, inside].sum(axis=1)
-            count += int(inside.sum())
+            sums[class_id] += feats[:, inside].sum(axis=1)
+            counts[class_id] += int(inside.sum())
             bg_acc += feats[:, outside].sum(axis=1)
             bg_count += int(outside.sum())
-        class_means[class_id] = acc / count
-    return class_means, bg_acc / bg_count
+    return {class_id: sums[class_id] / counts[class_id] for class_id in class_ids}, bg_acc / bg_count
 
 
 def build_knowledge_embeddings(rng: Rng, spec: FixtureSpec, weights: EncoderWeights):

@@ -72,9 +72,16 @@ def sigmoid(a) -> np.ndarray:
 def sigmoid_unchecked(a: np.ndarray) -> np.ndarray:
     """`sigmoid` of a float32 array without the finiteness check."""
     x = a.astype(np.float64)
-    # 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) below; e <= 1 cannot overflow
-    e = np.exp(-np.abs(x))
-    return np.clip((np.where(x >= 0, 1.0, e) / (1.0 + e)).astype(F32), _SIGMOID_LO, _SIGMOID_HI)
+    # 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) below; e <= 1
+    # cannot overflow. The steps run in place where they can.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    x = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    x /= e
+    out = x.astype(F32)
+    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
 
 
 def softmax_rows(m) -> np.ndarray:

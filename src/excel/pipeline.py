@@ -13,7 +13,7 @@ import numpy as np
 from .blobio import read_json_object, write_json
 from .config import PipelineConfig, save_config
 from .dataset import ToyDataset, load_dataset
-from .dynamic_calibration import dynamic_cam
+from .dynamic_calibration import dynamic_cams
 from .encoder import EncoderWeights, load_weights
 from .errors import DataError, UsageError
 from .hashing import provenance, provenance_comment
@@ -153,11 +153,9 @@ def stage_train(cfg: PipelineConfig, dim: int, calibrated, resume: bool = False)
 def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapter, calibrated):
     """Dynamic CAMs for every image, each biased re-encode resuming from
     the image's trace in `calibrated` (as for `stage_train`)."""
-    tau_fg, tau_bg = cfg.tau_fg, cfg.tau_bg
-    results = [
-        dynamic_cam(rec.image, weights, adapter, bank, rec.labels, tau_fg, tau_bg, static.trace)
-        for rec, static in zip(dataset.images, calibrated)
-    ]
+    images, presents = [rec.image for rec in dataset.images], [rec.labels for rec in dataset.images]
+    traces = [static.trace for static in calibrated]
+    results = dynamic_cams(images, weights, adapter, bank, presents, cfg.tau_fg, cfg.tau_bg, traces)
     export_cams(cfg, "dynamic", dataset, results, weights.patch_size)
     return results
 

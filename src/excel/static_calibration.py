@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numerics as nm
 from .blobio import is_grid, is_positive_int, load_tensors, save_tensors
-from .encoder import Calibration, EncoderWeights, LayerTrace, encode
+from .encoder import Calibration, EncoderWeights, LayerTrace, chunks, encode, encode_stack
 from .errors import DataError, UsageError
 from .text_enrichment import TextRepresentation
 
@@ -84,6 +84,15 @@ class CamResult:
     trace: LayerTrace | None  # the static pass; None once dropped, and for dynamic CAMs
 
 
+def cam_result(
+    trace: LayerTrace, bank: TextRepresentation, present: list[int], tau_fg: float, tau_bg: float
+) -> CamResult:
+    """static_cam -> cam_to_pseudo_label on the patch features of
+    `trace`, which the result keeps."""
+    cams = static_cam(trace.patch_features, bank, present)
+    return CamResult(cams=cams, labels=cam_to_pseudo_label(cams, tau_fg, tau_bg), trace=trace)
+
+
 def run_static_pipeline(
     image: np.ndarray,
     weights: EncoderWeights,
@@ -94,10 +103,7 @@ def run_static_pipeline(
     tau_bg: float,
 ) -> CamResult:
     """encode -> static_cam -> cam_to_pseudo_label with zero learnable state."""
-    trace = encode(image, weights, calibration)
-    cams = static_cam(trace.patch_features, bank, present)
-    labels = cam_to_pseudo_label(cams, tau_fg, tau_bg)
-    return CamResult(cams=cams, labels=labels, trace=trace)
+    return cam_result(encode(image, weights, calibration), bank, present, tau_fg, tau_bg)
 
 
 def run_static_passes(
@@ -110,12 +116,16 @@ def run_static_passes(
     keep_traces: bool,
 ) -> list[CamResult]:
     """`run_static_pipeline` over dataset records (`.image`, `.labels`), in
-    their order. Without `keep_traces` each trace is dropped as soon as its
-    image is done, so at most one is alive at a time."""
+    their order, one stacked pass per `encoder.chunks` chunk. Without
+    `keep_traces` a chunk's traces are dropped as soon as its CAMs are
+    made, so at most one chunk's traces are alive at a time."""
     results = []
-    for rec in records:
-        res = run_static_pipeline(rec.image, weights, bank, rec.labels, calibration, tau_fg, tau_bg)
-        results.append(res if keep_traces else dataclasses.replace(res, trace=None))
+    for part in chunks(len(records), weights):
+        chunk = records[part]
+        traces = encode_stack([rec.image for rec in chunk], weights, [calibration] * len(chunk))
+        for rec, trace in zip(chunk, traces):
+            res = cam_result(trace, bank, rec.labels, tau_fg, tau_bg)
+            results.append(res if keep_traces else dataclasses.replace(res, trace=None))
     return results
 
 

@@ -74,18 +74,32 @@ def adamw_step(
         if name not in grads:
             raise DataError(f"no gradient supplied for parameter '{name}'")
         p = params[name].astype(np.float64)
-        g = np.asarray(grads[name], dtype=np.float64)
+        # a copy: it is a work buffer below, and float64 gradients would alias
+        g = np.array(grads[name], dtype=np.float64)
         if g.shape != p.shape:
             raise DataError(f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
-        m = state.m[name].astype(np.float64) * ADAM_BETA1 + (1 - ADAM_BETA1) * g
-        v = state.v[name].astype(np.float64) * ADAM_BETA2 + (1 - ADAM_BETA2) * g * g
-        m_hat = m / (1 - ADAM_BETA1**t)
-        v_hat = v / (1 - ADAM_BETA2**t)
-        decay = 0.0 if name.endswith(".b") else wd
-        updated = p * (1 - lr * decay) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if not np.isfinite(updated).all():
+        # each line is one operation of m*b1 + (1-b1)*g, v*b2 + (1-b2)*g*g
+        # and p*(1 - lr*decay) - lr*m_hat / (sqrt(v_hat) + eps), in order
+        work = np.multiply(g, 1 - ADAM_BETA1)
+        m = state.m[name].astype(np.float64)
+        m *= ADAM_BETA1
+        m += work
+        np.multiply(g, 1 - ADAM_BETA2, out=work)
+        work *= g
+        v = state.v[name].astype(np.float64)
+        v *= ADAM_BETA2
+        v += work
+        np.divide(m, 1 - ADAM_BETA1**t, out=work)  # m_hat
+        np.divide(v, 1 - ADAM_BETA2**t, out=g)  # v_hat
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        work *= lr
+        work /= g
+        p *= 1 - lr * (0.0 if name.endswith(".b") else wd)
+        p -= work
+        if not np.isfinite(p).all():
             raise NumericError(f"non-finite update for parameter '{name}'")
-        new_params[name] = updated.astype(np.float32)
+        new_params[name] = p.astype(np.float32)
         new_m[name] = m.astype(np.float32)
         new_v[name] = v.astype(np.float32)
     return new_params, AdamState(m=new_m, v=new_v, step=t)
@@ -149,6 +163,7 @@ def _iteration_loss(static: list[CamResult], iteration: int, config: PipelineCon
     tensors, over `iteration`'s batch: `batch_size` consecutive images,
     wrapping around the dataset."""
     rng = Rng(config.seed).child(f"it.{iteration}")
+    adapter = adapter.as_float64()  # converted once, read by every gradient call
     div_sum = 0.0
     grad_acc: dict[str, np.ndarray] = {}
     for j in range(config.batch_size):
@@ -159,9 +174,13 @@ def _iteration_loss(static: list[CamResult], iteration: int, config: PipelineCon
         div, div_grads = diversity_loss_gradient(sres.trace, adapter, batch)
         div_sum += div
         for k, g in div_grads.items():
-            grad_acc[k] = grad_acc.get(k, 0.0) + g
+            if k not in grad_acc:
+                grad_acc[k] = np.zeros_like(g)  # 0.0 + g, as a sum from zero
+            grad_acc[k] += g
     n = config.batch_size
-    return div_sum / n, {k: v / n for k, v in grad_acc.items()}
+    for g in grad_acc.values():
+        g /= n
+    return div_sum / n, grad_acc
 
 
 def train_loop(

@@ -42,7 +42,7 @@ def tiny_setup(seed=0, fusion_kernel=1, grid=(3, 3), dim=8, d_proj=4, d_dyn=6, s
     trace = trace_from_features(feats, grid)
     adapter = init_adapter(Rng(seed).child("adapter"), dim, d_proj, d_dyn, fusion_kernel, sigma, 3.0, 1.0)
     if float64:
-        adapter = AdapterParams({k: a.astype(np.float64) for k, a in adapter.tensors.items()}, adapter.alpha, adapter.beta)
+        adapter = adapter.as_float64()
     labels = gen.integers(0, 3, size=grid).astype(np.uint8)
     labels[0, 0] = 255
     return trace, adapter, labels
@@ -370,6 +370,22 @@ def test_gradient_matches_central_differences(fusion_kernel):
         rel = np.abs(an - fd) / np.maximum(np.maximum(np.abs(an), np.abs(fd)), eps)
         worst = max(worst, float(rel.max()))
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("fusion_kernel", [1, 3])
+def test_gradient_of_float64_copy_equals_float32_adapter(fusion_kernel):
+    # training converts the adapter once per iteration; the gradients of
+    # the copy are the float32 adapter's, byte for byte
+    trace, adapter, labels = tiny_setup(seed=14, fusion_kernel=fusion_kernel, float64=False)
+    batch = build_affinity_batch(labels)
+    copy = adapter.as_float64()
+    assert all(a.dtype == np.float64 for a in copy.tensors.values())
+    loss32, grads32 = diversity_loss_gradient(trace, adapter, batch)
+    loss64, grads64 = diversity_loss_gradient(trace, copy, batch)
+    assert loss32 == loss64
+    assert grads32.keys() == grads64.keys()
+    for name in grads32:
+        assert grads32[name].tobytes() == grads64[name].tobytes(), name
 
 
 def test_gradient_loss_matches_forward():

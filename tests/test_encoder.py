@@ -557,6 +557,90 @@ def test_mismatched_prefix_refused(fixture_weights):
         encode(image, fixture_weights, biased, prefix=deeper)
 
 
+@pytest.fixture(scope="module")
+def stacked_inputs(fixture_weights, wide_weights, fixture_dataset):
+    """By grid size: the weights and N images of a stacked pass, with one
+    relation per image. T=17 takes the 32 fixture images, T=257 three
+    random 256 px ones."""
+    return {
+        64: (fixture_weights, [rec.image for rec in fixture_dataset.images]),
+        256: (wide_weights, [random_image(70 + i, 256) for i in range(3)]),
+    }
+
+
+def biased_per_image(calibration, weights, count, seed):
+    hw = weights.grid[0] * weights.grid[1]
+    return [dataclasses.replace(calibration, relation=masked_relation(seed + i, hw)) for i in range(count)]
+
+
+@pytest.mark.parametrize("size", [64, 256], ids=["T17-N32", "T257-N3"])
+def test_stacked_pass_equals_per_image_encodes(stacked_inputs, size):
+    weights, images = stacked_inputs[size]
+    calibrated = Calibration(layers=5)
+    static = encoder.encode_stack(images, weights, [calibrated] * len(images))
+    assert len(static) == len(images)
+    for image, got in zip(images, static):
+        assert_traces_identical(got, encode(image, weights, calibrated))
+    # biased and resumed, a different relation per image
+    biased = biased_per_image(calibrated, weights, len(images), seed=80)
+    resumed = encoder.encode_stack(images, weights, biased, prefixes=static)
+    for image, calibration, prefix, got in zip(images, biased, static, resumed):
+        assert got.calibration is calibration
+        assert_traces_identical(got, encode(image, weights, calibration, prefix=prefix))
+        assert_traces_identical(got, encode(image, weights, calibration))
+
+
+def test_chunks_follow_the_element_budget(monkeypatch, fixture_weights, wide_weights):
+    # every T=17 fixture image fits one chunk; a T=257 image fills one alone
+    assert encoder.chunks(32, fixture_weights) == [slice(0, encoder.CHUNK_ELEMENTS // (4 * 17 * 17))]
+    assert encoder.chunks(3, wide_weights) == [slice(i, i + 1) for i in range(3)]
+    monkeypatch.setattr(encoder, "CHUNK_ELEMENTS", 5 * 4 * 17 * 17 + 1)
+    assert [len(range(32)[part]) for part in encoder.chunks(32, fixture_weights)] == [5] * 6 + [2]
+
+
+def test_stacked_maps_are_each_images_layer_attention(monkeypatch, stacked_inputs):
+    weights, images = stacked_inputs[64]
+    images = images[:6]
+    calibrated = Calibration(layers=5)
+    static = encoder.encode_stack(images, weights, [calibrated] * len(images))
+    biased = biased_per_image(calibrated, weights, len(images), seed=90)
+    maps, real = {}, encoder._head_attention
+
+    def capture(calibration, layer, *args):
+        maps[layer] = real(calibration, layer, *args)
+        return maps[layer]
+
+    monkeypatch.setattr(encoder, "_head_attention", capture)
+    resumed = encoder.encode_stack(images, weights, biased, prefixes=static)
+    monkeypatch.undo()
+    assert sorted(maps) == list(range(LAYER_COUNT - 5, LAYER_COUNT))
+    for layer, stacked in maps.items():
+        assert stacked.shape == (len(images), weights.heads, 17, 17)
+        for i, trace in enumerate(resumed):
+            assert layer_attention(trace, weights, layer).tobytes() == stacked[i].tobytes(), (layer, i)
+
+
+def test_stacked_pass_refuses_a_mixed_chunk(fixture_weights):
+    images = [random_image(95 + i, 64) for i in range(3)]
+    calibrated = Calibration(layers=5)
+    for other in (
+        Calibration(layers=4),
+        Calibration(layers=5, weights=(0.5, 0.25, 0.25)),
+        dataclasses.replace(calibrated, relation=masked_relation(95, 16)),
+    ):
+        with pytest.raises(UsageError, match="one calibration"):
+            encoder.encode_stack(images, fixture_weights, [calibrated, other, calibrated])
+    with pytest.raises(UsageError, match="one calibration"):
+        encoder.encode_stack(images, fixture_weights, [calibrated] * 2)
+    with pytest.raises(UsageError, match="one calibration"):
+        encoder.encode_stack([], fixture_weights, [])
+    # the prefixes must be the same images', in the same order
+    static = encoder.encode_stack(images, fixture_weights, [calibrated] * 3)
+    biased = biased_per_image(calibrated, fixture_weights, 3, seed=96)
+    with pytest.raises(DataError, match="different image"):
+        encoder.encode_stack(images, fixture_weights, biased, prefixes=[static[0], static[2], static[1]])
+
+
 @pytest.mark.parametrize("name", ["attn.q.w", "attn.k.w", "attn.v.w", "attn.out.w", "mlp.fc.w", "mlp.proj.w"])
 def test_non_finite_weight_raises_numeric_error(name):
     w = tiny_weights(seed=64)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from excel.config import PipelineConfig, load_config, parse_config, save_config
 from excel.dataset import load_dataset
 from excel.errors import UsageError
 from excel.fixtures import FixtureSpec, generate_fixtures
+from excel.numerics import Rng
 from excel.pipeline import run_pipeline
 from excel.text_enrichment import ingest_knowledge
 
@@ -173,6 +175,34 @@ def test_config_made_in_code_refuses_non_finite_floats(key, value):
         parse_config({key: value})
 
 
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("iterations", 2.5, "an integer"),
+        ("batch_size", True, "an integer"),
+        ("lr", "0.1", "a finite number"),
+        ("alpha", False, "a finite number"),
+        ("policy", 1, "a string"),
+        ("calib_weights", (1, 1), "a list of 3 finite numbers"),
+    ],
+)
+def test_config_made_in_code_is_type_checked(key, value, kind):
+    # the same check and message as a parsed file's, and a usage error (exit 1)
+    message = re.escape(f"config key '{key}' must be {kind}, got {value!r}")
+    with pytest.raises(UsageError, match=message):
+        PipelineConfig(**{key: value})
+    with pytest.raises(UsageError, match=message):
+        parse_config({key: value})
+
+
+def test_parsed_config_digest_is_pinned():
+    # JSON integers given for float keys hash as the floats they become
+    cfg = parse_config({"lr": 1, "alpha": 3, "beta": 0, "calib_weights": [1, 0, 0], "seed": 5, "policy": "vanilla"})
+    assert (cfg.lr, cfg.alpha, cfg.beta, cfg.calib_weights) == (1.0, 3.0, 0.0, (1.0, 0.0, 0.0))
+    assert cfg.digest() == "1cb34da68fb8f455"
+    assert PipelineConfig(lr=1, alpha=3, beta=0, calib_weights=[1, 0, 0], seed=5, policy="vanilla").digest() == cfg.digest()
+
+
 def test_default_config_digest_is_pinned():
     # every artifact's provenance stamps this hash; a change to the config
     # type must not move it
@@ -334,18 +364,20 @@ def test_pipeline_full_mode_with_vanilla_static_policy(tmp_path, fixture_paths):
 def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeypatch, tmp_path, fixture_paths, fixture_dataset):
     # training and dynamic CAMs share one calibrated pass per image, whether
     # the static stage exports that pass (the default) or another policy
-    # (vanilla); training makes no biased encode, and each biased re-encode
-    # runs only the calibrated layers
+    # (vanilla); training makes no biased encode, and each stacked biased
+    # re-encode runs only the calibrated layers. Images are counted one by
+    # one through the stacked passes they go through.
     calibrated, biased, biased_heads = [], [], []
-    real_encode, real_head = encoder.encode, encoder._head_attention
+    real_stack, real_head = encoder.encode_stack, encoder._head_attention
 
-    def counting_encode(image, weights, policy, prefix=None):
-        if policy.name == "intra_correlation_biased":
-            biased.append(image.tobytes())
+    def counting_stack(images, weights, calibrations, prefixes=None):
+        names = {c.name for c in calibrations}
+        if names == {"intra_correlation_biased"}:
+            biased.extend(image.tobytes() for image in images)
             biased_heads.append(0)
-        elif policy.name == "intra_correlation":
-            calibrated.append(image.tobytes())
-        return real_encode(image, weights, policy, prefix)
+        elif names == {"intra_correlation"}:
+            calibrated.extend(image.tobytes() for image in images)
+        return real_stack(images, weights, calibrations, prefixes)
 
     def counting_head(policy, *args):
         if policy.name == "intra_correlation_biased":
@@ -353,7 +385,7 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
         return real_head(policy, *args)
 
     for module in (static_calibration, dynamic_calibration):
-        monkeypatch.setattr(module, "encode", counting_encode)
+        monkeypatch.setattr(module, "encode_stack", counting_stack)
     monkeypatch.setattr(encoder, "_head_attention", counting_head)
     images = sorted(rec.image.tobytes() for rec in fixture_dataset.images)
     for policy, iterations in (("intra_correlation", 17), ("vanilla", 2)):
@@ -373,7 +405,45 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
         run_pipeline(cfg, mode="full")
         assert sorted(calibrated) == images, policy  # 32 calibrated encodes, not 64
         assert sorted(biased) == images, policy  # one per image, all in stage_dynamic
-        assert set(biased_heads) == {cfg.calib_layers}  # one all-heads call per calibrated layer
+        # one stacked pass of all 32 T=17 images, with one all-heads call per calibrated layer
+        assert biased_heads == [cfg.calib_layers]
+
+
+def test_uneven_chunks_give_the_same_cams(monkeypatch, fixture_weights, fixture_bank, fixture_dataset, fixture_static):
+    # a budget of 5 T=17 images a pass splits the 32 fixture images 6 x 5 + 2;
+    # static and dynamic results keep every byte of the one-chunk run
+    cfg = PipelineConfig()
+    images = [rec.image for rec in fixture_dataset.images]
+    presents = [rec.labels for rec in fixture_dataset.images]
+    adapter = dynamic_calibration.init_adapter(
+        Rng(3).child("adapter"), fixture_weights.dim, 8, 16, 1, 0.5, cfg.alpha, cfg.beta
+    )
+    traces = [res.trace for res in fixture_static]
+    whole = dynamic_calibration.dynamic_cams(
+        images, fixture_weights, adapter, fixture_bank, presents, cfg.tau_fg, cfg.tau_bg, traces
+    )
+    sizes, real_stack = [], encoder.encode_stack
+
+    def counting_stack(images, *args, **kwargs):
+        sizes.append(len(images))
+        return real_stack(images, *args, **kwargs)
+
+    monkeypatch.setattr(encoder, "CHUNK_ELEMENTS", 5 * fixture_weights.heads * 17 * 17)
+    for module in (static_calibration, dynamic_calibration):
+        monkeypatch.setattr(module, "encode_stack", counting_stack)
+    static = static_calibration.run_static_passes(
+        fixture_dataset.images, fixture_weights, fixture_bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
+    )
+    dynamic = dynamic_calibration.dynamic_cams(
+        images, fixture_weights, adapter, fixture_bank, presents, cfg.tau_fg, cfg.tau_bg, [res.trace for res in static]
+    )
+    assert sizes == [5] * 6 + [2] + [5] * 6 + [2]
+    for got, want in zip(static + dynamic, fixture_static + whole):
+        assert got.cams.maps.tobytes() == want.cams.maps.tobytes() and got.labels.tobytes() == want.labels.tobytes()
+    for got, want in zip(static, fixture_static):
+        got_arrays = [*got.trace.inputs, *got.trace.features, got.trace.patch_features]
+        want_arrays = [*want.trace.inputs, *want.trace.features, want.trace.patch_features]
+        assert [a.tobytes() for a in got_arrays] == [b.tobytes() for b in want_arrays]
 
 
 def test_pipeline_unknown_mode(fixture_paths, tmp_path):

@@ -109,6 +109,41 @@ def test_adamw_moment_accumulation_two_steps():
     np.testing.assert_allclose(p2["p.w"], expected, atol=1e-7)
 
 
+def _adamw_reference(params, grads, state, lr, wd):
+    """One AdamW step as whole-array expressions, for a byte comparison."""
+    t = state.step + 1
+    out, ms, vs = {}, {}, {}
+    for name, p32 in params.items():
+        p, g = p32.astype(np.float64), np.asarray(grads[name], dtype=np.float64)
+        m = state.m[name].astype(np.float64) * 0.9 + (1 - 0.9) * g
+        v = state.v[name].astype(np.float64) * 0.999 + (1 - 0.999) * g * g
+        m_hat, v_hat = m / (1 - 0.9**t), v / (1 - 0.999**t)
+        decay = 0.0 if name.endswith(".b") else wd
+        out[name] = (p * (1 - lr * decay) - lr * m_hat / (np.sqrt(v_hat) + 1e-8)).astype(np.float32)
+        ms[name], vs[name] = m.astype(np.float32), v.astype(np.float32)
+    return out, AdamState(m=ms, v=vs, step=t)
+
+
+def test_adamw_bytes_equal_the_expression_form_and_grads_stay_put():
+    # the in-place update keeps each operation and its order, and never
+    # writes into the caller's float64 gradients
+    params = {k: np.repeat(v, 50, axis=0) for k, v in _params(12).items()}
+    state = want_state = init_adam_state(params)
+    want = params
+    gen = Rng(13).generator()
+    for _ in range(17):
+        grads = {k: gen.standard_normal(v.shape) * 10.0 ** gen.integers(-6, 2) for k, v in params.items()}
+        before = {k: g.copy() for k, g in grads.items()}
+        params, state = adamw_step(params, grads, state, lr=1e-2, weight_decay=1e-2)
+        want, want_state = _adamw_reference(want, grads, want_state, 1e-2, 1e-2)
+        for k in params:
+            assert grads[k].tobytes() == before[k].tobytes(), k
+            assert params[k].tobytes() == want[k].tobytes(), k
+            assert state.m[k].tobytes() == want_state.m[k].tobytes(), k
+            assert state.v[k].tobytes() == want_state.v[k].tobytes(), k
+    assert state.step == 17
+
+
 # --------------------------------------------------------------------------
 # evaluation
 
@@ -354,17 +389,17 @@ def test_train_loop_with_pair_subsampling(fixture_weights, fixture_static):
 
 def test_train_loop_runs_one_static_pass_per_image(monkeypatch, fixture_weights, fixture_bank, fixture_dataset, fixture_static):
     # the static results depend only on frozen inputs: run_static_passes
-    # encodes each image once, and 17 iterations over 32 images in batches
-    # of 4 (two full epochs and one more iteration) then train on those
-    # results without a single encoder call
+    # encodes each image once, in dataset order, through stacked passes;
+    # 17 iterations over 32 images in batches of 4 (two full epochs and one
+    # more iteration) then train on those results without a single encoder call
     calls = []
-    real = static_calibration.run_static_pipeline
+    real = static_calibration.encode_stack
 
-    def counting(image, weights, bank, present, policy, tau_fg, tau_bg):
-        calls.append(image.tobytes())
-        return real(image, weights, bank, present, policy, tau_fg, tau_bg)
+    def counting(images, weights, calibrations, prefixes=None):
+        calls.extend(image.tobytes() for image in images)
+        return real(images, weights, calibrations, prefixes)
 
-    monkeypatch.setattr(static_calibration, "run_static_pipeline", counting)
+    monkeypatch.setattr(static_calibration, "encode_stack", counting)
     cfg = small_config(iterations=17, batch_size=4)
     static = static_calibration.run_static_passes(
         fixture_dataset.images, fixture_weights, fixture_bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
@@ -374,17 +409,14 @@ def test_train_loop_runs_one_static_pass_per_image(monkeypatch, fixture_weights,
     for got, want in zip(static, fixture_static):
         assert np.array_equal(got.cams.maps, want.cams.maps) and np.array_equal(got.labels, want.labels)
 
-    encodes = []
-    real_encode = encoder.encode
-
-    def counting_encode(*args, **kwargs):
-        encodes.append(1)
-        return real_encode(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("training encoded an image")
 
     for module in (encoder, static_calibration, dynamic_calibration, training_eval):
-        monkeypatch.setattr(module, "encode", counting_encode)
+        for name in ("encode", "encode_stack"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     result = train_loop(static, fixture_weights.dim, cfg)
-    assert encodes == []
     assert len(result.curve) == 17
 
 

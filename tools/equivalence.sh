@@ -31,6 +31,8 @@ excel gen-fixtures --out fx256 --image-size 256 --images 8 > gen-fixtures-256.lo
 excel gen-fixtures --out fx32 --dim 32 --heads 2 --images 4 > gen-fixtures-32.log
 # an 8x8 grid (T=65), which no other run uses
 excel gen-fixtures --out fx8 --patch-size 8 --images 4 > gen-fixtures-8.log
+# 9 images at T=65, about 7 to a stacked encoder pass: every stage spans two chunks
+excel gen-fixtures --out fx8chunks --patch-size 8 --images 9 > gen-fixtures-8-chunks.log
 
 config full.json full fx '"iterations": 17, "checkpoint_every": 8'
 excel run --config full.json > run-full.log
@@ -56,6 +58,8 @@ config full32.json full32 fx32 '"iterations": 2'
 excel run --config full32.json > run-full32.log
 config full8.json full8 fx8 '"iterations": 2'
 excel run --config full8.json > run-full8.log
+config full8chunks.json full8chunks fx8chunks '"iterations": 2'
+excel run --config full8chunks.json > run-full8-chunks.log
 
 config train.json train fx '"iterations": 5, "checkpoint_every": 2'
 excel train --config train.json > train.log
