@@ -21,11 +21,10 @@ from .errors import EXIT_DATA, EXIT_OK, DataError, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
 from .hashing import config_digest, provenance
 from .images import read_pgm, read_ppm, rgb_to_chw
-from .numerics import Rng
 from .pipeline import check_bank_dim, load_inputs, run_pipeline, run_provenance, stage_train, write_cam_outputs
 from .static_calibration import run_static_passes, run_static_pipeline
-from .text_enrichment import build_text_bank, ingest_knowledge, load_bank, save_bank
-from .training_eval import attn_report, evaluate, load_checkpoint, read_loss_curve, report_text
+from .text_enrichment import attribute_bank, load_bank, save_bank
+from .training_eval import attn_report, evaluate, load_checkpoint, read_loss_curve, report_text, trained_calibration
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,6 +46,9 @@ def _non_negative_float(text: str) -> float:
 # ic plus the relation bias
 _REPORT_POLICIES = {"qk": "vanilla", "vv": "value_value", "ic": "intra_correlation", "icb": "intra_correlation"}
 
+# the FixtureSpec fields gen-fixtures exposes, one flag each
+_FIXTURE_FLAGS = ("classes", "images", "image_size", "dim", "heads", "patch_size")
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="excel", description=__doc__)
@@ -55,19 +57,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-fixtures", help="write deterministic weights, knowledge and dataset")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--images", type=int, default=32)
-    p.add_argument("--image-size", type=int, default=64)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--patch-size", type=int, default=16)
+    for name in _FIXTURE_FLAGS:
+        p.add_argument(f"--{name.replace('_', '-')}", type=int, default=getattr(FixtureSpec, name))
 
     p = sub.add_parser("build-attrs", help="cluster a knowledge file into an attribute bank")
     p.add_argument("--kb", required=True)
     p.add_argument("--clusters", type=int, required=True)
-    p.add_argument("--topk", type=int, default=8)
-    p.add_argument("--lambda", dest="lam", type=_non_negative_float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--topk", type=int, default=PipelineConfig.topk)
+    p.add_argument("--lambda", dest="lam", type=_non_negative_float, default=PipelineConfig.lam)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("cam", help="CAMs and pseudo labels for a single image")
@@ -94,7 +92,7 @@ def build_parser() -> _Parser:
     p.add_argument("--image", required=True)
     p.add_argument("--policies", default="qk,vv,ic", help="subset of qk,vv,ic,icb")
     p.add_argument("--adapter", help="checkpoint for the icb policy")
-    p.add_argument("--calib-layers", type=int, default=5)
+    p.add_argument("--calib-layers", type=int, default=Calibration.layers)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
@@ -105,14 +103,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen_fixtures(args) -> int:
-    spec = FixtureSpec(
-        classes=args.classes,
-        images=args.images,
-        image_size=args.image_size,
-        dim=args.dim,
-        heads=args.heads,
-        patch_size=args.patch_size,
-    )
+    spec = FixtureSpec(**{name: getattr(args, name) for name in _FIXTURE_FLAGS})
     paths = generate_fixtures(args.seed, spec, args.out)
     for key, value in paths.items():
         print(f"{key}: {value}")
@@ -120,10 +111,7 @@ def _cmd_gen_fixtures(args) -> int:
 
 
 def _cmd_build_attrs(args) -> int:
-    kb = ingest_knowledge(args.kb)
-    bank = build_text_bank(
-        kb, clusters=args.clusters, topk=args.topk, lam=args.lam, rng=Rng(args.seed).child("attributes")
-    )
+    bank = attribute_bank(args.kb, args.clusters, args.topk, args.lam, args.seed)
     # the flags without --out, where the bank lands, as a run's hash leaves out out_dir
     flags = {k: v for k, v in vars(args).items() if k != "out"}
     prov = provenance("attributes", args.seed, config_digest(flags | {"command": "build-attrs"}))
@@ -145,7 +133,16 @@ def _cmd_cam(args) -> int:
     weights = load_weights(args.weights)
     bank = load_bank(args.bank)
     image = rgb_to_chw(read_ppm(args.image))
-    adapter = load_checkpoint(args.adapter, weights.dim)[0] if args.mode == "dynamic" else None
+    adapter = None
+    if args.mode == "dynamic":
+        adapter, meta = load_checkpoint(args.adapter, weights.dim)
+        # thresholds stay free at inference time; the calibration the adapter learned its bias under does not
+        trained, asked = trained_calibration(meta, args.adapter), cfg.calibration()
+        if trained != asked:
+            raise UsageError(
+                f"checkpoint {args.adapter} was trained with calib_layers {trained.layers} and calib_weights "
+                f"{list(trained.weights)}, the config asks for {asked.layers} and {list(asked.weights)}"
+            )
     # every input is read and checked against the others before the encode
     check_bank_dim(bank, args.bank, weights, args.weights)
     outside = [c for c in present if not 1 <= c <= bank.num_classes]

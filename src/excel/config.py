@@ -35,8 +35,8 @@ class PipelineConfig:
     tau_bg: float = 0.25
     alpha: float = 3.0
     beta: float = 1.0
-    calib_layers: int = 5
-    calib_weights: tuple = (1 / 3, 1 / 3, 1 / 3)
+    calib_layers: int = Calibration.layers
+    calib_weights: tuple = Calibration.weights
     topk: int = 8
     lam: float = 0.5
     clusters: int = 16

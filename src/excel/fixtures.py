@@ -10,7 +10,6 @@ the classes by construction; description embeddings are noisy copies of
 the template.
 """
 
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -19,7 +18,6 @@ import numpy as np
 from .blobio import write_json
 from .dataset import save_dataset
 from .encoder import (
-    LAYER_COUNT,
     LAYER_KEYS,
     Calibration,
     EncoderWeights,
@@ -45,6 +43,13 @@ PALETTE = [
     ("pink", (240, 90, 160)),
 ]
 
+# fixture internals that no caller sets
+WEIGHT_SIGMA = 0.02
+CALIB_GAIN = 16.0  # layer-norm gain of the blocks PROBE calibrates
+N_DESCRIPTIONS = 20  # noisy copies of each class template
+DESCRIPTION_NOISE = 0.35
+PROBE = Calibration()  # the pass that probes class templates: the pipeline's default
+
 
 @dataclass
 class FixtureSpec:
@@ -55,24 +60,11 @@ class FixtureSpec:
     heads: int = 4
     patch_size: int = 16
     mlp_dim: int = 256
-    n_descriptions: int = 20
-    description_noise: float = 0.35
-    weight_sigma: float = 0.02
-    calib_layers: int = 5
-    calib_gain: float = 16.0
 
     def validate(self):
-        for name in ("classes", "images", "image_size", "dim", "heads", "patch_size", "mlp_dim", "n_descriptions"):
+        for name in ("classes", "images", "image_size", "dim", "heads", "patch_size", "mlp_dim"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name.replace('_', ' ')} must be positive, got {getattr(self, name)}")
-        for name in ("weight_sigma", "description_noise", "calib_gain"):
-            if not math.isfinite(getattr(self, name)):
-                raise UsageError(f"{name.replace('_', ' ')} must be finite, got {getattr(self, name)}")
-        if self.weight_sigma <= 0:
-            # all-zero weights probe zero features, whose templates do not normalize
-            raise UsageError(f"weight sigma must be positive, got {self.weight_sigma}")
-        if not 0 <= self.calib_layers <= LAYER_COUNT:
-            raise UsageError(f"calib layers must be 0..{LAYER_COUNT}, got {self.calib_layers}")
         if not 1 <= self.classes <= len(PALETTE):
             raise UsageError(f"classes must be 1..{len(PALETTE)}, got {self.classes}")
         if self.image_size % (2 * self.patch_size) or self.image_size < 4 * self.patch_size:
@@ -95,12 +87,12 @@ class FixtureSpec:
 
 
 def make_encoder_weights(rng: Rng, spec: FixtureSpec) -> EncoderWeights:
-    """Gaussian weights (sigma from the fixture parameters) with identity
+    """Gaussian weights (sigma `WEIGHT_SIGMA`) with identity
     out-projections, unit layer-norm scales and zero biases, stored in
     `encoder_shapes` order but drawn layer tensors first, then the rest.
 
-    Layer-norm scales are 1 except `ln1.scale` in the last `calib_layers`
-    blocks, which is `calib_gain`: boosted projection norms there make
+    Layer-norm scales are 1 except `ln1.scale` in the blocks `PROBE`
+    calibrates, which is `CALIB_GAIN`: boosted projection norms there make
     value-space self-similarity content-selective (and plain q-k attention
     sharply random), so attention policies actually separate on random
     weights. Early layers stay gentle so patch identity survives to that depth.
@@ -113,14 +105,14 @@ def make_encoder_weights(rng: Rng, spec: FixtureSpec) -> EncoderWeights:
         if name.endswith("attn.out.w"):
             return np.eye(d, dtype=np.float32)
         if name.endswith(".w") or name in ("cls_token", "pos_embed"):
-            return (spec.weight_sigma * gen.standard_normal(shape)).astype(np.float32)
+            return (WEIGHT_SIGMA * gen.standard_normal(shape)).astype(np.float32)
         return np.full(shape, 1.0 if name.endswith(".scale") else 0.0, dtype=np.float32)
 
     shapes = encoder_shapes(d, spec.mlp_dim, p, grid)
     drawn = {name: draw(name, shapes[name]) for name in sorted(shapes, key=lambda n: not n.startswith("layers."))}
     tensors = {name: drawn[name] for name in shapes}
-    for keys in LAYER_KEYS[LAYER_COUNT - spec.calib_layers :]:
-        tensors[keys["ln1.scale"]] = np.full(d, spec.calib_gain, dtype=np.float32)
+    for i in PROBE.modified_layers():
+        tensors[LAYER_KEYS[i]["ln1.scale"]] = np.full(d, CALIB_GAIN, dtype=np.float32)
     return EncoderWeights(dim=d, heads=spec.heads, patch_size=p, grid=grid, mlp_dim=spec.mlp_dim, tensors=tensors)
 
 
@@ -205,7 +197,6 @@ def _probe_feature_means(weights, spec: FixtureSpec, probe_gen):
     rectangle renders across all four quadrant placements, in class then
     quadrant order. Each stacked pass's renders are drawn just before it,
     so one chunk's renders and traces are alive at a time."""
-    calibration = Calibration(layers=spec.calib_layers)
     p = spec.patch_size
     class_ids = range(1, spec.classes + 1)
     probes = [(class_id, quadrant) for class_id in class_ids for quadrant in range(4)]
@@ -215,7 +206,7 @@ def _probe_feature_means(weights, spec: FixtureSpec, probe_gen):
     bg_count = 0
     for part in chunks(len(probes), weights):
         renders = [render_image(probe_gen, spec, class_id, "rect", quadrant) for class_id, quadrant in probes[part]]
-        traces = encode_stack([rgb_to_chw(rgb) for rgb, _, _ in renders], weights, [calibration] * len(renders))
+        traces = encode_stack([rgb_to_chw(rgb) for rgb, _, _ in renders], weights, [PROBE] * len(renders))
         for (class_id, _), (_, mask, _), trace in zip(probes[part], renders, traces):
             gh, gw = trace.grid
             token_class = mask.reshape(gh, p, gw, p).transpose(0, 2, 1, 3).reshape(gh, gw, -1)
@@ -242,9 +233,7 @@ def build_knowledge_embeddings(rng: Rng, spec: FixtureSpec, weights: EncoderWeig
     for c in range(1, spec.classes + 1):
         proto = class_means[c] - bg_mean
         template = proto / np.linalg.norm(proto)
-        descs = template[None, :] + spec.description_noise * noise_gen.standard_normal(
-            (spec.n_descriptions, spec.dim)
-        )
+        descs = template[None, :] + DESCRIPTION_NOISE * noise_gen.standard_normal((N_DESCRIPTIONS, spec.dim))
         descs /= np.linalg.norm(descs, axis=1, keepdims=True)
         templates.append(template.astype(np.float32))
         descriptions.append(descs.astype(np.float32))

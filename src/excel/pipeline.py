@@ -19,7 +19,7 @@ from .errors import DataError, UsageError
 from .hashing import provenance, provenance_comment
 from .images import write_pgm
 from .static_calibration import run_static_passes, save_cams
-from .text_enrichment import TextRepresentation, build_text_bank, ingest_knowledge, load_bank, save_bank
+from .text_enrichment import TextRepresentation, attribute_bank, load_bank, save_bank
 from .training_eval import (
     checkpoint_path,
     evaluate,
@@ -28,7 +28,6 @@ from .training_eval import (
     train_loop,
     upsample_labels,
 )
-from .numerics import Rng
 
 
 def run_provenance(cfg: PipelineConfig, stage: str) -> dict:
@@ -82,13 +81,7 @@ def stage_attributes(cfg: PipelineConfig, weights: EncoderWeights, dataset: ToyD
     if reused:
         bank = load_bank(out)
     else:
-        bank = build_text_bank(
-            ingest_knowledge(cfg.knowledge),
-            clusters=cfg.clusters,
-            topk=cfg.topk,
-            lam=cfg.lam,
-            rng=Rng(cfg.seed).child("attributes"),
-        )
+        bank = attribute_bank(cfg.knowledge, cfg.clusters, cfg.topk, cfg.lam, cfg.seed)
     bank_source = f"{out} (from {cfg.knowledge})"
     check_bank_dim(bank, bank_source, weights, cfg.weights)
     check_bank_classes(bank, bank_source, dataset)

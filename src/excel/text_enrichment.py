@@ -307,6 +307,14 @@ def build_text_bank(
     )
 
 
+def attribute_bank(knowledge_path, clusters: int, topk: int, lam: float, seed: int) -> TextRepresentation:
+    """The attribute stage's bank, as `excel build-attrs` and a run both
+    build it: the knowledge file clustered and enriched on the
+    `attributes` stream of `seed`."""
+    kb = ingest_knowledge(knowledge_path)
+    return build_text_bank(kb, clusters=clusters, topk=topk, lam=lam, rng=Rng(seed).child("attributes"))
+
+
 # --------------------------------------------------------------------------
 # bank serialization
 

@@ -22,7 +22,7 @@ from .dynamic_calibration import (
     diversity_loss_gradient,
     init_adapter,
 )
-from .encoder import LAYER_COUNT, EncoderWeights, encode, layer_attention
+from .encoder import LAYER_COUNT, Calibration, EncoderWeights, encode, layer_attention
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .numerics import Rng
 from .static_calibration import IGNORE_LABEL, CamResult
@@ -146,6 +146,26 @@ def load_checkpoint(path, dim: int):
     shapes = adapter_shapes(dim, leading("delta.00.w"), leading("fusion.w"), kernel)
     tensors = {name: tf.require(f"adapter.{name}", shape) for name, shape in shapes.items()}
     return AdapterParams(tensors, alpha, beta), tf.meta
+
+
+def trained_calibration(meta: dict, path) -> Calibration:
+    """The calibration a checkpoint's adapter was trained under: the
+    `calib_layers` and `calib_weights` of its meta `train_config`. A
+    DataError naming `path` when either is absent, of the wrong type or
+    out of range."""
+    settings = meta.get("train_config")
+    settings = settings if isinstance(settings, dict) else {}
+    layers, weights = settings.get("calib_layers"), settings.get("calib_weights")
+    three_numbers = isinstance(weights, list) and len(weights) == 3 and all(map(is_finite_number, weights))
+    if type(layers) is not int or not three_numbers:
+        raise DataError(
+            f"checkpoint {path} meta 'train_config' must hold an integer 'calib_layers' and a list of "
+            f"3 finite 'calib_weights', got {layers!r} and {weights!r}"
+        )
+    try:
+        return Calibration(layers=layers, weights=tuple(map(float, weights)))
+    except UsageError as exc:
+        raise DataError(f"checkpoint {path} meta 'train_config': {exc}") from None
 
 
 # --------------------------------------------------------------------------

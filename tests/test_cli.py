@@ -11,9 +11,9 @@ import pytest
 
 import excel
 from excel.blobio import load_tensors, save_tensors, write_json
-from excel.cli import main
+from excel.cli import build_parser, main
 from excel.config import PATH_KEYS, PipelineConfig, parse_config, save_config
-from excel.encoder import save_weights
+from excel.encoder import Calibration, save_weights
 from excel.hashing import fnv1a64
 from excel.fixtures import FixtureSpec, generate_fixtures, make_encoder_weights
 from excel.images import read_pgm, write_pgm
@@ -111,6 +111,36 @@ def test_build_attrs_manifest_leaves_out_its_path(cli_fixtures, tmp_path):
         argv = ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "8", "--out", str(out)]
         assert main(argv) == 0
         manifests.append(out.read_bytes())
+    assert manifests[0] == manifests[1]
+
+
+def test_cli_defaults_are_the_types_they_fill():
+    # each default is the one of the type the flag fills, written once
+    parser = build_parser()
+    gen = vars(parser.parse_args(["gen-fixtures", "--out", "fx"]))
+    assert FixtureSpec(**{k: v for k, v in gen.items() if k not in ("command", "seed", "out")}) == FixtureSpec()
+    attrs = parser.parse_args(["build-attrs", "--kb", "k.json", "--clusters", "4", "--out", "b.json"])
+    assert (attrs.topk, attrs.lam, attrs.seed) == (PipelineConfig().topk, PipelineConfig().lam, PipelineConfig().seed)
+    report = parser.parse_args(["attn-report", "--weights", "w.json", "--image", "i.ppm", "--out", "a"])
+    assert report.calib_layers == Calibration().layers
+    assert PipelineConfig().calibration() == Calibration()
+
+
+def test_build_attrs_writes_the_runs_bank(cli_fixtures, tmp_path):
+    # given a run's clusters, topk, lambda and seed, build-attrs writes the
+    # run's bank blob byte for byte and its manifest up to provenance
+    settings = {"clusters": 6, "topk": 5, "lam": 0.25, "seed": 9}
+    cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", **settings)
+    assert main(["run", "--config", str(cfg), "--mode", "static-only"]) == 0
+    out = tmp_path / "cli" / "attrs.json"
+    out.parent.mkdir()
+    argv = ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "6", "--topk", "5",
+            "--lambda", "0.25", "--seed", "9", "--out", str(out)]
+    assert main(argv) == 0
+    run = tmp_path / "run" / "attrs.json"
+    assert out.with_suffix(".bin").read_bytes() == run.with_suffix(".bin").read_bytes()
+    manifests = [json.loads(path.read_text()) for path in (out, run)]
+    assert manifests[0].pop("provenance") != manifests[1].pop("provenance")
     assert manifests[0] == manifests[1]
 
 
@@ -292,6 +322,63 @@ def test_cam_dynamic_cli_reads_v1_files(cli_fixtures, cli_trained, tmp_path):
     assert written == [f"{image.stem}.{ext}" for ext in ("cams.bin", "cams.json", "pseudo.pgm")]
     for path in (tmp_path / "v2").iterdir():
         assert (tmp_path / "v1" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def _dynamic_cam_argv(fixture_root, run_dir, checkpoint, image, out):
+    labels = json.loads((fixture_root / "dataset" / "labels.json").read_text())[image.stem]
+    return [
+        "cam", "--mode", "dynamic", "--weights", str(fixture_root / "encoder.json"),
+        "--bank", str(run_dir / "attrs.json"), "--image", str(image), "--labels", ",".join(map(str, labels)),
+        "--adapter", str(checkpoint), "--out", str(out),
+    ]
+
+
+def test_cam_dynamic_refuses_a_calibration_the_adapter_was_not_trained_under(cli_fixtures, tmp_path, capsys):
+    # an adapter trained over 3 calibrated layers: without its config, the
+    # request asks for the default 5 and is refused before --out exists;
+    # with it, the request writes the run's dynamic CAMs and labels
+    run_dir = tmp_path / "run"
+    cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, run_dir, iterations=1, calib_layers=3)
+    assert main(["run", "--config", str(cfg)]) == 0
+    checkpoint = run_dir / "train" / "checkpoint_000001.json"
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    argv = _dynamic_cam_argv(cli_fixtures, run_dir, checkpoint, image, tmp_path / "out")
+    line = _main_error(capsys, argv, 1)
+    assert str(checkpoint) in line and "calib_layers 3" in line and "asks for 5" in line
+    assert not (tmp_path / "out").exists()
+    assert main([*argv, "--config", str(cfg)]) == 0
+    dynamic = run_dir / "dynamic" / image.stem
+    cams = tmp_path / "out" / image.stem
+    assert Path(f"{cams}.cams.bin").read_bytes() == Path(f"{dynamic}.cams.bin").read_bytes()
+    assert np.array_equal(read_pgm(f"{cams}.pseudo.pgm"), read_pgm(f"{dynamic}.pseudo.pgm"))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda tc: None,
+        lambda tc: {k: v for k, v in tc.items() if k != "calib_layers"},
+        lambda tc: {k: v for k, v in tc.items() if k != "calib_weights"},
+        lambda tc: {**tc, "calib_layers": 5.0},
+        lambda tc: {**tc, "calib_layers": 13},
+        lambda tc: {**tc, "calib_weights": [0.5, 0.5]},
+        lambda tc: {**tc, "calib_weights": ["1", 0, 0]},
+        lambda tc: {**tc, "calib_weights": [-1.0, 1.0, 1.0]},
+    ],
+    ids=["no-train-config", "no-layers", "no-weights", "layers-float", "layers-13", "two-weights",
+         "weight-string", "weight-negative"],
+)
+def test_exit_code_checkpoint_without_its_calibration(cli_fixtures, cli_trained, tmp_path, capsys, edit):
+    # the trained calibration is read from the checkpoint's train_config;
+    # one it lacks or cannot hold is broken data, refused before --out exists
+    out_dir, _ = cli_trained
+    checkpoint = out_dir / "train" / "checkpoint_000001.json"
+    train_config = edit(load_tensors(checkpoint).meta["train_config"])
+    bad = _with_meta(checkpoint, tmp_path / "bad.json", "train_config", train_config)
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    line = _main_error(capsys, _dynamic_cam_argv(cli_fixtures, out_dir, bad, image, tmp_path / "out"), 2)
+    assert str(bad) in line and "train_config" in line
+    assert not (tmp_path / "out").exists()
 
 
 def test_attn_report_cli(cli_fixtures, tmp_path):

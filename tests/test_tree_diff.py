@@ -41,6 +41,8 @@ def test_every_difference_is_named(tmp_path, capsys):
             "m.json": json.dumps({"format": "v1", "sum_a": "1", "t": [{"n": 1}], "same": 0}).encode(),
             "same-pixels.pgm": b"P5\n# old\n2 1\n255\n\x01\x02",
             "other-pixels.pgm": b"P5 2 1 255\n\x01\x02",
+            "same-pixels.ppm": b"P6\n# old\n1 1\n255\n\x01\x02\x03",
+            "other-pixels.ppm": b"P6\n1 1\n255\n\x01\x02\x03",
             "x.bin": b"\x00",
             "gone.csv": b"",
         },
@@ -51,6 +53,8 @@ def test_every_difference_is_named(tmp_path, capsys):
             "m.json": json.dumps({"format": "v2", "sum_b": "1", "t": [{"n": 1.0}], "same": 0}).encode(),
             "same-pixels.pgm": b"P5\n# new\n2 1\n255\n\x01\x02",
             "other-pixels.pgm": b"P5 2 1 255\n\x01\x03",
+            "same-pixels.ppm": b"P6\n# a longer new comment\n1 1\n255\n\x01\x02\x03",
+            "other-pixels.ppm": b"P6\n1 1\n255\n\x01\x02\x04",
             "x.bin": b"\x01",
             "added.log": b"",
         },
@@ -61,5 +65,7 @@ def test_every_difference_is_named(tmp_path, capsys):
     assert "differs: m.json: keys format, sum_a (only in OLD), sum_b (only in NEW), t.0.n" in out
     assert "differs: same-pixels.pgm: pixels identical, header differs" in out
     assert "differs: other-pixels.pgm: pixels differ" in out
+    assert "differs: same-pixels.ppm: pixels identical, header differs" in out
+    assert "differs: other-pixels.ppm: pixels differ" in out
     assert "differs: x.bin: bytes differ (1 -> 1 bytes)" in out
     assert "JSON key path format: differs in 1 files" in out

@@ -7,7 +7,7 @@
 # exits 0; otherwise it names every file and JSON key that differs.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
-# About 25 s on a 2-vCPU VM.
+# About 40 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -33,6 +33,9 @@ excel gen-fixtures --out fx32 --dim 32 --heads 2 --images 4 > gen-fixtures-32.lo
 excel gen-fixtures --out fx8 --patch-size 8 --images 4 > gen-fixtures-8.log
 # 9 images at T=65, about 7 to a stacked encoder pass: every stage spans two chunks
 excel gen-fixtures --out fx8chunks --patch-size 8 --images 9 > gen-fixtures-8-chunks.log
+# every gen-fixtures flag off its default: five classes, and a 6x6 grid of 12 px patches under 3 heads of 16
+excel gen-fixtures --out fxflags --seed 9 --classes 5 --images 10 --image-size 72 --dim 48 --heads 3 \
+    --patch-size 12 > gen-fixtures-flags.log
 
 config full.json full fx '"iterations": 17, "checkpoint_every": 8'
 excel run --config full.json > run-full.log
@@ -60,6 +63,8 @@ config full8.json full8 fx8 '"iterations": 2'
 excel run --config full8.json > run-full8.log
 config full8chunks.json full8chunks fx8chunks '"iterations": 2'
 excel run --config full8chunks.json > run-full8-chunks.log
+config fullflags.json fullflags fxflags '"iterations": 2'
+excel run --config fullflags.json > run-full-flags.log
 
 config train.json train fx '"iterations": 5, "checkpoint_every": 2'
 excel train --config train.json > train.log

@@ -5,8 +5,8 @@
 
 Every file is compared byte for byte. A file that differs is named, with
 what differs in it: for a JSON file, the dotted key paths whose values
-differ (list items by index); for a `.pgm` file, whether its pixel payload
-differs or only its header. The last lines count each JSON key path over
+differ (list items by index); for a `.pgm` or `.ppm` file, whether its
+pixel payload differs or only its header. The last lines count each JSON key path over
 all files, so a change confined to a few keys reads at a glance. Exits 0
 when the trees are identical and 1 on any difference; no difference is
 accepted or filtered.
@@ -50,8 +50,8 @@ def json_diff(old, new, prefix=""):
 HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*[^\s#]+")
 
 
-def pgm_payload(raw: bytes) -> bytes | None:
-    """The pixel bytes of a binary PGM: what follows the whitespace byte
+def netpbm_payload(raw: bytes) -> bytes | None:
+    """The pixel bytes of a binary PGM or PPM: what follows the whitespace byte
     after its four header tokens (magic, width, height, maxval). None
     when the header is malformed."""
     pos = 0
@@ -73,10 +73,10 @@ def describe(old_path: Path, new_path: Path) -> tuple[str, list[str]]:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             return f"not JSON ({exc})", []
         return ("keys " + ", ".join(paths) if paths else "same JSON value, different bytes"), paths
-    if old_path.suffix == ".pgm":
-        old_px, new_px = pgm_payload(old), pgm_payload(new)
+    if old_path.suffix in (".pgm", ".ppm"):
+        old_px, new_px = netpbm_payload(old), netpbm_payload(new)
         if old_px is None or new_px is None:
-            return "not a binary PGM", []
+            return f"not a binary {old_path.suffix[1:].upper()}", []
         return ("pixels differ" if old_px != new_px else "pixels identical, header differs"), []
     return f"bytes differ ({len(old)} -> {len(new)} bytes)", []
 
