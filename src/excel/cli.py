@@ -120,6 +120,17 @@ def _cmd_build_attrs(args) -> int:
     return EXIT_OK
 
 
+def _check_trained_calibration(checkpoint, meta: dict, asked: Calibration, asker: str):
+    """A UsageError naming `checkpoint` and both settings unless its
+    adapter was trained under `asked`, the calibration `asker` sets."""
+    trained = trained_calibration(meta, checkpoint)
+    if trained != asked:
+        raise UsageError(
+            f"checkpoint {checkpoint} was trained with calib_layers {trained.layers} and calib_weights "
+            f"{list(trained.weights)}, {asker} asks for {asked.layers} and {list(asked.weights)}"
+        )
+
+
 def _cmd_cam(args) -> int:
     try:
         present = [int(v) for v in args.labels.split(",") if v.strip()]
@@ -137,12 +148,7 @@ def _cmd_cam(args) -> int:
     if args.mode == "dynamic":
         adapter, meta = load_checkpoint(args.adapter, weights.dim)
         # thresholds stay free at inference time; the calibration the adapter learned its bias under does not
-        trained, asked = trained_calibration(meta, args.adapter), cfg.calibration()
-        if trained != asked:
-            raise UsageError(
-                f"checkpoint {args.adapter} was trained with calib_layers {trained.layers} and calib_weights "
-                f"{list(trained.weights)}, the config asks for {asked.layers} and {list(asked.weights)}"
-            )
+        _check_trained_calibration(args.adapter, meta, cfg.calibration(), "the config")
     # every input is read and checked against the others before the encode
     check_bank_dim(bank, args.bank, weights, args.weights)
     outside = [c for c in present if not 1 <= c <= bank.num_classes]
@@ -213,7 +219,8 @@ def _cmd_attn_report(args) -> int:
     image = rgb_to_chw(read_ppm(args.image))
     policies = {name: named_calibration(_REPORT_POLICIES[name], calibrated) for name in names}
     if "icb" in policies and args.adapter:
-        adapter, _ = load_checkpoint(args.adapter, weights.dim)
+        adapter, meta = load_checkpoint(args.adapter, weights.dim)
+        _check_trained_calibration(args.adapter, meta, calibrated, "--calib-layers")
         policies["icb"] = biased_calibration(encode(image, weights, calibrated), adapter)
     elif "icb" in policies:
         hw = weights.grid[0] * weights.grid[1]

@@ -13,6 +13,7 @@ Gradients flow only into adapter parameters: the encoder trace is frozen
 and the pseudo-label targets are fixed, never differentiated through.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,11 +44,26 @@ def adapter_shapes(dim: int, d_proj: int, d_dyn: int, kernel: int) -> dict[str, 
     return shapes
 
 
+def flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Name -> view of the consecutive run of the 1-D `flat` that holds
+    that tensor, shaped as `shapes` says, in its order."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return views
+
+
 @dataclass
 class AdapterParams:
     tensors: dict[str, np.ndarray]  # adapter_shapes order
     alpha: float
     beta: float
+
+    @property
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: t.shape for name, t in self.tensors.items()}
 
     @property
     def kernel(self) -> int:
@@ -61,10 +77,16 @@ class AdapterParams:
         w, k = self.tensors["fusion.w"], self.kernel
         return w.astype(np.float64, copy=False).reshape(w.shape[0], w.shape[1], k, k)
 
+    def flattened(self, dtype=np.float32) -> tuple[np.ndarray, "AdapterParams"]:
+        """One vector holding the tensors as `dtype`, in table order, and
+        the same adapter with views of that vector as its tensors."""
+        flat = np.concatenate([t.ravel() for t in self.tensors.values()], dtype=dtype)
+        return flat, AdapterParams(flat_views(flat, self.shapes), self.alpha, self.beta)
+
     def as_float64(self) -> "AdapterParams":
         """The same adapter with float64 copies of its tensors, which the
         float64 forward and gradient then read without converting."""
-        return AdapterParams({k: v.astype(np.float64) for k, v in self.tensors.items()}, self.alpha, self.beta)
+        return self.flattened(np.float64)[1]
 
 
 def init_adapter(
@@ -98,50 +120,62 @@ def init_adapter(
 # forward
 
 
-def _pad_grid(zcat: np.ndarray, grid, pad: int) -> np.ndarray:
-    """(hw, C) token rows -> the (gh + 2*pad, gw + 2*pad, C) zero-padded grid."""
-    gh, gw = grid
-    zpad = np.zeros((gh + 2 * pad, gw + 2 * pad, zcat.shape[1]), dtype=np.float64)
-    zpad[pad : pad + gh, pad : pad + gw] = zcat.reshape(gh, gw, -1)
-    return zpad
-
-
 def _taps(grid, kernel: int):
     """(dy, dx, window) for each tap of a size-preserving kernel x kernel
-    convolution: `window` selects the padded-grid tokens that tap reads."""
+    convolution: `window` selects, in a stack of zero-padded grids, the
+    tokens that tap reads."""
     gh, gw = grid
-    return [(dy, dx, (slice(dy, dy + gh), slice(dx, dx + gw))) for dy in range(kernel) for dx in range(kernel)]
+    return [
+        (dy, dx, (slice(None), slice(dy, dy + gh), slice(dx, dx + gw))) for dy in range(kernel) for dx in range(kernel)
+    ]
 
 
-def _fusion_forward(zpad: np.ndarray, params: AdapterParams, grid) -> np.ndarray:
-    """Padded (.., .., 12*d_proj) float64 grid -> (hw, D_d) float64: the
-    fusion convolution, one float64 product per kernel tap."""
-    w = params.fusion_kernel64()
-    hw = grid[0] * grid[1]
-    out = sum(zpad[win].reshape(hw, -1) @ w[:, :, dy, dx].T for dy, dx, win in _taps(grid, params.kernel))
-    return out + params.tensors["fusion.b"].astype(np.float64, copy=False)
+def _adapter_forward64(traces: list[LayerTrace], params: AdapterParams):
+    """Float64 adapter forward over a stack of traces of one grid; returns
+    (features (B, hw, D_d), the zero-padded (B, .., .., 12*d_proj)
+    projection grids the fusion reads, the (B, 12, hw, D) layer inputs).
+
+    The twelve projections of every image are one (B, 12, hw, D) @
+    (12, D, d_proj) product and the fusion one product per kernel tap;
+    each is the per-image product, looped over the stack inside numpy."""
+    grid = traces[0].grid
+    for trace in traces:
+        if len(trace.features) != LAYER_COUNT:
+            raise DataError(f"trace has {len(trace.features)} layers, expected {LAYER_COUNT}")
+        if trace.grid != grid:
+            raise UsageError(f"a stacked adapter pass needs one grid, got {trace.grid} and {grid}")
+    (gh, gw), pad, count = grid, params.kernel // 2, len(traces)
+    xs = np.empty((count, LAYER_COUNT, gh * gw, traces[0].features[0].shape[1]))
+    for x, trace in zip(xs, traces):
+        for x_layer, f in zip(x, trace.features):
+            x_layer[...] = f[1:]  # CLS dropped
+    names = [delta_names(layer) for layer in range(LAYER_COUNT)]
+    w = np.stack([params.tensors[w_name] for w_name, _ in names], dtype=np.float64)
+    b = np.stack([params.tensors[b_name] for _, b_name in names], dtype=np.float64)
+    z = xs @ w.swapaxes(-1, -2)
+    z += b[:, None]
+    # the layers' projections side by side, layer-major, in each padded grid
+    zpad = np.zeros((count, gh + 2 * pad, gw + 2 * pad, LAYER_COUNT * w.shape[1]))
+    interior = zpad.reshape(*zpad.shape[:3], LAYER_COUNT, -1)[:, pad : pad + gh, pad : pad + gw]
+    interior[...] = z.transpose(0, 2, 1, 3).reshape(count, gh, gw, LAYER_COUNT, -1)
+    del z
+    wk = params.fusion_kernel64()
+    out = sum(zpad[win].reshape(count, gh * gw, -1) @ wk[:, :, dy, dx].T for dy, dx, win in _taps(grid, params.kernel))
+    return out + params.tensors["fusion.b"].astype(np.float64, copy=False), zpad, xs
 
 
-def _adapter_forward64(trace: LayerTrace, params: AdapterParams):
-    """Float64 adapter forward; returns (features (hw, D_d), the padded
-    projection grid the fusion reads, layer inputs)."""
-    if len(trace.features) != LAYER_COUNT:
-        raise DataError(f"trace has {len(trace.features)} layers, expected {LAYER_COUNT}")
-    xs = [f[1:].astype(np.float64) for f in trace.features]  # CLS dropped
-    zs = []
-    for layer, x in enumerate(xs):
-        w, b = (params.tensors[name].astype(np.float64, copy=False) for name in delta_names(layer))
-        zs.append(x @ w.T + b)
-    zpad = _pad_grid(np.concatenate(zs, axis=1), trace.grid, params.kernel // 2)
-    return _fusion_forward(zpad, params, trace.grid), zpad, xs
+def adapter_forward_stack(traces: list[LayerTrace], params: AdapterParams) -> list[np.ndarray]:
+    """Each trace's dynamic features (D_d, hw), fused from its twelve
+    frozen layer features in one stacked pass."""
+    feats = _adapter_forward64(traces, params)[0]
+    if not np.isfinite(feats).all():
+        raise NumericError("adapter produced non-finite features")
+    return [np.ascontiguousarray(f.T.astype(np.float32)) for f in feats]
 
 
 def adapter_forward(trace: LayerTrace, params: AdapterParams) -> np.ndarray:
-    """Dynamic features (D_d, hw) fused from the twelve frozen layer features."""
-    feats, _, _ = _adapter_forward64(trace, params)
-    if not np.isfinite(feats).all():
-        raise NumericError("adapter produced non-finite features")
-    return np.ascontiguousarray(feats.T.astype(np.float32))
+    """`adapter_forward_stack` of one trace."""
+    return adapter_forward_stack([trace], params)[0]
 
 
 # --------------------------------------------------------------------------
@@ -202,15 +236,17 @@ def build_affinity_batch(
 
 
 def _pair_affinity(feats: np.ndarray):
-    """Sigmoid-cosine affinities of (hw, D_d) float64 features.
+    """Sigmoid-cosine affinities of (.., hw, D_d) float64 features, one
+    grid or a stack of them.
 
-    Returns (norms, unit features, u) with u = sigmoid(cos), (hw, hw).
+    Returns (norms, unit features, u) with u = sigmoid(cos), (.., hw, hw).
     """
-    norms = np.sqrt(np.einsum("ij,ij->i", feats, feats))
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", feats, feats))
     if norms.min(initial=np.inf) < 1e-12:
-        raise NumericError(f"zero-norm dynamic feature column {int(np.argmin(norms))}")
-    fhat = feats / norms[:, None]
-    cos = fhat @ fhat.T
+        low = next(row for row in norms.reshape(-1, norms.shape[-1]) if row.min() < 1e-12)
+        raise NumericError(f"zero-norm dynamic feature column {int(np.argmin(low))}")
+    fhat = feats / norms[..., None]
+    cos = fhat @ fhat.swapaxes(-1, -2)
     u = 1.0 / (1.0 + np.exp(-cos))
     return norms, fhat, u
 
@@ -235,58 +271,103 @@ def adapter_diversity_loss(trace: LayerTrace, params: AdapterParams, batch: Affi
     """Diversity loss evaluated end-to-end in float64 from the adapter
     parameters. This is the exact function the analytic gradient
     differentiates, which is what a finite-difference probe must call."""
-    feats, _, _ = _adapter_forward64(trace, params)
+    feats = _adapter_forward64([trace], params)[0][0]
     return _pair_loss(_pair_affinity(feats)[2], batch)
+
+
+def _pair_gradient(feats: np.ndarray, batches: list[AffinityBatch]) -> tuple[list[float], np.ndarray]:
+    """Each image's loss under its batch and its gradient with respect to
+    its features, for a (B, hw, D_d) float64 stack."""
+    norms, fhat, u = _pair_affinity(feats)
+    losses = [_pair_loss(u_i, batch) for u_i, batch in zip(u, batches)]
+    n_pos, n_neg = np.array([batch.counts() for batch in batches], dtype=np.float64).T[..., None, None]
+    positive = np.stack([batch.positive for batch in batches])
+    negative = np.stack([batch.negative for batch in batches])
+    g_u = np.where(positive, -1.0 / n_pos, np.where(negative, 1.0 / n_neg, 0.0))
+    g_cos = g_u * u * (1.0 - u)
+    g_fhat = (g_cos + g_cos.swapaxes(-1, -2)) @ fhat
+    # project through the normalization: d(f/|f|) kills the radial component
+    radial = np.einsum("...ij,...ij->...i", g_fhat, fhat)
+    return losses, (g_fhat - radial[..., None] * fhat) / norms[..., None]
+
+
+def diversity_loss_gradient_stack(
+    traces: list[LayerTrace],
+    params: AdapterParams,
+    batches: list[AffinityBatch],
+    grads: dict[str, np.ndarray],
+) -> list[float]:
+    """Each trace's loss under its batch, in order, with the exact
+    reverse-mode gradient of each added, image by image in order, into
+    `grads`: float64 accumulators keyed like `params.tensors`.
+
+    One stacked forward and backward pass: every product is the per-image
+    product, and the fusion-weight gradient of each image passes through
+    one work buffer, so memory does not grow with the stack by a
+    fusion-weight-sized array per image. A NumericError names the first
+    accumulator, in table order, that ends non-finite.
+    """
+    feats, zpad, xs = _adapter_forward64(traces, params)
+    losses, g_feats = _pair_gradient(feats, batches)
+    del feats
+    count, hw, _ = g_feats.shape
+
+    # the fusion convolution's transpose, tap by tap
+    (gh, gw), pad = traces[0].grid, params.kernel // 2
+    w = params.fusion_kernel64()
+    g_w = grads["fusion.w"] if params.kernel == 3 else grads["fusion.w"][..., None, None]  # a view either way
+    work = np.empty(w.shape[:2])
+    g_zpad = np.zeros_like(zpad)
+    for dy, dx, win in _taps(traces[0].grid, params.kernel):
+        for g_f, z in zip(g_feats, zpad[win].reshape(count, hw, -1)):
+            g_w[:, :, dy, dx] += np.matmul(g_f.T, z, out=work)
+        g_zpad[win] += (g_feats @ w[:, :, dy, dx]).reshape(count, gh, gw, -1)
+    del zpad, work
+    g_b = g_feats.sum(axis=1)
+    # per image and layer: (d_proj, hw) @ (hw, D) weight and (d_proj,) bias gradients
+    g_z = g_zpad[:, pad : pad + gh, pad : pad + gw].reshape(count, hw, LAYER_COUNT, -1)
+    g_zb = g_z.sum(axis=1)
+    g_zw = np.empty((LAYER_COUNT, g_z.shape[-1], xs.shape[-1]))
+    for i in range(count):
+        grads["fusion.b"] += g_b[i]
+        np.matmul(g_z[i].transpose(1, 2, 0), xs[i], out=g_zw)
+        for layer in range(LAYER_COUNT):
+            w_name, b_name = delta_names(layer)
+            grads[w_name] += g_zw[layer]
+            grads[b_name] += g_zb[i, layer]
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient for adapter parameter '{name}'")
+    return losses
 
 
 def diversity_loss_gradient(
     trace: LayerTrace, params: AdapterParams, batch: AffinityBatch
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss value plus exact reverse-mode gradients for every adapter
-    tensor, keyed like `params.tensors`."""
-    feats, zpad, xs = _adapter_forward64(trace, params)
-    hw = feats.shape[0]
-    norms, fhat, u = _pair_affinity(feats)
-    loss = _pair_loss(u, batch)
-
-    n_pos, n_neg = batch.counts()
-    g_u = np.where(batch.positive, -1.0 / n_pos, np.where(batch.negative, 1.0 / n_neg, 0.0))
-    g_cos = g_u * u * (1.0 - u)
-    g_fhat = (g_cos + g_cos.T) @ fhat
-    # project through the normalization: d(f/|f|) kills the radial component
-    radial = np.einsum("ij,ij->i", g_fhat, fhat)
-    g_feats = (g_fhat - radial[:, None] * fhat) / norms[:, None]
-
-    # the fusion convolution's transpose, tap by tap
-    gh, gw = trace.grid
-    pad = params.kernel // 2
-    w = params.fusion_kernel64()
-    g_w = np.empty_like(w)
-    g_zpad = np.zeros_like(zpad)
-    for dy, dx, win in _taps(trace.grid, params.kernel):
-        g_w[:, :, dy, dx] = g_feats.T @ zpad[win].reshape(hw, -1)
-        g_zpad[win] += (g_feats @ w[:, :, dy, dx]).reshape(gh, gw, -1)
-    grads = {"fusion.w": g_w.reshape(params.tensors["fusion.w"].shape), "fusion.b": g_feats.sum(axis=0)}
-    g_zcat = g_zpad[pad : pad + gh, pad : pad + gw].reshape(hw, -1)
-    for layer, (x, g_z) in enumerate(zip(xs, np.split(g_zcat, LAYER_COUNT, axis=1))):
-        w_name, b_name = delta_names(layer)
-        grads[w_name] = g_z.T @ x
-        grads[b_name] = g_z.sum(axis=0)
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for adapter parameter '{name}'")
-    return loss, grads
+    tensor, keyed like `params.tensors`: `diversity_loss_gradient_stack`
+    of one trace."""
+    grads = {name: np.zeros(shape) for name, shape in params.shapes.items()}
+    return diversity_loss_gradient_stack([trace], params, [batch], grads)[0], grads
 
 
 # --------------------------------------------------------------------------
 # dynamic CAM generation
 
 
+def biased_calibrations(traces: list[LayerTrace], params: AdapterParams) -> list[Calibration]:
+    """Per trace: the calibration it records plus the masked relation of
+    the adapter run over it, from one stacked adapter pass: the attention
+    of its biased re-encode."""
+    return [
+        replace(trace.calibration, relation=dynamic_relation(features, params.alpha, params.beta).masked)
+        for trace, features in zip(traces, adapter_forward_stack(traces, params))
+    ]
+
+
 def biased_calibration(trace: LayerTrace, params: AdapterParams) -> Calibration:
-    """The calibration `trace` records plus the masked relation of the
-    adapter run over `trace`: the attention of a biased re-encode."""
-    relation = dynamic_relation(adapter_forward(trace, params), params.alpha, params.beta)
-    return replace(trace.calibration, relation=relation.masked)
+    """`biased_calibrations` of one trace."""
+    return biased_calibrations([trace], params)[0]
 
 
 def dynamic_cams(
@@ -300,7 +381,8 @@ def dynamic_cams(
     static_traces: list[LayerTrace],
 ) -> list[CamResult]:
     """Re-encode each image with its relation bias added and refine
-    dynamic CAMs, in order, one stacked pass per `encoder.chunks` chunk.
+    dynamic CAMs, in order, one stacked adapter pass and one stacked
+    encoder pass per `encoder.chunks` chunk.
 
     `static_traces[i]` is the calibrated pass of `images[i]`. Its biased
     re-encode runs under its `biased_calibration`, resuming from the trace
@@ -309,8 +391,7 @@ def dynamic_cams(
     results = []
     for part in chunks(len(images), weights):
         prefixes = static_traces[part]
-        calibrations = [biased_calibration(trace, params) for trace in prefixes]
-        traces = encode_stack(images[part], weights, calibrations, prefixes=prefixes)
+        traces = encode_stack(images[part], weights, biased_calibrations(prefixes, params), prefixes=prefixes)
         for trace, present in zip(traces, presents[part]):
             results.append(replace(cam_result(trace, bank, present, tau_fg, tau_bg), trace=None))
     return results

@@ -19,7 +19,8 @@ from .dynamic_calibration import (
     AdapterParams,
     adapter_shapes,
     build_affinity_batch,
-    diversity_loss_gradient,
+    diversity_loss_gradient_stack,
+    flat_views,
     init_adapter,
 )
 from .encoder import LAYER_COUNT, Calibration, EncoderWeights, encode, layer_attention
@@ -35,74 +36,85 @@ from .static_calibration import IGNORE_LABEL, CamResult
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements an AdamW step updates at a time: its five float64 work
+# buffers of this length stay in a 2 MB L2 cache.
+ADAM_BLOCK = 1 << 14
 
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """AdamW over one flat float32 parameter vector laid out as `shapes`,
+    in order: the learning rate, each element's decay factor, fixed for a
+    run, and the float32 moments."""
+
+    shapes: dict[str, tuple[int, ...]]
+    lr: float
+    shrink: np.ndarray  # float64: 1 - lr*weight_decay for a weight, 1.0 for a bias
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
-def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(p, dtype=np.float32) for k, p in params.items()},
-        v={k: np.zeros_like(p, dtype=np.float32) for k, p in params.items()},
-        step=0,
+def init_adam_state(shapes: dict[str, tuple[int, ...]], lr: float, weight_decay: float) -> AdamState:
+    """Zero moments for flat parameters laid out as `shapes`. Decay
+    multiplies weights by (1 - lr*weight_decay) and skips biases (names
+    ending '.b')."""
+    lr, wd = float(lr), float(weight_decay)
+    shrink = np.concatenate(
+        [np.full(math.prod(shape), 1 - lr * (0.0 if name.endswith(".b") else wd)) for name, shape in shapes.items()]
     )
+    return AdamState(shapes, lr, shrink, np.zeros(shrink.size, np.float32), np.zeros(shrink.size, np.float32))
 
 
-def adamw_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    weight_decay: float,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One decoupled-weight-decay Adam update; returns new params, in the
-    order of `params`, and state.
+def _name_at(shapes: dict[str, tuple[int, ...]], index: int) -> str:
+    """The tensor holding element `index` of a flat vector laid out as `shapes`."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    return list(shapes)[int(np.searchsorted(ends, index, side="right"))]
 
-    Decay multiplies weights by (1 - lr*wd) and skips biases (names ending
-    '.b'). Moments are bias-corrected; math runs in float64, storage stays
-    float32.
+
+def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One decoupled-weight-decay Adam update of the flat float32 `params`
+    and `state`, in place, from the flat `grads`, which stay as they are.
+
+    Moments are bias-corrected; math runs in float64 over ADAM_BLOCK
+    elements at a time, storage stays float32. A non-finite update raises
+    NumericError naming its parameter, with the blocks before it updated.
     """
-    lr = float(lr)
-    wd = float(weight_decay)
+    if not grads.shape == params.shape == state.m.shape:
+        raise DataError(
+            f"AdamW needs gradients, parameters and moments of one shape, got {grads.shape}, {params.shape} "
+            f"and {state.m.shape}"
+        )
     t = state.step + 1
-    new_params, new_m, new_v = {}, {}, {}
-    for name in params:
-        if name not in grads:
-            raise DataError(f"no gradient supplied for parameter '{name}'")
-        p = params[name].astype(np.float64)
-        # a copy: it is a work buffer below, and float64 gradients would alias
-        g = np.array(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise DataError(f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
-        # each line is one operation of m*b1 + (1-b1)*g, v*b2 + (1-b2)*g*g
-        # and p*(1 - lr*decay) - lr*m_hat / (sqrt(v_hat) + eps), in order
-        work = np.multiply(g, 1 - ADAM_BETA1)
-        m = state.m[name].astype(np.float64)
-        m *= ADAM_BETA1
+    f64 = np.float64
+    buffers = np.empty((5, min(ADAM_BLOCK, params.size)))
+    for start in range(0, params.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        g = grads[block]
+        p, m, v, work, denom = buffers[:, : g.size]
+        # each line is one float64 operation of m*b1 + (1-b1)*g, v*b2 +
+        # (1-b2)*g*g and p*(1 - lr*decay) - lr*m_hat / (sqrt(v_hat) + eps),
+        # in order; the float32 operands are widened as they are read
+        np.multiply(g, 1 - ADAM_BETA1, out=work, dtype=f64)
+        np.multiply(state.m[block], ADAM_BETA1, out=m, dtype=f64)
         m += work
-        np.multiply(g, 1 - ADAM_BETA2, out=work)
-        work *= g
-        v = state.v[name].astype(np.float64)
-        v *= ADAM_BETA2
+        np.multiply(g, 1 - ADAM_BETA2, out=work, dtype=f64)
+        np.multiply(work, g, out=work, dtype=f64)
+        np.multiply(state.v[block], ADAM_BETA2, out=v, dtype=f64)
         v += work
         np.divide(m, 1 - ADAM_BETA1**t, out=work)  # m_hat
-        np.divide(v, 1 - ADAM_BETA2**t, out=g)  # v_hat
-        np.sqrt(g, out=g)
-        g += ADAM_EPS
-        work *= lr
-        work /= g
-        p *= 1 - lr * (0.0 if name.endswith(".b") else wd)
+        np.divide(v, 1 - ADAM_BETA2**t, out=denom)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        work *= state.lr
+        work /= denom
+        np.multiply(params[block], state.shrink[block], out=p, dtype=f64)
         p -= work
         if not np.isfinite(p).all():
-            raise NumericError(f"non-finite update for parameter '{name}'")
-        new_params[name] = p.astype(np.float32)
-        new_m[name] = m.astype(np.float32)
-        new_v[name] = v.astype(np.float32)
-    return new_params, AdamState(m=new_m, v=new_v, step=t)
+            first = start + int(np.argmin(np.isfinite(p)))
+            raise NumericError(f"non-finite update for parameter '{_name_at(state.shapes, first)}'")
+        params[block], state.m[block], state.v[block] = p, m, v
+    state.step = t
 
 
 # --------------------------------------------------------------------------
@@ -178,29 +190,28 @@ class TrainResult:
     curve: list[tuple[int, float]]  # (iteration, mean diversity loss)
 
 
-def _iteration_loss(static: list[CamResult], iteration: int, config: PipelineConfig, adapter):
-    """Mean diversity loss and mean gradients, keyed like the adapter's
-    tensors, over `iteration`'s batch: `batch_size` consecutive images,
-    wrapping around the dataset."""
+def _iteration_loss(static: list[CamResult], iteration: int, config: PipelineConfig, adapter: AdapterParams):
+    """Mean diversity loss and mean gradient, one flat float64 vector in
+    table order, over `iteration`'s batch: `batch_size` consecutive
+    images, wrapping around the dataset, in one stacked pass. The
+    per-image gradients are summed in batch order from zero."""
     rng = Rng(config.seed).child(f"it.{iteration}")
-    adapter = adapter.as_float64()  # converted once, read by every gradient call
-    div_sum = 0.0
-    grad_acc: dict[str, np.ndarray] = {}
-    for j in range(config.batch_size):
-        sres = static[(iteration * config.batch_size + j) % len(static)]
-        batch = build_affinity_batch(
-            sres.labels, sample_limit=config.pair_sample_limit, rng=rng.child(f"pairs.{j}")
-        )
-        div, div_grads = diversity_loss_gradient(sres.trace, adapter, batch)
-        div_sum += div
-        for k, g in div_grads.items():
-            if k not in grad_acc:
-                grad_acc[k] = np.zeros_like(g)  # 0.0 + g, as a sum from zero
-            grad_acc[k] += g
     n = config.batch_size
-    for g in grad_acc.values():
-        g /= n
-    return div_sum / n, grad_acc
+    picked = [static[(iteration * n + j) % len(static)] for j in range(n)]
+    batches = [
+        build_affinity_batch(sres.labels, sample_limit=config.pair_sample_limit, rng=rng.child(f"pairs.{j}"))
+        for j, sres in enumerate(picked)
+    ]
+    adapter = adapter.as_float64()  # converted once, read by the whole stack
+    grad = np.zeros(sum(t.size for t in adapter.tensors.values()))
+    losses = diversity_loss_gradient_stack(
+        [sres.trace for sres in picked], adapter, batches, flat_views(grad, adapter.shapes)
+    )
+    div_sum = 0.0
+    for div in losses:
+        div_sum += div
+    grad /= n
+    return div_sum / n, grad
 
 
 def train_loop(
@@ -230,7 +241,9 @@ def train_loop(
         alpha=config.alpha,
         beta=config.beta,
     )
-    state = init_adam_state(adapter.tensors)
+    # the parameters and both moments are flat float32 vectors; the adapter's tensors are views of `theta`
+    theta, adapter = adapter.flattened()
+    state = init_adam_state(adapter.shapes, config.lr, config.weight_decay)
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,11 +257,11 @@ def train_loop(
             save_checkpoint(checkpoint_path(out_dir, it), adapter, {**meta, "iteration": it}, provenance=provenance)
         if final:
             break
-        div_mean, grads = _iteration_loss(static, it, config, adapter)
+        div_mean, grad = _iteration_loss(static, it, config, adapter)
         curve.append((it, div_mean))
         if not math.isfinite(div_mean) or div_mean > config.divergence_threshold:
             raise NumericError(f"training diverged at iteration {it}: diversity loss {div_mean:.3f}")
-        adapter.tensors, state = adamw_step(adapter.tensors, grads, state, config.lr, config.weight_decay)
+        adamw_step(theta, grad, state)
     if out_dir:
         write_loss_curve(out_dir / "loss_curve.csv", curve)
     return TrainResult(adapter=adapter, curve=curve)

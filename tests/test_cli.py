@@ -550,6 +550,22 @@ def test_exit_code_checkpoint_mismatch(cli_fixtures, cli_trained, narrow_weights
     assert str(checkpoint) in line and expected in line
 
 
+def test_attn_report_refuses_a_calibration_the_adapter_was_not_trained_under(cli_fixtures, cli_trained, tmp_path):
+    # the adapter was trained over the default 5 calibrated layers: an icb
+    # report over 3 is refused before --out exists, one over 5 is written
+    out_dir, _ = cli_trained
+    checkpoint = out_dir / "train" / "checkpoint_000001.json"
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    argv = ["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
+            "--policies", "icb", "--adapter", str(checkpoint)]
+    proc = run_excel(*argv, "--calib-layers", "3", "--out", str(tmp_path / "out"))
+    line = one_error_line(proc.returncode, proc.stderr, 1)
+    assert str(checkpoint) in line and "calib_layers 5" in line and "--calib-layers asks for 3" in line
+    assert not (tmp_path / "out").exists()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "relations_icb.json").exists()
+
+
 @pytest.mark.parametrize("value", ["13", "-1"])
 def test_exit_code_attn_report_calib_layers_out_of_range(cli_fixtures, tmp_path, value):
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))

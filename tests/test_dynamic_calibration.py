@@ -9,16 +9,21 @@ from excel.dynamic_calibration import (
     _pair_loss,
     adapter_diversity_loss,
     adapter_forward,
+    adapter_forward_stack,
     adapter_shapes,
+    biased_calibration,
+    biased_calibrations,
     build_affinity_batch,
     diversity_loss,
     diversity_loss_gradient,
+    diversity_loss_gradient_stack,
     dynamic_cam,
     dynamic_relation,
+    flat_views,
     init_adapter,
 )
 from excel.encoder import LAYER_COUNT, Calibration, LayerTrace, _head_attention, relation_bias
-from excel.errors import DataError, NumericError
+from excel.errors import DataError, NumericError, UsageError
 from excel.numerics import Rng
 from excel.config import PipelineConfig
 
@@ -394,6 +399,97 @@ def test_gradient_loss_matches_forward():
     loss_g, _ = diversity_loss_gradient(trace, adapter, batch)
     loss_f = adapter_diversity_loss(trace, adapter, batch)
     assert loss_g == pytest.approx(loss_f, rel=1e-12)
+
+
+def _loop_gradient(trace, params, batch):
+    """The one-image loss and gradient as a loop over layers and kernel
+    taps on (hw, .) matrices: the reference the stacked pass must match."""
+    (gh, gw), k = trace.grid, params.kernel
+    hw, pad, t = gh * gw, k // 2, params.tensors
+    xs = [f[1:].astype(np.float64) for f in trace.features]
+    zs = [x @ t[f"delta.{l:02d}.w"].T + t[f"delta.{l:02d}.b"] for l, x in enumerate(xs)]
+    zpad = np.zeros((gh + 2 * pad, gw + 2 * pad, len(zs) * zs[0].shape[1]))
+    zpad[pad : pad + gh, pad : pad + gw] = np.concatenate(zs, axis=1).reshape(gh, gw, -1)
+    w = params.fusion_kernel64()
+    taps = [(dy, dx, np.s_[dy : dy + gh, dx : dx + gw]) for dy in range(k) for dx in range(k)]
+    feats = sum(zpad[win].reshape(hw, -1) @ w[:, :, dy, dx].T for dy, dx, win in taps) + t["fusion.b"]
+    norms, fhat, u = _pair_affinity(feats)
+    n_pos, n_neg = batch.counts()
+    g_u = np.where(batch.positive, -1.0 / n_pos, np.where(batch.negative, 1.0 / n_neg, 0.0))
+    g_cos = g_u * u * (1.0 - u)
+    g_fhat = (g_cos + g_cos.T) @ fhat
+    g_feats = (g_fhat - np.einsum("ij,ij->i", g_fhat, fhat)[:, None] * fhat) / norms[:, None]
+    g_w, g_zpad = np.empty_like(w), np.zeros_like(zpad)
+    for dy, dx, win in taps:
+        g_w[:, :, dy, dx] = g_feats.T @ zpad[win].reshape(hw, -1)
+        g_zpad[win] += (g_feats @ w[:, :, dy, dx]).reshape(gh, gw, -1)
+    grads = {"fusion.w": g_w.reshape(t["fusion.w"].shape), "fusion.b": g_feats.sum(axis=0)}
+    g_zcat = g_zpad[pad : pad + gh, pad : pad + gw].reshape(hw, -1)
+    for l, (x, g_z) in enumerate(zip(xs, np.split(g_zcat, LAYER_COUNT, axis=1))):
+        grads[f"delta.{l:02d}.w"], grads[f"delta.{l:02d}.b"] = g_z.T @ x, g_z.sum(axis=0)
+    return _pair_loss(u, batch), grads
+
+
+@pytest.mark.parametrize("fusion_kernel", [1, 3])
+@pytest.mark.parametrize(
+    "picks, limit",
+    [([0], None), ([2, 5, 7], None), ([1, 4, 1, 6], None), ([0, 3, 5], 1)],
+    ids=["one", "three", "four-with-a-repeat", "limit1"],
+)
+def test_stacked_gradient_equals_the_per_image_sum(fixture_weights, fixture_static, fusion_kernel, picks, limit):
+    # each one-image call gives the loop's bytes, and one stacked pass
+    # over a batch adds into one flat vector exactly what the one-image
+    # calls sum to, from zero and in batch order
+    cfg = PipelineConfig()
+    adapter = init_adapter(
+        Rng(21).child("adapter"), fixture_weights.dim, cfg.d_proj, cfg.d_dyn, fusion_kernel, 0.05, cfg.alpha, cfg.beta
+    ).as_float64()
+    traces = [fixture_static[i].trace for i in picks]
+    batches = [
+        build_affinity_batch(fixture_static[i].labels, sample_limit=limit, rng=Rng(22).child(f"pairs.{j}"))
+        for j, i in enumerate(picks)
+    ]
+    if limit == 1:  # every batch holds one sampled pair, so one of its two loss terms is empty
+        assert all(batch.positive.sum() + batch.negative.sum() == 1 for batch in batches)
+    want = {name: np.zeros(shape) for name, shape in adapter.shapes.items()}
+    want_losses = []
+    for trace, batch in zip(traces, batches):
+        loss, grads = diversity_loss_gradient(trace, adapter, batch)
+        loop_loss, loop_grads = _loop_gradient(trace, adapter, batch)
+        assert np.float64(loss).tobytes() == np.float64(loop_loss).tobytes()
+        want_losses.append(loss)
+        for name, g in grads.items():
+            assert g.tobytes() == (0.0 + loop_grads[name]).tobytes(), name
+            want[name] += g
+    flat = np.zeros(sum(math.prod(shape) for shape in adapter.shapes.values()))
+    losses = diversity_loss_gradient_stack(traces, adapter, batches, flat_views(flat, adapter.shapes))
+    assert [np.float64(x).tobytes() for x in losses] == [np.float64(x).tobytes() for x in want_losses]
+    got = flat_views(flat, adapter.shapes)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("fusion_kernel", [1, 3])
+def test_stacked_relations_equal_per_image_biased_calibration(fixture_weights, fixture_static, fusion_kernel):
+    # the 32 fixture traces are one encoder chunk, so one adapter pass
+    cfg = PipelineConfig()
+    adapter = init_adapter(
+        Rng(23).child("adapter"), fixture_weights.dim, cfg.d_proj, cfg.d_dyn, fusion_kernel, 0.05, cfg.alpha, cfg.beta
+    )
+    traces = [res.trace for res in fixture_static]
+    features = adapter_forward_stack(traces, adapter)
+    for trace, got_features, got in zip(traces, features, biased_calibrations(traces, adapter)):
+        want = biased_calibration(trace, adapter)
+        assert got_features.tobytes() == adapter_forward(trace, adapter).tobytes()
+        assert got.relation.tobytes() == want.relation.tobytes()
+        assert (got.layers, got.weights) == (want.layers, want.weights) == (trace.calibration.layers, trace.calibration.weights)
+
+
+def test_stacked_adapter_pass_needs_one_grid():
+    trace, adapter, _ = tiny_setup(seed=6)
+    other = trace_from_features([f[:5] for f in trace.features], (2, 2))
+    with pytest.raises(UsageError, match="one grid"):
+        adapter_forward_stack([trace, other], adapter)
 
 
 # --------------------------------------------------------------------------

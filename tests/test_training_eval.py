@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from excel.blobio import load_tensors, save_tensors
 from excel.config import PipelineConfig
 from excel.numerics import Rng
 from excel.training_eval import (
-    AdamState,
     adamw_step,
     attn_report,
     evaluate,
@@ -47,12 +47,23 @@ def _params(seed=4):
     }
 
 
+def _flat(tensors, dtype=np.float32):
+    return np.concatenate([t.ravel() for t in tensors.values()], dtype=dtype)
+
+
+def _state(params, lr, weight_decay):
+    return init_adam_state({k: v.shape for k, v in params.items()}, lr, weight_decay)
+
+
+def _tensors(flat, params):
+    return dynamic_calibration.flat_views(flat, {k: v.shape for k, v in params.items()})
+
+
 def test_adamw_zero_grad_zero_decay_is_identity():
     params = _params()
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    new_params, state = adamw_step(params, grads, init_adam_state(params), lr=1e-2, weight_decay=0.0)
-    for k in params:
-        assert np.array_equal(new_params[k], params[k])
+    flat, state = _flat(params), _state(params, lr=1e-2, weight_decay=0.0)
+    adamw_step(flat, np.zeros(flat.size), state)
+    assert np.array_equal(flat, _flat(params))
     assert state.step == 1
 
 
@@ -61,86 +72,97 @@ def test_adamw_first_step_closed_form():
     gen = Rng(6).generator()
     grads = {k: gen.standard_normal(v.shape) for k, v in params.items()}
     lr, eps = 1e-3, 1e-8
-    new_params, _ = adamw_step(params, grads, init_adam_state(params), lr=lr, weight_decay=0.0)
-    for k in params:
+    flat = _flat(params)
+    adamw_step(flat, _flat(grads, np.float64), _state(params, lr=lr, weight_decay=0.0))
+    for k, new in _tensors(flat, params).items():
         g = grads[k]
         expected = params[k].astype(np.float64) - lr * g / (np.abs(g) + eps)
-        np.testing.assert_allclose(new_params[k], expected, atol=1e-6)
+        np.testing.assert_allclose(new, expected, atol=1e-6)
 
 
 def test_adamw_decay_only_shrinks_weights_not_biases():
     params = _params(7)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
     lr, wd = 1e-2, 1e-1
-    new_params, _ = adamw_step(params, grads, init_adam_state(params), lr=lr, weight_decay=wd)
-    np.testing.assert_allclose(
-        new_params["layer.w"], params["layer.w"] * (1 - lr * wd), atol=1e-7
-    )
-    assert np.array_equal(new_params["layer.b"], params["layer.b"])
+    flat = _flat(params)
+    adamw_step(flat, np.zeros(flat.size), _state(params, lr=lr, weight_decay=wd))
+    new = _tensors(flat, params)
+    np.testing.assert_allclose(new["layer.w"], params["layer.w"] * (1 - lr * wd), atol=1e-7)
+    assert np.array_equal(new["layer.b"], params["layer.b"])
 
 
 def test_adamw_lr_zero_is_identity():
     params = _params(8)
     gen = Rng(9).generator()
-    grads = {k: gen.standard_normal(v.shape) for k, v in params.items()}
-    new_params, _ = adamw_step(params, grads, init_adam_state(params), lr=0.0, weight_decay=1e-2)
-    for k in params:
-        assert np.array_equal(new_params[k], params[k])
+    flat = _flat(params)
+    adamw_step(flat, gen.standard_normal(flat.size), _state(params, lr=0.0, weight_decay=1e-2))
+    assert np.array_equal(flat, _flat(params))
 
 
 def test_adamw_nonfinite_update_raises():
     params = _params(10)
-    grads = {k: np.full(v.shape, np.nan) for k, v in params.items()}
     cfg = small_config()
-    with pytest.raises(NumericError, match="non-finite"):
-        adamw_step(params, grads, init_adam_state(params), cfg.lr, cfg.weight_decay)
+    for bad in params:  # the message names the tensor
+        grads = {k: np.full(v.shape, np.nan if k == bad else 0.0) for k, v in params.items()}
+        with pytest.raises(NumericError, match=f"non-finite update for parameter '{bad}'"):
+            adamw_step(_flat(params), _flat(grads, np.float64), _state(params, cfg.lr, cfg.weight_decay))
 
 
 def test_adamw_moment_accumulation_two_steps():
     params = {"p.w": np.zeros(1, np.float32)}
-    g1 = {"p.w": np.array([1.0])}
-    state = init_adam_state(params)
-    p1, state = adamw_step(params, g1, state, lr=1e-3, weight_decay=0.0)
-    p2, state = adamw_step(p1, g1, state, lr=1e-3, weight_decay=0.0)
+    flat, g1 = _flat(params), np.array([1.0])
+    state = _state(params, lr=1e-3, weight_decay=0.0)
+    adamw_step(flat, g1, state)
+    p1 = flat.copy()
+    adamw_step(flat, g1, state)
     b1, b2, eps = 0.9, 0.999, 1e-8
     m = (b1 * 0.1 + 0.1) / (1 - b1**2)  # bias-corrected after two equal grads
     v = (b2 * 0.001 + 0.001) / (1 - b2**2)
-    expected = p1["p.w"].astype(np.float64) - 1e-3 * m / (np.sqrt(v) + eps)
-    np.testing.assert_allclose(p2["p.w"], expected, atol=1e-7)
+    expected = p1.astype(np.float64) - 1e-3 * m / (np.sqrt(v) + eps)
+    np.testing.assert_allclose(flat, expected, atol=1e-7)
 
 
 def _adamw_reference(params, grads, state, lr, wd):
-    """One AdamW step as whole-array expressions, for a byte comparison."""
-    t = state.step + 1
-    out, ms, vs = {}, {}, {}
+    """One AdamW step as whole-array expressions on one tensor at a time,
+    for a byte comparison; `state` is (m, v, step) of per-tensor dicts."""
+    ms, vs, step = state
+    t = step + 1
+    out, new_m, new_v = {}, {}, {}
     for name, p32 in params.items():
         p, g = p32.astype(np.float64), np.asarray(grads[name], dtype=np.float64)
-        m = state.m[name].astype(np.float64) * 0.9 + (1 - 0.9) * g
-        v = state.v[name].astype(np.float64) * 0.999 + (1 - 0.999) * g * g
+        m = ms[name].astype(np.float64) * 0.9 + (1 - 0.9) * g
+        v = vs[name].astype(np.float64) * 0.999 + (1 - 0.999) * g * g
         m_hat, v_hat = m / (1 - 0.9**t), v / (1 - 0.999**t)
         decay = 0.0 if name.endswith(".b") else wd
         out[name] = (p * (1 - lr * decay) - lr * m_hat / (np.sqrt(v_hat) + 1e-8)).astype(np.float32)
-        ms[name], vs[name] = m.astype(np.float32), v.astype(np.float32)
-    return out, AdamState(m=ms, v=vs, step=t)
+        new_m[name], new_v[name] = m.astype(np.float32), v.astype(np.float32)
+    return out, (new_m, new_v, t)
 
 
-def test_adamw_bytes_equal_the_expression_form_and_grads_stay_put():
-    # the in-place update keeps each operation and its order, and never
-    # writes into the caller's float64 gradients
+def test_adamw_bytes_equal_the_expression_form_and_grads_stay_put(monkeypatch):
+    # the blocked in-place update on the flat vectors keeps each operation
+    # and its order, and never writes into the caller's float64 gradients;
+    # a 7-element block also splits every tensor across blocks
+    for block in (training_eval.ADAM_BLOCK, 7):
+        monkeypatch.setattr(training_eval, "ADAM_BLOCK", block)
+        _check_adamw_against_reference()
+
+
+def _check_adamw_against_reference():
     params = {k: np.repeat(v, 50, axis=0) for k, v in _params(12).items()}
-    state = want_state = init_adam_state(params)
+    flat, state = _flat(params), _state(params, lr=1e-2, weight_decay=1e-2)
     want = params
+    want_state = ({k: np.zeros_like(v) for k, v in params.items()},) * 2 + (0,)
     gen = Rng(13).generator()
     for _ in range(17):
         grads = {k: gen.standard_normal(v.shape) * 10.0 ** gen.integers(-6, 2) for k, v in params.items()}
-        before = {k: g.copy() for k, g in grads.items()}
-        params, state = adamw_step(params, grads, state, lr=1e-2, weight_decay=1e-2)
+        flat_grads = _flat(grads, np.float64)
+        before = flat_grads.copy()
+        adamw_step(flat, flat_grads, state)
         want, want_state = _adamw_reference(want, grads, want_state, 1e-2, 1e-2)
-        for k in params:
-            assert grads[k].tobytes() == before[k].tobytes(), k
-            assert params[k].tobytes() == want[k].tobytes(), k
-            assert state.m[k].tobytes() == want_state.m[k].tobytes(), k
-            assert state.v[k].tobytes() == want_state.v[k].tobytes(), k
+        assert flat_grads.tobytes() == before.tobytes()
+        assert flat.tobytes() == _flat(want).tobytes()
+        assert state.m.tobytes() == _flat(want_state[0]).tobytes()
+        assert state.v.tobytes() == _flat(want_state[1]).tobytes()
     assert state.step == 17
 
 
@@ -284,6 +306,49 @@ def test_train_loop_zero_iterations_returns_init(fixture_weights, fixture_static
     assert result.curve == []
 
 
+def test_iteration_loss_is_the_per_image_mean_in_batch_order(fixture_weights, fixture_static):
+    # a batch of 6 over 4 images wraps the dataset and holds two images
+    # twice; the flat mean gradient is the one-image gradients summed from
+    # zero in batch order, then divided, as one tensor at a time
+    static = fixture_static[:4]
+    cfg = small_config(batch_size=6, pair_sample_limit=40)
+    adapter = init_adapter(Rng(24), fixture_weights.dim, cfg.d_proj, cfg.d_dyn, 1, 0.05, cfg.alpha, cfg.beta)
+    loss, grad = training_eval._iteration_loss(static, 1, cfg, adapter)
+    rng = Rng(cfg.seed).child("it.1")
+    div_sum, want = 0.0, {name: np.zeros(shape) for name, shape in adapter.shapes.items()}
+    for j in range(6):
+        sres = static[(6 + j) % 4]
+        batch = dynamic_calibration.build_affinity_batch(sres.labels, 40, rng.child(f"pairs.{j}"))
+        div, grads = dynamic_calibration.diversity_loss_gradient(sres.trace, adapter.as_float64(), batch)
+        div_sum += div
+        for name, g in grads.items():
+            want[name] += g
+    assert np.float64(loss).tobytes() == np.float64(div_sum / 6).tobytes()
+    got = dynamic_calibration.flat_views(grad, adapter.shapes)
+    for name, g in want.items():
+        g /= 6
+        assert got[name].tobytes() == g.tobytes(), name
+
+
+def test_iteration_loss_memory_does_not_grow_by_a_gradient_per_image(fixture_weights, fixture_static):
+    # the stacked pass keeps one fusion-weight-sized work buffer whatever
+    # the batch: a batch of 4 peaks within one such buffer of a batch of 1
+    cfg = PipelineConfig()
+    adapter = init_adapter(
+        Rng(25), fixture_weights.dim, cfg.d_proj, cfg.d_dyn, cfg.fusion_kernel, 0.05, cfg.alpha, cfg.beta
+    )
+
+    def peak(batch_size):
+        tracemalloc.start()
+        try:
+            training_eval._iteration_loss(fixture_static, 0, PipelineConfig(batch_size=batch_size), adapter)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4) <= peak(1) + 8 * adapter.tensors["fusion.w"].size
+
+
 def test_train_loop_checkpoints_byte_identical(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=3)
     out1 = tmp_path / "run1"
@@ -299,12 +364,12 @@ def test_train_loop_divergence_aborts(monkeypatch, fixture_weights, fixture_stat
     with pytest.raises(NumericError, match="diverged"):
         train_loop(fixture_static, fixture_weights.dim, cfg)
     # a non-finite loss aborts too, whatever the threshold
-    real = training_eval.diversity_loss_gradient
+    real = training_eval.diversity_loss_gradient_stack
 
     def nan_loss(*args):
-        return float("nan"), real(*args)[1]
+        return [float("nan") for _ in real(*args)]
 
-    monkeypatch.setattr(training_eval, "diversity_loss_gradient", nan_loss)
+    monkeypatch.setattr(training_eval, "diversity_loss_gradient_stack", nan_loss)
     with pytest.raises(NumericError, match="diverged at iteration 0: diversity loss nan"):
         train_loop(fixture_static, fixture_weights.dim, small_config(iterations=2))
 

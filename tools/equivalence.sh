@@ -7,7 +7,7 @@
 # exits 0; otherwise it names every file and JSON key that differs.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
-# About 40 s on a 2-vCPU VM.
+# About 35 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -65,6 +65,12 @@ config full8chunks.json full8chunks fx8chunks '"iterations": 2'
 excel run --config full8chunks.json > run-full8-chunks.log
 config fullflags.json fullflags fxflags '"iterations": 2'
 excel run --config fullflags.json > run-full-flags.log
+# a batch of 6 over 4 images: each stacked gradient pass wraps the dataset and holds some images twice
+config batch6.json batch6 fx8 '"iterations": 3, "batch_size": 6'
+excel run --config batch6.json > run-batch6.log
+# one image a batch: the stacked gradient pass of one trace
+config batch1.json batch1 fx '"iterations": 3, "batch_size": 1'
+excel run --config batch1.json > run-batch1.log
 
 config train.json train fx '"iterations": 5, "checkpoint_every": 2'
 excel train --config train.json > train.log
@@ -110,7 +116,7 @@ excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0002.p
 excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.ppm \
     --policies qk,vv,ic,icb --out attn > attn.log
 excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.ppm \
-    --policies icb,qk --adapter full/train/checkpoint_000017.json --calib-layers 3 --out attn-adapter > attn-adapter.log
+    --policies icb,qk --adapter full/train/checkpoint_000017.json --out attn-adapter > attn-adapter.log
 excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0001.ppm \
     --policies ic,icb --calib-layers 12 --out attn-all-layers > attn-all-layers.log
 excel attn-report --weights fx256/encoder.json --image fx256/dataset/images/img_0003.ppm \
