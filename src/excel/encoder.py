@@ -12,6 +12,18 @@ from it) and the normalized layer inputs (the adapter's features).
 Attention maps are not kept; `layer_attention` recomputes one layer's
 maps from the trace, bit for bit, when a reader asks for them.
 
+A pass computes each layer's attention a block of heads at a time
+(`heads_per_block`): a block's maps, then their product with its values.
+It owns one `AttentionWork`, allocated once and sized to a block's
+(N, H_b, T, T) maps: the float64 logits/softmax array (the map is also
+widened into it for attn @ v), the float32 rounded logits, the float64
+calibrated mix and the float32 map. Every block of every layer writes
+over them through `out=` products and casts in the allocating kernels'
+operation order, so no layer allocates a map-sized array and the bytes
+are those of fresh arrays. No trace and no map `layer_attention` returns
+holds one of them; a map returned inside a pass lasts until the next
+block overwrites it.
+
 Shapes: an image's token matrix is (T, D) with the CLS token at row 0
 and T = h*w + 1 grid tokens, and a chunk's is (N, T, D); per-head
 tensors are computed as one (N, H, T, D_s) stack with D_s = D // H.
@@ -225,11 +237,11 @@ class LayerTrace:
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """(x - mean) / sqrt(var + eps) * scale + shift over the last axis, in
-    float64 on one copy of `x`, rounded to float32 once."""
+    float64 on one copy of `x`, rounded to float32 once. The variance is
+    np.var's: the mean square of the centred copy."""
     x64 = x.astype(np.float64)
-    mu = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
-    x64 -= mu
+    x64 -= x64.mean(axis=-1, keepdims=True)
+    var = (x64 * x64).sum(axis=-1, keepdims=True) / x64.shape[-1]
     x64 /= np.sqrt(var + LN_EPS)
     x64 *= scale
     x64 += shift
@@ -274,20 +286,42 @@ def patchify(image: np.ndarray, weights: EncoderWeights) -> np.ndarray:
     return (tokens + t["pos_embed"]).astype(np.float32)
 
 
-def _attention(a: np.ndarray, b: np.ndarray, head_dim: int) -> np.ndarray:
+@dataclass(frozen=True)
+class AttentionWork:
+    """The (.., T, T) arrays the attention maps of one block of heads are
+    computed in. One encoder pass allocates one set and every layer
+    writes over it, so no layer allocates a map-sized array; nothing a
+    pass returns holds one."""
+
+    wide: np.ndarray  # float64: logits, softmax, a weighted term, the map widened for attn @ v
+    logits: np.ndarray  # float32: the rounded, scaled logits
+    mix: np.ndarray  # float64: a calibrated layer's weighted sum
+    attn: np.ndarray  # float32: the map of one layer or one SA term
+
+    @classmethod
+    def of(cls, tokens: tuple[int, ...]) -> "AttentionWork":
+        """Fresh work arrays for the maps of a (.., T, D_s) token stack of
+        shape `tokens`."""
+        shape = tokens[:-1] + tokens[-2:-1]
+        return cls(*(np.empty(shape, dtype) for dtype in (np.float64, np.float32, np.float64, np.float32)))
+
+
+def _attention(a: np.ndarray, b: np.ndarray, head_dim: int, work: AttentionWork | None = None) -> np.ndarray:
     """softmax(a b^T / sqrt(head_dim)) of one head's (T, D_s) tokens or an
-    (H, T, D_s) stack; the logits are rounded to float32 before the
-    scaling and after it. Unchecked: `encode` checks q, k and v before
-    attention."""
-    logits = nm.matmul_unchecked(a, b.swapaxes(-1, -2))
-    np.divide(logits, math.sqrt(head_dim), out=logits, dtype=np.float64)
-    return nm.softmax_rows_unchecked(logits)
+    (.., H, T, D_s) stack, written to `work.attn`; the logits are rounded
+    to float32 before the scaling and after it. Unchecked: `encode`
+    checks q, k and v before attention."""
+    work = AttentionWork.of(a.shape) if work is None else work
+    np.matmul(a.astype(np.float64), b.swapaxes(-1, -2).astype(np.float64), out=work.wide)
+    np.copyto(work.logits, work.wide)
+    np.divide(work.logits, math.sqrt(head_dim), out=work.logits, dtype=np.float64)
+    return nm.softmax_rows_unchecked(work.logits, out=work.attn, work=work.wide)
 
 
-def self_attention(o: np.ndarray, head_dim: int) -> np.ndarray:
+def self_attention(o: np.ndarray, head_dim: int, work: AttentionWork | None = None) -> np.ndarray:
     """softmax(o o^T / sqrt(head_dim)), the SA(o, o) term of a calibrated
     layer."""
-    return _attention(o, o, head_dim)
+    return _attention(o, o, head_dim, work)
 
 
 def relation_bias(relation: np.ndarray, tokens: int) -> np.ndarray:
@@ -309,19 +343,22 @@ def _head_attention(
     v: np.ndarray,
     head_dim: int,
     bias: np.ndarray | None,
+    work: AttentionWork | None = None,
 ) -> np.ndarray:
-    """Attention maps at `layer` of every head of the (H, T, D_s) stacks
-    q, k and v, or of one head's (T, D_s) tokens."""
+    """Attention maps at `layer` of every head of the (.., H, T, D_s)
+    stacks q, k and v, or of one head's (T, D_s) tokens, written to
+    `work.attn`."""
+    work = AttentionWork.of(q.shape) if work is None else work
     if layer < LAYER_COUNT - calibration.layers:
-        return _attention(q, k, head_dim)
-    # a zero weight's term is skipped: adding an exact 0.0 changes no bit.
-    # A ufunc with a float64 `dtype` casts its float32 inputs in buffered
-    # chunks, so few (H, T, T) float64 temporaries are alive at once.
-    mix = np.zeros(q.shape[:-1] + (q.shape[-2],), dtype=np.float64)
+        return _attention(q, k, head_dim, work)
+    # a zero weight's term is skipped: adding an exact 0.0 changes no bit
+    work.mix.fill(0.0)
     for w, o in zip(calibration.weights, (q, k, v)):
         if w:
-            mix += np.multiply(self_attention(o, head_dim), w, dtype=np.float64)
-    attn = mix.astype(np.float32)
+            np.multiply(self_attention(o, head_dim, work), w, out=work.wide, dtype=np.float64)
+            np.add(work.mix, work.wide, out=work.mix)
+    attn = work.attn
+    np.copyto(attn, work.mix)
     if bias is not None:
         np.add(attn, bias, out=attn, dtype=np.float64)
     return attn
@@ -356,9 +393,17 @@ def _check_prefix(prefix: LayerTrace, tokens: np.ndarray, start: int):
         raise DataError(f"prefix trace modified layer {lowest}, below the resume layer {start}")
 
 
-# Element budget of one stacked pass's (N, H, T, T) float64 attention maps.
-# All 32 T=17 fixture images fit in one chunk; a T=257 image (or a ViT-B
-# T=197 one) fills a chunk alone, since stacking is slower there.
+# Element budget of one stacked pass's (N, H, T, T) float64 attention maps,
+# and of one block of heads within it. All 32 T=17 fixture images fit in
+# one chunk of one block. A T=257 image (or a ViT-B T=197 one) fills a
+# chunk alone, since stacking is slower there (8 T=257 images: best of 7
+# 0.82 s in chunks of one, 0.95, 1.03 and 1.21 s in chunks of 2, 4 and 8),
+# and its maps go a head at a time, whose work arrays stay in L2: the
+# calibrated kernel of one T=257 image takes 7.9 ms by heads against
+# 11.5 ms for all 4 at once. Small maps stay one block, since there the
+# calls cost more than the cache saves (a pass over one T=17 image: 8.1 ms
+# against 11.1 ms a head at a time). One BLAS thread, 2-vCPU VM with 2 MB
+# of L2 per core.
 CHUNK_ELEMENTS = 1 << 17
 
 
@@ -368,6 +413,14 @@ def chunks(count: int, weights: EncoderWeights) -> list[slice]:
     tokens = weights.grid[0] * weights.grid[1] + 1
     size = max(1, CHUNK_ELEMENTS // (weights.heads * tokens * tokens))
     return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def heads_per_block(count: int, weights: EncoderWeights) -> int:
+    """The most heads, a divisor of the head count, whose maps over a chunk
+    of `count` images fit CHUNK_ELEMENTS, and at least one."""
+    tokens = weights.grid[0] * weights.grid[1] + 1
+    fit = max(1, CHUNK_ELEMENTS // (count * tokens * tokens))
+    return max(h for h in range(1, weights.heads + 1) if weights.heads % h == 0 and h <= fit)
 
 
 def _shared_calibration(calibrations: list[Calibration]) -> Calibration:
@@ -437,6 +490,8 @@ def encode_stack(
         inputs = [prefix.inputs[:start] for prefix in prefixes]
         features = [prefix.features[:start] for prefix in prefixes]
     layers = weights.layers
+    block = heads_per_block(len(images), weights)
+    work = AttentionWork.of((len(images), block, t_count, d_s))
     for layer in range(start, LAYER_COUNT):
         lw = layers[layer]
         h = layer_norm(x, lw["ln1.scale"], lw["ln1.shift"])
@@ -444,8 +499,13 @@ def encode_stack(
             inp.append(x_i)
             feat.append(h_i)
         q_h, k_h, v_h = _heads_qkv(h, lw, heads, layer)
-        attn = _head_attention(calibration, layer, q_h, k_h, v_h, d_s, bias)
-        merged = nm.matmul_unchecked(attn, v_h).swapaxes(-3, -2).reshape(x.shape)
+        weighted = np.empty(v_h.shape, np.float32)
+        for first in range(0, heads, block):
+            part = (slice(None), slice(first, first + block))
+            attn = _head_attention(calibration, layer, q_h[part], k_h[part], v_h[part], d_s, bias, work)
+            np.copyto(work.wide, attn)
+            weighted[part] = work.wide @ v_h[part].astype(np.float64)  # rounded to float32 as it is stored
+        merged = weighted.swapaxes(-3, -2).reshape(x.shape)
         attn_out = nm.matmul_unchecked(merged, lw["attn.out.w"].T) + lw["attn.out.b"]
         # float64 sums rounded to float32, written over the products' temporaries
         x = np.add(x, attn_out, out=attn_out, dtype=np.float64)

@@ -96,11 +96,16 @@ def softmax_rows(m) -> np.ndarray:
     return softmax_rows_unchecked(m)
 
 
-def softmax_rows_unchecked(m: np.ndarray) -> np.ndarray:
+def softmax_rows_unchecked(
+    m: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """`softmax_rows` over the last axis of a float32 matrix or stack of
     matrices, without the finiteness check; an all -inf row still raises.
-    Works in place on one float64 copy."""
-    x = m.astype(np.float64)
+    Works in place on one float64 copy of `m`: `work`, a float64 array of
+    m's shape, when given. The float32 result is written to `out`, an
+    array of m's shape (it may be `m`), or to a new array."""
+    x = np.empty(m.shape, np.float64) if work is None else work
+    np.copyto(x, m)
     row_max = np.max(x, axis=-1, keepdims=True)
     dead = np.isneginf(row_max)
     if dead.any():
@@ -108,7 +113,9 @@ def softmax_rows_unchecked(m: np.ndarray) -> np.ndarray:
     x -= row_max
     np.exp(x, out=x)  # exp(-inf) == 0 exactly
     x /= x.sum(axis=-1, keepdims=True)
-    return x.astype(F32)
+    out = np.empty(m.shape, F32) if out is None else out
+    np.copyto(out, x)
+    return out
 
 
 def cosine_matrix(a, b) -> np.ndarray:

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -168,6 +170,17 @@ def test_wrong_depth_rejected(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(DataError, match="depth"):
         load_weights(path)
+
+
+@pytest.mark.parametrize("shape", [(17, 64), (3, 257, 64)])
+def test_layer_norm_bytes_equal_the_np_var_form(shape):
+    gen = Rng(13).generator()
+    x = (3.0 + 10.0 * gen.standard_normal(shape)).astype(np.float32)
+    scale, shift = (gen.standard_normal(shape[-1]).astype(np.float32) for _ in range(2))
+    x64 = x.astype(np.float64)
+    norm = (x64 - x64.mean(axis=-1, keepdims=True)) / np.sqrt(x64.var(axis=-1, keepdims=True) + encoder.LN_EPS)
+    want = (norm * scale + shift).astype(np.float32)
+    assert layer_norm(x, scale, shift).tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -514,8 +527,10 @@ def encode_capturing_maps(monkeypatch, image, weights, calibration, prefix=None)
     maps, real = {}, encoder._head_attention
 
     def capture(calibration, layer, *args):
+        # a T=257 pass computes a layer's maps a block of heads at a time,
+        # in head order: one image's blocks are its maps' bytes in order
         attn = real(calibration, layer, *args)
-        maps[layer] = attn.tobytes()
+        maps[layer] = maps.get(layer, b"") + attn.tobytes()
         return attn
 
     with monkeypatch.context() as patched:
@@ -598,6 +613,18 @@ def test_chunks_follow_the_element_budget(monkeypatch, fixture_weights, wide_wei
     assert [len(range(32)[part]) for part in encoder.chunks(32, fixture_weights)] == [5] * 6 + [2]
 
 
+def test_head_blocks_follow_the_element_budget(monkeypatch, fixture_weights, wide_weights):
+    # all heads of a T=17 chunk form one block; a T=257 image goes a head at a time
+    assert encoder.heads_per_block(32, fixture_weights) == 4
+    assert encoder.heads_per_block(1, wide_weights) == 1
+    assert encoder.heads_per_block(3, wide_weights) == 1
+    # ViT-B's 12 heads at T=197 (a 14x14 grid): 3 heads' maps fit
+    assert encoder.heads_per_block(1, dataclasses.replace(wide_weights, heads=12, grid=(14, 14))) == 3
+    # blocks are equal: of 6 heads, 5 fit and 3 are taken
+    monkeypatch.setattr(encoder, "CHUNK_ELEMENTS", 5 * 17 * 17)
+    assert encoder.heads_per_block(1, dataclasses.replace(fixture_weights, heads=6)) == 3
+
+
 def test_stacked_maps_are_each_images_layer_attention(monkeypatch, stacked_inputs):
     weights, images = stacked_inputs[64]
     images = images[:6]
@@ -607,8 +634,9 @@ def test_stacked_maps_are_each_images_layer_attention(monkeypatch, stacked_input
     maps, real = {}, encoder._head_attention
 
     def capture(calibration, layer, *args):
-        maps[layer] = real(calibration, layer, *args)
-        return maps[layer]
+        attn = real(calibration, layer, *args)
+        maps[layer] = attn.copy()  # the pass writes its next layer over `attn`
+        return attn
 
     monkeypatch.setattr(encoder, "_head_attention", capture)
     resumed = encoder.encode_stack(images, weights, biased, prefixes=static)
@@ -639,6 +667,93 @@ def test_stacked_pass_refuses_a_mixed_chunk(fixture_weights):
     biased = biased_per_image(calibrated, fixture_weights, 3, seed=96)
     with pytest.raises(DataError, match="different image"):
         encoder.encode_stack(images, fixture_weights, biased, prefixes=[static[0], static[2], static[1]])
+
+
+# The attention kernels as they were before a pass owned its work arrays:
+# every step allocates its result. The oracle of the buffered kernels.
+def _oracle_softmax(m):
+    x = m.astype(np.float64)
+    x -= np.max(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x.astype(np.float32)
+
+
+def _oracle_attention(a, b, head_dim):
+    logits = (a.astype(np.float64) @ b.swapaxes(-1, -2).astype(np.float64)).astype(np.float32)
+    np.divide(logits, math.sqrt(head_dim), out=logits, dtype=np.float64)
+    return _oracle_softmax(logits)
+
+
+def _oracle_head_attention(calibration, layer, q, k, v, head_dim, bias):
+    if layer < LAYER_COUNT - calibration.layers:
+        return _oracle_attention(q, k, head_dim)
+    mix = np.zeros(q.shape[:-1] + (q.shape[-2],), dtype=np.float64)
+    for w, o in zip(calibration.weights, (q, k, v)):
+        if w:
+            mix += np.multiply(_oracle_attention(o, o, head_dim), w, dtype=np.float64)
+    attn = mix.astype(np.float32)
+    if bias is not None:
+        np.add(attn, bias, out=attn, dtype=np.float64)
+    return attn
+
+
+ORACLE_CALIBRATIONS = {
+    "vanilla": VANILLA,
+    "value_value": VALUE_VALUE,
+    "intra_correlation": Calibration(layers=5),
+    "biased": Calibration(layers=5),  # with a relation per image
+    "q_and_v": Calibration(layers=5, weights=(0.5, 0.0, 0.5)),
+    "zero_weights": Calibration(layers=5, weights=(0.0, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CALIBRATIONS))
+@pytest.mark.parametrize("size", [64, 256], ids=["T17-N32", "T257-N3"])
+def test_buffered_attention_equals_the_allocating_oracle(monkeypatch, stacked_inputs, size, name):
+    # every layer of one pass writes its maps into the same work arrays,
+    # q-k layers and calibrated ones alike, and gives the oracle's bytes;
+    # at T=17 all heads are one block, at T=257 each head is one
+    weights, images = stacked_inputs[size]
+    blocks = 1 if size == 64 else weights.heads
+    calibration = ORACLE_CALIBRATIONS[name]
+    calibrations = [calibration] * len(images)
+    if name == "biased":
+        calibrations = biased_per_image(calibration, weights, len(images), seed=110)
+    maps, real = [], encoder._head_attention
+
+    def check(calibration, layer, q, k, v, head_dim, bias, work):
+        attn = real(calibration, layer, q, k, v, head_dim, bias, work)
+        want = _oracle_head_attention(calibration, layer, q, k, v, head_dim, bias)
+        assert attn.tobytes() == want.tobytes(), (name, layer)
+        maps.append(attn)
+        return attn
+
+    monkeypatch.setattr(encoder, "_head_attention", check)
+    encoder.encode_stack(images, weights, calibrations)
+    assert len(maps) == LAYER_COUNT * blocks
+    assert maps[0].shape == (len(images), weights.heads // blocks, *maps[0].shape[-2:])
+    assert all(attn is maps[0] for attn in maps)
+    if name == "zero_weights":
+        # all zero, not the q-k map the layer below left in the work arrays
+        assert not maps[-1].any()
+
+
+def test_traces_and_maps_hold_no_work_array(fixture_weights):
+    calibration = Calibration(layers=5, relation=masked_relation(111, 16))
+    first = encode(random_image(111, 64), fixture_weights, calibration)
+    first_map = layer_attention(first, fixture_weights, LAYER_COUNT - 1)
+
+    def kept(trace):
+        return [*trace.inputs, *trace.features, trace.patch_features]
+
+    before = [a.tobytes() for a in (*kept(first), first_map)]
+    second = encode(random_image(112, 64), fixture_weights, calibration)
+    second_map = layer_attention(second, fixture_weights, 0)
+    arrays = [*kept(first), first_map, *kept(second), second_map]
+    for (i, a), (j, b) in itertools.combinations(enumerate(arrays), 2):
+        assert not np.shares_memory(a, b), (i, j)
+    assert [a.tobytes() for a in (*kept(first), first_map)] == before
 
 
 @pytest.mark.parametrize("name", ["attn.q.w", "attn.k.w", "attn.v.w", "attn.out.w", "mlp.fc.w", "mlp.proj.w"])

@@ -44,6 +44,24 @@ def test_softmax_unchecked_on_a_stack_equals_per_matrix_calls():
     assert got.tobytes() == want.tobytes()
 
 
+def test_softmax_unchecked_into_work_arrays_gives_the_same_bytes():
+    # the float64 steps in a work array holding a stale NaN, the result
+    # written over the input itself
+    gen = Rng(103).generator()
+    stack = gen.standard_normal((2, 4, 17, 17)).astype(np.float32) * 5
+    stack[gen.random(stack.shape) < 0.25] = -np.inf
+    stack[..., 0] = 0.0
+    want = nm.softmax_rows_unchecked(stack)
+    work = np.full(stack.shape, np.nan)
+    got = nm.softmax_rows_unchecked(stack, out=stack, work=work)
+    assert got is stack
+    assert got.tobytes() == want.tobytes()
+    dead = np.zeros((3, 4, 5), dtype=np.float32)
+    dead[2, 1] = -np.inf
+    with pytest.raises(NumericError, match="degenerate attention row 1"):
+        nm.softmax_rows_unchecked(dead, out=dead, work=np.empty(dead.shape))
+
+
 def test_softmax_unchecked_degenerate_row_in_a_stack_raises():
     stack = np.zeros((3, 4, 5), dtype=np.float32)
     stack[2, 1] = -np.inf

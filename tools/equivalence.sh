@@ -7,7 +7,7 @@
 # exits 0; otherwise it names every file and JSON key that differs.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
-# About 35 s on a 2-vCPU VM.
+# About 30 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -54,6 +54,13 @@ config limit1.json limit1 fx '"iterations": 5, "pair_sample_limit": 1'
 excel run --config limit1.json > run-limit1.log
 config static256.json static256 fx256
 excel run --config static256.json --mode static-only > run-static256.log
+# T=257 calibrated layers off the equal thirds: v-v only, a skipped k term, every term skipped
+config static256vv.json static256vv fx256 '"policy": "value_value"'
+excel run --config static256vv.json --mode static-only > run-static256-vv.log
+config static256qv.json static256qv fx256 '"calib_weights": [0.5, 0.0, 0.5]'
+excel run --config static256qv.json --mode static-only > run-static256-qv.log
+config static256zero.json static256zero fx256 '"calib_weights": [0.0, 0.0, 0.0]'
+excel run --config static256zero.json --mode static-only > run-static256-zero.log
 # a full run at T=257: biased re-encodes resumed from 256 px traces
 config full256.json full256 fx256 '"iterations": 2'
 excel run --config full256.json > run-full256.log
