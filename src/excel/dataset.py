@@ -27,9 +27,15 @@ from .static_calibration import IGNORE_LABEL
 @dataclass
 class ImageRecord:
     name: str
-    image: np.ndarray  # (3, H, W) float32 in [0, 1]
+    pixels: np.ndarray  # (H, W, 3) uint8, as read and checked
     mask: np.ndarray  # (H, W) uint8
     labels: list[int]  # present foreground class ids, ascending
+
+    @property
+    def image(self) -> np.ndarray:
+        """The encoder's (3, H, W) float32 image in [0, 1], converted from
+        `pixels` on each read, so no record holds it."""
+        return rgb_to_chw(self.pixels)
 
 
 @dataclass
@@ -109,7 +115,7 @@ def load_dataset(root, image_size: tuple[int, int] | None = None) -> ToyDataset:
             raise DataError(
                 f"label list for '{stem}' is {labels} but its mask contains {sorted(mask_ids)}"
             )
-        records.append(ImageRecord(name=stem, image=rgb_to_chw(rgb), mask=mask, labels=labels))
+        records.append(ImageRecord(name=stem, pixels=rgb, mask=mask, labels=labels))
     if not records:
         raise DataError(f"dataset root {root} contains no images")
     return ToyDataset(root=root, class_names=class_names, images=records)

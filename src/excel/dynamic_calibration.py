@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics as nm
-from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerTrace, chunks, encode_stack
+from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerTrace, encode, encode_chunks
 from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
 from .static_calibration import IGNORE_LABEL, CamResult, PseudoLabelMap, cam_result
@@ -371,29 +371,34 @@ def biased_calibration(trace: LayerTrace, params: AdapterParams) -> Calibration:
 
 
 def dynamic_cams(
-    images: list[np.ndarray],
+    records,
     weights: EncoderWeights,
     params: AdapterParams,
     bank,
-    presents: list[list[int]],
     tau_fg: float,
     tau_bg: float,
     static_traces: list[LayerTrace],
 ) -> list[CamResult]:
-    """Re-encode each image with its relation bias added and refine
-    dynamic CAMs, in order, one stacked adapter pass and one stacked
-    encoder pass per `encoder.chunks` chunk.
+    """Re-encode the image of each dataset record (`.image`, `.labels`)
+    with its relation bias added and refine dynamic CAMs, in order, one
+    stacked adapter pass and one stacked encoder pass per `encoder.chunks`
+    chunk, run by `encode_chunks`.
 
-    `static_traces[i]` is the calibrated pass of `images[i]`. Its biased
-    re-encode runs under its `biased_calibration`, resuming from the trace
-    below the first calibrated layer. The biased traces are not kept.
+    `static_traces[i]` is the calibrated pass of `records[i].image`. Its
+    biased re-encode runs under its `biased_calibration`, resuming from the
+    trace below the first calibrated layer. The biased traces are not kept.
     """
     results = []
-    for part in chunks(len(images), weights):
+
+    def job(part):
         prefixes = static_traces[part]
-        traces = encode_stack(images[part], weights, biased_calibrations(prefixes, params), prefixes=prefixes)
-        for trace, present in zip(traces, presents[part]):
-            results.append(replace(cam_result(trace, bank, present, tau_fg, tau_bg), trace=None))
+        return [rec.image for rec in records[part]], biased_calibrations(prefixes, params), prefixes
+
+    def consume(part, traces):
+        for rec, trace in zip(records[part], traces):
+            results.append(replace(cam_result(trace, bank, rec.labels, tau_fg, tau_bg), trace=None))
+
+    encode_chunks(len(records), weights, job, consume)
     return results
 
 
@@ -407,5 +412,7 @@ def dynamic_cam(
     tau_bg: float,
     static_trace: LayerTrace,
 ) -> CamResult:
-    """`dynamic_cams` of one image."""
-    return dynamic_cams([image], weights, params, bank, [present], tau_fg, tau_bg, [static_trace])[0]
+    """`dynamic_cams` of one image: its biased re-encode, resumed from
+    `static_trace`, and its dynamic CAMs."""
+    trace = encode(image, weights, biased_calibration(static_trace, params), prefix=static_trace)
+    return replace(cam_result(trace, bank, present, tau_fg, tau_bg), trace=None)

@@ -5,7 +5,10 @@ float64 accumulation, no dropout. One pass, `encode_stack`, runs a chunk
 of N images stacked along a leading axis, and each image's trace is
 bit-identical to a pass over that image alone (`encode`), because every
 product is the per-image product looped over the chunk. `chunks` sizes
-the chunks by the element count of their attention maps. Every pass
+the chunks by the element count of their attention maps, and
+`encode_chunks` runs a loop's chunks two passes at a time: the earlier of
+each pair on one helper thread, the later on the calling thread, which
+also runs everything around the passes in chunk order. Every pass
 records, per image, what its consumers read: the calibration it ran
 under, the residual stream entering each layer (a later pass resumes
 from it) and the normalized layer inputs (the adapter's features).
@@ -47,6 +50,7 @@ sum(w) and q-k rows to 1.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -281,7 +285,9 @@ def patchify(image: np.ndarray, weights: EncoderWeights) -> np.ndarray:
         .reshape(gh * gw, 3 * p * p)
     )
     t = weights.tensors
-    embedded = nm.matmul(patches, nm.transpose(t["patch_embed.w"])) + t["patch_embed.b"]
+    # `image` and the transposed weights are checked above and in
+    # nm.transpose, so the product needs no check of its own
+    embedded = nm.matmul_unchecked(patches, nm.transpose(t["patch_embed.w"])) + t["patch_embed.b"]
     tokens = np.concatenate([t["cls_token"][None, :], embedded], axis=0)
     return (tokens + t["pos_embed"]).astype(np.float32)
 
@@ -413,6 +419,57 @@ def chunks(count: int, weights: EncoderWeights) -> list[slice]:
     tokens = weights.grid[0] * weights.grid[1] + 1
     size = max(1, CHUNK_ELEMENTS // (weights.heads * tokens * tokens))
     return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def encode_chunks(
+    count: int,
+    weights: EncoderWeights,
+    job: Callable[[slice], tuple[list[np.ndarray], list[Calibration], list[LayerTrace] | None]],
+    consume: Callable[[slice, list[LayerTrace]], None],
+) -> None:
+    """`encode_stack` over the `chunks` of `count` images, two passes at a
+    time: for each chunk `part`, in order, job(part) gives the pass's
+    (images, calibrations, prefixes) and consume(part, traces) takes the
+    traces it returns.
+
+    Consecutive chunks run in pairs, the earlier on one helper thread and
+    the later on the calling thread; an odd last chunk runs on the calling
+    thread alone, and a single chunk starts no thread. Only `encode_stack`
+    runs on the helper. `job` and `consume` run on the calling thread in
+    chunk order, so each chunk's inputs and results are the serial loop's.
+    A pass depends on its arguments alone, so its traces are the bytes of
+    a serial call. The first chunk in order whose job, pass or consume
+    fails raises, as in the serial loop, and no thread outlives the call.
+    """
+    parts = chunks(count, weights)
+
+    def run(part: slice) -> list[LayerTrace]:
+        images, calibrations, prefixes = job(part)
+        return encode_stack(images, weights, calibrations, prefixes)
+
+    def run_pair(helper, earlier: slice, later: slice):
+        # a function, so that no chunk's traces outlive its pair
+        images, calibrations, prefixes = job(earlier)
+        pending = helper.submit(encode_stack, images, weights, calibrations, prefixes)
+        try:
+            traces = run(later)
+        except Exception as error:  # raised once the earlier chunk is consumed
+            traces = error
+        consume(earlier, pending.result())
+        if isinstance(traces, Exception):
+            raise traces
+        consume(later, traces)
+
+    if len(parts) > 1:
+        # imported here, as only a multi-chunk loop needs it: the import
+        # (with `logging`) adds 0.7 MB to the peak RSS of a one-chunk run
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            for earlier, later in zip(parts[0::2], parts[1::2]):
+                run_pair(helper, earlier, later)
+    if len(parts) % 2:
+        consume(parts[-1], run(parts[-1]))
 
 
 def heads_per_block(count: int, weights: EncoderWeights) -> int:

@@ -21,8 +21,7 @@ from .encoder import (
     LAYER_KEYS,
     Calibration,
     EncoderWeights,
-    chunks,
-    encode_stack,
+    encode_chunks,
     encoder_shapes,
     save_weights,
 )
@@ -195,8 +194,10 @@ def render_dataset(rng: Rng, spec: FixtureSpec):
 def _probe_feature_means(weights, spec: FixtureSpec, probe_gen):
     """Per-class and background mean calibrated patch features, probed from
     rectangle renders across all four quadrant placements, in class then
-    quadrant order. Each stacked pass's renders are drawn just before it,
-    so one chunk's renders and traces are alive at a time."""
+    quadrant order, through `encode_chunks`. Each chunk's renders are drawn
+    from `probe_gen` just before its pass, in chunk order, and only their
+    masks are kept once the pass has its images; the float64 sums are
+    taken in probe order."""
     p = spec.patch_size
     class_ids = range(1, spec.classes + 1)
     probes = [(class_id, quadrant) for class_id in class_ids for quadrant in range(4)]
@@ -204,10 +205,16 @@ def _probe_feature_means(weights, spec: FixtureSpec, probe_gen):
     counts = dict.fromkeys(class_ids, 0)
     bg_acc = np.zeros(spec.dim, dtype=np.float64)
     bg_count = 0
-    for part in chunks(len(probes), weights):
+    masks = []  # the probes' masks, in probe order
+
+    def job(part):
         renders = [render_image(probe_gen, spec, class_id, "rect", quadrant) for class_id, quadrant in probes[part]]
-        traces = encode_stack([rgb_to_chw(rgb) for rgb, _, _ in renders], weights, [PROBE] * len(renders))
-        for (class_id, _), (_, mask, _), trace in zip(probes[part], renders, traces):
+        masks.extend(mask for _, mask, _ in renders)
+        return [rgb_to_chw(rgb) for rgb, _, _ in renders], [PROBE] * len(renders), None
+
+    def consume(part, traces):
+        nonlocal bg_acc, bg_count
+        for (class_id, _), mask, trace in zip(probes[part], masks[part], traces):
             gh, gw = trace.grid
             token_class = mask.reshape(gh, p, gw, p).transpose(0, 2, 1, 3).reshape(gh, gw, -1)
             inside = (token_class == class_id).all(axis=2).reshape(-1)
@@ -217,6 +224,8 @@ def _probe_feature_means(weights, spec: FixtureSpec, probe_gen):
             counts[class_id] += int(inside.sum())
             bg_acc += feats[:, outside].sum(axis=1)
             bg_count += int(outside.sum())
+
+    encode_chunks(len(probes), weights, job, consume)
     return {class_id: sums[class_id] / counts[class_id] for class_id in class_ids}, bg_acc / bg_count
 
 

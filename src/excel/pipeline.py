@@ -146,9 +146,8 @@ def stage_train(cfg: PipelineConfig, dim: int, calibrated, resume: bool = False)
 def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapter, calibrated):
     """Dynamic CAMs for every image, each biased re-encode resuming from
     the image's trace in `calibrated` (as for `stage_train`)."""
-    images, presents = [rec.image for rec in dataset.images], [rec.labels for rec in dataset.images]
     traces = [static.trace for static in calibrated]
-    results = dynamic_cams(images, weights, adapter, bank, presents, cfg.tau_fg, cfg.tau_bg, traces)
+    results = dynamic_cams(dataset.images, weights, adapter, bank, cfg.tau_fg, cfg.tau_bg, traces)
     export_cams(cfg, "dynamic", dataset, results, weights.patch_size)
     return results
 

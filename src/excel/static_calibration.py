@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numerics as nm
 from .blobio import is_grid, is_positive_int, load_tensors, save_tensors
-from .encoder import Calibration, EncoderWeights, LayerTrace, chunks, encode, encode_stack
+from .encoder import Calibration, EncoderWeights, LayerTrace, encode, encode_chunks
 from .errors import DataError, UsageError
 from .text_enrichment import TextRepresentation
 
@@ -116,16 +116,23 @@ def run_static_passes(
     keep_traces: bool,
 ) -> list[CamResult]:
     """`run_static_pipeline` over dataset records (`.image`, `.labels`), in
-    their order, one stacked pass per `encoder.chunks` chunk. Without
-    `keep_traces` a chunk's traces are dropped as soon as its CAMs are
-    made, so at most one chunk's traces are alive at a time."""
+    their order, one stacked pass per `encoder.chunks` chunk, run by
+    `encode_chunks`. Each chunk's images are read from its records just
+    before its pass. Without `keep_traces` a chunk's traces are dropped as
+    soon as its CAMs are made, so at most the two chunks in flight hold
+    traces at a time."""
     results = []
-    for part in chunks(len(records), weights):
+
+    def job(part):
         chunk = records[part]
-        traces = encode_stack([rec.image for rec in chunk], weights, [calibration] * len(chunk))
-        for rec, trace in zip(chunk, traces):
+        return [rec.image for rec in chunk], [calibration] * len(chunk), None
+
+    def consume(part, traces):
+        for rec, trace in zip(records[part], traces):
             res = cam_result(trace, bank, rec.labels, tau_fg, tau_bg)
             results.append(res if keep_traces else dataclasses.replace(res, trace=None))
+
+    encode_chunks(len(records), weights, job, consume)
     return results
 
 

@@ -998,3 +998,12 @@ def test_static_run_bytes_at_256px_do_not_depend_on_blas_threads(tmp_path):
     assert_run_bytes_do_not_depend_on_blas_threads(
         tmp_path, ["--images", "2", "--image-size", "256"], ["--mode", "static-only"], 4
     )
+
+
+def test_full_run_bytes_at_256px_do_not_depend_on_blas_threads(tmp_path):
+    # three T=257 images are three chunks, the first two in flight at once:
+    # in the static and dynamic stages the helper thread's products run
+    # beside the calling thread's and beside BLAS's own threads
+    assert_run_bytes_do_not_depend_on_blas_threads(
+        tmp_path, ["--images", "3", "--image-size", "256"], [], 10, iterations=2, checkpoint_every=1
+    )

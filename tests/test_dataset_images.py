@@ -5,7 +5,7 @@ import pytest
 
 from excel.dataset import load_dataset, save_dataset
 from excel.errors import DataError
-from excel.images import read_comments, read_pgm, read_ppm, write_pgm, write_ppm
+from excel.images import read_comments, read_pgm, read_ppm, rgb_to_chw, write_pgm, write_ppm
 from excel.numerics import Rng
 
 
@@ -93,7 +93,12 @@ def test_dataset_round_trip(tmp_path):
     assert ds.class_names == names
     assert len(ds.images) == 4
     assert ds.images[0].name == "img_0000"
+    # a record keeps the uint8 pixels it read; the float32 image is made on each read
+    rgb = toy_records()[0][1]
+    assert ds.images[0].pixels.dtype == np.uint8 and ds.images[0].pixels.tobytes() == rgb.tobytes()
     assert ds.images[0].image.shape == (3, 8, 8)
+    assert ds.images[0].image.tobytes() == rgb_to_chw(rgb).tobytes()
+    assert ds.images[0].image is not ds.images[0].image
     assert ds.images[0].labels == [1]
     # lexicographic order
     assert [r.name for r in ds.images] == sorted(r.name for r in ds.images)

@@ -2,11 +2,12 @@ import dataclasses
 import itertools
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from excel import encoder
+from excel import encoder, fixtures
 from excel.blobio import load_tensors, save_tensors
 from excel.encoder import (
     LAYER_COUNT,
@@ -667,6 +668,133 @@ def test_stacked_pass_refuses_a_mixed_chunk(fixture_weights):
     biased = biased_per_image(calibrated, fixture_weights, 3, seed=96)
     with pytest.raises(DataError, match="different image"):
         encoder.encode_stack(images, fixture_weights, biased, prefixes=[static[0], static[2], static[1]])
+
+
+# --------------------------------------------------------------------------
+# two chunks in flight
+
+
+def serial_encode_chunks(count, weights, job, consume):
+    """`encode_chunks` as a serial loop, one `encode_stack` call per chunk
+    on the calling thread: the oracle of the runner."""
+    for part in encoder.chunks(count, weights):
+        images, calibrations, prefixes = job(part)
+        consume(part, encoder.encode_stack(images, weights, calibrations, prefixes))
+
+
+def test_chunk_runner_keeps_the_serial_bytes(monkeypatch, stacked_inputs):
+    # three T=257 images are three chunks: the helper thread runs the first
+    # while the calling thread runs the second, then the third alone; the
+    # static and the resumed biased traces are those of serial calls
+    weights, images = stacked_inputs[256]
+    calibrated = Calibration(layers=5)
+    biased = biased_per_image(calibrated, weights, len(images), seed=120)
+    caller, real = threading.get_ident(), encoder.encode_stack
+    pass_threads = {}
+
+    def recording(chunk, *args):
+        pass_threads[[id(image) for image in images].index(id(chunk[0]))] = threading.get_ident()
+        return real(chunk, *args)
+
+    def run(runner, calibrations, prefixes):
+        traces, consumed = [], []
+
+        def job(part):
+            return images[part], calibrations[part], None if prefixes is None else prefixes[part]
+
+        def consume(part, chunk_traces):
+            consumed.append((part, threading.get_ident()))
+            traces.extend(chunk_traces)
+
+        runner(len(images), weights, job, consume)
+        assert consumed == [(slice(i, i + 1), caller) for i in range(len(images))]
+        return traces
+
+    static = run(serial_encode_chunks, [calibrated] * 3, None)
+    want = run(serial_encode_chunks, biased, static)
+    monkeypatch.setattr(encoder, "encode_stack", recording)
+    for calibrations, prefixes, oracle in (([calibrated] * 3, None, static), (biased, static, want)):
+        pass_threads.clear()
+        for got, expected in zip(run(encoder.encode_chunks, calibrations, prefixes), oracle, strict=True):
+            assert_traces_identical(got, expected)
+        assert pass_threads[0] != caller and pass_threads[1] == pass_threads[2] == caller
+
+
+def test_probe_means_keep_the_serial_bytes(monkeypatch):
+    # 12 probes at T=65 run 7 to a pass: two chunks, both in flight at once
+    spec = FixtureSpec(patch_size=8)
+    weights = fixtures.make_encoder_weights(Rng(5).child("encoder"), spec)
+    assert [len(range(12)[part]) for part in encoder.chunks(4 * spec.classes, weights)] == [7, 5]
+
+    def probe_means():
+        means, background = fixtures._probe_feature_means(weights, spec, Rng(5).child("probes").generator())
+        return [means[c].tobytes() for c in sorted(means)], background.tobytes()
+
+    got = probe_means()
+    monkeypatch.setattr(fixtures, "encode_chunks", serial_encode_chunks)
+    assert got == probe_means()
+
+
+# per chunk of five, the step that fails in it and the chunk whose error is raised
+RUNNER_FAILURES = {
+    "none": ({}, None),
+    "a pair's later pass, and the next pair's earlier one": ({1: "pass", 2: "pass"}, 1),
+    "both passes of a pair": ({0: "pass", 1: "pass"}, 0),
+    "the later job, then the earlier pass": ({1: "job", 0: "pass"}, 0),
+    "the earlier consume, then the later pass": ({0: "consume", 1: "pass"}, 0),
+    "the second pair's later job": ({3: "job"}, 3),
+    "the last pass, run alone": ({4: "pass"}, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(RUNNER_FAILURES))
+def test_first_failing_chunk_raises_and_no_thread_outlives_the_runner(monkeypatch, wide_weights, case):
+    # five T=257 chunks run as two pairs and a last chunk alone; each pair's
+    # earlier pass runs on the helper thread
+    failures, raised = RUNNER_FAILURES[case]
+    caller, threads_before = threading.get_ident(), threading.active_count()
+    pass_threads, consumed = {}, []
+
+    def fail(chunk, step):
+        if failures.get(chunk) == step:
+            raise DataError(f"chunk {chunk} {step}")
+
+    def fake_stack(chunk, weights, calibrations, prefixes=None):
+        pass_threads[chunk[0]] = threading.get_ident()
+        fail(chunk[0], "pass")
+        return [f"trace {chunk[0]}"]
+
+    def job(part):
+        fail(part.start, "job")
+        return list(range(5))[part], None, None
+
+    def consume(part, traces):
+        fail(part.start, "consume")
+        consumed.extend(traces)
+
+    monkeypatch.setattr(encoder, "encode_stack", fake_stack)
+    if raised is None:
+        encoder.encode_chunks(5, wide_weights, job, consume)
+        assert consumed == [f"trace {i}" for i in range(5)]
+        assert [pass_threads[i] == caller for i in range(5)] == [False, True, False, True, True]
+    else:
+        with pytest.raises(DataError, match=f"^chunk {raised} {failures[raised]}$"):
+            encoder.encode_chunks(5, wide_weights, job, consume)
+        assert consumed == [f"trace {i}" for i in range(raised)]
+    assert threading.active_count() == threads_before
+
+
+def test_one_chunk_starts_no_thread(monkeypatch, fixture_weights):
+    # every T=17 fixture image fits one chunk, which runs on the calling thread
+    threads_before, seen = threading.active_count(), []
+
+    def fake_stack(images, weights, calibrations, prefixes=None):
+        seen.append((len(images), threading.get_ident(), threading.active_count()))
+        return list(images)
+
+    monkeypatch.setattr(encoder, "encode_stack", fake_stack)
+    encoder.encode_chunks(32, fixture_weights, lambda part: (list(range(32))[part], None, None), lambda *_: None)
+    assert seen == [(32, threading.get_ident(), threads_before)]
 
 
 # The attention kernels as they were before a pass owned its work arrays:

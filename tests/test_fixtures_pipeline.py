@@ -372,8 +372,7 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
             biased_heads[-1] += 1
         return real_head(policy, *args)
 
-    for module in (static_calibration, dynamic_calibration):
-        monkeypatch.setattr(module, "encode_stack", counting_stack)
+    monkeypatch.setattr(encoder, "encode_stack", counting_stack)
     monkeypatch.setattr(encoder, "_head_attention", counting_head)
     images = sorted(rec.image.tobytes() for rec in fixture_dataset.images)
     for policy, iterations in (("intra_correlation", 17), ("vanilla", 2)):
@@ -401,14 +400,13 @@ def test_uneven_chunks_give_the_same_cams(monkeypatch, fixture_weights, fixture_
     # a budget of 5 T=17 images a pass splits the 32 fixture images 6 x 5 + 2;
     # static and dynamic results keep every byte of the one-chunk run
     cfg = PipelineConfig()
-    images = [rec.image for rec in fixture_dataset.images]
-    presents = [rec.labels for rec in fixture_dataset.images]
+    records = fixture_dataset.images
     adapter = dynamic_calibration.init_adapter(
         Rng(3).child("adapter"), fixture_weights.dim, 8, 16, 1, 0.5, cfg.alpha, cfg.beta
     )
     traces = [res.trace for res in fixture_static]
     whole = dynamic_calibration.dynamic_cams(
-        images, fixture_weights, adapter, fixture_bank, presents, cfg.tau_fg, cfg.tau_bg, traces
+        records, fixture_weights, adapter, fixture_bank, cfg.tau_fg, cfg.tau_bg, traces
     )
     sizes, real_stack = [], encoder.encode_stack
 
@@ -417,13 +415,12 @@ def test_uneven_chunks_give_the_same_cams(monkeypatch, fixture_weights, fixture_
         return real_stack(images, *args, **kwargs)
 
     monkeypatch.setattr(encoder, "CHUNK_ELEMENTS", 5 * fixture_weights.heads * 17 * 17)
-    for module in (static_calibration, dynamic_calibration):
-        monkeypatch.setattr(module, "encode_stack", counting_stack)
+    monkeypatch.setattr(encoder, "encode_stack", counting_stack)
     static = static_calibration.run_static_passes(
-        fixture_dataset.images, fixture_weights, fixture_bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
+        records, fixture_weights, fixture_bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
     )
     dynamic = dynamic_calibration.dynamic_cams(
-        images, fixture_weights, adapter, fixture_bank, presents, cfg.tau_fg, cfg.tau_bg, [res.trace for res in static]
+        records, fixture_weights, adapter, fixture_bank, cfg.tau_fg, cfg.tau_bg, [res.trace for res in static]
     )
     assert sizes == [5] * 6 + [2] + [5] * 6 + [2]
     for got, want in zip(static + dynamic, fixture_static + whole):

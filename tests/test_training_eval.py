@@ -458,13 +458,13 @@ def test_train_loop_runs_one_static_pass_per_image(monkeypatch, fixture_weights,
     # 17 iterations over 32 images in batches of 4 (two full epochs and one
     # more iteration) then train on those results without a single encoder call
     calls = []
-    real = static_calibration.encode_stack
+    real = encoder.encode_stack
 
     def counting(images, weights, calibrations, prefixes=None):
         calls.extend(image.tobytes() for image in images)
         return real(images, weights, calibrations, prefixes)
 
-    monkeypatch.setattr(static_calibration, "encode_stack", counting)
+    monkeypatch.setattr(encoder, "encode_stack", counting)
     cfg = small_config(iterations=17, batch_size=4)
     static = static_calibration.run_static_passes(
         fixture_dataset.images, fixture_weights, fixture_bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True

@@ -36,6 +36,10 @@ excel gen-fixtures --out fx8chunks --patch-size 8 --images 9 > gen-fixtures-8-ch
 # every gen-fixtures flag off its default: five classes, and a 6x6 grid of 12 px patches under 3 heads of 16
 excel gen-fixtures --out fxflags --seed 9 --classes 5 --images 10 --image-size 72 --dim 48 --heads 3 \
     --patch-size 12 > gen-fixtures-flags.log
+# 5 images at T=257, one to a stacked pass: the static and dynamic loops end on an odd chunk
+excel gen-fixtures --out fx256odd --image-size 256 --images 5 > gen-fixtures-256-odd.log
+# 20 probes at T=65, about 7 to a pass: the probe loop ends on an odd chunk
+excel gen-fixtures --out fx8odd --patch-size 8 --classes 5 --images 3 > gen-fixtures-8-odd.log
 
 config full.json full fx '"iterations": 17, "checkpoint_every": 8'
 excel run --config full.json > run-full.log
@@ -64,6 +68,8 @@ excel run --config static256zero.json --mode static-only > run-static256-zero.lo
 # a full run at T=257: biased re-encodes resumed from 256 px traces
 config full256.json full256 fx256 '"iterations": 2'
 excel run --config full256.json > run-full256.log
+config full256odd.json full256odd fx256odd '"iterations": 2'
+excel run --config full256odd.json > run-full256-odd.log
 config full32.json full32 fx32 '"iterations": 2'
 excel run --config full32.json > run-full32.log
 config full8.json full8 fx8 '"iterations": 2'
