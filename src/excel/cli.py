@@ -174,11 +174,11 @@ def _cmd_cam(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    weights, dataset, bank = load_inputs(cfg)
+    inputs, weights, dataset, bank = load_inputs(cfg)
     calibrated = run_static_passes(
         dataset.images, weights, bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
     )
-    stage_train(cfg, weights.dim, calibrated)
+    stage_train(cfg, inputs, weights.dim, calibrated)
     out_dir = Path(cfg.out_dir) / "train"
     curve = read_loss_curve(out_dir / "loss_curve.csv")
     final = curve[-1][1] if curve else 0.0

@@ -13,6 +13,7 @@ that; every image needs a non-empty list, and `labels.json` names
 exactly the images under `images/`.
 """
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +44,7 @@ class ToyDataset:
     root: Path
     class_names: list[str]  # index 0 is background
     images: list[ImageRecord]
+    digest: str  # SHA-256 hex of a "<path under root> <SHA-256 of its bytes>" line per file, in load order
 
 
 def load_class_names(path) -> list[str]:
@@ -67,8 +69,18 @@ def _load_label_table(path: Path) -> dict:
 
 def load_dataset(root, image_size: tuple[int, int] | None = None) -> ToyDataset:
     """The dataset under `root`; with `image_size` (height, width), every
-    image must have exactly that size."""
+    image must have exactly that size. Its `digest` covers the bytes of
+    `classes.json`, `labels.json` and each image and mask."""
     root = Path(root)
+    digest = hashlib.sha256()
+
+    def read(path: Path) -> bytes:
+        if not path.is_file():
+            raise DataError(f"{path}: no such file")
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()} {hashlib.sha256(data).hexdigest()}\n".encode())
+        return data
+
     classes_path = root / "classes.json"
     labels_path = root / "labels.json"
     for req in (classes_path, labels_path, root / "images", root / "masks"):
@@ -77,6 +89,8 @@ def load_dataset(root, image_size: tuple[int, int] | None = None) -> ToyDataset:
     class_names = load_class_names(classes_path)
     num_fg = len(class_names) - 1
     label_table = _load_label_table(labels_path)
+    for path in (classes_path, labels_path):
+        read(path)
     image_paths = sorted((root / "images").glob("*.ppm"))
     orphans = sorted(set(label_table) - {p.stem for p in image_paths})
     if orphans:
@@ -89,8 +103,8 @@ def load_dataset(root, image_size: tuple[int, int] | None = None) -> ToyDataset:
             raise DataError(f"missing mask for image '{stem}': {mask_path}")
         if stem not in label_table:
             raise DataError(f"missing label list for image '{stem}' in labels.json")
-        rgb = read_ppm(image_path)
-        mask = read_pgm(mask_path)
+        rgb = read_ppm(image_path, read(image_path))
+        mask = read_pgm(mask_path, read(mask_path))
         if rgb.shape[:2] != mask.shape:
             raise DataError(
                 f"image '{stem}' is {rgb.shape[1]}x{rgb.shape[0]} but its mask "
@@ -118,7 +132,7 @@ def load_dataset(root, image_size: tuple[int, int] | None = None) -> ToyDataset:
         records.append(ImageRecord(name=stem, pixels=rgb, mask=mask, labels=labels))
     if not records:
         raise DataError(f"dataset root {root} contains no images")
-    return ToyDataset(root=root, class_names=class_names, images=records)
+    return ToyDataset(root=root, class_names=class_names, images=records, digest=digest.hexdigest())
 
 
 def save_dataset(root, class_names, records, comment: str | None = None):

@@ -83,11 +83,6 @@ class AdapterParams:
         flat = np.concatenate([t.ravel() for t in self.tensors.values()], dtype=dtype)
         return flat, AdapterParams(flat_views(flat, self.shapes), self.alpha, self.beta)
 
-    def as_float64(self) -> "AdapterParams":
-        """The same adapter with float64 copies of its tensors, which the
-        float64 forward and gradient then read without converting."""
-        return self.flattened(np.float64)[1]
-
 
 def init_adapter(
     rng: Rng,

@@ -4,16 +4,18 @@ The encoder is deliberately small and bit-reproducible: float32 weights,
 float64 accumulation, no dropout. One pass, `encode_stack`, runs a chunk
 of N images stacked along a leading axis, and each image's trace is
 bit-identical to a pass over that image alone (`encode`), because every
-product is the per-image product looped over the chunk. `chunks` sizes
-the chunks by the element count of their attention maps, and
-`encode_chunks` runs a loop's chunks two passes at a time: the earlier of
-each pair on one helper thread, the later on the calling thread, which
-also runs everything around the passes in chunk order. Every pass
-records, per image, what its consumers read: the calibration it ran
-under, the residual stream entering each layer (a later pass resumes
-from it) and the normalized layer inputs (the adapter's features).
-Attention maps are not kept; `layer_attention` recomputes one layer's
-maps from the trace, bit for bit, when a reader asks for them.
+product is the per-image product looped over the chunk. `chunks` splits
+a loop into chunks of equal size, as few as keep each image's largest
+float64 arrays (its attention maps or its MLP hidden activations) within
+one element budget, and `encode_chunks` runs a loop's chunks two passes
+at a time: the earlier of each pair on one helper thread, the later on
+the calling thread, which also runs everything around the passes in
+chunk order. Every pass records, per image, what its consumers read: the
+calibration it ran under, the residual stream entering each layer (a
+later pass resumes from it) and the normalized layer inputs (the
+adapter's features). Attention maps are not kept; `layer_attention`
+recomputes one layer's maps from the trace, bit for bit, when a reader
+asks for them.
 
 A pass computes each layer's attention a block of heads at a time
 (`heads_per_block`): a block's maps, then their product with its values.
@@ -399,26 +401,37 @@ def _check_prefix(prefix: LayerTrace, tokens: np.ndarray, start: int):
         raise DataError(f"prefix trace modified layer {lowest}, below the resume layer {start}")
 
 
-# Element budget of one stacked pass's (N, H, T, T) float64 attention maps,
-# and of one block of heads within it. All 32 T=17 fixture images fit in
-# one chunk of one block. A T=257 image (or a ViT-B T=197 one) fills a
-# chunk alone, since stacking is slower there (8 T=257 images: best of 7
-# 0.82 s in chunks of one, 0.95, 1.03 and 1.21 s in chunks of 2, 4 and 8),
-# and its maps go a head at a time, whose work arrays stay in L2: the
-# calibrated kernel of one T=257 image takes 7.9 ms by heads against
-# 11.5 ms for all 4 at once. Small maps stay one block, since there the
-# calls cost more than the cache saves (a pass over one T=17 image: 8.1 ms
-# against 11.1 ms a head at a time). One BLAS thread, 2-vCPU VM with 2 MB
-# of L2 per core.
+# Element budget of one stacked pass's largest float64 arrays, per chunk
+# and per block of heads. An image counts as the larger of its (H, T, T)
+# attention maps and its (T, mlp_dim) MLP hidden activations. A 64 px
+# fixture image (T=17) counts 4352 MLP elements, so 30 fit a chunk, and a
+# 32-image loop runs as two passes of 16, in flight at once: `encode_chunks`
+# over the 32 fixture images took 57 ms against 88 ms as one chunk
+# (median of 15). Past about 30 T=17 images a pass gets slower per image:
+# 128 images took 440, 364, 370, 439 and 412 ms in serial passes of 8,
+# 16, 32, 64 and 128 (median of 9). A T=257 image (or a ViT-B T=197 one) fills a chunk alone, since stacking
+# is slower there (8 T=257 images: best of 7 0.82 s in chunks of one,
+# 0.95, 1.03 and 1.21 s in chunks of 2, 4 and 8), and its maps go a head
+# at a time, whose work arrays stay in L2: the calibrated kernel of one
+# T=257 image takes 7.9 ms by heads against 11.5 ms for all 4 at once.
+# Small maps stay one block, since there the calls cost more than the
+# cache saves (a pass over one T=17 image: 8.1 ms against 11.1 ms a head
+# at a time). One BLAS thread, 2-vCPU VM with 2 MB of L2 per core.
 CHUNK_ELEMENTS = 1 << 17
 
 
 def chunks(count: int, weights: EncoderWeights) -> list[slice]:
-    """Consecutive slices over `count` images, each as many images as fit
-    the maps of one stacked pass within CHUNK_ELEMENTS, and at least one."""
+    """Consecutive slices over `count` images, one stacked pass each: as
+    few as keep each within CHUNK_ELEMENTS (or one image), counting an
+    image as the larger of its attention maps (H*T*T elements) and its MLP
+    hidden activations (T*mlp_dim), and of equal size: sizes differ by at
+    most one, the larger first."""
     tokens = weights.grid[0] * weights.grid[1] + 1
-    size = max(1, CHUNK_ELEMENTS // (weights.heads * tokens * tokens))
-    return [slice(start, start + size) for start in range(0, count, size)]
+    fit = max(1, CHUNK_ELEMENTS // max(weights.heads * tokens * tokens, tokens * weights.mlp_dim))
+    parts = -(-count // fit)
+    size, extra = divmod(count, max(parts, 1))
+    starts = [i * size + min(i, extra) for i in range(parts + 1)]
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:])]
 
 
 def encode_chunks(

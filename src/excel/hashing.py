@@ -23,11 +23,17 @@ def config_digest(mapping: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def provenance(stage: str, seed: int, config_hash: str) -> dict:
-    """The {stage, seed, config_hash} stamp every artifact carries."""
-    return {"stage": stage, "seed": seed, "config_hash": config_hash}
+def provenance(stage: str, seed: int, config_hash: str, inputs: dict[str, str] | None = None) -> dict:
+    """The {stage, seed, config_hash} stamp every artifact carries. An
+    artifact built from a run's input files adds `inputs`: each input's
+    name -> the SHA-256 hex digest of its contents."""
+    stamp = {"stage": stage, "seed": seed, "config_hash": config_hash}
+    if inputs is not None:
+        stamp["inputs"] = dict(inputs)
+    return stamp
 
 
 def provenance_comment(prov: dict) -> str:
     """A provenance stamp as the comment line of a PPM or PGM image."""
-    return f"provenance stage={prov['stage']} seed={prov['seed']} config={prov['config_hash']}"
+    digests = "".join(f" {name}={digest}" for name, digest in prov.get("inputs", {}).items())
+    return f"provenance stage={prov['stage']} seed={prov['seed']} config={prov['config_hash']}{digests}"

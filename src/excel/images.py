@@ -23,10 +23,11 @@ def _write_netpbm(path, magic: bytes, dims: tuple[int, int], payload: bytes, com
     Path(path).write_bytes(b"\n".join(head) + b"\n" + payload)
 
 
-def _parse_netpbm(path, expected_magic: bytes):
-    if not Path(path).is_file():
-        raise DataError(f"{path}: no such file")
-    data = Path(path).read_bytes()
+def _parse_netpbm(path, expected_magic: bytes, data: bytes | None = None):
+    if data is None:
+        if not Path(path).is_file():
+            raise DataError(f"{path}: no such file")
+        data = Path(path).read_bytes()
     if not data.startswith(expected_magic):
         raise DataError(f"{path}: expected {expected_magic.decode()} file")
     pos = len(expected_magic)
@@ -75,8 +76,10 @@ def write_ppm(path, rgb: np.ndarray, comment: str | None = None):
     _write_netpbm(path, b"P6", (rgb.shape[1], rgb.shape[0]), rgb.tobytes(), comment)
 
 
-def read_ppm(path) -> np.ndarray:
-    width, height, payload, _ = _parse_netpbm(path, b"P6")
+def read_ppm(path, data: bytes | None = None) -> np.ndarray:
+    """The (H, W, 3) uint8 pixels of the PPM at `path`, parsed from `data`
+    when the caller has read its bytes already."""
+    width, height, payload, _ = _parse_netpbm(path, b"P6", data)
     need = width * height * 3
     if len(payload) != need:
         raise DataError(f"{path}: expected {need} pixel bytes, found {len(payload)}")
@@ -91,8 +94,10 @@ def write_pgm(path, gray: np.ndarray, comment: str | None = None):
     _write_netpbm(path, b"P5", (gray.shape[1], gray.shape[0]), gray.tobytes(), comment)
 
 
-def read_pgm(path) -> np.ndarray:
-    width, height, payload, _ = _parse_netpbm(path, b"P5")
+def read_pgm(path, data: bytes | None = None) -> np.ndarray:
+    """The (H, W) uint8 pixels of the PGM at `path`, parsed from `data`
+    when the caller has read its bytes already."""
+    width, height, payload, _ = _parse_netpbm(path, b"P5", data)
     need = width * height
     if len(payload) != need:
         raise DataError(f"{path}: expected {need} pixel bytes, found {len(payload)}")

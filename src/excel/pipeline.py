@@ -1,11 +1,14 @@
 """Stage orchestration: attributes -> static CAMs -> training -> dynamic
 CAMs -> evaluation, each stage writing provenance-stamped artifacts.
 
-Every artifact embeds {stage, seed, config_hash}; resuming into an output
-directory whose artifacts carry a different config hash is refused.
+Every artifact embeds {stage, seed, config_hash, inputs}, `inputs` being
+the SHA-256 digests of the weights manifest, the knowledge manifest and the
+dataset files; resuming into an output directory whose artifacts carry a
+different config hash or input digest is refused.
 """
 
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -30,16 +33,17 @@ from .training_eval import (
 )
 
 
-def run_provenance(cfg: PipelineConfig, stage: str) -> dict:
-    """The provenance stamp of an artifact produced under `cfg`."""
-    return provenance(stage, cfg.seed, cfg.digest())
+def run_provenance(cfg: PipelineConfig, stage: str, inputs: dict[str, str] | None = None) -> dict:
+    """The provenance stamp of an artifact produced under `cfg` from the
+    inputs with digests `inputs` (see `load_inputs`)."""
+    return provenance(stage, cfg.seed, cfg.digest(), inputs)
 
 
-def _check_resume(path: Path, cfg: PipelineConfig, resume: bool) -> bool:
+def _check_resume(path: Path, cfg: PipelineConfig, inputs: dict[str, str], resume: bool) -> bool:
     """True when `path`, a tensor-file manifest or `report.json`, holds a
-    reusable artifact for this config. Reads only the JSON file's
-    `provenance` stamp, and refuses to resume over a stamp without this
-    config's hash."""
+    reusable artifact for this config and these input digests. Reads only
+    the JSON file's `provenance` stamp, and refuses to resume over a stamp
+    without this config's hash or without each input's digest."""
     if not (resume and path.exists()):
         return False
     stamp = read_json_object(path, "artifact", DataError).get("provenance", {})
@@ -50,7 +54,23 @@ def _check_resume(path: Path, cfg: PipelineConfig, resume: bool) -> bool:
             f"refusing to resume: {path} was produced with config hash "
             f"{stamp.get('config_hash')}, current config hashes to {cfg.digest()}"
         )
+    recorded = stamp.get("inputs")
+    recorded = recorded if isinstance(recorded, dict) else {}
+    for key, digest in inputs.items():
+        if recorded.get(key) != digest:
+            raise UsageError(
+                f"refusing to resume: {path} was produced from {key} {getattr(cfg, key)} with SHA-256 "
+                f"{recorded.get(key)}, its contents now hash to {digest}"
+            )
     return True
+
+
+def _file_digest(path, what: str) -> str:
+    """SHA-256 hex digest of the bytes of `path`, the `what` of a run."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"{what} not found: {path}")
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def check_bank_dim(bank: TextRepresentation, bank_source: str, weights: EncoderWeights, weights_path):
@@ -73,11 +93,13 @@ def check_bank_classes(bank: TextRepresentation, bank_source: str, dataset: ToyD
         )
 
 
-def stage_attributes(cfg: PipelineConfig, weights: EncoderWeights, dataset: ToyDataset, resume: bool = False):
+def stage_attributes(
+    cfg: PipelineConfig, inputs: dict[str, str], weights: EncoderWeights, dataset: ToyDataset, resume: bool = False
+):
     """The run's text bank, reused with `resume`, checked against the
     weights and the dataset before a new one is saved."""
     out = Path(cfg.out_dir) / "attrs.json"
-    reused = _check_resume(out, cfg, resume)
+    reused = _check_resume(out, cfg, inputs, resume)
     if reused:
         bank = load_bank(out)
     else:
@@ -87,20 +109,30 @@ def stage_attributes(cfg: PipelineConfig, weights: EncoderWeights, dataset: ToyD
     check_bank_classes(bank, bank_source, dataset)
     if not reused:
         out.parent.mkdir(parents=True, exist_ok=True)
-        save_bank(out, bank, provenance=run_provenance(cfg, "attributes"))
+        save_bank(out, bank, provenance=run_provenance(cfg, "attributes", inputs))
     return bank
 
 
 def load_inputs(cfg: PipelineConfig, resume: bool = False):
-    """(weights, dataset, bank) of a run, each checked against the others
-    before any image is encoded or output written: the config's paths, the
-    resume stamp of `report.json`, the dataset's image size against the
-    weights, then the attribute stage's bank against both."""
+    """(inputs, weights, dataset, bank) of a run, each checked against the
+    others before any image is encoded or output written: the config's
+    paths, the dataset's image size against the weights, the resume stamp
+    of `report.json`, then the attribute stage's bank against both.
+
+    `inputs` maps the config keys `weights`, `knowledge` and `dataset` to
+    SHA-256 hex digests: of the two manifests' bytes (a manifest holds its
+    blob's checksum) and the dataset's `digest`. Every artifact of the run is
+    stamped with them, and a resume over other inputs is refused."""
     cfg.validate()
-    _check_resume(Path(cfg.out_dir) / "report.json", cfg, resume)
     weights = load_weights(cfg.weights)
     dataset = load_dataset(cfg.dataset, image_size=weights.image_size)
-    return weights, dataset, stage_attributes(cfg, weights, dataset, resume=resume)
+    inputs = {
+        "weights": _file_digest(cfg.weights, "weights manifest"),
+        "knowledge": _file_digest(cfg.knowledge, "knowledge manifest"),
+        "dataset": dataset.digest,
+    }
+    _check_resume(Path(cfg.out_dir) / "report.json", cfg, inputs, resume)
+    return inputs, weights, dataset, stage_attributes(cfg, inputs, weights, dataset, resume=resume)
 
 
 def write_cam_outputs(out_dir: Path, stem: str, result, patch_size: int, prov: dict) -> tuple[Path, Path]:
@@ -113,52 +145,55 @@ def write_cam_outputs(out_dir: Path, stem: str, result, patch_size: int, prov: d
     return cams_path, pgm_path
 
 
-def export_cams(cfg: PipelineConfig, stage: str, dataset: ToyDataset, results, patch_size: int):
+def export_cams(cfg: PipelineConfig, inputs: dict[str, str], stage: str, dataset: ToyDataset, results, patch_size: int):
     """The `<stage>/` directory with each image's CAM outputs, in dataset
     order, stamped with the stage's provenance; made only once every
     result is computed."""
     out_dir = Path(cfg.out_dir) / stage
     out_dir.mkdir(parents=True, exist_ok=True)
-    prov = run_provenance(cfg, stage)
+    prov = run_provenance(cfg, stage, inputs)
     for rec, res in zip(dataset.images, results):
         write_cam_outputs(out_dir, rec.name, res, patch_size, prov)
 
 
-def stage_static(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, keep_traces: bool):
+def stage_static(cfg: PipelineConfig, inputs: dict[str, str], weights, bank, dataset: ToyDataset, keep_traces: bool):
     """Static CAMs and pseudo labels for every image, in dataset order;
     each result keeps its encoder trace only with `keep_traces`, for later
     stages to reuse."""
     results = run_static_passes(dataset.images, weights, bank, cfg.static_policy(), cfg.tau_fg, cfg.tau_bg, keep_traces)
-    export_cams(cfg, "static", dataset, results, weights.patch_size)
+    export_cams(cfg, inputs, "static", dataset, results, weights.patch_size)
     return results
 
 
-def stage_train(cfg: PipelineConfig, dim: int, calibrated, resume: bool = False):
+def stage_train(cfg: PipelineConfig, inputs: dict[str, str], dim: int, calibrated, resume: bool = False):
     """The adapter trained on `calibrated`, each image's pass under
     `cfg.calibration()` with its trace, in dataset order."""
     out_dir = Path(cfg.out_dir) / "train"
     final = checkpoint_path(out_dir, cfg.iterations)
-    if _check_resume(final, cfg, resume):
+    if _check_resume(final, cfg, inputs, resume):
         return load_checkpoint(final, dim)[0]
-    return train_loop(calibrated, dim, cfg, out_dir=out_dir, provenance=run_provenance(cfg, "train")).adapter
+    prov = run_provenance(cfg, "train", inputs)
+    return train_loop(calibrated, dim, cfg, out_dir=out_dir, provenance=prov).adapter
 
 
-def stage_dynamic(cfg: PipelineConfig, weights, bank, dataset: ToyDataset, adapter, calibrated):
+def stage_dynamic(cfg: PipelineConfig, inputs: dict[str, str], weights, bank, dataset: ToyDataset, adapter, calibrated):
     """Dynamic CAMs for every image, each biased re-encode resuming from
     the image's trace in `calibrated` (as for `stage_train`)."""
     traces = [static.trace for static in calibrated]
     results = dynamic_cams(dataset.images, weights, adapter, bank, cfg.tau_fg, cfg.tau_bg, traces)
-    export_cams(cfg, "dynamic", dataset, results, weights.patch_size)
+    export_cams(cfg, inputs, "dynamic", dataset, results, weights.patch_size)
     return results
 
 
-def stage_eval(cfg: PipelineConfig, dataset: ToyDataset, label_maps: list, patch_size: int, stage_name: str):
+def stage_eval(
+    cfg: PipelineConfig, inputs: dict[str, str], dataset: ToyDataset, label_maps: list, patch_size: int, stage_name: str
+):
     """Scores `label_maps`, one per image in dataset order, into
     `report.json` and `report.txt`; returns (report path, report)."""
     preds = [upsample_labels(labels, patch_size) for labels in label_maps]
     gts = [rec.mask for rec in dataset.images]
     report = evaluate(preds, gts, num_labels=len(dataset.class_names))
-    prov = run_provenance(cfg, "eval")
+    prov = run_provenance(cfg, "eval", inputs)
     payload = {"provenance": prov, "evaluated_stage": stage_name, **report.to_dict()}
     report_path = write_json(Path(cfg.out_dir) / "report.json", payload)
     (Path(cfg.out_dir) / "report.txt").write_text(
@@ -173,7 +208,7 @@ def run_pipeline(cfg: PipelineConfig, mode: str = "full", resume: bool = False):
     labels."""
     if mode not in ("full", "static-only"):
         raise UsageError(f"unknown pipeline mode '{mode}'")
-    weights, dataset, bank = load_inputs(cfg, resume=resume)
+    inputs, weights, dataset, bank = load_inputs(cfg, resume=resume)
     # the recorded copy points out_dir at its own directory, so identical
     # runs into different locations leave byte-identical trees
     save_config(Path(cfg.out_dir) / "run_config.json", dataclasses.replace(cfg, out_dir="."))
@@ -182,12 +217,12 @@ def run_pipeline(cfg: PipelineConfig, mode: str = "full", resume: bool = False):
     # that pass, so every image is encoded under it once per run
     calibration = cfg.calibration()
     shared = mode == "full" and cfg.static_policy() == calibration
-    results = stage_static(cfg, weights, bank, dataset, keep_traces=shared)
+    results = stage_static(cfg, inputs, weights, bank, dataset, keep_traces=shared)
     evaluated = "static"
     if mode == "full":
         calibrated = results if shared else run_static_passes(
             dataset.images, weights, bank, calibration, cfg.tau_fg, cfg.tau_bg, keep_traces=True
         )
-        adapter = stage_train(cfg, weights.dim, calibrated, resume=resume)
-        results, evaluated = stage_dynamic(cfg, weights, bank, dataset, adapter, calibrated), "dynamic"
-    return stage_eval(cfg, dataset, [res.labels for res in results], weights.patch_size, evaluated)
+        adapter = stage_train(cfg, inputs, weights.dim, calibrated, resume=resume)
+        results, evaluated = stage_dynamic(cfg, inputs, weights, bank, dataset, adapter, calibrated), "dynamic"
+    return stage_eval(cfg, inputs, dataset, [res.labels for res in results], weights.patch_size, evaluated)

@@ -44,15 +44,21 @@ ADAM_BLOCK = 1 << 14
 @dataclass
 class AdamState:
     """AdamW over one flat float32 parameter vector laid out as `shapes`,
-    in order: the learning rate, each element's decay factor, fixed for a
+    in order: the learning rate, the weights' decay factor, fixed for a
     run, and the float32 moments."""
 
     shapes: dict[str, tuple[int, ...]]
     lr: float
-    shrink: np.ndarray  # float64: 1 - lr*weight_decay for a weight, 1.0 for a bias
+    shrink: float  # 1 - lr*weight_decay; biases are not decayed
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+
+    def bias_ranges(self) -> list[tuple[int, int]]:
+        """The (start, stop) of each bias (a name ending '.b') in the flat vector."""
+        sizes = [math.prod(shape) for shape in self.shapes.values()]
+        ends = np.cumsum(sizes).tolist()
+        return [(end - size, end) for name, size, end in zip(self.shapes, sizes, ends) if name.endswith(".b")]
 
 
 def init_adam_state(shapes: dict[str, tuple[int, ...]], lr: float, weight_decay: float) -> AdamState:
@@ -60,10 +66,8 @@ def init_adam_state(shapes: dict[str, tuple[int, ...]], lr: float, weight_decay:
     multiplies weights by (1 - lr*weight_decay) and skips biases (names
     ending '.b')."""
     lr, wd = float(lr), float(weight_decay)
-    shrink = np.concatenate(
-        [np.full(math.prod(shape), 1 - lr * (0.0 if name.endswith(".b") else wd)) for name, shape in shapes.items()]
-    )
-    return AdamState(shapes, lr, shrink, np.zeros(shrink.size, np.float32), np.zeros(shrink.size, np.float32))
+    size = sum(math.prod(shape) for shape in shapes.values())
+    return AdamState(shapes, lr, 1 - lr * wd, np.zeros(size, np.float32), np.zeros(size, np.float32))
 
 
 def _name_at(shapes: dict[str, tuple[int, ...]], index: int) -> str:
@@ -87,6 +91,7 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         )
     t = state.step + 1
     f64 = np.float64
+    biases = state.bias_ranges()
     buffers = np.empty((5, min(ADAM_BLOCK, params.size)))
     for start in range(0, params.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
@@ -108,7 +113,12 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         denom += ADAM_EPS
         work *= state.lr
         work /= denom
-        np.multiply(params[block], state.shrink[block], out=p, dtype=f64)
+        np.multiply(params[block], state.shrink, out=p, dtype=f64)
+        # a bias is not decayed: its widened value, as a factor of 1.0 gives
+        for lo, hi in biases:
+            lo, hi = max(lo, start), min(hi, start + g.size)
+            if lo < hi:
+                p[lo - start : hi - start] = params[lo:hi]
         p -= work
         if not np.isfinite(p).all():
             first = start + int(np.argmin(np.isfinite(p)))
@@ -190,11 +200,21 @@ class TrainResult:
     curve: list[tuple[int, float]]  # (iteration, mean diversity loss)
 
 
-def _iteration_loss(static: list[CamResult], iteration: int, config: PipelineConfig, adapter: AdapterParams):
+def _iteration_loss(
+    static: list[CamResult],
+    iteration: int,
+    config: PipelineConfig,
+    adapter: AdapterParams,
+    work: np.ndarray | None = None,
+):
     """Mean diversity loss and mean gradient, one flat float64 vector in
     table order, over `iteration`'s batch: `batch_size` consecutive
     images, wrapping around the dataset, in one stacked pass. The
-    per-image gradients are summed in batch order from zero."""
+    per-image gradients are summed in batch order from zero.
+
+    `work`, a (2, P) float64 array for an adapter of P elements, holds the
+    float64 copy of the adapter (row 0) and the gradient (row 1), which is
+    returned; both are written over. Without it, both are allocated."""
     rng = Rng(config.seed).child(f"it.{iteration}")
     n = config.batch_size
     picked = [static[(iteration * n + j) % len(static)] for j in range(n)]
@@ -202,8 +222,13 @@ def _iteration_loss(static: list[CamResult], iteration: int, config: PipelineCon
         build_affinity_batch(sres.labels, sample_limit=config.pair_sample_limit, rng=rng.child(f"pairs.{j}"))
         for j, sres in enumerate(picked)
     ]
-    adapter = adapter.as_float64()  # converted once, read by the whole stack
-    grad = np.zeros(sum(t.size for t in adapter.tensors.values()))
+    if work is None:
+        work = np.empty((2, sum(t.size for t in adapter.tensors.values())))
+    flat, grad = work
+    # converted once, read by the whole stack
+    np.concatenate([t.ravel() for t in adapter.tensors.values()], out=flat)
+    adapter = AdapterParams(flat_views(flat, adapter.shapes), adapter.alpha, adapter.beta)
+    grad.fill(0.0)
     losses = diversity_loss_gradient_stack(
         [sres.trace for sres in picked], adapter, batches, flat_views(grad, adapter.shapes)
     )
@@ -244,6 +269,7 @@ def train_loop(
     # the parameters and both moments are flat float32 vectors; the adapter's tensors are views of `theta`
     theta, adapter = adapter.flattened()
     state = init_adam_state(adapter.shapes, config.lr, config.weight_decay)
+    work = np.empty((2, theta.size))  # each iteration's float64 adapter and gradient
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,7 +283,7 @@ def train_loop(
             save_checkpoint(checkpoint_path(out_dir, it), adapter, {**meta, "iteration": it}, provenance=provenance)
         if final:
             break
-        div_mean, grad = _iteration_loss(static, it, config, adapter)
+        div_mean, grad = _iteration_loss(static, it, config, adapter, work)
         curve.append((it, div_mean))
         if not math.isfinite(div_mean) or div_mean > config.divergence_threshold:
             raise NumericError(f"training diverged at iteration {it}: diversity loss {div_mean:.3f}")

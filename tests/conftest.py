@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from excel import encoder
 from excel.config import PipelineConfig
 from excel.dataset import load_dataset
 from excel.encoder import load_weights
@@ -12,6 +13,14 @@ from excel.static_calibration import run_static_passes
 from excel.text_enrichment import build_text_bank, ingest_knowledge
 
 FIXTURE_SEED = 42
+
+
+def serial_encode_chunks(count, weights, job, consume):
+    """`encode_chunks` as a serial loop, one `encode_stack` call per chunk
+    on the calling thread: the oracle of the runner."""
+    for part in encoder.chunks(count, weights):
+        images, calibrations, prefixes = job(part)
+        consume(part, encoder.encode_stack(images, weights, calibrations, prefixes))
 
 
 @pytest.fixture(scope="session")

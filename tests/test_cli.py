@@ -809,6 +809,54 @@ def test_exit_code_missing_or_directory_input(cli_fixtures, cli_trained, tiny_we
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture(scope="module")
+def seed_43_inputs(tmp_path_factory):
+    """Fixtures of 4 images under seed 43: other inputs of the same shapes."""
+    root = tmp_path_factory.mktemp("fx43")
+    assert main(["gen-fixtures", "--seed", "43", "--out", str(root), "--images", "4"]) == 0
+    return root
+
+
+# per run input, the files that hold it
+INPUT_FILES = {"weights": ("encoder.json", "encoder.bin"), "knowledge": ("knowledge.json", "knowledge.bin"),
+               "dataset": ("dataset",)}
+
+
+@pytest.mark.parametrize("changed", list(INPUT_FILES))
+@pytest.mark.parametrize("report", [True, False], ids=["report", "no-report"])
+def test_resume_refuses_outputs_of_other_input_contents(tmp_path, seed_43_inputs, changed, report):
+    # a run on seed-42 inputs, then one input replaced by its seed-43
+    # contents under the same path: the config hash is the same, so only the
+    # input digests in each artifact's provenance tell the runs apart. Without
+    # `report.json` (a run that stopped before evaluation) `attrs.json` refuses.
+    fx = tmp_path / "fx"
+    assert main(["gen-fixtures", "--seed", "42", "--out", str(fx), "--images", "4"]) == 0
+    out_dir = tmp_path / "out"
+    cfg_path = write_cli_config(tmp_path / "cfg.json", fx, out_dir)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    if not report:
+        (out_dir / "report.json").unlink()
+    before = {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+    for name in INPUT_FILES[changed]:
+        if (fx / name).is_dir():
+            shutil.rmtree(fx / name)
+            shutil.copytree(seed_43_inputs / name, fx / name)
+        else:
+            shutil.copyfile(seed_43_inputs / name, fx / name)
+    proc = run_excel("run", "--config", str(cfg_path), "--resume")
+    line = one_error_line(proc.returncode, proc.stderr, 1)
+    artifact = out_dir / ("report.json" if report else "attrs.json")
+    assert line.startswith(f"error: refusing to resume: {artifact} was produced from {changed} ")
+    assert str(fx / INPUT_FILES[changed][0]) in line
+    assert {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()} == before
+    # unchanged inputs resume
+    for name in INPUT_FILES[changed]:
+        if (fx / name).is_dir():
+            shutil.rmtree(fx / name)
+    assert main(["gen-fixtures", "--seed", "42", "--out", str(fx), "--images", "4"]) == 0
+    assert main(["run", "--config", str(cfg_path), "--resume"]) == 0
+
+
 @pytest.mark.parametrize(
     "report", ["not json", "[1]", '{"provenance": 5}', "[" * 100_000], ids=["not-json", "list", "provenance-int", "deep"]
 )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -102,6 +103,28 @@ def test_dataset_round_trip(tmp_path):
     assert ds.images[0].labels == [1]
     # lexicographic order
     assert [r.name for r in ds.images] == sorted(r.name for r in ds.images)
+
+
+def test_dataset_digest_covers_every_file_it_reads(tmp_path):
+    # one line per file read, "<path under the root> <its SHA-256>", in load
+    # order; a change to any one file's bytes, a comment included, changes it
+    names = ["background", "red", "green"]
+    root = save_dataset(tmp_path / "ds", names, toy_records())
+    files = ["classes.json", "labels.json"]
+    files += [f"{kind}/img_{i:04d}.{ext}" for i in range(4) for kind, ext in (("images", "ppm"), ("masks", "pgm"))]
+    lines = "".join(f"{name} {hashlib.sha256((root / name).read_bytes()).hexdigest()}\n" for name in files)
+    digest = load_dataset(root).digest
+    assert digest == hashlib.sha256(lines.encode()).hexdigest()
+    same = save_dataset(tmp_path / "same", names, toy_records())
+    assert load_dataset(same).digest == digest
+    for i, name in enumerate(files):
+        changed = save_dataset(tmp_path / f"changed{i}", names, toy_records())
+        if name.endswith("json"):
+            (changed / name).write_bytes((changed / name).read_bytes() + b" ")
+        else:
+            write = write_ppm if name.endswith("ppm") else write_pgm
+            write(changed / name, (read_ppm if name.endswith("ppm") else read_pgm)(changed / name), comment="x")
+        assert load_dataset(changed).digest != digest, name
 
 
 def test_dataset_missing_mask(tmp_path):

@@ -47,7 +47,7 @@ def tiny_setup(seed=0, fusion_kernel=1, grid=(3, 3), dim=8, d_proj=4, d_dyn=6, s
     trace = trace_from_features(feats, grid)
     adapter = init_adapter(Rng(seed).child("adapter"), dim, d_proj, d_dyn, fusion_kernel, sigma, 3.0, 1.0)
     if float64:
-        adapter = adapter.as_float64()
+        adapter = adapter.flattened(np.float64)[1]
     labels = gen.integers(0, 3, size=grid).astype(np.uint8)
     labels[0, 0] = 255
     return trace, adapter, labels
@@ -383,7 +383,7 @@ def test_gradient_of_float64_copy_equals_float32_adapter(fusion_kernel):
     # the copy are the float32 adapter's, byte for byte
     trace, adapter, labels = tiny_setup(seed=14, fusion_kernel=fusion_kernel, float64=False)
     batch = build_affinity_batch(labels)
-    copy = adapter.as_float64()
+    copy = adapter.flattened(np.float64)[1]
     assert all(a.dtype == np.float64 for a in copy.tensors.values())
     loss32, grads32 = diversity_loss_gradient(trace, adapter, batch)
     loss64, grads64 = diversity_loss_gradient(trace, copy, batch)
@@ -443,7 +443,7 @@ def test_stacked_gradient_equals_the_per_image_sum(fixture_weights, fixture_stat
     cfg = PipelineConfig()
     adapter = init_adapter(
         Rng(21).child("adapter"), fixture_weights.dim, cfg.d_proj, cfg.d_dyn, fusion_kernel, 0.05, cfg.alpha, cfg.beta
-    ).as_float64()
+    ).flattened(np.float64)[1]
     traces = [fixture_static[i].trace for i in picks]
     batches = [
         build_affinity_batch(fixture_static[i].labels, sample_limit=limit, rng=Rng(22).child(f"pairs.{j}"))

@@ -30,6 +30,7 @@ from excel.encoder import (
 from excel.errors import ChecksumError, DataError, NumericError, ShapeError, UsageError
 from excel.fixtures import FixtureSpec, generate_fixtures
 from excel.numerics import Rng
+from conftest import serial_encode_chunks
 
 VANILLA, VALUE_VALUE = NAMED_CALIBRATIONS["vanilla"], NAMED_CALIBRATIONS["value_value"]
 
@@ -606,12 +607,31 @@ def test_stacked_pass_equals_per_image_encodes(stacked_inputs, size):
         assert_traces_identical(got, encode(image, weights, calibration))
 
 
+def chunk_sizes(count, weights):
+    return [len(range(count)[part]) for part in encoder.chunks(count, weights)]
+
+
 def test_chunks_follow_the_element_budget(monkeypatch, fixture_weights, wide_weights):
-    # every T=17 fixture image fits one chunk; a T=257 image fills one alone
-    assert encoder.chunks(32, fixture_weights) == [slice(0, encoder.CHUNK_ELEMENTS // (4 * 17 * 17))]
+    # a T=17 fixture image counts its (17, 256) MLP activations, 4352
+    # elements, over its (4, 17, 17) maps: 30 fit a chunk, so the 32
+    # fixture images run as two chunks of 16
+    assert encoder.chunks(32, fixture_weights) == [slice(0, 16), slice(16, 32)]
+    assert chunk_sizes(30, fixture_weights) == [30]
+    assert chunk_sizes(31, fixture_weights) == [16, 15]
+    assert chunk_sizes(61, fixture_weights) == [21, 20, 20]
+    assert encoder.chunks(0, fixture_weights) == []
+    # with a narrower MLP the maps count: 1156 elements, 113 to a chunk
+    assert chunk_sizes(226, dataclasses.replace(fixture_weights, mlp_dim=64)) == [113, 113]
+    # at T=65 the maps (16900) outweigh the MLP (16640): 7 to a chunk
+    assert chunk_sizes(9, dataclasses.replace(fixture_weights, grid=(8, 8))) == [5, 4]
+    # a T=257 image fills a chunk alone, and so does a ViT-B one (12 heads at
+    # T=197, whose 605k MLP elements outweigh its 466k map elements)
     assert encoder.chunks(3, wide_weights) == [slice(i, i + 1) for i in range(3)]
-    monkeypatch.setattr(encoder, "CHUNK_ELEMENTS", 5 * 4 * 17 * 17 + 1)
-    assert [len(range(32)[part]) for part in encoder.chunks(32, fixture_weights)] == [5] * 6 + [2]
+    vitb = dataclasses.replace(wide_weights, heads=12, grid=(14, 14), mlp_dim=3072)
+    assert encoder.chunks(4, vitb) == [slice(i, i + 1) for i in range(4)]
+    # sizes differ by at most one, the larger first
+    monkeypatch.setattr(encoder, "CHUNK_ELEMENTS", 5 * 17 * 256 + 1)
+    assert chunk_sizes(32, fixture_weights) == [5] * 4 + [4] * 3
 
 
 def test_head_blocks_follow_the_element_budget(monkeypatch, fixture_weights, wide_weights):
@@ -674,26 +694,20 @@ def test_stacked_pass_refuses_a_mixed_chunk(fixture_weights):
 # two chunks in flight
 
 
-def serial_encode_chunks(count, weights, job, consume):
-    """`encode_chunks` as a serial loop, one `encode_stack` call per chunk
-    on the calling thread: the oracle of the runner."""
-    for part in encoder.chunks(count, weights):
-        images, calibrations, prefixes = job(part)
-        consume(part, encoder.encode_stack(images, weights, calibrations, prefixes))
-
-
-def test_chunk_runner_keeps_the_serial_bytes(monkeypatch, stacked_inputs):
-    # three T=257 images are three chunks: the helper thread runs the first
-    # while the calling thread runs the second, then the third alone; the
-    # static and the resumed biased traces are those of serial calls
-    weights, images = stacked_inputs[256]
+def check_runner_keeps_the_serial_bytes(monkeypatch, weights, images, seed):
+    """The static and the resumed biased traces of `encode_chunks` over
+    `images` are those of serial calls, consumed in chunk order on the
+    calling thread; each pair's earlier pass runs on the helper thread."""
     calibrated = Calibration(layers=5)
-    biased = biased_per_image(calibrated, weights, len(images), seed=120)
+    biased = biased_per_image(calibrated, weights, len(images), seed=seed)
     caller, real = threading.get_ident(), encoder.encode_stack
+    parts = encoder.chunks(len(images), weights)
+    starts = [part.start for part in parts]
     pass_threads = {}
 
     def recording(chunk, *args):
-        pass_threads[[id(image) for image in images].index(id(chunk[0]))] = threading.get_ident()
+        first = [id(image) for image in images].index(id(chunk[0]))
+        pass_threads[starts.index(first)] = threading.get_ident()
         return real(chunk, *args)
 
     def run(runner, calibrations, prefixes):
@@ -707,24 +721,41 @@ def test_chunk_runner_keeps_the_serial_bytes(monkeypatch, stacked_inputs):
             traces.extend(chunk_traces)
 
         runner(len(images), weights, job, consume)
-        assert consumed == [(slice(i, i + 1), caller) for i in range(len(images))]
+        assert consumed == [(part, caller) for part in parts]
         return traces
 
-    static = run(serial_encode_chunks, [calibrated] * 3, None)
+    static = run(serial_encode_chunks, [calibrated] * len(images), None)
     want = run(serial_encode_chunks, biased, static)
     monkeypatch.setattr(encoder, "encode_stack", recording)
-    for calibrations, prefixes, oracle in (([calibrated] * 3, None, static), (biased, static, want)):
+    on_helper = [i % 2 == 0 and i + 1 < len(parts) for i in range(len(parts))]
+    for calibrations, prefixes, oracle in (([calibrated] * len(images), None, static), (biased, static, want)):
         pass_threads.clear()
         for got, expected in zip(run(encoder.encode_chunks, calibrations, prefixes), oracle, strict=True):
             assert_traces_identical(got, expected)
-        assert pass_threads[0] != caller and pass_threads[1] == pass_threads[2] == caller
+        assert [pass_threads[i] != caller for i in range(len(parts))] == on_helper
+
+
+def test_chunk_runner_keeps_the_serial_bytes(monkeypatch, stacked_inputs):
+    # three T=257 images are three chunks: the helper thread runs the first
+    # while the calling thread runs the second, then the third alone
+    weights, images = stacked_inputs[256]
+    assert len(encoder.chunks(len(images), weights)) == 3
+    check_runner_keeps_the_serial_bytes(monkeypatch, weights, images, seed=120)
+
+
+def test_chunk_runner_keeps_the_serial_bytes_of_two_t17_passes(monkeypatch, stacked_inputs):
+    # the 32 T=17 fixture images are two chunks of 16: the helper thread
+    # runs the first while the calling thread runs the second
+    weights, images = stacked_inputs[64]
+    assert encoder.chunks(len(images), weights) == [slice(0, 16), slice(16, 32)]
+    check_runner_keeps_the_serial_bytes(monkeypatch, weights, images, seed=125)
 
 
 def test_probe_means_keep_the_serial_bytes(monkeypatch):
-    # 12 probes at T=65 run 7 to a pass: two chunks, both in flight at once
+    # 12 probes at T=65, 7 of which fit a pass: two chunks of 6, both in flight at once
     spec = FixtureSpec(patch_size=8)
     weights = fixtures.make_encoder_weights(Rng(5).child("encoder"), spec)
-    assert [len(range(12)[part]) for part in encoder.chunks(4 * spec.classes, weights)] == [7, 5]
+    assert chunk_sizes(4 * spec.classes, weights) == [6, 6]
 
     def probe_means():
         means, background = fixtures._probe_feature_means(weights, spec, Rng(5).child("probes").generator())
@@ -785,7 +816,7 @@ def test_first_failing_chunk_raises_and_no_thread_outlives_the_runner(monkeypatc
 
 
 def test_one_chunk_starts_no_thread(monkeypatch, fixture_weights):
-    # every T=17 fixture image fits one chunk, which runs on the calling thread
+    # 30 T=17 images fit one chunk, which runs on the calling thread
     threads_before, seen = threading.active_count(), []
 
     def fake_stack(images, weights, calibrations, prefixes=None):
@@ -793,8 +824,8 @@ def test_one_chunk_starts_no_thread(monkeypatch, fixture_weights):
         return list(images)
 
     monkeypatch.setattr(encoder, "encode_stack", fake_stack)
-    encoder.encode_chunks(32, fixture_weights, lambda part: (list(range(32))[part], None, None), lambda *_: None)
-    assert seen == [(32, threading.get_ident(), threads_before)]
+    encoder.encode_chunks(30, fixture_weights, lambda part: (list(range(30))[part], None, None), lambda *_: None)
+    assert seen == [(30, threading.get_ident(), threads_before)]
 
 
 # The attention kernels as they were before a pass owned its work arrays:

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from excel.fixtures import FixtureSpec, generate_fixtures
 from excel.numerics import Rng
 from excel.pipeline import run_pipeline
 from excel.text_enrichment import ingest_knowledge
+from conftest import serial_encode_chunks
 
 
 def tree_bytes(root):
@@ -259,6 +262,17 @@ def test_pipeline_provenance_stamped(short_run):
 
     comment = read_comments(next((out / "static").glob("*.pseudo.pgm")))[0]
     assert cfg.digest() in comment
+    # every artifact records the SHA-256 of the inputs it was built from
+    dataset = load_dataset(cfg.dataset)
+    inputs = {
+        "weights": hashlib.sha256(Path(cfg.weights).read_bytes()).hexdigest(),
+        "knowledge": hashlib.sha256(Path(cfg.knowledge).read_bytes()).hexdigest(),
+        "dataset": dataset.digest,
+    }
+    checkpoint = json.loads((out / "train" / "checkpoint_000004.json").read_text())
+    for stamp in (payload["provenance"], bank_manifest["provenance"], checkpoint["provenance"]):
+        assert stamp["inputs"] == inputs
+    assert comment.endswith(" ".join(f"{k}={v}" for k, v in inputs.items()))
 
 
 def test_pipeline_resume_hash_mismatch_refused(short_run, fixture_paths):
@@ -354,22 +368,26 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
     # the static stage exports that pass (the default) or another policy
     # (vanilla); training makes no biased encode, and each stacked biased
     # re-encode runs only the calibrated layers. Images are counted one by
-    # one through the stacked passes they go through.
+    # one through the stacked passes they go through. The two passes of a
+    # pair run at once, each on its own thread, so each biased pass counts
+    # its head calls in its own counter, found through its thread.
     calibrated, biased, biased_heads = [], [], []
     real_stack, real_head = encoder.encode_stack, encoder._head_attention
+    current = threading.local()
 
     def counting_stack(images, weights, calibrations, prefixes=None):
         names = {c.name for c in calibrations}
         if names == {"intra_correlation_biased"}:
             biased.extend(image.tobytes() for image in images)
-            biased_heads.append(0)
+            current.heads = [0]
+            biased_heads.append(current.heads)
         elif names == {"intra_correlation"}:
             calibrated.extend(image.tobytes() for image in images)
         return real_stack(images, weights, calibrations, prefixes)
 
     def counting_head(policy, *args):
         if policy.name == "intra_correlation_biased":
-            biased_heads[-1] += 1
+            current.heads[0] += 1
         return real_head(policy, *args)
 
     monkeypatch.setattr(encoder, "encode_stack", counting_stack)
@@ -392,40 +410,46 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
         run_pipeline(cfg, mode="full")
         assert sorted(calibrated) == images, policy  # 32 calibrated encodes, not 64
         assert sorted(biased) == images, policy  # one per image, all in stage_dynamic
-        # one stacked pass of all 32 T=17 images, with one all-heads call per calibrated layer
-        assert biased_heads == [cfg.calib_layers]
+        # two stacked passes of 16 T=17 images, each with one all-heads call per calibrated layer
+        assert biased_heads == [[cfg.calib_layers]] * 2
 
 
-def test_uneven_chunks_give_the_same_cams(monkeypatch, fixture_weights, fixture_bank, fixture_dataset, fixture_static):
-    # a budget of 5 T=17 images a pass splits the 32 fixture images 6 x 5 + 2;
-    # static and dynamic results keep every byte of the one-chunk run
+def test_uneven_chunks_give_the_same_cams(monkeypatch, fixture_weights, fixture_bank, fixture_dataset):
+    # a budget of 5 T=17 images a pass splits the 32 fixture images 4 x 5 +
+    # 3 x 4, run two at a time and the last alone; static and dynamic
+    # results keep every byte of the serial loop's default chunks
     cfg = PipelineConfig()
     records = fixture_dataset.images
     adapter = dynamic_calibration.init_adapter(
         Rng(3).child("adapter"), fixture_weights.dim, 8, 16, 1, 0.5, cfg.alpha, cfg.beta
     )
-    traces = [res.trace for res in fixture_static]
-    whole = dynamic_calibration.dynamic_cams(
-        records, fixture_weights, adapter, fixture_bank, cfg.tau_fg, cfg.tau_bg, traces
-    )
+
+    def static_and_dynamic():
+        static = static_calibration.run_static_passes(
+            records, fixture_weights, fixture_bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
+        )
+        dynamic = dynamic_calibration.dynamic_cams(
+            records, fixture_weights, adapter, fixture_bank, cfg.tau_fg, cfg.tau_bg, [res.trace for res in static]
+        )
+        return static, dynamic
+
+    with monkeypatch.context() as serial:
+        for module in (static_calibration, dynamic_calibration):
+            serial.setattr(module, "encode_chunks", serial_encode_chunks)
+        serial_static, serial_dynamic = static_and_dynamic()
     sizes, real_stack = [], encoder.encode_stack
 
     def counting_stack(images, *args, **kwargs):
         sizes.append(len(images))
         return real_stack(images, *args, **kwargs)
 
-    monkeypatch.setattr(encoder, "CHUNK_ELEMENTS", 5 * fixture_weights.heads * 17 * 17)
+    monkeypatch.setattr(encoder, "CHUNK_ELEMENTS", 5 * 17 * fixture_weights.mlp_dim)
     monkeypatch.setattr(encoder, "encode_stack", counting_stack)
-    static = static_calibration.run_static_passes(
-        records, fixture_weights, fixture_bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
-    )
-    dynamic = dynamic_calibration.dynamic_cams(
-        records, fixture_weights, adapter, fixture_bank, cfg.tau_fg, cfg.tau_bg, [res.trace for res in static]
-    )
-    assert sizes == [5] * 6 + [2] + [5] * 6 + [2]
-    for got, want in zip(static + dynamic, fixture_static + whole):
+    static, dynamic = static_and_dynamic()
+    assert sorted(sizes) == sorted(([5] * 4 + [4] * 3) * 2)
+    for got, want in zip(static + dynamic, serial_static + serial_dynamic, strict=True):
         assert got.cams.maps.tobytes() == want.cams.maps.tobytes() and got.labels.tobytes() == want.labels.tobytes()
-    for got, want in zip(static, fixture_static):
+    for got, want in zip(static, serial_static, strict=True):
         got_arrays = [*got.trace.inputs, *got.trace.features, got.trace.patch_features]
         want_arrays = [*want.trace.inputs, *want.trace.features, want.trace.patch_features]
         assert [a.tobytes() for a in got_arrays] == [b.tobytes() for b in want_arrays]

@@ -41,9 +41,10 @@ def test_every_tracer_target_resolves():
 
 
 def test_spans_begin_on_the_calling_thread_and_nest(monkeypatch, tmp_path, fixture_paths):
-    # a full run whose static and dynamic stages each run two chunks of 16
-    # T=17 images, both in flight at once: every traced call stays on the
-    # calling thread, so the tracer's one span stack nests strictly
+    # a full run, whose static and dynamic stages each run the 32 fixture
+    # images as two chunks of 16 T=17 images, both in flight at once: every
+    # traced call stays on the calling thread, so the tracer's one span
+    # stack nests strictly
     tracer_module = _load_tracer()
     NAME, PARENT, START, END = (getattr(tracer_module, k) for k in ("NAME", "PARENT", "START", "END"))
     caller, span_threads, pass_threads = threading.get_ident(), [], []
@@ -59,7 +60,6 @@ def test_spans_begin_on_the_calling_thread_and_nest(monkeypatch, tmp_path, fixtu
         pass_threads.append(threading.get_ident())
         return real_stack(*args)
 
-    monkeypatch.setattr(encoder, "CHUNK_ELEMENTS", 16 * 4 * 17 * 17)
     monkeypatch.setattr(encoder, "encode_stack", recording_stack)
     cfg = parse_config(
         {

@@ -40,6 +40,8 @@ excel gen-fixtures --out fxflags --seed 9 --classes 5 --images 10 --image-size 7
 excel gen-fixtures --out fx256odd --image-size 256 --images 5 > gen-fixtures-256-odd.log
 # 20 probes at T=65, about 7 to a pass: the probe loop ends on an odd chunk
 excel gen-fixtures --out fx8odd --patch-size 8 --classes 5 --images 3 > gen-fixtures-8-odd.log
+# 61 images at T=17, 30 to a pass: the static and dynamic loops run chunks of 21, 20 and 20, a pair then one alone
+excel gen-fixtures --out fx61 --images 61 > gen-fixtures-61.log
 
 config full.json full fx '"iterations": 17, "checkpoint_every": 8'
 excel run --config full.json > run-full.log
@@ -76,6 +78,8 @@ config full8.json full8 fx8 '"iterations": 2'
 excel run --config full8.json > run-full8.log
 config full8chunks.json full8chunks fx8chunks '"iterations": 2'
 excel run --config full8chunks.json > run-full8-chunks.log
+config full61.json full61 fx61 '"iterations": 2'
+excel run --config full61.json > run-full61.log
 config fullflags.json fullflags fxflags '"iterations": 2'
 excel run --config fullflags.json > run-full-flags.log
 # a batch of 6 over 4 images: each stacked gradient pass wraps the dataset and holds some images twice
