@@ -14,15 +14,15 @@ import numpy as np
 
 from .blobio import save_tensors, write_json
 from .config import PipelineConfig, load_config
-from .dataset import load_class_names
-from .dynamic_calibration import biased_calibration, dynamic_cam
-from .encoder import Calibration, encode, load_weights, named_calibration
+from .dataset import ImageRecord, load_class_names
+from .dynamic_calibration import biased_calibrations, dynamic_cams
+from .encoder import Calibration, encode_stack, load_weights, named_calibration
 from .errors import EXIT_DATA, EXIT_OK, DataError, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
 from .hashing import config_digest, provenance
 from .images import read_pgm, read_ppm, rgb_to_chw
 from .pipeline import check_bank_dim, load_inputs, run_pipeline, run_provenance, stage_train, write_cam_outputs
-from .static_calibration import run_static_passes, run_static_pipeline
+from .static_calibration import run_static_passes
 from .text_enrichment import attribute_bank, load_bank, save_bank
 from .training_eval import attn_report, evaluate, load_checkpoint, read_loss_curve, report_text, trained_calibration
 
@@ -143,7 +143,7 @@ def _cmd_cam(args) -> int:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     weights = load_weights(args.weights)
     bank = load_bank(args.bank)
-    image = rgb_to_chw(read_ppm(args.image))
+    record = ImageRecord(Path(args.image).stem, read_ppm(args.image), mask=None, labels=sorted(set(present)))
     adapter = None
     if args.mode == "dynamic":
         adapter, meta = load_checkpoint(args.adapter, weights.dim)
@@ -159,14 +159,14 @@ def _cmd_cam(args) -> int:
         )
     tau_fg, tau_bg = cfg.tau_fg, cfg.tau_bg
     if args.mode == "static":
-        res = run_static_pipeline(image, weights, bank, present, cfg.static_policy(), tau_fg, tau_bg)
+        res = run_static_passes([record], weights, bank, cfg.static_policy(), tau_fg, tau_bg, keep_traces=False)[0]
     else:
-        trace = encode(image, weights, cfg.calibration())
-        res = dynamic_cam(image, weights, adapter, bank, present, tau_fg, tau_bg, trace)
+        static = run_static_passes([record], weights, bank, cfg.calibration(), tau_fg, tau_bg, keep_traces=True)[0]
+        res = dynamic_cams([record], weights, adapter, bank, tau_fg, tau_bg, [static.trace])[0]
     prov = run_provenance(cfg, f"cam-{args.mode}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cams_path, pgm_path = write_cam_outputs(out_dir, Path(args.image).stem, res, weights.patch_size, prov)
+    cams_path, pgm_path = write_cam_outputs(out_dir, record.name, res, weights.patch_size, prov)
     print(f"cams: {cams_path}")
     print(f"pseudo: {pgm_path}")
     return EXIT_OK
@@ -221,7 +221,7 @@ def _cmd_attn_report(args) -> int:
     if "icb" in policies and args.adapter:
         adapter, meta = load_checkpoint(args.adapter, weights.dim)
         _check_trained_calibration(args.adapter, meta, calibrated, "--calib-layers")
-        policies["icb"] = biased_calibration(encode(image, weights, calibrated), adapter)
+        policies["icb"] = biased_calibrations(encode_stack([image], weights, [calibrated]), adapter)[0]
     elif "icb" in policies:
         hw = weights.grid[0] * weights.grid[1]
         uniform = np.zeros((hw, hw), dtype=np.float32)  # uniform bias

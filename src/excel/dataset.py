@@ -29,7 +29,7 @@ from .static_calibration import IGNORE_LABEL
 class ImageRecord:
     name: str
     pixels: np.ndarray  # (H, W, 3) uint8, as read and checked
-    mask: np.ndarray  # (H, W) uint8
+    mask: np.ndarray | None  # (H, W) uint8; None for an `excel cam` image
     labels: list[int]  # present foreground class ids, ascending
 
     @property

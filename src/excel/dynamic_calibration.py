@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics as nm
-from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerTrace, encode, encode_chunks
+from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerTrace, encode_chunks
 from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
 from .static_calibration import IGNORE_LABEL, CamResult, PseudoLabelMap, cam_result
@@ -168,11 +168,6 @@ def adapter_forward_stack(traces: list[LayerTrace], params: AdapterParams) -> li
     return [np.ascontiguousarray(f.T.astype(np.float32)) for f in feats]
 
 
-def adapter_forward(trace: LayerTrace, params: AdapterParams) -> np.ndarray:
-    """`adapter_forward_stack` of one trace."""
-    return adapter_forward_stack([trace], params)[0]
-
-
 # --------------------------------------------------------------------------
 # relations
 
@@ -247,15 +242,10 @@ def _pair_affinity(feats: np.ndarray):
 
 
 def _pair_loss(u: np.ndarray, batch: AffinityBatch) -> float:
+    """The diversity loss of one grid's affinities u: mean(1 - u) over
+    positive pairs plus mean(u) over negative pairs."""
     n_pos, n_neg = batch.counts()
     return float((1.0 - u[batch.positive]).sum() / n_pos + u[batch.negative].sum() / n_neg)
-
-
-def diversity_loss(features: np.ndarray, batch: AffinityBatch) -> float:
-    """Affinity loss on sigmoid(cos) token similarities of (D_d, hw) features:
-    mean(1 - u) over positive pairs plus mean(u) over negative pairs."""
-    feats = nm.as_f32(features, "dynamic features").T.astype(np.float64)
-    return _pair_loss(_pair_affinity(feats)[2], batch)
 
 
 # --------------------------------------------------------------------------
@@ -336,16 +326,6 @@ def diversity_loss_gradient_stack(
     return losses
 
 
-def diversity_loss_gradient(
-    trace: LayerTrace, params: AdapterParams, batch: AffinityBatch
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss value plus exact reverse-mode gradients for every adapter
-    tensor, keyed like `params.tensors`: `diversity_loss_gradient_stack`
-    of one trace."""
-    grads = {name: np.zeros(shape) for name, shape in params.shapes.items()}
-    return diversity_loss_gradient_stack([trace], params, [batch], grads)[0], grads
-
-
 # --------------------------------------------------------------------------
 # dynamic CAM generation
 
@@ -358,11 +338,6 @@ def biased_calibrations(traces: list[LayerTrace], params: AdapterParams) -> list
         replace(trace.calibration, relation=dynamic_relation(features, params.alpha, params.beta).masked)
         for trace, features in zip(traces, adapter_forward_stack(traces, params))
     ]
-
-
-def biased_calibration(trace: LayerTrace, params: AdapterParams) -> Calibration:
-    """`biased_calibrations` of one trace."""
-    return biased_calibrations([trace], params)[0]
 
 
 def dynamic_cams(
@@ -380,7 +355,7 @@ def dynamic_cams(
     chunk, run by `encode_chunks`.
 
     `static_traces[i]` is the calibrated pass of `records[i].image`. Its
-    biased re-encode runs under its `biased_calibration`, resuming from the
+    biased re-encode runs under its biased calibration, resuming from the
     trace below the first calibrated layer. The biased traces are not kept.
     """
     results = []
@@ -395,19 +370,3 @@ def dynamic_cams(
 
     encode_chunks(len(records), weights, job, consume)
     return results
-
-
-def dynamic_cam(
-    image: np.ndarray,
-    weights: EncoderWeights,
-    params: AdapterParams,
-    bank,
-    present: list[int],
-    tau_fg: float,
-    tau_bg: float,
-    static_trace: LayerTrace,
-) -> CamResult:
-    """`dynamic_cams` of one image: its biased re-encode, resumed from
-    `static_trace`, and its dynamic CAMs."""
-    trace = encode(image, weights, biased_calibration(static_trace, params), prefix=static_trace)
-    return replace(cam_result(trace, bank, present, tau_fg, tau_bg), trace=None)

@@ -3,9 +3,9 @@
 The encoder is deliberately small and bit-reproducible: float32 weights,
 float64 accumulation, no dropout. One pass, `encode_stack`, runs a chunk
 of N images stacked along a leading axis, and each image's trace is
-bit-identical to a pass over that image alone (`encode`), because every
-product is the per-image product looped over the chunk. `chunks` splits
-a loop into chunks of equal size, as few as keep each image's largest
+bit-identical to a pass over that image alone, because every product
+is the per-image product looped over the chunk. `chunks` splits a loop
+into chunks of equal size, as few as keep each image's largest
 float64 arrays (its attention maps or its MLP hidden activations) within
 one element budget, and `encode_chunks` runs a loop's chunks two passes
 at a time: the earlier of each pair on one helper thread, the later on
@@ -317,7 +317,7 @@ class AttentionWork:
 def _attention(a: np.ndarray, b: np.ndarray, head_dim: int, work: AttentionWork | None = None) -> np.ndarray:
     """softmax(a b^T / sqrt(head_dim)) of one head's (T, D_s) tokens or an
     (.., H, T, D_s) stack, written to `work.attn`; the logits are rounded
-    to float32 before the scaling and after it. Unchecked: `encode`
+    to float32 before the scaling and after it. Unchecked: `encode_stack`
     checks q, k and v before attention."""
     work = AttentionWork.of(a.shape) if work is None else work
     np.matmul(a.astype(np.float64), b.swapaxes(-1, -2).astype(np.float64), out=work.wide)
@@ -597,17 +597,6 @@ def encode_stack(
         )
         for c, inp, feat, x_i, final_i in zip(calibrations, inputs, features, x, final)
     ]
-
-
-def encode(
-    image: np.ndarray,
-    weights: EncoderWeights,
-    calibration: Calibration,
-    prefix: LayerTrace | None = None,
-) -> LayerTrace:
-    """`encode_stack` of one image: its pass under `calibration`, resumed
-    from `prefix` when one is given."""
-    return encode_stack([image], weights, [calibration], None if prefix is None else [prefix])[0]
 
 
 def layer_attention(trace: LayerTrace, weights: EncoderWeights, layer: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numerics as nm
 from .blobio import is_grid, is_positive_int, load_tensors, save_tensors
-from .encoder import Calibration, EncoderWeights, LayerTrace, encode, encode_chunks
+from .encoder import Calibration, EncoderWeights, LayerTrace, encode_chunks
 from .errors import DataError, UsageError
 from .text_enrichment import TextRepresentation
 
@@ -93,19 +93,6 @@ def cam_result(
     return CamResult(cams=cams, labels=cam_to_pseudo_label(cams, tau_fg, tau_bg), trace=trace)
 
 
-def run_static_pipeline(
-    image: np.ndarray,
-    weights: EncoderWeights,
-    bank: TextRepresentation,
-    present: list[int],
-    calibration: Calibration,
-    tau_fg: float,
-    tau_bg: float,
-) -> CamResult:
-    """encode -> static_cam -> cam_to_pseudo_label with zero learnable state."""
-    return cam_result(encode(image, weights, calibration), bank, present, tau_fg, tau_bg)
-
-
 def run_static_passes(
     records,
     weights: EncoderWeights,
@@ -115,12 +102,12 @@ def run_static_passes(
     tau_bg: float,
     keep_traces: bool,
 ) -> list[CamResult]:
-    """`run_static_pipeline` over dataset records (`.image`, `.labels`), in
-    their order, one stacked pass per `encoder.chunks` chunk, run by
-    `encode_chunks`. Each chunk's images are read from its records just
-    before its pass. Without `keep_traces` a chunk's traces are dropped as
-    soon as its CAMs are made, so at most the two chunks in flight hold
-    traces at a time."""
+    """encode -> static_cam -> cam_to_pseudo_label, with zero learnable
+    state, over dataset records (`.image`, `.labels`) in their order, one
+    stacked pass per `encoder.chunks` chunk, run by `encode_chunks`. Each
+    chunk's images are read from its records just before its pass.
+    Without `keep_traces` a chunk's traces are dropped as soon as its CAMs
+    are made, so at most the two chunks in flight hold traces at a time."""
     results = []
 
     def job(part):

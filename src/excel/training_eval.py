@@ -23,7 +23,7 @@ from .dynamic_calibration import (
     flat_views,
     init_adapter,
 )
-from .encoder import LAYER_COUNT, Calibration, EncoderWeights, encode, layer_attention
+from .encoder import LAYER_COUNT, Calibration, EncoderWeights, encode_stack, layer_attention
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .numerics import Rng
 from .static_calibration import IGNORE_LABEL, CamResult
@@ -146,14 +146,15 @@ def save_checkpoint(path, adapter: AdapterParams, meta: dict, provenance=None) -
 
 def load_checkpoint(path, dim: int):
     """Returns (adapter, meta) for an adapter that reads `dim`-wide
-    encoder features. The meta `dim` must equal `dim`, and every tensor
-    must have its `adapter_shapes` shape for the meta `fusion_kernel` and
-    the widths of `delta.00.w` and `fusion.w`. Tensors other than
-    `adapter.*`, such as the segmentation-head pair older checkpoints
-    carry, are ignored, and so is the optimizer sidecar file they were
-    written with."""
+    encoder features. The meta `alpha` must be positive, as in the
+    config, and the meta `dim` must equal `dim`. Every tensor must have
+    its `adapter_shapes` shape for the meta `fusion_kernel` and the widths
+    of `delta.00.w` and `fusion.w`. Tensors other than `adapter.*`, such
+    as the segmentation-head pair older checkpoints carry, are ignored,
+    and so is the optimizer sidecar file they were written with."""
     tf = load_tensors(path)
-    alpha, beta = (float(tf.meta_value(key, is_finite_number, "a finite number")) for key in ("alpha", "beta"))
+    alpha = float(tf.meta_value("alpha", lambda a: is_finite_number(a) and a > 0, "a finite number > 0"))
+    beta = float(tf.meta_value("beta", is_finite_number, "a finite number"))
     kernel = tf.meta_value("fusion_kernel", lambda k: type(k) is int and k in (1, 3), "1 or 3")
     width = tf.meta_value("dim", is_positive_int, "a positive integer")
     if width != dim:
@@ -205,7 +206,7 @@ def _iteration_loss(
     iteration: int,
     config: PipelineConfig,
     adapter: AdapterParams,
-    work: np.ndarray | None = None,
+    work: np.ndarray,
 ):
     """Mean diversity loss and mean gradient, one flat float64 vector in
     table order, over `iteration`'s batch: `batch_size` consecutive
@@ -214,7 +215,7 @@ def _iteration_loss(
 
     `work`, a (2, P) float64 array for an adapter of P elements, holds the
     float64 copy of the adapter (row 0) and the gradient (row 1), which is
-    returned; both are written over. Without it, both are allocated."""
+    returned; both are written over."""
     rng = Rng(config.seed).child(f"it.{iteration}")
     n = config.batch_size
     picked = [static[(iteration * n + j) % len(static)] for j in range(n)]
@@ -222,8 +223,6 @@ def _iteration_loss(
         build_affinity_batch(sres.labels, sample_limit=config.pair_sample_limit, rng=rng.child(f"pairs.{j}"))
         for j, sres in enumerate(picked)
     ]
-    if work is None:
-        work = np.empty((2, sum(t.size for t in adapter.tensors.values())))
     flat, grad = work
     # converted once, read by the whole stack
     np.concatenate([t.ravel() for t in adapter.tensors.values()], out=flat)
@@ -248,7 +247,7 @@ def train_loop(
 ) -> TrainResult:
     """Seeded single-writer optimization of the adapter on the diversity loss.
 
-    `static` holds each image's calibrated pass (`run_static_pipeline`
+    `static` holds each image's calibrated pass (`run_static_passes`
     under `config.calibration()`, traces kept), in dataset order; `dim` is
     the encoder width. Training makes no encoder call. Per iteration:
     affinity pairs from the static labels, the diversity loss and its
@@ -291,12 +290,6 @@ def train_loop(
     if out_dir:
         write_loss_curve(out_dir / "loss_curve.csv", curve)
     return TrainResult(adapter=adapter, curve=curve)
-
-
-def replay_iteration(iteration: int, static: list[CamResult], config: PipelineConfig, adapter) -> float:
-    """Recompute the logged mean diversity loss for `iteration` from
-    checkpointed parameters and the static results `train_loop` was given."""
-    return _iteration_loss(static, iteration, config, adapter)[0]
 
 
 def write_loss_curve(path, curve):
@@ -431,7 +424,7 @@ def attn_report(image, weights: EncoderWeights, policies: dict) -> dict:
         raise UsageError("attention report needs at least one policy")
     out = {}
     for name, policy in policies.items():
-        trace = encode(image, weights, policy)
+        trace = encode_stack([image], weights, [policy])[0]
         dim = trace.patch_features.shape[0]
         flat = trace.patch_features.reshape(dim, -1)
         out[name] = {

@@ -6,6 +6,7 @@ import pytest
 from excel import encoder
 from excel.config import PipelineConfig
 from excel.dataset import load_dataset
+from excel.dynamic_calibration import diversity_loss_gradient_stack
 from excel.encoder import load_weights
 from excel.fixtures import FixtureSpec, generate_fixtures
 from excel.numerics import Rng
@@ -21,6 +22,13 @@ def serial_encode_chunks(count, weights, job, consume):
     for part in encoder.chunks(count, weights):
         images, calibrations, prefixes = job(part)
         consume(part, encoder.encode_stack(images, weights, calibrations, prefixes))
+
+
+def one_image_gradient(trace, params, batch):
+    """(loss, gradients keyed like `params.tensors`) of one trace:
+    `diversity_loss_gradient_stack` over a stack of one, from zero."""
+    grads = {name: np.zeros(shape) for name, shape in params.shapes.items()}
+    return diversity_loss_gradient_stack([trace], params, [batch], grads)[0], grads
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,7 @@ from excel.dynamic_calibration import (
     AdapterParams,
     adapter_diversity_loss,
     build_affinity_batch,
-    diversity_loss_gradient,
-    dynamic_cam,
+    dynamic_cams,
     dynamic_relation,
     init_adapter,
 )
@@ -26,7 +25,7 @@ from excel.encoder import (
     NAMED_CALIBRATIONS,
     Calibration,
     LayerTrace,
-    encode,
+    encode_stack,
     expected_row_sums,
     layer_attention,
 )
@@ -40,6 +39,7 @@ from excel.text_enrichment import (
     hunt_attributes,
 )
 from excel.training_eval import evaluate, train_loop, upsample_labels
+from conftest import one_image_gradient
 
 TRAIN_ITERATIONS = 500
 
@@ -86,17 +86,16 @@ def toy_run(fixture_paths, fixture_weights, fixture_dataset, fixture_kb, fixture
         arr.tobytes() for arr in fixture_weights.tensors.values()
     )
     dynamic_labels = [
-        dynamic_cam(
-            rec.image,
+        res.labels
+        for res in dynamic_cams(
+            fixture_dataset.images,
             fixture_weights,
             train_result.adapter,
             bank,
-            rec.labels,
             cfg.tau_fg,
             cfg.tau_bg,
-            static.trace,
-        ).labels
-        for rec, static in zip(fixture_dataset.images, fixture_static)
+            [static.trace for static in fixture_static],
+        )
     ]
     elapsed = time.monotonic() - t0
     return {
@@ -132,7 +131,7 @@ def test_criterion_1_attention_stochasticity(fixture_weights):
             Calibration(layers=5, relation=relation),
         ]
         for policy in policies:
-            trace = encode(image, fixture_weights, policy)
+            trace = encode_stack([image], fixture_weights, [policy])[0]
             for layer in range(LAYER_COUNT):
                 expected = expected_row_sums(policy, layer, tokens)
                 attn = layer_attention(trace, fixture_weights, layer)
@@ -187,7 +186,7 @@ def test_criterion_3_gradient_oracle():
     for seed in range(20):
         trace, adapter, labels = _tiny_gradient_instance(seed)
         batch = build_affinity_batch(labels)
-        _, grads = diversity_loss_gradient(trace, adapter, batch)
+        _, grads = one_image_gradient(trace, adapter, batch)
         for name, arr in adapter.tensors.items():
             flat = arr.reshape(-1)
             fd = np.zeros(flat.shape[0])

@@ -523,6 +523,24 @@ def test_exit_code_malformed_checkpoint_meta(cli_fixtures, cli_trained, tmp_path
     assert str(bad) in one_error_line(proc.returncode, proc.stderr, 2)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0], ids=["negative", "zero", "zero-int"])
+@pytest.mark.parametrize("command", ["cam-dynamic", "attn-report-icb"])
+def test_exit_code_checkpoint_alpha_not_positive(cli_fixtures, cli_trained, tmp_path, capsys, command, alpha):
+    # the relation scale is positive wherever an adapter is made, so a
+    # checkpoint that says otherwise is refused where it is loaded
+    out_dir, _ = cli_trained
+    bad = _with_meta(out_dir / "train" / "checkpoint_000001.json", tmp_path / "bad.json", "alpha", alpha)
+    image = str(next((cli_fixtures / "dataset" / "images").glob("*.ppm")))
+    if command == "cam-dynamic":
+        argv = ["cam", "--mode", "dynamic", "--bank", str(out_dir / "attrs.json"), "--labels", "1"]
+    else:
+        argv = ["attn-report", "--policies", "icb"]
+    argv += ["--weights", str(cli_fixtures / "encoder.json"), "--image", image, "--adapter", str(bad)]
+    line = _main_error(capsys, [*argv, "--out", str(tmp_path / "out")], 2)
+    assert str(bad) in line and "meta 'alpha' must be a finite number > 0" in line
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def narrow_weights(tmp_path_factory):
     """A 32-dim, 2-head encoder for the fixture's 64 px images."""

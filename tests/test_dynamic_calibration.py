@@ -8,16 +8,12 @@ from excel.dynamic_calibration import (
     _pair_affinity,
     _pair_loss,
     adapter_diversity_loss,
-    adapter_forward,
     adapter_forward_stack,
     adapter_shapes,
-    biased_calibration,
     biased_calibrations,
     build_affinity_batch,
-    diversity_loss,
-    diversity_loss_gradient,
     diversity_loss_gradient_stack,
-    dynamic_cam,
+    dynamic_cams,
     dynamic_relation,
     flat_views,
     init_adapter,
@@ -26,6 +22,7 @@ from excel.encoder import LAYER_COUNT, Calibration, LayerTrace, _head_attention,
 from excel.errors import DataError, NumericError, UsageError
 from excel.numerics import Rng
 from excel.config import PipelineConfig
+from conftest import one_image_gradient
 
 
 def trace_from_features(features, grid):
@@ -60,7 +57,7 @@ def tiny_setup(seed=0, fusion_kernel=1, grid=(3, 3), dim=8, d_proj=4, d_dyn=6, s
 def test_adapter_zero_maps_zero_bias_gives_zero():
     trace, adapter, _ = tiny_setup(seed=1)
     zero = AdapterParams({k: np.zeros_like(a) for k, a in adapter.tensors.items()}, 3.0, 1.0)
-    out = adapter_forward(trace, zero)
+    out = adapter_forward_stack([trace], zero)[0]
     assert out.shape == (6, 9)
     assert (out == 0.0).all()
 
@@ -76,14 +73,14 @@ def test_adapter_single_layer_block_selector():
     tensors[f"delta.{only:02d}.w"] = np.eye(4, 8)
     tensors["fusion.w"] = np.ones((6, 48))
     sel = AdapterParams(tensors, 3.0, 1.0)
-    out = adapter_forward(trace_sparse, sel)
+    out = adapter_forward_stack([trace_sparse], sel)[0]
     expected_rows = trace.features[only][1:, :4].astype(np.float64).sum(axis=1)
     np.testing.assert_allclose(out, np.tile(expected_rows, (6, 1)), atol=1e-5)
 
 
 def test_adapter_matches_per_token_loop_oracle():
     trace, adapter, _ = tiny_setup(seed=3)
-    out = adapter_forward(trace, adapter)
+    out = adapter_forward_stack([trace], adapter)[0]
     hw = 9
     for tok in range(hw):
         parts = []
@@ -97,7 +94,7 @@ def test_adapter_matches_per_token_loop_oracle():
 
 def test_adapter_conv3_matches_neighborhood_oracle():
     trace, adapter, _ = tiny_setup(seed=4, fusion_kernel=3)
-    out = adapter_forward(trace, adapter)
+    out = adapter_forward_stack([trace], adapter)[0]
     gh, gw = trace.grid
     z = np.zeros((gh, gw, 48))
     for l in range(LAYER_COUNT):
@@ -119,7 +116,7 @@ def test_adapter_requires_twelve_layers():
     trace, adapter, _ = tiny_setup(seed=5)
     short = trace_from_features(trace.features[:7], trace.grid)
     with pytest.raises(DataError, match="12"):
-        adapter_forward(short, adapter)
+        adapter_forward_stack([short], adapter)
 
 
 def test_adapter_param_count_reported():
@@ -299,7 +296,7 @@ def test_diversity_loss_two_orthogonal_groups():
     f[0, :2] = 1.0
     f[1, 2:] = 1.0
     labels = np.array([[1, 1], [2, 2]], np.uint8)
-    loss = diversity_loss(f, build_affinity_batch(labels))
+    loss = _pair_loss(_pair_affinity(f.T.astype(np.float64))[2], build_affinity_batch(labels))
     sig1 = 1 / (1 + math.exp(-1))
     expected = (1 - sig1) + 0.5
     assert loss == pytest.approx(expected, abs=1e-3)
@@ -310,7 +307,7 @@ def test_diversity_loss_near_collinear_saturates_low():
     base = gen.standard_normal(6)
     f = (base[:, None] + 1e-4 * gen.standard_normal((6, 9))).astype(np.float32)
     labels = np.ones((3, 3), np.uint8)
-    loss = diversity_loss(f, build_affinity_batch(labels))
+    loss = _pair_loss(_pair_affinity(f.T.astype(np.float64))[2], build_affinity_batch(labels))
     sig1 = 1 / (1 + math.exp(-1))
     assert loss == pytest.approx(1 - sig1, abs=1e-3)
     assert loss < 0.3
@@ -320,7 +317,7 @@ def test_diversity_loss_single_class_reduces_to_positive_term():
     gen = Rng(13).generator()
     f = gen.standard_normal((4, 6)).astype(np.float32)
     labels = np.full((2, 3), 2, np.uint8)
-    loss = diversity_loss(f, build_affinity_batch(labels))
+    loss = _pair_loss(_pair_affinity(f.T.astype(np.float64))[2], build_affinity_batch(labels))
     from excel.numerics import cosine_matrix, sigmoid
 
     u = sigmoid(cosine_matrix(f, f))
@@ -332,7 +329,7 @@ def test_diversity_loss_value_in_open_interval():
     for seed in range(20):
         f = gen.standard_normal((5, 9)).astype(np.float32)
         labels = gen.integers(0, 3, size=(3, 3)).astype(np.uint8)
-        loss = diversity_loss(f, build_affinity_batch(labels))
+        loss = _pair_loss(_pair_affinity(f.T.astype(np.float64))[2], build_affinity_batch(labels))
         assert 0.0 < loss < 2.0
 
 
@@ -347,7 +344,7 @@ def test_gradient_zero_on_plateau():
     plateau = AdapterParams({k: np.zeros_like(a) for k, a in adapter.tensors.items()}, 3.0, 1.0)
     plateau.tensors["fusion.b"] = np.ones_like(adapter.tensors["fusion.b"])
     batch = build_affinity_batch(np.ones((3, 3), np.uint8))
-    loss, grads = diversity_loss_gradient(trace, plateau, batch)
+    loss, grads = one_image_gradient(trace, plateau, batch)
     total = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
     assert total < 1e-6
 
@@ -358,7 +355,7 @@ def test_gradient_matches_central_differences(fusion_kernel):
     eps = 1e-3
     trace, adapter, labels = tiny_setup(seed=17, fusion_kernel=fusion_kernel)
     batch = build_affinity_batch(labels)
-    loss, grads = diversity_loss_gradient(trace, adapter, batch)
+    loss, grads = one_image_gradient(trace, adapter, batch)
     worst = 0.0
     for name, arr in adapter.tensors.items():
         flat = arr.reshape(-1)
@@ -385,8 +382,8 @@ def test_gradient_of_float64_copy_equals_float32_adapter(fusion_kernel):
     batch = build_affinity_batch(labels)
     copy = adapter.flattened(np.float64)[1]
     assert all(a.dtype == np.float64 for a in copy.tensors.values())
-    loss32, grads32 = diversity_loss_gradient(trace, adapter, batch)
-    loss64, grads64 = diversity_loss_gradient(trace, copy, batch)
+    loss32, grads32 = one_image_gradient(trace, adapter, batch)
+    loss64, grads64 = one_image_gradient(trace, copy, batch)
     assert loss32 == loss64
     assert grads32.keys() == grads64.keys()
     for name in grads32:
@@ -396,7 +393,7 @@ def test_gradient_of_float64_copy_equals_float32_adapter(fusion_kernel):
 def test_gradient_loss_matches_forward():
     trace, adapter, labels = tiny_setup(seed=18)
     batch = build_affinity_batch(labels)
-    loss_g, _ = diversity_loss_gradient(trace, adapter, batch)
+    loss_g, _ = one_image_gradient(trace, adapter, batch)
     loss_f = adapter_diversity_loss(trace, adapter, batch)
     assert loss_g == pytest.approx(loss_f, rel=1e-12)
 
@@ -437,9 +434,9 @@ def _loop_gradient(trace, params, batch):
     ids=["one", "three", "four-with-a-repeat", "limit1"],
 )
 def test_stacked_gradient_equals_the_per_image_sum(fixture_weights, fixture_static, fusion_kernel, picks, limit):
-    # each one-image call gives the loop's bytes, and one stacked pass
-    # over a batch adds into one flat vector exactly what the one-image
-    # calls sum to, from zero and in batch order
+    # each stack of one gives the loop's bytes, and one stacked pass
+    # over a batch adds into one flat vector exactly what the stacks of
+    # one sum to, from zero and in batch order
     cfg = PipelineConfig()
     adapter = init_adapter(
         Rng(21).child("adapter"), fixture_weights.dim, cfg.d_proj, cfg.d_dyn, fusion_kernel, 0.05, cfg.alpha, cfg.beta
@@ -454,7 +451,7 @@ def test_stacked_gradient_equals_the_per_image_sum(fixture_weights, fixture_stat
     want = {name: np.zeros(shape) for name, shape in adapter.shapes.items()}
     want_losses = []
     for trace, batch in zip(traces, batches):
-        loss, grads = diversity_loss_gradient(trace, adapter, batch)
+        loss, grads = one_image_gradient(trace, adapter, batch)
         loop_loss, loop_grads = _loop_gradient(trace, adapter, batch)
         assert np.float64(loss).tobytes() == np.float64(loop_loss).tobytes()
         want_losses.append(loss)
@@ -479,8 +476,8 @@ def test_stacked_relations_equal_per_image_biased_calibration(fixture_weights, f
     traces = [res.trace for res in fixture_static]
     features = adapter_forward_stack(traces, adapter)
     for trace, got_features, got in zip(traces, features, biased_calibrations(traces, adapter)):
-        want = biased_calibration(trace, adapter)
-        assert got_features.tobytes() == adapter_forward(trace, adapter).tobytes()
+        want = biased_calibrations([trace], adapter)[0]
+        assert got_features.tobytes() == adapter_forward_stack([trace], adapter)[0].tobytes()
         assert got.relation.tobytes() == want.relation.tobytes()
         assert (got.layers, got.weights) == (want.layers, want.weights) == (trace.calibration.layers, trace.calibration.weights)
 
@@ -502,18 +499,9 @@ def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, 
     shapes = adapter_shapes(64, cfg.d_proj, cfg.d_dyn, cfg.fusion_kernel)
     zero = AdapterParams({name: np.zeros(shape, np.float32) for name, shape in shapes.items()}, cfg.alpha, cfg.beta)
     zero.tensors["fusion.b"] = np.ones(cfg.d_dyn, np.float32)
-    dyn = dynamic_cam(
-        rec.image,
-        fixture_weights,
-        zero,
-        fixture_bank,
-        rec.labels,
-        cfg.tau_fg,
-        cfg.tau_bg,
-        static.trace,
-    )
+    dyn = dynamic_cams([rec], fixture_weights, zero, fixture_bank, cfg.tau_fg, cfg.tau_bg, [static.trace])[0]
     # identical features -> cosines all one -> relation uniformly zero
-    relation = dynamic_relation(adapter_forward(static.trace, zero), zero.alpha, zero.beta)
+    relation = dynamic_relation(adapter_forward_stack([static.trace], zero)[0], zero.alpha, zero.beta)
     np.testing.assert_allclose(relation.raw, 0.0, atol=1e-6)
     assert np.array_equal(
         dyn.cams.maps.argmax(axis=0), static.cams.maps.argmax(axis=0)
@@ -526,8 +514,8 @@ def test_dynamic_cam_deterministic(fixture_weights, fixture_bank, fixture_datase
     adapter = init_adapter(
         Rng(19), 64, cfg.d_proj, cfg.d_dyn, cfg.fusion_kernel, cfg.adapter_init_sigma, cfg.alpha, cfg.beta
     )
-    args = (rec.image, fixture_weights, adapter, fixture_bank, rec.labels, cfg.tau_fg, cfg.tau_bg)
-    d1 = dynamic_cam(*args, fixture_static[1].trace)
-    d2 = dynamic_cam(*args, fixture_static[1].trace)
+    args = ([rec], fixture_weights, adapter, fixture_bank, cfg.tau_fg, cfg.tau_bg, [fixture_static[1].trace])
+    d1 = dynamic_cams(*args)[0]
+    d2 = dynamic_cams(*args)[0]
     assert d1.cams.maps.tobytes() == d2.cams.maps.tobytes()
     assert np.array_equal(d1.labels, d2.labels)

@@ -16,7 +16,7 @@ from excel.encoder import (
     EncoderWeights,
     LayerTrace,
     _head_attention,
-    encode,
+    encode_stack,
     expected_row_sums,
     layer_attention,
     layer_norm,
@@ -242,7 +242,7 @@ def test_patchify_token_matches_unfold_oracle():
 
 
 def test_vanilla_rows_sum_to_one(fixture_weights):
-    trace = encode(random_image(20, 64), fixture_weights, VANILLA)
+    trace = encode_stack([random_image(20, 64)], fixture_weights, [VANILLA])[0]
     for layer in range(LAYER_COUNT):
         attn = layer_attention(trace, fixture_weights, layer)
         np.testing.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-5)
@@ -335,7 +335,7 @@ def test_row_sums_per_policy_constants():
         Calibration(layers=5, weights=(1 / 3, 1 / 3, 1 / 3), relation=masked),
     ]
     for policy in policies:
-        trace = encode(image, w, policy)
+        trace = encode_stack([image], w, [policy])[0]
         for layer in range(LAYER_COUNT):
             expected = expected_row_sums(policy, layer, 5)
             sums = layer_attention(trace, w, layer).sum(axis=2)
@@ -355,7 +355,7 @@ def test_icb_token_sized_relation_raises():
     w = tiny_weights(seed=31)
     policy = Calibration(layers=2, relation=np.zeros((5, 5), np.float32))
     with pytest.raises(ShapeError, match=r"not the grid size \(4, 4\)"):
-        encode(random_image(31, 8), w, policy)
+        encode_stack([random_image(31, 8)], w, [policy])
     with pytest.raises(ShapeError):
         expected_row_sums(policy, 11, 5)
     with pytest.raises(ShapeError):
@@ -400,7 +400,7 @@ def test_intra_identity_attention_on_scaled_orthogonal_values():
     w.tensors["pos_embed"] = np.vstack([np.zeros(dim, np.float32), had[:4]])
     w.tensors["cls_token"] = cls_row
 
-    trace = encode(image, w, policy)
+    trace = encode_stack([image], w, [policy])[0]
     attn0 = layer_attention(trace, w, 0)[0]
     # scaled orthogonal values: logits 8^2*8 / sqrt(8) on the diagonal, 0 off
     np.testing.assert_allclose(attn0, np.eye(5), atol=1e-6)
@@ -430,8 +430,8 @@ def test_icb_identity_relation_adds_identity():
     base = Calibration(layers=1)
     biased = Calibration(layers=1, relation=relation)
     image = random_image(41, 8)
-    attn_b = layer_attention(encode(image, w, base), w, 11)
-    attn_i = layer_attention(encode(image, w, biased), w, 11)
+    attn_b = layer_attention(encode_stack([image], w, [base])[0], w, 11)
+    attn_i = layer_attention(encode_stack([image], w, [biased])[0], w, 11)
     eye = np.zeros((5, 5), np.float32)
     eye[1:, 1:] = np.eye(hw)
     np.testing.assert_allclose(attn_i, attn_b + eye[None], atol=1e-6)
@@ -454,8 +454,8 @@ def test_relation_bias_shapes():
 def test_encode_deterministic(fixture_weights):
     image = random_image(50, 64)
     policy = Calibration(layers=5)
-    t1 = encode(image, fixture_weights, policy)
-    t2 = encode(image, fixture_weights, policy)
+    t1 = encode_stack([image], fixture_weights, [policy])[0]
+    t2 = encode_stack([image], fixture_weights, [policy])[0]
     assert t1.patch_features.tobytes() == t2.patch_features.tobytes()
     for layer in range(LAYER_COUNT):
         a, b = (layer_attention(t, fixture_weights, layer) for t in (t1, t2))
@@ -464,8 +464,8 @@ def test_encode_deterministic(fixture_weights):
 
 def test_zero_modified_layers_equals_vanilla(fixture_weights):
     image = random_image(51, 64)
-    t_ic = encode(image, fixture_weights, Calibration(layers=0))
-    t_qk = encode(image, fixture_weights, VANILLA)
+    t_ic = encode_stack([image], fixture_weights, [Calibration(layers=0)])[0]
+    t_qk = encode_stack([image], fixture_weights, [VANILLA])[0]
     assert t_ic.patch_features.tobytes() == t_qk.patch_features.tobytes()
     assert t_ic.inputs[-1].tobytes() == t_qk.inputs[-1].tobytes()
 
@@ -473,13 +473,13 @@ def test_zero_modified_layers_equals_vanilla(fixture_weights):
 def test_per_head_attention_shape(fixture_weights):
     image = random_image(52, 64)
     for policy in (VANILLA, VALUE_VALUE, Calibration(layers=5)):
-        trace = encode(image, fixture_weights, policy)
+        trace = encode_stack([image], fixture_weights, [policy])[0]
         for layer in range(LAYER_COUNT):
             assert layer_attention(trace, fixture_weights, layer).shape == (4, 17, 17)
 
 
 def test_trace_captures_qkv_and_features(fixture_weights):
-    trace = encode(random_image(53, 64), fixture_weights, VANILLA)
+    trace = encode_stack([random_image(53, 64)], fixture_weights, [VANILLA])[0]
     assert len(trace.features) == 12
     assert trace.features[0].shape == (17, 64)
     assert trace.patch_features.shape == (64, 4, 4)
@@ -511,10 +511,10 @@ def masked_relation(seed, hw):
 @pytest.mark.parametrize("calib_layers", [0, 5, 12])
 def test_prefix_resume_matches_full_biased_encode(fixture_weights, calib_layers):
     image = random_image(60, 64)
-    static = encode(image, fixture_weights, Calibration(layers=calib_layers))
+    static = encode_stack([image], fixture_weights, [Calibration(layers=calib_layers)])[0]
     biased = Calibration(layers=calib_layers, relation=masked_relation(61, 16))
-    full = encode(image, fixture_weights, biased)
-    resumed = encode(image, fixture_weights, biased, prefix=static)
+    full = encode_stack([image], fixture_weights, [biased])[0]
+    resumed = encode_stack([image], fixture_weights, [biased], [static])[0]
     assert len(full.inputs) == LAYER_COUNT + 1
     assert_traces_identical(resumed, full)
     # the frozen layers are shared with the prefix, not recomputed
@@ -524,7 +524,7 @@ def test_prefix_resume_matches_full_biased_encode(fixture_weights, calib_layers)
 
 
 def encode_capturing_maps(monkeypatch, image, weights, calibration, prefix=None):
-    """`encode`'s trace and, by layer, the bytes of each attention map the
+    """`encode_stack`'s trace of one image and, by layer, the bytes of each attention map the
     pass computed."""
     maps, real = {}, encoder._head_attention
 
@@ -537,7 +537,7 @@ def encode_capturing_maps(monkeypatch, image, weights, calibration, prefix=None)
 
     with monkeypatch.context() as patched:
         patched.setattr(encoder, "_head_attention", capture)
-        trace = encode(image, weights, calibration, prefix)
+        trace = encode_stack([image], weights, [calibration], None if prefix is None else [prefix])[0]
     return trace, maps
 
 
@@ -565,13 +565,13 @@ def test_layer_attention_recomputes_the_encoded_maps(monkeypatch, fixture_weight
 def test_mismatched_prefix_refused(fixture_weights):
     biased = Calibration(layers=5, relation=masked_relation(62, 16))
     image = random_image(62, 64)
-    other = encode(random_image(63, 64), fixture_weights, Calibration(layers=5))
+    other = encode_stack([random_image(63, 64)], fixture_weights, [Calibration(layers=5)])[0]
     with pytest.raises(DataError, match="different image"):
-        encode(image, fixture_weights, biased, prefix=other)
+        encode_stack([image], fixture_weights, [biased], [other])
     # layer 5 is calibrated in the prefix but must be plain below layer 7
-    deeper = encode(image, fixture_weights, Calibration(layers=7))
+    deeper = encode_stack([image], fixture_weights, [Calibration(layers=7)])[0]
     with pytest.raises(DataError, match="below the resume layer"):
-        encode(image, fixture_weights, biased, prefix=deeper)
+        encode_stack([image], fixture_weights, [biased], [deeper])
 
 
 @pytest.fixture(scope="module")
@@ -597,14 +597,14 @@ def test_stacked_pass_equals_per_image_encodes(stacked_inputs, size):
     static = encoder.encode_stack(images, weights, [calibrated] * len(images))
     assert len(static) == len(images)
     for image, got in zip(images, static):
-        assert_traces_identical(got, encode(image, weights, calibrated))
+        assert_traces_identical(got, encode_stack([image], weights, [calibrated])[0])
     # biased and resumed, a different relation per image
     biased = biased_per_image(calibrated, weights, len(images), seed=80)
     resumed = encoder.encode_stack(images, weights, biased, prefixes=static)
     for image, calibration, prefix, got in zip(images, biased, static, resumed):
         assert got.calibration is calibration
-        assert_traces_identical(got, encode(image, weights, calibration, prefix=prefix))
-        assert_traces_identical(got, encode(image, weights, calibration))
+        assert_traces_identical(got, encode_stack([image], weights, [calibration], [prefix])[0])
+        assert_traces_identical(got, encode_stack([image], weights, [calibration])[0])
 
 
 def chunk_sizes(count, weights):
@@ -900,14 +900,14 @@ def test_buffered_attention_equals_the_allocating_oracle(monkeypatch, stacked_in
 
 def test_traces_and_maps_hold_no_work_array(fixture_weights):
     calibration = Calibration(layers=5, relation=masked_relation(111, 16))
-    first = encode(random_image(111, 64), fixture_weights, calibration)
+    first = encode_stack([random_image(111, 64)], fixture_weights, [calibration])[0]
     first_map = layer_attention(first, fixture_weights, LAYER_COUNT - 1)
 
     def kept(trace):
         return [*trace.inputs, *trace.features, trace.patch_features]
 
     before = [a.tobytes() for a in (*kept(first), first_map)]
-    second = encode(random_image(112, 64), fixture_weights, calibration)
+    second = encode_stack([random_image(112, 64)], fixture_weights, [calibration])[0]
     second_map = layer_attention(second, fixture_weights, 0)
     arrays = [*kept(first), first_map, *kept(second), second_map]
     for (i, a), (j, b) in itertools.combinations(enumerate(arrays), 2):
@@ -922,11 +922,11 @@ def test_non_finite_weight_raises_numeric_error(name):
     poisoned[0, 0] = np.nan
     w.tensors[f"layers.03.{name}"] = poisoned
     with pytest.raises(NumericError, match="layer 3"):
-        encode(random_image(64, 8), w, Calibration(layers=5))
+        encode_stack([random_image(64, 8)], w, [Calibration(layers=5)])
 
 
 def test_non_finite_image_raises_numeric_error():
     image = random_image(65, 8)
     image[1, 2, 3] = np.nan
     with pytest.raises(NumericError):
-        encode(image, tiny_weights(seed=65), VANILLA)
+        encode_stack([image], tiny_weights(seed=65), [VANILLA])

@@ -1,8 +1,10 @@
-"""Property tests of the exit-code contract. A weights manifest, a config
-or a PGM header mutated into an invalid one makes `excel.cli.main` return
-1, 2 or 3; no exception escapes it."""
+"""Property tests of the exit-code contract. A weights manifest, a
+config, a checkpoint's meta or a PGM header mutated into an invalid one
+makes `excel.cli.main` return 1, 2 or 3; no exception escapes it."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import shutil
 import tempfile
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excel.blobio import is_positive_int
+from excel.blobio import is_finite_number, is_positive_int
 from excel.cli import main
 from excel.config import PATH_KEYS, PipelineConfig
 from excel.fixtures import FixtureSpec, generate_fixtures
@@ -161,6 +163,72 @@ def test_mutated_config_fails_cleanly(small, edit, raw):
         else:
             path.write_text(raw)
         assert main(["run", "--config", str(path), "--mode", "static-only"]) in FAILED
+
+
+# --------------------------------------------------------------------------
+# checkpoint meta
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(small, tmp_path_factory):
+    """(out_dir, final checkpoint) of a one-iteration `excel train` run on
+    the small fixture, under the default calibration."""
+    root = tmp_path_factory.mktemp("props-train")
+    mapping = {
+        "weights": str(small / "encoder.json"),
+        "knowledge": str(small / "knowledge.json"),
+        "dataset": str(small / "dataset"),
+        "out_dir": str(root / "run"),
+        "clusters": 4,
+        "iterations": 1,
+    }
+    (root / "cfg.json").write_text(json.dumps(mapping))
+    assert main(["train", "--config", str(root / "cfg.json")]) == 0
+    return root / "run", root / "run" / "train" / "checkpoint_000001.json"
+
+
+def _checkpoint_mutation(meta):
+    """(key path in the meta, value): an edit that leaves a field the
+    loaders read with a value that cannot be valid for the small fixture's
+    weights and the default calibration, or deletes it."""
+    not_finite = json_values.filter(lambda v: not is_finite_number(v))
+    settings = meta["train_config"]
+    return st.one_of(
+        st.tuples(st.just(("alpha",)), st.just(DELETE) | _NOT_POSITIVE | not_finite),
+        st.tuples(st.just(("beta",)), st.just(DELETE) | not_finite),
+        *(st.tuples(st.just((key,)), _other_than(meta[key])) for key in ("fusion_kernel", "dim", "train_config")),
+        *(
+            st.tuples(st.just(("train_config", key)), _other_than(settings[key]))
+            for key in ("calib_layers", "calib_weights")
+        ),
+    )
+
+
+@given(data=st.data())
+@PROPERTY
+def test_mutated_checkpoint_meta_fails_cleanly(small, small_checkpoint, data):
+    out_dir, checkpoint = small_checkpoint
+    manifest = json.loads(checkpoint.read_text())
+    (*parents, key), value = data.draw(_checkpoint_mutation(manifest["meta"]))
+    target = manifest["meta"]
+    for parent in parents:
+        target = target[parent]
+    _set(target, key, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(checkpoint.with_suffix(".bin"), Path(tmp) / manifest["blob"])
+        bad = Path(tmp) / "checkpoint.json"
+        bad.write_text(json.dumps(manifest))
+        common = ["--weights", str(small / "encoder.json"), "--image", str(small / "dataset" / "images" / "img_0000.ppm"),
+                  "--adapter", str(bad), "--out", str(Path(tmp) / "out")]
+        for argv in (
+            ["cam", "--mode", "dynamic", "--bank", str(out_dir / "attrs.json"), "--labels", "1", *common],
+            ["attn-report", "--policies", "icb", *common],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            assert code in FAILED and len(lines) == 1 and lines[0].startswith("error: "), (argv[0], code, lines)
 
 
 # --------------------------------------------------------------------------

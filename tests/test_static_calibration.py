@@ -12,11 +12,10 @@ from excel.static_calibration import (
     cam_to_pseudo_label,
     load_cams,
     run_static_passes,
-    run_static_pipeline,
     save_cams,
     static_cam,
 )
-from excel.encoder import LAYER_COUNT, NAMED_CALIBRATIONS, Calibration, _head_attention, self_attention
+from excel.encoder import LAYER_COUNT, NAMED_CALIBRATIONS, Calibration, _head_attention, encode_stack, self_attention
 from excel.text_enrichment import TextRepresentation
 from excel.config import PipelineConfig
 
@@ -117,10 +116,8 @@ def test_static_cam_scale_invariance():
 
 
 def test_static_cam_values_in_unit_interval(fixture_weights, fixture_bank, fixture_dataset):
-    from excel.encoder import encode
-
     rec = fixture_dataset.images[0]
-    trace = encode(rec.image, fixture_weights, Calibration(layers=5))
+    trace = encode_stack([rec.image], fixture_weights, [Calibration(layers=5)])[0]
     cams = static_cam(trace.patch_features, fixture_bank, rec.labels)
     assert cams.maps.min() >= 0.0 and cams.maps.max() <= 1.0
 
@@ -179,7 +176,7 @@ def test_pseudo_label_threshold_ordering():
 def static_result(rec, weights, bank, policy=None):
     cfg = PipelineConfig()
     policy = cfg.calibration() if policy is None else policy
-    return run_static_pipeline(rec.image, weights, bank, rec.labels, policy, cfg.tau_fg, cfg.tau_bg)
+    return run_static_passes([rec], weights, bank, policy, cfg.tau_fg, cfg.tau_bg, keep_traces=True)[0]
 
 
 def test_pseudo_labels_only_from_present_classes(fixture_weights, fixture_bank, fixture_dataset):

@@ -7,7 +7,7 @@ import pytest
 
 from excel import dynamic_calibration, encoder, static_calibration, training_eval
 from excel.dynamic_calibration import init_adapter
-from excel.encoder import LAYER_COUNT, NAMED_CALIBRATIONS, Calibration, encode, layer_attention
+from excel.encoder import LAYER_COUNT, NAMED_CALIBRATIONS, Calibration, encode_stack, layer_attention
 from excel.errors import DataError, NumericError, UsageError
 from excel.blobio import load_tensors, save_tensors
 from excel.config import PipelineConfig
@@ -20,13 +20,13 @@ from excel.training_eval import (
     load_checkpoint,
     mean_row_entropy,
     read_loss_curve,
-    replay_iteration,
     report_text,
     save_checkpoint,
     train_loop,
     upsample_labels,
     write_loss_curve,
 )
+from conftest import one_image_gradient
 
 
 def small_config(**overrides):
@@ -277,7 +277,7 @@ def test_attn_report_fixture_policies(fixture_weights, fixture_dataset):
         assert 0.0 <= entry["mean_row_entropy"] <= math.log(17) + 1e-6
         assert entry["token_relation"].shape == (hw, hw)
     # independent entropy recomputation for one policy
-    trace = encode(rec.image, fixture_weights, NAMED_CALIBRATIONS["vanilla"])
+    trace = encode_stack([rec.image], fixture_weights, [NAMED_CALIBRATIONS["vanilla"]])[0]
     attn = layer_attention(trace, fixture_weights, LAYER_COUNT - 1).astype(np.float64)
     rows = attn / attn.sum(axis=2, keepdims=True)
     ent = float(np.where(rows > 0, -rows * np.log(rows), 0.0).sum(axis=2).mean())
@@ -308,18 +308,19 @@ def test_train_loop_zero_iterations_returns_init(fixture_weights, fixture_static
 
 def test_iteration_loss_is_the_per_image_mean_in_batch_order(fixture_weights, fixture_static):
     # a batch of 6 over 4 images wraps the dataset and holds two images
-    # twice; the flat mean gradient is the one-image gradients summed from
-    # zero in batch order, then divided, as one tensor at a time
+    # twice; the flat mean gradient is the gradients of stacks of one
+    # summed from zero in batch order, then divided, as one tensor at a time
     static = fixture_static[:4]
     cfg = small_config(batch_size=6, pair_sample_limit=40)
     adapter = init_adapter(Rng(24), fixture_weights.dim, cfg.d_proj, cfg.d_dyn, 1, 0.05, cfg.alpha, cfg.beta)
-    loss, grad = training_eval._iteration_loss(static, 1, cfg, adapter)
+    work = np.empty((2, sum(t.size for t in adapter.tensors.values())))
+    loss, grad = training_eval._iteration_loss(static, 1, cfg, adapter, work)
     rng = Rng(cfg.seed).child("it.1")
     div_sum, want = 0.0, {name: np.zeros(shape) for name, shape in adapter.shapes.items()}
     for j in range(6):
         sres = static[(6 + j) % 4]
         batch = dynamic_calibration.build_affinity_batch(sres.labels, 40, rng.child(f"pairs.{j}"))
-        div, grads = dynamic_calibration.diversity_loss_gradient(sres.trace, adapter.flattened(np.float64)[1], batch)
+        div, grads = one_image_gradient(sres.trace, adapter.flattened(np.float64)[1], batch)
         div_sum += div
         for name, g in grads.items():
             want[name] += g
@@ -341,7 +342,8 @@ def test_iteration_loss_memory_does_not_grow_by_a_gradient_per_image(fixture_wei
     def peak(batch_size):
         tracemalloc.start()
         try:
-            training_eval._iteration_loss(fixture_static, 0, PipelineConfig(batch_size=batch_size), adapter)
+            work = np.empty((2, sum(t.size for t in adapter.tensors.values())))
+            training_eval._iteration_loss(fixture_static, 0, PipelineConfig(batch_size=batch_size), adapter, work)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -439,7 +441,8 @@ def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_static):
     curve = {row[0]: row for row in result.curve}
     for k in (0, 2):
         adapter, meta = load_checkpoint(tmp_path / f"checkpoint_{k:06d}.json", fixture_weights.dim)
-        div = replay_iteration(k, fixture_static, cfg, adapter)
+        work = np.empty((2, sum(t.size for t in adapter.tensors.values())))
+        div = training_eval._iteration_loss(fixture_static, k, cfg, adapter, work)[0]
         assert div == pytest.approx(curve[k][1], abs=1e-5)
 
 

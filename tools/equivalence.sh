@@ -7,7 +7,7 @@
 # exits 0; otherwise it names every file and JSON key that differs.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
-# About 30 s on a 2-vCPU VM.
+# About 31-33 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -124,6 +124,17 @@ done
 excel cam --mode dynamic --weights fx/encoder.json --bank kernel3/attrs.json \
     --image fx/dataset/images/img_0002.ppm --labels "$labels" \
     --adapter kernel3/train/checkpoint_000005.json --config kernel3.json --out cam-kernel3 > cam-kernel3.log
+# no --config: thresholds and calibration are PipelineConfig's defaults,
+# under which the full run's adapter was trained
+for mode in static dynamic; do
+    excel cam --mode "$mode" --weights fx/encoder.json --bank full/attrs.json \
+        --image fx/dataset/images/img_0001.ppm --labels 1 \
+        --adapter full/train/checkpoint_000017.json --out "cam-$mode-defaults" > "cam-$mode-defaults.log"
+done
+# --labels out of order and with a repeated id
+excel cam --mode dynamic --weights fx/encoder.json --bank full/attrs.json \
+    --image fx/dataset/images/img_0000.ppm --labels 2,1,1 \
+    --adapter full/train/checkpoint_000017.json --config full.json --out cam-labels-unordered > cam-labels-unordered.log
 # a static CAM under the config's vanilla policy, not the training calibration
 excel cam --mode static --weights fx/encoder.json --bank vanilla/attrs.json \
     --image fx/dataset/images/img_0002.ppm --labels "$labels" --config vanilla.json --out cam-vanilla > cam-vanilla.log
