@@ -110,7 +110,9 @@ def read_json_object(path, what: str, error: type[ExcelError]) -> dict:
 
 
 def save_tensors(path, tensors, meta=None, provenance=None) -> Path:
-    """Write manifest + blob. `tensors` is an ordered name -> array mapping."""
+    """Write manifest + blob. `tensors` is an ordered name -> array mapping.
+    A tensor that is not finite as float32 raises NumericError before
+    either file is written."""
     path = Path(path)
     blob_path = path.with_suffix(".bin")
     if blob_path == path:
@@ -120,6 +122,8 @@ def save_tensors(path, tensors, meta=None, provenance=None) -> Path:
     offset = 0
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.isfinite(arr).all():
+            raise NumericError(f"tensor '{name}' for {path} contains non-finite values")
         raw = arr.tobytes()
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         chunks.append(raw)

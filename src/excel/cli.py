@@ -8,6 +8,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,7 +264,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # a failing command prints one `error:` line and no numpy warning;
+        # unlike np.errstate, this filter covers the encoder's helper thread
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return _COMMANDS[args.command](args)
     except ExcelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

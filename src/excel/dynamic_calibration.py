@@ -202,23 +202,21 @@ class AffinityBatch:
         return max(int(self.positive.sum()), 1), max(int(self.negative.sum()), 1)
 
 
-def build_affinity_batch(
-    labels: PseudoLabelMap, sample_limit: int | None = None, rng: Rng | None = None
-) -> AffinityBatch:
+def build_affinity_batch(labels: PseudoLabelMap, sample_limit: int, rng: Rng) -> AffinityBatch:
     """All ordered pairs of non-ignored tokens, split by label agreement.
 
-    The diagonal counts as positive. With `sample_limit` set and exceeded,
-    a seeded uniform subsample of that many pairs is drawn over the
-    row-major order of the valid pairs.
+    The diagonal counts as positive. When there are more than
+    `sample_limit` pairs, a uniform subsample of that many, drawn from
+    `rng`, is kept over the row-major order of the valid pairs.
     """
     flat = np.asarray(labels).reshape(-1)
     valid = flat != IGNORE_LABEL
     if not valid.any():
         raise NumericError("degenerate affinity supervision: every token is ignored")
     pairs = valid[:, None] & valid[None, :]
-    if sample_limit is not None and pairs.sum() > sample_limit:
+    if pairs.sum() > sample_limit:
         index = np.flatnonzero(pairs)
-        keep = (rng or Rng(0)).generator().permutation(index.size)[:sample_limit]
+        keep = rng.generator().permutation(index.size)[:sample_limit]
         pairs = np.zeros_like(pairs)
         pairs.flat[index[keep]] = True
     same = flat[:, None] == flat[None, :]

@@ -180,16 +180,6 @@ class Calibration:
             raise UsageError(f"calib_weights must be 3 finite non-negative values, got {self.weights}")
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def name(self) -> str:
-        if self.relation is not None:
-            return "intra_correlation_biased"
-        if self.layers == 0:
-            return "vanilla"
-        if self == NAMED_CALIBRATIONS["value_value"]:
-            return "value_value"
-        return "intra_correlation"
-
     def modified_layers(self) -> set[int]:
         return set(range(LAYER_COUNT - self.layers, LAYER_COUNT))
 
@@ -314,22 +304,15 @@ class AttentionWork:
         return cls(*(np.empty(shape, dtype) for dtype in (np.float64, np.float32, np.float64, np.float32)))
 
 
-def _attention(a: np.ndarray, b: np.ndarray, head_dim: int, work: AttentionWork | None = None) -> np.ndarray:
+def _attention(a: np.ndarray, b: np.ndarray, head_dim: int, work: AttentionWork) -> np.ndarray:
     """softmax(a b^T / sqrt(head_dim)) of one head's (T, D_s) tokens or an
     (.., H, T, D_s) stack, written to `work.attn`; the logits are rounded
     to float32 before the scaling and after it. Unchecked: `encode_stack`
     checks q, k and v before attention."""
-    work = AttentionWork.of(a.shape) if work is None else work
     np.matmul(a.astype(np.float64), b.swapaxes(-1, -2).astype(np.float64), out=work.wide)
     np.copyto(work.logits, work.wide)
     np.divide(work.logits, math.sqrt(head_dim), out=work.logits, dtype=np.float64)
     return nm.softmax_rows_unchecked(work.logits, out=work.attn, work=work.wide)
-
-
-def self_attention(o: np.ndarray, head_dim: int, work: AttentionWork | None = None) -> np.ndarray:
-    """softmax(o o^T / sqrt(head_dim)), the SA(o, o) term of a calibrated
-    layer."""
-    return _attention(o, o, head_dim, work)
 
 
 def relation_bias(relation: np.ndarray, tokens: int) -> np.ndarray:
@@ -351,19 +334,18 @@ def _head_attention(
     v: np.ndarray,
     head_dim: int,
     bias: np.ndarray | None,
-    work: AttentionWork | None = None,
+    work: AttentionWork,
 ) -> np.ndarray:
     """Attention maps at `layer` of every head of the (.., H, T, D_s)
     stacks q, k and v, or of one head's (T, D_s) tokens, written to
     `work.attn`."""
-    work = AttentionWork.of(q.shape) if work is None else work
     if layer < LAYER_COUNT - calibration.layers:
         return _attention(q, k, head_dim, work)
     # a zero weight's term is skipped: adding an exact 0.0 changes no bit
     work.mix.fill(0.0)
     for w, o in zip(calibration.weights, (q, k, v)):
         if w:
-            np.multiply(self_attention(o, head_dim, work), w, out=work.wide, dtype=np.float64)
+            np.multiply(_attention(o, o, head_dim, work), w, out=work.wide, dtype=np.float64)
             np.add(work.mix, work.wide, out=work.mix)
     attn = work.attn
     np.copyto(attn, work.mix)
@@ -607,4 +589,4 @@ def layer_attention(trace: LayerTrace, weights: EncoderWeights, layer: int) -> n
     q_h, k_h, v_h = _heads_qkv(h, weights.layers[layer], weights.heads, layer)
     relation = trace.calibration.relation
     bias = None if relation is None else relation_bias(relation, h.shape[0])
-    return _head_attention(trace.calibration, layer, q_h, k_h, v_h, weights.head_dim, bias)
+    return _head_attention(trace.calibration, layer, q_h, k_h, v_h, weights.head_dim, bias, AttentionWork.of(q_h.shape))

@@ -7,10 +7,9 @@ modules, is float64 `@` (BLAS). What is tested is that outputs are
 byte-identical across runs and across 1 or 2 BLAS/OpenMP threads on one
 machine, at T=17 and at T=257 tokens; equal bits across CPUs are not
 promised. -inf is admitted only as the masking sentinel of relation
-matrices fed to softmax_rows; NaN and +inf are rejected at every public
-boundary. The `*_unchecked` variants skip that input check for hot
-loops that check what they compute instead (the encoder); the
-arithmetic is shared.
+matrices fed to softmax_rows; NaN and +inf are rejected at every checked
+boundary. The `*_unchecked` functions skip that input check for the
+encoder's hot loops, which check what they compute instead.
 """
 
 from dataclasses import dataclass
@@ -35,19 +34,10 @@ def as_f32(x, name: str = "array", allow_neg_inf: bool = False) -> np.ndarray:
     return arr
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with float64 accumulation."""
-    a = as_f32(a, "matmul lhs")
-    b = as_f32(b, "matmul rhs")
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DataError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return matmul_unchecked(a, b)
-
-
 def matmul_unchecked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`matmul` without its input checks, for callers that check the
-    finiteness of what they compute from the result instead. Operands may
-    be transposed views or (H, ., .) stacks."""
+    """Matrix product with float64 accumulation and no input check, for
+    callers that check the finiteness of what they compute from the
+    result. Operands may be transposed views or (H, ., .) stacks."""
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(F32)
 
 
@@ -60,17 +50,13 @@ _SIGMOID_LO = np.nextafter(np.float32(0.0), np.float32(1.0))
 _SIGMOID_HI = np.nextafter(np.float32(1.0), np.float32(0.0))
 
 
-def sigmoid(a) -> np.ndarray:
-    """Numerically stable elementwise logistic function.
+def sigmoid_unchecked(a: np.ndarray) -> np.ndarray:
+    """Numerically stable elementwise logistic function, without a
+    finiteness check.
 
     Outputs stay strictly inside (0, 1): saturated values clamp to the
     nearest representable float32 neighbors of 0 and 1.
     """
-    return sigmoid_unchecked(as_f32(a, "sigmoid input"))
-
-
-def sigmoid_unchecked(a: np.ndarray) -> np.ndarray:
-    """`sigmoid` of a float32 array without the finiteness check."""
     x = a.astype(np.float64)
     # 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) below; e <= 1
     # cannot overflow. The steps run in place where they can.

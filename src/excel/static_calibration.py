@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .blobio import is_grid, is_positive_int, load_tensors, save_tensors
+from .blobio import save_tensors
 from .encoder import Calibration, EncoderWeights, LayerTrace, encode_chunks
 from .errors import DataError, UsageError
 from .text_enrichment import TextRepresentation
@@ -27,9 +27,6 @@ class CamStack:
     maps: np.ndarray  # (k, h, w) float32 in [0, 1]
     class_ids: list[int]  # ascending dataset label values
     grid: tuple[int, int]
-
-    def map_for(self, class_id: int) -> np.ndarray:
-        return self.maps[self.class_ids.index(class_id)]
 
 
 PseudoLabelMap = np.ndarray  # (h, w) uint8: class id, 0 background, 255 ignore
@@ -131,16 +128,3 @@ def save_cams(path, cams: CamStack, provenance=None) -> Path:
     tensors = {f"cam.{cid:03d}": cams.maps[i] for i, cid in enumerate(cams.class_ids)}
     meta = {"class_ids": cams.class_ids, "grid": list(cams.grid)}
     return save_tensors(path, tensors, meta=meta, provenance=provenance)
-
-
-def _is_class_id_list(value) -> bool:
-    ints = isinstance(value, list) and len(value) > 0 and all(map(is_positive_int, value))
-    return ints and value == sorted(set(value))
-
-
-def load_cams(path) -> CamStack:
-    tf = load_tensors(path)
-    class_ids = tf.meta_value("class_ids", _is_class_id_list, "a non-empty ascending list of positive integers")
-    grid = tuple(tf.meta_value("grid", is_grid, "a list of 2 positive integers"))
-    maps = np.stack([tf.require(f"cam.{cid:03d}", grid) for cid in class_ids], axis=0)
-    return CamStack(maps=maps, class_ids=class_ids, grid=grid)

@@ -81,8 +81,9 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     and `state`, in place, from the flat `grads`, which stay as they are.
 
     Moments are bias-corrected; math runs in float64 over ADAM_BLOCK
-    elements at a time, storage stays float32. A non-finite update raises
-    NumericError naming its parameter, with the blocks before it updated.
+    elements at a time, storage stays float32. A parameter or moment not
+    finite as float32 raises NumericError naming its parameter, with the
+    blocks up to it updated.
     """
     if not grads.shape == params.shape == state.m.shape:
         raise DataError(
@@ -120,10 +121,11 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
             if lo < hi:
                 p[lo - start : hi - start] = params[lo:hi]
         p -= work
-        if not np.isfinite(p).all():
-            first = start + int(np.argmin(np.isfinite(p)))
-            raise NumericError(f"non-finite update for parameter '{_name_at(state.shapes, first)}'")
         params[block], state.m[block], state.v[block] = p, m, v
+        finite = np.isfinite(params[block]) & np.isfinite(state.m[block]) & np.isfinite(state.v[block])
+        if not finite.all():
+            first = start + int(np.argmin(finite))
+            raise NumericError(f"non-finite update for parameter '{_name_at(state.shapes, first)}'")
     state.step = t
 
 
@@ -242,8 +244,8 @@ def train_loop(
     static: list[CamResult],
     dim: int,
     config: PipelineConfig,
-    out_dir=None,
-    provenance=None,
+    out_dir,
+    provenance: dict,
 ) -> TrainResult:
     """Seeded single-writer optimization of the adapter on the diversity loss.
 
@@ -252,8 +254,8 @@ def train_loop(
     the encoder width. Training makes no encoder call. Per iteration:
     affinity pairs from the static labels, the diversity loss and its
     gradient on the static traces, one AdamW step on the mean batch
-    gradients. Emits a loss-curve CSV and checkpoints when `out_dir` is
-    given.
+    gradients. Writes the loss-curve CSV and the checkpoints, stamped with
+    `provenance`, into `out_dir`.
     """
     adapter = init_adapter(
         Rng(config.seed).child("adapter"),
@@ -269,16 +271,15 @@ def train_loop(
     theta, adapter = adapter.flattened()
     state = init_adam_state(adapter.shapes, config.lr, config.weight_decay)
     work = np.empty((2, theta.size))  # each iteration's float64 adapter and gradient
-    out_dir = Path(out_dir) if out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     curve: list[tuple[int, float]] = []
     # the settings the adapter was trained with: not the run's paths, nor the exported static stage's policy
     settings = {k: v for k, v in config.to_dict().items() if k not in (*PATH_KEYS, "policy")}
     meta = {"train_config": settings, "dim": dim}
     for it in range(config.iterations + 1):
         final = it == config.iterations
-        if out_dir and (final or (config.checkpoint_every and it % config.checkpoint_every == 0)):
+        if final or (config.checkpoint_every and it % config.checkpoint_every == 0):
             save_checkpoint(checkpoint_path(out_dir, it), adapter, {**meta, "iteration": it}, provenance=provenance)
         if final:
             break
@@ -287,8 +288,7 @@ def train_loop(
         if not math.isfinite(div_mean) or div_mean > config.divergence_threshold:
             raise NumericError(f"training diverged at iteration {it}: diversity loss {div_mean:.3f}")
         adamw_step(theta, grad, state)
-    if out_dir:
-        write_loss_curve(out_dir / "loss_curve.csv", curve)
+    write_loss_curve(out_dir / "loss_curve.csv", curve)
     return TrainResult(adapter=adapter, curve=curve)
 
 

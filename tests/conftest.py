@@ -1,12 +1,15 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from excel import encoder
+from excel.blobio import save_tensors, write_json
 from excel.config import PipelineConfig
 from excel.dataset import load_dataset
-from excel.dynamic_calibration import diversity_loss_gradient_stack
+from excel.dynamic_calibration import build_affinity_batch, diversity_loss_gradient_stack
 from excel.encoder import load_weights
 from excel.fixtures import FixtureSpec, generate_fixtures
 from excel.numerics import Rng
@@ -29,6 +32,24 @@ def one_image_gradient(trace, params, batch):
     `diversity_loss_gradient_stack` over a stack of one, from zero."""
     grads = {name: np.zeros(shape) for name, shape in params.shapes.items()}
     return diversity_loss_gradient_stack([trace], params, [batch], grads)[0], grads
+
+
+def save_non_finite(path, tensors, **kwargs):
+    """The tensor file `save_tensors` would write for `tensors`, which may
+    hold values it refuses: saved as zeros, then the blob rewritten with
+    the values and its checksum renewed. Returns the manifest path."""
+    path = save_tensors(path, {name: np.zeros(np.shape(a), np.float32) for name, a in tensors.items()}, **kwargs)
+    blob = b"".join(np.ascontiguousarray(a, "<f4").tobytes() for a in tensors.values())
+    path.with_suffix(".bin").write_bytes(blob)
+    manifest = json.loads(path.read_text())
+    manifest["checksum_sha256"] = hashlib.sha256(blob).hexdigest()
+    return write_json(path, manifest)
+
+
+def every_pair(labels):
+    """`build_affinity_batch` of a label map with a limit no pair count
+    exceeds, so no pair is sampled away and the stream is never drawn."""
+    return build_affinity_batch(labels, np.size(labels) ** 2, Rng(0))
 
 
 @pytest.fixture(scope="session")

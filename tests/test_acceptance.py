@@ -15,7 +15,6 @@ from excel.config import PipelineConfig, parse_config
 from excel.dynamic_calibration import (
     AdapterParams,
     adapter_diversity_loss,
-    build_affinity_batch,
     dynamic_cams,
     dynamic_relation,
     init_adapter,
@@ -39,7 +38,7 @@ from excel.text_enrichment import (
     hunt_attributes,
 )
 from excel.training_eval import evaluate, train_loop, upsample_labels
-from conftest import one_image_gradient
+from conftest import every_pair, one_image_gradient
 
 TRAIN_ITERATIONS = 500
 
@@ -53,7 +52,7 @@ def ok(num, message):
 
 
 @pytest.fixture(scope="module")
-def toy_run(fixture_paths, fixture_weights, fixture_dataset, fixture_kb, fixture_bank, fixture_static):
+def toy_run(tmp_path_factory, fixture_paths, fixture_weights, fixture_dataset, fixture_kb, fixture_bank, fixture_static):
     # fixture_bank is clustered with cfg's topk and lam under seed 7, and
     # fixture_static is its calibrated pass under cfg's calibration
     cfg = PipelineConfig(iterations=TRAIN_ITERATIONS, seed=7)
@@ -81,7 +80,7 @@ def toy_run(fixture_paths, fixture_weights, fixture_dataset, fixture_kb, fixture
     backbone_before = b"".join(
         arr.tobytes() for arr in fixture_weights.tensors.values()
     )
-    train_result = train_loop(fixture_static, fixture_weights.dim, cfg)
+    train_result = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path_factory.mktemp("train"), {})
     backbone_after = b"".join(
         arr.tobytes() for arr in fixture_weights.tensors.values()
     )
@@ -185,7 +184,7 @@ def test_criterion_3_gradient_oracle():
     worst = 0.0
     for seed in range(20):
         trace, adapter, labels = _tiny_gradient_instance(seed)
-        batch = build_affinity_batch(labels)
+        batch = every_pair(labels)
         _, grads = one_image_gradient(trace, adapter, batch)
         for name, arr in adapter.tensors.items():
             flat = arr.reshape(-1)

@@ -9,6 +9,7 @@ from excel.blobio import load_tensors, save_tensors
 from excel.errors import ChecksumError, DataError, MissingTensorError, NumericError, ShapeError
 from excel.hashing import fnv1a64
 from excel.numerics import Rng
+from conftest import save_non_finite
 
 
 def test_fnv1a64_known_vectors():
@@ -49,9 +50,19 @@ def test_round_trip_bitwise(tmp_path):
 def test_non_finite_tensor_is_refused_at_load(tmp_path, value):
     tensors = _sample_tensors()
     tensors["beta"][3] = value
-    path = save_tensors(tmp_path / "t.json", tensors)
+    path = save_non_finite(tmp_path / "t.json", tensors)
     with pytest.raises(NumericError, match=r"tensor 'beta' in .*t\.json contains non-finite values"):
         load_tensors(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "past-float32"])
+def test_non_finite_tensor_is_refused_at_save(tmp_path, value):
+    # a float64 value past the float32 range is stored as inf: refused too,
+    # and neither file is written
+    tensors = {**_sample_tensors(), "beta": np.full(4, value)}
+    with pytest.raises(NumericError, match=r"tensor 'beta' for .*t\.json contains non-finite values"):
+        save_tensors(tmp_path / "t.json", tensors)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_peak_is_one_blob_of_writable_views(tmp_path):

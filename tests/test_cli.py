@@ -19,6 +19,7 @@ from excel.fixtures import FixtureSpec, generate_fixtures, make_encoder_weights
 from excel.images import read_pgm, write_pgm
 from excel.numerics import Rng
 from excel.text_enrichment import build_text_bank, ingest_knowledge, save_bank
+from conftest import save_non_finite
 
 
 @pytest.fixture(scope="module")
@@ -523,6 +524,26 @@ def test_exit_code_malformed_checkpoint_meta(cli_fixtures, cli_trained, tmp_path
     assert str(bad) in one_error_line(proc.returncode, proc.stderr, 2)
 
 
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("run", {"alpha": 1e300}, "relation matrix contains non-finite values"),
+        ("train", {"lr": 1e300}, "non-finite update for parameter 'delta.00.w'"),
+    ],
+    ids=["run-alpha", "train-lr"],
+)
+def test_numeric_failure_prints_only_its_error_line(cli_fixtures, tmp_path, command, setting, message):
+    # values past the float32 range make numpy warn as they are cast; the
+    # warnings print nothing before the one `error:` line, and a failed
+    # training writes no final checkpoint
+    out_dir = tmp_path / "out"
+    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out_dir, iterations=1, **setting)
+    proc = run_excel(command, "--config", str(cfg_path))
+    assert message in one_error_line(proc.returncode, proc.stderr, 3)
+    if command == "train":
+        assert not (out_dir / "train" / "checkpoint_000001.json").exists()
+
+
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0], ids=["negative", "zero", "zero-int"])
 @pytest.mark.parametrize("command", ["cam-dynamic", "attn-report-icb"])
 def test_exit_code_checkpoint_alpha_not_positive(cli_fixtures, cli_trained, tmp_path, capsys, command, alpha):
@@ -657,7 +678,7 @@ def test_exit_code_non_finite_knowledge(cli_fixtures, tmp_path, capsys, command,
     poisoned = dict(tf.tensors)
     poisoned["descriptions.00"] = poisoned["descriptions.00"].copy()
     poisoned["descriptions.00"][1, 2] = value
-    kb = save_tensors(tmp_path / "kb_bad.json", poisoned, meta=tf.meta, provenance=tf.provenance)
+    kb = save_non_finite(tmp_path / "kb_bad.json", poisoned, meta=tf.meta, provenance=tf.provenance)
     if command == "build-attrs":
         argv = ["build-attrs", "--kb", str(kb), "--clusters", "8", "--out", str(tmp_path / "bank.json")]
     else:

@@ -18,11 +18,11 @@ from excel.dynamic_calibration import (
     flat_views,
     init_adapter,
 )
-from excel.encoder import LAYER_COUNT, Calibration, LayerTrace, _head_attention, relation_bias
+from excel.encoder import LAYER_COUNT, AttentionWork, Calibration, LayerTrace, _head_attention, relation_bias
 from excel.errors import DataError, NumericError, UsageError
 from excel.numerics import Rng
 from excel.config import PipelineConfig
-from conftest import one_image_gradient
+from conftest import every_pair, one_image_gradient
 
 
 def trace_from_features(features, grid):
@@ -187,7 +187,7 @@ def biased_attention(o, weights, relation):
     are all `o`: the weighted self-attention mix plus the relation bias."""
     calibration = Calibration(layers=1, weights=weights, relation=relation)
     bias = relation_bias(relation, o.shape[0])
-    return _head_attention(calibration, LAYER_COUNT - 1, o, o, o, o.shape[1], bias)
+    return _head_attention(calibration, LAYER_COUNT - 1, o, o, o, o.shape[1], bias, AttentionWork.of(o.shape))
 
 
 def test_biased_attention_uniform_relation():
@@ -229,7 +229,7 @@ def test_biased_attention_row_sums_additive():
 
 def test_affinity_batch_full_pairing_counts():
     labels = np.array([[1, 1], [0, 255]], np.uint8)
-    batch = build_affinity_batch(labels)
+    batch = every_pair(labels)
     valid = 3
     assert batch.positive.sum() + batch.negative.sum() == valid * valid
     assert batch.positive.sum() == 5  # (0,0),(0,1),(1,0),(1,1) same-class plus (2,2)
@@ -239,14 +239,14 @@ def test_affinity_batch_full_pairing_counts():
 def test_affinity_batch_all_ignored_raises():
     labels = np.full((2, 2), 255, np.uint8)
     with pytest.raises(NumericError, match="degenerate affinity supervision"):
-        build_affinity_batch(labels)
+        every_pair(labels)
 
 
 def test_affinity_batch_sampling_deterministic():
     gen = Rng(10).generator()
     labels = gen.integers(0, 3, size=(6, 6)).astype(np.uint8)
-    b1 = build_affinity_batch(labels, sample_limit=100, rng=Rng(11))
-    b2 = build_affinity_batch(labels, sample_limit=100, rng=Rng(11))
+    b1 = build_affinity_batch(labels, 100, Rng(11))
+    b2 = build_affinity_batch(labels, 100, Rng(11))
     assert b1.positive.sum() + b1.negative.sum() == 100
     assert np.array_equal(b1.positive, b2.positive)
     assert np.array_equal(b1.negative, b2.negative)
@@ -273,7 +273,7 @@ def test_affinity_masks_equal_pair_list_reference(side, sample_limit):
     labels = gen.integers(0, 4, size=(side, side)).astype(np.uint8)
     labels[gen.random((side, side)) < 0.25] = 255
     labels[-1, -1] = 1
-    batch = build_affinity_batch(labels, sample_limit, Rng(7))
+    batch = build_affinity_batch(labels, labels.size**2 if sample_limit is None else sample_limit, Rng(7))
     hw = side * side
     assert batch.positive.shape == batch.negative.shape == (hw, hw)
     assert batch.positive.dtype == batch.negative.dtype == bool
@@ -296,7 +296,7 @@ def test_diversity_loss_two_orthogonal_groups():
     f[0, :2] = 1.0
     f[1, 2:] = 1.0
     labels = np.array([[1, 1], [2, 2]], np.uint8)
-    loss = _pair_loss(_pair_affinity(f.T.astype(np.float64))[2], build_affinity_batch(labels))
+    loss = _pair_loss(_pair_affinity(f.T.astype(np.float64))[2], every_pair(labels))
     sig1 = 1 / (1 + math.exp(-1))
     expected = (1 - sig1) + 0.5
     assert loss == pytest.approx(expected, abs=1e-3)
@@ -307,7 +307,7 @@ def test_diversity_loss_near_collinear_saturates_low():
     base = gen.standard_normal(6)
     f = (base[:, None] + 1e-4 * gen.standard_normal((6, 9))).astype(np.float32)
     labels = np.ones((3, 3), np.uint8)
-    loss = _pair_loss(_pair_affinity(f.T.astype(np.float64))[2], build_affinity_batch(labels))
+    loss = _pair_loss(_pair_affinity(f.T.astype(np.float64))[2], every_pair(labels))
     sig1 = 1 / (1 + math.exp(-1))
     assert loss == pytest.approx(1 - sig1, abs=1e-3)
     assert loss < 0.3
@@ -317,10 +317,10 @@ def test_diversity_loss_single_class_reduces_to_positive_term():
     gen = Rng(13).generator()
     f = gen.standard_normal((4, 6)).astype(np.float32)
     labels = np.full((2, 3), 2, np.uint8)
-    loss = _pair_loss(_pair_affinity(f.T.astype(np.float64))[2], build_affinity_batch(labels))
-    from excel.numerics import cosine_matrix, sigmoid
+    loss = _pair_loss(_pair_affinity(f.T.astype(np.float64))[2], every_pair(labels))
+    from excel.numerics import cosine_matrix, sigmoid_unchecked
 
-    u = sigmoid(cosine_matrix(f, f))
+    u = sigmoid_unchecked(cosine_matrix(f, f))
     assert loss == pytest.approx(float((1 - u).mean()), abs=1e-5)
 
 
@@ -329,7 +329,7 @@ def test_diversity_loss_value_in_open_interval():
     for seed in range(20):
         f = gen.standard_normal((5, 9)).astype(np.float32)
         labels = gen.integers(0, 3, size=(3, 3)).astype(np.uint8)
-        loss = _pair_loss(_pair_affinity(f.T.astype(np.float64))[2], build_affinity_batch(labels))
+        loss = _pair_loss(_pair_affinity(f.T.astype(np.float64))[2], every_pair(labels))
         assert 0.0 < loss < 2.0
 
 
@@ -343,7 +343,7 @@ def test_gradient_zero_on_plateau():
     trace, adapter, _ = tiny_setup(seed=15)
     plateau = AdapterParams({k: np.zeros_like(a) for k, a in adapter.tensors.items()}, 3.0, 1.0)
     plateau.tensors["fusion.b"] = np.ones_like(adapter.tensors["fusion.b"])
-    batch = build_affinity_batch(np.ones((3, 3), np.uint8))
+    batch = every_pair(np.ones((3, 3), np.uint8))
     loss, grads = one_image_gradient(trace, plateau, batch)
     total = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
     assert total < 1e-6
@@ -354,7 +354,7 @@ def test_gradient_matches_central_differences(fusion_kernel):
     # guarded elementwise relative error; the floor equals the probe step
     eps = 1e-3
     trace, adapter, labels = tiny_setup(seed=17, fusion_kernel=fusion_kernel)
-    batch = build_affinity_batch(labels)
+    batch = every_pair(labels)
     loss, grads = one_image_gradient(trace, adapter, batch)
     worst = 0.0
     for name, arr in adapter.tensors.items():
@@ -379,7 +379,7 @@ def test_gradient_of_float64_copy_equals_float32_adapter(fusion_kernel):
     # training converts the adapter once per iteration; the gradients of
     # the copy are the float32 adapter's, byte for byte
     trace, adapter, labels = tiny_setup(seed=14, fusion_kernel=fusion_kernel, float64=False)
-    batch = build_affinity_batch(labels)
+    batch = every_pair(labels)
     copy = adapter.flattened(np.float64)[1]
     assert all(a.dtype == np.float64 for a in copy.tensors.values())
     loss32, grads32 = one_image_gradient(trace, adapter, batch)
@@ -392,7 +392,7 @@ def test_gradient_of_float64_copy_equals_float32_adapter(fusion_kernel):
 
 def test_gradient_loss_matches_forward():
     trace, adapter, labels = tiny_setup(seed=18)
-    batch = build_affinity_batch(labels)
+    batch = every_pair(labels)
     loss_g, _ = one_image_gradient(trace, adapter, batch)
     loss_f = adapter_diversity_loss(trace, adapter, batch)
     assert loss_g == pytest.approx(loss_f, rel=1e-12)
@@ -430,7 +430,7 @@ def _loop_gradient(trace, params, batch):
 @pytest.mark.parametrize("fusion_kernel", [1, 3])
 @pytest.mark.parametrize(
     "picks, limit",
-    [([0], None), ([2, 5, 7], None), ([1, 4, 1, 6], None), ([0, 3, 5], 1)],
+    [([0], 4096), ([2, 5, 7], 4096), ([1, 4, 1, 6], 4096), ([0, 3, 5], 1)],
     ids=["one", "three", "four-with-a-repeat", "limit1"],
 )
 def test_stacked_gradient_equals_the_per_image_sum(fixture_weights, fixture_static, fusion_kernel, picks, limit):
@@ -443,7 +443,7 @@ def test_stacked_gradient_equals_the_per_image_sum(fixture_weights, fixture_stat
     ).flattened(np.float64)[1]
     traces = [fixture_static[i].trace for i in picks]
     batches = [
-        build_affinity_batch(fixture_static[i].labels, sample_limit=limit, rng=Rng(22).child(f"pairs.{j}"))
+        build_affinity_batch(fixture_static[i].labels, limit, Rng(22).child(f"pairs.{j}"))
         for j, i in enumerate(picks)
     ]
     if limit == 1:  # every batch holds one sampled pair, so one of its two loss terms is empty

@@ -12,9 +12,11 @@ from excel.blobio import load_tensors, save_tensors
 from excel.encoder import (
     LAYER_COUNT,
     NAMED_CALIBRATIONS,
+    AttentionWork,
     Calibration,
     EncoderWeights,
     LayerTrace,
+    _attention,
     _head_attention,
     encode_stack,
     expected_row_sums,
@@ -25,7 +27,6 @@ from excel.encoder import (
     patchify,
     relation_bias,
     save_weights,
-    self_attention,
 )
 from excel.errors import ChecksumError, DataError, NumericError, ShapeError, UsageError
 from excel.fixtures import FixtureSpec, generate_fixtures
@@ -261,16 +262,17 @@ def test_intra_correlation_policy_validation():
         with pytest.raises(UsageError):
             Calibration(**bad)
     # a relation is optional: without one the calibration is unbiased
-    assert Calibration(layers=2, relation=None).name == "intra_correlation"
+    assert Calibration(layers=2, relation=None).relation is None
 
 
 def test_value_value_is_plain_value_self_attention():
     # zero-weight terms are skipped, so the one-term mix is SA(v, v) itself
     gen = Rng(32).generator()
     q, k, v = (gen.standard_normal((5, 4)).astype(np.float32) for _ in range(3))
-    got = _head_attention(VALUE_VALUE, LAYER_COUNT - 1, q, k, v, 4, None)
-    assert got.tobytes() == self_attention(v, 4).tobytes()
-    assert not _head_attention(Calibration(layers=1, weights=(0, 0, 0)), LAYER_COUNT - 1, q, k, v, 4, None).any()
+    got = _head_attention(VALUE_VALUE, LAYER_COUNT - 1, q, k, v, 4, None, AttentionWork.of(q.shape))
+    assert got.tobytes() == _attention(v, v, 4, AttentionWork.of(v.shape)).tobytes()
+    zero = Calibration(layers=1, weights=(0, 0, 0))
+    assert not _head_attention(zero, LAYER_COUNT - 1, q, k, v, 4, None, AttentionWork.of(q.shape)).any()
 
 
 @pytest.mark.parametrize("tokens", [17, 257])
@@ -297,10 +299,12 @@ def test_stacked_head_attention_equals_per_head_calls(tokens, calibration, layer
     if biased:
         relation = gen.standard_normal((tokens - 1, tokens - 1)).astype(np.float32)
         bias = relation_bias(relation, tokens)
-    stacked = _head_attention(calibration, layer, q, k, v, d_s, bias)
+    stacked = _head_attention(calibration, layer, q, k, v, d_s, bias, AttentionWork.of(q.shape))
     per_head = np.stack(
         [
-            _head_attention(calibration, layer, *(np.ascontiguousarray(o[h]) for o in (q, k, v)), d_s, bias)
+            _head_attention(
+                calibration, layer, *(np.ascontiguousarray(o[h]) for o in (q, k, v)), d_s, bias, AttentionWork.of(q[h].shape)
+            )
             for h in range(heads)
         ]
     )
@@ -310,13 +314,9 @@ def test_stacked_head_attention_equals_per_head_calls(tokens, calibration, layer
 
 def test_calibration_names():
     configured = Calibration(layers=3, weights=(0.2, 0.3, 0.5))
-    assert named_calibration("vanilla", configured).name == "vanilla"
+    assert named_calibration("vanilla", configured) == Calibration(layers=0)
     assert named_calibration("value_value", configured) == Calibration(layers=1, weights=(0, 0, 1))
-    assert named_calibration("value_value", configured).name == "value_value"
     assert named_calibration("intra_correlation", configured) is configured
-    assert configured.name == "intra_correlation"
-    biased = dataclasses.replace(configured, relation=np.zeros((4, 4), np.float32))
-    assert biased.name == "intra_correlation_biased"
     with pytest.raises(UsageError, match="unknown attention policy 'qk'"):
         named_calibration("qk", configured)
 
@@ -552,7 +552,7 @@ def test_layer_attention_recomputes_the_encoded_maps(monkeypatch, fixture_weight
         trace, maps = encode_capturing_maps(monkeypatch, image, weights, calibration)
         assert sorted(maps) == list(range(LAYER_COUNT))
         for layer in range(LAYER_COUNT):
-            assert layer_attention(trace, weights, layer).tobytes() == maps[layer], (calibration.name, layer)
+            assert layer_attention(trace, weights, layer).tobytes() == maps[layer], (calibration, layer)
     # a biased pass resumed from the calibrated one computes the calibrated
     # layers; below them its maps are the prefix's
     static, static_maps = encode_capturing_maps(monkeypatch, image, weights, calibrated)

@@ -376,17 +376,16 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
     current = threading.local()
 
     def counting_stack(images, weights, calibrations, prefixes=None):
-        names = {c.name for c in calibrations}
-        if names == {"intra_correlation_biased"}:
+        if all(c.relation is not None for c in calibrations):
             biased.extend(image.tobytes() for image in images)
             current.heads = [0]
             biased_heads.append(current.heads)
-        elif names == {"intra_correlation"}:
+        elif all(c == PipelineConfig().calibration() for c in calibrations):
             calibrated.extend(image.tobytes() for image in images)
         return real_stack(images, weights, calibrations, prefixes)
 
     def counting_head(policy, *args):
-        if policy.name == "intra_correlation_biased":
+        if policy.relation is not None:
             current.heads[0] += 1
         return real_head(policy, *args)
 

@@ -1,0 +1,87 @@
+"""Every module-level function and method in `src/excel` has a caller in
+`src/excel`, or is on ALLOWED: a function only tests reach is a second
+spelling the package does not need.
+
+A module-level function is called when a module reads it by the name it
+is defined or imported under, or as an attribute of a module alias
+(`nm.as_f32`); `np.matmul` does not call `numerics.matmul`. A method
+cannot be resolved without types, so it counts as called when any
+attribute of its name is read. Dunder methods are called implicitly.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "excel"
+
+# functions with no caller in the package, each kept on purpose
+ALLOWED = {
+    # the declared per-row attention sums of a policy, the contract every
+    # encoded map is checked against
+    ("encoder", "expected_row_sums"),
+    # the loss alone, the exact function the analytic gradient
+    # differentiates: criterion 3's finite-difference oracle calls it
+    ("dynamic_calibration", "adapter_diversity_loss"),
+    # reads back the provenance comment every written image carries
+    ("images", "read_comments"),
+    # argparse calls it on a bad command line, to raise a usage error
+    ("cli", "_Parser.error"),
+}
+
+
+def _definitions_and_calls():
+    """(defined, called): the (module, name) of every module-level
+    function and the (module, class, name) of every method; the
+    (module, name) of every function read, and the name of every
+    attribute read."""
+    defined, called, attributes = set(), set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names, aliases = {}, {}  # local name -> (module, name); local name -> module
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add((module, node.name))
+                names[node.name] = (module, node.name)
+            elif isinstance(node, ast.ClassDef):
+                defined.update(
+                    (module, node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        aliases[local] = alias.name
+                    else:
+                        names[local] = (node.module, alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in names:
+                called.add(names[node.id])
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    called.add((aliases[node.value.id], node.attr))
+    return defined, called, attributes
+
+
+def _uncalled():
+    defined, called, attributes = _definitions_and_calls()
+    functions = {d for d in defined if len(d) == 2 and d not in called}
+    methods = {
+        d for d in defined if len(d) == 3 and d[2] not in attributes and not (d[2].startswith("__") and d[2].endswith("__"))
+    }
+    return functions | {(module, f"{cls}.{name}") for module, cls, name in methods}
+
+
+def test_every_function_has_a_caller_in_the_package():
+    defined, _, _ = _definitions_and_calls()
+    assert ("encoder", "encode_stack") in defined and ("encoder", "AttentionWork", "of") in defined
+    assert _uncalled() - ALLOWED == set()
+
+
+def test_every_allowed_function_exists_without_a_caller():
+    # an entry whose function gained a caller, or is gone, leaves the list
+    assert ALLOWED - _uncalled() == set()

@@ -1,6 +1,7 @@
 """Property tests of the exit-code contract. A weights manifest, a
-config, a checkpoint's meta or a PGM header mutated into an invalid one
-makes `excel.cli.main` return 1, 2 or 3; no exception escapes it."""
+config, a checkpoint's or a text bank's meta, a dataset's `classes.json`
+or `labels.json`, or a PGM header mutated into an invalid one makes
+`excel.cli.main` return 1, 2 or 3; no exception escapes it."""
 
 import contextlib
 import dataclasses
@@ -40,6 +41,15 @@ def _set(container, key, value):
         container.pop(key, None)
     else:
         container[key] = value
+
+
+def _fails_with_one_error_line(argv):
+    """Runs `main(argv)`: exit 1, 2 or 3 and exactly one `error:` line on stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in FAILED and len(lines) == 1 and lines[0].startswith("error: "), (argv[0], code, lines)
 
 
 @pytest.fixture(scope="module")
@@ -224,11 +234,152 @@ def test_mutated_checkpoint_meta_fails_cleanly(small, small_checkpoint, data):
             ["cam", "--mode", "dynamic", "--bank", str(out_dir / "attrs.json"), "--labels", "1", *common],
             ["attn-report", "--policies", "icb", *common],
         ):
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv)
-            lines = err.getvalue().splitlines()
-            assert code in FAILED and len(lines) == 1 and lines[0].startswith("error: "), (argv[0], code, lines)
+            _fails_with_one_error_line(argv)
+
+
+# --------------------------------------------------------------------------
+# text bank meta
+
+
+def _bank_mutation(meta):
+    """(key path in the meta, value): an edit that leaves a field
+    `load_bank` reads with a value that cannot be valid for the small
+    fixture's clustered bank of 4 centroids, or deletes it."""
+    classes, neighbors = meta["classes"], meta["neighbors"]
+    count = len(neighbors[0]["indices"])
+
+    def not_list(valid):
+        return st.just(DELETE) | json_values.filter(lambda v: not (isinstance(v, list) and valid(v)))
+
+    def indices(v):
+        return len(v) == count and all(type(x) is int and 0 <= x < count for x in v)
+
+    def scores(v):
+        return len(v) == count and all(map(is_finite_number, v))
+
+    def entry(i):
+        return st.one_of(
+            st.tuples(st.just(("neighbors", i, "indices")), not_list(indices)),
+            st.tuples(st.just(("neighbors", i, "scores")), not_list(scores)),
+            st.tuples(st.just(("neighbors", i, "indices", 0)), st.integers().filter(lambda v: not 0 <= v < count)),
+        )
+
+    def names(v):
+        return len(v) == len(classes) and all(isinstance(n, str) for n in v)
+
+    return st.one_of(
+        st.tuples(st.just(("classes",)), not_list(names)),
+        st.tuples(st.just(("dim",)), _other_than(meta["dim"])),
+        st.tuples(st.just(("lambda",)), st.just(DELETE) | json_values.filter(lambda v: not is_finite_number(v))),
+        st.tuples(st.just(("topk",)), st.just(DELETE) | json_values.filter(lambda v: not is_positive_int(v))),
+        st.tuples(st.just(("clustered",)), st.just(DELETE) | json_values.filter(lambda v: type(v) is not bool)),
+        st.tuples(st.just(("neighbors",)), _other_than(neighbors)),
+        *(entry(i) for i in range(len(classes))),
+    )
+
+
+@given(data=st.data())
+@PROPERTY
+def test_mutated_bank_meta_fails_cleanly(small, data):
+    manifest = json.loads((small / "bank.json").read_text())
+    (*parents, key), value = data.draw(_bank_mutation(manifest["meta"]))
+    target = manifest["meta"]
+    for parent in parents:
+        target = target[parent]
+    _set(target, key, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(small / "bank.bin", Path(tmp) / manifest["blob"])
+        (Path(tmp) / "bank.json").write_text(json.dumps(manifest))
+        _fails_with_one_error_line(
+            ["cam", "--weights", str(small / "encoder.json"), "--bank", str(Path(tmp) / "bank.json"),
+             "--image", str(small / "dataset" / "images" / "img_0000.ppm"), "--labels", "1",
+             "--out", str(Path(tmp) / "out")]
+        )
+
+
+# --------------------------------------------------------------------------
+# classes.json and labels.json
+
+_NOT_JSON_OBJECT = st.binary(max_size=12) | json_values.filter(lambda v: not isinstance(v, dict)).map(json.dumps)
+
+
+def _is_class_list(value) -> bool:
+    """A `classes.json` list `excel eval` accepts for masks with labels up to 2."""
+    names = isinstance(value, list) and all(isinstance(n, str) for n in value)
+    return names and len(value) >= 3 and value[0] == "background"
+
+
+# the whole file, or its "classes" list deleted or made one that cannot be
+# valid: every edit fails `excel run`, whose bank has the fixture's classes
+_classes_edits = _NOT_JSON_OBJECT | st.one_of(
+    st.just(DELETE),
+    json_values.filter(lambda v: not _is_class_list(v)),
+    st.lists(st.text(max_size=6), max_size=1).map(lambda rest: ["background", *rest]),
+    st.lists(st.text(max_size=6), min_size=3, max_size=4).filter(lambda v: v[0] != "background"),
+).map(lambda v: json.dumps({} if v is DELETE else {"classes": v}))
+
+
+def _dataset_with(small, tmp, name: str, text) -> Path:
+    """A copy of the small fixture's dataset under `tmp` whose file `name`
+    holds `text` (bytes or str); returns a config running on it."""
+    root = Path(tmp) / "dataset"
+    shutil.copytree(small / "dataset", root)
+    (root / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    config = Path(tmp) / "cfg.json"
+    mapping = {
+        "weights": str(small / "encoder.json"),
+        "knowledge": str(small / "knowledge.json"),
+        "dataset": str(root),
+        "out_dir": str(Path(tmp) / "out"),
+        "clusters": 4,
+    }
+    config.write_text(json.dumps(mapping))
+    return config
+
+
+@given(text=_classes_edits)
+@PROPERTY
+def test_mutated_classes_json_fails_cleanly(small, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _dataset_with(small, tmp, "classes.json", text)
+        _fails_with_one_error_line(["run", "--config", str(config), "--mode", "static-only"])
+        masks = str(small / "dataset" / "masks")
+        _fails_with_one_error_line(
+            ["eval", "--pred-dir", masks, "--gt-dir", masks, "--classes", str(Path(tmp) / "dataset" / "classes.json")]
+        )
+
+
+def _labels_edit(table):
+    """The whole `labels.json`, or one image's entry deleted or made a
+    value whose ids are not the ones in its mask, or an entry added for an
+    image the dataset lacks."""
+    stems = sorted(table)
+    wrong = st.sampled_from(stems).flatmap(
+        lambda stem: st.tuples(
+            st.just(stem),
+            st.just(DELETE)
+            | json_values.filter(
+                lambda v: not (isinstance(v, list) and all(type(i) is int for i in v) and set(v) == set(table[stem]))
+            ),
+        )
+    )
+    extra = st.tuples(st.text(min_size=1, max_size=8).filter(lambda k: k not in table), json_values)
+
+    def edited(edit):
+        changed = dict(table)
+        _set(changed, *edit)
+        return json.dumps(changed)
+
+    return _NOT_JSON_OBJECT | (wrong | extra).map(edited)
+
+
+@given(data=st.data())
+@PROPERTY
+def test_mutated_labels_json_fails_cleanly(small, data):
+    text = data.draw(_labels_edit(json.loads((small / "dataset" / "labels.json").read_text())))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _dataset_with(small, tmp, "labels.json", text)
+        _fails_with_one_error_line(["run", "--config", str(config), "--mode", "static-only"])
 
 
 # --------------------------------------------------------------------------

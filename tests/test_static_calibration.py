@@ -1,5 +1,4 @@
 import dataclasses
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,15 +6,15 @@ import pytest
 
 from excel.errors import DataError, UsageError
 from excel.numerics import Rng
+from excel.blobio import load_tensors
 from excel.static_calibration import (
     CamStack,
     cam_to_pseudo_label,
-    load_cams,
     run_static_passes,
     save_cams,
     static_cam,
 )
-from excel.encoder import LAYER_COUNT, NAMED_CALIBRATIONS, Calibration, _head_attention, encode_stack, self_attention
+from excel.encoder import LAYER_COUNT, NAMED_CALIBRATIONS, AttentionWork, Calibration, _attention, _head_attention, encode_stack
 from excel.text_enrichment import TextRepresentation
 from excel.config import PipelineConfig
 
@@ -41,7 +40,7 @@ def bank_from_columns(columns):
 def intra_correlation(q, k, v, weights):
     """The encoder's attention map for one head in a calibrated layer."""
     calibration = Calibration(layers=1, weights=weights)
-    return _head_attention(calibration, LAYER_COUNT - 1, q, k, v, q.shape[1], None)
+    return _head_attention(calibration, LAYER_COUNT - 1, q, k, v, q.shape[1], None, AttentionWork.of(q.shape))
 
 
 def test_intra_correlation_selector_weights():
@@ -50,7 +49,7 @@ def test_intra_correlation_selector_weights():
     k = gen.standard_normal((6, 4)).astype(np.float32)
     v = gen.standard_normal((6, 4)).astype(np.float32)
     out = intra_correlation(q, k, v, (1.0, 0.0, 0.0))
-    np.testing.assert_allclose(out, self_attention(q, 4), atol=1e-7)
+    np.testing.assert_allclose(out, _attention(q, q, 4, AttentionWork.of(q.shape)), atol=1e-7)
 
 
 def test_intra_correlation_identical_tokens_uniform():
@@ -98,8 +97,8 @@ def test_static_cam_two_orthogonal_halves():
     feats[:, :, 1] = t2[:, None]  # right column is class 2
     cams = static_cam(feats, bank, [1, 2])
     # direct cosine oracle: cos is 1 on own half, 0 on the other
-    m1 = cams.map_for(1)
-    m2 = cams.map_for(2)
+    m1 = cams.maps[cams.class_ids.index(1)]
+    m2 = cams.maps[cams.class_ids.index(2)]
     np.testing.assert_allclose(m1[:, 0], 1.0, atol=1e-6)
     np.testing.assert_allclose(m1[:, 1], 0.0, atol=1e-6)
     np.testing.assert_allclose(m2[:, 1], 1.0, atol=1e-6)
@@ -238,30 +237,7 @@ def test_cam_export_roundtrip(tmp_path, fixture_weights, fixture_bank, fixture_d
     rec = fixture_dataset.images[2]
     res = static_result(rec, fixture_weights, fixture_bank)
     path = save_cams(tmp_path / "c.cams.json", res.cams, provenance={"stage": "static"})
-    loaded = load_cams(path)
-    assert loaded.class_ids == res.cams.class_ids
-    assert loaded.grid == res.cams.grid
-    assert loaded.maps.tobytes() == res.cams.maps.tobytes()
-
-
-@pytest.mark.parametrize(
-    "edit, key",
-    [
-        (lambda meta: meta.pop("class_ids"), "lacks meta key 'class_ids'"),
-        (lambda meta: meta.update(grid=4), "meta 'grid'"),
-        (lambda meta: meta.update(class_ids=["x"]), "meta 'class_ids'"),
-        (lambda meta: meta.update(class_ids=[1, "x"]), "meta 'class_ids'"),
-        (lambda meta: meta.update(class_ids=[3, 1]), "meta 'class_ids'"),
-        (lambda meta: meta.update(class_ids=[]), "meta 'class_ids'"),
-    ],
-    ids=["no-class-ids", "scalar-grid", "string-class-id", "mixed-class-ids", "descending-class-ids", "no-class-id"],
-)
-def test_load_cams_rejects_bad_meta(tmp_path, edit, key):
-    cams = CamStack(maps=np.zeros((2, 2, 3), dtype=np.float32), class_ids=[1, 3], grid=(2, 3))
-    path = save_cams(tmp_path / "c.cams.json", cams)
-    manifest = json.loads(path.read_text())
-    edit(manifest["meta"])
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(DataError, match=key) as err:
-        load_cams(path)
-    assert str(path) in str(err.value)
+    loaded = load_tensors(path)
+    assert loaded.meta == {"class_ids": res.cams.class_ids, "grid": list(res.cams.grid)}
+    maps = np.stack([loaded.require(f"cam.{cid:03d}", res.cams.grid) for cid in res.cams.class_ids])
+    assert maps.tobytes() == res.cams.maps.tobytes()

@@ -107,6 +107,24 @@ def test_adamw_nonfinite_update_raises():
             adamw_step(_flat(params), _flat(grads, np.float64), _state(params, cfg.lr, cfg.weight_decay))
 
 
+@pytest.mark.parametrize("lr, grad", [(1e300, 1.0), (1e-3, 1e30)], ids=["parameter", "second-moment"])
+def test_adamw_refuses_values_past_the_float32_range(lr, grad):
+    # finite in float64, infinite once stored as float32: a step of 1e300,
+    # or a squared gradient of 1e60 in the second moment
+    params = _params(11)
+    for bad in params:
+        grads = {k: np.full(v.shape, grad if k == bad else 0.0) for k, v in params.items()}
+        with pytest.raises(NumericError, match=f"non-finite update for parameter '{bad}'"):
+            adamw_step(_flat(params), _flat(grads, np.float64), _state(params, lr, 0.0))
+
+
+def test_train_loop_past_the_float32_range_writes_no_final_checkpoint(tmp_path, fixture_weights, fixture_static):
+    cfg = small_config(iterations=1, lr=1e300)
+    with pytest.raises(NumericError, match="non-finite update for parameter 'delta.00.w'"):
+        train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
+    assert not (tmp_path / "checkpoint_000001.json").exists()
+
+
 def test_adamw_moment_accumulation_two_steps():
     params = {"p.w": np.zeros(1, np.float32)}
     flat, g1 = _flat(params), np.array([1.0])
@@ -293,9 +311,9 @@ def test_attn_report_requires_policy():
 # training loop
 
 
-def test_train_loop_zero_iterations_returns_init(fixture_weights, fixture_static):
+def test_train_loop_zero_iterations_returns_init(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=0)
-    result = train_loop(fixture_static, fixture_weights.dim, cfg)
+    result = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
     fresh = init_adapter(
         Rng(cfg.seed).child("adapter"), fixture_weights.dim,
         cfg.d_proj, cfg.d_dyn, cfg.fusion_kernel, cfg.adapter_init_sigma, cfg.alpha, cfg.beta,
@@ -355,16 +373,16 @@ def test_train_loop_checkpoints_byte_identical(tmp_path, fixture_weights, fixtur
     cfg = small_config(iterations=3)
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
-    train_loop(fixture_static, fixture_weights.dim, cfg, out_dir=out1)
-    train_loop(fixture_static, fixture_weights.dim, cfg, out_dir=out2)
+    train_loop(fixture_static, fixture_weights.dim, cfg, out1, {})
+    train_loop(fixture_static, fixture_weights.dim, cfg, out2, {})
     for name in ("checkpoint_000003.json", "checkpoint_000003.bin", "loss_curve.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_train_loop_divergence_aborts(monkeypatch, fixture_weights, fixture_static):
+def test_train_loop_divergence_aborts(monkeypatch, tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=2, divergence_threshold=1e-6)
     with pytest.raises(NumericError, match="diverged"):
-        train_loop(fixture_static, fixture_weights.dim, cfg)
+        train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
     # a non-finite loss aborts too, whatever the threshold
     real = training_eval.diversity_loss_gradient_stack
 
@@ -373,12 +391,12 @@ def test_train_loop_divergence_aborts(monkeypatch, fixture_weights, fixture_stat
 
     monkeypatch.setattr(training_eval, "diversity_loss_gradient_stack", nan_loss)
     with pytest.raises(NumericError, match="diverged at iteration 0: diversity loss nan"):
-        train_loop(fixture_static, fixture_weights.dim, small_config(iterations=2))
+        train_loop(fixture_static, fixture_weights.dim, small_config(iterations=2), tmp_path, {})
 
 
 def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=2)
-    result = train_loop(fixture_static, fixture_weights.dim, cfg, out_dir=tmp_path)
+    result = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
     path = tmp_path / "checkpoint_000002.json"
     adapter, meta = load_checkpoint(path, fixture_weights.dim)
     assert list(adapter.tensors) == list(result.adapter.tensors)
@@ -419,7 +437,7 @@ def test_checkpoint_layout_is_the_adapter_table(tmp_path, fixture_weights, fixtu
     # train_loop writes the tensors in table order: the twelve (w, b) delta
     # pairs by layer, then the fusion pair, not AdamW's or any sorted order
     cfg = small_config(iterations=2, fusion_kernel=kernel, d_proj=4, d_dyn=8)
-    train_loop(fixture_static, fixture_weights.dim, cfg, out_dir=tmp_path)
+    train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
     manifest = json.loads((tmp_path / "checkpoint_000002.json").read_text())
     names = [entry["name"] for entry in manifest["tensors"]]
     deltas = [f"adapter.delta.{i:02d}.{part}" for i in range(12) for part in ("w", "b")]
@@ -437,7 +455,7 @@ def test_loss_curve_roundtrip(tmp_path):
 
 def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=4, checkpoint_every=2)
-    result = train_loop(fixture_static, fixture_weights.dim, cfg, out_dir=tmp_path)
+    result = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
     curve = {row[0]: row for row in result.curve}
     for k in (0, 2):
         adapter, meta = load_checkpoint(tmp_path / f"checkpoint_{k:06d}.json", fixture_weights.dim)
@@ -446,16 +464,18 @@ def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_static):
         assert div == pytest.approx(curve[k][1], abs=1e-5)
 
 
-def test_train_loop_with_pair_subsampling(fixture_weights, fixture_static):
+def test_train_loop_with_pair_subsampling(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=2, pair_sample_limit=10)
-    r1 = train_loop(fixture_static, fixture_weights.dim, cfg)
-    r2 = train_loop(fixture_static, fixture_weights.dim, cfg)
+    r1 = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path / "1", {})
+    r2 = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path / "2", {})
     assert r1.curve == r2.curve
     for a, b in zip(r1.adapter.tensors.values(), r2.adapter.tensors.values()):
         assert np.array_equal(a, b)
 
 
-def test_train_loop_runs_one_static_pass_per_image(monkeypatch, fixture_weights, fixture_bank, fixture_dataset, fixture_static):
+def test_train_loop_runs_one_static_pass_per_image(
+    monkeypatch, tmp_path, fixture_weights, fixture_bank, fixture_dataset, fixture_static
+):
     # the static results depend only on frozen inputs: run_static_passes
     # encodes each image once, in dataset order, through stacked passes;
     # 17 iterations over 32 images in batches of 4 (two full epochs and one
@@ -484,7 +504,7 @@ def test_train_loop_runs_one_static_pass_per_image(monkeypatch, fixture_weights,
         for name in ("encode", "encode_stack"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    result = train_loop(static, fixture_weights.dim, cfg)
+    result = train_loop(static, fixture_weights.dim, cfg, tmp_path, {})
     assert len(result.curve) == 17
 
 
