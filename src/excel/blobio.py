@@ -21,14 +21,20 @@ tensors tile the blob exactly, then that every value is finite. The blob
 is read once into one writable buffer, and every loaded tensor is a
 float32 view of it, so a load peaks near the blob's size.
 
-Every JSON file the package writes, manifests included, goes through
-`write_json` (2-space indent, sorted keys, trailing newline), and every
-JSON object it reads goes through `read_json_object`.
+Every file the package writes goes through `write_file`: it makes the
+parent directory, writes `<name>.tmp` beside the target and renames it
+over the target, so a killed process leaves the old file or the new one,
+never a part. There is no fsync: this guards against a killed process,
+not a power cut. `save_tensors` lands the blob before its manifest, so a
+manifest on disk has its blob. Every JSON file, manifests included, goes
+through `write_json` (2-space indent, sorted keys, trailing newline), and
+every JSON object the package reads goes through `read_json_object`.
 """
 
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,11 +93,26 @@ def is_finite_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
+def write_file(path, data: bytes) -> Path:
+    """`data` at `path`, landed whole: written to `<name>.tmp` in the same
+    directory, made if missing, then renamed over `path`. On any error the
+    temp file is removed and the error re-raised. The temp name is fixed,
+    so a rewrite also replaces one that a killed run left behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def write_json(path, value) -> Path:
     """`value` as JSON: 2-space indent, sorted keys, one trailing newline."""
-    path = Path(path)
-    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return write_file(path, (json.dumps(value, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def read_json_object(path, what: str, error: type[ExcelError]) -> dict:
@@ -138,7 +159,7 @@ def save_tensors(path, tensors, meta=None, provenance=None) -> Path:
         "meta": meta or {},
         "provenance": provenance or {},
     }
-    blob_path.write_bytes(blob)
+    write_file(blob_path, blob)
     return write_json(path, manifest)
 
 

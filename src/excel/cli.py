@@ -22,10 +22,10 @@ from .errors import EXIT_DATA, EXIT_OK, DataError, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
 from .hashing import config_digest, provenance
 from .images import read_pgm, read_ppm, rgb_to_chw
-from .pipeline import check_bank_dim, load_inputs, run_pipeline, run_provenance, stage_train, write_cam_outputs
+from .pipeline import check_bank_dim, load_inputs, run_pipeline, run_provenance, write_cam_outputs
 from .static_calibration import run_static_passes
 from .text_enrichment import attribute_bank, load_bank, save_bank
-from .training_eval import attn_report, evaluate, load_checkpoint, read_loss_curve, report_text, trained_calibration
+from .training_eval import attn_report, evaluate, load_checkpoint, report_text, train_loop, trained_calibration
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,7 +166,6 @@ def _cmd_cam(args) -> int:
         res = dynamic_cams([record], weights, adapter, bank, tau_fg, tau_bg, [static.trace])[0]
     prov = run_provenance(cfg, f"cam-{args.mode}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cams_path, pgm_path = write_cam_outputs(out_dir, record.name, res, weights.patch_size, prov)
     print(f"cams: {cams_path}")
     print(f"pseudo: {pgm_path}")
@@ -179,9 +178,8 @@ def _cmd_train(args) -> int:
     calibrated = run_static_passes(
         dataset.images, weights, bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
     )
-    stage_train(cfg, inputs, weights.dim, calibrated)
     out_dir = Path(cfg.out_dir) / "train"
-    curve = read_loss_curve(out_dir / "loss_curve.csv")
+    curve = train_loop(calibrated, weights.dim, cfg, out_dir, run_provenance(cfg, "train", inputs)).curve
     final = curve[-1][1] if curve else 0.0
     print(f"trained {cfg.iterations} iterations; final diversity loss {final:.4f}")
     print(f"checkpoints: {out_dir}")
@@ -229,7 +227,6 @@ def _cmd_attn_report(args) -> int:
         policies["icb"] = dataclasses.replace(calibrated, relation=uniform)
     report = attn_report(image, weights, policies)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
     for name, entry in report.items():
         save_tensors(

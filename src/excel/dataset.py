@@ -21,7 +21,7 @@ import numpy as np
 
 from .blobio import read_json_object, write_json
 from .errors import DataError
-from .images import read_pgm, read_ppm, rgb_to_chw
+from .images import read_pgm, read_ppm, rgb_to_chw, write_pgm, write_ppm
 from .static_calibration import IGNORE_LABEL
 
 
@@ -138,11 +138,7 @@ def load_dataset(root, image_size: tuple[int, int] | None = None) -> ToyDataset:
 def save_dataset(root, class_names, records, comment: str | None = None):
     """Write a dataset tree; `records` is an iterable of (name, rgb_uint8,
     mask_uint8, labels)."""
-    from .images import write_pgm, write_ppm
-
     root = Path(root)
-    (root / "images").mkdir(parents=True, exist_ok=True)
-    (root / "masks").mkdir(parents=True, exist_ok=True)
     label_table = {}
     for name, rgb, mask, labels in records:
         write_ppm(root / "images" / f"{name}.ppm", rgb, comment=comment)

@@ -261,7 +261,6 @@ def generate_fixtures(seed: int, spec: FixtureSpec, out_dir) -> dict:
     templates, descriptions = build_knowledge_embeddings(rng.child("knowledge"), spec, weights)
     records = render_dataset(rng.child("dataset"), spec)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     prov = provenance("fixtures", seed, config_digest(asdict(spec)))
     weights_path = save_weights(out_dir / "encoder.json", weights, provenance=prov)
     knowledge_path = save_knowledge(

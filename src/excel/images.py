@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blobio import write_file
 from .errors import DataError
 
 
@@ -20,7 +21,7 @@ def _write_netpbm(path, magic: bytes, dims: tuple[int, int], payload: bytes, com
             head.append(b"# " + line.encode("utf-8"))
     head.append(f"{width} {height}".encode())
     head.append(b"255")
-    Path(path).write_bytes(b"\n".join(head) + b"\n" + payload)
+    write_file(path, b"\n".join(head) + b"\n" + payload)
 
 
 def _parse_netpbm(path, expected_magic: bytes, data: bytes | None = None):

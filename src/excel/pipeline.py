@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blobio import read_json_object, write_json
+from .blobio import read_json_object, write_file, write_json
 from .config import PipelineConfig, save_config
 from .dataset import ToyDataset, load_dataset
 from .dynamic_calibration import dynamic_cams
@@ -108,7 +108,6 @@ def stage_attributes(
     check_bank_dim(bank, bank_source, weights, cfg.weights)
     check_bank_classes(bank, bank_source, dataset)
     if not reused:
-        out.parent.mkdir(parents=True, exist_ok=True)
         save_bank(out, bank, provenance=run_provenance(cfg, "attributes", inputs))
     return bank
 
@@ -150,7 +149,6 @@ def export_cams(cfg: PipelineConfig, inputs: dict[str, str], stage: str, dataset
     order, stamped with the stage's provenance; made only once every
     result is computed."""
     out_dir = Path(cfg.out_dir) / stage
-    out_dir.mkdir(parents=True, exist_ok=True)
     prov = run_provenance(cfg, stage, inputs)
     for rec, res in zip(dataset.images, results):
         write_cam_outputs(out_dir, rec.name, res, patch_size, prov)
@@ -196,9 +194,8 @@ def stage_eval(
     prov = run_provenance(cfg, "eval", inputs)
     payload = {"provenance": prov, "evaluated_stage": stage_name, **report.to_dict()}
     report_path = write_json(Path(cfg.out_dir) / "report.json", payload)
-    (Path(cfg.out_dir) / "report.txt").write_text(
-        report_text(report, dataset.class_names), encoding="utf-8"
-    )
+    text = report_text(report, dataset.class_names)
+    write_file(Path(cfg.out_dir) / "report.txt", text.encode("utf-8"))
     return report_path, report
 
 

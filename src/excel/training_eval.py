@@ -5,7 +5,6 @@ Training touches only the relation adapter; encoder weights are never
 written.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .blobio import is_finite_number, is_positive_int, load_tensors, save_tensors
+from .blobio import is_finite_number, is_positive_int, load_tensors, save_tensors, write_file
 from .config import PATH_KEYS, PipelineConfig
 from .dynamic_calibration import (
     AdapterParams,
@@ -254,8 +253,9 @@ def train_loop(
     the encoder width. Training makes no encoder call. Per iteration:
     affinity pairs from the static labels, the diversity loss and its
     gradient on the static traces, one AdamW step on the mean batch
-    gradients. Writes the loss-curve CSV and the checkpoints, stamped with
-    `provenance`, into `out_dir`.
+    gradients. Writes the checkpoints, stamped with `provenance`, and the
+    loss-curve CSV into `out_dir`; the final checkpoint, the stage's resume
+    key, lands last.
     """
     adapter = init_adapter(
         Rng(config.seed).child("adapter"),
@@ -272,43 +272,30 @@ def train_loop(
     state = init_adam_state(adapter.shapes, config.lr, config.weight_decay)
     work = np.empty((2, theta.size))  # each iteration's float64 adapter and gradient
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     curve: list[tuple[int, float]] = []
     # the settings the adapter was trained with: not the run's paths, nor the exported static stage's policy
     settings = {k: v for k, v in config.to_dict().items() if k not in (*PATH_KEYS, "policy")}
     meta = {"train_config": settings, "dim": dim}
-    for it in range(config.iterations + 1):
-        final = it == config.iterations
-        if final or (config.checkpoint_every and it % config.checkpoint_every == 0):
+    for it in range(config.iterations):
+        if config.checkpoint_every and it % config.checkpoint_every == 0:
             save_checkpoint(checkpoint_path(out_dir, it), adapter, {**meta, "iteration": it}, provenance=provenance)
-        if final:
-            break
         div_mean, grad = _iteration_loss(static, it, config, adapter, work)
         curve.append((it, div_mean))
         if not math.isfinite(div_mean) or div_mean > config.divergence_threshold:
             raise NumericError(f"training diverged at iteration {it}: diversity loss {div_mean:.3f}")
         adamw_step(theta, grad, state)
     write_loss_curve(out_dir / "loss_curve.csv", curve)
+    final = config.iterations
+    save_checkpoint(checkpoint_path(out_dir, final), adapter, {**meta, "iteration": final}, provenance=provenance)
     return TrainResult(adapter=adapter, curve=curve)
 
 
-def write_loss_curve(path, curve):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "div"])
-        for it, div in curve:
-            writer.writerow([it, repr(float(div))])
-    return Path(path)
-
-
-def read_loss_curve(path):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            rows.append((int(row[0]), float(row[1])))
-    return rows
+def write_loss_curve(path, curve) -> Path:
+    """The header `iteration,div`, then one row per (iteration, loss) with
+    the loss as `repr(float)`; every line ends in CRLF, as `csv.writer`
+    ends it."""
+    lines = ["iteration,div", *(f"{it},{float(div)!r}" for it, div in curve)]
+    return write_file(path, "".join(line + "\r\n" for line in lines).encode("ascii"))
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from excel.blobio import load_tensors, save_tensors
+from excel.blobio import load_tensors, save_tensors, write_file
 from excel.errors import ChecksumError, DataError, MissingTensorError, NumericError, ShapeError
 from excel.hashing import fnv1a64
 from excel.numerics import Rng
@@ -83,6 +85,30 @@ def test_load_peak_is_one_blob_of_writable_views(tmp_path):
         loaded = tf.require(name, arr.shape)
         assert loaded.dtype == np.float32 and loaded.flags.writeable and loaded.flags.c_contiguous
         assert loaded.tobytes() == arr.tobytes()
+
+
+def test_write_file_replaces_a_temp_file_left_by_a_killed_run(tmp_path):
+    (tmp_path / "c.json.tmp").write_bytes(b"partial")
+    write_file(tmp_path / "c.json", b"{}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    assert (tmp_path / "c.json").read_bytes() == b"{}\n"
+
+
+@pytest.mark.parametrize("existing", [None, b"old"], ids=["new", "over-old"])
+def test_write_file_failure_keeps_the_old_file_and_no_temp(monkeypatch, tmp_path, existing):
+    target = tmp_path / "c.bin"
+    if existing is not None:
+        target.write_bytes(existing)
+
+    def failing_replace(src, dst):
+        assert Path(src).read_bytes() == b"new"  # the temp file is whole before the rename
+        raise OSError("injected")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="injected"):
+        write_file(target, b"new")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if existing is None else ["c.bin"])
+    assert existing is None or target.read_bytes() == existing
 
 
 def test_save_twice_identical_bytes(tmp_path):

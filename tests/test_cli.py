@@ -908,23 +908,36 @@ def test_exit_code_resume_over_corrupt_report(cli_fixtures, tmp_path, report):
     assert str(out_dir / "report.json") in one_error_line(proc.returncode, proc.stderr, 2)
 
 
+def _argv_writing_to(cli_fixtures, command, out):
+    """`build-attrs` or `eval` on the fixtures, with `--out out`."""
+    if command == "build-attrs":
+        return ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "8", "--out", str(out)]
+    masks = str(cli_fixtures / "dataset" / "masks")
+    return ["eval", "--pred-dir", masks, "--gt-dir", masks, "--classes",
+            str(cli_fixtures / "dataset" / "classes.json"), "--out", str(out)]
+
+
 @pytest.mark.parametrize(
-    "case", ["build-attrs-no-dir", "build-attrs-under-file", "build-attrs-bin-suffix", "eval-no-dir"]
+    "command, named, out",
+    [("build-attrs", "afile", "afile/out.json"), ("build-attrs", "bank.bin", "bank.bin"), ("eval", "afile", "afile/out.json")],
+    ids=["build-attrs-under-file", "build-attrs-bin-suffix", "eval-under-file"],
 )
-def test_exit_code_unwritable_output_path(cli_fixtures, tmp_path, case):
+def test_exit_code_unwritable_output_path(cli_fixtures, tmp_path, command, named, out):
+    # a directory under a file cannot be made; a `.bin` manifest would be
+    # overwritten by its own blob: refused, nothing written
     (tmp_path / "afile").write_text("")
-    # a `.bin` manifest would be overwritten by its own blob: refused, nothing written
-    named = tmp_path / {"build-attrs-under-file": "afile", "build-attrs-bin-suffix": "bank.bin"}.get(case, "nodir")
-    if case.startswith("build-attrs"):
-        out = named if case == "build-attrs-bin-suffix" else named / "bank.json"
-        argv = ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "8", "--out", str(out)]
-    else:
-        masks = str(cli_fixtures / "dataset" / "masks")
-        argv = ["eval", "--pred-dir", masks, "--gt-dir", masks, "--classes",
-                str(cli_fixtures / "dataset" / "classes.json"), "--out", str(named / "eval.json")]
-    proc = run_excel(*argv)
-    assert str(named) in one_error_line(proc.returncode, proc.stderr, 2)
+    proc = run_excel(*_argv_writing_to(cli_fixtures, command, tmp_path / out))
+    assert str(tmp_path / named) in one_error_line(proc.returncode, proc.stderr, 2)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+@pytest.mark.parametrize("command", ["build-attrs", "eval"])
+def test_out_directory_is_made_when_missing(cli_fixtures, tmp_path, command):
+    # as `cam`, `attn-report` and `run` make theirs
+    out = tmp_path / "a" / "b" / "out.json"
+    assert main(_argv_writing_to(cli_fixtures, command, out)) == 0
+    assert isinstance(json.loads(out.read_text(encoding="utf-8")), dict)
+    assert [p.relative_to(tmp_path).as_posix() for p in sorted(tmp_path.rglob("*.json"))] == ["a/b/out.json"]
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """Property tests of the exit-code contract. A weights manifest, a
 config, a checkpoint's or a text bank's meta, a dataset's `classes.json`
 or `labels.json`, or a PGM header mutated into an invalid one makes
-`excel.cli.main` return 1, 2 or 3; no exception escapes it."""
+`excel.cli.main` return 1, 2 or 3; no exception escapes it. So does a
+finished run's file that `run --resume` reads, truncated."""
 
 import contextlib
 import dataclasses
@@ -43,13 +44,15 @@ def _set(container, key, value):
         container[key] = value
 
 
-def _fails_with_one_error_line(argv):
-    """Runs `main(argv)`: exit 1, 2 or 3 and exactly one `error:` line on stderr."""
+def _fails_with_one_error_line(argv) -> int:
+    """Runs `main(argv)`: exit 1, 2 or 3 and exactly one `error:` line on
+    stderr. Returns the exit code."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     lines = err.getvalue().splitlines()
     assert code in FAILED and len(lines) == 1 and lines[0].startswith("error: "), (argv[0], code, lines)
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +383,47 @@ def test_mutated_labels_json_fails_cleanly(small, data):
     with tempfile.TemporaryDirectory() as tmp:
         config = _dataset_with(small, tmp, "labels.json", text)
         _fails_with_one_error_line(["run", "--config", str(config), "--mode", "static-only"])
+
+
+# --------------------------------------------------------------------------
+# truncated artifacts on resume
+
+# the files of a finished one-iteration run that `run --resume` reads: the
+# report's and the bank's stamps, the bank, the final checkpoint
+_RESUMED = ("report.json", "attrs.json", "attrs.bin", "train/checkpoint_000001.json", "train/checkpoint_000001.bin")
+
+
+@pytest.fixture(scope="module")
+def small_run(small, tmp_path_factory):
+    """The output tree of a finished one-iteration full run on the small fixture."""
+    root = tmp_path_factory.mktemp("props-run")
+    mapping = {
+        "weights": str(small / "encoder.json"),
+        "knowledge": str(small / "knowledge.json"),
+        "dataset": str(small / "dataset"),
+        "out_dir": str(root / "run"),
+        "clusters": 4,
+        "iterations": 1,
+    }
+    (root / "cfg.json").write_text(json.dumps(mapping))
+    assert main(["run", "--config", str(root / "cfg.json")]) == 0
+    return root / "run"
+
+
+@given(name=st.sampled_from(_RESUMED), cut=st.floats(0, 1, exclude_max=True))
+@settings(PROPERTY, max_examples=25)
+def test_truncated_artifact_fails_resume_cleanly(small, small_run, name, cut):
+    # a JSON file cut anywhere before its closing brace (its trailing
+    # newline alone would still parse), a blob short by at least one byte
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(small_run, out)
+        data = (out / name).read_bytes()
+        keep = len(data) - 1 if name.endswith(".json") else len(data)
+        (out / name).write_bytes(data[: int(cut * keep)])
+        mapping = json.loads((small_run.parent / "cfg.json").read_text())
+        (Path(tmp) / "cfg.json").write_text(json.dumps({**mapping, "out_dir": str(out)}))
+        assert _fails_with_one_error_line(["run", "--config", str(Path(tmp) / "cfg.json"), "--resume"]) in (1, 2)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from excel.training_eval import (
     init_adam_state,
     load_checkpoint,
     mean_row_entropy,
-    read_loss_curve,
     report_text,
     save_checkpoint,
     train_loop,
@@ -447,10 +446,12 @@ def test_checkpoint_layout_is_the_adapter_table(tmp_path, fixture_weights, fixtu
     assert manifest["meta"]["fusion_kernel"] == kernel
 
 
-def test_loss_curve_roundtrip(tmp_path):
-    curve = [(0, 0.25), (1, 0.125)]
+def test_loss_curve_bytes(tmp_path):
+    # a header, then each loss as its float repr, every line ended in CRLF
+    curve = [(0, 0.25), (1, np.float64(0.1)), (2, 1e-05)]
     path = write_loss_curve(tmp_path / "c.csv", curve)
-    assert read_loss_curve(path) == curve
+    assert path.read_bytes() == b"iteration,div\r\n0,0.25\r\n1,0.1\r\n2,1e-05\r\n"
+    assert write_loss_curve(tmp_path / "empty.csv", []).read_bytes() == b"iteration,div\r\n"
 
 
 def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_static):
