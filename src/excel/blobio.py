@@ -10,9 +10,8 @@ Manifest (UTF-8, JSON):
       "provenance": {...}     # optional: stage, seed, config hash
     }
 
-`save_tensors` writes v2. `load_tensors` also reads "excel-tensors-v1",
-which differs only in its checksum: "checksum_fnv1a64", "0x%016x" of the
-64-bit FNV-1a of the blob. `CHECKSUMS` maps each tag to its key and digest.
+This is the one format: `load_tensors` refuses any other tag, the older
+"excel-tensors-v1" included, before it reads the blob.
 
 Blob: little-endian IEEE-754 binary32 values, row-major, packed back to
 back at the declared byte offsets with no gaps. Loading validates the
@@ -41,14 +40,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChecksumError, DataError, ExcelError, MissingTensorError, NumericError, ShapeError
-from .hashing import fnv1a64
 
 FORMAT_TAG = "excel-tensors-v2"
-# format tag -> (manifest key of the blob's checksum, the checksum of a blob)
-CHECKSUMS = {
-    "excel-tensors-v1": ("checksum_fnv1a64", lambda blob: f"0x{fnv1a64(blob):016x}"),
-    FORMAT_TAG: ("checksum_sha256", lambda blob: hashlib.sha256(blob).hexdigest()),
-}
+CHECKSUM_KEY = "checksum_sha256"
 
 
 @dataclass
@@ -142,7 +136,8 @@ def save_tensors(path, tensors, meta=None, provenance=None) -> Path:
     chunks = []
     offset = 0
     for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype="<f4")
+        with np.errstate(over="ignore"):  # a value past the float32 range casts to inf, refused below
+            arr = np.ascontiguousarray(arr, dtype="<f4")
         if not np.isfinite(arr).all():
             raise NumericError(f"tensor '{name}' for {path} contains non-finite values")
         raw = arr.tobytes()
@@ -150,11 +145,10 @@ def save_tensors(path, tensors, meta=None, provenance=None) -> Path:
         chunks.append(raw)
         offset += len(raw)
     blob = b"".join(chunks)
-    checksum_key, checksum = CHECKSUMS[FORMAT_TAG]
     manifest = {
         "format": FORMAT_TAG,
         "blob": blob_path.name,
-        checksum_key: checksum(blob),
+        CHECKSUM_KEY: hashlib.sha256(blob).hexdigest(),
         "tensors": entries,
         "meta": meta or {},
         "provenance": provenance or {},
@@ -195,12 +189,11 @@ def load_tensors(path) -> TensorFile:
     path = Path(path)
     manifest = read_json_object(path, "manifest", DataError)
     tag = manifest.get("format")
-    if not isinstance(tag, str) or tag not in CHECKSUMS:
+    if tag != FORMAT_TAG:
         raise DataError(f"manifest {path} has unknown format tag {tag!r}")
-    checksum_key, checksum = CHECKSUMS[tag]
-    declared = manifest.get(checksum_key)
+    declared = manifest.get(CHECKSUM_KEY)
     if not isinstance(declared, str):
-        raise DataError(f"manifest {path} of format {tag} needs a string '{checksum_key}', got {declared!r}")
+        raise DataError(f"manifest {path} of format {tag} needs a string '{CHECKSUM_KEY}', got {declared!r}")
     blob_name = manifest.get("blob")
     if not isinstance(blob_name, str) or not blob_name or Path(blob_name).name != blob_name:
         raise DataError(f"manifest {path} has blob {blob_name!r}, not a file name next to it")
@@ -216,7 +209,7 @@ def load_tensors(path) -> TensorFile:
     blob = bytearray(blob_path.stat().st_size)
     with blob_path.open("rb") as f:
         f.readinto(blob)
-    actual = checksum(blob)
+    actual = hashlib.sha256(blob).hexdigest()
     if declared != actual:
         raise ChecksumError(
             f"blob {blob_path} checksum {actual} does not match manifest {declared}"

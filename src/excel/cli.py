@@ -25,7 +25,7 @@ from .images import read_pgm, read_ppm, rgb_to_chw
 from .pipeline import check_bank_dim, load_inputs, run_pipeline, run_provenance, write_cam_outputs
 from .static_calibration import run_static_passes
 from .text_enrichment import attribute_bank, load_bank, save_bank
-from .training_eval import attn_report, evaluate, load_checkpoint, report_text, train_loop, trained_calibration
+from .training_eval import attn_report, check_trained_calibration, evaluate, load_checkpoint, report_text, train_loop
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,17 +121,6 @@ def _cmd_build_attrs(args) -> int:
     return EXIT_OK
 
 
-def _check_trained_calibration(checkpoint, meta: dict, asked: Calibration, asker: str):
-    """A UsageError naming `checkpoint` and both settings unless its
-    adapter was trained under `asked`, the calibration `asker` sets."""
-    trained = trained_calibration(meta, checkpoint)
-    if trained != asked:
-        raise UsageError(
-            f"checkpoint {checkpoint} was trained with calib_layers {trained.layers} and calib_weights "
-            f"{list(trained.weights)}, {asker} asks for {asked.layers} and {list(asked.weights)}"
-        )
-
-
 def _cmd_cam(args) -> int:
     try:
         present = [int(v) for v in args.labels.split(",") if v.strip()]
@@ -149,7 +138,7 @@ def _cmd_cam(args) -> int:
     if args.mode == "dynamic":
         adapter, meta = load_checkpoint(args.adapter, weights.dim)
         # thresholds stay free at inference time; the calibration the adapter learned its bias under does not
-        _check_trained_calibration(args.adapter, meta, cfg.calibration(), "the config")
+        check_trained_calibration(args.adapter, meta, cfg.calibration(), "the config")
     # every input is read and checked against the others before the encode
     check_bank_dim(bank, args.bank, weights, args.weights)
     outside = [c for c in present if not 1 <= c <= bank.num_classes]
@@ -219,7 +208,7 @@ def _cmd_attn_report(args) -> int:
     policies = {name: named_calibration(_REPORT_POLICIES[name], calibrated) for name in names}
     if "icb" in policies and args.adapter:
         adapter, meta = load_checkpoint(args.adapter, weights.dim)
-        _check_trained_calibration(args.adapter, meta, calibrated, "--calib-layers")
+        check_trained_calibration(args.adapter, meta, calibrated, "--calib-layers")
         policies["icb"] = biased_calibrations(encode_stack([image], weights, [calibrated]), adapter)[0]
     elif "icb" in policies:
         hw = weights.grid[0] * weights.grid[1]

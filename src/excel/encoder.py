@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .blobio import TensorFile, is_grid, is_positive_int, load_tensors, save_tensors
+from .blobio import is_grid, is_positive_int, load_tensors, save_tensors
 from .errors import DataError, NumericError, ShapeError, UsageError
 
 LAYER_COUNT = 12
@@ -140,10 +140,6 @@ def save_weights(path, weights: EncoderWeights, provenance=None) -> Path:
 def load_weights(manifest_path) -> EncoderWeights:
     """Load and shape-check encoder weights from a manifest + blob pair."""
     tf = load_tensors(manifest_path)
-    return weights_from_tensorfile(tf)
-
-
-def weights_from_tensorfile(tf: TensorFile) -> EncoderWeights:
     dim, heads, depth, patch, mlp_dim = (
         tf.meta_value(key, is_positive_int, "a positive integer")
         for key in ("dim", "heads", "layers", "patch_size", "mlp_dim")

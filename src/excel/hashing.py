@@ -9,8 +9,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a over raw bytes: the seed derivation of `Rng.child`
-    and the blob checksum of excel-tensors-v1 files."""
+    """64-bit FNV-1a over raw bytes: the seed derivation of `Rng.child`,
+    on which every seed depends."""
     h = FNV64_OFFSET
     for byte in data:
         h = ((h ^ byte) * FNV64_PRIME) & _MASK64

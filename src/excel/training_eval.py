@@ -120,7 +120,8 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
             if lo < hi:
                 p[lo - start : hi - start] = params[lo:hi]
         p -= work
-        params[block], state.m[block], state.v[block] = p, m, v
+        with np.errstate(over="ignore"):  # a value past the float32 range stores as inf, refused below
+            params[block], state.m[block], state.v[block] = p, m, v
         finite = np.isfinite(params[block]) & np.isfinite(state.m[block]) & np.isfinite(state.v[block])
         if not finite.all():
             first = start + int(np.argmin(finite))
@@ -172,11 +173,13 @@ def load_checkpoint(path, dim: int):
     return AdapterParams(tensors, alpha, beta), tf.meta
 
 
-def trained_calibration(meta: dict, path) -> Calibration:
-    """The calibration a checkpoint's adapter was trained under: the
+def check_trained_calibration(path, meta: dict, asked: Calibration, asker: str):
+    """Checks that the checkpoint at `path`, whose meta is `meta`, was
+    trained under `asked`, the calibration `asker` sets: the
     `calib_layers` and `calib_weights` of its meta `train_config`. A
     DataError naming `path` when either is absent, of the wrong type or
-    out of range."""
+    out of range; a UsageError naming `path` and both settings when they
+    differ from `asked`."""
     settings = meta.get("train_config")
     settings = settings if isinstance(settings, dict) else {}
     layers, weights = settings.get("calib_layers"), settings.get("calib_weights")
@@ -187,9 +190,14 @@ def trained_calibration(meta: dict, path) -> Calibration:
             f"3 finite 'calib_weights', got {layers!r} and {weights!r}"
         )
     try:
-        return Calibration(layers=layers, weights=tuple(map(float, weights)))
+        trained = Calibration(layers=layers, weights=tuple(map(float, weights)))
     except UsageError as exc:
         raise DataError(f"checkpoint {path} meta 'train_config': {exc}") from None
+    if trained != asked:
+        raise UsageError(
+            f"checkpoint {path} was trained with calib_layers {trained.layers} and calib_weights "
+            f"{list(trained.weights)}, {asker} asks for {asked.layers} and {list(asked.weights)}"
+        )
 
 
 # --------------------------------------------------------------------------

@@ -137,46 +137,19 @@ def test_corrupted_blob_is_checksum_error(tmp_path):
         load_tensors(path)
 
 
-def _write_v1(path, tensors):
-    """A hand-written excel-tensors-v1 manifest and its blob."""
-    blob = b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in tensors.values())
-    offsets = np.cumsum([0] + [4 * arr.size for arr in tensors.values()])
-    manifest = {
-        "format": "excel-tensors-v1",
-        "blob": "v1.bin",
-        "checksum_fnv1a64": f"0x{fnv1a64(blob):016x}",
-        "tensors": [
-            {"name": name, "shape": list(arr.shape), "offset": int(offset)}
-            for (name, arr), offset in zip(tensors.items(), offsets)
-        ],
-        "meta": {"k": 1},
-    }
-    path.with_name("v1.bin").write_bytes(blob)
-    path.write_text(json.dumps(manifest))
-    return path
-
-
-def test_v1_file_still_loads_bitwise(tmp_path):
-    tensors = _sample_tensors()
-    path = _write_v1(tmp_path / "v1.json", tensors)
-    tf = load_tensors(path)
-    assert tf.meta == {"k": 1} and tf.provenance == {}
-    for name, arr in tensors.items():
-        assert tf.require(name).tobytes() == arr.tobytes()
-    blob = tmp_path / "v1.bin"
-    blob.write_bytes(blob.read_bytes()[:-4])
-    with pytest.raises(ChecksumError):
-        load_tensors(path)
+NEEDS_SHA256 = "of format excel-tensors-v2 needs a string 'checksum_sha256'"
+# excel-tensors-v1, whose checksum was "checksum_fnv1a64", is no longer read
+UNKNOWN_V1 = "has unknown format tag 'excel-tensors-v1'"
 
 
 @pytest.mark.parametrize(
     "tag, members, expected",
     [
-        ("excel-tensors-v2", {}, "checksum_sha256"),
-        ("excel-tensors-v2", {"checksum_fnv1a64": "0x0123456789abcdef"}, "checksum_sha256"),
-        ("excel-tensors-v1", {"checksum_sha256": "00" * 32}, "checksum_fnv1a64"),
-        ("excel-tensors-v2", {"checksum_sha256": 12345}, "checksum_sha256"),
-        ("excel-tensors-v1", {"checksum_fnv1a64": None}, "checksum_fnv1a64"),
+        ("excel-tensors-v2", {}, NEEDS_SHA256),
+        ("excel-tensors-v2", {"checksum_fnv1a64": "0x0123456789abcdef"}, NEEDS_SHA256),
+        ("excel-tensors-v1", {"checksum_sha256": "00" * 32}, UNKNOWN_V1),
+        ("excel-tensors-v2", {"checksum_sha256": 12345}, NEEDS_SHA256),
+        ("excel-tensors-v1", {"checksum_fnv1a64": None}, UNKNOWN_V1),
     ],
     ids=["v2-none", "v2-with-v1-key", "v1-with-v2-key", "v2-not-a-string", "v1-null"],
 )
@@ -185,7 +158,7 @@ def test_checksum_key_must_match_format_tag(tmp_path, tag, members, expected):
     manifest = json.loads(path.read_text())
     del manifest["checksum_sha256"]
     path.write_text(json.dumps({**manifest, "format": tag, **members}))
-    with pytest.raises(DataError, match=rf"manifest .*t\.json .*'{expected}'"):
+    with pytest.raises(DataError, match=rf"^manifest .*t\.json {expected}"):
         load_tensors(path)
 
 

@@ -302,27 +302,31 @@ def _as_v1(manifest_path, out_path):
     return write_json(out_path, manifest)
 
 
-def test_cam_dynamic_cli_reads_v1_files(cli_fixtures, cli_trained, tmp_path):
-    # v1 copies of the weights and the checkpoint give the CAMs and labels of the v2 files
-    out_dir, cfg_path = cli_trained
+@pytest.mark.parametrize("kind", ["weights", "adapter", "knowledge"])
+def test_v1_tensor_files_are_refused(cli_fixtures, cli_trained, tmp_path, capsys, kind):
+    # the older format is refused by its tag, with one line naming the file,
+    # before anything is written
+    run_dir, cfg_path = cli_trained
+    out = tmp_path / "out"
+    files = {
+        "weights": cli_fixtures / "encoder.json",
+        "adapter": run_dir / "train" / "checkpoint_000001.json",
+        "knowledge": cli_fixtures / "knowledge.json",
+    }
+    v1 = files[kind] = _as_v1(files[kind], tmp_path / f"{kind}-v1.json")
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
-    labels = json.loads((cli_fixtures / "dataset" / "labels.json").read_text())[image.stem]
-    v2 = {"weights": cli_fixtures / "encoder.json", "adapter": out_dir / "train" / "checkpoint_000001.json"}
-    v1 = {key: _as_v1(path, tmp_path / f"{key}-v1.json") for key, path in v2.items()}
-    for version, files in {"v1": v1, "v2": v2}.items():
-        code = main(
-            [
-                "cam", "--mode", "dynamic", "--weights", str(files["weights"]), "--bank", str(out_dir / "attrs.json"),
-                "--image", str(image), "--labels", ",".join(map(str, labels)), "--adapter", str(files["adapter"]),
-                "--config", str(cfg_path), "--out", str(tmp_path / version),
-            ]
-        )
-        assert code == 0
-    # the CAM blob, its manifest and the label pixels
-    written = sorted(p.name for p in (tmp_path / "v2").iterdir())
-    assert written == [f"{image.stem}.{ext}" for ext in ("cams.bin", "cams.json", "pseudo.pgm")]
-    for path in (tmp_path / "v2").iterdir():
-        assert (tmp_path / "v1" / path.name).read_bytes() == path.read_bytes(), path.name
+    if kind == "knowledge":
+        run_cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out, knowledge=str(v1))
+        argv = ["run", "--config", str(run_cfg), "--mode", "static-only"]
+    else:
+        argv = [
+            "cam", "--mode", "dynamic", "--weights", str(files["weights"]), "--bank", str(run_dir / "attrs.json"),
+            "--image", str(image), "--labels", "1", "--adapter", str(files["adapter"]),
+            "--config", str(cfg_path), "--out", str(out),
+        ]
+    line = _main_error(capsys, argv, 2)
+    assert str(v1) in line and "'excel-tensors-v1'" in line
+    assert not out.exists()
 
 
 def _dynamic_cam_argv(fixture_root, run_dir, checkpoint, image, out):

@@ -1,13 +1,14 @@
-"""Property tests of the exit-code contract. A weights manifest, a
-config, a checkpoint's or a text bank's meta, a dataset's `classes.json`
-or `labels.json`, or a PGM header mutated into an invalid one makes
-`excel.cli.main` return 1, 2 or 3; no exception escapes it. So does a
-finished run's file that `run --resume` reads, truncated."""
+"""Property tests of the exit-code contract. A weights or knowledge
+manifest, a config, a checkpoint's or a text bank's meta, a dataset's
+`classes.json` or `labels.json`, or a PGM header mutated into an invalid
+one makes `excel.cli.main` return 1, 2 or 3; no exception escapes it. So
+does a finished run's file that `run --resume` reads, truncated."""
 
 import contextlib
 import dataclasses
 import io
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -298,6 +299,57 @@ def test_mutated_bank_meta_fails_cleanly(small, data):
              "--image", str(small / "dataset" / "images" / "img_0000.ppm"), "--labels", "1",
              "--out", str(Path(tmp) / "out")]
         )
+
+
+# --------------------------------------------------------------------------
+# knowledge manifest
+
+
+def _knowledge_mutation(manifest):
+    """(where, key, value): the meta `classes`, `n` or `dim` deleted or made
+    another JSON value, or a `template.NN`/`descriptions.NN` entry renamed
+    or reshaped. The run's dataset pins the classes, so no edit is valid."""
+    meta, entries = manifest["meta"], manifest["tensors"]
+    names = [entry["name"] for entry in entries]
+
+    def other(where, key, value, near):
+        """`value` deleted or made another JSON value, often one `near` it."""
+        return st.tuples(st.just(where), st.just(key), (near | _other_than(value)).filter(lambda v: v != value))
+
+    def reshaped(i):
+        shape = entries[i]["shape"]
+        size = math.prod(shape)
+        same_size = st.sampled_from([[size], [1, size], [size, 1], shape[::-1], [*shape, 1]])
+        return other(i, "shape", shape, same_size | st.lists(st.integers(0, 40), max_size=3))
+
+    renames = [*names, "template.02", "descriptions.02", "template.0"]
+    return st.one_of(
+        other("meta", "classes", meta["classes"], st.lists(st.sampled_from([*meta["classes"], "blue"]), max_size=3)),
+        other("meta", "n", meta["n"], st.integers(0, 40)),
+        other("meta", "dim", meta["dim"], st.integers(0, 40)),
+        st.integers(0, len(entries) - 1).flatmap(lambda i: other(i, "name", names[i], st.sampled_from(renames))),
+        st.integers(0, len(entries) - 1).flatmap(reshaped),
+    )
+
+
+@given(data=st.data())
+@PROPERTY
+def test_mutated_knowledge_manifest_fails_cleanly(small, data):
+    manifest = json.loads((small / "knowledge.json").read_text())
+    where, key, value = data.draw(_knowledge_mutation(manifest))
+    _set(manifest["meta"] if where == "meta" else manifest["tensors"][where], key, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(small / "knowledge.bin", Path(tmp) / manifest["blob"])
+        (Path(tmp) / "knowledge.json").write_text(json.dumps(manifest))
+        mapping = {
+            "weights": str(small / "encoder.json"),
+            "knowledge": str(Path(tmp) / "knowledge.json"),
+            "dataset": str(small / "dataset"),
+            "out_dir": str(Path(tmp) / "out"),
+            "clusters": 4,
+        }
+        (Path(tmp) / "cfg.json").write_text(json.dumps(mapping))
+        _fails_with_one_error_line(["run", "--config", str(Path(tmp) / "cfg.json"), "--mode", "static-only"])
 
 
 # --------------------------------------------------------------------------

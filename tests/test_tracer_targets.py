@@ -28,6 +28,12 @@ STALE = {
     ("excel.dynamic_calibration", "diversity_loss_gradient"),
 }
 
+# (site module, name) pairs the tracer rebinds, but that the site no longer
+# binds: blobio stopped checksumming with fnv1a64 when the excel-tensors-v1
+# reader retired. Removing the site is the benchmark's own change, and this
+# set must shrink with it.
+STALE_SITES = {("excel.blobio", "fnv1a64")}
+
 
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -45,9 +51,13 @@ def test_every_tracer_target_resolves():
     assert targets
     unresolved = {(t.module, t.attr) for t in targets if not hasattr(importlib.import_module(t.module), t.attr)}
     assert unresolved == STALE
-    for target in targets:
-        for site in target.sites:
-            assert importlib.import_module(site).__dict__.get(target.attr) is not None, (site, target.attr)
+    unbound = {
+        (site, target.attr)
+        for target in targets
+        for site in target.sites
+        if importlib.import_module(site).__dict__.get(target.attr) is None
+    }
+    assert unbound == STALE_SITES
 
 
 def test_spans_begin_on_the_calling_thread_and_nest(monkeypatch, tmp_path, fixture_paths):
