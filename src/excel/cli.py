@@ -5,7 +5,6 @@ Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric error.
 """
 
 import argparse
-import dataclasses
 import math
 import sys
 import warnings
@@ -16,8 +15,8 @@ import numpy as np
 from .blobio import save_tensors, write_json
 from .config import PipelineConfig, load_config
 from .dataset import ImageRecord, load_class_names
-from .dynamic_calibration import biased_calibrations, dynamic_cams
-from .encoder import Calibration, encode_stack, load_weights, named_calibration
+from .dynamic_calibration import biased_relations, dynamic_cams
+from .encoder import encode_stack, load_weights, named_calibration
 from .errors import EXIT_DATA, EXIT_OK, DataError, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
 from .hashing import config_digest, provenance
@@ -93,7 +92,7 @@ def build_parser() -> _Parser:
     p.add_argument("--image", required=True)
     p.add_argument("--policies", default="qk,vv,ic", help="subset of qk,vv,ic,icb")
     p.add_argument("--adapter", help="checkpoint for the icb policy")
-    p.add_argument("--calib-layers", type=int, default=Calibration.layers)
+    p.add_argument("--config", help="pipeline config for the calibration of ic and icb")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
@@ -198,22 +197,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_attn_report(args) -> int:
-    calibrated = Calibration(layers=args.calib_layers)
+    calibrated = (load_config(args.config) if args.config else PipelineConfig()).calibration()
     names = [name.strip() for name in args.policies.split(",")]
     for name in names:
         if name not in _REPORT_POLICIES:
             raise UsageError(f"unknown policy '{name}' (use {','.join(_REPORT_POLICIES)})")
     weights = load_weights(args.weights)
     image = rgb_to_chw(read_ppm(args.image))
-    policies = {name: named_calibration(_REPORT_POLICIES[name], calibrated) for name in names}
+    policies = {name: (named_calibration(_REPORT_POLICIES[name], calibrated), None) for name in names}
     if "icb" in policies and args.adapter:
         adapter, meta = load_checkpoint(args.adapter, weights.dim)
-        check_trained_calibration(args.adapter, meta, calibrated, "--calib-layers")
-        policies["icb"] = biased_calibrations(encode_stack([image], weights, [calibrated]), adapter)[0]
+        check_trained_calibration(args.adapter, meta, calibrated, "the config")
+        policies["icb"] = calibrated, biased_relations(encode_stack([image], weights, calibrated), adapter)[0]
     elif "icb" in policies:
         hw = weights.grid[0] * weights.grid[1]
         uniform = np.zeros((hw, hw), dtype=np.float32)  # uniform bias
-        policies["icb"] = dataclasses.replace(calibrated, relation=uniform)
+        policies["icb"] = calibrated, uniform
     report = attn_report(image, weights, policies)
     out_dir = Path(args.out)
     summary = {}

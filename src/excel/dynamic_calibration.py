@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics as nm
-from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerTrace, encode_chunks
+from .encoder import LAYER_COUNT, EncoderWeights, LayerTrace, encode_chunks
 from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
 from .static_calibration import IGNORE_LABEL, CamResult, PseudoLabelMap, cam_result
@@ -328,14 +328,11 @@ def diversity_loss_gradient_stack(
 # dynamic CAM generation
 
 
-def biased_calibrations(traces: list[LayerTrace], params: AdapterParams) -> list[Calibration]:
-    """Per trace: the calibration it records plus the masked relation of
-    the adapter run over it, from one stacked adapter pass: the attention
-    of its biased re-encode."""
-    return [
-        replace(trace.calibration, relation=dynamic_relation(features, params.alpha, params.beta).masked)
-        for trace, features in zip(traces, adapter_forward_stack(traces, params))
-    ]
+def biased_relations(traces: list[LayerTrace], params: AdapterParams) -> list[np.ndarray]:
+    """Per trace: the masked relation of the adapter run over it, from one
+    stacked adapter pass: the bias of its re-encode."""
+    features = adapter_forward_stack(traces, params)
+    return [dynamic_relation(f, params.alpha, params.beta).masked for f in features]
 
 
 def dynamic_cams(
@@ -352,19 +349,20 @@ def dynamic_cams(
     stacked adapter pass and one stacked encoder pass per `encoder.chunks`
     chunk, run by `encode_chunks`.
 
-    `static_traces[i]` is the calibrated pass of `records[i].image`. Its
-    biased re-encode runs under its biased calibration, resuming from the
-    trace below the first calibrated layer. The biased traces are not kept.
+    `static_traces[i]` is the calibrated pass of `records[i].image`, and
+    all of them one calibration's. Its biased re-encode runs under that
+    calibration and its biased relation, resuming from the trace below the
+    first calibrated layer. The biased traces are not kept.
     """
     results = []
 
     def job(part):
         prefixes = static_traces[part]
-        return [rec.image for rec in records[part]], biased_calibrations(prefixes, params), prefixes
+        return [rec.image for rec in records[part]], biased_relations(prefixes, params), prefixes
 
     def consume(part, traces):
         for rec, trace in zip(records[part], traces):
             results.append(replace(cam_result(trace, bank, rec.labels, tau_fg, tau_bg), trace=None))
 
-    encode_chunks(len(records), weights, job, consume)
+    encode_chunks(len(records), weights, static_traces[0].calibration, job, consume)
     return results

@@ -11,11 +11,11 @@ one element budget, and `encode_chunks` runs a loop's chunks two passes
 at a time: the earlier of each pair on one helper thread, the later on
 the calling thread, which also runs everything around the passes in
 chunk order. Every pass records, per image, what its consumers read: the
-calibration it ran under, the residual stream entering each layer (a
-later pass resumes from it) and the normalized layer inputs (the
-adapter's features). Attention maps are not kept; `layer_attention`
-recomputes one layer's maps from the trace, bit for bit, when a reader
-asks for them.
+calibration it ran under and the relation that biased it, the residual
+stream entering each layer (a later pass resumes from it) and the
+normalized layer inputs (the adapter's features). Attention maps are not
+kept; `layer_attention` recomputes one layer's maps from the trace, bit
+for bit, when a reader asks for them.
 
 A pass computes each layer's attention a block of heads at a time
 (`heads_per_block`): a block's maps, then their product with its values.
@@ -34,7 +34,7 @@ and T = h*w + 1 grid tokens, and a chunk's is (N, T, D); per-head
 tensors are computed as one (N, H, T, D_s) stack with D_s = D // H.
 Final patch features are returned as (D, h, w) with CLS dropped.
 
-Attention is one `Calibration(layers, weights, relation)`: the q-k map
+Attention is one `Calibration(layers, weights)`: the q-k map
 softmax(q k^T / sqrt(D_s)) below the last `layers` blocks, and in those
 blocks w1*SA(q,q) + w2*SA(k,k) + w3*SA(v,v) in its place, where
 SA(o,o) = softmax(o o^T / sqrt(D_s)). Three named settings of it are
@@ -44,11 +44,12 @@ compared:
                      last block only.
   intra_correlation  the configured layers and weights (default 5 blocks,
                      equal thirds).
-A relation adds softmax(R) row-wise in the calibrated blocks, where R is
-the grid-sized (hw x hw) token-relation matrix. R is embedded into the
-(T x T) map with zero bias on the CLS row/column, so grid rows sum to
-sum(w) + 1 and the CLS row to sum(w); unbiased calibrated rows sum to
-sum(w) and q-k rows to 1.
+A pass may also take one relation per image, which adds softmax(R)
+row-wise in that image's calibrated blocks, where R is the grid-sized
+(hw x hw) token-relation matrix. R is embedded into the (T x T) map with
+zero bias on the CLS row/column, so grid rows sum to sum(w) + 1 and the
+CLS row to sum(w); unbiased calibrated rows sum to sum(w) and q-k rows
+to 1.
 """
 
 import math
@@ -161,12 +162,10 @@ def load_weights(manifest_path) -> EncoderWeights:
 @dataclass(frozen=True)
 class Calibration:
     """The attention of one encoder pass; see the module docstring. Every
-    value comes from a config key or a CLI flag, so a bad one is a usage
-    error."""
+    value comes from a config key, so a bad one is a usage error."""
 
     layers: int = 5
     weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    relation: np.ndarray | None = None  # (hw, hw), -inf where masked
 
     def __post_init__(self):
         if not 0 <= self.layers <= LAYER_COUNT:
@@ -201,13 +200,14 @@ def _check_relation_shape(relation: np.ndarray, tokens: int):
         raise ShapeError(f"relation matrix shape {shape} is not the grid size ({tokens - 1}, {tokens - 1})")
 
 
-def expected_row_sums(calibration: Calibration, layer: int, tokens: int) -> np.ndarray:
-    """Declared per-row attention sums at `layer` for an input of `tokens` rows."""
+def expected_row_sums(calibration: Calibration, relation: np.ndarray | None, layer: int, tokens: int) -> np.ndarray:
+    """Declared per-row attention sums at `layer` for an input of `tokens`
+    rows, under `calibration` biased by `relation` or unbiased."""
     if layer < LAYER_COUNT - calibration.layers:
         return np.full(tokens, 1.0)
     sums = np.full(tokens, float(sum(calibration.weights)))
-    if calibration.relation is not None:
-        _check_relation_shape(calibration.relation, tokens)
+    if relation is not None:
+        _check_relation_shape(relation, tokens)
         sums[1:] += 1.0  # the CLS row carries no relation bias
     return sums
 
@@ -222,6 +222,7 @@ class LayerTrace:
 
     grid: tuple[int, int]
     calibration: Calibration  # the attention the pass ran under
+    relation: np.ndarray | None  # (hw, hw), -inf where masked: the bias of this image, or None
     inputs: list[np.ndarray]  # 13 x (T, D): residual stream entering each layer, then the final norm
     features: list[np.ndarray]  # 12 x (T, D): normalized input projected to q/k/v
     patch_features: np.ndarray  # (D, h, w), CLS dropped
@@ -415,13 +416,14 @@ def chunks(count: int, weights: EncoderWeights) -> list[slice]:
 def encode_chunks(
     count: int,
     weights: EncoderWeights,
-    job: Callable[[slice], tuple[list[np.ndarray], list[Calibration], list[LayerTrace] | None]],
+    calibration: Calibration,
+    job: Callable[[slice], tuple[list[np.ndarray], list[np.ndarray] | None, list[LayerTrace] | None]],
     consume: Callable[[slice, list[LayerTrace]], None],
 ) -> None:
-    """`encode_stack` over the `chunks` of `count` images, two passes at a
-    time: for each chunk `part`, in order, job(part) gives the pass's
-    (images, calibrations, prefixes) and consume(part, traces) takes the
-    traces it returns.
+    """`encode_stack` under `calibration` over the `chunks` of `count`
+    images, two passes at a time: for each chunk `part`, in order,
+    job(part) gives the pass's (images, relations, prefixes) and
+    consume(part, traces) takes the traces it returns.
 
     Consecutive chunks run in pairs, the earlier on one helper thread and
     the later on the calling thread; an odd last chunk runs on the calling
@@ -435,13 +437,13 @@ def encode_chunks(
     parts = chunks(count, weights)
 
     def run(part: slice) -> list[LayerTrace]:
-        images, calibrations, prefixes = job(part)
-        return encode_stack(images, weights, calibrations, prefixes)
+        images, relations, prefixes = job(part)
+        return encode_stack(images, weights, calibration, relations, prefixes)
 
     def run_pair(helper, earlier: slice, later: slice):
         # a function, so that no chunk's traces outlive its pair
-        images, calibrations, prefixes = job(earlier)
-        pending = helper.submit(encode_stack, images, weights, calibrations, prefixes)
+        images, relations, prefixes = job(earlier)
+        pending = helper.submit(encode_stack, images, weights, calibration, relations, prefixes)
         try:
             traces = run(later)
         except Exception as error:  # raised once the earlier chunk is consumed
@@ -471,38 +473,20 @@ def heads_per_block(count: int, weights: EncoderWeights) -> int:
     return max(h for h in range(1, weights.heads + 1) if weights.heads % h == 0 and h <= fit)
 
 
-def _shared_calibration(calibrations: list[Calibration]) -> Calibration:
-    """The first of `calibrations`, after checking that all of them agree
-    in everything but the relation matrix itself."""
-
-    def shared(c: Calibration):
-        return c.layers, c.weights, c.relation is not None
-
-    first = calibrations[0]
-    for c in calibrations[1:]:
-        if shared(c) != shared(first):
-            raise UsageError(
-                f"a stacked pass runs one calibration, but (layers, weights, relation) {shared(c)} "
-                f"differs from {shared(first)}"
-            )
-    return first
-
-
 def encode_stack(
     images: list[np.ndarray],
     weights: EncoderWeights,
-    calibrations: list[Calibration],
+    calibration: Calibration,
+    relations: list[np.ndarray] | None = None,
     prefixes: list[LayerTrace] | None = None,
 ) -> list[LayerTrace]:
-    """Run the encoder over a chunk of images in one stacked pass and
-    capture each image's per-layer tensors; trace i is bit-identical to a
-    pass over image i alone.
+    """Run the encoder under `calibration` over a chunk of images in one
+    stacked pass and capture each image's per-layer tensors; trace i is
+    bit-identical to a pass over image i alone.
 
-    Image i runs under `calibrations[i]`. The calibrations must agree in
-    `layers` and `weights` and in whether they carry a relation; each
-    relation biases its own image. The chunk's tokens are one (N, T, D)
-    stack and its heads (N, H, T, D_s); every product is the per-image
-    product, looped over the chunk inside numpy.
+    With `relations`, relation i biases image i. The chunk's tokens are
+    one (N, T, D) stack and its heads (N, H, T, D_s); every product is
+    the per-image product, looped over the chunk inside numpy.
 
     With `prefixes`, prefix i a trace of image i and the same weights that
     left the layers below the first calibrated layer untouched, those
@@ -515,18 +499,16 @@ def encode_stack(
     finiteness once, so a non-finite weight or input still raises
     NumericError.
     """
-    if not images or len(calibrations) != len(images) or (prefixes is not None and len(prefixes) != len(images)):
+    if not images or any(x is not None and len(x) != len(images) for x in (relations, prefixes)):
         raise UsageError(
-            f"a stacked pass needs one calibration (and prefix) per image, got {len(images)} images, "
-            f"{len(calibrations)} calibrations and {'no' if prefixes is None else len(prefixes)} prefixes"
+            f"a stacked pass needs one relation and one prefix per image, if any, got {len(images)} images, "
+            f"{'no' if relations is None else len(relations)} relations and "
+            f"{'no' if prefixes is None else len(prefixes)} prefixes"
         )
-    calibration = _shared_calibration(calibrations)
     tokens = np.stack([patchify(image, weights) for image in images])
     _, t_count, dim = tokens.shape
     heads, d_s = weights.heads, weights.head_dim
-    bias = None
-    if calibration.relation is not None:
-        bias = np.stack([relation_bias(c.relation, t_count) for c in calibrations])[:, None]
+    bias = None if relations is None else np.stack([relation_bias(r, t_count) for r in relations])[:, None]
     if prefixes is None:
         start, x = 0, tokens
         inputs, features = [[] for _ in images], [[] for _ in images]
@@ -568,21 +550,21 @@ def encode_stack(
     return [
         LayerTrace(
             grid=weights.grid,
-            calibration=c,
+            calibration=calibration,
+            relation=relation,
             inputs=[*inp, x_i],
             features=feat,
             patch_features=np.ascontiguousarray(final_i[1:].T).reshape(dim, gh, gw),
         )
-        for c, inp, feat, x_i, final_i in zip(calibrations, inputs, features, x, final)
+        for relation, inp, feat, x_i, final_i in zip(relations or [None] * len(images), inputs, features, x, final)
     ]
 
 
 def layer_attention(trace: LayerTrace, weights: EncoderWeights, layer: int) -> np.ndarray:
     """The (H, T, T) attention maps of `layer` in the pass `trace` records,
     recomputed from that layer's normalized input under the trace's
-    calibration: the bytes the pass itself used."""
+    calibration and relation: the bytes the pass itself used."""
     h = trace.features[layer]
     q_h, k_h, v_h = _heads_qkv(h, weights.layers[layer], weights.heads, layer)
-    relation = trace.calibration.relation
-    bias = None if relation is None else relation_bias(relation, h.shape[0])
+    bias = None if trace.relation is None else relation_bias(trace.relation, h.shape[0])
     return _head_attention(trace.calibration, layer, q_h, k_h, v_h, weights.head_dim, bias, AttentionWork.of(q_h.shape))

@@ -210,7 +210,7 @@ def _probe_feature_means(weights, spec: FixtureSpec, probe_gen):
     def job(part):
         renders = [render_image(probe_gen, spec, class_id, "rect", quadrant) for class_id, quadrant in probes[part]]
         masks.extend(mask for _, mask, _ in renders)
-        return [rgb_to_chw(rgb) for rgb, _, _ in renders], [PROBE] * len(renders), None
+        return [rgb_to_chw(rgb) for rgb, _, _ in renders], None, None
 
     def consume(part, traces):
         nonlocal bg_acc, bg_count
@@ -225,7 +225,7 @@ def _probe_feature_means(weights, spec: FixtureSpec, probe_gen):
             bg_acc += feats[:, outside].sum(axis=1)
             bg_count += int(outside.sum())
 
-    encode_chunks(len(probes), weights, job, consume)
+    encode_chunks(len(probes), weights, PROBE, job, consume)
     return {class_id: sums[class_id] / counts[class_id] for class_id in class_ids}, bg_acc / bg_count
 
 

@@ -108,15 +108,14 @@ def run_static_passes(
     results = []
 
     def job(part):
-        chunk = records[part]
-        return [rec.image for rec in chunk], [calibration] * len(chunk), None
+        return [rec.image for rec in records[part]], None, None
 
     def consume(part, traces):
         for rec, trace in zip(records[part], traces):
             res = cam_result(trace, bank, rec.labels, tau_fg, tau_bg)
             results.append(res if keep_traces else dataclasses.replace(res, trace=None))
 
-    encode_chunks(len(records), weights, job, consume)
+    encode_chunks(len(records), weights, calibration, job, consume)
     return results
 
 

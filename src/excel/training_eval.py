@@ -412,14 +412,15 @@ def mean_row_entropy(attention: np.ndarray) -> float:
     return float(terms.sum(axis=2).mean())
 
 
-def attn_report(image, weights: EncoderWeights, policies: dict) -> dict:
-    """Per policy: mean row entropy of last-layer attention plus the
-    token-relation (cosine) matrix of the final patch features."""
+def attn_report(image, weights: EncoderWeights, policies: dict[str, tuple[Calibration, np.ndarray | None]]) -> dict:
+    """Per policy, a (calibration, relation or None) pair: mean row entropy
+    of last-layer attention plus the token-relation (cosine) matrix of the
+    final patch features."""
     if not policies:
         raise UsageError("attention report needs at least one policy")
     out = {}
-    for name, policy in policies.items():
-        trace = encode_stack([image], weights, [policy])[0]
+    for name, (calibration, relation) in policies.items():
+        trace = encode_stack([image], weights, calibration, None if relation is None else [relation])[0]
         dim = trace.patch_features.shape[0]
         flat = trace.patch_features.reshape(dim, -1)
         out[name] = {

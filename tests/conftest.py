@@ -19,12 +19,12 @@ from excel.text_enrichment import build_text_bank, ingest_knowledge
 FIXTURE_SEED = 42
 
 
-def serial_encode_chunks(count, weights, job, consume):
+def serial_encode_chunks(count, weights, calibration, job, consume):
     """`encode_chunks` as a serial loop, one `encode_stack` call per chunk
     on the calling thread: the oracle of the runner."""
     for part in encoder.chunks(count, weights):
-        images, calibrations, prefixes = job(part)
-        consume(part, encoder.encode_stack(images, weights, calibrations, prefixes))
+        images, relations, prefixes = job(part)
+        consume(part, encoder.encode_stack(images, weights, calibration, relations, prefixes))
 
 
 def one_image_gradient(trace, params, batch):

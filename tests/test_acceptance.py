@@ -124,15 +124,15 @@ def test_criterion_1_attention_stochasticity(fixture_weights):
         feats = gen.standard_normal((6, hw)).astype(np.float32)
         relation = dynamic_relation(feats, alpha=3.0, beta=float(gen.uniform(0, 1))).masked
         policies = [
-            NAMED_CALIBRATIONS["vanilla"],
-            NAMED_CALIBRATIONS["value_value"],
-            Calibration(layers=5),
-            Calibration(layers=5, relation=relation),
+            (NAMED_CALIBRATIONS["vanilla"], None),
+            (NAMED_CALIBRATIONS["value_value"], None),
+            (Calibration(layers=5), None),
+            (Calibration(layers=5), relation),
         ]
-        for policy in policies:
-            trace = encode_stack([image], fixture_weights, [policy])[0]
+        for policy, bias in policies:
+            trace = encode_stack([image], fixture_weights, policy, None if bias is None else [bias])[0]
             for layer in range(LAYER_COUNT):
-                expected = expected_row_sums(policy, layer, tokens)
+                expected = expected_row_sums(policy, bias, layer, tokens)
                 attn = layer_attention(trace, fixture_weights, layer)
                 err = np.abs(attn.sum(axis=2) - expected[None, :]).max()
                 worst = max(worst, float(err))
@@ -169,7 +169,7 @@ def _tiny_gradient_instance(seed):
     gen = Rng(seed).generator()
     feats = [gen.standard_normal((10, 8)).astype(np.float32) for _ in range(12)]
     trace = LayerTrace(
-        grid=(3, 3), calibration=Calibration(layers=0), inputs=[], features=feats, patch_features=np.zeros((8, 3, 3), np.float32),
+        grid=(3, 3), calibration=Calibration(layers=0), relation=None, inputs=[], features=feats, patch_features=np.zeros((8, 3, 3), np.float32),
     )
     adapter = init_adapter(Rng(seed).child("a"), 8, 4, 6, 1, 0.5, 3.0, 1.0)
     adapter = AdapterParams({k: a.astype(np.float64) for k, a in adapter.tensors.items()}, adapter.alpha, adapter.beta)

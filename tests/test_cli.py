@@ -12,13 +12,15 @@ import pytest
 import excel
 from excel.blobio import load_tensors, save_tensors, write_json
 from excel.cli import build_parser, main
-from excel.config import PATH_KEYS, PipelineConfig, parse_config, save_config
-from excel.encoder import Calibration, save_weights
+from excel.config import PATH_KEYS, PipelineConfig, load_config, parse_config, save_config
+from excel.dynamic_calibration import biased_relations
+from excel.encoder import Calibration, encode_stack, load_weights, save_weights
 from excel.hashing import fnv1a64
 from excel.fixtures import FixtureSpec, generate_fixtures, make_encoder_weights
-from excel.images import read_pgm, write_pgm
+from excel.images import read_pgm, read_ppm, rgb_to_chw, write_pgm
 from excel.numerics import Rng
 from excel.text_enrichment import build_text_bank, ingest_knowledge, save_bank
+from excel.training_eval import attn_report, load_checkpoint
 from conftest import save_non_finite
 
 
@@ -122,8 +124,9 @@ def test_cli_defaults_are_the_types_they_fill():
     assert FixtureSpec(**{k: v for k, v in gen.items() if k not in ("command", "seed", "out")}) == FixtureSpec()
     attrs = parser.parse_args(["build-attrs", "--kb", "k.json", "--clusters", "4", "--out", "b.json"])
     assert (attrs.topk, attrs.lam, attrs.seed) == (PipelineConfig().topk, PipelineConfig().lam, PipelineConfig().seed)
+    # attn-report without --config calibrates as PipelineConfig() does
     report = parser.parse_args(["attn-report", "--weights", "w.json", "--image", "i.ppm", "--out", "a"])
-    assert report.calib_layers == Calibration().layers
+    assert report.config is None
     assert PipelineConfig().calibration() == Calibration()
 
 
@@ -595,26 +598,57 @@ def test_exit_code_checkpoint_mismatch(cli_fixtures, cli_trained, narrow_weights
 
 def test_attn_report_refuses_a_calibration_the_adapter_was_not_trained_under(cli_fixtures, cli_trained, tmp_path):
     # the adapter was trained over the default 5 calibrated layers: an icb
-    # report over 3 is refused before --out exists, one over 5 is written
+    # report under a config of 3 is refused before --out exists, one under
+    # the defaults is written
     out_dir, _ = cli_trained
     checkpoint = out_dir / "train" / "checkpoint_000001.json"
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
     argv = ["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
             "--policies", "icb", "--adapter", str(checkpoint)]
-    proc = run_excel(*argv, "--calib-layers", "3", "--out", str(tmp_path / "out"))
+    cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", calib_layers=3)
+    proc = run_excel(*argv, "--config", str(cfg), "--out", str(tmp_path / "out"))
     line = one_error_line(proc.returncode, proc.stderr, 1)
-    assert str(checkpoint) in line and "calib_layers 5" in line and "--calib-layers asks for 3" in line
+    assert str(checkpoint) in line and "calib_layers 5" in line and "the config asks for 3" in line
     assert not (tmp_path / "out").exists()
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "relations_icb.json").exists()
 
 
+def test_attn_report_reads_the_calibration_an_adapter_was_trained_under_from_its_config(cli_fixtures, tmp_path):
+    # an adapter trained under calib_weights off the equal thirds: refused
+    # under the defaults, reported under its run's config, whose icb
+    # relations are those of the in-process biased pass
+    cfg_path = write_cli_config(
+        tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", iterations=1, calib_weights=[0.5, 0.25, 0.25]
+    )
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    checkpoint = tmp_path / "run" / "train" / "checkpoint_000001.json"
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    argv = ["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
+            "--policies", "ic,icb", "--adapter", str(checkpoint), "--out", str(tmp_path / "out")]
+    proc = run_excel(*argv)
+    line = one_error_line(proc.returncode, proc.stderr, 1)
+    assert str(checkpoint) in line and "calib_weights [0.5, 0.25, 0.25]" in line and "the config asks for 5" in line
+    assert main([*argv, "--config", str(cfg_path)]) == 0
+    calibration = load_config(cfg_path).calibration()
+    weights = load_weights(cli_fixtures / "encoder.json")
+    chw = rgb_to_chw(read_ppm(image))
+    adapter, _ = load_checkpoint(checkpoint, weights.dim)
+    relation = biased_relations(encode_stack([chw], weights, calibration), adapter)[0]
+    want = attn_report(chw, weights, {"ic": (calibration, None), "icb": (calibration, relation)})
+    for name in ("ic", "icb"):
+        got = load_tensors(tmp_path / "out" / f"relations_{name}.json").tensors["token_relation"]
+        assert got.tobytes() == want[name]["token_relation"].tobytes(), name
+
+
 @pytest.mark.parametrize("value", ["13", "-1"])
 def test_exit_code_attn_report_calib_layers_out_of_range(cli_fixtures, tmp_path, value):
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"calib_layers": int(value)}))
     proc = run_excel(
         "attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
-        "--calib-layers", value, "--out", str(tmp_path / "out"),
+        "--config", str(cfg), "--out", str(tmp_path / "out"),
     )
     assert f"calib_layers must be in 0..12, got {value}" in one_error_line(proc.returncode, proc.stderr, 1)
     assert not (tmp_path / "out").exists()

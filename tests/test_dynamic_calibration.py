@@ -10,7 +10,7 @@ from excel.dynamic_calibration import (
     adapter_diversity_loss,
     adapter_forward_stack,
     adapter_shapes,
-    biased_calibrations,
+    biased_relations,
     build_affinity_batch,
     diversity_loss_gradient_stack,
     dynamic_cams,
@@ -29,6 +29,7 @@ def trace_from_features(features, grid):
     return LayerTrace(
         grid=grid,
         calibration=Calibration(layers=0),
+        relation=None,
         inputs=[],
         features=features,
         patch_features=np.zeros((features[0].shape[1],) + grid, np.float32),
@@ -185,7 +186,7 @@ def test_relation_zero_column_error():
 def biased_attention(o, weights, relation):
     """The encoder's biased attention map for one head whose q, k and v
     are all `o`: the weighted self-attention mix plus the relation bias."""
-    calibration = Calibration(layers=1, weights=weights, relation=relation)
+    calibration = Calibration(layers=1, weights=weights)
     bias = relation_bias(relation, o.shape[0])
     return _head_attention(calibration, LAYER_COUNT - 1, o, o, o, o.shape[1], bias, AttentionWork.of(o.shape))
 
@@ -475,11 +476,12 @@ def test_stacked_relations_equal_per_image_biased_calibration(fixture_weights, f
     )
     traces = [res.trace for res in fixture_static]
     features = adapter_forward_stack(traces, adapter)
-    for trace, got_features, got in zip(traces, features, biased_calibrations(traces, adapter)):
-        want = biased_calibrations([trace], adapter)[0]
+    hw = fixture_weights.grid[0] * fixture_weights.grid[1]
+    for trace, got_features, got in zip(traces, features, biased_relations(traces, adapter)):
+        want = biased_relations([trace], adapter)[0]
         assert got_features.tobytes() == adapter_forward_stack([trace], adapter)[0].tobytes()
-        assert got.relation.tobytes() == want.relation.tobytes()
-        assert (got.layers, got.weights) == (want.layers, want.weights) == (trace.calibration.layers, trace.calibration.weights)
+        assert got.dtype == np.float32 and got.shape == (hw, hw)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_stacked_adapter_pass_needs_one_grid():

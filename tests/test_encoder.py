@@ -243,7 +243,7 @@ def test_patchify_token_matches_unfold_oracle():
 
 
 def test_vanilla_rows_sum_to_one(fixture_weights):
-    trace = encode_stack([random_image(20, 64)], fixture_weights, [VANILLA])[0]
+    trace = encode_stack([random_image(20, 64)], fixture_weights, VANILLA)[0]
     for layer in range(LAYER_COUNT):
         attn = layer_attention(trace, fixture_weights, layer)
         np.testing.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-5)
@@ -261,8 +261,16 @@ def test_intra_correlation_policy_validation():
                 {"weights": (float("inf"), 0.0, 0.0)}, {"weights": (float("nan"), 0.0, 0.0)}):
         with pytest.raises(UsageError):
             Calibration(**bad)
-    # a relation is optional: without one the calibration is unbiased
-    assert Calibration(layers=2, relation=None).relation is None
+
+
+def test_calibration_is_a_hashable_value():
+    # a calibration is its layers and weights alone: equal fields compare
+    # equal and hash alike, whatever sequence the weights came in
+    assert [f.name for f in dataclasses.fields(Calibration)] == ["layers", "weights"]
+    assert hash(Calibration()) == hash(Calibration(layers=5, weights=[1 / 3, 1 / 3, 1 / 3]))
+    assert Calibration(layers=3, weights=(0.2, 0.3, 0.5)) == Calibration(layers=3, weights=[0.2, 0.3, 0.5])
+    assert Calibration(layers=3) != Calibration(layers=4)
+    assert len({Calibration(), Calibration(layers=5), VANILLA, NAMED_CALIBRATIONS["vanilla"]}) == 2
 
 
 def test_value_value_is_plain_value_self_attention():
@@ -329,22 +337,21 @@ def test_row_sums_per_policy_constants():
     raw = gen.standard_normal((hw, hw)).astype(np.float32)
     masked = np.where(raw >= 0, raw, np.float32(-np.inf))
     policies = [
-        VANILLA,
-        VALUE_VALUE,
-        Calibration(layers=5, weights=(1 / 3, 1 / 3, 1 / 3)),
-        Calibration(layers=5, weights=(1 / 3, 1 / 3, 1 / 3), relation=masked),
+        (VANILLA, None),
+        (VALUE_VALUE, None),
+        (Calibration(layers=5, weights=(1 / 3, 1 / 3, 1 / 3)), None),
+        (Calibration(layers=5, weights=(1 / 3, 1 / 3, 1 / 3)), masked),
     ]
-    for policy in policies:
-        trace = encode_stack([image], w, [policy])[0]
+    for policy, relation in policies:
+        trace = encode_stack([image], w, policy, None if relation is None else [relation])[0]
         for layer in range(LAYER_COUNT):
-            expected = expected_row_sums(policy, layer, 5)
+            expected = expected_row_sums(policy, relation, layer, 5)
             sums = layer_attention(trace, w, layer).sum(axis=2)
             np.testing.assert_allclose(sums, np.tile(expected, (sums.shape[0], 1)), atol=1e-5)
 
 
 def test_icb_cls_row_carries_no_bias():
-    policy = Calibration(layers=5, relation=np.zeros((4, 4), np.float32))
-    sums = expected_row_sums(policy, 11, 5)
+    sums = expected_row_sums(Calibration(layers=5), np.zeros((4, 4), np.float32), 11, 5)
     assert sums[0] == pytest.approx(1.0)
     assert sums[1] == pytest.approx(2.0)
 
@@ -353,13 +360,13 @@ def test_icb_token_sized_relation_raises():
     # only the grid-sized (hw, hw) relation is accepted; a (T, T) one,
     # which would also bias the CLS row, is a shape error everywhere
     w = tiny_weights(seed=31)
-    policy = Calibration(layers=2, relation=np.zeros((5, 5), np.float32))
+    policy, relation = Calibration(layers=2), np.zeros((5, 5), np.float32)
     with pytest.raises(ShapeError, match=r"not the grid size \(4, 4\)"):
-        encode_stack([random_image(31, 8)], w, [policy])
+        encode_stack([random_image(31, 8)], w, policy, [relation])
     with pytest.raises(ShapeError):
-        expected_row_sums(policy, 11, 5)
+        expected_row_sums(policy, relation, 11, 5)
     with pytest.raises(ShapeError):
-        relation_bias(policy.relation, 5)
+        relation_bias(relation, 5)
 
 
 def test_intra_identity_attention_on_scaled_orthogonal_values():
@@ -400,7 +407,7 @@ def test_intra_identity_attention_on_scaled_orthogonal_values():
     w.tensors["pos_embed"] = np.vstack([np.zeros(dim, np.float32), had[:4]])
     w.tensors["cls_token"] = cls_row
 
-    trace = encode_stack([image], w, [policy])[0]
+    trace = encode_stack([image], w, policy)[0]
     attn0 = layer_attention(trace, w, 0)[0]
     # scaled orthogonal values: logits 8^2*8 / sqrt(8) on the diagonal, 0 off
     np.testing.assert_allclose(attn0, np.eye(5), atol=1e-6)
@@ -428,10 +435,9 @@ def test_icb_identity_relation_adds_identity():
     relation = np.full((hw, hw), -np.inf, dtype=np.float32)
     np.fill_diagonal(relation, 0.0)
     base = Calibration(layers=1)
-    biased = Calibration(layers=1, relation=relation)
     image = random_image(41, 8)
-    attn_b = layer_attention(encode_stack([image], w, [base])[0], w, 11)
-    attn_i = layer_attention(encode_stack([image], w, [biased])[0], w, 11)
+    attn_b = layer_attention(encode_stack([image], w, base)[0], w, 11)
+    attn_i = layer_attention(encode_stack([image], w, base, [relation])[0], w, 11)
     eye = np.zeros((5, 5), np.float32)
     eye[1:, 1:] = np.eye(hw)
     np.testing.assert_allclose(attn_i, attn_b + eye[None], atol=1e-6)
@@ -454,8 +460,8 @@ def test_relation_bias_shapes():
 def test_encode_deterministic(fixture_weights):
     image = random_image(50, 64)
     policy = Calibration(layers=5)
-    t1 = encode_stack([image], fixture_weights, [policy])[0]
-    t2 = encode_stack([image], fixture_weights, [policy])[0]
+    t1 = encode_stack([image], fixture_weights, policy)[0]
+    t2 = encode_stack([image], fixture_weights, policy)[0]
     assert t1.patch_features.tobytes() == t2.patch_features.tobytes()
     for layer in range(LAYER_COUNT):
         a, b = (layer_attention(t, fixture_weights, layer) for t in (t1, t2))
@@ -464,8 +470,8 @@ def test_encode_deterministic(fixture_weights):
 
 def test_zero_modified_layers_equals_vanilla(fixture_weights):
     image = random_image(51, 64)
-    t_ic = encode_stack([image], fixture_weights, [Calibration(layers=0)])[0]
-    t_qk = encode_stack([image], fixture_weights, [VANILLA])[0]
+    t_ic = encode_stack([image], fixture_weights, Calibration(layers=0))[0]
+    t_qk = encode_stack([image], fixture_weights, VANILLA)[0]
     assert t_ic.patch_features.tobytes() == t_qk.patch_features.tobytes()
     assert t_ic.inputs[-1].tobytes() == t_qk.inputs[-1].tobytes()
 
@@ -473,13 +479,13 @@ def test_zero_modified_layers_equals_vanilla(fixture_weights):
 def test_per_head_attention_shape(fixture_weights):
     image = random_image(52, 64)
     for policy in (VANILLA, VALUE_VALUE, Calibration(layers=5)):
-        trace = encode_stack([image], fixture_weights, [policy])[0]
+        trace = encode_stack([image], fixture_weights, policy)[0]
         for layer in range(LAYER_COUNT):
             assert layer_attention(trace, fixture_weights, layer).shape == (4, 17, 17)
 
 
 def test_trace_captures_qkv_and_features(fixture_weights):
-    trace = encode_stack([random_image(53, 64)], fixture_weights, [VANILLA])[0]
+    trace = encode_stack([random_image(53, 64)], fixture_weights, VANILLA)[0]
     assert len(trace.features) == 12
     assert trace.features[0].shape == (17, 64)
     assert trace.patch_features.shape == (64, 4, 4)
@@ -511,10 +517,11 @@ def masked_relation(seed, hw):
 @pytest.mark.parametrize("calib_layers", [0, 5, 12])
 def test_prefix_resume_matches_full_biased_encode(fixture_weights, calib_layers):
     image = random_image(60, 64)
-    static = encode_stack([image], fixture_weights, [Calibration(layers=calib_layers)])[0]
-    biased = Calibration(layers=calib_layers, relation=masked_relation(61, 16))
-    full = encode_stack([image], fixture_weights, [biased])[0]
-    resumed = encode_stack([image], fixture_weights, [biased], [static])[0]
+    calibration = Calibration(layers=calib_layers)
+    static = encode_stack([image], fixture_weights, calibration)[0]
+    relations = [masked_relation(61, 16)]
+    full = encode_stack([image], fixture_weights, calibration, relations)[0]
+    resumed = encode_stack([image], fixture_weights, calibration, relations, [static])[0]
     assert len(full.inputs) == LAYER_COUNT + 1
     assert_traces_identical(resumed, full)
     # the frozen layers are shared with the prefix, not recomputed
@@ -523,7 +530,7 @@ def test_prefix_resume_matches_full_biased_encode(fixture_weights, calib_layers)
         assert resumed.features[layer] is static.features[layer]
 
 
-def encode_capturing_maps(monkeypatch, image, weights, calibration, prefix=None):
+def encode_capturing_maps(monkeypatch, image, weights, calibration, relation=None, prefix=None):
     """`encode_stack`'s trace of one image and, by layer, the bytes of each attention map the
     pass computed."""
     maps, real = {}, encoder._head_attention
@@ -537,7 +544,9 @@ def encode_capturing_maps(monkeypatch, image, weights, calibration, prefix=None)
 
     with monkeypatch.context() as patched:
         patched.setattr(encoder, "_head_attention", capture)
-        trace = encode_stack([image], weights, [calibration], None if prefix is None else [prefix])[0]
+        trace = encode_stack(
+            [image], weights, calibration, None if relation is None else [relation], None if prefix is None else [prefix]
+        )[0]
     return trace, maps
 
 
@@ -547,31 +556,30 @@ def test_layer_attention_recomputes_the_encoded_maps(monkeypatch, fixture_weight
     image = random_image(66, size)
     relation = masked_relation(67, weights.grid[0] * weights.grid[1])
     calibrated = Calibration(layers=5)
-    biased = Calibration(layers=5, relation=relation)
-    for calibration in (VANILLA, VALUE_VALUE, calibrated, biased):
-        trace, maps = encode_capturing_maps(monkeypatch, image, weights, calibration)
+    for calibration, bias in ((VANILLA, None), (VALUE_VALUE, None), (calibrated, None), (calibrated, relation)):
+        trace, maps = encode_capturing_maps(monkeypatch, image, weights, calibration, bias)
         assert sorted(maps) == list(range(LAYER_COUNT))
         for layer in range(LAYER_COUNT):
-            assert layer_attention(trace, weights, layer).tobytes() == maps[layer], (calibration, layer)
+            assert layer_attention(trace, weights, layer).tobytes() == maps[layer], (calibration, bias is None, layer)
     # a biased pass resumed from the calibrated one computes the calibrated
     # layers; below them its maps are the prefix's
     static, static_maps = encode_capturing_maps(monkeypatch, image, weights, calibrated)
-    resumed, resumed_maps = encode_capturing_maps(monkeypatch, image, weights, biased, prefix=static)
+    resumed, resumed_maps = encode_capturing_maps(monkeypatch, image, weights, calibrated, relation, prefix=static)
     assert sorted(resumed_maps) == list(range(LAYER_COUNT - 5, LAYER_COUNT))
     for layer, want in (static_maps | resumed_maps).items():
         assert layer_attention(resumed, weights, layer).tobytes() == want, layer
 
 
 def test_mismatched_prefix_refused(fixture_weights):
-    biased = Calibration(layers=5, relation=masked_relation(62, 16))
+    calibrated, relations = Calibration(layers=5), [masked_relation(62, 16)]
     image = random_image(62, 64)
-    other = encode_stack([random_image(63, 64)], fixture_weights, [Calibration(layers=5)])[0]
+    other = encode_stack([random_image(63, 64)], fixture_weights, calibrated)[0]
     with pytest.raises(DataError, match="different image"):
-        encode_stack([image], fixture_weights, [biased], [other])
+        encode_stack([image], fixture_weights, calibrated, relations, [other])
     # layer 5 is calibrated in the prefix but must be plain below layer 7
-    deeper = encode_stack([image], fixture_weights, [Calibration(layers=7)])[0]
+    deeper = encode_stack([image], fixture_weights, Calibration(layers=7))[0]
     with pytest.raises(DataError, match="below the resume layer"):
-        encode_stack([image], fixture_weights, [biased], [deeper])
+        encode_stack([image], fixture_weights, calibrated, relations, [deeper])
 
 
 @pytest.fixture(scope="module")
@@ -585,26 +593,27 @@ def stacked_inputs(fixture_weights, wide_weights, fixture_dataset):
     }
 
 
-def biased_per_image(calibration, weights, count, seed):
+def relations_per_image(weights, count, seed):
     hw = weights.grid[0] * weights.grid[1]
-    return [dataclasses.replace(calibration, relation=masked_relation(seed + i, hw)) for i in range(count)]
+    return [masked_relation(seed + i, hw) for i in range(count)]
 
 
 @pytest.mark.parametrize("size", [64, 256], ids=["T17-N32", "T257-N3"])
 def test_stacked_pass_equals_per_image_encodes(stacked_inputs, size):
     weights, images = stacked_inputs[size]
     calibrated = Calibration(layers=5)
-    static = encoder.encode_stack(images, weights, [calibrated] * len(images))
+    static = encoder.encode_stack(images, weights, calibrated)
     assert len(static) == len(images)
     for image, got in zip(images, static):
-        assert_traces_identical(got, encode_stack([image], weights, [calibrated])[0])
+        assert got.calibration is calibrated and got.relation is None
+        assert_traces_identical(got, encode_stack([image], weights, calibrated)[0])
     # biased and resumed, a different relation per image
-    biased = biased_per_image(calibrated, weights, len(images), seed=80)
-    resumed = encoder.encode_stack(images, weights, biased, prefixes=static)
-    for image, calibration, prefix, got in zip(images, biased, static, resumed):
-        assert got.calibration is calibration
-        assert_traces_identical(got, encode_stack([image], weights, [calibration], [prefix])[0])
-        assert_traces_identical(got, encode_stack([image], weights, [calibration])[0])
+    relations = relations_per_image(weights, len(images), seed=80)
+    resumed = encoder.encode_stack(images, weights, calibrated, relations, prefixes=static)
+    for image, relation, prefix, got in zip(images, relations, static, resumed):
+        assert got.calibration is calibrated and got.relation is relation
+        assert_traces_identical(got, encode_stack([image], weights, calibrated, [relation], [prefix])[0])
+        assert_traces_identical(got, encode_stack([image], weights, calibrated, [relation])[0])
 
 
 def chunk_sizes(count, weights):
@@ -650,8 +659,8 @@ def test_stacked_maps_are_each_images_layer_attention(monkeypatch, stacked_input
     weights, images = stacked_inputs[64]
     images = images[:6]
     calibrated = Calibration(layers=5)
-    static = encoder.encode_stack(images, weights, [calibrated] * len(images))
-    biased = biased_per_image(calibrated, weights, len(images), seed=90)
+    static = encoder.encode_stack(images, weights, calibrated)
+    relations = relations_per_image(weights, len(images), seed=90)
     maps, real = {}, encoder._head_attention
 
     def capture(calibration, layer, *args):
@@ -660,7 +669,7 @@ def test_stacked_maps_are_each_images_layer_attention(monkeypatch, stacked_input
         return attn
 
     monkeypatch.setattr(encoder, "_head_attention", capture)
-    resumed = encoder.encode_stack(images, weights, biased, prefixes=static)
+    resumed = encoder.encode_stack(images, weights, calibrated, relations, prefixes=static)
     monkeypatch.undo()
     assert sorted(maps) == list(range(LAYER_COUNT - 5, LAYER_COUNT))
     for layer, stacked in maps.items():
@@ -670,24 +679,35 @@ def test_stacked_maps_are_each_images_layer_attention(monkeypatch, stacked_input
 
 
 def test_stacked_pass_refuses_a_mixed_chunk(fixture_weights):
+    # the prefixes must be the same images', in the same order
     images = [random_image(95 + i, 64) for i in range(3)]
     calibrated = Calibration(layers=5)
-    for other in (
-        Calibration(layers=4),
-        Calibration(layers=5, weights=(0.5, 0.25, 0.25)),
-        dataclasses.replace(calibrated, relation=masked_relation(95, 16)),
-    ):
-        with pytest.raises(UsageError, match="one calibration"):
-            encoder.encode_stack(images, fixture_weights, [calibrated, other, calibrated])
-    with pytest.raises(UsageError, match="one calibration"):
-        encoder.encode_stack(images, fixture_weights, [calibrated] * 2)
-    with pytest.raises(UsageError, match="one calibration"):
-        encoder.encode_stack([], fixture_weights, [])
-    # the prefixes must be the same images', in the same order
-    static = encoder.encode_stack(images, fixture_weights, [calibrated] * 3)
-    biased = biased_per_image(calibrated, fixture_weights, 3, seed=96)
+    static = encoder.encode_stack(images, fixture_weights, calibrated)
+    relations = relations_per_image(fixture_weights, 3, seed=96)
     with pytest.raises(DataError, match="different image"):
-        encoder.encode_stack(images, fixture_weights, biased, prefixes=[static[0], static[2], static[1]])
+        encoder.encode_stack(images, fixture_weights, calibrated, relations, [static[0], static[2], static[1]])
+
+
+def test_stacked_pass_needs_one_relation_and_prefix_per_image(monkeypatch, fixture_weights):
+    images = [random_image(97 + i, 64) for i in range(3)]
+    calibrated = Calibration(layers=5)
+    static = encoder.encode_stack(images, fixture_weights, calibrated)
+    relations = relations_per_image(fixture_weights, 3, seed=97)
+    # a count is checked before any image is encoded
+    monkeypatch.setattr(encoder, "patchify", None)
+    for bad_relations, bad_prefixes in (
+        (relations[:2], None),
+        (relations + relations[:1], None),
+        (None, static[:2]),
+        (relations, static[:2]),
+        (relations[:2], static),
+        ([], None),
+    ):
+        with pytest.raises(UsageError, match="one relation and one prefix per image") as refused:
+            encoder.encode_stack(images, fixture_weights, calibrated, bad_relations, bad_prefixes)
+        assert "\n" not in str(refused.value)
+    with pytest.raises(UsageError, match="got 0 images"):
+        encoder.encode_stack([], fixture_weights, calibrated)
 
 
 # --------------------------------------------------------------------------
@@ -699,7 +719,7 @@ def check_runner_keeps_the_serial_bytes(monkeypatch, weights, images, seed):
     `images` are those of serial calls, consumed in chunk order on the
     calling thread; each pair's earlier pass runs on the helper thread."""
     calibrated = Calibration(layers=5)
-    biased = biased_per_image(calibrated, weights, len(images), seed=seed)
+    relations = relations_per_image(weights, len(images), seed=seed)
     caller, real = threading.get_ident(), encoder.encode_stack
     parts = encoder.chunks(len(images), weights)
     starts = [part.start for part in parts]
@@ -710,27 +730,27 @@ def check_runner_keeps_the_serial_bytes(monkeypatch, weights, images, seed):
         pass_threads[starts.index(first)] = threading.get_ident()
         return real(chunk, *args)
 
-    def run(runner, calibrations, prefixes):
+    def run(runner, relations, prefixes):
         traces, consumed = [], []
 
         def job(part):
-            return images[part], calibrations[part], None if prefixes is None else prefixes[part]
+            return images[part], *(None if x is None else x[part] for x in (relations, prefixes))
 
         def consume(part, chunk_traces):
             consumed.append((part, threading.get_ident()))
             traces.extend(chunk_traces)
 
-        runner(len(images), weights, job, consume)
+        runner(len(images), weights, calibrated, job, consume)
         assert consumed == [(part, caller) for part in parts]
         return traces
 
-    static = run(serial_encode_chunks, [calibrated] * len(images), None)
-    want = run(serial_encode_chunks, biased, static)
+    static = run(serial_encode_chunks, None, None)
+    want = run(serial_encode_chunks, relations, static)
     monkeypatch.setattr(encoder, "encode_stack", recording)
     on_helper = [i % 2 == 0 and i + 1 < len(parts) for i in range(len(parts))]
-    for calibrations, prefixes, oracle in (([calibrated] * len(images), None, static), (biased, static, want)):
+    for bias, prefixes, oracle in ((None, None, static), (relations, static, want)):
         pass_threads.clear()
-        for got, expected in zip(run(encoder.encode_chunks, calibrations, prefixes), oracle, strict=True):
+        for got, expected in zip(run(encoder.encode_chunks, bias, prefixes), oracle, strict=True):
             assert_traces_identical(got, expected)
         assert [pass_threads[i] != caller for i in range(len(parts))] == on_helper
 
@@ -790,7 +810,7 @@ def test_first_failing_chunk_raises_and_no_thread_outlives_the_runner(monkeypatc
         if failures.get(chunk) == step:
             raise DataError(f"chunk {chunk} {step}")
 
-    def fake_stack(chunk, weights, calibrations, prefixes=None):
+    def fake_stack(chunk, weights, calibration, relations=None, prefixes=None):
         pass_threads[chunk[0]] = threading.get_ident()
         fail(chunk[0], "pass")
         return [f"trace {chunk[0]}"]
@@ -805,12 +825,12 @@ def test_first_failing_chunk_raises_and_no_thread_outlives_the_runner(monkeypatc
 
     monkeypatch.setattr(encoder, "encode_stack", fake_stack)
     if raised is None:
-        encoder.encode_chunks(5, wide_weights, job, consume)
+        encoder.encode_chunks(5, wide_weights, VANILLA, job, consume)
         assert consumed == [f"trace {i}" for i in range(5)]
         assert [pass_threads[i] == caller for i in range(5)] == [False, True, False, True, True]
     else:
         with pytest.raises(DataError, match=f"^chunk {raised} {failures[raised]}$"):
-            encoder.encode_chunks(5, wide_weights, job, consume)
+            encoder.encode_chunks(5, wide_weights, VANILLA, job, consume)
         assert consumed == [f"trace {i}" for i in range(raised)]
     assert threading.active_count() == threads_before
 
@@ -819,12 +839,14 @@ def test_one_chunk_starts_no_thread(monkeypatch, fixture_weights):
     # 30 T=17 images fit one chunk, which runs on the calling thread
     threads_before, seen = threading.active_count(), []
 
-    def fake_stack(images, weights, calibrations, prefixes=None):
+    def fake_stack(images, weights, calibration, relations=None, prefixes=None):
         seen.append((len(images), threading.get_ident(), threading.active_count()))
         return list(images)
 
     monkeypatch.setattr(encoder, "encode_stack", fake_stack)
-    encoder.encode_chunks(30, fixture_weights, lambda part: (list(range(30))[part], None, None), lambda *_: None)
+    encoder.encode_chunks(
+        30, fixture_weights, VANILLA, lambda part: (list(range(30))[part], None, None), lambda *_: None
+    )
     assert seen == [(30, threading.get_ident(), threads_before)]
 
 
@@ -876,9 +898,7 @@ def test_buffered_attention_equals_the_allocating_oracle(monkeypatch, stacked_in
     weights, images = stacked_inputs[size]
     blocks = 1 if size == 64 else weights.heads
     calibration = ORACLE_CALIBRATIONS[name]
-    calibrations = [calibration] * len(images)
-    if name == "biased":
-        calibrations = biased_per_image(calibration, weights, len(images), seed=110)
+    relations = relations_per_image(weights, len(images), seed=110) if name == "biased" else None
     maps, real = [], encoder._head_attention
 
     def check(calibration, layer, q, k, v, head_dim, bias, work):
@@ -889,7 +909,7 @@ def test_buffered_attention_equals_the_allocating_oracle(monkeypatch, stacked_in
         return attn
 
     monkeypatch.setattr(encoder, "_head_attention", check)
-    encoder.encode_stack(images, weights, calibrations)
+    encoder.encode_stack(images, weights, calibration, relations)
     assert len(maps) == LAYER_COUNT * blocks
     assert maps[0].shape == (len(images), weights.heads // blocks, *maps[0].shape[-2:])
     assert all(attn is maps[0] for attn in maps)
@@ -899,15 +919,15 @@ def test_buffered_attention_equals_the_allocating_oracle(monkeypatch, stacked_in
 
 
 def test_traces_and_maps_hold_no_work_array(fixture_weights):
-    calibration = Calibration(layers=5, relation=masked_relation(111, 16))
-    first = encode_stack([random_image(111, 64)], fixture_weights, [calibration])[0]
+    calibration, relations = Calibration(layers=5), [masked_relation(111, 16)]
+    first = encode_stack([random_image(111, 64)], fixture_weights, calibration, relations)[0]
     first_map = layer_attention(first, fixture_weights, LAYER_COUNT - 1)
 
     def kept(trace):
         return [*trace.inputs, *trace.features, trace.patch_features]
 
     before = [a.tobytes() for a in (*kept(first), first_map)]
-    second = encode_stack([random_image(112, 64)], fixture_weights, [calibration])[0]
+    second = encode_stack([random_image(112, 64)], fixture_weights, calibration, relations)[0]
     second_map = layer_attention(second, fixture_weights, 0)
     arrays = [*kept(first), first_map, *kept(second), second_map]
     for (i, a), (j, b) in itertools.combinations(enumerate(arrays), 2):
@@ -922,11 +942,11 @@ def test_non_finite_weight_raises_numeric_error(name):
     poisoned[0, 0] = np.nan
     w.tensors[f"layers.03.{name}"] = poisoned
     with pytest.raises(NumericError, match="layer 3"):
-        encode_stack([random_image(64, 8)], w, [Calibration(layers=5)])
+        encode_stack([random_image(64, 8)], w, Calibration(layers=5))
 
 
 def test_non_finite_image_raises_numeric_error():
     image = random_image(65, 8)
     image[1, 2, 3] = np.nan
     with pytest.raises(NumericError):
-        encode_stack([image], tiny_weights(seed=65), [VANILLA])
+        encode_stack([image], tiny_weights(seed=65), VANILLA)

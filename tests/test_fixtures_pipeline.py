@@ -375,19 +375,19 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
     real_stack, real_head = encoder.encode_stack, encoder._head_attention
     current = threading.local()
 
-    def counting_stack(images, weights, calibrations, prefixes=None):
-        if all(c.relation is not None for c in calibrations):
+    def counting_stack(images, weights, calibration, relations=None, prefixes=None):
+        if relations is not None:
             biased.extend(image.tobytes() for image in images)
             current.heads = [0]
             biased_heads.append(current.heads)
-        elif all(c == PipelineConfig().calibration() for c in calibrations):
+        elif calibration == PipelineConfig().calibration():
             calibrated.extend(image.tobytes() for image in images)
-        return real_stack(images, weights, calibrations, prefixes)
+        return real_stack(images, weights, calibration, relations, prefixes)
 
-    def counting_head(policy, *args):
-        if policy.relation is not None:
+    def counting_head(policy, layer, q, k, v, head_dim, bias, work):
+        if bias is not None:
             current.heads[0] += 1
-        return real_head(policy, *args)
+        return real_head(policy, layer, q, k, v, head_dim, bias, work)
 
     monkeypatch.setattr(encoder, "encode_stack", counting_stack)
     monkeypatch.setattr(encoder, "_head_attention", counting_head)

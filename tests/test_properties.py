@@ -1,8 +1,8 @@
 """Property tests of the exit-code contract. A weights or knowledge
 manifest, a config, a checkpoint's or a text bank's meta, a dataset's
-`classes.json` or `labels.json`, or a PGM header mutated into an invalid
-one makes `excel.cli.main` return 1, 2 or 3; no exception escapes it. So
-does a finished run's file that `run --resume` reads, truncated."""
+`classes.json` or `labels.json`, or a PGM or PPM header mutated into an
+invalid one makes `excel.cli.main` return 1, 2 or 3; no exception escapes
+it. So does a finished run's file that `run --resume` reads, truncated."""
 
 import contextlib
 import dataclasses
@@ -479,7 +479,7 @@ def test_truncated_artifact_fails_resume_cleanly(small, small_run, name, cut):
 
 
 # --------------------------------------------------------------------------
-# PGM header
+# PGM and PPM headers
 
 
 def _as_int(token: bytes):
@@ -495,27 +495,70 @@ def _token_other_than(value: int):
     return free.filter(lambda b: _as_int(b) != value)
 
 
-@given(data=st.data())
-@PROPERTY
-def test_mutated_pgm_header_fails_cleanly(small, data):
-    mask = (small / "dataset" / "masks" / "img_0000.pgm").read_bytes()
-    parts = {"magic": b"P5", "width": b"32", "height": b"32", "maxval": b"255"}
-    header = b"P5\n# stamp\n32 32\n255\n"
-    payload = mask[mask.index(b"\n255\n") + 5 :]
-    assert len(payload) == 32 * 32
+def _mutated_netpbm(data, magic: bytes, size: int, payload: bytes) -> bytes:
+    """A `size` x `size` binary PGM or PPM holding `payload`, drawn from
+    `data` with one part made invalid: its magic, width, height or maxval
+    token, its length cut inside the header, or its payload grown or cut."""
+    parts = {"magic": magic, "width": b"%d" % size, "height": b"%d" % size, "maxval": b"255"}
+    header = b"%s\n# stamp\n%d %d\n255\n" % (magic, size, size)
     field = data.draw(st.sampled_from(["magic", "width", "height", "maxval", "truncate", "payload"]))
     if field == "magic":
-        parts["magic"] = data.draw(st.binary(max_size=3).filter(lambda b: not b.startswith(b"P5")))
+        parts["magic"] = data.draw(st.binary(max_size=3).filter(lambda b: not b.startswith(magic)))
     elif field in ("width", "height", "maxval"):
         parts[field] = data.draw(_token_other_than(int(parts[field])))
     elif field == "payload":
-        payload = data.draw(st.binary(min_size=1, max_size=4).map(lambda extra: payload + extra) | st.integers(1, 1024).map(lambda k: payload[:-k]))
+        grown = st.binary(min_size=1, max_size=4).map(lambda extra: payload + extra)
+        payload = data.draw(grown | st.integers(1, len(payload)).map(lambda k: payload[:-k]))
     body = b"%s\n# stamp\n%s %s\n%s\n" % (parts["magic"], parts["width"], parts["height"], parts["maxval"]) + payload
     if field == "truncate":
         body = body[: data.draw(st.integers(0, len(header) - 1))]
+    return body
+
+
+def _netpbm_payload(path) -> bytes:
+    data = path.read_bytes()
+    return data[data.index(b"\n255\n") + 5 :]
+
+
+@given(data=st.data())
+@PROPERTY
+def test_mutated_pgm_header_fails_cleanly(small, data):
+    payload = _netpbm_payload(small / "dataset" / "masks" / "img_0000.pgm")
+    assert len(payload) == 32 * 32
+    body = _mutated_netpbm(data, b"P5", 32, payload)
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(small / "dataset" / "masks", Path(tmp) / "pred")
         (Path(tmp) / "pred" / "img_0000.pgm").write_bytes(body)
         argv = ["eval", "--pred-dir", str(Path(tmp) / "pred"), "--gt-dir", str(small / "dataset" / "masks"),
                 "--classes", str(small / "dataset" / "classes.json")]
         assert main(argv) in FAILED
+
+
+@given(data=st.data())
+@PROPERTY
+def test_mutated_ppm_header_fails_cleanly(small, data):
+    # a dataset image made invalid: `cam` and `attn-report` given it as
+    # --image, and a static-only run over a dataset that holds it
+    payload = _netpbm_payload(small / "dataset" / "images" / "img_0000.ppm")
+    assert len(payload) == 32 * 32 * 3
+    body = _mutated_netpbm(data, b"P6", 32, payload)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        shutil.copytree(small / "dataset", tmp / "dataset")
+        bad = tmp / "dataset" / "images" / "img_0000.ppm"
+        bad.write_bytes(body)
+        mapping = {
+            "weights": str(small / "encoder.json"),
+            "knowledge": str(small / "knowledge.json"),
+            "dataset": str(tmp / "dataset"),
+            "out_dir": str(tmp / "run"),
+            "clusters": 4,
+        }
+        (tmp / "cfg.json").write_text(json.dumps(mapping))
+        common = ["--weights", str(small / "encoder.json"), "--image", str(bad)]
+        for argv in (
+            ["cam", "--bank", str(small / "bank.json"), "--labels", "1", *common, "--out", str(tmp / "cam")],
+            ["attn-report", *common, "--out", str(tmp / "attn")],
+            ["run", "--config", str(tmp / "cfg.json"), "--mode", "static-only"],
+        ):
+            _fails_with_one_error_line(argv)

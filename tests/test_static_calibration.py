@@ -116,7 +116,7 @@ def test_static_cam_scale_invariance():
 
 def test_static_cam_values_in_unit_interval(fixture_weights, fixture_bank, fixture_dataset):
     rec = fixture_dataset.images[0]
-    trace = encode_stack([rec.image], fixture_weights, [Calibration(layers=5)])[0]
+    trace = encode_stack([rec.image], fixture_weights, Calibration(layers=5))[0]
     cams = static_cam(trace.patch_features, fixture_bank, rec.labels)
     assert cams.maps.min() >= 0.0 and cams.maps.max() <= 1.0
 

@@ -286,7 +286,7 @@ def test_attn_report_fixture_policies(fixture_weights, fixture_dataset):
     report = attn_report(
         rec.image,
         fixture_weights,
-        {"qk": NAMED_CALIBRATIONS["vanilla"], "ic": Calibration(layers=5)},
+        {"qk": (NAMED_CALIBRATIONS["vanilla"], None), "ic": (Calibration(layers=5), None)},
     )
     assert set(report) == {"qk", "ic"}
     hw = 16
@@ -294,7 +294,7 @@ def test_attn_report_fixture_policies(fixture_weights, fixture_dataset):
         assert 0.0 <= entry["mean_row_entropy"] <= math.log(17) + 1e-6
         assert entry["token_relation"].shape == (hw, hw)
     # independent entropy recomputation for one policy
-    trace = encode_stack([rec.image], fixture_weights, [NAMED_CALIBRATIONS["vanilla"]])[0]
+    trace = encode_stack([rec.image], fixture_weights, NAMED_CALIBRATIONS["vanilla"])[0]
     attn = layer_attention(trace, fixture_weights, LAYER_COUNT - 1).astype(np.float64)
     rows = attn / attn.sum(axis=2, keepdims=True)
     ent = float(np.where(rows > 0, -rows * np.log(rows), 0.0).sum(axis=2).mean())
@@ -484,9 +484,9 @@ def test_train_loop_runs_one_static_pass_per_image(
     calls = []
     real = encoder.encode_stack
 
-    def counting(images, weights, calibrations, prefixes=None):
+    def counting(images, weights, calibration, relations=None, prefixes=None):
         calls.extend(image.tobytes() for image in images)
-        return real(images, weights, calibrations, prefixes)
+        return real(images, weights, calibration, relations, prefixes)
 
     monkeypatch.setattr(encoder, "encode_stack", counting)
     cfg = small_config(iterations=17, batch_size=4)

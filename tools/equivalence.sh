@@ -7,7 +7,7 @@
 # exits 0; otherwise it names every file and JSON key that differs.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
-# About 31-33 s on a 2-vCPU VM.
+# About 36-39 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -145,10 +145,16 @@ excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.p
     --policies qk,vv,ic,icb --out attn > attn.log
 excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.ppm \
     --policies icb,qk --adapter full/train/checkpoint_000017.json --out attn-adapter > attn-adapter.log
+# ic and icb calibrate every layer, read from the config
+config all-layers.json attn-all-layers fx '"calib_layers": 12'
 excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0001.ppm \
-    --policies ic,icb --calib-layers 12 --out attn-all-layers > attn-all-layers.log
+    --policies ic,icb --config all-layers.json --out attn-all-layers > attn-all-layers.log
 excel attn-report --weights fx256/encoder.json --image fx256/dataset/images/img_0003.ppm \
     --policies qk,vv,ic,icb --adapter full256/train/checkpoint_000002.json --out attn-256 > attn-256.log
+# an adapter trained under calib_layers 4 and calib_weights [0.5, 0.25, 0.25], read from its run's config
+excel attn-report --weights fx32/encoder.json --image fx32/dataset/images/img_0000.ppm --policies ic,icb \
+    --config every-key-run.json --adapter every-key-run/train/checkpoint_000003.json --out attn-every-key \
+    > attn-every-key.log
 
 excel eval --pred-dir full/dynamic --gt-dir fx/dataset/masks --classes fx/dataset/classes.json \
     --out eval.json > eval.log
