@@ -16,7 +16,7 @@ from .blobio import save_tensors, write_json
 from .config import PipelineConfig, load_config
 from .dataset import ImageRecord, load_class_names
 from .dynamic_calibration import biased_relations, dynamic_cams
-from .encoder import encode_stack, load_weights, named_calibration
+from .encoder import VALUE_VALUE, VANILLA, encode_stack, load_weights
 from .errors import EXIT_DATA, EXIT_OK, DataError, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
 from .hashing import config_digest, provenance
@@ -42,9 +42,10 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
-# attn-report's short names for the encoder's named calibrations; icb is
-# ic plus the relation bias
-_REPORT_POLICIES = {"qk": "vanilla", "vv": "value_value", "ic": "intra_correlation", "icb": "intra_correlation"}
+# attn-report's policies: the two fixed baselines, and the config's
+# calibration without (ic) and with (icb) the relation bias
+_REPORT_BASELINES = {"qk": VANILLA, "vv": VALUE_VALUE}
+_REPORT_POLICIES = (*_REPORT_BASELINES, "ic", "icb")
 
 # the FixtureSpec fields gen-fixtures exposes, one flag each
 _FIXTURE_FLAGS = ("classes", "images", "image_size", "dim", "heads", "patch_size")
@@ -75,7 +76,7 @@ def build_parser() -> _Parser:
     p.add_argument("--image", required=True)
     p.add_argument("--labels", required=True, help="comma-separated present class ids")
     p.add_argument("--adapter", help="checkpoint manifest (dynamic mode)")
-    p.add_argument("--config", help="pipeline config for thresholds and policy")
+    p.add_argument("--config", help="pipeline config for thresholds and calibration")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train the relation adapter on the diversity loss")
@@ -146,12 +147,10 @@ def _cmd_cam(args) -> int:
             f"--labels lists class id {outside[0]}, but text bank {args.bank} "
             f"has classes 1..{bank.num_classes}"
         )
-    tau_fg, tau_bg = cfg.tau_fg, cfg.tau_bg
-    if args.mode == "static":
-        res = run_static_passes([record], weights, bank, cfg.static_policy(), tau_fg, tau_bg, keep_traces=False)[0]
-    else:
-        static = run_static_passes([record], weights, bank, cfg.calibration(), tau_fg, tau_bg, keep_traces=True)[0]
-        res = dynamic_cams([record], weights, adapter, bank, tau_fg, tau_bg, [static.trace])[0]
+    dynamic = args.mode == "dynamic"
+    res = run_static_passes([record], weights, bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=dynamic)[0]
+    if dynamic:
+        res = dynamic_cams([record], weights, adapter, bank, cfg.tau_fg, cfg.tau_bg, [res.trace])[0]
     prov = run_provenance(cfg, f"cam-{args.mode}")
     out_dir = Path(args.out)
     cams_path, pgm_path = write_cam_outputs(out_dir, record.name, res, weights.patch_size, prov)
@@ -204,7 +203,7 @@ def _cmd_attn_report(args) -> int:
             raise UsageError(f"unknown policy '{name}' (use {','.join(_REPORT_POLICIES)})")
     weights = load_weights(args.weights)
     image = rgb_to_chw(read_ppm(args.image))
-    policies = {name: (named_calibration(_REPORT_POLICIES[name], calibrated), None) for name in names}
+    policies = {name: (_REPORT_BASELINES.get(name, calibrated), None) for name in names}
     if "icb" in policies and args.adapter:
         adapter, meta = load_checkpoint(args.adapter, weights.dim)
         check_trained_calibration(args.adapter, meta, calibrated, "the config")

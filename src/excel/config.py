@@ -1,18 +1,19 @@
 """Pipeline configuration: one flat JSON object, validated strictly.
 
 Every key is a field of `PipelineConfig`: the paths a run reads and
-writes, the policy of the exported static stage, and the settings of
-the attribute, calibration and training stages. Unknown keys are
-rejected so typos never silently fall back to defaults, and every value
-is type- and range-checked where a config is made. The config hash in
-every artifact's provenance is the digest of the full flat mapping.
+writes, and the settings of the attribute, calibration and training
+stages. A run has one attention setting, `calibration()`, which every
+stage reads. Unknown keys are rejected so typos never silently fall back
+to defaults, and every value is type- and range-checked where a config
+is made. The config hash in every artifact's provenance is the digest of
+the full flat mapping.
 """
 
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .blobio import is_finite_number, read_json_object, write_json
-from .encoder import Calibration, named_calibration
+from .encoder import Calibration
 from .errors import UsageError
 from .hashing import config_digest
 
@@ -25,7 +26,6 @@ class PipelineConfig:
     knowledge: str = ""
     dataset: str = ""
     out_dir: str = ""
-    policy: str = "intra_correlation"
     lr: float = 1e-4
     weight_decay: float = 1e-2
     iterations: int = 500
@@ -77,19 +77,13 @@ class PipelineConfig:
         for ok, msg in checks:
             if not ok:
                 raise UsageError(msg)
-        self.static_policy()
+        self.calibration()
 
     def calibration(self) -> Calibration:
-        """The calibrated attention that training and dynamic CAMs consume,
-        whatever policy the exported static stage uses; validates
-        `calib_layers` and `calib_weights`."""
+        """The run's calibrated attention, which static CAMs, training and
+        dynamic CAMs all consume; validates `calib_layers` and
+        `calib_weights`."""
         return Calibration(layers=self.calib_layers, weights=self.calib_weights)
-
-    def static_policy(self) -> Calibration:
-        """Attention of the exported static stage, named by `policy`.
-        Training and dynamic CAMs use `calibration()` whatever this
-        selects."""
-        return named_calibration(self.policy, self.calibration())
 
     def validate(self):
         """Refuses a config without one of the paths a run reads or writes."""

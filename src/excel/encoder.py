@@ -37,13 +37,12 @@ Final patch features are returned as (D, h, w) with CLS dropped.
 Attention is one `Calibration(layers, weights)`: the q-k map
 softmax(q k^T / sqrt(D_s)) below the last `layers` blocks, and in those
 blocks w1*SA(q,q) + w2*SA(k,k) + w3*SA(v,v) in its place, where
-SA(o,o) = softmax(o o^T / sqrt(D_s)). Three named settings of it are
-compared:
-  vanilla            layers = 0: q-k attention everywhere.
-  value_value        layers = 1, weights = (0, 0, 1): v-v attention in the
-                     last block only.
-  intra_correlation  the configured layers and weights (default 5 blocks,
-                     equal thirds).
+SA(o,o) = softmax(o o^T / sqrt(D_s)). A run's calibration is its config's
+`calib_layers` and `calib_weights` (default 5 blocks, equal thirds); two
+fixed baselines are compared against it:
+  VANILLA      layers = 0: q-k attention everywhere.
+  VALUE_VALUE  layers = 1, weights = (0, 0, 1): v-v attention in the last
+               block only.
 A pass may also take one relation per image, which adds softmax(R)
 row-wise in that image's calibrated blocks, where R is the grid-sized
 (hw x hw) token-relation matrix. R is embedded into the (T x T) map with
@@ -179,19 +178,9 @@ class Calibration:
         return set(range(LAYER_COUNT - self.layers, LAYER_COUNT))
 
 
-# the baselines are fixed settings; `intra_correlation` is the configured one
-NAMED_CALIBRATIONS = {
-    "vanilla": Calibration(layers=0),
-    "value_value": Calibration(layers=1, weights=(0.0, 0.0, 1.0)),
-    "intra_correlation": None,
-}
-
-
-def named_calibration(name: str, configured: Calibration) -> Calibration:
-    """The setting `name` from NAMED_CALIBRATIONS."""
-    if name not in NAMED_CALIBRATIONS:
-        raise UsageError(f"unknown attention policy '{name}' (use {', '.join(NAMED_CALIBRATIONS)})")
-    return NAMED_CALIBRATIONS[name] or configured
+# the two fixed baselines
+VANILLA = Calibration(layers=0)
+VALUE_VALUE = Calibration(layers=1, weights=(0.0, 0.0, 1.0))
 
 
 def _check_relation_shape(relation: np.ndarray, tokens: int):

@@ -155,17 +155,17 @@ def export_cams(cfg: PipelineConfig, inputs: dict[str, str], stage: str, dataset
 
 
 def stage_static(cfg: PipelineConfig, inputs: dict[str, str], weights, bank, dataset: ToyDataset, keep_traces: bool):
-    """Static CAMs and pseudo labels for every image, in dataset order;
-    each result keeps its encoder trace only with `keep_traces`, for later
-    stages to reuse."""
-    results = run_static_passes(dataset.images, weights, bank, cfg.static_policy(), cfg.tau_fg, cfg.tau_bg, keep_traces)
+    """Static CAMs and pseudo labels for every image under
+    `cfg.calibration()`, in dataset order; each result keeps its encoder
+    trace only with `keep_traces`, for training and dynamic CAMs to reuse."""
+    results = run_static_passes(dataset.images, weights, bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces)
     export_cams(cfg, inputs, "static", dataset, results, weights.patch_size)
     return results
 
 
 def stage_train(cfg: PipelineConfig, inputs: dict[str, str], dim: int, calibrated, resume: bool = False):
-    """The adapter trained on `calibrated`, each image's pass under
-    `cfg.calibration()` with its trace, in dataset order."""
+    """The adapter trained on `calibrated`, each image's static result
+    with its trace, in dataset order."""
     out_dir = Path(cfg.out_dir) / "train"
     final = checkpoint_path(out_dir, cfg.iterations)
     if _check_resume(final, cfg, inputs, resume):
@@ -209,17 +209,11 @@ def run_pipeline(cfg: PipelineConfig, mode: str = "full", resume: bool = False):
     # the recorded copy points out_dir at its own directory, so identical
     # runs into different locations leave byte-identical trees
     save_config(Path(cfg.out_dir) / "run_config.json", dataclasses.replace(cfg, out_dir="."))
-    # training and dynamic CAMs consume the calibrated pass; when the
-    # exported static stage runs that same calibration, its results are
-    # that pass, so every image is encoded under it once per run
-    calibration = cfg.calibration()
-    shared = mode == "full" and cfg.static_policy() == calibration
-    results = stage_static(cfg, inputs, weights, bank, dataset, keep_traces=shared)
+    # training and dynamic CAMs consume the static stage's pass, so every
+    # image is encoded under the run's calibration once per run
+    results = stage_static(cfg, inputs, weights, bank, dataset, keep_traces=mode == "full")
     evaluated = "static"
     if mode == "full":
-        calibrated = results if shared else run_static_passes(
-            dataset.images, weights, bank, calibration, cfg.tau_fg, cfg.tau_bg, keep_traces=True
-        )
-        adapter = stage_train(cfg, inputs, weights.dim, calibrated, resume=resume)
-        results, evaluated = stage_dynamic(cfg, inputs, weights, bank, dataset, adapter, calibrated), "dynamic"
+        adapter = stage_train(cfg, inputs, weights.dim, results, resume=resume)
+        results, evaluated = stage_dynamic(cfg, inputs, weights, bank, dataset, adapter, results), "dynamic"
     return stage_eval(cfg, inputs, dataset, [res.labels for res in results], weights.patch_size, evaluated)

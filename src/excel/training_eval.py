@@ -281,8 +281,8 @@ def train_loop(
     work = np.empty((2, theta.size))  # each iteration's float64 adapter and gradient
     out_dir = Path(out_dir)
     curve: list[tuple[int, float]] = []
-    # the settings the adapter was trained with: not the run's paths, nor the exported static stage's policy
-    settings = {k: v for k, v in config.to_dict().items() if k not in (*PATH_KEYS, "policy")}
+    # the settings the adapter was trained with, not the run's paths
+    settings = {k: v for k, v in config.to_dict().items() if k not in PATH_KEYS}
     meta = {"train_config": settings, "dim": dim}
     for it in range(config.iterations):
         if config.checkpoint_every and it % config.checkpoint_every == 0:

@@ -21,7 +21,8 @@ from excel.dynamic_calibration import (
 )
 from excel.encoder import (
     LAYER_COUNT,
-    NAMED_CALIBRATIONS,
+    VALUE_VALUE,
+    VANILLA,
     Calibration,
     LayerTrace,
     encode_stack,
@@ -74,7 +75,7 @@ def toy_run(tmp_path_factory, fixture_paths, fixture_weights, fixture_dataset, f
         return [res.labels for res in results]
 
     t0 = time.monotonic()
-    vanilla_labels = static_labels(NAMED_CALIBRATIONS["vanilla"], bank)
+    vanilla_labels = static_labels(VANILLA, bank)
     unclustered_labels = static_labels(cfg.calibration(), bank_unclustered)
 
     backbone_before = b"".join(
@@ -124,8 +125,8 @@ def test_criterion_1_attention_stochasticity(fixture_weights):
         feats = gen.standard_normal((6, hw)).astype(np.float32)
         relation = dynamic_relation(feats, alpha=3.0, beta=float(gen.uniform(0, 1))).masked
         policies = [
-            (NAMED_CALIBRATIONS["vanilla"], None),
-            (NAMED_CALIBRATIONS["value_value"], None),
+            (VANILLA, None),
+            (VALUE_VALUE, None),
             (Calibration(layers=5), None),
             (Calibration(layers=5), relation),
         ]

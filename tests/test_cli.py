@@ -149,10 +149,9 @@ def test_build_attrs_writes_the_runs_bank(cli_fixtures, tmp_path):
 
 
 def test_checkpoint_train_config_holds_the_settings(cli_trained):
-    # every config key but where the run reads and writes and the static
-    # stage's policy
+    # every config key but where the run reads and writes
     meta = load_tensors(cli_trained[0] / "train" / "checkpoint_000001.json").meta
-    settings = set(PipelineConfig().to_dict()) - {*PATH_KEYS, "policy"}
+    settings = set(PipelineConfig().to_dict()) - set(PATH_KEYS)
     assert set(meta["train_config"]) == settings
     assert len(settings) == 21
 
@@ -225,23 +224,22 @@ def test_train_cli(cli_fixtures, tmp_path):
 
 def test_train_and_run_write_the_same_training_output(cli_fixtures, tmp_path):
     # `excel train` runs run's stages up to training: for one config both
-    # must leave byte-identical train/ trees and attribute banks, whether
-    # run's static stage is the calibrated pass (the default policy) or
-    # run makes that pass separately (value_value)
-    for policy in ("intra_correlation", "value_value"):
+    # must leave byte-identical train/ trees and attribute banks, under the
+    # default calibration and one off it
+    for name, calibration in (("default", {}), ("calib3", {"calib_layers": 3})):
         trees = []
         for command in ("train", "run"):
-            out_dir = tmp_path / policy / command
+            out_dir = tmp_path / name / command
             cfg_path = write_cli_config(
-                tmp_path / f"{policy}-{command}.json", cli_fixtures, out_dir,
-                iterations=3, checkpoint_every=2, policy=policy,
+                tmp_path / f"{name}-{command}.json", cli_fixtures, out_dir,
+                iterations=3, checkpoint_every=2, **calibration,
             )
             assert main([command, "--config", str(cfg_path)]) == 0
             files = [out_dir / "attrs.json", out_dir / "attrs.bin", *sorted((out_dir / "train").rglob("*"))]
             trees.append({p.relative_to(out_dir): p.read_bytes() for p in files if p.is_file()})
-        assert Path("train/checkpoint_000002.json") in trees[0], policy
-        assert trees[0].keys() == trees[1].keys(), policy
-        assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == [], policy
+        assert Path("train/checkpoint_000002.json") in trees[0], name
+        assert trees[0].keys() == trees[1].keys(), name
+        assert [path for path in trees[0] if trees[0][path] != trees[1][path]] == [], name
 
 
 def _with_head_tensors(checkpoint, path):

@@ -11,7 +11,8 @@ from excel import encoder, fixtures
 from excel.blobio import load_tensors, save_tensors
 from excel.encoder import (
     LAYER_COUNT,
-    NAMED_CALIBRATIONS,
+    VALUE_VALUE,
+    VANILLA,
     AttentionWork,
     Calibration,
     EncoderWeights,
@@ -23,7 +24,6 @@ from excel.encoder import (
     layer_attention,
     layer_norm,
     load_weights,
-    named_calibration,
     patchify,
     relation_bias,
     save_weights,
@@ -32,9 +32,6 @@ from excel.errors import ChecksumError, DataError, NumericError, ShapeError, Usa
 from excel.fixtures import FixtureSpec, generate_fixtures
 from excel.numerics import Rng
 from conftest import serial_encode_chunks
-
-VANILLA, VALUE_VALUE = NAMED_CALIBRATIONS["vanilla"], NAMED_CALIBRATIONS["value_value"]
-
 
 def tiny_weights(
     dim=8,
@@ -270,7 +267,7 @@ def test_calibration_is_a_hashable_value():
     assert hash(Calibration()) == hash(Calibration(layers=5, weights=[1 / 3, 1 / 3, 1 / 3]))
     assert Calibration(layers=3, weights=(0.2, 0.3, 0.5)) == Calibration(layers=3, weights=[0.2, 0.3, 0.5])
     assert Calibration(layers=3) != Calibration(layers=4)
-    assert len({Calibration(), Calibration(layers=5), VANILLA, NAMED_CALIBRATIONS["vanilla"]}) == 2
+    assert len({Calibration(), Calibration(layers=5), VANILLA, Calibration(layers=0)}) == 2
 
 
 def test_value_value_is_plain_value_self_attention():
@@ -321,12 +318,11 @@ def test_stacked_head_attention_equals_per_head_calls(tokens, calibration, layer
 
 
 def test_calibration_names():
-    configured = Calibration(layers=3, weights=(0.2, 0.3, 0.5))
-    assert named_calibration("vanilla", configured) == Calibration(layers=0)
-    assert named_calibration("value_value", configured) == Calibration(layers=1, weights=(0, 0, 1))
-    assert named_calibration("intra_correlation", configured) is configured
-    with pytest.raises(UsageError, match="unknown attention policy 'qk'"):
-        named_calibration("qk", configured)
+    # the two fixed baselines; every other setting is a config's calib keys
+    assert VANILLA == Calibration(layers=0)
+    assert VANILLA.modified_layers() == set()
+    assert VALUE_VALUE == Calibration(layers=1, weights=(0, 0, 1))
+    assert VALUE_VALUE.modified_layers() == {LAYER_COUNT - 1}
 
 
 def test_row_sums_per_policy_constants():

@@ -124,6 +124,10 @@ def test_config_unknown_key_rejected():
     # removed training knobs are unknown keys too
     with pytest.raises(UsageError, match="unknown config keys: gamma"):
         parse_config({"gamma": 0.1})
+    # so is the retired static-stage attention: calib_layers and
+    # calib_weights set a run's one attention
+    with pytest.raises(UsageError, match="unknown config keys: policy"):
+        parse_config({"policy": "vanilla"})
 
 
 def test_config_relative_paths_anchor_to_file(tmp_path):
@@ -145,7 +149,6 @@ def test_config_relative_paths_anchor_to_file(tmp_path):
 def test_config_is_one_flat_type():
     cfg = PipelineConfig(tau_fg=0.6)
     assert cfg.tau_fg == 0.6
-    assert cfg.policy == "intra_correlation"
     # one field per config key, and the flat mapping holds exactly those
     assert set(cfg.to_dict()) == {f.name for f in dataclasses.fields(PipelineConfig)}
     with pytest.raises(AttributeError):
@@ -173,7 +176,7 @@ def test_config_made_in_code_refuses_non_finite_floats(key, value):
         ("batch_size", True, "an integer"),
         ("lr", "0.1", "a finite number"),
         ("alpha", False, "a finite number"),
-        ("policy", 1, "a string"),
+        ("weights", 1, "a string"),
         ("calib_weights", (1, 1), "a list of 3 finite numbers"),
     ],
 )
@@ -188,16 +191,17 @@ def test_config_made_in_code_is_type_checked(key, value, kind):
 
 def test_parsed_config_digest_is_pinned():
     # JSON integers given for float keys hash as the floats they become
-    cfg = parse_config({"lr": 1, "alpha": 3, "beta": 0, "calib_weights": [1, 0, 0], "seed": 5, "policy": "vanilla"})
+    cfg = parse_config({"lr": 1, "alpha": 3, "beta": 0, "calib_weights": [1, 0, 0], "seed": 5})
     assert (cfg.lr, cfg.alpha, cfg.beta, cfg.calib_weights) == (1.0, 3.0, 0.0, (1.0, 0.0, 0.0))
-    assert cfg.digest() == "1cb34da68fb8f455"
-    assert PipelineConfig(lr=1, alpha=3, beta=0, calib_weights=[1, 0, 0], seed=5, policy="vanilla").digest() == cfg.digest()
+    assert cfg.digest() == "80e84de01b6628ef"
+    assert PipelineConfig(lr=1, alpha=3, beta=0, calib_weights=[1, 0, 0], seed=5).digest() == cfg.digest()
 
 
 def test_default_config_digest_is_pinned():
-    # every artifact's provenance stamps this hash; a change to the config
-    # type must not move it
-    assert PipelineConfig().digest() == "71199423484c7d0a"
+    # every artifact's provenance stamps this hash, and `run --resume`
+    # refuses a tree stamped with another: moving it is a contract change,
+    # recorded in CHANGES.md with the old and new value
+    assert PipelineConfig().digest() == "539f1828d7d77299"
 
 
 def test_config_hash_changes_with_values():
@@ -325,48 +329,36 @@ def test_pipeline_static_only(tmp_path, fixture_paths):
     assert report.miou > 0.5  # training-free labels are already informative
 
 
-def test_pipeline_full_mode_with_vanilla_static_policy(tmp_path, fixture_paths):
-    # the exported static stage follows the selected policy, while training
-    # and dynamic CAMs always consume the calibrated (intra-correlation) trace
-    def run(policy):
-        out = tmp_path / policy
-        cfg = parse_config(
-            {
-                "seed": 11,
-                "weights": str(fixture_paths["weights"]),
-                "knowledge": str(fixture_paths["knowledge"]),
-                "dataset": str(fixture_paths["dataset"]),
-                "out_dir": str(out),
-                "policy": policy,
-                "iterations": 2,
-                "batch_size": 4,
-                "clusters": 8,
-            }
-        )
-        report_path, report = run_pipeline(cfg, mode="full")
-        assert report_path.exists()
-        assert 0.0 <= report.miou <= 1.0
-        return out, report
+def fixture_config(fixture_paths, out_dir, **settings):
+    """A config over the seed-42 fixture under config seed 7, writing to
+    `out_dir`, with `settings` off their defaults."""
+    paths = {key: str(fixture_paths[key]) for key in ("weights", "knowledge", "dataset")}
+    return parse_config({"seed": 7, **paths, "out_dir": str(out_dir), **settings})
 
-    vanilla, vanilla_report = run("vanilla")
-    calibrated, calibrated_report = run("intra_correlation")
 
-    def blobs(root, pattern):
-        return {p.relative_to(root): p.read_bytes() for p in sorted(root.glob(pattern))}
+def test_static_only_run_without_calibrated_layers_scores_vanilla(tmp_path, fixture_paths):
+    # q-k attention everywhere is the vanilla baseline: its static labels
+    # score the acceptance suite's vanilla mIoU
+    _, report = run_pipeline(fixture_config(fixture_paths, tmp_path, calib_layers=0), mode="static-only")
+    assert round(report.miou, 4) == 0.2131
 
-    for pattern in ("dynamic/*.bin", "train/*.bin", "train/loss_curve.csv"):
-        got, want = blobs(vanilla, pattern), blobs(calibrated, pattern)
-        assert got and got == want, pattern
-    static_v, static_c = blobs(vanilla, "static/*.bin"), blobs(calibrated, "static/*.bin")
-    assert static_v.keys() == static_c.keys()
-    assert all(static_v[k] != static_c[k] for k in static_v)
-    assert vanilla_report.miou == calibrated_report.miou
+
+def test_full_run_exports_the_static_only_runs_static_stage(tmp_path, fixture_paths):
+    # one attention setting per run: a full run's static stage is the pass
+    # its training and dynamic CAMs consume, and a static-only run of the
+    # same config exports it byte for byte, off the default calibration too
+    settings = {"calib_layers": 3, "iterations": 2}
+    run_pipeline(fixture_config(fixture_paths, tmp_path / "full", **settings), mode="full")
+    run_pipeline(fixture_config(fixture_paths, tmp_path / "static", **settings), mode="static-only")
+    full, static = tree_bytes(tmp_path / "full" / "static"), tree_bytes(tmp_path / "static" / "static")
+    assert len([name for name in full if name.endswith(".bin")]) == 32
+    assert full == static
 
 
 def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeypatch, tmp_path, fixture_paths, fixture_dataset):
-    # training and dynamic CAMs share one calibrated pass per image, whether
-    # the static stage exports that pass (the default) or another policy
-    # (vanilla); training makes no biased encode, and each stacked biased
+    # the static stage, training and dynamic CAMs share one calibrated pass
+    # per image, under the run's calibration, the default or one off it;
+    # training makes no biased encode, and each stacked biased
     # re-encode runs only the calibrated layers. Images are counted one by
     # one through the stacked passes they go through. The two passes of a
     # pair run at once, each on its own thread, so each biased pass counts
@@ -380,35 +372,26 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
             biased.extend(image.tobytes() for image in images)
             current.heads = [0]
             biased_heads.append(current.heads)
-        elif calibration == PipelineConfig().calibration():
-            calibrated.extend(image.tobytes() for image in images)
+        else:
+            calibrated.extend((calibration, image.tobytes()) for image in images)
         return real_stack(images, weights, calibration, relations, prefixes)
 
-    def counting_head(policy, layer, q, k, v, head_dim, bias, work):
+    def counting_head(calibration, layer, q, k, v, head_dim, bias, work):
         if bias is not None:
             current.heads[0] += 1
-        return real_head(policy, layer, q, k, v, head_dim, bias, work)
+        return real_head(calibration, layer, q, k, v, head_dim, bias, work)
 
     monkeypatch.setattr(encoder, "encode_stack", counting_stack)
     monkeypatch.setattr(encoder, "_head_attention", counting_head)
     images = sorted(rec.image.tobytes() for rec in fixture_dataset.images)
-    for policy, iterations in (("intra_correlation", 17), ("vanilla", 2)):
+    for name, settings in (("default", {"iterations": 17}), ("calib3", {"calib_layers": 3, "iterations": 2})):
         for log in (calibrated, biased, biased_heads):
             log.clear()
-        cfg = parse_config(
-            {
-                "seed": 7,
-                "weights": str(fixture_paths["weights"]),
-                "knowledge": str(fixture_paths["knowledge"]),
-                "dataset": str(fixture_paths["dataset"]),
-                "out_dir": str(tmp_path / policy),
-                "policy": policy,
-                "iterations": iterations,
-            }
-        )
+        cfg = fixture_config(fixture_paths, tmp_path / name, **settings)
         run_pipeline(cfg, mode="full")
-        assert sorted(calibrated) == images, policy  # 32 calibrated encodes, not 64
-        assert sorted(biased) == images, policy  # one per image, all in stage_dynamic
+        assert sorted(image for _, image in calibrated) == images, name  # 32 calibrated encodes, not 64
+        assert {calibration for calibration, _ in calibrated} == {cfg.calibration()}, name
+        assert sorted(biased) == images, name  # one per image, all in stage_dynamic
         # two stacked passes of 16 T=17 images, each with one all-heads call per calibrated layer
         assert biased_heads == [[cfg.calib_layers]] * 2
 

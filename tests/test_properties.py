@@ -2,7 +2,9 @@
 manifest, a config, a checkpoint's or a text bank's meta, a dataset's
 `classes.json` or `labels.json`, or a PGM or PPM header mutated into an
 invalid one makes `excel.cli.main` return 1, 2 or 3; no exception escapes
-it. So does a finished run's file that `run --resume` reads, truncated."""
+it. So does a finished run's file that `run --resume` reads, truncated.
+Valid artifacts of different fixtures and runs, mixed in one command,
+make it return 0, or 1, 2 or 3 with one error line."""
 
 import contextlib
 import dataclasses
@@ -14,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from excel.blobio import is_finite_number, is_positive_int
@@ -45,14 +47,23 @@ def _set(container, key, value):
         container[key] = value
 
 
-def _fails_with_one_error_line(argv) -> int:
-    """Runs `main(argv)`: exit 1, 2 or 3 and exactly one `error:` line on
-    stderr. Returns the exit code."""
+def _exits_cleanly(argv) -> int:
+    """Runs `main(argv)`: exit 0 with nothing on stderr, or exit 1, 2 or 3
+    and exactly one `error:` line on stderr. Returns the exit code."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     lines = err.getvalue().splitlines()
-    assert code in FAILED and len(lines) == 1 and lines[0].startswith("error: "), (argv[0], code, lines)
+    clean = lines == [] if code == 0 else code in FAILED and len(lines) == 1 and lines[0].startswith("error: ")
+    assert clean, (argv[0], code, lines)
+    return code
+
+
+def _fails_with_one_error_line(argv) -> int:
+    """Runs `main(argv)`: exit 1, 2 or 3 and exactly one `error:` line on
+    stderr. Returns the exit code."""
+    code = _exits_cleanly(argv)
+    assert code in FAILED, (argv[0], code)
     return code
 
 
@@ -127,7 +138,6 @@ _OUT_OF_RANGE = {
     "calib_layers": st.integers(max_value=-1) | st.integers(min_value=13),
     "fusion_kernel": st.integers().filter(lambda v: v not in (1, 3)),
     "tau_fg": st.floats(min_value=1.0, exclude_min=True) | st.floats(max_value=0.25),
-    "policy": st.text(max_size=8).filter(lambda v: v not in ("vanilla", "value_value", "intra_correlation")),
 }
 
 
@@ -562,3 +572,119 @@ def test_mutated_ppm_header_fails_cleanly(small, data):
             ["run", "--config", str(tmp / "cfg.json"), "--mode", "static-only"],
         ):
             _fails_with_one_error_line(argv)
+
+
+# --------------------------------------------------------------------------
+# artifacts of different fixtures and runs, mixed
+
+# fixture trees, each off the first in one way: the encoder width, the grid
+# (8x8 at 128 px), or the seed every input is drawn under
+_MIX_FIXTURES = {
+    "base": (5, FixtureSpec(classes=2, images=2)),
+    "dim32": (5, FixtureSpec(classes=2, images=2, dim=32, heads=2)),
+    "grid8": (5, FixtureSpec(classes=2, images=2, image_size=128)),
+    "seed6": (6, FixtureSpec(classes=2, images=2)),
+}
+# a finished one-iteration run per fixture, and one more on the first
+# fixture with a 3x3 fusion kernel: (fixture, config settings)
+_MIX_RUNS = {name: (name, {}) for name in _MIX_FIXTURES} | {"kernel3": ("base", {"fusion_kernel": 3})}
+_FIXTURE = st.sampled_from(sorted(_MIX_FIXTURES))
+_RUN = st.sampled_from(sorted(_MIX_RUNS))
+
+
+def _mix_config(root: Path, weights: str, knowledge: str, dataset: str, run: str, out_dir: Path) -> dict:
+    """A run's config reading the inputs of the three named fixtures under
+    `root`, with the settings of the run named `run`."""
+    return {
+        "weights": str(root / weights / "encoder.json"),
+        "knowledge": str(root / knowledge / "knowledge.json"),
+        "dataset": str(root / dataset / "dataset"),
+        "out_dir": str(out_dir),
+        "clusters": 4,
+        "iterations": 1,
+        **_MIX_RUNS[run][1],
+    }
+
+
+def _one_source(fixtures, runs) -> bool:
+    """True when every artifact comes from one run and the fixture it ran on."""
+    return len(set(runs)) <= 1 and len({*fixtures, *(_MIX_RUNS[run][0] for run in runs)}) == 1
+
+
+@pytest.fixture(scope="module")
+def mixed(tmp_path_factory):
+    """A root holding each fixture tree under its name, each run's config
+    as `<run>.json` and its output tree under `runs/<run>`."""
+    root = tmp_path_factory.mktemp("props-mixed")
+    for name, (seed, spec) in _MIX_FIXTURES.items():
+        generate_fixtures(seed, spec, root / name)
+    for name, (fixture, _) in _MIX_RUNS.items():
+        mapping = _mix_config(root, fixture, fixture, fixture, name, root / "runs" / name)
+        (root / f"{name}.json").write_text(json.dumps(mapping))
+        assert main(["run", "--config", str(root / f"{name}.json")]) == 0
+    return root
+
+
+@given(weights=_FIXTURE, image=_FIXTURE, bank=_RUN, adapter=_RUN, config=_RUN, mode=st.sampled_from(["static", "dynamic"]))
+@example(weights="grid8", image="grid8", bank="grid8", adapter="grid8", config="grid8", mode="dynamic")
+@settings(PROPERTY, max_examples=30)
+def test_mixed_artifacts_in_cam_exit_cleanly(mixed, weights, image, bank, adapter, config, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _exits_cleanly(
+            [
+                "cam", "--mode", mode, "--weights", str(mixed / weights / "encoder.json"),
+                "--bank", str(mixed / "runs" / bank / "attrs.json"),
+                "--image", str(mixed / image / "dataset" / "images" / "img_0000.ppm"), "--labels", "1",
+                "--adapter", str(mixed / "runs" / adapter / "train" / "checkpoint_000001.json"),
+                "--config", str(mixed / f"{config}.json"), "--out", tmp,
+            ]
+        )
+    if _one_source([weights, image], [bank, adapter, config]):
+        assert code == 0
+
+
+@given(weights=_FIXTURE, image=_FIXTURE, adapter=_RUN, config=_RUN)
+@example(weights="dim32", image="dim32", adapter="dim32", config="dim32")
+@settings(PROPERTY, max_examples=20)
+def test_mixed_artifacts_in_attn_report_exit_cleanly(mixed, weights, image, adapter, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _exits_cleanly(
+            [
+                "attn-report", "--weights", str(mixed / weights / "encoder.json"),
+                "--image", str(mixed / image / "dataset" / "images" / "img_0001.ppm"), "--policies", "qk,vv,ic,icb",
+                "--adapter", str(mixed / "runs" / adapter / "train" / "checkpoint_000001.json"),
+                "--config", str(mixed / f"{config}.json"), "--out", tmp,
+            ]
+        )
+    if _one_source([weights, image], [adapter, config]):
+        assert code == 0
+
+
+@given(pred=_RUN, stage=st.sampled_from(["static", "dynamic"]), gt=_FIXTURE, classes=_FIXTURE)
+@example(pred="seed6", stage="static", gt="seed6", classes="seed6")
+@settings(PROPERTY, max_examples=30)
+def test_mixed_artifacts_in_eval_exit_cleanly(mixed, pred, stage, gt, classes):
+    code = _exits_cleanly(
+        [
+            "eval", "--pred-dir", str(mixed / "runs" / pred / stage), "--gt-dir", str(mixed / gt / "dataset" / "masks"),
+            "--classes", str(mixed / classes / "dataset" / "classes.json"),
+        ]
+    )
+    if _one_source([gt, classes], [pred]):
+        assert code == 0
+
+
+@given(tree=_RUN, weights=_FIXTURE, knowledge=_FIXTURE, dataset=_FIXTURE, config=_RUN)
+@example(tree="kernel3", weights="base", knowledge="base", dataset="base", config="kernel3")
+@settings(PROPERTY, max_examples=30)
+def test_mixed_artifacts_in_resume_exit_cleanly(mixed, tree, weights, knowledge, dataset, config):
+    # a run resumed over a finished run's tree, with inputs and settings
+    # drawn from other fixtures and runs
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(mixed / "runs" / tree, out)
+        mapping = _mix_config(mixed, weights, knowledge, dataset, config, out)
+        (Path(tmp) / "cfg.json").write_text(json.dumps(mapping))
+        code = _exits_cleanly(["run", "--config", str(Path(tmp) / "cfg.json"), "--resume"])
+    if _one_source([weights, knowledge, dataset], [tree, config]):
+        assert code == 0

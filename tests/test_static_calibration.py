@@ -14,7 +14,7 @@ from excel.static_calibration import (
     save_cams,
     static_cam,
 )
-from excel.encoder import LAYER_COUNT, NAMED_CALIBRATIONS, AttentionWork, Calibration, _attention, _head_attention, encode_stack
+from excel.encoder import LAYER_COUNT, VANILLA, AttentionWork, Calibration, _attention, _head_attention, encode_stack
 from excel.text_enrichment import TextRepresentation
 from excel.config import PipelineConfig
 
@@ -200,7 +200,7 @@ def test_static_pipeline_deterministic(fixture_weights, fixture_bank, fixture_da
 def test_static_pipeline_zero_layers_matches_vanilla(fixture_weights, fixture_bank, fixture_dataset):
     rec = fixture_dataset.images[0]
     res_zero = static_result(rec, fixture_weights, fixture_bank, Calibration(layers=0, weights=(0.2, 0.3, 0.5)))
-    res_vanilla = static_result(rec, fixture_weights, fixture_bank, NAMED_CALIBRATIONS["vanilla"])
+    res_vanilla = static_result(rec, fixture_weights, fixture_bank, VANILLA)
     assert res_zero.cams.maps.tobytes() == res_vanilla.cams.maps.tobytes()
 
 

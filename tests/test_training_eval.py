@@ -7,7 +7,7 @@ import pytest
 
 from excel import dynamic_calibration, encoder, static_calibration, training_eval
 from excel.dynamic_calibration import init_adapter
-from excel.encoder import LAYER_COUNT, NAMED_CALIBRATIONS, Calibration, encode_stack, layer_attention
+from excel.encoder import LAYER_COUNT, VANILLA, Calibration, encode_stack, layer_attention
 from excel.errors import DataError, NumericError, UsageError
 from excel.blobio import load_tensors, save_tensors
 from excel.config import PipelineConfig
@@ -286,7 +286,7 @@ def test_attn_report_fixture_policies(fixture_weights, fixture_dataset):
     report = attn_report(
         rec.image,
         fixture_weights,
-        {"qk": (NAMED_CALIBRATIONS["vanilla"], None), "ic": (Calibration(layers=5), None)},
+        {"qk": (VANILLA, None), "ic": (Calibration(layers=5), None)},
     )
     assert set(report) == {"qk", "ic"}
     hw = 16
@@ -294,7 +294,7 @@ def test_attn_report_fixture_policies(fixture_weights, fixture_dataset):
         assert 0.0 <= entry["mean_row_entropy"] <= math.log(17) + 1e-6
         assert entry["token_relation"].shape == (hw, hw)
     # independent entropy recomputation for one policy
-    trace = encode_stack([rec.image], fixture_weights, NAMED_CALIBRATIONS["vanilla"])[0]
+    trace = encode_stack([rec.image], fixture_weights, VANILLA)[0]
     attn = layer_attention(trace, fixture_weights, LAYER_COUNT - 1).astype(np.float64)
     rows = attn / attn.sum(axis=2, keepdims=True)
     ent = float(np.where(rows > 0, -rows * np.log(rows), 0.0).sum(axis=2).mean())

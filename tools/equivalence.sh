@@ -7,7 +7,7 @@
 # exits 0; otherwise it names every file and JSON key that differs.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
-# About 36-39 s on a 2-vCPU VM.
+# About 36 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -51,18 +51,19 @@ excel run --config resumed.json --resume > run-resumed.log
 
 config kernel3.json kernel3 fx '"iterations": 5, "fusion_kernel": 3, "d_dyn": 64'
 excel run --config kernel3.json > run-kernel3.log
-config vanilla.json vanilla fx '"iterations": 5, "policy": "vanilla"'
-excel run --config vanilla.json > run-vanilla.log
-config valuevalue.json valuevalue fx '"iterations": 5, "policy": "value_value"'
-excel run --config valuevalue.json > run-valuevalue.log
+# the two baselines: q-k attention everywhere, and v-v attention in the last block only
+config vanilla-static.json vanilla-static fx '"calib_layers": 0'
+excel run --config vanilla-static.json --mode static-only > run-vanilla-static.log
+config valuevalue-static.json valuevalue-static fx '"calib_layers": 1, "calib_weights": [0.0, 0.0, 1.0]'
+excel run --config valuevalue-static.json --mode static-only > run-valuevalue-static.log
 # one sampled pair per batch, so the limit binds on the 4x4 grid and one loss term is empty
 config limit1.json limit1 fx '"iterations": 5, "pair_sample_limit": 1'
 excel run --config limit1.json > run-limit1.log
 config static256.json static256 fx256
 excel run --config static256.json --mode static-only > run-static256.log
 # T=257 calibrated layers off the equal thirds: v-v only, a skipped k term, every term skipped
-config static256vv.json static256vv fx256 '"policy": "value_value"'
-excel run --config static256vv.json --mode static-only > run-static256-vv.log
+config static256vv-calib.json static256vv-calib fx256 '"calib_layers": 1, "calib_weights": [0.0, 0.0, 1.0]'
+excel run --config static256vv-calib.json --mode static-only > run-static256-vv-calib.log
 config static256qv.json static256qv fx256 '"calib_weights": [0.5, 0.0, 0.5]'
 excel run --config static256qv.json --mode static-only > run-static256-qv.log
 config static256zero.json static256zero fx256 '"calib_weights": [0.0, 0.0, 0.0]'
@@ -91,12 +92,12 @@ excel run --config batch1.json > run-batch1.log
 
 config train.json train fx '"iterations": 5, "checkpoint_every": 2'
 excel train --config train.json > train.log
-# no iterations: the empty loss curve's print; the static policy does not reach training
-config train0.json train0 fx '"iterations": 0, "policy": "value_value"'
+# no iterations: the empty loss curve's print
+config train0.json train0 fx '"iterations": 0'
 excel train --config train0.json > train0.log
 # every config key off its default, so the parse, run_config.json and each
 # checkpoint's train_config are compared on values no other run sets
-every_key='"policy": "value_value", "lr": 2e-4, "weight_decay": 0.02, "iterations": 3, "batch_size": 3,
+every_key='"lr": 2e-4, "weight_decay": 0.02, "iterations": 3, "batch_size": 3,
     "tau_fg": 0.6, "tau_bg": 0.2, "alpha": 2.5, "beta": 0.9, "calib_layers": 4, "calib_weights": [0.5, 0.25, 0.25],
     "topk": 6, "lam": 0.4, "clusters": 12, "d_proj": 32, "d_dyn": 128, "fusion_kernel": 3,
     "adapter_init_sigma": 0.03, "pair_sample_limit": 2048, "checkpoint_every": 2, "divergence_threshold": 500.0'
@@ -135,9 +136,9 @@ done
 excel cam --mode dynamic --weights fx/encoder.json --bank full/attrs.json \
     --image fx/dataset/images/img_0000.ppm --labels 2,1,1 \
     --adapter full/train/checkpoint_000017.json --config full.json --out cam-labels-unordered > cam-labels-unordered.log
-# a static CAM under the config's vanilla policy, not the training calibration
-excel cam --mode static --weights fx/encoder.json --bank vanilla/attrs.json \
-    --image fx/dataset/images/img_0002.ppm --labels "$labels" --config vanilla.json --out cam-vanilla > cam-vanilla.log
+# a static CAM under a config without calibrated layers, not the default calibration
+excel cam --mode static --weights fx/encoder.json --bank vanilla-static/attrs.json \
+    --image fx/dataset/images/img_0002.ppm --labels "$labels" --config vanilla-static.json --out cam-vanilla > cam-vanilla.log
 excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0002.ppm \
     --policies icb --adapter kernel3/train/checkpoint_000005.json --out attn-kernel3 > attn-kernel3.log
 
