@@ -277,7 +277,7 @@ class AttentionWork:
     writes over it, so no layer allocates a map-sized array; nothing a
     pass returns holds one."""
 
-    wide: np.ndarray  # float64: logits, softmax, a weighted term, the map widened for attn @ v
+    wide: np.ndarray  # float64: logits, softmax, a weighted term, the biased map, the map widened for attn @ v
     logits: np.ndarray  # float32: the rounded, scaled logits
     mix: np.ndarray  # float64: a calibrated layer's weighted sum
     attn: np.ndarray  # float32: the map of one layer or one SA term
@@ -297,17 +297,24 @@ def _attention(a: np.ndarray, b: np.ndarray, head_dim: int, work: AttentionWork)
     checks q, k and v before attention."""
     np.matmul(a.astype(np.float64), b.swapaxes(-1, -2).astype(np.float64), out=work.wide)
     np.copyto(work.logits, work.wide)
-    np.divide(work.logits, math.sqrt(head_dim), out=work.logits, dtype=np.float64)
+    scale = math.sqrt(head_dim)
+    if float(np.float32(scale)) == scale:  # compared in float64: D_s = 4, 9, 16, 64, not 8
+        # the float64 quotient of float32 operands rounds to the float32
+        # one, since 53 >= 2 * 24 + 2 bits (Figueroa 1995)
+        np.divide(work.logits, np.float32(scale), out=work.logits)
+    else:
+        np.divide(work.logits, scale, out=work.logits, dtype=np.float64)
     return nm.softmax_rows_unchecked(work.logits, out=work.attn, work=work.wide)
 
 
 def relation_bias(relation: np.ndarray, tokens: int) -> np.ndarray:
     """Row-softmaxed grid-sized (T-1, T-1) relation embedded into the
     (T, T) attention map: it lands on the patch block with zero bias on
-    the CLS row and column."""
+    the CLS row and column. The softmax is rounded to float32 and held
+    in float64, the precision it is added in."""
     relation = nm.as_f32(relation, "relation matrix", allow_neg_inf=True)
     _check_relation_shape(relation, tokens)
-    bias = np.zeros((tokens, tokens), dtype=np.float32)
+    bias = np.zeros((tokens, tokens))
     bias[1:, 1:] = nm.softmax_rows(relation)
     return bias
 
@@ -324,19 +331,27 @@ def _head_attention(
 ) -> np.ndarray:
     """Attention maps at `layer` of every head of the (.., H, T, D_s)
     stacks q, k and v, or of one head's (T, D_s) tokens, written to
-    `work.attn`."""
+    `work.attn`. `bias`, a relation_bias, is added to the rounded map in
+    float64."""
     if layer < LAYER_COUNT - calibration.layers:
         return _attention(q, k, head_dim, work)
-    # a zero weight's term is skipped: adding an exact 0.0 changes no bit
-    work.mix.fill(0.0)
-    for w, o in zip(calibration.weights, (q, k, v)):
-        if w:
-            np.multiply(_attention(o, o, head_dim, work), w, out=work.wide, dtype=np.float64)
-            np.add(work.mix, work.wide, out=work.mix)
+    # the first nonzero weight's term starts the sum: adding it to 0.0, or
+    # adding a zero weight's exact 0.0 term, would change no bit
+    terms = [(w, o) for w, o in zip(calibration.weights, (q, k, v)) if w]
+    for i, (w, o) in enumerate(terms):
+        term = work.wide if i else work.mix
+        np.copyto(term, _attention(o, o, head_dim, work))
+        term *= w
+        if i:
+            np.add(work.mix, term, out=work.mix)
+    if not terms:
+        work.mix.fill(0.0)
     attn = work.attn
     np.copyto(attn, work.mix)
     if bias is not None:
-        np.add(attn, bias, out=attn, dtype=np.float64)
+        np.copyto(work.wide, attn)
+        np.add(work.wide, bias, out=work.wide)
+        np.copyto(attn, work.wide)
     return attn
 
 
@@ -381,7 +396,7 @@ def _check_prefix(prefix: LayerTrace, tokens: np.ndarray, start: int):
 # is slower there (8 T=257 images: best of 7 0.82 s in chunks of one,
 # 0.95, 1.03 and 1.21 s in chunks of 2, 4 and 8), and its maps go a head
 # at a time, whose work arrays stay in L2: the calibrated kernel of one
-# T=257 image takes 7.9 ms by heads against 11.5 ms for all 4 at once.
+# T=257 image takes 6.0 ms by heads against 7.1 ms for all 4 at once.
 # Small maps stay one block, since there the calls cost more than the
 # cache saves (a pass over one T=17 image: 8.1 ms against 11.1 ms a head
 # at a time). One BLAS thread, 2-vCPU VM with 2 MB of L2 per core.
@@ -416,9 +431,11 @@ def encode_chunks(
 
     Consecutive chunks run in pairs, the earlier on one helper thread and
     the later on the calling thread; an odd last chunk runs on the calling
-    thread alone, and a single chunk starts no thread. Only `encode_stack`
-    runs on the helper. `job` and `consume` run on the calling thread in
-    chunk order, so each chunk's inputs and results are the serial loop's.
+    thread alone, and a single chunk starts no thread. A loop of more
+    than one chunk holds OpenBLAS to one thread (`nm.one_blas_thread`).
+    Only `encode_stack` runs on the helper. `job` and `consume` run on
+    the calling thread in chunk order, so each chunk's inputs and results
+    are the serial loop's.
     A pass depends on its arguments alone, so its traces are the bytes of
     a serial call. The first chunk in order whose job, pass or consume
     fails raises, as in the serial loop, and no thread outlives the call.
@@ -447,11 +464,14 @@ def encode_chunks(
         # (with `logging`) adds 0.7 MB to the peak RSS of a one-chunk run
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=1) as helper:
+        # an idle OpenBLAS thread would spin on the core the helper needs
+        with nm.one_blas_thread(), ThreadPoolExecutor(max_workers=1) as helper:
             for earlier, later in zip(parts[0::2], parts[1::2]):
                 run_pair(helper, earlier, later)
-    if len(parts) % 2:
-        consume(parts[-1], run(parts[-1]))
+            if len(parts) % 2:
+                consume(parts[-1], run(parts[-1]))
+    elif parts:
+        consume(parts[0], run(parts[0]))
 
 
 def heads_per_block(count: int, weights: EncoderWeights) -> int:

@@ -10,8 +10,22 @@ promised. -inf is admitted only as the masking sentinel of relation
 matrices fed to softmax_rows; NaN and +inf are rejected at every checked
 boundary. The `*_unchecked` functions skip that input check for the
 encoder's hot loops, which check what they compute instead.
+
+The attention kernels (`softmax_rows_unchecked` and the encoder's
+`_attention` and `_head_attention`) and the logistic call no ufunc that
+mixes float32 and float64 operands (a float32 operand or output with
+`dtype=np.float64`): numpy runs such a call through its buffered casting
+loop, several times slower than a same-dtype loop. They widen with
+`np.copyto` and work in place in one dtype instead. A float32
+operation stands in for a float64 one rounded to float32 only where the
+bits are the same: the attention logits are scaled in float32 when
+sqrt(D_s) is exact in float32 (D_s = 4, 9, 16, 64; not 8), since the
+float64 quotient of float32 operands rounds to the float32 quotient
+(53 >= 2 * 24 + 2 bits, Figueroa 1995).
 """
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +55,45 @@ def matmul_unchecked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(F32)
 
 
+def openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    products run on, or None where numpy's build information names
+    another BLAS or the functions are not found. The names follow the
+    build: `scipy_openblas_set_num_threads64_` for numpy's bundled 64-bit
+    scipy-openblas, `openblas_set_num_threads` for a plain OpenBLAS."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        prefix = "scipy_" if blas["name"].startswith("scipy-") else ""
+        suffix = "64_" if "USE64BITINT" in blas.get("openblas configuration", "") else ""
+        # the BLAS is a dependency of numpy's core extension, so its symbols
+        # resolve through that library's handle
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = (getattr(lib, f"{prefix}openblas_{op}_num_threads{suffix}") for op in ("get", "set"))
+    except (AttributeError, KeyError, OSError, TypeError):  # another BLAS, an older numpy, no build information
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS to one thread inside the block and restore its count
+    on leaving, also on a raise; nothing changes where `openblas_threads`
+    finds no functions. Output bytes do not depend on the count."""
+    calls = openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def transpose(a) -> np.ndarray:
     a = as_f32(a, "transpose input")
     return np.ascontiguousarray(a.T)
@@ -63,7 +116,10 @@ def sigmoid_unchecked(a: np.ndarray) -> np.ndarray:
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    x = np.where(x >= 0, 1.0, e)
+    # the numerator without a branch: max(x >= 0, e) is 1 where x >= 0
+    # and e below it, since e <= 1, and NaN where e is NaN
+    np.greater_equal(x, 0.0, out=x)
+    np.maximum(x, e, out=x)
     e += 1.0
     x /= e
     out = x.astype(F32)
@@ -90,13 +146,14 @@ def softmax_rows_unchecked(
     Works in place on one float64 copy of `m`: `work`, a float64 array of
     m's shape, when given. The float32 result is written to `out`, an
     array of m's shape (it may be `m`), or to a new array."""
-    x = np.empty(m.shape, np.float64) if work is None else work
-    np.copyto(x, m)
-    row_max = np.max(x, axis=-1, keepdims=True)
+    # the float32 row max is the float64 copy's, since widening is exact
+    row_max = np.max(m, axis=-1, keepdims=True)
     dead = np.isneginf(row_max)
     if dead.any():
         raise NumericError(f"degenerate attention row {int(np.argmax(dead)) % m.shape[-2]}")
-    x -= row_max
+    x = np.empty(m.shape, np.float64) if work is None else work
+    np.copyto(x, m)
+    x -= row_max.astype(np.float64)
     np.exp(x, out=x)  # exp(-inf) == 0 exactly
     x /= x.sum(axis=-1, keepdims=True)
     out = np.empty(m.shape, F32) if out is None else out

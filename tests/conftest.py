@@ -17,6 +17,28 @@ from excel.static_calibration import run_static_passes
 from excel.text_enrichment import build_text_bank, ingest_knowledge
 
 FIXTURE_SEED = 42
+# the edge cases of an elementwise kernel: NaN, signed zeros and
+# infinities, float32 subnormals, and values that saturate a logistic
+SPECIAL_VALUES = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-40, -1e-40, 100.0, -100.0], np.float32)
+
+
+def oracle_softmax(m):
+    """Row softmax in the widened steps: a float64 copy, its row max
+    subtracted, exp, divided by the row sum, rounded to float32."""
+    x = m.astype(np.float64)
+    x -= np.max(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x.astype(np.float32)
+
+
+def oracle_sigmoid(a):
+    """The logistic as one `where`: with e = exp(-|x|), where(x >= 0, 1, e)
+    / (1 + e) in float64, rounded to float32 and clamped inside (0, 1)."""
+    x = a.astype(np.float64)
+    e = np.exp(-np.abs(x))
+    out = (np.where(x >= 0, 1.0, e) / (1.0 + e)).astype(np.float32)
+    return np.clip(out, np.nextafter(np.float32(0), np.float32(1)), np.nextafter(np.float32(1), np.float32(0)))
 
 
 def serial_encode_chunks(count, weights, calibration, job, consume):

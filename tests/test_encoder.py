@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from excel import encoder, fixtures
+from excel import encoder, fixtures, numerics
 from excel.blobio import load_tensors, save_tensors
 from excel.encoder import (
     LAYER_COUNT,
@@ -31,7 +31,7 @@ from excel.encoder import (
 from excel.errors import ChecksumError, DataError, NumericError, ShapeError, UsageError
 from excel.fixtures import FixtureSpec, generate_fixtures
 from excel.numerics import Rng
-from conftest import serial_encode_chunks
+from conftest import SPECIAL_VALUES, oracle_sigmoid, oracle_softmax, serial_encode_chunks
 
 def tiny_weights(
     dim=8,
@@ -846,20 +846,52 @@ def test_one_chunk_starts_no_thread(monkeypatch, fixture_weights):
     assert seen == [(30, threading.get_ident(), threads_before)]
 
 
+@pytest.mark.parametrize("count, fails", [(2, None), (2, "pass"), (2, "consume"), (1, None)])
+def test_a_two_chunk_loop_holds_blas_to_one_thread(monkeypatch, wide_weights, count, fails):
+    # two T=257 images are two chunks, in flight at once: OpenBLAS runs on
+    # one thread in the job, the passes and the consume of each, and gets
+    # its count back afterwards, also on a raise; one chunk leaves it alone
+    calls = numerics.openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count functions")
+    get, set_ = calls
+    before, seen = get(), []
+
+    def step(chunk, what):
+        seen.append((what, get()))
+        if (chunk, what) == (1, fails):
+            raise DataError(f"chunk 1 {what}")
+
+    def job(part):
+        step(part.start, "job")
+        return list(range(count))[part], None, None
+
+    def fake_stack(images, weights, calibration, relations=None, prefixes=None):
+        step(images[0], "pass")
+        return list(images)
+
+    monkeypatch.setattr(encoder, "encode_stack", fake_stack)
+    set_(2)
+    try:
+        if fails is None:
+            encoder.encode_chunks(count, wide_weights, VANILLA, job, lambda part, _: step(part.start, "consume"))
+        else:
+            with pytest.raises(DataError, match=f"^chunk 1 {fails}$"):
+                encoder.encode_chunks(count, wide_weights, VANILLA, job, lambda part, _: step(part.start, "consume"))
+        assert {what for what, _ in seen} == {"job", "pass", "consume"}
+        assert [threads for _, threads in seen] == [1 if count > 1 else 2] * len(seen)
+        assert get() == 2
+    finally:
+        set_(before)
+
+
 # The attention kernels as they were before a pass owned its work arrays:
-# every step allocates its result. The oracle of the buffered kernels.
-def _oracle_softmax(m):
-    x = m.astype(np.float64)
-    x -= np.max(x, axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
-    return x.astype(np.float32)
-
-
+# every step allocates its result, and every scale and sum is a float64
+# operation on float32 operands. The oracle of the buffered kernels.
 def _oracle_attention(a, b, head_dim):
     logits = (a.astype(np.float64) @ b.swapaxes(-1, -2).astype(np.float64)).astype(np.float32)
     np.divide(logits, math.sqrt(head_dim), out=logits, dtype=np.float64)
-    return _oracle_softmax(logits)
+    return oracle_softmax(logits)
 
 
 def _oracle_head_attention(calibration, layer, q, k, v, head_dim, bias):
@@ -893,8 +925,32 @@ def test_buffered_attention_equals_the_allocating_oracle(monkeypatch, stacked_in
     # at T=17 all heads are one block, at T=257 each head is one
     weights, images = stacked_inputs[size]
     blocks = 1 if size == 64 else weights.heads
+    maps = assert_pass_equals_the_oracle(monkeypatch, weights, images, name, seed=110)
+    assert len(maps) == LAYER_COUNT * blocks
+    assert maps[0].shape == (len(images), weights.heads // blocks, *maps[0].shape[-2:])
+    assert all(attn is maps[0] for attn in maps)
+    if name == "zero_weights":
+        # all zero, not the q-k map the layer below left in the work arrays
+        assert not maps[-1].any()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CALIBRATIONS))
+@pytest.mark.parametrize("head_dim", [4, 8, 9, 64])
+def test_buffered_attention_equals_the_oracle_at_other_head_dims(monkeypatch, head_dim, name):
+    # sqrt(D_s) is exact in float32 at 4, 9 and 64, where the logits are
+    # scaled in float32, and not at 8, where they keep the float64 divide;
+    # two heads over an 8x8 grid (T=65), three images
+    weights = tiny_weights(dim=2 * head_dim, grid=(8, 8), sigma=0.3, seed=head_dim)
+    images = [random_image(130 + i, 32) for i in range(3)]
+    maps = assert_pass_equals_the_oracle(monkeypatch, weights, images, name, seed=135)
+    assert len(maps) == LAYER_COUNT and maps[0].shape == (3, 2, 65, 65)
+
+
+def assert_pass_equals_the_oracle(monkeypatch, weights, images, name, seed):
+    """The maps of one `encode_stack` pass under ORACLE_CALIBRATIONS[name],
+    each checked to hold the oracle's bytes as it is made."""
     calibration = ORACLE_CALIBRATIONS[name]
-    relations = relations_per_image(weights, len(images), seed=110) if name == "biased" else None
+    relations = relations_per_image(weights, len(images), seed=seed) if name == "biased" else None
     maps, real = [], encoder._head_attention
 
     def check(calibration, layer, q, k, v, head_dim, bias, work):
@@ -906,12 +962,16 @@ def test_buffered_attention_equals_the_allocating_oracle(monkeypatch, stacked_in
 
     monkeypatch.setattr(encoder, "_head_attention", check)
     encoder.encode_stack(images, weights, calibration, relations)
-    assert len(maps) == LAYER_COUNT * blocks
-    assert maps[0].shape == (len(images), weights.heads // blocks, *maps[0].shape[-2:])
-    assert all(attn is maps[0] for attn in maps)
-    if name == "zero_weights":
-        # all zero, not the q-k map the layer below left in the work arrays
-        assert not maps[-1].any()
+    return maps
+
+
+def test_gelu_bytes_equal_the_where_formula():
+    # on the special values and on an MLP-sized draw of both signs
+    gen = Rng(140).generator()
+    x = np.concatenate([SPECIAL_VALUES, 3 * gen.standard_normal(257 * 256).astype(np.float32)])
+    want = oracle_sigmoid(1.702 * x)
+    np.multiply(x, want, out=want, dtype=np.float64)
+    assert encoder.gelu(x).tobytes() == want.tobytes()
 
 
 def test_traces_and_maps_hold_no_work_array(fixture_weights):

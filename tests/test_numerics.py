@@ -6,6 +6,7 @@ import pytest
 from excel import numerics as nm
 from excel.errors import DataError, NumericError
 from excel.numerics import Rng
+from conftest import SPECIAL_VALUES, oracle_sigmoid, oracle_softmax
 
 
 # --------------------------------------------------------------------------
@@ -60,6 +61,40 @@ def test_softmax_unchecked_into_work_arrays_gives_the_same_bytes():
     dead[2, 1] = -np.inf
     with pytest.raises(NumericError, match="degenerate attention row 1"):
         nm.softmax_rows_unchecked(dead, out=dead, work=np.empty(dead.shape))
+
+
+def test_softmax_unchecked_bytes_equal_the_widened_formula():
+    # rows with masks, one finite entry, ties at the max, subnormal and
+    # signed-zero logits, and a random masked stack; the float32 row max
+    # must give the widened copy's bytes, into work arrays too
+    f32 = np.finfo(np.float32)
+    tiny = np.float32(1e-40)
+    inf = np.inf
+    rows = np.array(
+        [
+            [0.0, -inf, 1.5, -inf, 2.0, -inf],
+            [-inf, -inf, 3.0, -inf, -inf, -inf],
+            [2.0, 2.0, -1.0, 2.0, 2.0, -inf],
+            [tiny, -tiny, 0.0, -0.0, 3 * tiny, -inf],
+            [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
+            [f32.max, -f32.max, f32.tiny, -f32.tiny, 80.0, -80.0],
+        ],
+        np.float32,
+    )
+    gen = Rng(104).generator()
+    stack = gen.standard_normal((3, 2, 6, 6)).astype(np.float32) * 20
+    stack[gen.random(stack.shape) < 0.4] = -np.inf
+    stack[..., 0, :] = rows[1]
+    stack[..., 1:, :] = rows[None, None, 1:]
+    for m in (rows, stack):
+        want = oracle_softmax(m)
+        assert nm.softmax_rows_unchecked(m).tobytes() == want.tobytes()
+        got = nm.softmax_rows_unchecked(m.copy(), out=np.empty_like(m), work=np.full(m.shape, np.nan))
+        assert got.tobytes() == want.tobytes()
+    dead = rows.copy()
+    dead[4] = -np.inf
+    with pytest.raises(NumericError, match="degenerate attention row 4"):
+        nm.softmax_rows_unchecked(dead)
 
 
 def test_softmax_unchecked_degenerate_row_in_a_stack_raises():
@@ -236,6 +271,15 @@ def test_sigmoid_bytes_equal_two_branch_formula():
     lo, hi = np.nextafter(np.float32(0), np.float32(1)), np.nextafter(np.float32(1), np.float32(0))
     expected = np.clip(expected.astype(np.float32), lo, hi)
     assert nm.sigmoid_unchecked(a).tobytes() == expected.tobytes()
+
+
+def test_sigmoid_bytes_equal_the_where_formula():
+    # the branch-free numerator against `where` on NaN, signed zeros and
+    # infinities, subnormals, saturating values and an MLP-sized draw
+    gen = Rng(20).generator()
+    a = np.concatenate([SPECIAL_VALUES, 3 * gen.standard_normal(257 * 1024).astype(np.float32)])
+    assert nm.sigmoid_unchecked(a).tobytes() == oracle_sigmoid(a).tobytes()
+    assert np.isnan(nm.sigmoid_unchecked(SPECIAL_VALUES)[0])
 
 
 def test_transpose():

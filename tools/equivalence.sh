@@ -7,7 +7,7 @@
 # exits 0; otherwise it names every file and JSON key that differs.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
-# About 36 s on a 2-vCPU VM.
+# About 32 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -29,6 +29,9 @@ excel gen-fixtures --out fx > gen-fixtures.log
 excel gen-fixtures --out fx256 --image-size 256 --images 8 > gen-fixtures-256.log
 # a second encoder width, so the weight draw and loader are checked off the default
 excel gen-fixtures --out fx32 --dim 32 --heads 2 --images 4 > gen-fixtures-32.log
+# 4 heads of 8, where sqrt(D_s) is not exact in float32 and the logits keep the
+# float64 divide; every other fixture has D_s = 16
+excel gen-fixtures --out fx32h4 --dim 32 --heads 4 --images 4 > gen-fixtures-32-h4.log
 # an 8x8 grid (T=65), which no other run uses
 excel gen-fixtures --out fx8 --patch-size 8 --images 4 > gen-fixtures-8.log
 # 9 images at T=65, about 7 to a stacked encoder pass: every stage spans two chunks
@@ -75,6 +78,8 @@ config full256odd.json full256odd fx256odd '"iterations": 2'
 excel run --config full256odd.json > run-full256-odd.log
 config full32.json full32 fx32 '"iterations": 2'
 excel run --config full32.json > run-full32.log
+config full32h4.json full32h4 fx32h4 '"iterations": 2'
+excel run --config full32h4.json > run-full32-h4.log
 config full8.json full8 fx8 '"iterations": 2'
 excel run --config full8.json > run-full8.log
 config full8chunks.json full8chunks fx8chunks '"iterations": 2'
