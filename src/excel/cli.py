@@ -17,14 +17,14 @@ from .config import PipelineConfig, load_config
 from .dataset import ImageRecord, load_class_names
 from .dynamic_calibration import biased_relations, dynamic_cams
 from .encoder import VALUE_VALUE, VANILLA, encode_stack, load_weights
-from .errors import EXIT_DATA, EXIT_OK, DataError, ExcelError, UsageError
+from .errors import EXIT_DATA, EXIT_OK, EXIT_USAGE, DataError, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
 from .hashing import config_digest, provenance
 from .images import read_pgm, read_ppm, rgb_to_chw
 from .pipeline import check_bank_dim, load_inputs, run_pipeline, run_provenance, write_cam_outputs
 from .static_calibration import run_static_passes
 from .text_enrichment import attribute_bank, load_bank, save_bank
-from .training_eval import attn_report, check_trained_calibration, evaluate, load_checkpoint, report_text, train_loop
+from .training_eval import attn_report, evaluate, load_checkpoint, report_text, train_loop
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,9 +136,8 @@ def _cmd_cam(args) -> int:
     record = ImageRecord(Path(args.image).stem, read_ppm(args.image), mask=None, labels=sorted(set(present)))
     adapter = None
     if args.mode == "dynamic":
-        adapter, meta = load_checkpoint(args.adapter, weights.dim)
         # thresholds stay free at inference time; the calibration the adapter learned its bias under does not
-        check_trained_calibration(args.adapter, meta, cfg.calibration(), "the config")
+        adapter = load_checkpoint(args.adapter, weights.dim, cfg.calibration())
     # every input is read and checked against the others before the encode
     check_bank_dim(bank, args.bank, weights, args.weights)
     outside = [c for c in present if not 1 <= c <= bank.num_classes]
@@ -205,8 +204,7 @@ def _cmd_attn_report(args) -> int:
     image = rgb_to_chw(read_ppm(args.image))
     policies = {name: (_REPORT_BASELINES.get(name, calibrated), None) for name in names}
     if "icb" in policies and args.adapter:
-        adapter, meta = load_checkpoint(args.adapter, weights.dim)
-        check_trained_calibration(args.adapter, meta, calibrated, "the config")
+        adapter = load_checkpoint(args.adapter, weights.dim, calibrated)
         policies["icb"] = calibrated, biased_relations(encode_stack([image], weights, calibrated), adapter)[0]
     elif "icb" in policies:
         hw = weights.grid[0] * weights.grid[1]
@@ -259,6 +257,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # a size that a flag or a config key gives and no bound refuses yet
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

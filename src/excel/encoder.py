@@ -174,8 +174,10 @@ class Calibration:
             raise UsageError(f"calib_weights must be 3 finite non-negative values, got {self.weights}")
         object.__setattr__(self, "weights", weights)
 
-    def modified_layers(self) -> set[int]:
-        return set(range(LAYER_COUNT - self.layers, LAYER_COUNT))
+    @property
+    def first_layer(self) -> int:
+        """The lowest calibrated layer; LAYER_COUNT when none is."""
+        return LAYER_COUNT - self.layers
 
 
 # the two fixed baselines
@@ -192,7 +194,7 @@ def _check_relation_shape(relation: np.ndarray, tokens: int):
 def expected_row_sums(calibration: Calibration, relation: np.ndarray | None, layer: int, tokens: int) -> np.ndarray:
     """Declared per-row attention sums at `layer` for an input of `tokens`
     rows, under `calibration` biased by `relation` or unbiased."""
-    if layer < LAYER_COUNT - calibration.layers:
+    if layer < calibration.first_layer:
         return np.full(tokens, 1.0)
     sums = np.full(tokens, float(sum(calibration.weights)))
     if relation is not None:
@@ -232,9 +234,11 @@ def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarra
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Sigmoid-weighted linear unit, the usual cheap GELU stand-in: the
-    float64 product of x and sigmoid(1.702 x), rounded to float32."""
+    product of x and sigmoid(1.702 x), rounded to float32. A product of
+    two float32 values is exact in float64, so the float32 multiply gives
+    the bits of the float64 one rounded."""
     s = nm.sigmoid_unchecked(1.702 * x)
-    return np.multiply(x, s, out=s, dtype=np.float64)
+    return np.multiply(x, s, out=s)
 
 
 def patchify(image: np.ndarray, weights: EncoderWeights) -> np.ndarray:
@@ -333,7 +337,7 @@ def _head_attention(
     stacks q, k and v, or of one head's (T, D_s) tokens, written to
     `work.attn`. `bias`, a relation_bias, is added to the rounded map in
     float64."""
-    if layer < LAYER_COUNT - calibration.layers:
+    if layer < calibration.first_layer:
         return _attention(q, k, head_dim, work)
     # the first nonzero weight's term starts the sum: adding it to 0.0, or
     # adding a zero weight's exact 0.0 term, would change no bit
@@ -379,7 +383,7 @@ def _check_prefix(prefix: LayerTrace, tokens: np.ndarray, start: int):
         raise DataError(f"prefix trace records {len(prefix.inputs)} layer inputs, expected {LAYER_COUNT + 1}")
     if not np.array_equal(prefix.inputs[0], tokens):
         raise DataError("prefix trace was encoded from a different image")
-    lowest = min(prefix.calibration.modified_layers(), default=LAYER_COUNT)
+    lowest = prefix.calibration.first_layer
     if lowest < start:
         raise DataError(f"prefix trace modified layer {lowest}, below the resume layer {start}")
 
@@ -522,7 +526,7 @@ def encode_stack(
         start, x = 0, tokens
         inputs, features = [[] for _ in images], [[] for _ in images]
     else:
-        start = LAYER_COUNT - calibration.layers
+        start = calibration.first_layer
         for prefix, tok in zip(prefixes, tokens):
             _check_prefix(prefix, tok, start)
         x = np.stack([prefix.inputs[start] for prefix in prefixes])
@@ -546,13 +550,14 @@ def encode_stack(
             weighted[part] = work.wide @ v_h[part].astype(np.float64)  # rounded to float32 as it is stored
         merged = weighted.swapaxes(-3, -2).reshape(x.shape)
         attn_out = nm.matmul_unchecked(merged, lw["attn.out.w"].T) + lw["attn.out.b"]
-        # float64 sums rounded to float32, written over the products' temporaries
-        x = np.add(x, attn_out, out=attn_out, dtype=np.float64)
+        # float32 sums, written over the products' temporaries: the bits of
+        # float64 sums rounded, since 53 >= 2 * 24 + 2 bits (Figueroa 1995)
+        x = np.add(x, attn_out, out=attn_out)
         _finite(x, f"layer {layer} attention outputs")
         h2 = layer_norm(x, lw["ln2.scale"], lw["ln2.shift"])
         hidden = gelu(nm.matmul_unchecked(h2, lw["mlp.fc.w"].T) + lw["mlp.fc.b"])
         mlp_out = nm.matmul_unchecked(hidden, lw["mlp.proj.w"].T) + lw["mlp.proj.b"]
-        x = np.add(x, mlp_out, out=mlp_out, dtype=np.float64)
+        x = np.add(x, mlp_out, out=mlp_out)
         _finite(x, f"layer {layer} MLP outputs")
     final = _finite(layer_norm(x, weights.tensors["ln_final.scale"], weights.tensors["ln_final.shift"]), "final tokens")
     gh, gw = weights.grid

@@ -18,6 +18,7 @@ import numpy as np
 from .blobio import write_json
 from .dataset import save_dataset
 from .encoder import (
+    LAYER_COUNT,
     LAYER_KEYS,
     Calibration,
     EncoderWeights,
@@ -110,7 +111,7 @@ def make_encoder_weights(rng: Rng, spec: FixtureSpec) -> EncoderWeights:
     shapes = encoder_shapes(d, spec.mlp_dim, p, grid)
     drawn = {name: draw(name, shapes[name]) for name in sorted(shapes, key=lambda n: not n.startswith("layers."))}
     tensors = {name: drawn[name] for name in shapes}
-    for i in PROBE.modified_layers():
+    for i in range(PROBE.first_layer, LAYER_COUNT):
         tensors[LAYER_KEYS[i]["ln1.scale"]] = np.full(d, CALIB_GAIN, dtype=np.float32)
     return EncoderWeights(dim=d, heads=spec.heads, patch_size=p, grid=grid, mlp_dim=spec.mlp_dim, tensors=tensors)
 

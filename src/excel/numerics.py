@@ -12,16 +12,17 @@ boundary. The `*_unchecked` functions skip that input check for the
 encoder's hot loops, which check what they compute instead.
 
 The attention kernels (`softmax_rows_unchecked` and the encoder's
-`_attention` and `_head_attention`) and the logistic call no ufunc that
-mixes float32 and float64 operands (a float32 operand or output with
-`dtype=np.float64`): numpy runs such a call through its buffered casting
-loop, several times slower than a same-dtype loop. They widen with
-`np.copyto` and work in place in one dtype instead. A float32
-operation stands in for a float64 one rounded to float32 only where the
-bits are the same: the attention logits are scaled in float32 when
-sqrt(D_s) is exact in float32 (D_s = 4, 9, 16, 64; not 8), since the
-float64 quotient of float32 operands rounds to the float32 quotient
-(53 >= 2 * 24 + 2 bits, Figueroa 1995).
+`_attention` and `_head_attention`), the logistic, the GELU and the
+encoder's residual adds call no ufunc that mixes float32 and float64
+operands (a float32 operand or output with `dtype=np.float64`): numpy
+runs such a call through its buffered casting loop, several times slower
+than a same-dtype loop. They widen with `np.copyto` and work in place in
+one dtype instead. A float32 operation stands in for a float64 one
+rounded to float32 only where the bits are the same: the GELU's product,
+which is exact in float64; the residual sums; and the attention logits,
+scaled in float32 when sqrt(D_s) is exact in float32 (D_s = 4, 9, 16,
+64; not 8). A float64 sum or quotient of float32 operands rounds to the
+float32 one, since 53 >= 2 * 24 + 2 bits (Figueroa 1995).
 """
 
 import ctypes

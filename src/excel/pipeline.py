@@ -169,7 +169,7 @@ def stage_train(cfg: PipelineConfig, inputs: dict[str, str], dim: int, calibrate
     out_dir = Path(cfg.out_dir) / "train"
     final = checkpoint_path(out_dir, cfg.iterations)
     if _check_resume(final, cfg, inputs, resume):
-        return load_checkpoint(final, dim)[0]
+        return load_checkpoint(final, dim, cfg.calibration())
     prov = run_provenance(cfg, "train", inputs)
     return train_loop(calibrated, dim, cfg, out_dir=out_dir, provenance=prov).adapter
 

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .blobio import is_finite_number, is_positive_int, load_tensors, save_tensors, write_file
-from .config import PATH_KEYS, PipelineConfig
+from .blobio import is_positive_int, load_tensors, save_tensors, write_file
+from .config import PATH_KEYS, PipelineConfig, parse_config
 from .dynamic_calibration import (
     AdapterParams,
     adapter_shapes,
@@ -140,64 +140,47 @@ def checkpoint_path(out_dir, iteration: int) -> Path:
 
 def save_checkpoint(path, adapter: AdapterParams, meta: dict, provenance=None) -> Path:
     """One tensor file: the adapter tensors, in table order under the
-    `adapter.` prefix, plus its relation settings."""
+    `adapter.` prefix, and `meta`, which `train_loop` fills with the
+    encoder width `dim`, the `iteration` and the `train_config` that
+    `load_checkpoint` reads the adapter's settings from."""
     tensors = {f"adapter.{k}": v for k, v in adapter.tensors.items()}
-    full_meta = {**meta, "alpha": adapter.alpha, "beta": adapter.beta, "fusion_kernel": adapter.kernel}
-    return save_tensors(path, tensors, meta=full_meta, provenance=provenance)
+    return save_tensors(path, tensors, meta=meta, provenance=provenance)
 
 
-def load_checkpoint(path, dim: int):
-    """Returns (adapter, meta) for an adapter that reads `dim`-wide
-    encoder features. The meta `alpha` must be positive, as in the
-    config, and the meta `dim` must equal `dim`. Every tensor must have
-    its `adapter_shapes` shape for the meta `fusion_kernel` and the widths
-    of `delta.00.w` and `fusion.w`. Tensors other than `adapter.*`, such
-    as the segmentation-head pair older checkpoints carry, are ignored,
-    and so is the optimizer sidecar file they were written with."""
+def load_checkpoint(path, dim: int, calibration: Calibration) -> AdapterParams:
+    """The adapter of the checkpoint at `path`, for `dim`-wide encoder
+    features and trained under `calibration`. The meta `dim` must equal
+    `dim`; the meta `train_config` must hold every config key but the
+    paths and pass the config's own checks (a DataError naming the file
+    otherwise), and its calibration must be `calibration` (a UsageError
+    naming both). Every tensor must have its `adapter_shapes` shape for
+    the `d_proj`, `d_dyn` and `fusion_kernel` there. Other meta keys and
+    tensors other than `adapter.*`, such as the relation settings and the
+    segmentation-head pair older checkpoints carry, are ignored, and so is
+    the optimizer sidecar file they were written with."""
     tf = load_tensors(path)
-    alpha = float(tf.meta_value("alpha", lambda a: is_finite_number(a) and a > 0, "a finite number > 0"))
-    beta = float(tf.meta_value("beta", is_finite_number, "a finite number"))
-    kernel = tf.meta_value("fusion_kernel", lambda k: type(k) is int and k in (1, 3), "1 or 3")
     width = tf.meta_value("dim", is_positive_int, "a positive integer")
     if width != dim:
         raise DataError(f"checkpoint {tf.path} adapts {width}-dim encoder features, the weights have dim {dim}")
-
-    def leading(name):
-        shape = tf.require(f"adapter.{name}").shape
-        if not shape:
-            raise ShapeError(f"tensor 'adapter.{name}' in {tf.path} is a scalar")
-        return shape[0]
-
-    shapes = adapter_shapes(dim, leading("delta.00.w"), leading("fusion.w"), kernel)
-    tensors = {name: tf.require(f"adapter.{name}", shape) for name, shape in shapes.items()}
-    return AdapterParams(tensors, alpha, beta), tf.meta
-
-
-def check_trained_calibration(path, meta: dict, asked: Calibration, asker: str):
-    """Checks that the checkpoint at `path`, whose meta is `meta`, was
-    trained under `asked`, the calibration `asker` sets: the
-    `calib_layers` and `calib_weights` of its meta `train_config`. A
-    DataError naming `path` when either is absent, of the wrong type or
-    out of range; a UsageError naming `path` and both settings when they
-    differ from `asked`."""
-    settings = meta.get("train_config")
-    settings = settings if isinstance(settings, dict) else {}
-    layers, weights = settings.get("calib_layers"), settings.get("calib_weights")
-    three_numbers = isinstance(weights, list) and len(weights) == 3 and all(map(is_finite_number, weights))
-    if type(layers) is not int or not three_numbers:
-        raise DataError(
-            f"checkpoint {path} meta 'train_config' must hold an integer 'calib_layers' and a list of "
-            f"3 finite 'calib_weights', got {layers!r} and {weights!r}"
-        )
+    settings = tf.meta_value("train_config", lambda s: isinstance(s, dict), "an object")
+    for key in PipelineConfig().to_dict():
+        if key not in PATH_KEYS and key not in settings:
+            raise DataError(f"checkpoint {tf.path} meta 'train_config' lacks config key '{key}'")
     try:
-        trained = Calibration(layers=layers, weights=tuple(map(float, weights)))
+        trained = parse_config(settings)
     except UsageError as exc:
-        raise DataError(f"checkpoint {path} meta 'train_config': {exc}") from None
-    if trained != asked:
+        raise DataError(f"checkpoint {tf.path} meta 'train_config': {exc}") from None
+    if trained.calibration() != calibration:
         raise UsageError(
-            f"checkpoint {path} was trained with calib_layers {trained.layers} and calib_weights "
-            f"{list(trained.weights)}, {asker} asks for {asked.layers} and {list(asked.weights)}"
+            f"checkpoint {tf.path} was trained with calib_layers {trained.calib_layers} and calib_weights "
+            f"{list(trained.calib_weights)}, the config asks for {calibration.layers} and {list(calibration.weights)}"
         )
+    shapes = adapter_shapes(dim, trained.d_proj, trained.d_dyn, trained.fusion_kernel)
+    try:
+        tensors = {name: tf.require(f"adapter.{name}", shape) for name, shape in shapes.items()}
+    except ShapeError as exc:
+        raise ShapeError(f"{exc} from dim {dim} and the meta 'train_config'") from None
+    return AdapterParams(tensors, trained.alpha, trained.beta)
 
 
 # --------------------------------------------------------------------------

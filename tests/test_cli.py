@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -42,11 +43,13 @@ def cli_trained(cli_fixtures, tmp_path_factory):
     return out_dir, cfg_path
 
 
-def run_excel(*argv, **env):
+def run_excel(*argv, preexec_fn=None, **env):
     """`python -m excel *argv` in a fresh interpreter, with `env` added to
-    its environment."""
+    its environment and `preexec_fn` run in the child before it starts."""
     env = {**os.environ, "PYTHONPATH": str(Path(excel.__file__).parent.parent), **env}
-    return subprocess.run([sys.executable, "-m", "excel", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, "-m", "excel", *argv], capture_output=True, text=True, env=env, preexec_fn=preexec_fn
+    )
 
 
 def one_error_line(returncode, stderr, expected_code) -> str:
@@ -243,13 +246,15 @@ def test_train_and_run_write_the_same_training_output(cli_fixtures, tmp_path):
 
 
 def _with_head_tensors(checkpoint, path):
-    """A copy of `checkpoint` in the older layout, which also stored an
-    affine segmentation head and its label count."""
+    """A copy of `checkpoint` in the older layouts, which also stored an
+    affine segmentation head and its label count, and the relation
+    settings of its `train_config` once more at the top of the meta."""
     tf = load_tensors(checkpoint)
     tensors = dict(tf.tensors)
     tensors["seghead.w"] = np.full((4, 12 * 64), 0.5, np.float32)
     tensors["seghead.b"] = np.zeros(4, np.float32)
-    return save_tensors(path, tensors, meta={**tf.meta, "num_labels": 4}, provenance=tf.provenance)
+    relation = {key: tf.meta["train_config"][key] for key in ("alpha", "beta", "fusion_kernel")}
+    return save_tensors(path, tensors, meta={**tf.meta, **relation, "num_labels": 4}, provenance=tf.provenance)
 
 
 def test_cam_dynamic_cli(cli_fixtures, cli_trained, tmp_path):
@@ -284,7 +289,8 @@ def test_cam_dynamic_cli(cli_fixtures, cli_trained, tmp_path):
     out = tmp_path / "dyncams"
     assert cam(checkpoint, out) == 0
     assert (out / f"{image.stem}.pseudo.pgm").exists()
-    # a checkpoint that also carries the head tensors loads, with the same result
+    # a checkpoint that also carries the head tensors and the top-level
+    # relation settings loads, with the same result
     legacy = _with_head_tensors(checkpoint, tmp_path / "legacy.json")
     assert cam(legacy, tmp_path / "legacycams") == 0
     for path in sorted(out.iterdir()):
@@ -381,6 +387,25 @@ def test_exit_code_checkpoint_without_its_calibration(cli_fixtures, cli_trained,
     checkpoint = out_dir / "train" / "checkpoint_000001.json"
     train_config = edit(load_tensors(checkpoint).meta["train_config"])
     bad = _with_meta(checkpoint, tmp_path / "bad.json", "train_config", train_config)
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    line = _main_error(capsys, _dynamic_cam_argv(cli_fixtures, out_dir, bad, image, tmp_path / "out"), 2)
+    assert str(bad) in line and "train_config" in line
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("d_proj", 32), ("alpha", 0), ("lr", None), ("policy", "intra_correlation")],
+    ids=["d-proj-32", "alpha-zero", "no-lr", "retired-policy"],
+)
+def test_exit_code_checkpoint_train_config_is_checked_as_a_config(
+    cli_fixtures, cli_trained, tmp_path, capsys, key, value
+):
+    # the train_config is the checkpoint's one record of its settings: one
+    # its tensors disagree with, that no config can hold, that lacks a key
+    # (None deletes it) or that holds the retired policy key is broken data
+    out_dir, _ = cli_trained
+    bad = _with_setting(out_dir / "train" / "checkpoint_000001.json", tmp_path / "bad.json", key, value)
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
     line = _main_error(capsys, _dynamic_cam_argv(cli_fixtures, out_dir, bad, image, tmp_path / "out"), 2)
     assert str(bad) in line and "train_config" in line
@@ -508,16 +533,16 @@ def test_exit_code_malformed_weights_manifest(cli_fixtures, tmp_path, mutate):
     ids=["no-alpha", "no-beta", "no-fusion-kernel", "alpha-string", "beta-bool", "fusion-kernel-2", "fusion-kernel-float"],
 )
 def test_exit_code_malformed_checkpoint_meta(cli_fixtures, cli_trained, tmp_path, key, value):
-    # None deletes the key
+    # the relation settings are read from the meta train_config; None deletes the key
     out_dir, _ = cli_trained
     checkpoint = out_dir / "train" / "checkpoint_000001.json"
     manifest = json.loads(checkpoint.read_text())
     (tmp_path / "bad.bin").write_bytes(checkpoint.with_suffix(".bin").read_bytes())
     manifest["blob"] = "bad.bin"
     if value is None:
-        del manifest["meta"][key]
+        del manifest["meta"]["train_config"][key]
     else:
-        manifest["meta"][key] = value
+        manifest["meta"]["train_config"][key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(manifest))
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
@@ -526,7 +551,8 @@ def test_exit_code_malformed_checkpoint_meta(cli_fixtures, cli_trained, tmp_path
         "--bank", str(out_dir / "attrs.json"), "--image", str(image), "--labels", "1", "--adapter", str(bad),
         "--out", str(tmp_path / "out"),
     )
-    assert str(bad) in one_error_line(proc.returncode, proc.stderr, 2)
+    line = one_error_line(proc.returncode, proc.stderr, 2)
+    assert str(bad) in line and "train_config" in line
 
 
 @pytest.mark.parametrize(
@@ -549,13 +575,31 @@ def test_numeric_failure_prints_only_its_error_line(cli_fixtures, tmp_path, comm
         assert not (out_dir / "train" / "checkpoint_000001.json").exists()
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("command", ["gen-fixtures", "run"])
+def test_out_of_memory_prints_only_its_error_line(cli_fixtures, tmp_path, command):
+    # a size that a flag or a config key gives and no bound refuses yet
+    # fails its allocation under a 3 GiB address space: exit 1 and one
+    # `error:` line, not a MemoryError traceback
+    if command == "gen-fixtures":
+        argv = ["gen-fixtures", "--image-size", "1000000000", "--out", str(tmp_path / "fx")]
+    else:
+        cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", iterations=1, d_dyn=10**13)
+        argv = ["run", "--config", str(cfg_path)]
+    proc = run_excel(*argv, preexec_fn=_cap_address_space)
+    assert one_error_line(proc.returncode, proc.stderr, 1).startswith("error: out of memory: ")
+
+
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0], ids=["negative", "zero", "zero-int"])
 @pytest.mark.parametrize("command", ["cam-dynamic", "attn-report-icb"])
 def test_exit_code_checkpoint_alpha_not_positive(cli_fixtures, cli_trained, tmp_path, capsys, command, alpha):
     # the relation scale is positive wherever an adapter is made, so a
     # checkpoint that says otherwise is refused where it is loaded
     out_dir, _ = cli_trained
-    bad = _with_meta(out_dir / "train" / "checkpoint_000001.json", tmp_path / "bad.json", "alpha", alpha)
+    bad = _with_setting(out_dir / "train" / "checkpoint_000001.json", tmp_path / "bad.json", "alpha", alpha)
     image = str(next((cli_fixtures / "dataset" / "images").glob("*.ppm")))
     if command == "cam-dynamic":
         argv = ["cam", "--mode", "dynamic", "--bank", str(out_dir / "attrs.json"), "--labels", "1"]
@@ -563,7 +607,7 @@ def test_exit_code_checkpoint_alpha_not_positive(cli_fixtures, cli_trained, tmp_
         argv = ["attn-report", "--policies", "icb"]
     argv += ["--weights", str(cli_fixtures / "encoder.json"), "--image", image, "--adapter", str(bad)]
     line = _main_error(capsys, [*argv, "--out", str(tmp_path / "out")], 2)
-    assert str(bad) in line and "meta 'alpha' must be a finite number > 0" in line
+    assert str(bad) in line and "meta 'train_config': alpha must be positive" in line
     assert not (tmp_path / "out").exists()
 
 
@@ -581,7 +625,7 @@ def test_exit_code_checkpoint_mismatch(cli_fixtures, cli_trained, narrow_weights
     checkpoint = out_dir / "train" / "checkpoint_000001.json"
     weights, expected = narrow_weights, "the weights have dim 32"
     if case == "kernel-3-flat-fusion":
-        checkpoint = _with_meta(checkpoint, tmp_path / "k3.json", "fusion_kernel", 3)
+        checkpoint = _with_setting(checkpoint, tmp_path / "k3.json", "fusion_kernel", 3)
         weights, expected = cli_fixtures / "encoder.json", "tensor 'adapter.fusion.w'"
     image = str(next((cli_fixtures / "dataset" / "images").glob("*.ppm")))
     if case == "attn-report-width":
@@ -631,7 +675,7 @@ def test_attn_report_reads_the_calibration_an_adapter_was_trained_under_from_its
     calibration = load_config(cfg_path).calibration()
     weights = load_weights(cli_fixtures / "encoder.json")
     chw = rgb_to_chw(read_ppm(image))
-    adapter, _ = load_checkpoint(checkpoint, weights.dim)
+    adapter = load_checkpoint(checkpoint, weights.dim, calibration)
     relation = biased_relations(encode_stack([chw], weights, calibration), adapter)[0]
     want = attn_report(chw, weights, {"ic": (calibration, None), "icb": (calibration, relation)})
     for name in ("ic", "icb"):
@@ -758,6 +802,15 @@ def _with_meta(manifest_path, out_path, key, value):
         meta[key] = value
     tensors = dict(tf.tensors)
     return save_tensors(out_path, tensors, meta=meta, provenance=tf.provenance)
+
+
+def _with_setting(checkpoint, out_path, key, value):
+    """A copy of a checkpoint whose meta `train_config` holds `value` at
+    `key`; None deletes it."""
+    settings = {k: v for k, v in load_tensors(checkpoint).meta["train_config"].items() if k != key}
+    if value is not None:
+        settings[key] = value
+    return _with_meta(checkpoint, out_path, "train_config", settings)
 
 
 @pytest.fixture(scope="module")

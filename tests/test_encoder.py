@@ -247,10 +247,11 @@ def test_vanilla_rows_sum_to_one(fixture_weights):
 
 
 def test_policy_modified_layers():
-    assert VANILLA.modified_layers() == set()
-    assert VALUE_VALUE.modified_layers() == {11}
-    assert Calibration(layers=5).modified_layers() == set(range(7, 12))
-    assert Calibration(layers=0).modified_layers() == set()
+    # the modified layers are range(first_layer, LAYER_COUNT)
+    assert VANILLA.first_layer == 12
+    assert VALUE_VALUE.first_layer == 11
+    assert Calibration(layers=5).first_layer == 7
+    assert Calibration(layers=0).first_layer == 12
 
 
 def test_intra_correlation_policy_validation():
@@ -320,9 +321,9 @@ def test_stacked_head_attention_equals_per_head_calls(tokens, calibration, layer
 def test_calibration_names():
     # the two fixed baselines; every other setting is a config's calib keys
     assert VANILLA == Calibration(layers=0)
-    assert VANILLA.modified_layers() == set()
+    assert VANILLA.first_layer == LAYER_COUNT
     assert VALUE_VALUE == Calibration(layers=1, weights=(0, 0, 1))
-    assert VALUE_VALUE.modified_layers() == {LAYER_COUNT - 1}
+    assert VALUE_VALUE.first_layer == LAYER_COUNT - 1
 
 
 def test_row_sums_per_policy_constants():

@@ -282,6 +282,35 @@ def test_sigmoid_bytes_equal_the_where_formula():
     assert np.isnan(nm.sigmoid_unchecked(SPECIAL_VALUES)[0])
 
 
+def _float32_pairs(seed):
+    """Two float32 vectors: every pair of the special values (NaN, signed
+    zeros and infinities, subnormals, the largest finite values), then
+    draws of both signs at magnitudes from the subnormals to 3.4e38."""
+    f32 = np.finfo(np.float32)
+    extremes = np.array([f32.max, -f32.max, f32.tiny, -f32.tiny, f32.smallest_subnormal], np.float32)
+    special = np.concatenate([SPECIAL_VALUES, extremes])
+    pairs = [grid.ravel() for grid in np.meshgrid(special, special)]
+    gen = Rng(seed).generator()
+    with np.errstate(over="ignore"):  # a draw past 3.4e38 rounds to an infinity
+        draws = [
+            (gen.standard_normal(1 << 19) * 10.0 ** gen.uniform(-46, 38.5, 1 << 19)).astype(np.float32) for _ in pairs
+        ]
+    return [np.concatenate([p, d]) for p, d in zip(pairs, draws)]
+
+
+@pytest.mark.parametrize("op", [np.multiply, np.add])
+def test_float32_product_and_sum_bytes_equal_the_float64_ones_rounded(op):
+    # the GELU's product and the encoder's residual adds run in float32:
+    # a product of float32 values is exact in float64, and a float64 sum
+    # rounded to float32 is the float32 sum (53 >= 2 * 24 + 2 bits)
+    a, b = _float32_pairs(21)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = op(a, b, dtype=np.float64).astype(np.float32)
+        got = op(a, b)
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
 def test_transpose():
     a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
     np.testing.assert_array_equal(nm.transpose(a), a.T)

@@ -218,12 +218,12 @@ def _checkpoint_mutation(meta):
     not_finite = json_values.filter(lambda v: not is_finite_number(v))
     settings = meta["train_config"]
     return st.one_of(
-        st.tuples(st.just(("alpha",)), st.just(DELETE) | _NOT_POSITIVE | not_finite),
-        st.tuples(st.just(("beta",)), st.just(DELETE) | not_finite),
-        *(st.tuples(st.just((key,)), _other_than(meta[key])) for key in ("fusion_kernel", "dim", "train_config")),
+        st.tuples(st.just(("train_config", "alpha")), st.just(DELETE) | _NOT_POSITIVE | not_finite),
+        st.tuples(st.just(("train_config", "beta")), st.just(DELETE) | not_finite),
+        *(st.tuples(st.just((key,)), _other_than(meta[key])) for key in ("dim", "train_config")),
         *(
             st.tuples(st.just(("train_config", key)), _other_than(settings[key]))
-            for key in ("calib_layers", "calib_weights")
+            for key in ("fusion_kernel", "d_proj", "d_dyn", "calib_layers", "calib_weights")
         ),
     )
 

@@ -10,7 +10,7 @@ from excel.dynamic_calibration import init_adapter
 from excel.encoder import LAYER_COUNT, VANILLA, Calibration, encode_stack, layer_attention
 from excel.errors import DataError, NumericError, UsageError
 from excel.blobio import load_tensors, save_tensors
-from excel.config import PipelineConfig
+from excel.config import PATH_KEYS, PipelineConfig
 from excel.numerics import Rng
 from excel.training_eval import (
     adamw_step,
@@ -397,10 +397,12 @@ def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=2)
     result = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
     path = tmp_path / "checkpoint_000002.json"
-    adapter, meta = load_checkpoint(path, fixture_weights.dim)
+    adapter = load_checkpoint(path, fixture_weights.dim, cfg.calibration())
     assert list(adapter.tensors) == list(result.adapter.tensors)
     for a, b in zip(adapter.tensors.values(), result.adapter.tensors.values()):
         assert np.array_equal(a, b)
+    assert (adapter.alpha, adapter.beta) == (cfg.alpha, cfg.beta)
+    meta = load_tensors(path).meta
     assert meta["iteration"] == 2
     assert meta["train_config"]["lr"] == cfg.lr
 
@@ -410,9 +412,11 @@ def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_static):
 )
 def test_checkpoint_shapes_checked_against_meta(tmp_path, case):
     adapter = init_adapter(Rng(1), 8, 4, 6, 1, 0.02, 3.0, 1.0)
-    meta, dim = {"dim": 8}, 8
+    cfg = PipelineConfig(d_proj=4, d_dyn=6)
+    settings = {k: v for k, v in cfg.to_dict().items() if k not in PATH_KEYS}
+    meta, dim = {"dim": 8, "train_config": settings}, 8
     if case == "meta-dim":
-        meta = {"dim": 16}
+        meta["dim"] = 16
     elif case == "weights-dim":
         dim = 16
     elif case != "kernel-3":
@@ -425,10 +429,10 @@ def test_checkpoint_shapes_checked_against_meta(tmp_path, case):
         adapter.tensors[name] = np.zeros(shape, np.float32)
     path = save_checkpoint(tmp_path / "ck.json", adapter, meta)
     if case == "kernel-3":  # a 2-D fusion.w declared as a 3x3 kernel
-        tf = load_tensors(path)
-        path = save_tensors(path, tf.tensors, meta={**tf.meta, "fusion_kernel": 3})
+        meta["train_config"] = settings | {"fusion_kernel": 3}
+        path = save_tensors(path, load_tensors(path).tensors, meta=meta)
     with pytest.raises(DataError, match="encoder features" if "dim" in case else "expected"):
-        load_checkpoint(path, dim)
+        load_checkpoint(path, dim, cfg.calibration())
 
 
 @pytest.mark.parametrize("kernel", [1, 3])
@@ -443,7 +447,8 @@ def test_checkpoint_layout_is_the_adapter_table(tmp_path, fixture_weights, fixtu
     assert names == deltas + ["adapter.fusion.w", "adapter.fusion.b"]
     fusion_shape = manifest["tensors"][-2]["shape"]
     assert fusion_shape == ([8, 48] if kernel == 1 else [8, 48, 3, 3])
-    assert manifest["meta"]["fusion_kernel"] == kernel
+    assert set(manifest["meta"]) == {"dim", "iteration", "train_config"}
+    assert manifest["meta"]["train_config"]["fusion_kernel"] == kernel
 
 
 def test_loss_curve_bytes(tmp_path):
@@ -459,7 +464,7 @@ def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_static):
     result = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
     curve = {row[0]: row for row in result.curve}
     for k in (0, 2):
-        adapter, meta = load_checkpoint(tmp_path / f"checkpoint_{k:06d}.json", fixture_weights.dim)
+        adapter = load_checkpoint(tmp_path / f"checkpoint_{k:06d}.json", fixture_weights.dim, cfg.calibration())
         work = np.empty((2, sum(t.size for t in adapter.tensors.values())))
         div = training_eval._iteration_loss(fixture_static, k, cfg, adapter, work)[0]
         assert div == pytest.approx(curve[k][1], abs=1e-5)
