@@ -140,10 +140,9 @@ def _adapter_forward64(traces: list[LayerTrace], params: AdapterParams):
         if trace.grid != grid:
             raise UsageError(f"a stacked adapter pass needs one grid, got {trace.grid} and {grid}")
     (gh, gw), pad, count = grid, params.kernel // 2, len(traces)
-    xs = np.empty((count, LAYER_COUNT, gh * gw, traces[0].features[0].shape[1]))
+    xs = np.empty((count, LAYER_COUNT, gh * gw, traces[0].features.shape[-1]))
     for x, trace in zip(xs, traces):
-        for x_layer, f in zip(x, trace.features):
-            x_layer[...] = f[1:]  # CLS dropped
+        x[...] = trace.features[:, 1:]  # CLS dropped
     names = [delta_names(layer) for layer in range(LAYER_COUNT)]
     w = np.stack([params.tensors[w_name] for w_name, _ in names], dtype=np.float64)
     b = np.stack([params.tensors[b_name] for _, b_name in names], dtype=np.float64)
@@ -344,21 +343,21 @@ def dynamic_cams(
     tau_bg: float,
     static_traces: list[LayerTrace],
 ) -> list[CamResult]:
-    """Re-encode the image of each dataset record (`.image`, `.labels`)
-    with its relation bias added and refine dynamic CAMs, in order, one
-    stacked adapter pass and one stacked encoder pass per `encoder.chunks`
-    chunk, run by `encode_chunks`.
+    """Dynamic CAMs for each dataset record's `.labels`, in order: its
+    image re-encoded with its relation bias added, one stacked adapter
+    pass and one stacked encoder pass per `encoder.chunks` chunk, run by
+    `encode_chunks`.
 
-    `static_traces[i]` is the calibrated pass of `records[i].image`, and
-    all of them one calibration's. Its biased re-encode runs under that
-    calibration and its biased relation, resuming from the trace below the
-    first calibrated layer. The biased traces are not kept.
+    `static_traces[i]` is the calibrated pass of record i's image, and all
+    of them one calibration's. Its biased re-encode runs under that
+    calibration and its biased relation from the trace's `resume`, so no
+    image is read again. The biased traces are not kept.
     """
     results = []
 
     def job(part):
         prefixes = static_traces[part]
-        return [rec.image for rec in records[part]], biased_relations(prefixes, params), prefixes
+        return None, biased_relations(prefixes, params), prefixes
 
     def consume(part, traces):
         for rec, trace in zip(records[part], traces):

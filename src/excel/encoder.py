@@ -12,10 +12,10 @@ at a time: the earlier of each pair on one helper thread, the later on
 the calling thread, which also runs everything around the passes in
 chunk order. Every pass records, per image, what its consumers read: the
 calibration it ran under and the relation that biased it, the residual
-stream entering each layer (a later pass resumes from it) and the
-normalized layer inputs (the adapter's features). Attention maps are not
-kept; `layer_attention` recomputes one layer's maps from the trace, bit
-for bit, when a reader asks for them.
+stream entering the first calibrated layer (a biased pass resumes from
+it) and the twelve normalized layer inputs (the adapter's features).
+Attention maps are not kept; `layer_attention` recomputes one layer's
+maps from the trace, bit for bit, when a reader asks for them.
 
 A pass computes each layer's attention a block of heads at a time
 (`heads_per_block`): a block's maps, then their product with its values.
@@ -214,8 +214,8 @@ class LayerTrace:
     grid: tuple[int, int]
     calibration: Calibration  # the attention the pass ran under
     relation: np.ndarray | None  # (hw, hw), -inf where masked: the bias of this image, or None
-    inputs: list[np.ndarray]  # 13 x (T, D): residual stream entering each layer, then the final norm
-    features: list[np.ndarray]  # 12 x (T, D): normalized input projected to q/k/v
+    resume: np.ndarray  # (T, D): residual stream entering calibration.first_layer (the final norm at 12)
+    features: np.ndarray  # (12, T, D): each layer's normalized input, projected to q/k/v
     patch_features: np.ndarray  # (D, h, w), CLS dropped
 
 
@@ -376,18 +376,6 @@ def _heads_qkv(h: np.ndarray, lw: dict[str, np.ndarray], heads: int, layer: int)
     )
 
 
-def _check_prefix(prefix: LayerTrace, tokens: np.ndarray, start: int):
-    """A DataError unless `prefix` holds the pass of the image with
-    `tokens` through layers below `start` left unmodified."""
-    if len(prefix.inputs) != LAYER_COUNT + 1:
-        raise DataError(f"prefix trace records {len(prefix.inputs)} layer inputs, expected {LAYER_COUNT + 1}")
-    if not np.array_equal(prefix.inputs[0], tokens):
-        raise DataError("prefix trace was encoded from a different image")
-    lowest = prefix.calibration.first_layer
-    if lowest < start:
-        raise DataError(f"prefix trace modified layer {lowest}, below the resume layer {start}")
-
-
 # Element budget of one stacked pass's largest float64 arrays, per chunk
 # and per block of heads. An image counts as the larger of its (H, T, T)
 # attention maps and its (T, mlp_dim) MLP hidden activations. A 64 px
@@ -425,13 +413,14 @@ def encode_chunks(
     count: int,
     weights: EncoderWeights,
     calibration: Calibration,
-    job: Callable[[slice], tuple[list[np.ndarray], list[np.ndarray] | None, list[LayerTrace] | None]],
+    job: Callable[[slice], tuple[list[np.ndarray] | None, list[np.ndarray] | None, list[LayerTrace] | None]],
     consume: Callable[[slice, list[LayerTrace]], None],
 ) -> None:
     """`encode_stack` under `calibration` over the `chunks` of `count`
     images, two passes at a time: for each chunk `part`, in order,
-    job(part) gives the pass's (images, relations, prefixes) and
-    consume(part, traces) takes the traces it returns.
+    job(part) gives the pass's (images, relations, prefixes), one of
+    images and prefixes None, and consume(part, traces) takes the traces
+    it returns.
 
     Consecutive chunks run in pairs, the earlier on one helper thread and
     the later on the calling thread; an odd last chunk runs on the calling
@@ -487,24 +476,24 @@ def heads_per_block(count: int, weights: EncoderWeights) -> int:
 
 
 def encode_stack(
-    images: list[np.ndarray],
+    images: list[np.ndarray] | None,
     weights: EncoderWeights,
     calibration: Calibration,
     relations: list[np.ndarray] | None = None,
     prefixes: list[LayerTrace] | None = None,
 ) -> list[LayerTrace]:
     """Run the encoder under `calibration` over a chunk of images in one
-    stacked pass and capture each image's per-layer tensors; trace i is
-    bit-identical to a pass over image i alone.
+    stacked pass and capture each image's trace; trace i is bit-identical
+    to a pass over image i alone.
 
-    With `relations`, relation i biases image i. The chunk's tokens are
+    With `relations`, relation i biases pass i. The chunk's tokens are
     one (N, T, D) stack and its heads (N, H, T, D_s); every product is
     the per-image product, looped over the chunk inside numpy.
 
-    With `prefixes`, prefix i a trace of image i and the same weights that
-    left the layers below the first calibrated layer untouched, those
-    layers are copied from it and the pass resumes from its residual
-    stream there; the result is bit-identical to a full pass.
+    A pass takes `images` or `prefixes`, traces of the same weights and
+    `calibration`. Over prefixes it runs only the calibrated layers, from
+    each prefix's `resume`, and copies the features below from the
+    prefix: bit for bit a full pass over the prefix's image.
 
     The images and relation matrices are checked where they enter; after
     that each product's output (q, k, v, the residual stream after
@@ -512,35 +501,34 @@ def encode_stack(
     finiteness once, so a non-finite weight or input still raises
     NumericError.
     """
-    if not images or any(x is not None and len(x) != len(images) for x in (relations, prefixes)):
+    passes = images if prefixes is None else prefixes
+    if not passes or (images is None) == (prefixes is None) or relations is not None and len(relations) != len(passes):
         raise UsageError(
-            f"a stacked pass needs one relation and one prefix per image, if any, got {len(images)} images, "
-            f"{'no' if relations is None else len(relations)} relations and "
-            f"{'no' if prefixes is None else len(prefixes)} prefixes"
+            "a stacked pass needs images or prefixes, not both, and one relation per pass, if any, got "
+            f"{'no' if images is None else len(images)} images, {'no' if prefixes is None else len(prefixes)} "
+            f"prefixes and {'no' if relations is None else len(relations)} relations"
         )
-    tokens = np.stack([patchify(image, weights) for image in images])
-    _, t_count, dim = tokens.shape
+    for prefix in prefixes or ():
+        if prefix.calibration != calibration:
+            raise DataError(f"prefix trace was encoded under {prefix.calibration}, the pass runs under {calibration}")
+    if prefixes is None:
+        start, x = 0, np.stack([patchify(image, weights) for image in images])
+    else:
+        start, x = calibration.first_layer, np.stack([prefix.resume for prefix in prefixes])
+    count, t_count, dim = x.shape
     heads, d_s = weights.heads, weights.head_dim
     bias = None if relations is None else np.stack([relation_bias(r, t_count) for r in relations])[:, None]
-    if prefixes is None:
-        start, x = 0, tokens
-        inputs, features = [[] for _ in images], [[] for _ in images]
-    else:
-        start = calibration.first_layer
-        for prefix, tok in zip(prefixes, tokens):
-            _check_prefix(prefix, tok, start)
-        x = np.stack([prefix.inputs[start] for prefix in prefixes])
-        inputs = [prefix.inputs[:start] for prefix in prefixes]
-        features = [prefix.features[:start] for prefix in prefixes]
+    features = np.empty((count, LAYER_COUNT, t_count, dim), np.float32)
+    for feat, prefix in zip(features, prefixes or ()):
+        feat[:start] = prefix.features[:start]
+    resume = x
     layers = weights.layers
-    block = heads_per_block(len(images), weights)
-    work = AttentionWork.of((len(images), block, t_count, d_s))
+    block = heads_per_block(count, weights)
+    work = AttentionWork.of((count, block, t_count, d_s))
     for layer in range(start, LAYER_COUNT):
         lw = layers[layer]
         h = layer_norm(x, lw["ln1.scale"], lw["ln1.shift"])
-        for inp, feat, x_i, h_i in zip(inputs, features, x, h):
-            inp.append(x_i)
-            feat.append(h_i)
+        features[:, layer] = h
         q_h, k_h, v_h = _heads_qkv(h, lw, heads, layer)
         weighted = np.empty(v_h.shape, np.float32)
         for first in range(0, heads, block):
@@ -559,6 +547,8 @@ def encode_stack(
         mlp_out = nm.matmul_unchecked(hidden, lw["mlp.proj.w"].T) + lw["mlp.proj.b"]
         x = np.add(x, mlp_out, out=mlp_out)
         _finite(x, f"layer {layer} MLP outputs")
+        if layer + 1 == calibration.first_layer:
+            resume = x  # no later step writes over it
     final = _finite(layer_norm(x, weights.tensors["ln_final.scale"], weights.tensors["ln_final.shift"]), "final tokens")
     gh, gw = weights.grid
     return [
@@ -566,11 +556,11 @@ def encode_stack(
             grid=weights.grid,
             calibration=calibration,
             relation=relation,
-            inputs=[*inp, x_i],
+            resume=resume_i,
             features=feat,
             patch_features=np.ascontiguousarray(final_i[1:].T).reshape(dim, gh, gw),
         )
-        for relation, inp, feat, x_i, final_i in zip(relations or [None] * len(images), inputs, features, x, final)
+        for relation, resume_i, feat, final_i in zip(relations or [None] * count, resume, features, final)
     ]
 
 

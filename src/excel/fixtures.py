@@ -10,6 +10,7 @@ the classes by construction; description embeddings are noisy copies of
 the template.
 """
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -49,6 +50,7 @@ CALIB_GAIN = 16.0  # layer-norm gain of the blocks PROBE calibrates
 N_DESCRIPTIONS = 20  # noisy copies of each class template
 DESCRIPTION_NOISE = 0.35
 PROBE = Calibration()  # the pass that probes class templates: the pipeline's default
+MAX_FIXTURE_BYTES = 1 << 32  # 4 GiB of float32 encoder tensors and images (RGB and mask, a byte each)
 
 
 @dataclass
@@ -77,6 +79,12 @@ class FixtureSpec:
             raise UsageError(f"dim must be at least 2, got {self.dim}")
         if self.dim % self.heads:
             raise UsageError(f"dim {self.dim} not divisible by heads {self.heads}")
+        shapes = encoder_shapes(self.dim, self.mlp_dim, self.patch_size, (self.image_size // self.patch_size,) * 2)
+        size = 4 * sum(math.prod(shape) for shape in shapes.values()) + 4 * self.images * self.image_size**2
+        if size > MAX_FIXTURE_BYTES:
+            raise UsageError(
+                f"the fixture's encoder tensors and images take {size} bytes, over the bound of {MAX_FIXTURE_BYTES}"
+            )
 
     def class_names(self) -> list[str]:
         return ["background"] + [f"{PALETTE[i][0]}-shape" for i in range(self.classes)]

@@ -170,7 +170,7 @@ def _tiny_gradient_instance(seed):
     gen = Rng(seed).generator()
     feats = [gen.standard_normal((10, 8)).astype(np.float32) for _ in range(12)]
     trace = LayerTrace(
-        grid=(3, 3), calibration=Calibration(layers=0), relation=None, inputs=[], features=feats, patch_features=np.zeros((8, 3, 3), np.float32),
+        grid=(3, 3), calibration=Calibration(layers=0), relation=None, resume=feats[-1], features=np.stack(feats), patch_features=np.zeros((8, 3, 3), np.float32),
     )
     adapter = init_adapter(Rng(seed).child("a"), 8, 4, 6, 1, 0.5, 3.0, 1.0)
     adapter = AdapterParams({k: a.astype(np.float64) for k, a in adapter.tensors.items()}, adapter.alpha, adapter.beta)

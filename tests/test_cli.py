@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import re
 import resource
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -583,9 +585,12 @@ def _cap_address_space():
 def test_out_of_memory_prints_only_its_error_line(cli_fixtures, tmp_path, command):
     # a size that a flag or a config key gives and no bound refuses yet
     # fails its allocation under a 3 GiB address space: exit 1 and one
-    # `error:` line, not a MemoryError traceback
+    # `error:` line, not a MemoryError traceback. A one-pixel patch keeps
+    # a 512 px fixture within its byte bound, but its (T, T) attention
+    # maps at T=262145 take 512 GiB
     if command == "gen-fixtures":
-        argv = ["gen-fixtures", "--image-size", "1000000000", "--out", str(tmp_path / "fx")]
+        argv = ["gen-fixtures", "--image-size", "512", "--patch-size", "1", "--images", "1"]
+        argv += ["--out", str(tmp_path / "fx")]
     else:
         cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", iterations=1, d_dyn=10**13)
         argv = ["run", "--config", str(cfg_path)]
@@ -740,6 +745,20 @@ def test_exit_code_numeric_error(cli_fixtures, tmp_path):
 def test_exit_code_non_positive_fixture_spec(tmp_path, flag, value):
     proc = run_excel("gen-fixtures", flag, value, "--out", str(tmp_path / "fx"))
     assert "must be positive" in one_error_line(proc.returncode, proc.stderr, 1)
+    assert not (tmp_path / "fx").exists()
+
+
+@pytest.mark.parametrize("flag", ["--images", "--image-size", "--dim"])
+def test_fixture_over_its_byte_bound_is_refused_before_any_draw(tmp_path, capsys, flag):
+    # 10^14 images of 64 px, or a 10^9 px image or width, is refused in one
+    # line naming its bytes and the 4 GiB bound, before anything is drawn
+    # or written
+    value = "100000000000000" if flag == "--images" else "1000000000"
+    start = time.monotonic()
+    line = _main_error(capsys, ["gen-fixtures", flag, value, "--out", str(tmp_path / "fx")], 1)
+    assert time.monotonic() - start < 5
+    bound = r"error: the fixture's encoder tensors and images take \d+ bytes, over the bound of 4294967296"
+    assert re.fullmatch(bound, line)
     assert not (tmp_path / "fx").exists()
 
 

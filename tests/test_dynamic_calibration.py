@@ -30,8 +30,8 @@ def trace_from_features(features, grid):
         grid=grid,
         calibration=Calibration(layers=0),
         relation=None,
-        inputs=[],
-        features=features,
+        resume=np.zeros_like(features[0]),
+        features=np.stack(features),
         patch_features=np.zeros((features[0].shape[1],) + grid, np.float32),
     )
 

@@ -470,7 +470,7 @@ def test_zero_modified_layers_equals_vanilla(fixture_weights):
     t_ic = encode_stack([image], fixture_weights, Calibration(layers=0))[0]
     t_qk = encode_stack([image], fixture_weights, VANILLA)[0]
     assert t_ic.patch_features.tobytes() == t_qk.patch_features.tobytes()
-    assert t_ic.inputs[-1].tobytes() == t_qk.inputs[-1].tobytes()
+    assert t_ic.resume.tobytes() == t_qk.resume.tobytes()
 
 
 def test_per_head_attention_shape(fixture_weights):
@@ -496,11 +496,7 @@ def test_trace_captures_qkv_and_features(fixture_weights):
 def assert_traces_identical(got, want):
     for f in dataclasses.fields(LayerTrace):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if isinstance(b, list):
-            assert len(a) == len(b), f.name
-            for i, (x, y) in enumerate(zip(a, b)):
-                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), (f.name, i)
-        elif isinstance(b, np.ndarray):
+        if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
         else:
             assert a == b, f.name
@@ -518,13 +514,13 @@ def test_prefix_resume_matches_full_biased_encode(fixture_weights, calib_layers)
     static = encode_stack([image], fixture_weights, calibration)[0]
     relations = [masked_relation(61, 16)]
     full = encode_stack([image], fixture_weights, calibration, relations)[0]
-    resumed = encode_stack([image], fixture_weights, calibration, relations, [static])[0]
-    assert len(full.inputs) == LAYER_COUNT + 1
+    resumed = encode_stack(None, fixture_weights, calibration, relations, [static])[0]
+    assert full.resume.shape == (17, 64) and full.features.shape == (LAYER_COUNT, 17, 64)
     assert_traces_identical(resumed, full)
-    # the frozen layers are shared with the prefix, not recomputed
+    # the frozen layers are the prefix's
     start = LAYER_COUNT - calib_layers
-    for layer in range(start):
-        assert resumed.features[layer] is static.features[layer]
+    assert resumed.resume.tobytes() == static.resume.tobytes()
+    assert resumed.features[:start].tobytes() == static.features[:start].tobytes()
 
 
 def encode_capturing_maps(monkeypatch, image, weights, calibration, relation=None, prefix=None):
@@ -541,9 +537,8 @@ def encode_capturing_maps(monkeypatch, image, weights, calibration, relation=Non
 
     with monkeypatch.context() as patched:
         patched.setattr(encoder, "_head_attention", capture)
-        trace = encode_stack(
-            [image], weights, calibration, None if relation is None else [relation], None if prefix is None else [prefix]
-        )[0]
+        images, prefixes = ([image], None) if prefix is None else (None, [prefix])
+        trace = encode_stack(images, weights, calibration, None if relation is None else [relation], prefixes)[0]
     return trace, maps
 
 
@@ -568,15 +563,18 @@ def test_layer_attention_recomputes_the_encoded_maps(monkeypatch, fixture_weight
 
 
 def test_mismatched_prefix_refused(fixture_weights):
+    # a prefix resumes only a pass under its own calibration: one that
+    # calibrated deeper holds calibrated layers the pass must run plain,
+    # one that calibrated fewer layers holds no residual at the pass's
+    # first calibrated layer
     calibrated, relations = Calibration(layers=5), [masked_relation(62, 16)]
     image = random_image(62, 64)
-    other = encode_stack([random_image(63, 64)], fixture_weights, calibrated)[0]
-    with pytest.raises(DataError, match="different image"):
-        encode_stack([image], fixture_weights, calibrated, relations, [other])
-    # layer 5 is calibrated in the prefix but must be plain below layer 7
-    deeper = encode_stack([image], fixture_weights, Calibration(layers=7))[0]
-    with pytest.raises(DataError, match="below the resume layer"):
-        encode_stack([image], fixture_weights, calibrated, relations, [deeper])
+    for layers in (7, 3):
+        prefix = encode_stack([image], fixture_weights, Calibration(layers=layers))[0]
+        both = rf"under Calibration\(layers={layers}, .*under Calibration\(layers=5,"
+        with pytest.raises(DataError, match=both) as refused:
+            encode_stack(None, fixture_weights, calibrated, relations, [prefix])
+        assert "\n" not in str(refused.value)
 
 
 @pytest.fixture(scope="module")
@@ -606,10 +604,10 @@ def test_stacked_pass_equals_per_image_encodes(stacked_inputs, size):
         assert_traces_identical(got, encode_stack([image], weights, calibrated)[0])
     # biased and resumed, a different relation per image
     relations = relations_per_image(weights, len(images), seed=80)
-    resumed = encoder.encode_stack(images, weights, calibrated, relations, prefixes=static)
+    resumed = encoder.encode_stack(None, weights, calibrated, relations, prefixes=static)
     for image, relation, prefix, got in zip(images, relations, static, resumed):
         assert got.calibration is calibrated and got.relation is relation
-        assert_traces_identical(got, encode_stack([image], weights, calibrated, [relation], [prefix])[0])
+        assert_traces_identical(got, encode_stack(None, weights, calibrated, [relation], [prefix])[0])
         assert_traces_identical(got, encode_stack([image], weights, calibrated, [relation])[0])
 
 
@@ -666,23 +664,13 @@ def test_stacked_maps_are_each_images_layer_attention(monkeypatch, stacked_input
         return attn
 
     monkeypatch.setattr(encoder, "_head_attention", capture)
-    resumed = encoder.encode_stack(images, weights, calibrated, relations, prefixes=static)
+    resumed = encoder.encode_stack(None, weights, calibrated, relations, prefixes=static)
     monkeypatch.undo()
     assert sorted(maps) == list(range(LAYER_COUNT - 5, LAYER_COUNT))
     for layer, stacked in maps.items():
         assert stacked.shape == (len(images), weights.heads, 17, 17)
         for i, trace in enumerate(resumed):
             assert layer_attention(trace, weights, layer).tobytes() == stacked[i].tobytes(), (layer, i)
-
-
-def test_stacked_pass_refuses_a_mixed_chunk(fixture_weights):
-    # the prefixes must be the same images', in the same order
-    images = [random_image(95 + i, 64) for i in range(3)]
-    calibrated = Calibration(layers=5)
-    static = encoder.encode_stack(images, fixture_weights, calibrated)
-    relations = relations_per_image(fixture_weights, 3, seed=96)
-    with pytest.raises(DataError, match="different image"):
-        encoder.encode_stack(images, fixture_weights, calibrated, relations, [static[0], static[2], static[1]])
 
 
 def test_stacked_pass_needs_one_relation_and_prefix_per_image(monkeypatch, fixture_weights):
@@ -692,19 +680,24 @@ def test_stacked_pass_needs_one_relation_and_prefix_per_image(monkeypatch, fixtu
     relations = relations_per_image(fixture_weights, 3, seed=97)
     # a count is checked before any image is encoded
     monkeypatch.setattr(encoder, "patchify", None)
-    for bad_relations, bad_prefixes in (
-        (relations[:2], None),
-        (relations + relations[:1], None),
-        (None, static[:2]),
-        (relations, static[:2]),
-        (relations[:2], static),
-        ([], None),
+    for bad_images, bad_relations, bad_prefixes in (
+        (images, relations[:2], None),
+        (images, relations + relations[:1], None),
+        (images, [], None),
+        (None, relations[:2], static),
+        (None, relations, static[:2]),
+        (images, relations, static),  # both images and prefixes
+        (images, None, static),
+        (None, relations, None),  # neither
+        (None, None, None),
     ):
-        with pytest.raises(UsageError, match="one relation and one prefix per image") as refused:
-            encoder.encode_stack(images, fixture_weights, calibrated, bad_relations, bad_prefixes)
+        with pytest.raises(UsageError, match="images or prefixes, not both, and one relation per pass") as refused:
+            encoder.encode_stack(bad_images, fixture_weights, calibrated, bad_relations, bad_prefixes)
         assert "\n" not in str(refused.value)
-    with pytest.raises(UsageError, match="got 0 images"):
+    with pytest.raises(UsageError, match="got 0 images, no prefixes and no relations"):
         encoder.encode_stack([], fixture_weights, calibrated)
+    with pytest.raises(UsageError, match="got no images, 0 prefixes and 0 relations"):
+        encoder.encode_stack(None, fixture_weights, calibrated, [], [])
 
 
 # --------------------------------------------------------------------------
@@ -722,16 +715,19 @@ def check_runner_keeps_the_serial_bytes(monkeypatch, weights, images, seed):
     starts = [part.start for part in parts]
     pass_threads = {}
 
-    def recording(chunk, *args):
-        first = [id(image) for image in images].index(id(chunk[0]))
-        pass_threads[starts.index(first)] = threading.get_ident()
-        return real(chunk, *args)
+    def recording(chunk, weights, calibration, relations, prefixes):
+        # a chunk's first image, or the prefix trace of it
+        first = chunk[0] if prefixes is None else prefixes[0]
+        start = next(start for start in starts if first is images[start] or first is static[start])
+        pass_threads[starts.index(start)] = threading.get_ident()
+        return real(chunk, weights, calibration, relations, prefixes)
 
     def run(runner, relations, prefixes):
         traces, consumed = [], []
 
         def job(part):
-            return images[part], *(None if x is None else x[part] for x in (relations, prefixes))
+            chunk = images[part] if prefixes is None else None
+            return chunk, *(None if x is None else x[part] for x in (relations, prefixes))
 
         def consume(part, chunk_traces):
             consumed.append((part, threading.get_ident()))
@@ -981,7 +977,7 @@ def test_traces_and_maps_hold_no_work_array(fixture_weights):
     first_map = layer_attention(first, fixture_weights, LAYER_COUNT - 1)
 
     def kept(trace):
-        return [*trace.inputs, *trace.features, trace.patch_features]
+        return [trace.resume, trace.features, trace.patch_features]
 
     before = [a.tobytes() for a in (*kept(first), first_map)]
     second = encode_stack([random_image(112, 64)], fixture_weights, calibration, relations)[0]

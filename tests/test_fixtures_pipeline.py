@@ -13,6 +13,7 @@ from excel.config import PipelineConfig, load_config, parse_config, save_config
 from excel.dataset import load_dataset
 from excel.errors import UsageError
 from excel.fixtures import FixtureSpec, generate_fixtures
+from excel.images import read_pgm
 from excel.numerics import Rng
 from excel.pipeline import run_pipeline
 from excel.text_enrichment import ingest_knowledge
@@ -80,6 +81,9 @@ def test_fixture_validation():
         FixtureSpec(image_size=32).validate()  # two patches: no room for a 3x3-patch disk
     with pytest.raises(UsageError):
         FixtureSpec(dim=30, heads=4).validate()
+    # within the 4 GiB byte bound: the default and a ViT-B-shaped encoder at 224 px
+    FixtureSpec().validate()
+    FixtureSpec(image_size=224, dim=768, heads=12, mlp_dim=3072).validate()
 
 
 @pytest.mark.parametrize("field, value", [("mlp_dim", 0)])
@@ -310,6 +314,47 @@ def test_pipeline_resume_loads_each_tensor_file_once(monkeypatch, short_run, fix
     assert sorted(loads) == sorted([Path(fixture_paths["weights"]), out / "attrs.json", out / "train" / "checkpoint_000004.json"])
 
 
+class UnreadableRecord:
+    """A dataset record whose labels are known and whose image must not be read."""
+
+    def __init__(self, record):
+        self.name, self.labels = record.name, record.labels
+
+    @property
+    def image(self):
+        raise AssertionError(f"image {self.name} was read")
+
+
+def test_dynamic_stage_reads_and_patchifies_no_image(monkeypatch, short_run, fixture_weights, fixture_dataset):
+    # the biased re-encodes resume from the static traces: over records
+    # whose images cannot be read, and with patchify refused, dynamic_cams
+    # gives the CAMs and labels of the run's dynamic/ directory
+    cfg, _, _, out = short_run
+    bank = text_enrichment.load_bank(out / "attrs.json")
+    checkpoint = out / "train" / "checkpoint_000004.json"
+    adapter = training_eval.load_checkpoint(checkpoint, fixture_weights.dim, cfg.calibration())
+    records = fixture_dataset.images
+    static = static_calibration.run_static_passes(
+        records, fixture_weights, bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
+    )
+
+    def refused(*args):
+        raise AssertionError("an image was patchified")
+
+    monkeypatch.setattr(encoder, "patchify", refused)
+    results = dynamic_calibration.dynamic_cams(
+        [UnreadableRecord(rec) for rec in records], fixture_weights, adapter, bank, cfg.tau_fg, cfg.tau_bg,
+        [res.trace for res in static],
+    )
+    for rec, res in zip(records, results, strict=True):
+        stem = out / "dynamic" / rec.name
+        saved = blobio.load_tensors(f"{stem}.cams.json")
+        maps = np.stack([saved.require(f"cam.{cid:03d}", res.cams.grid) for cid in res.cams.class_ids])
+        assert saved.meta["class_ids"] == res.cams.class_ids and maps.tobytes() == res.cams.maps.tobytes(), rec.name
+        pixels = training_eval.upsample_labels(res.labels, fixture_weights.patch_size).astype(np.uint8)
+        assert read_pgm(f"{stem}.pseudo.pgm").tobytes() == pixels.tobytes(), rec.name
+
+
 def test_pipeline_static_only(tmp_path, fixture_paths):
     cfg = parse_config(
         {
@@ -359,22 +404,28 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
     # the static stage, training and dynamic CAMs share one calibrated pass
     # per image, under the run's calibration, the default or one off it;
     # training makes no biased encode, and each stacked biased
-    # re-encode runs only the calibrated layers. Images are counted one by
-    # one through the stacked passes they go through. The two passes of a
-    # pair run at once, each on its own thread, so each biased pass counts
-    # its head calls in its own counter, found through its thread.
-    calibrated, biased, biased_heads = [], [], []
+    # re-encode resumes from the calibrated traces and runs only the
+    # calibrated layers. Images are counted one by one through the stacked
+    # passes they go through, a biased one by the image of its prefix. The
+    # two passes of a pair run at once, each on its own thread, so each
+    # biased pass counts its head calls in its own counter, found through
+    # its thread.
+    calibrated, biased, biased_heads, traced = [], [], [], {}
     real_stack, real_head = encoder.encode_stack, encoder._head_attention
     current = threading.local()
 
     def counting_stack(images, weights, calibration, relations=None, prefixes=None):
         if relations is not None:
-            biased.extend(image.tobytes() for image in images)
+            assert images is None
+            biased.extend(traced[id(prefix)] for prefix in prefixes)
             current.heads = [0]
             biased_heads.append(current.heads)
         else:
             calibrated.extend((calibration, image.tobytes()) for image in images)
-        return real_stack(images, weights, calibration, relations, prefixes)
+        traces = real_stack(images, weights, calibration, relations, prefixes)
+        if relations is None:
+            traced.update((id(trace), image.tobytes()) for trace, image in zip(traces, images))
+        return traces
 
     def counting_head(calibration, layer, q, k, v, head_dim, bias, work):
         if bias is not None:
@@ -385,7 +436,7 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
     monkeypatch.setattr(encoder, "_head_attention", counting_head)
     images = sorted(rec.image.tobytes() for rec in fixture_dataset.images)
     for name, settings in (("default", {"iterations": 17}), ("calib3", {"calib_layers": 3, "iterations": 2})):
-        for log in (calibrated, biased, biased_heads):
+        for log in (calibrated, biased, biased_heads, traced):
             log.clear()
         cfg = fixture_config(fixture_paths, tmp_path / name, **settings)
         run_pipeline(cfg, mode="full")
@@ -421,9 +472,9 @@ def test_uneven_chunks_give_the_same_cams(monkeypatch, fixture_weights, fixture_
         serial_static, serial_dynamic = static_and_dynamic()
     sizes, real_stack = [], encoder.encode_stack
 
-    def counting_stack(images, *args, **kwargs):
-        sizes.append(len(images))
-        return real_stack(images, *args, **kwargs)
+    def counting_stack(images, weights, calibration, relations=None, prefixes=None):
+        sizes.append(len(images or prefixes))
+        return real_stack(images, weights, calibration, relations, prefixes)
 
     monkeypatch.setattr(encoder, "CHUNK_ELEMENTS", 5 * 17 * fixture_weights.mlp_dim)
     monkeypatch.setattr(encoder, "encode_stack", counting_stack)
@@ -432,8 +483,8 @@ def test_uneven_chunks_give_the_same_cams(monkeypatch, fixture_weights, fixture_
     for got, want in zip(static + dynamic, serial_static + serial_dynamic, strict=True):
         assert got.cams.maps.tobytes() == want.cams.maps.tobytes() and got.labels.tobytes() == want.labels.tobytes()
     for got, want in zip(static, serial_static, strict=True):
-        got_arrays = [*got.trace.inputs, *got.trace.features, got.trace.patch_features]
-        want_arrays = [*want.trace.inputs, *want.trace.features, want.trace.patch_features]
+        got_arrays = [got.trace.resume, got.trace.features, got.trace.patch_features]
+        want_arrays = [want.trace.resume, want.trace.features, want.trace.patch_features]
         assert [a.tobytes() for a in got_arrays] == [b.tobytes() for b in want_arrays]
 
 

@@ -217,10 +217,10 @@ def arrays_in(value):
             yield from arrays_in(item)
 
 
-def test_kept_trace_holds_inputs_features_and_patch_features_only(wide_weights, fixture_bank):
-    # at T=257 a kept trace is 13 layer inputs, 12 normalized features and
-    # the patch features, float32, each in a buffer of its own size; no
-    # (H, T, T) attention map
+def test_kept_trace_holds_resume_features_and_patch_features_only(wide_weights, fixture_bank):
+    # at T=257 a kept trace is one resume residual, 12 normalized features
+    # and the patch features, float32, each in a buffer of its own size; no
+    # (H, T, T) attention map: 920,832 bytes at D=64
     cfg = PipelineConfig()
     record = SimpleNamespace(image=Rng(68).generator().random((3, 256, 256)).astype(np.float32), labels=[1, 2])
     [result] = run_static_passes(
@@ -228,7 +228,7 @@ def test_kept_trace_holds_inputs_features_and_patch_features_only(wide_weights, 
     )
     tokens, dim, (gh, gw) = 257, wide_weights.dim, wide_weights.grid
     arrays = list(arrays_in(result.trace))
-    assert sum(a.nbytes for a in arrays) == (13 + 12) * tokens * dim * 4 + dim * gh * gw * 4
+    assert sum(a.nbytes for a in arrays) == (1 + 12) * tokens * dim * 4 + dim * gh * gw * 4 == 920_832
     assert all(a.dtype == np.float32 and (a.base is None or a.base.nbytes == a.nbytes) for a in arrays)
     assert not any(a.shape == (wide_weights.heads, tokens, tokens) for a in arrays)
 

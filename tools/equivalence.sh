@@ -7,7 +7,7 @@
 # exits 0; otherwise it names every file and JSON key that differs.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
-# About 32 s on a 2-vCPU VM.
+# About 39 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -88,6 +88,12 @@ config full61.json full61 fx61 '"iterations": 2'
 excel run --config full61.json > run-full61.log
 config fullflags.json fullflags fxflags '"iterations": 2'
 excel run --config fullflags.json > run-full-flags.log
+# the two edges of a resumed biased pass: with no calibrated layer it resumes at
+# the final norm, with all 12 calibrated from the patchified tokens
+config full-calib0.json full-calib0 fx '"iterations": 2, "calib_layers": 0'
+excel run --config full-calib0.json > run-full-calib0.log
+config full-calib12.json full-calib12 fx '"iterations": 2, "calib_layers": 12'
+excel run --config full-calib12.json > run-full-calib12.log
 # a batch of 6 over 4 images: each stacked gradient pass wraps the dataset and holds some images twice
 config batch6.json batch6 fx8 '"iterations": 3, "batch_size": 6'
 excel run --config batch6.json > run-batch6.log
