@@ -160,7 +160,7 @@ def _cmd_cam(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    inputs, weights, dataset, bank = load_inputs(cfg)
+    inputs, weights, dataset, bank = load_inputs(cfg, train=True)
     calibrated = run_static_passes(
         dataset.images, weights, bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
     )
@@ -202,15 +202,20 @@ def _cmd_attn_report(args) -> int:
             raise UsageError(f"unknown policy '{name}' (use {','.join(_REPORT_POLICIES)})")
     weights = load_weights(args.weights)
     image = rgb_to_chw(read_ppm(args.image))
-    policies = {name: (_REPORT_BASELINES.get(name, calibrated), None) for name in names}
-    if "icb" in policies and args.adapter:
-        adapter = load_checkpoint(args.adapter, weights.dim, calibrated)
-        policies["icb"] = calibrated, biased_relations(encode_stack([image], weights, calibrated), adapter)[0]
-    elif "icb" in policies:
-        hw = weights.grid[0] * weights.grid[1]
-        uniform = np.zeros((hw, hw), dtype=np.float32)  # uniform bias
-        policies["icb"] = calibrated, uniform
-    report = attn_report(image, weights, policies)
+    adapter = load_checkpoint(args.adapter, weights.dim, calibrated) if "icb" in names and args.adapter else None
+    calibrations = {name: _REPORT_BASELINES.get(name, calibrated) for name in names}  # a repeated name once
+    # one pass over the image per calibration; icb resumes the calibrated
+    # one with the relation bias, as the dynamic stage resumes the static pass
+    passes = {c: encode_stack([image], weights, c)[0] for c in dict.fromkeys(calibrations.values())}
+    traces = {name: passes[calibration] for name, calibration in calibrations.items()}
+    if "icb" in traces:
+        if adapter is None:
+            hw = weights.grid[0] * weights.grid[1]
+            relation = np.zeros((hw, hw), dtype=np.float32)  # uniform bias
+        else:
+            relation = biased_relations([traces["icb"]], adapter)[0]
+        traces["icb"] = encode_stack(None, weights, calibrated, [relation], [traces["icb"]])[0]
+    report = {name: attn_report(trace, weights) for name, trace in traces.items()}
     out_dir = Path(args.out)
     summary = {}
     for name, entry in report.items():

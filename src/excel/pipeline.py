@@ -24,11 +24,13 @@ from .images import write_pgm
 from .static_calibration import run_static_passes, save_cams
 from .text_enrichment import TextRepresentation, attribute_bank, load_bank, save_bank
 from .training_eval import (
+    MAX_TRAINING_BYTES,
     checkpoint_path,
     evaluate,
     load_checkpoint,
     report_text,
     train_loop,
+    training_bytes,
     upsample_labels,
 )
 
@@ -112,18 +114,35 @@ def stage_attributes(
     return bank
 
 
-def load_inputs(cfg: PipelineConfig, resume: bool = False):
+def load_inputs(cfg: PipelineConfig, resume: bool = False, train: bool = False):
     """(inputs, weights, dataset, bank) of a run, each checked against the
     others before any image is encoded or output written: the config's
     paths, the dataset's image size against the weights, the resume stamp
     of `report.json`, then the attribute stage's bank against both.
+
+    A run that will `train` the adapter needs a calibrated layer, since
+    only those take its relation bias, and `training_bytes` within
+    MAX_TRAINING_BYTES for the weights' width and grid.
 
     `inputs` maps the config keys `weights`, `knowledge` and `dataset` to
     SHA-256 hex digests: of the two manifests' bytes (a manifest holds its
     blob's checksum) and the dataset's `digest`. Every artifact of the run is
     stamped with them, and a resume over other inputs is refused."""
     cfg.validate()
+    if train and cfg.calib_layers == 0:
+        raise UsageError(
+            "calib_layers is 0, so no layer takes the relation bias and there is no adapter to train; "
+            "run --mode static-only for the vanilla baseline"
+        )
     weights = load_weights(cfg.weights)
+    if train:
+        size = training_bytes(cfg, weights.dim, weights.grid)
+        if size > MAX_TRAINING_BYTES:
+            raise UsageError(
+                f"config keys d_proj {cfg.d_proj}, d_dyn {cfg.d_dyn}, fusion_kernel {cfg.fusion_kernel} and "
+                f"batch_size {cfg.batch_size} give training {size} bytes for weights of dim {weights.dim} on a "
+                f"{weights.grid[0]}x{weights.grid[1]} grid, over the bound of {MAX_TRAINING_BYTES}"
+            )
     dataset = load_dataset(cfg.dataset, image_size=weights.image_size)
     inputs = {
         "weights": _file_digest(cfg.weights, "weights manifest"),
@@ -205,7 +224,7 @@ def run_pipeline(cfg: PipelineConfig, mode: str = "full", resume: bool = False):
     labels."""
     if mode not in ("full", "static-only"):
         raise UsageError(f"unknown pipeline mode '{mode}'")
-    inputs, weights, dataset, bank = load_inputs(cfg, resume=resume)
+    inputs, weights, dataset, bank = load_inputs(cfg, resume=resume, train=mode == "full")
     # the recorded copy points out_dir at its own directory, so identical
     # runs into different locations leave byte-identical trees
     save_config(Path(cfg.out_dir) / "run_config.json", dataclasses.replace(cfg, out_dir="."))

@@ -22,7 +22,7 @@ from .dynamic_calibration import (
     flat_views,
     init_adapter,
 )
-from .encoder import LAYER_COUNT, Calibration, EncoderWeights, encode_stack, layer_attention
+from .encoder import LAYER_COUNT, Calibration, EncoderWeights, LayerTrace, layer_attention
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .numerics import Rng
 from .static_calibration import IGNORE_LABEL, CamResult
@@ -185,6 +185,33 @@ def load_checkpoint(path, dim: int, calibration: Calibration) -> AdapterParams:
 
 # --------------------------------------------------------------------------
 # training loop
+
+
+MAX_TRAINING_BYTES = 1 << 32  # 4 GiB, as fixtures.MAX_FIXTURE_BYTES
+
+
+def training_bytes(config: PipelineConfig, dim: int, grid: tuple[int, int]) -> int:
+    """The bytes that the sizes of `config` give `train_loop` over the
+    traces of a `dim`-wide encoder on a (gh, gw) grid of hw = gh*gw
+    patches, with P adapter elements (`adapter_shapes`) and p =
+    fusion_kernel // 2:
+
+        36 P + 8 batch_size (12 hw (dim + d_proj) + 24 (gh+2p) (gw+2p) d_proj + 4 hw d_dyn + 6 hw^2)
+
+    that is, the float32 adapter and its two AdamW moments (12 P), the
+    (2, P) float64 work rows (16 P), the float64 work buffer of the
+    fusion-weight gradient (at most 8 P), and per image of a batch the
+    float64 stacks of the adapter's forward and backward passes: the layer
+    inputs and their projections, the padded projection grids and their
+    gradient, four (hw, d_dyn) feature arrays and six (hw, hw) maps."""
+    (gh, gw), pad = grid, config.fusion_kernel // 2
+    shapes = adapter_shapes(dim, config.d_proj, config.d_dyn, config.fusion_kernel)
+    params = sum(math.prod(shape) for shape in shapes.values())
+    hw = gh * gw
+    padded = (gh + 2 * pad) * (gw + 2 * pad)
+    image = LAYER_COUNT * (hw * (dim + config.d_proj) + 2 * padded * config.d_proj) + 4 * hw * config.d_dyn
+    image += 6 * hw * hw
+    return 36 * params + 8 * config.batch_size * image
 
 
 @dataclass
@@ -384,30 +411,22 @@ def upsample_labels(labels: np.ndarray, factor: int) -> np.ndarray:
 
 
 def mean_row_entropy(attention: np.ndarray) -> float:
-    """Mean entropy of row-normalized attention over heads and rows."""
-    a = attention.astype(np.float64)
-    if a.ndim == 2:
-        a = a[None]
-    rows = a / a.sum(axis=2, keepdims=True)
+    """Mean entropy of row-normalized (H, T, T) attention over heads and rows."""
+    rows = attention.astype(np.float64)
+    rows /= rows.sum(axis=2, keepdims=True)
     live = rows > 0
     terms = np.zeros_like(rows)
     terms[live] = -rows[live] * np.log(rows[live])
     return float(terms.sum(axis=2).mean())
 
 
-def attn_report(image, weights: EncoderWeights, policies: dict[str, tuple[Calibration, np.ndarray | None]]) -> dict:
-    """Per policy, a (calibration, relation or None) pair: mean row entropy
-    of last-layer attention plus the token-relation (cosine) matrix of the
-    final patch features."""
-    if not policies:
-        raise UsageError("attention report needs at least one policy")
-    out = {}
-    for name, (calibration, relation) in policies.items():
-        trace = encode_stack([image], weights, calibration, None if relation is None else [relation])[0]
-        dim = trace.patch_features.shape[0]
-        flat = trace.patch_features.reshape(dim, -1)
-        out[name] = {
-            "mean_row_entropy": mean_row_entropy(layer_attention(trace, weights, LAYER_COUNT - 1)),
-            "token_relation": nm.cosine_matrix(flat, flat),
-        }
-    return out
+def attn_report(trace: LayerTrace, weights: EncoderWeights) -> dict:
+    """The diagnostics of the pass `trace` records, without an encoder
+    call: the mean row entropy of its last layer's attention and the
+    token-relation (cosine) matrix of its final patch features."""
+    dim = trace.patch_features.shape[0]
+    flat = trace.patch_features.reshape(dim, -1)
+    return {
+        "mean_row_entropy": mean_row_entropy(layer_attention(trace, weights, LAYER_COUNT - 1)),
+        "token_relation": nm.cosine_matrix(flat, flat),
+    }

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import excel
+from excel import encoder
 from excel.blobio import load_tensors, save_tensors, write_json
 from excel.cli import build_parser, main
 from excel.config import PATH_KEYS, PipelineConfig, load_config, parse_config, save_config
 from excel.dynamic_calibration import biased_relations
-from excel.encoder import Calibration, encode_stack, load_weights, save_weights
+from excel.encoder import LAYER_COUNT, Calibration, encode_stack, load_weights, save_weights
 from excel.hashing import fnv1a64
 from excel.fixtures import FixtureSpec, generate_fixtures, make_encoder_weights
 from excel.images import read_pgm, read_ppm, rgb_to_chw, write_pgm
@@ -45,12 +46,14 @@ def cli_trained(cli_fixtures, tmp_path_factory):
     return out_dir, cfg_path
 
 
-def run_excel(*argv, preexec_fn=None, **env):
+def run_excel(*argv, preexec_fn=None, timeout=None, **env):
     """`python -m excel *argv` in a fresh interpreter, with `env` added to
-    its environment and `preexec_fn` run in the child before it starts."""
+    its environment and `preexec_fn` run in the child before it starts,
+    stopped after `timeout` seconds, if given."""
     env = {**os.environ, "PYTHONPATH": str(Path(excel.__file__).parent.parent), **env}
     return subprocess.run(
-        [sys.executable, "-m", "excel", *argv], capture_output=True, text=True, env=env, preexec_fn=preexec_fn
+        [sys.executable, "-m", "excel", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=preexec_fn, timeout=timeout,
     )
 
 
@@ -587,15 +590,88 @@ def test_out_of_memory_prints_only_its_error_line(cli_fixtures, tmp_path, comman
     # fails its allocation under a 3 GiB address space: exit 1 and one
     # `error:` line, not a MemoryError traceback. A one-pixel patch keeps
     # a 512 px fixture within its byte bound, but its (T, T) attention
-    # maps at T=262145 take 512 GiB
+    # maps at T=262145 take 512 GiB; a d_dyn of 140000 keeps training
+    # within its bound (4.17 GB counted), but its adapter, moments and
+    # work rows alone take 3.0 GB
     if command == "gen-fixtures":
         argv = ["gen-fixtures", "--image-size", "512", "--patch-size", "1", "--images", "1"]
         argv += ["--out", str(tmp_path / "fx")]
     else:
-        cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", iterations=1, d_dyn=10**13)
+        cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", iterations=1, d_dyn=140_000)
         argv = ["run", "--config", str(cfg_path)]
     proc = run_excel(*argv, preexec_fn=_cap_address_space)
     assert one_error_line(proc.returncode, proc.stderr, 1).startswith("error: out of memory: ")
+
+
+@pytest.mark.parametrize("key", ["d_dyn", "d_proj", "batch_size"])
+def test_training_sizes_over_their_bound_are_refused_before_any_output(cli_fixtures, tmp_path, key):
+    # 10**13 of any of them would not fit any machine; a child capped at
+    # 3 GiB, with a timeout, as a size that escaped the bound would grow
+    # until one of them stopped it
+    out_dir = tmp_path / "out"
+    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out_dir, iterations=1, **{key: 10**13})
+    proc = run_excel("run", "--config", str(cfg_path), preexec_fn=_cap_address_space, timeout=120)
+    line = one_error_line(proc.returncode, proc.stderr, 1)
+    assert f"{key} {10**13}" in line and "over the bound of 4294967296" in line
+    assert not out_dir.exists()
+
+
+def test_runs_that_train_need_a_calibrated_layer(cli_fixtures, cli_trained, tmp_path, capsys):
+    # at calib_layers 0 no layer takes the relation bias: a full run, with
+    # or without --resume, and `train` are refused before any output; the
+    # static-only baseline runs, and so do requests that train nothing
+    out_dir = tmp_path / "run"
+    cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out_dir, iterations=1, calib_layers=0)
+    for argv in (["run"], ["run", "--resume"], ["train"]):
+        line = _main_error(capsys, [*argv, "--config", str(cfg)], 1)
+        assert "calib_layers is 0" in line and "no layer takes the relation bias" in line
+        assert "--mode static-only" in line
+        assert not out_dir.exists()
+    assert main(["run", "--config", str(cfg), "--mode", "static-only"]) == 0
+    # an adapter read under calib_layers 0 biases no layer: the dynamic CAMs are the static run's
+    checkpoint = _with_setting(cli_trained[0] / "train" / "checkpoint_000001.json", tmp_path / "c0.json",
+                               "calib_layers", 0)
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    cam = _dynamic_cam_argv(cli_fixtures, out_dir, checkpoint, image, tmp_path / "cam")
+    assert main([*cam, "--config", str(cfg)]) == 0
+    cams = f"{image.stem}.cams.bin"
+    assert (tmp_path / "cam" / cams).read_bytes() == (out_dir / "static" / cams).read_bytes()
+    attn = ["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
+            "--policies", "icb", "--config", str(cfg), "--out", str(tmp_path / "attn")]
+    assert main(attn) == 0
+    assert main([*attn, "--adapter", str(checkpoint)]) == 0
+
+
+def test_attn_report_encodes_each_calibration_once_and_resumes_icb(cli_fixtures, cli_trained, tmp_path, monkeypatch):
+    # qk, vv and ic each take one pass over the image; icb resumes the ic
+    # pass at its first calibrated layer (5 layers run) with the adapter's
+    # relation, and makes that pass itself when ic is not reported
+    real = encoder.encode_stack
+    passes = []
+
+    def counting(images, weights, calibration, relations=None, prefixes=None):
+        if prefixes is None:
+            passes.append(("image", LAYER_COUNT))
+        else:
+            passes.append(("resumed", LAYER_COUNT - calibration.first_layer))
+        return real(images, weights, calibration, relations, prefixes)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("excel") and vars(module).get("encode_stack") is real:
+            monkeypatch.setattr(module, "encode_stack", counting)
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    checkpoint = cli_trained[0] / "train" / "checkpoint_000001.json"
+    argv = ["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
+            "--adapter", str(checkpoint)]
+    for policies, want, layers in (("qk,vv,ic,icb", 3, 41), ("icb", 1, 17)):
+        passes.clear()
+        assert main([*argv, "--policies", policies, "--out", str(tmp_path / policies)]) == 0
+        over_image = [entry for entry in passes if entry[0] == "image"]
+        assert len(over_image) == want and passes[want:] == [("resumed", 5)]
+        assert sum(count for _, count in passes) == layers
+    # icb resumed from its own static pass reports what it does resumed from ic's
+    icb = "relations_icb.bin"
+    assert (tmp_path / "icb" / icb).read_bytes() == (tmp_path / "qk,vv,ic,icb" / icb).read_bytes()
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0], ids=["negative", "zero", "zero-int"])
@@ -664,7 +740,7 @@ def test_attn_report_refuses_a_calibration_the_adapter_was_not_trained_under(cli
 def test_attn_report_reads_the_calibration_an_adapter_was_trained_under_from_its_config(cli_fixtures, tmp_path):
     # an adapter trained under calib_weights off the equal thirds: refused
     # under the defaults, reported under its run's config, whose icb
-    # relations are those of the in-process biased pass
+    # report, resumed from the ic pass, is that of a full-depth biased pass
     cfg_path = write_cli_config(
         tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", iterations=1, calib_weights=[0.5, 0.25, 0.25]
     )
@@ -681,11 +757,15 @@ def test_attn_report_reads_the_calibration_an_adapter_was_trained_under_from_its
     weights = load_weights(cli_fixtures / "encoder.json")
     chw = rgb_to_chw(read_ppm(image))
     adapter = load_checkpoint(checkpoint, weights.dim, calibration)
-    relation = biased_relations(encode_stack([chw], weights, calibration), adapter)[0]
-    want = attn_report(chw, weights, {"ic": (calibration, None), "icb": (calibration, relation)})
+    static = encode_stack([chw], weights, calibration)
+    relation = biased_relations(static, adapter)[0]
+    full_depth = encode_stack([chw], weights, calibration, [relation])
+    want = {"ic": attn_report(static[0], weights), "icb": attn_report(full_depth[0], weights)}
+    summary = json.loads((tmp_path / "out" / "attn_report.json").read_text())
     for name in ("ic", "icb"):
         got = load_tensors(tmp_path / "out" / f"relations_{name}.json").tensors["token_relation"]
         assert got.tobytes() == want[name]["token_relation"].tobytes(), name
+        assert summary[name]["mean_row_entropy"] == want[name]["mean_row_entropy"], name
 
 
 @pytest.mark.parametrize("value", ["13", "-1"])

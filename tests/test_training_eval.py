@@ -10,9 +10,11 @@ from excel.dynamic_calibration import init_adapter
 from excel.encoder import LAYER_COUNT, VANILLA, Calibration, encode_stack, layer_attention
 from excel.errors import DataError, NumericError, UsageError
 from excel.blobio import load_tensors, save_tensors
+from excel.cli import main
 from excel.config import PATH_KEYS, PipelineConfig
 from excel.numerics import Rng
 from excel.training_eval import (
+    MAX_TRAINING_BYTES,
     adamw_step,
     attn_report,
     evaluate,
@@ -22,6 +24,7 @@ from excel.training_eval import (
     report_text,
     save_checkpoint,
     train_loop,
+    training_bytes,
     upsample_labels,
     write_loss_curve,
 )
@@ -283,27 +286,26 @@ def test_entropy_uniform_and_identity():
 
 def test_attn_report_fixture_policies(fixture_weights, fixture_dataset):
     rec = fixture_dataset.images[0]
-    report = attn_report(
-        rec.image,
-        fixture_weights,
-        {"qk": (VANILLA, None), "ic": (Calibration(layers=5), None)},
-    )
-    assert set(report) == {"qk", "ic"}
+    policies = {"qk": VANILLA, "ic": Calibration(layers=5)}
+    traces = {name: encode_stack([rec.image], fixture_weights, c)[0] for name, c in policies.items()}
+    report = {name: attn_report(trace, fixture_weights) for name, trace in traces.items()}
     hw = 16
     for entry in report.values():
         assert 0.0 <= entry["mean_row_entropy"] <= math.log(17) + 1e-6
         assert entry["token_relation"].shape == (hw, hw)
     # independent entropy recomputation for one policy
-    trace = encode_stack([rec.image], fixture_weights, VANILLA)[0]
-    attn = layer_attention(trace, fixture_weights, LAYER_COUNT - 1).astype(np.float64)
+    attn = layer_attention(traces["qk"], fixture_weights, LAYER_COUNT - 1).astype(np.float64)
     rows = attn / attn.sum(axis=2, keepdims=True)
     ent = float(np.where(rows > 0, -rows * np.log(rows), 0.0).sum(axis=2).mean())
     assert report["qk"]["mean_row_entropy"] == pytest.approx(ent, abs=1e-9)
 
 
-def test_attn_report_requires_policy():
-    with pytest.raises(UsageError):
-        attn_report(np.zeros((3, 8, 8), np.float32), None, {})
+def test_attn_report_requires_policy(tmp_path):
+    # an empty --policies names no policy, refused before any input is read
+    out = tmp_path / "out"
+    argv = ["attn-report", "--weights", "missing.json", "--image", "missing.ppm", "--out", str(out)]
+    assert main([*argv, "--policies", ""]) == 1
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------
@@ -366,6 +368,23 @@ def test_iteration_loss_memory_does_not_grow_by_a_gradient_per_image(fixture_wei
             tracemalloc.stop()
 
     assert peak(4) <= peak(1) + 8 * adapter.tensors["fusion.w"].size
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"batch_size": 8}, {"fusion_kernel": 3, "d_dyn": 64}], ids=["default", "batch-8", "kernel-3"]
+)
+def test_training_bytes_bound_what_training_allocates(tmp_path, fixture_weights, fixture_static, overrides):
+    # the size bound's formula counts no less than a training run's traced
+    # peak, and admits the default config at the paper's ViT-B/16 shape
+    cfg = small_config(iterations=2, **overrides)
+    tracemalloc.start()
+    try:
+        train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, provenance={})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= training_bytes(cfg, fixture_weights.dim, fixture_weights.grid)
+    assert training_bytes(PipelineConfig(), 768, (14, 14)) <= MAX_TRAINING_BYTES
 
 
 def test_train_loop_checkpoints_byte_identical(tmp_path, fixture_weights, fixture_static):

@@ -7,7 +7,7 @@
 # exits 0; otherwise it names every file and JSON key that differs.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
-# About 39 s on a 2-vCPU VM.
+# About 15 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -88,10 +88,12 @@ config full61.json full61 fx61 '"iterations": 2'
 excel run --config full61.json > run-full61.log
 config fullflags.json fullflags fxflags '"iterations": 2'
 excel run --config fullflags.json > run-full-flags.log
-# the two edges of a resumed biased pass: with no calibrated layer it resumes at
-# the final norm, with all 12 calibrated from the patchified tokens
+# with no calibrated layer no layer takes the relation bias, so a full run is
+# refused before any output: its exit code and error line are kept
 config full-calib0.json full-calib0 fx '"iterations": 2, "calib_layers": 0'
-excel run --config full-calib0.json > run-full-calib0.log
+{ excel run --config full-calib0.json > run-full-calib0.log 2> run-full-calib0.err; echo "$?" > run-full-calib0.exit; } \
+    || true
+# a resumed biased pass with all 12 layers calibrated starts from the patchified tokens
 config full-calib12.json full-calib12 fx '"iterations": 2, "calib_layers": 12'
 excel run --config full-calib12.json > run-full-calib12.log
 # a batch of 6 over 4 images: each stacked gradient pass wraps the dataset and holds some images twice
@@ -157,12 +159,18 @@ excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.p
     --policies qk,vv,ic,icb --out attn > attn.log
 excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.ppm \
     --policies icb,qk --adapter full/train/checkpoint_000017.json --out attn-adapter > attn-adapter.log
+# no layer calibrated: icb resumes the ic pass at the final norm
+excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0001.ppm \
+    --policies ic,icb --config vanilla-static.json --out attn-calib0 > attn-calib0.log
 # ic and icb calibrate every layer, read from the config
 config all-layers.json attn-all-layers fx '"calib_layers": 12'
 excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0001.ppm \
     --policies ic,icb --config all-layers.json --out attn-all-layers > attn-all-layers.log
 excel attn-report --weights fx256/encoder.json --image fx256/dataset/images/img_0003.ppm \
     --policies qk,vv,ic,icb --adapter full256/train/checkpoint_000002.json --out attn-256 > attn-256.log
+# icb alone, uniform, at T=257: its static pass is made and not reported
+excel attn-report --weights fx256/encoder.json --image fx256/dataset/images/img_0005.ppm \
+    --policies icb --out attn-256-icb > attn-256-icb.log
 # an adapter trained under calib_layers 4 and calib_weights [0.5, 0.25, 0.25], read from its run's config
 excel attn-report --weights fx32/encoder.json --image fx32/dataset/images/img_0000.ppm --policies ic,icb \
     --config every-key-run.json --adapter every-key-run/train/checkpoint_000003.json --out attn-every-key \
