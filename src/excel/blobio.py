@@ -28,12 +28,28 @@ not a power cut. `save_tensors` lands the blob before its manifest, so a
 manifest on disk has its blob. Every JSON file, manifests included, goes
 through `write_json` (2-space indent, sorted keys, trailing newline), and
 every JSON object the package reads goes through `read_json_object`.
+
+Inside `writes_behind`, which `pipeline.run_pipeline` wraps a run in,
+`write_file` hands each file's finished bytes to one writer thread, which
+lands them with `write_file` in the order they were written, while the
+caller goes on computing: a run's files land in the order a serial run
+lands them. At most QUEUE_FILES files wait. The first failed landing stops
+the writer and drops the files queued after it; its error is raised in
+the caller at the next `write_file` or when the block ends, ahead of any
+error the block raised meanwhile, so a failed run leaves the files and
+the error a serial run leaves. The block ends once every queued file has
+landed, and its thread with it. The writer is held in a context
+variable, so neither another thread nor another run sees it.
 """
 
+import contextlib
+import contextvars
 import hashlib
 import json
 import math
 import os
+import queue
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,6 +59,10 @@ from .errors import ChecksumError, DataError, ExcelError, MissingTensorError, Nu
 
 FORMAT_TAG = "excel-tensors-v2"
 CHECKSUM_KEY = "checksum_sha256"
+
+# the files a `writes_behind` block may have queued and not yet landed, so
+# the bytes held for writing do not grow with the image count
+QUEUE_FILES = 128
 
 
 @dataclass
@@ -87,12 +107,69 @@ def is_finite_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
+class _Writer:
+    """One thread that lands queued (path, bytes) pairs with `write_file`,
+    first in first out; after its first failed landing it drops the rest."""
+
+    def __init__(self):
+        self.pending = queue.Queue(QUEUE_FILES)
+        self.failure = None
+        # an empty context, whatever a new thread inherits: `write_file` on
+        # the thread lands the file, where queueing it would wait on itself
+        self.thread = threading.Thread(target=contextvars.Context().run, args=(self._land,), name="excel-writer")
+        self.thread.start()
+
+    def _land(self):
+        while (item := self.pending.get()) is not None:
+            if self.failure is None:
+                try:
+                    write_file(*item)
+                except BaseException as exc:
+                    self.failure = exc
+
+    def put(self, path: Path, data: bytes):
+        """Queue `data` for `path`, once no landing has failed; waits while
+        QUEUE_FILES files are queued."""
+        if self.failure is not None:
+            raise self.failure
+        self.pending.put((path, data))
+
+    def close(self):
+        """Land every queued file, end the thread, then raise the first
+        failed landing's error, if any."""
+        self.pending.put(None)
+        self.thread.join()
+        if self.failure is not None:
+            raise self.failure
+
+
+_WRITER: contextvars.ContextVar[_Writer | None] = contextvars.ContextVar("excel_writer", default=None)
+
+
+@contextlib.contextmanager
+def writes_behind():
+    """Inside the block, `write_file` queues each file for one writer
+    thread (see the module docstring); the block ends once all landed."""
+    writer = _Writer()
+    token = _WRITER.set(writer)
+    try:
+        yield
+    finally:
+        _WRITER.reset(token)
+        writer.close()
+
+
 def write_file(path, data: bytes) -> Path:
     """`data` at `path`, landed whole: written to `<name>.tmp` in the same
     directory, made if missing, then renamed over `path`. On any error the
     temp file is removed and the error re-raised. The temp name is fixed,
-    so a rewrite also replaces one that a killed run left behind."""
+    so a rewrite also replaces one that a killed run left behind. Inside
+    `writes_behind` the file is queued and `path` returned at once."""
     path = Path(path)
+    writer = _WRITER.get()
+    if writer is not None:
+        writer.put(path, data)
+        return path
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:

@@ -130,6 +130,8 @@ def _cmd_cam(args) -> int:
         raise UsageError("--labels must list at least one class id")
     if args.mode == "dynamic" and not args.adapter:
         raise UsageError("dynamic mode requires --adapter")
+    if args.mode == "static" and args.adapter is not None:
+        raise UsageError("static mode reads no --adapter; drop it, or run --mode dynamic")
     cfg = load_config(args.config) if args.config else PipelineConfig()
     weights = load_weights(args.weights)
     bank = load_bank(args.bank)
@@ -200,9 +202,11 @@ def _cmd_attn_report(args) -> int:
     for name in names:
         if name not in _REPORT_POLICIES:
             raise UsageError(f"unknown policy '{name}' (use {','.join(_REPORT_POLICIES)})")
+    if args.adapter is not None and "icb" not in names:
+        raise UsageError(f"only the icb policy reads --adapter, and --policies {args.policies!r} does not list it")
     weights = load_weights(args.weights)
     image = rgb_to_chw(read_ppm(args.image))
-    adapter = load_checkpoint(args.adapter, weights.dim, calibrated) if "icb" in names and args.adapter else None
+    adapter = load_checkpoint(args.adapter, weights.dim, calibrated) if args.adapter else None
     calibrations = {name: _REPORT_BASELINES.get(name, calibrated) for name in names}  # a repeated name once
     # one pass over the image per calibration; icb resumes the calibrated
     # one with the relation bias, as the dynamic stage resumes the static pass

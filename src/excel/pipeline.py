@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blobio import read_json_object, write_file, write_json
+from .blobio import read_json_object, write_file, write_json, writes_behind
 from .config import PipelineConfig, save_config
 from .dataset import ToyDataset, load_dataset
 from .dynamic_calibration import dynamic_cams
@@ -221,18 +221,21 @@ def stage_eval(
 def run_pipeline(cfg: PipelineConfig, mode: str = "full", resume: bool = False):
     """Run every stage and return (report path, report); `mode='static-only'`
     skips training and dynamic CAMs and evaluates the training-free pseudo
-    labels."""
+    labels. The run's files land on one writer thread, in the order they
+    are written, while the next stage computes; every one has landed, or
+    the first failed landing is raised, by the time the call returns."""
     if mode not in ("full", "static-only"):
         raise UsageError(f"unknown pipeline mode '{mode}'")
-    inputs, weights, dataset, bank = load_inputs(cfg, resume=resume, train=mode == "full")
-    # the recorded copy points out_dir at its own directory, so identical
-    # runs into different locations leave byte-identical trees
-    save_config(Path(cfg.out_dir) / "run_config.json", dataclasses.replace(cfg, out_dir="."))
-    # training and dynamic CAMs consume the static stage's pass, so every
-    # image is encoded under the run's calibration once per run
-    results = stage_static(cfg, inputs, weights, bank, dataset, keep_traces=mode == "full")
-    evaluated = "static"
-    if mode == "full":
-        adapter = stage_train(cfg, inputs, weights.dim, results, resume=resume)
-        results, evaluated = stage_dynamic(cfg, inputs, weights, bank, dataset, adapter, results), "dynamic"
-    return stage_eval(cfg, inputs, dataset, [res.labels for res in results], weights.patch_size, evaluated)
+    with writes_behind():
+        inputs, weights, dataset, bank = load_inputs(cfg, resume=resume, train=mode == "full")
+        # the recorded copy points out_dir at its own directory, so identical
+        # runs into different locations leave byte-identical trees
+        save_config(Path(cfg.out_dir) / "run_config.json", dataclasses.replace(cfg, out_dir="."))
+        # training and dynamic CAMs consume the static stage's pass, so every
+        # image is encoded under the run's calibration once per run
+        results = stage_static(cfg, inputs, weights, bank, dataset, keep_traces=mode == "full")
+        evaluated = "static"
+        if mode == "full":
+            adapter = stage_train(cfg, inputs, weights.dim, results, resume=resume)
+            results, evaluated = stage_dynamic(cfg, inputs, weights, bank, dataset, adapter, results), "dynamic"
+        return stage_eval(cfg, inputs, dataset, [res.labels for res in results], weights.patch_size, evaluated)

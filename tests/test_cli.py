@@ -893,6 +893,22 @@ def test_exit_code_cam_dynamic_without_adapter(cli_fixtures, cli_trained, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+
+@pytest.mark.parametrize("command", ["cam-static", "attn-report-without-icb"])
+def test_exit_code_adapter_that_nothing_reads(cli_fixtures, cli_trained, tmp_path, capsys, command):
+    # an --adapter that the request would not open is a usage error, raised
+    # before the weights, image or checkpoint are read and before --out is created
+    out_dir, _ = cli_trained
+    image = str(next((cli_fixtures / "dataset" / "images").glob("*.ppm")))
+    if command == "cam-static":
+        argv = ["cam", "--mode", "static", "--bank", str(out_dir / "attrs.json"), "--labels", "1"]
+    else:
+        argv = ["attn-report", "--policies", "qk,vv,ic"]
+    argv += ["--weights", str(cli_fixtures / "encoder.json"), "--image", image,
+             "--adapter", "/nonexistent/ckpt.json", "--out", str(tmp_path / "out")]
+    assert "--adapter" in _main_error(capsys, argv, 1)
+    assert not (tmp_path / "out").exists()
+
 def _with_meta(manifest_path, out_path, key, value):
     """A copy of a tensor file whose meta `key` is `value`; None deletes it."""
     tf = load_tensors(manifest_path)
@@ -1151,8 +1167,9 @@ def test_exit_code_bank_dim_mismatch_before_encode(cli_fixtures, cli_trained, na
     else:
         image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
         checkpoint = cli_trained[0] / "train" / "checkpoint_000001.json"
+        adapter = ["--adapter", str(checkpoint)] if case == "cam-dynamic" else []
         proc = run_excel("cam", "--mode", case.split("-")[1], "--weights", str(weights), "--bank", str(bank),
-                         "--image", str(image), "--labels", "1", "--adapter", str(checkpoint), "--out", str(out))
+                         "--image", str(image), "--labels", "1", *adapter, "--out", str(out))
         named = bank
     line = one_error_line(proc.returncode, proc.stderr, 2)
     assert str(named) in line and str(weights) in line and "dim 32" in line
@@ -1228,9 +1245,9 @@ def test_exit_code_cam_labels_outside_bank(cli_fixtures, cli_trained, tmp_path, 
     out_dir, _ = cli_trained
     bank, out = out_dir / "attrs.json", tmp_path / "out"
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    adapter = ["--adapter", str(out_dir / "train" / "checkpoint_000001.json")] if mode == "dynamic" else []
     proc = run_excel("cam", "--mode", mode, "--weights", str(cli_fixtures / "encoder.json"), "--bank", str(bank),
-                     "--image", str(image), "--labels", "1,9",
-                     "--adapter", str(out_dir / "train" / "checkpoint_000001.json"), "--out", str(out))
+                     "--image", str(image), "--labels", "1,9", *adapter, "--out", str(out))
     line = one_error_line(proc.returncode, proc.stderr, 2)
     assert "--labels" in line and "class id 9" in line and str(bank) in line
     assert not out.exists()

@@ -629,17 +629,20 @@ def mixed(tmp_path_factory):
 @example(weights="grid8", image="grid8", bank="grid8", adapter="grid8", config="grid8", mode="dynamic")
 @settings(PROPERTY, max_examples=30)
 def test_mixed_artifacts_in_cam_exit_cleanly(mixed, weights, image, bank, adapter, config, mode):
+    # static mode refuses an --adapter, so only a dynamic request names one
+    runs = [bank, config, adapter] if mode == "dynamic" else [bank, config]
+    adapter_flag = ["--adapter", str(mixed / "runs" / adapter / "train" / "checkpoint_000001.json")]
     with tempfile.TemporaryDirectory() as tmp:
         code = _exits_cleanly(
             [
                 "cam", "--mode", mode, "--weights", str(mixed / weights / "encoder.json"),
                 "--bank", str(mixed / "runs" / bank / "attrs.json"),
                 "--image", str(mixed / image / "dataset" / "images" / "img_0000.ppm"), "--labels", "1",
-                "--adapter", str(mixed / "runs" / adapter / "train" / "checkpoint_000001.json"),
+                *(adapter_flag if mode == "dynamic" else []),
                 "--config", str(mixed / f"{config}.json"), "--out", tmp,
             ]
         )
-    if _one_source([weights, image], [bank, adapter, config]):
+    if _one_source([weights, image], runs):
         assert code == 0
 
 

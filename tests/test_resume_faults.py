@@ -7,15 +7,20 @@ after its n-1-th file landed, as a process killed there would."""
 
 import json
 import os
+import shutil
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from excel import training_eval
+from excel import blobio, training_eval
 from excel.blobio import load_tensors
 from excel.cli import main
-from excel.config import parse_config, save_config
+from excel.config import load_config, parse_config, save_config
+from excel.dataset import load_dataset
 from excel.fixtures import FixtureSpec, generate_fixtures
+from excel.pipeline import run_pipeline
 
 # the JSON files of a run that are not tensor manifests
 NOT_MANIFESTS = {"run_config.json", "report.json"}
@@ -25,7 +30,7 @@ def _tree(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def _config(path: Path, fixtures: Path, out_dir: Path) -> str:
+def _config(path: Path, fixtures: Path, out_dir: Path, **overrides) -> str:
     mapping = {
         "seed": 3,
         "weights": str(fixtures / "encoder.json"),
@@ -36,6 +41,7 @@ def _config(path: Path, fixtures: Path, out_dir: Path) -> str:
         "checkpoint_every": 1,
         "batch_size": 4,
         "clusters": 8,
+        **overrides,
     }
     save_config(path, parse_config(mapping))
     return str(path)
@@ -43,22 +49,24 @@ def _config(path: Path, fixtures: Path, out_dir: Path) -> str:
 
 @pytest.fixture(scope="module")
 def fresh(tmp_path_factory):
-    """(fixtures, the tree of a fresh full run on them, its count of
-    files landed): 4 images, 2 iterations, a checkpoint at each."""
+    """(fixtures, the tree of a fresh full run on them with its files in
+    the order they landed, its count of files landed): 4 images, 2
+    iterations, a checkpoint at each."""
     root = tmp_path_factory.mktemp("faults")
     generate_fixtures(42, FixtureSpec(images=4), root / "fx")
     cfg = _config(root / "cfg.json", root / "fx", root / "out")
     landed = []
     real = os.replace
 
-    def counting(src, dst):
-        landed.append(dst)
+    def recording(src, dst):
+        landed.append(Path(dst).relative_to(root / "out").as_posix())
         real(src, dst)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "replace", counting)
+        mp.setattr(os, "replace", recording)
         assert main(["run", "--config", cfg]) == 0
-    return root / "fx", _tree(root / "out"), len(landed)
+    on_disk = _tree(root / "out")
+    return root / "fx", {name: on_disk[name] for name in landed}, len(landed)
 
 
 def _fail_at(n: int):
@@ -85,6 +93,83 @@ def _assert_no_partial_file(out_dir: Path):
 def test_fresh_run_lands_each_file_once(fresh):
     _, tree, landed = fresh
     assert landed == len(tree) == 36
+
+
+def test_a_run_lands_its_files_in_order(fresh):
+    # each stage's resume key lands after the files it vouches for, and
+    # the report after every other file
+    fixtures, tree, _ = fresh
+    stems = [rec.name for rec in load_dataset(fixtures / "dataset").images]
+
+    def cams(stage):
+        return [f"{stage}/{stem}.{ext}" for stem in stems for ext in ("cams.bin", "cams.json", "pseudo.pgm")]
+
+    checkpoints = [f"train/checkpoint_{it:06d}.{ext}" for it in (0, 1) for ext in ("bin", "json")]
+    assert list(tree) == [
+        "attrs.bin", "attrs.json", "run_config.json", *cams("static"),
+        *checkpoints, "train/loss_curve.csv", "train/checkpoint_000002.bin", "train/checkpoint_000002.json",
+        *cams("dynamic"), "report.json", "report.txt",
+    ]
+
+
+def test_a_run_leaves_no_thread_behind(fresh, tmp_path, monkeypatch):
+    # the writer thread ends with the run, after a success and after a
+    # failed first write
+    fixtures, _, _ = fresh
+    before = threading.enumerate()
+    run_pipeline(load_config(_config(tmp_path / "ok.json", fixtures, tmp_path / "ok")))
+    assert threading.enumerate() == before
+    monkeypatch.setattr(os, "replace", _fail_at(1))
+    with pytest.raises(OSError, match="injected failure at write 1"):
+        run_pipeline(load_config(_config(tmp_path / "failed.json", fixtures, tmp_path / "failed")))
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("n", [4, 15], ids=["first-static", "last-static"])
+def test_a_failed_write_is_the_error_of_a_run_that_fails_later(fresh, tmp_path, monkeypatch, capsys, n):
+    # training diverges at its first loss (about 0.99 against 0.5), after
+    # every static file is written and before any other: a failed static
+    # landing is still the run's error, as when the write itself raised
+    fixtures, _, _ = fresh
+    out_dir = tmp_path / "out"
+    cfg = _config(tmp_path / "cfg.json", fixtures, out_dir, divergence_threshold=0.5, checkpoint_every=0)
+    assert main(["run", "--config", cfg]) == 3
+    assert "training diverged at iteration 0" in capsys.readouterr().err
+    shutil.rmtree(out_dir)
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "replace", _fail_at(n))
+        assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: injected failure at write {n}\n"
+    _assert_no_partial_file(out_dir)
+    assert len(_tree(out_dir)) == n - 1
+
+
+def test_no_landing_sees_more_than_the_bound_queued(fresh, tmp_path, monkeypatch):
+    # a slow disk: the run waits for the writer once QUEUE_FILES files are
+    # queued, and still lands the fresh run's tree in its order
+    fixtures, tree, _ = fresh
+    out_dir = tmp_path / "out"
+    cfg = _config(tmp_path / "cfg.json", fixtures, out_dir)
+    monkeypatch.setattr(blobio, "QUEUE_FILES", 2)
+    writers, landings = [], []
+    real_init, real_replace = blobio._Writer.__init__, os.replace
+
+    def recording_init(self):
+        real_init(self)
+        writers.append(self)
+
+    def slow_replace(src, dst):
+        landings.append((threading.current_thread(), writers[-1].pending.qsize(), Path(dst)))
+        time.sleep(0.01)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(blobio._Writer, "__init__", recording_init)
+    monkeypatch.setattr(os, "replace", slow_replace)
+    assert main(["run", "--config", cfg]) == 0
+    assert len(writers) == 1 and {thread for thread, _, _ in landings} == {writers[0].thread}
+    assert max(depth for _, depth, _ in landings) == 2
+    assert [path.relative_to(out_dir).as_posix() for _, _, path in landings] == list(tree)
+    assert _tree(out_dir) == tree
 
 
 def test_resume_after_a_failure_at_every_write_matches_a_fresh_run(fresh, tmp_path, monkeypatch, capsys):

@@ -125,12 +125,13 @@ excel build-attrs --kb fx/knowledge.json --clusters 16 --lambda 0 --seed 7 --out
 for stem in img_0000 img_0001 img_0002; do
     labels=$(python3 -c 'import json, sys; print(",".join(map(str, json.load(open(sys.argv[1]))[sys.argv[2]])))' \
         fx/dataset/labels.json "$stem")
-    for mode in static dynamic; do
-        excel cam --mode "$mode" --weights fx/encoder.json --bank full/attrs.json \
-            --image "fx/dataset/images/$stem.ppm" --labels "$labels" \
-            --adapter full/train/checkpoint_000017.json --config full.json \
-            --out "cam-$mode" >> "cam-$mode.log"
-    done
+    excel cam --mode static --weights fx/encoder.json --bank full/attrs.json \
+        --image "fx/dataset/images/$stem.ppm" --labels "$labels" --config full.json \
+        --out cam-static >> cam-static.log
+    excel cam --mode dynamic --weights fx/encoder.json --bank full/attrs.json \
+        --image "fx/dataset/images/$stem.ppm" --labels "$labels" \
+        --adapter full/train/checkpoint_000017.json --config full.json \
+        --out cam-dynamic >> cam-dynamic.log
 done
 
 # the kernel-3 adapter read back from its checkpoint, not kept in memory;
@@ -140,11 +141,11 @@ excel cam --mode dynamic --weights fx/encoder.json --bank kernel3/attrs.json \
     --adapter kernel3/train/checkpoint_000005.json --config kernel3.json --out cam-kernel3 > cam-kernel3.log
 # no --config: thresholds and calibration are PipelineConfig's defaults,
 # under which the full run's adapter was trained
-for mode in static dynamic; do
-    excel cam --mode "$mode" --weights fx/encoder.json --bank full/attrs.json \
-        --image fx/dataset/images/img_0001.ppm --labels 1 \
-        --adapter full/train/checkpoint_000017.json --out "cam-$mode-defaults" > "cam-$mode-defaults.log"
-done
+excel cam --mode static --weights fx/encoder.json --bank full/attrs.json \
+    --image fx/dataset/images/img_0001.ppm --labels 1 --out cam-static-defaults > cam-static-defaults.log
+excel cam --mode dynamic --weights fx/encoder.json --bank full/attrs.json \
+    --image fx/dataset/images/img_0001.ppm --labels 1 \
+    --adapter full/train/checkpoint_000017.json --out cam-dynamic-defaults > cam-dynamic-defaults.log
 # --labels out of order and with a repeated id
 excel cam --mode dynamic --weights fx/encoder.json --bank full/attrs.json \
     --image fx/dataset/images/img_0000.ppm --labels 2,1,1 \
