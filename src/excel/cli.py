@@ -42,6 +42,16 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 # attn-report's policies: the two fixed baselines, and the config's
 # calibration without (ic) and with (icb) the relation bias
 _REPORT_BASELINES = {"qk": VANILLA, "vv": VALUE_VALUE}
@@ -63,8 +73,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("build-attrs", help="cluster a knowledge file into an attribute bank")
     p.add_argument("--kb", required=True)
-    p.add_argument("--clusters", type=int, required=True)
-    p.add_argument("--topk", type=int, default=PipelineConfig.topk)
+    p.add_argument("--clusters", type=_positive_int, required=True)
+    p.add_argument("--topk", type=_positive_int, default=PipelineConfig.topk)
     p.add_argument("--lambda", dest="lam", type=_non_negative_float, default=PipelineConfig.lam)
     p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--out", required=True)

@@ -14,15 +14,15 @@ and the pseudo-label targets are fixed, never differentiated through.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .encoder import LAYER_COUNT, EncoderWeights, LayerTrace, encode_chunks
+from .encoder import LAYER_COUNT, EncoderWeights, LayerTrace
 from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
-from .static_calibration import IGNORE_LABEL, CamResult, PseudoLabelMap, cam_result
+from .static_calibration import IGNORE_LABEL, CamResult, PseudoLabelMap, run_static_passes
 
 
 def delta_names(layer: int) -> tuple[str, str]:
@@ -171,20 +171,14 @@ def adapter_forward_stack(traces: list[LayerTrace], params: AdapterParams) -> li
 # relations
 
 
-@dataclass
-class RelationMatrix:
-    raw: np.ndarray  # (hw, hw) float32
-    masked: np.ndarray  # raw where raw >= 0, else -inf
-
-
-def dynamic_relation(features: np.ndarray, alpha: float, beta: float) -> RelationMatrix:
-    """Token relations r = alpha*(cos - beta*mean(cos)) with negatives masked
-    to -inf. `features` is (D_d, hw); the mean runs over all hw^2 entries."""
+def dynamic_relation(features: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Token relations r = alpha*(cos - beta*mean(cos)) as a (hw, hw)
+    float32 array, with negatives masked to -inf: the bias of a re-encode.
+    `features` is (D_d, hw); the mean runs over all hw^2 entries."""
     cos = nm.cosine_matrix(features, features)
     center = cos.astype(np.float64).mean()
     raw = (float(alpha) * (cos.astype(np.float64) - float(beta) * center)).astype(np.float32)
-    masked = np.where(raw >= 0, raw, nm.NEG_INF).astype(np.float32)
-    return RelationMatrix(raw=raw, masked=masked)
+    return np.where(raw >= 0, raw, nm.NEG_INF).astype(np.float32)
 
 
 # --------------------------------------------------------------------------
@@ -331,7 +325,7 @@ def biased_relations(traces: list[LayerTrace], params: AdapterParams) -> list[np
     """Per trace: the masked relation of the adapter run over it, from one
     stacked adapter pass: the bias of its re-encode."""
     features = adapter_forward_stack(traces, params)
-    return [dynamic_relation(f, params.alpha, params.beta).masked for f in features]
+    return [dynamic_relation(f, params.alpha, params.beta) for f in features]
 
 
 def dynamic_cams(
@@ -344,24 +338,19 @@ def dynamic_cams(
     static_traces: list[LayerTrace],
 ) -> list[CamResult]:
     """Dynamic CAMs for each dataset record's `.labels`, in order: its
-    image re-encoded with its relation bias added, one stacked adapter
-    pass and one stacked encoder pass per `encoder.chunks` chunk, run by
-    `encode_chunks`.
+    image re-encoded with its relation bias added, through the static
+    stage's CAM loop (`run_static_passes`), one stacked adapter pass
+    and one stacked encoder pass per chunk.
 
     `static_traces[i]` is the calibrated pass of record i's image, and all
     of them one calibration's. Its biased re-encode runs under that
     calibration and its biased relation from the trace's `resume`, so no
     image is read again. The biased traces are not kept.
     """
-    results = []
 
     def job(part):
         prefixes = static_traces[part]
         return None, biased_relations(prefixes, params), prefixes
 
-    def consume(part, traces):
-        for rec, trace in zip(records[part], traces):
-            results.append(replace(cam_result(trace, bank, rec.labels, tau_fg, tau_bg), trace=None))
-
-    encode_chunks(len(records), weights, static_traces[0].calibration, job, consume)
-    return results
+    calibration = static_traces[0].calibration
+    return run_static_passes(records, weights, bank, calibration, tau_fg, tau_bg, keep_traces=False, job=job)

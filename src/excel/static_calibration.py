@@ -6,7 +6,7 @@ Pseudo labels come from a dual confidence band: the winning class above
 tau_fg, background below tau_bg, ignore (255) in between.
 """
 
-import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,16 +78,7 @@ class CamResult:
 
     cams: CamStack
     labels: PseudoLabelMap
-    trace: LayerTrace | None  # the static pass; None once dropped, and for dynamic CAMs
-
-
-def cam_result(
-    trace: LayerTrace, bank: TextRepresentation, present: list[int], tau_fg: float, tau_bg: float
-) -> CamResult:
-    """static_cam -> cam_to_pseudo_label on the patch features of
-    `trace`, which the result keeps."""
-    cams = static_cam(trace.patch_features, bank, present)
-    return CamResult(cams=cams, labels=cam_to_pseudo_label(cams, tau_fg, tau_bg), trace=trace)
+    trace: LayerTrace | None  # the pass the CAMs were made from, kept only under `keep_traces`
 
 
 def run_static_passes(
@@ -98,24 +89,30 @@ def run_static_passes(
     tau_fg: float,
     tau_bg: float,
     keep_traces: bool,
+    job: Callable[[slice], tuple] | None = None,
 ) -> list[CamResult]:
-    """encode -> static_cam -> cam_to_pseudo_label, with zero learnable
-    state, over dataset records (`.image`, `.labels`) in their order, one
-    stacked pass per `encoder.chunks` chunk, run by `encode_chunks`. Each
-    chunk's images are read from its records just before its pass.
+    """encode -> static_cam -> cam_to_pseudo_label over dataset records
+    (`.labels`) in their order, one stacked pass per `encoder.chunks`
+    chunk, run by `encode_chunks`: the one CAM loop of both stages.
+
+    job(part) gives a chunk's (images, relations, prefixes) just before
+    its pass; by default it reads the chunk's records' `.image`, which
+    is the static stage, with zero learnable state. The dynamic stage
+    passes a job that resumes its static traces under a relation bias.
     Without `keep_traces` a chunk's traces are dropped as soon as its CAMs
     are made, so at most the two chunks in flight hold traces at a time."""
     results = []
 
-    def job(part):
+    def read_images(part):
         return [rec.image for rec in records[part]], None, None
 
     def consume(part, traces):
         for rec, trace in zip(records[part], traces):
-            res = cam_result(trace, bank, rec.labels, tau_fg, tau_bg)
-            results.append(res if keep_traces else dataclasses.replace(res, trace=None))
+            cams = static_cam(trace.patch_features, bank, rec.labels)
+            labels = cam_to_pseudo_label(cams, tau_fg, tau_bg)
+            results.append(CamResult(cams=cams, labels=labels, trace=trace if keep_traces else None))
 
-    encode_chunks(len(records), weights, calibration, job, consume)
+    encode_chunks(len(records), weights, calibration, job or read_images, consume)
     return results
 
 

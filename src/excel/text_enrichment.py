@@ -31,8 +31,6 @@ class KnowledgeBase:
     class_index: np.ndarray  # (n*C,) int32 column -> class
     templates: np.ndarray  # (D, C), unit columns
     class_names: list[str]
-    n: int
-    dim: int
 
     @property
     def num_classes(self) -> int:
@@ -99,8 +97,6 @@ def ingest_knowledge(path) -> KnowledgeBase:
         class_index=np.asarray(class_index, dtype=np.int32),
         templates=template_mat,
         class_names=class_names,
-        n=n,
-        dim=dim,
     )
 
 

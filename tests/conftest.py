@@ -12,7 +12,7 @@ from excel.dataset import load_dataset
 from excel.dynamic_calibration import build_affinity_batch, diversity_loss_gradient_stack
 from excel.encoder import load_weights
 from excel.fixtures import FixtureSpec, generate_fixtures
-from excel.numerics import Rng
+from excel.numerics import Rng, cosine_matrix
 from excel.static_calibration import run_static_passes
 from excel.text_enrichment import build_text_bank, ingest_knowledge
 
@@ -39,6 +39,23 @@ def oracle_sigmoid(a):
     e = np.exp(-np.abs(x))
     out = (np.where(x >= 0, 1.0, e) / (1.0 + e)).astype(np.float32)
     return np.clip(out, np.nextafter(np.float32(0), np.float32(1)), np.nextafter(np.float32(1), np.float32(0)))
+
+
+def oracle_relation(features, alpha, beta):
+    """The unmasked token relation alpha * (cos - beta * mean(cos)) over
+    the float32 cosines of `features`' columns, in float64, rounded to
+    float32."""
+    cos = cosine_matrix(features, features).astype(np.float64)
+    return (alpha * (cos - beta * cos.mean())).astype(np.float32)
+
+
+def assert_masks_oracle(relation, oracle):
+    """`relation` is a float32 array of the oracle's shape that holds the
+    oracle's bits where the oracle is >= 0 and -inf everywhere else."""
+    assert relation.dtype == np.float32 and relation.shape == oracle.shape
+    live = oracle >= 0
+    assert relation[live].tobytes() == oracle[live].tobytes()
+    assert np.isneginf(relation[~live]).all()
 
 
 def serial_encode_chunks(count, weights, calibration, job, consume):

@@ -39,7 +39,7 @@ from excel.text_enrichment import (
     hunt_attributes,
 )
 from excel.training_eval import evaluate, train_loop, upsample_labels
-from conftest import every_pair, one_image_gradient
+from conftest import assert_masks_oracle, every_pair, one_image_gradient, oracle_relation
 
 TRAIN_ITERATIONS = 500
 
@@ -123,7 +123,9 @@ def test_criterion_1_attention_stochasticity(fixture_weights):
     for i in range(20):
         image = gen.random((3, 64, 64)).astype(np.float32)
         feats = gen.standard_normal((6, hw)).astype(np.float32)
-        relation = dynamic_relation(feats, alpha=3.0, beta=float(gen.uniform(0, 1))).masked
+        beta = float(gen.uniform(0, 1))
+        relation = dynamic_relation(feats, alpha=3.0, beta=beta)
+        assert_masks_oracle(relation, oracle_relation(feats, 3.0, beta))
         policies = [
             (VANILLA, None),
             (VALUE_VALUE, None),
@@ -154,11 +156,11 @@ def test_criterion_2_masking_semantics():
         feats = gen.standard_normal((int(gen.integers(3, 10)), hw)).astype(np.float32)
         beta = float(gen.uniform(0.0, 1.0))
         rel = dynamic_relation(feats, alpha=3.0, beta=beta)
-        soft = softmax_rows(rel.masked)
-        neg = rel.raw < 0
-        assert (soft[neg] == 0.0).all()
-        assert np.array_equal(rel.masked[~neg], rel.raw[~neg])
-        assert np.isfinite(np.diag(rel.masked)).all()
+        oracle = oracle_relation(feats, 3.0, beta)
+        assert_masks_oracle(rel, oracle)
+        soft = softmax_rows(rel)
+        assert (soft[oracle < 0] == 0.0).all()
+        assert np.isfinite(np.diag(rel)).all()
     ok(2, "100 random relations: softmax exactly 0 where r<0; diagonal finite for beta<=1")
 
 
@@ -220,8 +222,6 @@ def _random_kb(seed, classes=2, n=10, dim=8):
         class_index=np.repeat(np.arange(classes, dtype=np.int32), n),
         templates=emb[:, :classes].copy(),
         class_names=[f"c{i}" for i in range(classes)],
-        n=n,
-        dim=dim,
     )
 
 
@@ -255,8 +255,6 @@ def test_criterion_4_clustering_oracle():
         class_index=np.zeros(2 * per_blob, np.int32),
         templates=points[:1].T.astype(np.float32),
         class_names=["only"],
-        n=2 * per_blob,
-        dim=dim,
     )
     space = cluster_attributes(kb, b=2, rng=Rng(4041))
     blob_means = [points[:per_blob].mean(axis=0), points[per_blob:].mean(axis=0)]

@@ -790,6 +790,17 @@ def test_exit_code_build_attrs_lambda_not_finite_non_negative(cli_fixtures, tmp_
     assert not (tmp_path / "bank.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--clusters", "--topk"])
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_exit_code_build_attrs_count_not_a_positive_integer(tmp_path, capsys, flag, value):
+    # refused as the command line is parsed: the knowledge file, which does
+    # not exist, is never opened
+    argv = ["build-attrs", "--kb", str(tmp_path / "missing.json"), "--clusters", "8", "--out", str(tmp_path / "bank.json")]
+    line = _main_error(capsys, [*argv, flag, value], 1)
+    assert flag in line and repr(value) in line
+    assert not (tmp_path / "bank.json").exists()
+
+
 def test_exit_code_data_error(cli_fixtures, tmp_path):
     # valid config pointing at a broken weights file -> data error (2)
     bad_weights = tmp_path / "bad.json"

@@ -22,7 +22,7 @@ from excel.encoder import LAYER_COUNT, AttentionWork, Calibration, LayerTrace, _
 from excel.errors import DataError, NumericError, UsageError
 from excel.numerics import Rng
 from excel.config import PipelineConfig
-from conftest import every_pair, one_image_gradient
+from conftest import assert_masks_oracle, every_pair, one_image_gradient, oracle_relation
 
 
 def trace_from_features(features, grid):
@@ -132,20 +132,23 @@ def test_adapter_param_count_reported():
 def test_relation_identical_tokens_all_zero():
     f = np.tile(np.array([[1.0], [2.0]], np.float32), (1, 5))
     rel = dynamic_relation(f, alpha=3.0, beta=1.0)
-    np.testing.assert_allclose(rel.raw, 0.0, atol=1e-6)
-    assert np.isfinite(rel.masked).all()
+    oracle = oracle_relation(f, 3.0, 1.0)
+    np.testing.assert_allclose(oracle, 0.0, atol=1e-6)
+    assert_masks_oracle(rel, oracle)
+    assert np.isfinite(rel).all()
 
 
 def test_relation_beta_zero_masks_only_negative_cosines():
     gen = Rng(6).generator()
     f = gen.standard_normal((6, 8)).astype(np.float32)
     rel = dynamic_relation(f, alpha=2.0, beta=0.0)
+    assert_masks_oracle(rel, oracle_relation(f, 2.0, 0.0))
     from excel.numerics import cosine_matrix
 
     cos = cosine_matrix(f, f)
-    assert np.array_equal(np.isneginf(rel.masked), cos.astype(np.float64) * 2 < 0)
-    live = ~np.isneginf(rel.masked)
-    np.testing.assert_allclose(rel.masked[live], 2.0 * cos[live], atol=1e-6)
+    assert np.array_equal(np.isneginf(rel), cos.astype(np.float64) * 2 < 0)
+    live = ~np.isneginf(rel)
+    np.testing.assert_allclose(rel[live], 2.0 * cos[live], atol=1e-6)
 
 
 def test_relation_sampled_entry_hand_computed():
@@ -153,11 +156,13 @@ def test_relation_sampled_entry_hand_computed():
     f = gen.standard_normal((5, 6)).astype(np.float32)
     alpha, beta = 3.0, 1.0
     rel = dynamic_relation(f, alpha, beta)
+    oracle = oracle_relation(f, alpha, beta)
+    assert_masks_oracle(rel, oracle)
     f64 = f.astype(np.float64)
     norm = f64 / np.linalg.norm(f64, axis=0)
     cos = norm.T @ norm
     expected = alpha * (cos[1, 4] - beta * cos.mean())
-    assert rel.raw[1, 4] == pytest.approx(expected, abs=1e-5)
+    assert oracle[1, 4] == pytest.approx(expected, abs=1e-5)
 
 
 def test_relation_masking_exact_and_diagonal_finite():
@@ -166,10 +171,8 @@ def test_relation_masking_exact_and_diagonal_finite():
         f = gen.standard_normal((6, 9)).astype(np.float32)
         beta = float(gen.uniform(0.0, 1.0))
         rel = dynamic_relation(f, alpha=3.0, beta=beta)
-        neg = rel.raw < 0
-        assert np.array_equal(np.isneginf(rel.masked), neg)
-        assert np.array_equal(rel.masked[~neg], rel.raw[~neg])
-        assert np.isfinite(np.diag(rel.masked)).all()
+        assert_masks_oracle(rel, oracle_relation(f, 3.0, beta))
+        assert np.isfinite(np.diag(rel)).all()
 
 
 def test_relation_zero_column_error():
@@ -503,8 +506,10 @@ def test_zero_weight_adapter_keeps_static_argmax(fixture_weights, fixture_bank, 
     zero.tensors["fusion.b"] = np.ones(cfg.d_dyn, np.float32)
     dyn = dynamic_cams([rec], fixture_weights, zero, fixture_bank, cfg.tau_fg, cfg.tau_bg, [static.trace])[0]
     # identical features -> cosines all one -> relation uniformly zero
-    relation = dynamic_relation(adapter_forward_stack([static.trace], zero)[0], zero.alpha, zero.beta)
-    np.testing.assert_allclose(relation.raw, 0.0, atol=1e-6)
+    features = adapter_forward_stack([static.trace], zero)[0]
+    oracle = oracle_relation(features, zero.alpha, zero.beta)
+    np.testing.assert_allclose(oracle, 0.0, atol=1e-6)
+    assert_masks_oracle(dynamic_relation(features, zero.alpha, zero.beta), oracle)
     assert np.array_equal(
         dyn.cams.maps.argmax(axis=0), static.cams.maps.argmax(axis=0)
     )

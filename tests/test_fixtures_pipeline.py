@@ -56,7 +56,7 @@ def test_fixture_different_seed_differs(tmp_path):
 def test_fixture_knowledge_counts(fixture_paths):
     kb = ingest_knowledge(fixture_paths["knowledge"])
     assert kb.num_classes == 3
-    assert kb.n == 20
+    assert kb.embeddings.shape[1] // kb.num_classes == 20
     assert kb.embeddings.shape == (64, 60)
 
 
@@ -447,6 +447,27 @@ def test_full_pipeline_encodes_once_per_image_and_resumes_biased_encodes(monkeyp
         assert biased_heads == [[cfg.calib_layers]] * 2
 
 
+def test_static_and_dynamic_cams_share_one_loop(monkeypatch, tmp_path, fixture_paths):
+    # both stages make their CAMs in run_static_passes: over a full run its
+    # encode_chunks runs twice, once over images and once over the static
+    # traces with their relation biases, and the dynamic stage has no loop
+    loops, real_chunks = [], static_calibration.encode_chunks
+
+    def counting_chunks(count, weights, calibration, job, consume):
+        def recording_job(part):
+            images, relations, prefixes = job(part)
+            loops[-1].add((images is not None, relations is not None, prefixes is not None))
+            return images, relations, prefixes
+
+        loops.append(set())
+        real_chunks(count, weights, calibration, recording_job, consume)
+
+    monkeypatch.setattr(static_calibration, "encode_chunks", counting_chunks)
+    run_pipeline(fixture_config(fixture_paths, tmp_path / "out", iterations=2), mode="full")
+    assert loops == [{(True, False, False)}, {(False, True, True)}]
+    assert not hasattr(dynamic_calibration, "encode_chunks")
+
+
 def test_uneven_chunks_give_the_same_cams(monkeypatch, fixture_weights, fixture_bank, fixture_dataset):
     # a budget of 5 T=17 images a pass splits the 32 fixture images 4 x 5 +
     # 3 x 4, run two at a time and the last alone; static and dynamic
@@ -467,8 +488,7 @@ def test_uneven_chunks_give_the_same_cams(monkeypatch, fixture_weights, fixture_
         return static, dynamic
 
     with monkeypatch.context() as serial:
-        for module in (static_calibration, dynamic_calibration):
-            serial.setattr(module, "encode_chunks", serial_encode_chunks)
+        serial.setattr(static_calibration, "encode_chunks", serial_encode_chunks)
         serial_static, serial_dynamic = static_and_dynamic()
     sizes, real_stack = [], encoder.encode_stack
 

@@ -7,6 +7,10 @@ is defined or imported under, or as an attribute of a module alias
 (`nm.as_f32`); `np.matmul` does not call `numerics.matmul`. A method
 cannot be resolved without types, so it counts as called when any
 attribute of its name is read. Dunder methods are called implicitly.
+
+Every field of a `@dataclass` is read in `src/excel`, or is on
+ALLOWED_FIELDS: state that nothing reads is state to delete. As for a
+method, a field counts as read when any attribute of its name is read.
 """
 
 import ast
@@ -26,6 +30,18 @@ ALLOWED = {
     ("images", "read_comments"),
     # argparse calls it on a bad command line, to raise a usage error
     ("cli", "_Parser.error"),
+}
+
+# dataclass fields nothing in the package reads, each kept on purpose
+ALLOWED_FIELDS = {
+    # the k-means state cluster_attributes computes anyway: criterion 4 and
+    # the clustering tests check the assignment, objective and inertia
+    ("text_enrichment", "AttributeSpace.assignment"),
+    ("text_enrichment", "AttributeSpace.inertia"),
+    ("text_enrichment", "AttributeSpace.objective_history"),
+    # a loaded file's stamp, which tests carry into the copies they
+    # re-save, as images.read_comments reads a PGM's stamp
+    ("blobio", "TensorFile.provenance"),
 }
 
 
@@ -67,6 +83,38 @@ def _definitions_and_calls():
     return defined, called, attributes
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether a class is decorated `@dataclass`, with or without arguments."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _fields_and_reads():
+    """(fields, read): the (module, class, name) of every annotated field
+    of a `@dataclass` class, and the name of every attribute loaded."""
+    fields, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields.update(
+                    (path.stem, node.name, item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                )
+        read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    return fields, read
+
+
+def _unread_fields():
+    fields, read = _fields_and_reads()
+    return {(module, f"{cls}.{name}") for module, cls, name in fields if name not in read}
+
+
 def _uncalled():
     defined, called, attributes = _definitions_and_calls()
     functions = {d for d in defined if len(d) == 2 and d not in called}
@@ -85,3 +133,14 @@ def test_every_function_has_a_caller_in_the_package():
 def test_every_allowed_function_exists_without_a_caller():
     # an entry whose function gained a caller, or is gone, leaves the list
     assert ALLOWED - _uncalled() == set()
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    fields, _ = _fields_and_reads()
+    assert ("static_calibration", "CamResult", "trace") in fields and ("config", "PipelineConfig", "seed") in fields
+    assert _unread_fields() - ALLOWED_FIELDS == set()
+
+
+def test_every_allowed_field_exists_unread():
+    # an entry whose field gained a reader, or is gone, leaves the list
+    assert ALLOWED_FIELDS - _unread_fields() == set()

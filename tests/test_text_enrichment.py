@@ -27,8 +27,6 @@ def synthetic_kb(seed=0, classes=3, n=20, dim=16):
         class_index=np.repeat(np.arange(classes, dtype=np.int32), n),
         templates=templates,
         class_names=[f"class{i}" for i in range(classes)],
-        n=n,
-        dim=dim,
     )
 
 
@@ -40,8 +38,6 @@ def kb_from_points(points):
         class_index=np.zeros(m, dtype=np.int32),
         templates=points[:, :1].astype(np.float32),
         class_names=["only"],
-        n=m,
-        dim=points.shape[0],
     )
 
 
@@ -65,7 +61,7 @@ def write_knowledge(tmp_path, classes=3, n=20, dim=64, mangle=None):
 
 def test_ingest_fixture_counts(fixture_kb):
     assert fixture_kb.num_classes == 3
-    assert fixture_kb.n == 20
+    assert fixture_kb.embeddings.shape[1] // fixture_kb.num_classes == 20
     assert fixture_kb.embeddings.shape == (64, 60)
     norms = np.linalg.norm(fixture_kb.embeddings.astype(np.float64), axis=0)
     np.testing.assert_allclose(norms, 1.0, atol=1e-6)

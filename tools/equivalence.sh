@@ -5,6 +5,7 @@
 #     tools/equivalence.sh OLD /tmp/eq-old && tools/equivalence.sh NEW /tmp/eq-new
 #     tools/tree_diff.py /tmp/eq-old /tmp/eq-new
 # exits 0; otherwise it names every file and JSON key that differs.
+# `tools/compare.sh [REV]` runs these three steps against a git revision.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
 # About 15 s on a 2-vCPU VM.
