@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: gen-fixtures, build-attrs, cam, train, eval, attn-report, run.
+Subcommands: gen-fixtures, build-attrs, cam, eval, attn-report, run.
 Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric error.
 """
 
@@ -21,10 +21,10 @@ from .errors import EXIT_DATA, EXIT_OK, EXIT_USAGE, DataError, ExcelError, Usage
 from .fixtures import FixtureSpec, generate_fixtures
 from .hashing import config_digest, provenance
 from .images import read_pgm, read_ppm, rgb_to_chw
-from .pipeline import check_bank_dim, load_inputs, run_pipeline, run_provenance, write_cam_outputs
+from .pipeline import check_bank_dim, run_pipeline, run_provenance, write_cam_outputs
 from .static_calibration import run_static_passes
 from .text_enrichment import attribute_bank, load_bank, save_bank
-from .training_eval import attn_report, evaluate, load_checkpoint, report_text, train_loop
+from .training_eval import attn_report, evaluate, load_checkpoint, report_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,9 +88,6 @@ def build_parser() -> _Parser:
     p.add_argument("--adapter", help="checkpoint manifest (dynamic mode)")
     p.add_argument("--config", help="pipeline config for thresholds and calibration")
     p.add_argument("--out", required=True)
-
-    p = sub.add_parser("train", help="train the relation adapter on the diversity loss")
-    p.add_argument("--config", required=True)
 
     p = sub.add_parser("eval", help="evaluate predicted label maps against ground truth")
     p.add_argument("--pred-dir", required=True)
@@ -170,20 +167,6 @@ def _cmd_cam(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    inputs, weights, dataset, bank = load_inputs(cfg, train=True)
-    calibrated = run_static_passes(
-        dataset.images, weights, bank, cfg.calibration(), cfg.tau_fg, cfg.tau_bg, keep_traces=True
-    )
-    out_dir = Path(cfg.out_dir) / "train"
-    curve = train_loop(calibrated, weights.dim, cfg, out_dir, run_provenance(cfg, "train", inputs)).curve
-    final = curve[-1][1] if curve else 0.0
-    print(f"trained {cfg.iterations} iterations; final diversity loss {final:.4f}")
-    print(f"checkpoints: {out_dir}")
-    return EXIT_OK
-
-
 def _cmd_eval(args) -> int:
     class_names = load_class_names(args.classes)
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
@@ -254,7 +237,6 @@ _COMMANDS = {
     "gen-fixtures": _cmd_gen_fixtures,
     "build-attrs": _cmd_build_attrs,
     "cam": _cmd_cam,
-    "train": _cmd_train,
     "eval": _cmd_eval,
     "attn-report": _cmd_attn_report,
     "run": _cmd_run,

@@ -4,7 +4,8 @@ CAMs -> evaluation, each stage writing provenance-stamped artifacts.
 Every artifact embeds {stage, seed, config_hash, inputs}, `inputs` being
 the SHA-256 digests of the weights manifest, the knowledge manifest and the
 dataset files; resuming into an output directory whose artifacts carry a
-different config hash or input digest is refused.
+different config hash or input digest is refused, and so is a run without
+resume into one that holds any file.
 """
 
 import dataclasses
@@ -120,6 +121,9 @@ def load_inputs(cfg: PipelineConfig, resume: bool = False, train: bool = False):
     paths, the dataset's image size against the weights, the resume stamp
     of `report.json`, then the attribute stage's bank against both.
 
+    An output tree holds one run: without `resume`, an `out_dir` that
+    holds any file is refused before anything is read.
+
     A run that will `train` the adapter needs a calibrated layer, since
     only those take its relation bias, and `training_bytes` within
     MAX_TRAINING_BYTES for the weights' width and grid.
@@ -129,6 +133,12 @@ def load_inputs(cfg: PipelineConfig, resume: bool = False, train: bool = False):
     blob's checksum) and the dataset's `digest`. Every artifact of the run is
     stamped with them, and a resume over other inputs is refused."""
     cfg.validate()
+    out = Path(cfg.out_dir)
+    if not resume and out.is_dir() and any(path.is_file() for path in out.rglob("*")):
+        raise UsageError(
+            f"output directory {out} already holds files; a run writes into a new or empty directory, "
+            "or continues the run there with --resume"
+        )
     if train and cfg.calib_layers == 0:
         raise UsageError(
             "calib_layers is 0, so no layer takes the relation bias and there is no adapter to train; "
@@ -190,7 +200,7 @@ def stage_train(cfg: PipelineConfig, inputs: dict[str, str], dim: int, calibrate
     if _check_resume(final, cfg, inputs, resume):
         return load_checkpoint(final, dim, cfg.calibration())
     prov = run_provenance(cfg, "train", inputs)
-    return train_loop(calibrated, dim, cfg, out_dir=out_dir, provenance=prov).adapter
+    return train_loop(calibrated, dim, cfg, out_dir=out_dir, provenance=prov)
 
 
 def stage_dynamic(cfg: PipelineConfig, inputs: dict[str, str], weights, bank, dataset: ToyDataset, adapter, calibrated):

@@ -214,12 +214,6 @@ def training_bytes(config: PipelineConfig, dim: int, grid: tuple[int, int]) -> i
     return 36 * params + 8 * config.batch_size * image
 
 
-@dataclass
-class TrainResult:
-    adapter: AdapterParams
-    curve: list[tuple[int, float]]  # (iteration, mean diversity loss)
-
-
 def _iteration_loss(
     static: list[CamResult],
     iteration: int,
@@ -263,7 +257,7 @@ def train_loop(
     config: PipelineConfig,
     out_dir,
     provenance: dict,
-) -> TrainResult:
+) -> AdapterParams:
     """Seeded single-writer optimization of the adapter on the diversity loss.
 
     `static` holds each image's calibrated pass (`run_static_passes`
@@ -273,7 +267,7 @@ def train_loop(
     gradient on the static traces, one AdamW step on the mean batch
     gradients. Writes the checkpoints, stamped with `provenance`, and the
     loss-curve CSV into `out_dir`; the final checkpoint, the stage's resume
-    key, lands last.
+    key, lands last. Returns the trained adapter.
     """
     adapter = init_adapter(
         Rng(config.seed).child("adapter"),
@@ -305,7 +299,7 @@ def train_loop(
     write_loss_curve(out_dir / "loss_curve.csv", curve)
     final = config.iterations
     save_checkpoint(checkpoint_path(out_dir, final), adapter, {**meta, "iteration": final}, provenance=provenance)
-    return TrainResult(adapter=adapter, curve=curve)
+    return adapter
 
 
 def write_loss_curve(path, curve) -> Path:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +84,13 @@ def save_non_finite(path, tensors, **kwargs):
     manifest = json.loads(path.read_text())
     manifest["checksum_sha256"] = hashlib.sha256(blob).hexdigest()
     return write_json(path, manifest)
+
+
+def read_loss_curve(path):
+    """The (iteration, loss) rows of a `loss_curve.csv`, whose `repr`
+    floats parse back to the losses training computed, bit for bit."""
+    _, *rows = Path(path).read_text(encoding="ascii").splitlines()
+    return [(int(it), float(div)) for it, div in (row.split(",") for row in rows)]
 
 
 def every_pair(labels):

@@ -39,7 +39,7 @@ from excel.text_enrichment import (
     hunt_attributes,
 )
 from excel.training_eval import evaluate, train_loop, upsample_labels
-from conftest import assert_masks_oracle, every_pair, one_image_gradient, oracle_relation
+from conftest import assert_masks_oracle, every_pair, one_image_gradient, oracle_relation, read_loss_curve
 
 TRAIN_ITERATIONS = 500
 
@@ -81,7 +81,8 @@ def toy_run(tmp_path_factory, fixture_paths, fixture_weights, fixture_dataset, f
     backbone_before = b"".join(
         arr.tobytes() for arr in fixture_weights.tensors.values()
     )
-    train_result = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path_factory.mktemp("train"), {})
+    train_dir = tmp_path_factory.mktemp("train")
+    adapter = train_loop(fixture_static, fixture_weights.dim, cfg, train_dir, {})
     backbone_after = b"".join(
         arr.tobytes() for arr in fixture_weights.tensors.values()
     )
@@ -90,7 +91,7 @@ def toy_run(tmp_path_factory, fixture_paths, fixture_weights, fixture_dataset, f
         for res in dynamic_cams(
             fixture_dataset.images,
             fixture_weights,
-            train_result.adapter,
+            adapter,
             bank,
             cfg.tau_fg,
             cfg.tau_bg,
@@ -104,7 +105,7 @@ def toy_run(tmp_path_factory, fixture_paths, fixture_weights, fixture_dataset, f
         "miou_vanilla": miou_of(vanilla_labels),
         "miou_unclustered": miou_of(unclustered_labels),
         "miou_dynamic": miou_of(dynamic_labels),
-        "curve": train_result.curve,
+        "curve": read_loss_curve(train_dir / "loss_curve.csv"),
         "backbone_unchanged": backbone_before == backbone_after,
         "elapsed": elapsed,
     }

@@ -19,10 +19,12 @@ from excel.cli import build_parser, main
 from excel.config import PATH_KEYS, PipelineConfig, load_config, parse_config, save_config
 from excel.dynamic_calibration import biased_relations
 from excel.encoder import LAYER_COUNT, Calibration, encode_stack, load_weights, save_weights
+from excel.errors import UsageError
 from excel.hashing import fnv1a64
 from excel.fixtures import FixtureSpec, generate_fixtures, make_encoder_weights
 from excel.images import read_pgm, read_ppm, rgb_to_chw, write_pgm
 from excel.numerics import Rng
+from excel.pipeline import run_pipeline
 from excel.text_enrichment import build_text_bank, ingest_knowledge, save_bank
 from excel.training_eval import attn_report, load_checkpoint
 from conftest import save_non_finite
@@ -38,11 +40,11 @@ def cli_fixtures(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def cli_trained(cli_fixtures, tmp_path_factory):
-    """A one-iteration `excel train` run: (its out_dir, its config path)."""
+    """A one-iteration full `excel run`: (its out_dir, its config path)."""
     root = tmp_path_factory.mktemp("clitrain")
     out_dir = root / "dynrun"
     cfg_path = write_cli_config(root / "cfg.json", cli_fixtures, out_dir, iterations=1)
-    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["run", "--config", str(cfg_path)]) == 0
     return out_dir, cfg_path
 
 
@@ -222,32 +224,54 @@ def test_run_and_eval_cli(cli_fixtures, tmp_path):
 
 
 def test_train_cli(cli_fixtures, tmp_path):
+    # `excel run` is the command that trains: a full run leaves the loss
+    # curve and the final checkpoint under train/
     out_dir = tmp_path / "trainrun"
     cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out_dir, iterations=2)
-    code = main(["train", "--config", str(cfg_path)])
+    code = main(["run", "--config", str(cfg_path)])
     assert code == 0
     assert (out_dir / "train" / "loss_curve.csv").exists()
     assert (out_dir / "train" / "checkpoint_000002.json").exists()
 
 
-def test_train_and_run_write_the_same_training_output(cli_fixtures, tmp_path):
-    # `excel train` runs run's stages up to training: for one config both
-    # must leave byte-identical train/ trees and attribute banks, under the
-    # default calibration and one off it
-    for name, calibration in (("default", {}), ("calib3", {"calib_layers": 3})):
-        trees = []
-        for command in ("train", "run"):
-            out_dir = tmp_path / name / command
-            cfg_path = write_cli_config(
-                tmp_path / f"{name}-{command}.json", cli_fixtures, out_dir,
-                iterations=3, checkpoint_every=2, **calibration,
-            )
-            assert main([command, "--config", str(cfg_path)]) == 0
-            files = [out_dir / "attrs.json", out_dir / "attrs.bin", *sorted((out_dir / "train").rglob("*"))]
-            trees.append({p.relative_to(out_dir): p.read_bytes() for p in files if p.is_file()})
-        assert Path("train/checkpoint_000002.json") in trees[0], name
-        assert trees[0].keys() == trees[1].keys(), name
-        assert [path for path in trees[0] if trees[0][path] != trees[1][path]] == [], name
+def test_train_is_no_command(cli_fixtures, tmp_path, capsys):
+    # training is a stage of `excel run`; `excel train` is an unknown
+    # command, refused as the command line is parsed, before any file is
+    # read or written
+    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", iterations=1)
+    assert "invalid choice: 'train'" in _main_error(capsys, ["train", "--config", str(cfg_path)], 1)
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def _tree(root):
+    """Every file under `root`, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_run_into_a_directory_that_holds_files_is_refused(cli_fixtures, tmp_path, capsys):
+    # an output tree holds one run: a static-only run under another config
+    # into a full run's out_dir exits 1 in one line naming the directory
+    # and --resume, and leaves every file of the first run as it was
+    out_dir = tmp_path / "out"
+    full = write_cli_config(tmp_path / "full.json", cli_fixtures, out_dir, iterations=4, checkpoint_every=2)
+    assert main(["run", "--config", str(full)]) == 0
+    before = _tree(out_dir)
+    assert Path("train/checkpoint_000002.json") in before and Path("dynamic") in {p.parent for p in before}
+    static = write_cli_config(tmp_path / "static.json", cli_fixtures, out_dir, lam=0.0)
+    line = _main_error(capsys, ["run", "--config", str(static), "--mode", "static-only"], 1)
+    assert str(out_dir) in line and "--resume" in line
+    assert _tree(out_dir) == before
+    with pytest.raises(UsageError, match="already holds files"):
+        run_pipeline(load_config(static), mode="static-only")
+    assert _tree(out_dir) == before
+    # any file counts, however deep; an existing directory without one is a new tree
+    fresh = tmp_path / "fresh"
+    (fresh / "static").mkdir(parents=True)
+    (fresh / "static" / "note.txt").write_text("mine")
+    again = write_cli_config(tmp_path / "again.json", cli_fixtures, fresh, lam=0.0)
+    assert "--resume" in _main_error(capsys, ["run", "--config", str(again), "--mode", "static-only"], 1)
+    (fresh / "static" / "note.txt").unlink()
+    assert main(["run", "--config", str(again), "--mode", "static-only"]) == 0
 
 
 def _with_head_tensors(checkpoint, path):
@@ -561,22 +585,22 @@ def test_exit_code_malformed_checkpoint_meta(cli_fixtures, cli_trained, tmp_path
 
 
 @pytest.mark.parametrize(
-    "command, setting, message",
+    "setting, message",
     [
-        ("run", {"alpha": 1e300}, "relation matrix contains non-finite values"),
-        ("train", {"lr": 1e300}, "non-finite update for parameter 'delta.00.w'"),
+        ({"alpha": 1e300}, "relation matrix contains non-finite values"),
+        ({"lr": 1e300}, "non-finite update for parameter 'delta.00.w'"),
     ],
     ids=["run-alpha", "train-lr"],
 )
-def test_numeric_failure_prints_only_its_error_line(cli_fixtures, tmp_path, command, setting, message):
+def test_numeric_failure_prints_only_its_error_line(cli_fixtures, tmp_path, setting, message):
     # values past the float32 range make numpy warn as they are cast; the
     # warnings print nothing before the one `error:` line, and a failed
     # training writes no final checkpoint
     out_dir = tmp_path / "out"
     cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out_dir, iterations=1, **setting)
-    proc = run_excel(command, "--config", str(cfg_path))
+    proc = run_excel("run", "--config", str(cfg_path))
     assert message in one_error_line(proc.returncode, proc.stderr, 3)
-    if command == "train":
+    if "lr" in setting:
         assert not (out_dir / "train" / "checkpoint_000001.json").exists()
 
 
@@ -618,11 +642,11 @@ def test_training_sizes_over_their_bound_are_refused_before_any_output(cli_fixtu
 
 def test_runs_that_train_need_a_calibrated_layer(cli_fixtures, cli_trained, tmp_path, capsys):
     # at calib_layers 0 no layer takes the relation bias: a full run, with
-    # or without --resume, and `train` are refused before any output; the
-    # static-only baseline runs, and so do requests that train nothing
+    # or without --resume, is refused before any output; the static-only
+    # baseline runs, and so do requests that train nothing
     out_dir = tmp_path / "run"
     cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out_dir, iterations=1, calib_layers=0)
-    for argv in (["run"], ["run", "--resume"], ["train"]):
+    for argv in (["run"], ["run", "--resume"]):
         line = _main_error(capsys, [*argv, "--config", str(cfg)], 1)
         assert "calib_layers is 0" in line and "no layer takes the relation bias" in line
         assert "--mode static-only" in line
@@ -744,7 +768,7 @@ def test_attn_report_reads_the_calibration_an_adapter_was_trained_under_from_its
     cfg_path = write_cli_config(
         tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", iterations=1, calib_weights=[0.5, 0.25, 0.25]
     )
-    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["run", "--config", str(cfg_path)]) == 0
     checkpoint = tmp_path / "run" / "train" / "checkpoint_000001.json"
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
     argv = ["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
@@ -1028,7 +1052,7 @@ def test_exit_code_dataset_bad_json(cli_fixtures, tmp_path, capsys, name, edit):
     assert str(dataset / name) in _main_error(capsys, argv, 2)
 
 
-@pytest.mark.parametrize("command", ["run", "train"])
+@pytest.mark.parametrize("command", ["run"])  # the one command that loads a dataset
 def test_exit_code_empty_label_list(cli_fixtures, tmp_path, capsys, command):
     # an image with no foreground class is refused with the other inputs,
     # before any output is written
@@ -1194,7 +1218,7 @@ def two_class_knowledge(tmp_path_factory):
     return generate_fixtures(42, FixtureSpec(classes=2, images=4), root)["knowledge"]
 
 
-@pytest.mark.parametrize("case", ["run-two-classes", "run-reordered", "train-reordered"])
+@pytest.mark.parametrize("case", ["run-two-classes", "run-reordered"])
 def test_exit_code_bank_classes_differ_from_dataset(cli_fixtures, two_class_knowledge, tmp_path, case):
     # a knowledge file whose classes are not the dataset's foreground classes
     # in order fails where the two meet, naming both files, before any CAM
@@ -1206,7 +1230,7 @@ def test_exit_code_bank_classes_differ_from_dataset(cli_fixtures, two_class_know
         knowledge = _with_meta(source, tmp_path / "knowledge.json", "classes", reordered)
     out = tmp_path / "out"
     cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out, knowledge=str(knowledge))
-    proc = run_excel(case.split("-")[0], "--config", str(cfg_path))
+    proc = run_excel("run", "--config", str(cfg_path))
     line = one_error_line(proc.returncode, proc.stderr, 2)
     assert str(knowledge) in line and str(cli_fixtures / "dataset" / "classes.json") in line
     # the bank is checked before it is saved: no output directory is created
@@ -1220,7 +1244,7 @@ def wide_dataset(tmp_path_factory):
     return generate_fixtures(42, FixtureSpec(images=2, image_size=128), root)["dataset"]
 
 
-@pytest.mark.parametrize("command", ["run", "train"])
+@pytest.mark.parametrize("command", ["run"])  # the one command that loads a dataset
 def test_exit_code_dataset_image_size_differs_from_weights(cli_fixtures, wide_dataset, tmp_path, command):
     # 128 px images against weights for 64 px fail while the dataset is
     # loaded, naming the image and both sizes, before any output is written

@@ -195,7 +195,7 @@ def test_mutated_config_fails_cleanly(small, edit, raw):
 
 @pytest.fixture(scope="module")
 def small_checkpoint(small, tmp_path_factory):
-    """(out_dir, final checkpoint) of a one-iteration `excel train` run on
+    """(out_dir, final checkpoint) of a one-iteration full `excel run` on
     the small fixture, under the default calibration."""
     root = tmp_path_factory.mktemp("props-train")
     mapping = {
@@ -207,7 +207,7 @@ def small_checkpoint(small, tmp_path_factory):
         "iterations": 1,
     }
     (root / "cfg.json").write_text(json.dumps(mapping))
-    assert main(["train", "--config", str(root / "cfg.json")]) == 0
+    assert main(["run", "--config", str(root / "cfg.json")]) == 0
     return root / "run", root / "run" / "train" / "checkpoint_000001.json"
 
 

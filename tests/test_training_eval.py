@@ -28,7 +28,7 @@ from excel.training_eval import (
     upsample_labels,
     write_loss_curve,
 )
-from conftest import one_image_gradient
+from conftest import one_image_gradient, read_loss_curve
 
 
 def small_config(**overrides):
@@ -314,15 +314,15 @@ def test_attn_report_requires_policy(tmp_path):
 
 def test_train_loop_zero_iterations_returns_init(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=0)
-    result = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
+    adapter = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
     fresh = init_adapter(
         Rng(cfg.seed).child("adapter"), fixture_weights.dim,
         cfg.d_proj, cfg.d_dyn, cfg.fusion_kernel, cfg.adapter_init_sigma, cfg.alpha, cfg.beta,
     )
-    assert list(result.adapter.tensors) == list(fresh.tensors)
-    for a, b in zip(result.adapter.tensors.values(), fresh.tensors.values()):
+    assert list(adapter.tensors) == list(fresh.tensors)
+    for a, b in zip(adapter.tensors.values(), fresh.tensors.values()):
         assert np.array_equal(a, b)
-    assert result.curve == []
+    assert read_loss_curve(tmp_path / "loss_curve.csv") == []
 
 
 def test_iteration_loss_is_the_per_image_mean_in_batch_order(fixture_weights, fixture_static):
@@ -414,11 +414,11 @@ def test_train_loop_divergence_aborts(monkeypatch, tmp_path, fixture_weights, fi
 
 def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=2)
-    result = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
+    trained = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
     path = tmp_path / "checkpoint_000002.json"
     adapter = load_checkpoint(path, fixture_weights.dim, cfg.calibration())
-    assert list(adapter.tensors) == list(result.adapter.tensors)
-    for a, b in zip(adapter.tensors.values(), result.adapter.tensors.values()):
+    assert list(adapter.tensors) == list(trained.tensors)
+    for a, b in zip(adapter.tensors.values(), trained.tensors.values()):
         assert np.array_equal(a, b)
     assert (adapter.alpha, adapter.beta) == (cfg.alpha, cfg.beta)
     meta = load_tensors(path).meta
@@ -480,21 +480,21 @@ def test_loss_curve_bytes(tmp_path):
 
 def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=4, checkpoint_every=2)
-    result = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
-    curve = {row[0]: row for row in result.curve}
+    train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
+    curve = dict(read_loss_curve(tmp_path / "loss_curve.csv"))
     for k in (0, 2):
         adapter = load_checkpoint(tmp_path / f"checkpoint_{k:06d}.json", fixture_weights.dim, cfg.calibration())
         work = np.empty((2, sum(t.size for t in adapter.tensors.values())))
         div = training_eval._iteration_loss(fixture_static, k, cfg, adapter, work)[0]
-        assert div == pytest.approx(curve[k][1], abs=1e-5)
+        assert div == pytest.approx(curve[k], abs=1e-5)
 
 
 def test_train_loop_with_pair_subsampling(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=2, pair_sample_limit=10)
-    r1 = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path / "1", {})
-    r2 = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path / "2", {})
-    assert r1.curve == r2.curve
-    for a, b in zip(r1.adapter.tensors.values(), r2.adapter.tensors.values()):
+    a1 = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path / "1", {})
+    a2 = train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path / "2", {})
+    assert read_loss_curve(tmp_path / "1" / "loss_curve.csv") == read_loss_curve(tmp_path / "2" / "loss_curve.csv")
+    for a, b in zip(a1.tensors.values(), a2.tensors.values()):
         assert np.array_equal(a, b)
 
 
@@ -529,8 +529,8 @@ def test_train_loop_runs_one_static_pass_per_image(
         for name in ("encode", "encode_stack"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    result = train_loop(static, fixture_weights.dim, cfg, tmp_path, {})
-    assert len(result.curve) == 17
+    train_loop(static, fixture_weights.dim, cfg, tmp_path, {})
+    assert len(read_loss_curve(tmp_path / "loss_curve.csv")) == 17
 
 
 def test_config_validation_errors():

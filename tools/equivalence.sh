@@ -8,7 +8,7 @@
 # `tools/compare.sh [REV]` runs these three steps against a git revision.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
-# About 15 s on a 2-vCPU VM.
+# About 10 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -104,11 +104,9 @@ excel run --config batch6.json > run-batch6.log
 config batch1.json batch1 fx '"iterations": 3, "batch_size": 1'
 excel run --config batch1.json > run-batch1.log
 
-config train.json train fx '"iterations": 5, "checkpoint_every": 2'
-excel train --config train.json > train.log
-# no iterations: the empty loss curve's print
+# no iterations: the empty loss curve, and dynamic CAMs under the initial adapter
 config train0.json train0 fx '"iterations": 0'
-excel train --config train0.json > train0.log
+excel run --config train0.json > train0.log
 # every config key off its default, so the parse, run_config.json and each
 # checkpoint's train_config are compared on values no other run sets
 every_key='"lr": 2e-4, "weight_decay": 0.02, "iterations": 3, "batch_size": 3,
@@ -117,8 +115,6 @@ every_key='"lr": 2e-4, "weight_decay": 0.02, "iterations": 3, "batch_size": 3,
     "adapter_init_sigma": 0.03, "pair_sample_limit": 2048, "checkpoint_every": 2, "divergence_threshold": 500.0'
 SEED=11 config every-key-run.json every-key-run fx32 "$every_key"
 excel run --config every-key-run.json > run-every-key.log
-SEED=11 config every-key-train.json every-key-train fx32 "$every_key"
-excel train --config every-key-train.json > train-every-key.log
 
 excel build-attrs --kb fx/knowledge.json --clusters 16 --lambda 0.5 --seed 7 --out bank-0.5.json > build-attrs-0.5.log
 excel build-attrs --kb fx/knowledge.json --clusters 16 --lambda 0 --seed 7 --out bank-0.json > build-attrs-0.log
