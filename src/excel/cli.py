@@ -5,6 +5,7 @@ Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric error.
 """
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -61,7 +62,10 @@ _REPORT_POLICIES = (*_REPORT_BASELINES, "ic", "icb")
 _FIXTURE_FLAGS = ("classes", "images", "image_size", "dim", "heads", "patch_size")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The `excel` parser, built once per process: argparse keeps no state
+    between `parse_args` calls, each of which fills a fresh namespace."""
     parser = _Parser(prog="excel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -380,9 +380,12 @@ def _heads_qkv(h: np.ndarray, lw: dict[str, np.ndarray], heads: int, layer: int)
 # and per block of heads. An image counts as the larger of its (H, T, T)
 # attention maps and its (T, mlp_dim) MLP hidden activations. A 64 px
 # fixture image (T=17) counts 4352 MLP elements, so 30 fit a chunk, and a
-# 32-image loop runs as two passes of 16, in flight at once: `encode_chunks`
-# over the 32 fixture images took 57 ms against 88 ms as one chunk
-# (median of 15). Past about 30 T=17 images a pass gets slower per image:
+# 32-image loop runs as two passes of 16, in flight at once. At T=17 the
+# pairing gains nothing on a 2-vCPU VM: `encode_chunks` over the 32 fixture
+# images took 51.7 ms paired, 50.8 ms with the two chunks in series and
+# 50.5 ms as one chunk (median of 15); it pays at T=257, where 8 images in
+# chunks of one took 281 ms paired against 463 ms in series (median of 9).
+# Past about 30 T=17 images a pass gets slower per image:
 # 128 images took 440, 364, 370, 439 and 412 ms in serial passes of 8,
 # 16, 32, 64 and 128 (median of 9). A T=257 image (or a ViT-B T=197 one) fills a chunk alone, since stacking
 # is slower there (8 T=257 images: best of 7 0.82 s in chunks of one,

@@ -4,8 +4,9 @@ CAMs -> evaluation, each stage writing provenance-stamped artifacts.
 Every artifact embeds {stage, seed, config_hash, inputs}, `inputs` being
 the SHA-256 digests of the weights manifest, the knowledge manifest and the
 dataset files; resuming into an output directory whose artifacts carry a
-different config hash or input digest is refused, and so is a run without
-resume into one that holds any file.
+different config hash or input digest is refused, and so are a run without
+resume into one that holds any file and a static-only resume over a full
+run's tree.
 """
 
 import dataclasses
@@ -68,6 +69,15 @@ def _check_resume(path: Path, cfg: PipelineConfig, inputs: dict[str, str], resum
     return True
 
 
+def _holds_full_run(out: Path) -> bool:
+    """Whether the tree at `out` holds a full run's files: any under
+    `train/` or `dynamic/`, or a `report.json` of the dynamic stage."""
+    if any(path.is_file() for stage in ("train", "dynamic") for path in (out / stage).rglob("*")):
+        return True
+    report = out / "report.json"
+    return report.exists() and read_json_object(report, "artifact", DataError).get("evaluated_stage") == "dynamic"
+
+
 def _file_digest(path, what: str) -> str:
     """SHA-256 hex digest of the bytes of `path`, the `what` of a run."""
     path = Path(path)
@@ -122,7 +132,8 @@ def load_inputs(cfg: PipelineConfig, resume: bool = False, train: bool = False):
     of `report.json`, then the attribute stage's bank against both.
 
     An output tree holds one run: without `resume`, an `out_dir` that
-    holds any file is refused before anything is read.
+    holds any file is refused before anything is read, and so is a
+    static-only resume (not `train`) over a full run's tree.
 
     A run that will `train` the adapter needs a calibrated layer, since
     only those take its relation bias, and `training_bytes` within
@@ -138,6 +149,11 @@ def load_inputs(cfg: PipelineConfig, resume: bool = False, train: bool = False):
         raise UsageError(
             f"output directory {out} already holds files; a run writes into a new or empty directory, "
             "or continues the run there with --resume"
+        )
+    if resume and not train and _holds_full_run(out):
+        raise UsageError(
+            f"refusing to resume: {out} holds a --mode full run, and --mode static-only would leave its "
+            "train/ and dynamic/ beside a static report; resume it with --mode full"
         )
     if train and cfg.calib_layers == 0:
         raise UsageError(

@@ -57,6 +57,48 @@ def test_non_finite_tensor_is_refused_at_load(tmp_path, value):
         load_tensors(path)
 
 
+def _three_tensors():
+    # 3 * 50 000 values: the finiteness pass over the blob takes 3 slices, the last a part one
+    gen = Rng(8).generator()
+    return {name: gen.standard_normal(50_000).astype(np.float32) for name in ("first", "middle", "last")}
+
+
+def test_nan_in_the_last_value_of_the_last_tensor_is_refused(tmp_path):
+    tensors = _three_tensors()
+    tensors["last"][-1] = np.nan
+    path = save_non_finite(tmp_path / "t.json", tensors)
+    with pytest.raises(NumericError, match=r"tensor 'last' in .*t\.json contains non-finite values"):
+        load_tensors(path)
+
+
+def test_the_first_non_finite_tensor_in_manifest_order_is_named(tmp_path):
+    # infinities in the blob's first and last tensors: the error names the
+    # one the manifest lists first, also when it lists them last to first
+    tensors = _three_tensors()
+    tensors["first"][7] = np.inf
+    tensors["last"][0] = -np.inf
+    path = save_non_finite(tmp_path / "t.json", tensors)
+    with pytest.raises(NumericError, match=r"tensor 'first' in"):
+        load_tensors(path)
+    manifest = json.loads(path.read_text())
+    manifest["tensors"].reverse()
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(NumericError, match=r"tensor 'last' in"):
+        load_tensors(path)
+
+
+def test_a_bad_checksum_is_reported_before_a_nan(tmp_path):
+    tensors = _sample_tensors()
+    tensors["alpha"][0, 0] = np.nan
+    path = save_non_finite(tmp_path / "t.json", tensors)
+    blob = tmp_path / "t.bin"
+    raw = bytearray(blob.read_bytes())
+    raw[-1] ^= 0x01
+    blob.write_bytes(bytes(raw))
+    with pytest.raises(ChecksumError, match="does not match"):
+        load_tensors(path)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "past-float32"])
 def test_non_finite_tensor_is_refused_at_save(tmp_path, value):
     # a float64 value past the float32 range is stored as inf: refused too,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -274,6 +275,39 @@ def test_a_run_into_a_directory_that_holds_files_is_refused(cli_fixtures, tmp_pa
     assert main(["run", "--config", str(again), "--mode", "static-only"]) == 0
 
 
+def test_a_static_only_resume_over_a_full_run_is_refused(cli_fixtures, cli_trained, tmp_path, capsys):
+    # a full run's tree under its own config: a static-only --resume exits 1
+    # in one line naming the directory and both modes, and writes nothing
+    out_dir = tmp_path / "out"
+    shutil.copytree(cli_trained[0], out_dir)
+    cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out_dir, iterations=1)
+    before = _tree(out_dir)
+    argv = ["run", "--config", str(cfg), "--mode", "static-only", "--resume"]
+    line = _main_error(capsys, argv, 1)
+    assert str(out_dir) in line and "--mode full" in line and "--mode static-only" in line
+    assert _tree(out_dir) == before
+    # each mark of the full run is refused alone: a dynamic report, a file under train/ or under dynamic/
+    report = out_dir / "report.json"
+    for stage in ("train", "dynamic"):
+        shutil.rmtree(out_dir / stage)
+    assert json.loads(report.read_text())["evaluated_stage"] == "dynamic"
+    _main_error(capsys, argv, 1)
+    report.unlink()
+    for stage in ("train", "dynamic"):
+        (out_dir / stage / "sub").mkdir(parents=True)
+        (out_dir / stage / "sub" / "note.txt").write_text("mine")
+        _main_error(capsys, argv, 1)
+        shutil.rmtree(out_dir / stage)
+    # a static-only resume over a static-only tree runs, and a full resume
+    # over that gives the full run's tree again
+    assert main(argv) == 0
+    assert json.loads(report.read_text())["evaluated_stage"] == "static"
+    assert main(["run", "--config", str(cfg), "--mode", "full", "--resume"]) == 0
+    assert json.loads(report.read_text())["evaluated_stage"] == "dynamic"
+    capsys.readouterr()
+    assert _tree(out_dir) == _tree(cli_trained[0])
+
+
 def _with_head_tensors(checkpoint, path):
     """A copy of `checkpoint` in the older layouts, which also stored an
     affine segmentation head and its label count, and the relation
@@ -324,6 +358,49 @@ def test_cam_dynamic_cli(cli_fixtures, cli_trained, tmp_path):
     assert cam(legacy, tmp_path / "legacycams") == 0
     for path in sorted(out.iterdir()):
         assert (tmp_path / "legacycams" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_cam_requests_in_one_process_are_first_calls(cli_fixtures, cli_trained, tmp_path, capsys, monkeypatch):
+    # one process serves a dynamic request, a usage error, a static request
+    # without --adapter and the dynamic request again: each exits and writes
+    # as in a fresh interpreter, no flag carries over, and only the first
+    # main() of a process builds the parser
+    run_dir, cfg_path = cli_trained
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    labels = json.loads((cli_fixtures / "dataset" / "labels.json").read_text())[image.stem]
+    inputs = [
+        "--weights", str(cli_fixtures / "encoder.json"), "--bank", str(run_dir / "attrs.json"),
+        "--image", str(image), "--labels", ",".join(map(str, labels)), "--config", str(cfg_path),
+    ]
+    adapter = ["--adapter", str(run_dir / "train" / "checkpoint_000001.json")]
+    requests = {
+        "dynamic": ["cam", "--mode", "dynamic", *inputs, *adapter],
+        "usage": ["cam", "--mode", "static", *inputs, *adapter],
+        "static": ["cam", "--mode", "static", *inputs],
+    }
+
+    def argv(name, out):
+        return [*requests[name], "--out", str(out)]
+
+    fresh = {}
+    for name in requests:
+        proc = run_excel(*argv(name, tmp_path / f"fresh-{name}"))
+        fresh[name] = (proc.returncode, proc.stderr, _tree(tmp_path / f"fresh-{name}") if proc.returncode == 0 else {})
+    assert [code for code, _, _ in fresh.values()] == [0, 1, 0]
+    assert "static mode reads no --adapter" in fresh["usage"][1]
+    assert fresh["dynamic"][2] != fresh["static"][2] and len(fresh["static"][2]) == 3
+
+    added = []
+    real = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", lambda *a, **k: added.append(1) or real(*a, **k))
+    for i, name in enumerate(["dynamic", "usage", "static", "dynamic"]):
+        before = len(added)
+        out = tmp_path / f"call{i}-{name}"
+        code = main(argv(name, out))
+        if i > 0:
+            assert len(added) == before, f"call {i} built the parser again"
+        assert (code, capsys.readouterr().err) == fresh[name][:2]
+        assert (_tree(out) if out.exists() else {}) == fresh[name][2], name
 
 
 def _as_v1(manifest_path, out_path):
