@@ -43,13 +43,13 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
     return value
 
 
@@ -77,8 +77,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("build-attrs", help="cluster a knowledge file into an attribute bank")
     p.add_argument("--kb", required=True)
-    p.add_argument("--clusters", type=_positive_int, required=True)
-    p.add_argument("--topk", type=_positive_int, default=PipelineConfig.topk)
+    p.add_argument("--clusters", type=functools.partial(_int_at_least, 0), required=True, help="0: no clustering")
+    p.add_argument("--topk", type=functools.partial(_int_at_least, 1), default=PipelineConfig.topk)
     p.add_argument("--lambda", dest="lam", type=_non_negative_float, default=PipelineConfig.lam)
     p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--out", required=True)

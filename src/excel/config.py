@@ -66,7 +66,7 @@ class PipelineConfig:
             (self.alpha > 0, f"alpha must be positive, got {self.alpha}"),
             (self.topk >= 1, f"topk must be >= 1, got {self.topk}"),
             (self.lam >= 0, f"lambda must be >= 0, got {self.lam}"),
-            (self.clusters >= 1, f"clusters must be >= 1, got {self.clusters}"),
+            (self.clusters >= 0, f"clusters must be >= 0, got {self.clusters}"),
             (self.d_proj >= 1 and self.d_dyn >= 1, "adapter dims must be >= 1"),
             (self.fusion_kernel in (1, 3), f"fusion kernel must be 1 or 3, got {self.fusion_kernel}"),
             (self.adapter_init_sigma >= 0, "adapter init sigma must be >= 0"),

@@ -77,10 +77,12 @@ class AdapterParams:
         w, k = self.tensors["fusion.w"], self.kernel
         return w.astype(np.float64, copy=False).reshape(w.shape[0], w.shape[1], k, k)
 
-    def flattened(self, dtype=np.float32) -> tuple[np.ndarray, "AdapterParams"]:
-        """One vector holding the tensors as `dtype`, in table order, and
-        the same adapter with views of that vector as its tensors."""
-        flat = np.concatenate([t.ravel() for t in self.tensors.values()], dtype=dtype)
+    def flattened(self, out=None) -> tuple[np.ndarray, "AdapterParams"]:
+        """One vector holding the tensors in table order, a new float32 one
+        or `out` written over, and the same adapter with views of that
+        vector as its tensors."""
+        dtype = np.float32 if out is None else None
+        flat = np.concatenate([t.ravel() for t in self.tensors.values()], out=out, dtype=dtype)
         return flat, AdapterParams(flat_views(flat, self.shapes), self.alpha, self.beta)
 
 

@@ -103,7 +103,3 @@ def read_pgm(path, data: bytes | None = None) -> np.ndarray:
     if len(payload) != need:
         raise DataError(f"{path}: expected {need} pixel bytes, found {len(payload)}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
-
-
-def read_comments(path, magic: bytes = b"P5") -> list[str]:
-    return _parse_netpbm(path, magic)[3]

@@ -266,21 +266,21 @@ def build_text_bank(
     topk: int,
     lam: float,
     rng: Rng,
-    clustered: bool = True,
 ) -> TextRepresentation:
-    """Cluster the knowledge base and enrich every class template.
+    """Cluster the knowledge base into `clusters` attributes and enrich
+    every class template with its `topk` nearest.
 
-    clustered=False skips the attribute space and folds each class's own
-    description embeddings directly (the no-clustering baseline).
+    clusters=0 is the no-clustering baseline: no attribute space, and each
+    class folds all of its own description embeddings; `topk` is unused.
     """
     indices, scores, columns = [], [], []
     centroids = raw = None
-    if clustered:
+    if clusters:
         attrs = cluster_attributes(kb, clusters, rng.child("clustering"))
         centroids, raw = attrs.centroids, attrs.raw_centroids
     for c in range(kb.num_classes):
         template = kb.templates[:, c]
-        if clustered:
+        if clusters:
             idx, sc = hunt_attributes(template, centroids, topk)
             neighbors = centroids[:, idx]
         else:
@@ -305,8 +305,8 @@ def build_text_bank(
 
 def attribute_bank(knowledge_path, clusters: int, topk: int, lam: float, seed: int) -> TextRepresentation:
     """The attribute stage's bank, as `excel build-attrs` and a run both
-    build it: the knowledge file clustered and enriched on the
-    `attributes` stream of `seed`."""
+    build it: the knowledge file clustered (unless `clusters` is 0) and
+    enriched on the `attributes` stream of `seed`."""
     kb = ingest_knowledge(knowledge_path)
     return build_text_bank(kb, clusters=clusters, topk=topk, lam=lam, rng=Rng(seed).child("attributes"))
 

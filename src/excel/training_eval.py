@@ -237,9 +237,7 @@ def _iteration_loss(
         for j, sres in enumerate(picked)
     ]
     flat, grad = work
-    # converted once, read by the whole stack
-    np.concatenate([t.ravel() for t in adapter.tensors.values()], out=flat)
-    adapter = AdapterParams(flat_views(flat, adapter.shapes), adapter.alpha, adapter.beta)
+    _, adapter = adapter.flattened(flat)  # converted once, read by the whole stack
     grad.fill(0.0)
     losses = diversity_loss_gradient_stack(
         [sres.trace for sres in picked], adapter, batches, flat_views(grad, adapter.shapes)
@@ -358,7 +356,7 @@ def evaluate(preds, gts, num_labels: int) -> EvalReport:
         if p.size and p[p != IGNORE_LABEL].max(initial=0) >= num_labels:
             raise DataError(f"prediction label outside 0..{num_labels - 1}")
         p = np.where(p == IGNORE_LABEL, num_labels, p)
-        np.add.at(conf, (g, p), 1)
+        conf += np.bincount(g * (num_labels + 1) + p, minlength=conf.size).reshape(conf.shape)
     gt_present = conf.sum(axis=1) > 0
     pred_present = conf[:, :num_labels].sum(axis=0) > 0
     union = np.nonzero(gt_present | pred_present)[0]

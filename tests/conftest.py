@@ -74,6 +74,13 @@ def one_image_gradient(trace, params, batch):
     return diversity_loss_gradient_stack([trace], params, [batch], grads)[0], grads
 
 
+def float64_adapter(adapter):
+    """`adapter` with its tensors as views of one float64 vector, the copy
+    `_iteration_loss` makes each iteration and the finite-difference
+    oracles take."""
+    return adapter.flattened(np.empty(sum(t.size for t in adapter.tensors.values())))[1]
+
+
 def save_non_finite(path, tensors, **kwargs):
     """The tensor file `save_tensors` would write for `tensors`, which may
     hold values it refuses: saved as zeros, then the blob rewritten with

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from excel.cli import main
 from excel.config import PipelineConfig, parse_config
 from excel.dynamic_calibration import (
     AdapterParams,
@@ -34,6 +35,7 @@ from excel.pipeline import run_pipeline
 from excel.static_calibration import run_static_passes
 from excel.text_enrichment import (
     KnowledgeBase,
+    attribute_bank,
     build_text_bank,
     cluster_attributes,
     hunt_attributes,
@@ -53,15 +55,13 @@ def ok(num, message):
 
 
 @pytest.fixture(scope="module")
-def toy_run(tmp_path_factory, fixture_paths, fixture_weights, fixture_dataset, fixture_kb, fixture_bank, fixture_static):
+def toy_run(tmp_path_factory, fixture_paths, fixture_weights, fixture_dataset, fixture_bank, fixture_static):
     # fixture_bank is clustered with cfg's topk and lam under seed 7, and
-    # fixture_static is its calibrated pass under cfg's calibration
+    # fixture_static is its calibrated pass under cfg's calibration; the
+    # no-clustering baseline is the bank of a run with clusters 0
     cfg = PipelineConfig(iterations=TRAIN_ITERATIONS, seed=7)
     bank = fixture_bank
-    bank_unclustered = build_text_bank(
-        fixture_kb, clusters=16, topk=cfg.topk, lam=cfg.lam,
-        rng=Rng(cfg.seed).child("attributes"), clustered=False,
-    )
+    bank_unclustered = attribute_bank(fixture_paths["knowledge"], clusters=0, topk=cfg.topk, lam=cfg.lam, seed=cfg.seed)
 
     def miou_of(label_maps):
         preds = [upsample_labels(labels, fixture_weights.patch_size) for labels in label_maps]
@@ -296,6 +296,22 @@ def test_criterion_5_tse_identities(fixture_kb, toy_run):
         f"lambda=0 bitwise; TOPK dominance x1000; mIoU clustered {clustered:.4f} >= "
         f"unclustered {unclustered:.4f} - 0.02",
     )
+
+
+def test_criterion_5_unclustered_baseline_is_a_run(tmp_path, fixture_paths, toy_run):
+    # the no-clustering baseline as `excel run` reaches it: a static-only
+    # run with clusters 0 scores criterion 5's unclustered mIoU to every
+    # digit, and its bank blob is the one `build-attrs --clusters 0` writes
+    inputs = {key: str(fixture_paths[key]) for key in ("weights", "knowledge", "dataset")}
+    cfg = parse_config({**inputs, "seed": 7, "clusters": 0, "out_dir": str(tmp_path / "run")})
+    _, report = run_pipeline(cfg, mode="static-only")
+    assert report.miou == toy_run["miou_unclustered"]
+    bank = tmp_path / "cli" / "attrs.json"
+    argv = ["build-attrs", "--kb", inputs["knowledge"], "--clusters", "0", "--topk", "8", "--lambda", "0.5",
+            "--seed", "7", "--out", str(bank)]
+    assert main(argv) == 0
+    assert bank.with_suffix(".bin").read_bytes() == (tmp_path / "run" / "attrs.bin").read_bytes()
+    ok(5, f"clusters 0 static-only run mIoU {report.miou!r}, the baseline's to every digit; build-attrs bank identical")
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from excel.fixtures import FixtureSpec, generate_fixtures, make_encoder_weights
 from excel.images import read_pgm, read_ppm, rgb_to_chw, write_pgm
 from excel.numerics import Rng
 from excel.pipeline import run_pipeline
-from excel.text_enrichment import build_text_bank, ingest_knowledge, save_bank
+from excel.text_enrichment import build_text_bank, ingest_knowledge, load_bank, save_bank
 from excel.training_eval import attn_report, load_checkpoint
 from conftest import save_non_finite
 
@@ -891,15 +891,27 @@ def test_exit_code_build_attrs_lambda_not_finite_non_negative(cli_fixtures, tmp_
     assert not (tmp_path / "bank.json").exists()
 
 
-@pytest.mark.parametrize("flag", ["--clusters", "--topk"])
-@pytest.mark.parametrize("value", ["0", "-3", "x"])
+@pytest.mark.parametrize(
+    ("value", "flag"), [("-3", "--clusters"), ("x", "--clusters"), ("0", "--topk"), ("-3", "--topk"), ("x", "--topk")]
+)
 def test_exit_code_build_attrs_count_not_a_positive_integer(tmp_path, capsys, flag, value):
     # refused as the command line is parsed: the knowledge file, which does
-    # not exist, is never opened
+    # not exist, is never opened; --clusters 0 is the no-clustering baseline
     argv = ["build-attrs", "--kb", str(tmp_path / "missing.json"), "--clusters", "8", "--out", str(tmp_path / "bank.json")]
     line = _main_error(capsys, [*argv, flag, value], 1)
     assert flag in line and repr(value) in line
     assert not (tmp_path / "bank.json").exists()
+
+
+def test_build_attrs_clusters_zero_writes_an_unclustered_bank(cli_fixtures, tmp_path):
+    out = tmp_path / "bank.json"
+    argv = ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "0", "--out", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads(out.read_text())
+    assert manifest["meta"]["clustered"] is False
+    assert [entry["name"] for entry in manifest["tensors"]] == ["templates", "enriched"]
+    bank = load_bank(out)
+    assert bank.centroids is None and bank.raw_centroids is None
 
 
 def test_exit_code_data_error(cli_fixtures, tmp_path):
@@ -1335,7 +1347,7 @@ def test_exit_code_dataset_image_size_differs_from_weights(cli_fixtures, wide_da
 
 @pytest.mark.parametrize(
     "override",
-    [{"fusion_kernel": 2}, {"alpha": -1}, {"lr": -1}, {"clusters": 0}, {"iterations": -5}],
+    [{"fusion_kernel": 2}, {"alpha": -1}, {"lr": -1}, {"clusters": -1}, {"iterations": -5}],
     ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()),
 )
 def test_exit_code_cam_config_value_out_of_range(cli_fixtures, cli_trained, tmp_path, capsys, override):

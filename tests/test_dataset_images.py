@@ -6,7 +6,7 @@ import pytest
 
 from excel.dataset import load_dataset, save_dataset
 from excel.errors import DataError
-from excel.images import read_comments, read_pgm, read_ppm, rgb_to_chw, write_pgm, write_ppm
+from excel.images import _parse_netpbm, read_pgm, read_ppm, rgb_to_chw, write_pgm, write_ppm
 from excel.numerics import Rng
 
 
@@ -21,7 +21,7 @@ def test_ppm_round_trip(tmp_path):
     write_ppm(path, rgb, comment="hello world")
     back = read_ppm(path)
     assert np.array_equal(back, rgb)
-    assert read_comments(path, b"P6") == ["hello world"]
+    assert _parse_netpbm(path, b"P6")[3] == ["hello world"]
 
 
 def test_pgm_round_trip(tmp_path):
@@ -30,7 +30,7 @@ def test_pgm_round_trip(tmp_path):
     path = tmp_path / "x.pgm"
     write_pgm(path, gray, comment="provenance stage=test seed=1 config=abc")
     assert np.array_equal(read_pgm(path), gray)
-    assert "provenance" in read_comments(path)[0]
+    assert "provenance" in _parse_netpbm(path, b"P5")[3][0]
 
 
 def test_write_twice_identical_bytes(tmp_path):

@@ -22,7 +22,7 @@ from excel.encoder import LAYER_COUNT, AttentionWork, Calibration, LayerTrace, _
 from excel.errors import DataError, NumericError, UsageError
 from excel.numerics import Rng
 from excel.config import PipelineConfig
-from conftest import assert_masks_oracle, every_pair, one_image_gradient, oracle_relation
+from conftest import assert_masks_oracle, every_pair, float64_adapter, one_image_gradient, oracle_relation
 
 
 def trace_from_features(features, grid):
@@ -45,7 +45,7 @@ def tiny_setup(seed=0, fusion_kernel=1, grid=(3, 3), dim=8, d_proj=4, d_dyn=6, s
     trace = trace_from_features(feats, grid)
     adapter = init_adapter(Rng(seed).child("adapter"), dim, d_proj, d_dyn, fusion_kernel, sigma, 3.0, 1.0)
     if float64:
-        adapter = adapter.flattened(np.float64)[1]
+        adapter = float64_adapter(adapter)
     labels = gen.integers(0, 3, size=grid).astype(np.uint8)
     labels[0, 0] = 255
     return trace, adapter, labels
@@ -384,7 +384,7 @@ def test_gradient_of_float64_copy_equals_float32_adapter(fusion_kernel):
     # the copy are the float32 adapter's, byte for byte
     trace, adapter, labels = tiny_setup(seed=14, fusion_kernel=fusion_kernel, float64=False)
     batch = every_pair(labels)
-    copy = adapter.flattened(np.float64)[1]
+    copy = float64_adapter(adapter)
     assert all(a.dtype == np.float64 for a in copy.tensors.values())
     loss32, grads32 = one_image_gradient(trace, adapter, batch)
     loss64, grads64 = one_image_gradient(trace, copy, batch)
@@ -442,9 +442,9 @@ def test_stacked_gradient_equals_the_per_image_sum(fixture_weights, fixture_stat
     # over a batch adds into one flat vector exactly what the stacks of
     # one sum to, from zero and in batch order
     cfg = PipelineConfig()
-    adapter = init_adapter(
+    adapter = float64_adapter(init_adapter(
         Rng(21).child("adapter"), fixture_weights.dim, cfg.d_proj, cfg.d_dyn, fusion_kernel, 0.05, cfg.alpha, cfg.beta
-    ).flattened(np.float64)[1]
+    ))
     traces = [fixture_static[i].trace for i in picks]
     batches = [
         build_affinity_batch(fixture_static[i].labels, limit, Rng(22).child(f"pairs.{j}"))

@@ -266,9 +266,9 @@ def test_pipeline_provenance_stamped(short_run):
     assert payload["provenance"]["seed"] == cfg.seed
     bank_manifest = json.loads((out / "attrs.json").read_text())
     assert bank_manifest["provenance"]["config_hash"] == cfg.digest()
-    from excel.images import read_comments
+    from excel.images import _parse_netpbm
 
-    comment = read_comments(next((out / "static").glob("*.pseudo.pgm")))[0]
+    comment = _parse_netpbm(next((out / "static").glob("*.pseudo.pgm")), b"P5")[3][0]
     assert cfg.digest() in comment
     # every artifact records the SHA-256 of the inputs it was built from
     dataset = load_dataset(cfg.dataset)

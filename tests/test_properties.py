@@ -133,7 +133,7 @@ _OUT_OF_RANGE = {
     "lr": _NOT_POSITIVE,
     "alpha": _NOT_POSITIVE,
     "batch_size": st.integers(max_value=0),
-    "clusters": st.integers(max_value=0),
+    "clusters": st.integers(max_value=-1),
     "iterations": st.integers(max_value=-1),
     "calib_layers": st.integers(max_value=-1) | st.integers(min_value=13),
     "fusion_kernel": st.integers().filter(lambda v: v not in (1, 3)),

@@ -330,7 +330,7 @@ def test_bank_matches_independent_recomputation(fixture_kb):
 
 
 def test_bank_unclustered_uses_own_descriptions(fixture_kb):
-    bank = build_text_bank(fixture_kb, clusters=16, topk=8, lam=0.5, rng=Rng(43), clustered=False)
+    bank = build_text_bank(fixture_kb, clusters=0, topk=8, lam=0.5, rng=Rng(43))
     assert bank.centroids is None and bank.raw_centroids is None
     for c in range(fixture_kb.num_classes):
         assert np.array_equal(

@@ -28,7 +28,7 @@ from excel.training_eval import (
     upsample_labels,
     write_loss_curve,
 )
-from conftest import one_image_gradient, read_loss_curve
+from conftest import float64_adapter, one_image_gradient, read_loss_curve
 
 
 def small_config(**overrides):
@@ -241,6 +241,28 @@ def test_evaluate_ignores_gt_255_and_allows_pred_255():
     assert report.per_class_iou[1] == pytest.approx(1 / 2)
 
 
+def test_evaluate_confusion_matches_a_per_pixel_loop():
+    # each pixel the ground truth keeps adds one at (gt, pred), a predicted
+    # 255 in the last column; an ignored ground-truth pixel adds nothing
+    gen = Rng(14).generator()
+    preds = [gen.integers(0, 5, size=(7, 9)).astype(np.uint8) for _ in range(3)]
+    gts = [gen.integers(0, 5, size=(7, 9)).astype(np.uint8) for _ in range(3)]
+    for pred, gt in zip(preds, gts):
+        pred[pred == 4] = 255
+        gt[gt == 4] = 255
+    want = np.zeros((4, 5), np.int64)
+    ignored = 0
+    for pred, gt in zip(preds, gts):
+        for p, g in zip(pred.ravel().tolist(), gt.ravel().tolist()):
+            if g == 255:
+                ignored += 1
+            else:
+                want[g, 4 if p == 255 else p] += 1
+    assert ignored and want[:, 4].sum()
+    confusion = evaluate(preds, gts, num_labels=4).confusion
+    assert confusion.dtype == np.int64 and np.array_equal(confusion, want)
+
+
 def test_evaluate_symmetric_under_relabeling():
     gen = Rng(13).generator()
     pred = gen.integers(0, 3, size=(6, 6)).astype(np.uint8)
@@ -339,7 +361,7 @@ def test_iteration_loss_is_the_per_image_mean_in_batch_order(fixture_weights, fi
     for j in range(6):
         sres = static[(6 + j) % 4]
         batch = dynamic_calibration.build_affinity_batch(sres.labels, 40, rng.child(f"pairs.{j}"))
-        div, grads = one_image_gradient(sres.trace, adapter.flattened(np.float64)[1], batch)
+        div, grads = one_image_gradient(sres.trace, float64_adapter(adapter), batch)
         div_sum += div
         for name, g in grads.items():
             want[name] += g

@@ -7,7 +7,7 @@
 # both sides run the same commands even when the change edits the script.
 # Then tools/tree_diff.py compares the two output trees; its exit code is
 # this script's (0 when every file is identical). The temporary directory
-# is removed on exit. About 20 s on a 2-vCPU VM.
+# is removed on exit. About 60 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -gt 1 ]; then
     echo "usage: $0 [REV]" >&2

@@ -8,7 +8,7 @@
 # `tools/compare.sh [REV]` runs these three steps against a git revision.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
-# About 10 s on a 2-vCPU VM.
+# About 30 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -63,6 +63,11 @@ excel run --config valuevalue-static.json --mode static-only > run-valuevalue-st
 # one sampled pair per batch, so the limit binds on the 4x4 grid and one loss term is empty
 config limit1.json limit1 fx '"iterations": 5, "pair_sample_limit": 1'
 excel run --config limit1.json > run-limit1.log
+# the no-clustering baseline: each class folds all of its own descriptions; a
+# revision that refuses clusters 0 leaves its exit code and error line instead
+config unclustered-static.json unclustered-static fx '"clusters": 0'
+{ excel run --config unclustered-static.json --mode static-only > run-unclustered-static.log \
+    2> run-unclustered-static.err; echo "$?" > run-unclustered-static.exit; } || true
 config static256.json static256 fx256
 excel run --config static256.json --mode static-only > run-static256.log
 # T=257 calibrated layers off the equal thirds: v-v only, a skipped k term, every term skipped
@@ -118,6 +123,9 @@ excel run --config every-key-run.json > run-every-key.log
 
 excel build-attrs --kb fx/knowledge.json --clusters 16 --lambda 0.5 --seed 7 --out bank-0.5.json > build-attrs-0.5.log
 excel build-attrs --kb fx/knowledge.json --clusters 16 --lambda 0 --seed 7 --out bank-0.json > build-attrs-0.log
+# the unclustered-static run's bank, from flags; exit code and error line kept as above
+{ excel build-attrs --kb fx/knowledge.json --clusters 0 --seed 7 --out bank-unclustered.json \
+    > build-attrs-unclustered.log 2> build-attrs-unclustered.err; echo "$?" > build-attrs-unclustered.exit; } || true
 
 for stem in img_0000 img_0001 img_0002; do
     labels=$(python3 -c 'import json, sys; print(",".join(map(str, json.load(open(sys.argv[1]))[sys.argv[2]])))' \
