@@ -45,8 +45,6 @@ class PipelineConfig:
     fusion_kernel: int = 1
     adapter_init_sigma: float = 0.02
     pair_sample_limit: int = 4096
-    checkpoint_every: int = 0  # 0 = final checkpoint only
-    divergence_threshold: float = 1000.0
 
     def __post_init__(self):
         """Values are type- and range-checked where a config is made, so
@@ -71,8 +69,6 @@ class PipelineConfig:
             (self.fusion_kernel in (1, 3), f"fusion kernel must be 1 or 3, got {self.fusion_kernel}"),
             (self.adapter_init_sigma >= 0, "adapter init sigma must be >= 0"),
             (self.pair_sample_limit >= 1, "pair sample limit must be >= 1"),
-            (self.checkpoint_every >= 0, "checkpoint_every must be >= 0"),
-            (self.divergence_threshold > 0, "divergence threshold must be positive"),
         ]
         for ok, msg in checks:
             if not ok:

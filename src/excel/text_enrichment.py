@@ -240,7 +240,6 @@ class TextRepresentation:
     neighbor_indices: list[np.ndarray]
     neighbor_scores: list[np.ndarray]
     lam: float
-    topk: int
     # (D, B) attribute centroids, unit columns and raw member means; None unclustered
     centroids: np.ndarray | None = None
     raw_centroids: np.ndarray | None = None
@@ -297,7 +296,6 @@ def build_text_bank(
         neighbor_indices=indices,
         neighbor_scores=scores,
         lam=lam,
-        topk=topk,
         centroids=centroids,
         raw_centroids=raw,
     )
@@ -327,7 +325,6 @@ def save_bank(path, bank: TextRepresentation, provenance=None) -> Path:
         "classes": bank.class_names,
         "dim": bank.dim,
         "lambda": bank.lam,
-        "topk": bank.topk,
         "clustered": bank.centroids is not None,
         "neighbors": [
             {"indices": [int(i) for i in idx], "scores": [float(s) for s in sc]}
@@ -360,7 +357,6 @@ def load_bank(path) -> TextRepresentation:
     class_names = list(tf.meta_value("classes", _is_name_list, _NAMES))
     dim = tf.meta_value("dim", is_positive_int, _POSITIVE)
     lam = tf.meta_value("lambda", is_finite_number, "a finite number")
-    topk = tf.meta_value("topk", is_positive_int, _POSITIVE)
     clustered = tf.meta_value("clustered", lambda v: type(v) is bool, "true or false")
     neighbors = tf.meta_value(
         "neighbors",
@@ -389,7 +385,6 @@ def load_bank(path) -> TextRepresentation:
         neighbor_indices=[np.asarray(e["indices"], dtype=np.int32) for e in neighbors],
         neighbor_scores=[np.asarray(e["scores"], dtype=np.float32) for e in neighbors],
         lam=float(lam),
-        topk=topk,
         centroids=centroids,
         raw_centroids=raw,
     )

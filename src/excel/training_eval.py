@@ -155,9 +155,9 @@ def load_checkpoint(path, dim: int, calibration: Calibration) -> AdapterParams:
     otherwise), and its calibration must be `calibration` (a UsageError
     naming both). Every tensor must have its `adapter_shapes` shape for
     the `d_proj`, `d_dyn` and `fusion_kernel` there. Other meta keys and
-    tensors other than `adapter.*`, such as the relation settings and the
-    segmentation-head pair older checkpoints carry, are ignored, and so is
-    the optimizer sidecar file they were written with."""
+    tensors other than `adapter.*` are ignored. A `train_config` holding a
+    retired key, as every checkpoint written before the key was retired
+    does, is a DataError naming the file and the key."""
     tf = load_tensors(path)
     width = tf.meta_value("dim", is_positive_int, "a positive integer")
     if width != dim:
@@ -263,9 +263,9 @@ def train_loop(
     the encoder width. Training makes no encoder call. Per iteration:
     affinity pairs from the static labels, the diversity loss and its
     gradient on the static traces, one AdamW step on the mean batch
-    gradients. Writes the checkpoints, stamped with `provenance`, and the
-    loss-curve CSV into `out_dir`; the final checkpoint, the stage's resume
-    key, lands last. Returns the trained adapter.
+    gradients; a non-finite mean loss raises NumericError. Writes the
+    loss-curve CSV, then the one checkpoint, stamped with `provenance` and
+    the stage's resume key, into `out_dir`. Returns the trained adapter.
     """
     adapter = init_adapter(
         Rng(config.seed).child("adapter"),
@@ -283,20 +283,17 @@ def train_loop(
     work = np.empty((2, theta.size))  # each iteration's float64 adapter and gradient
     out_dir = Path(out_dir)
     curve: list[tuple[int, float]] = []
-    # the settings the adapter was trained with, not the run's paths
-    settings = {k: v for k, v in config.to_dict().items() if k not in PATH_KEYS}
-    meta = {"train_config": settings, "dim": dim}
     for it in range(config.iterations):
-        if config.checkpoint_every and it % config.checkpoint_every == 0:
-            save_checkpoint(checkpoint_path(out_dir, it), adapter, {**meta, "iteration": it}, provenance=provenance)
         div_mean, grad = _iteration_loss(static, it, config, adapter, work)
         curve.append((it, div_mean))
-        if not math.isfinite(div_mean) or div_mean > config.divergence_threshold:
+        if not math.isfinite(div_mean):
             raise NumericError(f"training diverged at iteration {it}: diversity loss {div_mean:.3f}")
         adamw_step(theta, grad, state)
     write_loss_curve(out_dir / "loss_curve.csv", curve)
-    final = config.iterations
-    save_checkpoint(checkpoint_path(out_dir, final), adapter, {**meta, "iteration": final}, provenance=provenance)
+    # the settings the adapter was trained with, not the run's paths
+    settings = {k: v for k, v in config.to_dict().items() if k not in PATH_KEYS}
+    meta = {"train_config": settings, "dim": dim, "iteration": config.iterations}
+    save_checkpoint(checkpoint_path(out_dir, config.iterations), adapter, meta, provenance=provenance)
     return adapter
 
 

@@ -374,7 +374,6 @@ def test_criterion_8_run_determinism(tmp_path, fixture_paths):
                 "iterations": 40,
                 "batch_size": 4,
                 "clusters": 16,
-                "checkpoint_every": 20,
             }
         )
         run_pipeline(cfg, mode="full")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import excel
-from excel import encoder
+from excel import encoder, training_eval
 from excel.blobio import load_tensors, save_tensors, write_json
 from excel.cli import build_parser, main
 from excel.config import PATH_KEYS, PipelineConfig, load_config, parse_config, save_config
@@ -164,7 +164,7 @@ def test_checkpoint_train_config_holds_the_settings(cli_trained):
     meta = load_tensors(cli_trained[0] / "train" / "checkpoint_000001.json").meta
     settings = set(PipelineConfig().to_dict()) - set(PATH_KEYS)
     assert set(meta["train_config"]) == settings
-    assert len(settings) == 21
+    assert len(settings) == 19
 
 
 def test_cam_static_cli(cli_fixtures, tmp_path):
@@ -254,10 +254,10 @@ def test_a_run_into_a_directory_that_holds_files_is_refused(cli_fixtures, tmp_pa
     # into a full run's out_dir exits 1 in one line naming the directory
     # and --resume, and leaves every file of the first run as it was
     out_dir = tmp_path / "out"
-    full = write_cli_config(tmp_path / "full.json", cli_fixtures, out_dir, iterations=4, checkpoint_every=2)
+    full = write_cli_config(tmp_path / "full.json", cli_fixtures, out_dir, iterations=4)
     assert main(["run", "--config", str(full)]) == 0
     before = _tree(out_dir)
-    assert Path("train/checkpoint_000002.json") in before and Path("dynamic") in {p.parent for p in before}
+    assert Path("train/checkpoint_000004.json") in before and Path("dynamic") in {p.parent for p in before}
     static = write_cli_config(tmp_path / "static.json", cli_fixtures, out_dir, lam=0.0)
     line = _main_error(capsys, ["run", "--config", str(static), "--mode", "static-only"], 1)
     assert str(out_dir) in line and "--resume" in line
@@ -515,6 +515,19 @@ def test_exit_code_checkpoint_train_config_is_checked_as_a_config(
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
     line = _main_error(capsys, _dynamic_cam_argv(cli_fixtures, out_dir, bad, image, tmp_path / "out"), 2)
     assert str(bad) in line and "train_config" in line
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("checkpoint_every", 0), ("divergence_threshold", 1000.0)])
+def test_exit_code_checkpoint_holding_a_retired_key(cli_fixtures, cli_trained, tmp_path, capsys, key, value):
+    # a train_config that holds a retired key, at its old default, as every
+    # checkpoint written before its retirement does, is broken data: one
+    # line naming the file and the key, before --out exists
+    out_dir, _ = cli_trained
+    old = _with_setting(out_dir / "train" / "checkpoint_000001.json", tmp_path / "old.json", key, value)
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    line = _main_error(capsys, _dynamic_cam_argv(cli_fixtures, out_dir, old, image, tmp_path / "out"), 2)
+    assert str(old) in line and f"unknown config keys: {key}" in line
     assert not (tmp_path / "out").exists()
 
 
@@ -924,14 +937,11 @@ def test_exit_code_data_error(cli_fixtures, tmp_path):
     assert main(["run", "--config", str(cfg_path)]) == 2
 
 
-def test_exit_code_numeric_error(cli_fixtures, tmp_path):
-    cfg_path = write_cli_config(
-        tmp_path / "cfg.json",
-        cli_fixtures,
-        tmp_path / "out",
-        iterations=2,
-        divergence_threshold=1e-9,
-    )
+def test_exit_code_numeric_error(cli_fixtures, tmp_path, monkeypatch):
+    # a non-finite diversity loss ends training with exit 3
+    real = training_eval.diversity_loss_gradient_stack
+    monkeypatch.setattr(training_eval, "diversity_loss_gradient_stack", lambda *a: [math.nan for _ in real(*a)])
+    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", iterations=2)
     assert main(["run", "--config", str(cfg_path)]) == 3
 
 
@@ -1070,11 +1080,10 @@ def _main_error(capsys, argv, expected_code) -> str:
         ("lambda", None),
         ("classes", None),
         ("dim", "64"),
-        ("topk", 0),
         ("clustered", 1),
         ("neighbors", [{"indices": [0], "scores": []}]),
     ],
-    ids=["no-lambda", "no-classes", "dim-string", "topk-zero", "clustered-int", "neighbors-ragged"],
+    ids=["no-lambda", "no-classes", "dim-string", "clustered-int", "neighbors-ragged"],
 )
 def test_exit_code_malformed_bank_meta(cli_fixtures, cli_trained, tiny_weights, tmp_path, capsys, key, value):
     out_dir, _ = cli_trained
@@ -1384,7 +1393,7 @@ def test_exit_code_cam_labels_outside_bank(cli_fixtures, cli_trained, tmp_path, 
 def test_every_json_file_has_the_one_layout(cli_fixtures, tmp_path):
     # gen-fixtures and a full run write each JSON file as write_json would
     out_dir = tmp_path / "out"
-    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out_dir, iterations=2, checkpoint_every=1)
+    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, out_dir, iterations=2)
     assert main(["run", "--config", str(cfg_path)]) == 0
     files = sorted([cfg_path, *cli_fixtures.rglob("*.json"), *out_dir.rglob("*.json")])
     assert len(files) > 20
@@ -1417,7 +1426,7 @@ def assert_run_bytes_do_not_depend_on_blas_threads(tmp_path, fixture_args, run_a
 def test_full_run_bytes_do_not_depend_on_blas_threads(tmp_path):
     # a small full pipeline at T=17 tokens, adapter training included
     assert_run_bytes_do_not_depend_on_blas_threads(
-        tmp_path, ["--images", "4"], [], 10, iterations=2, checkpoint_every=1
+        tmp_path, ["--images", "4"], [], 10, iterations=2
     )
 
 
@@ -1434,5 +1443,5 @@ def test_full_run_bytes_at_256px_do_not_depend_on_blas_threads(tmp_path):
     # in the static and dynamic stages the helper thread's products run
     # beside the calling thread's and beside BLAS's own threads
     assert_run_bytes_do_not_depend_on_blas_threads(
-        tmp_path, ["--images", "3", "--image-size", "256"], [], 10, iterations=2, checkpoint_every=1
+        tmp_path, ["--images", "3", "--image-size", "256"], [], 10, iterations=2
     )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from excel import blobio, dynamic_calibration, encoder, pipeline, static_calibration, text_enrichment, training_eval
-from excel.config import PipelineConfig, load_config, parse_config, save_config
+from excel.config import PATH_KEYS, PipelineConfig, load_config, parse_config, save_config
 from excel.dataset import load_dataset
 from excel.errors import UsageError
 from excel.fixtures import FixtureSpec, generate_fixtures
@@ -132,6 +132,9 @@ def test_config_unknown_key_rejected():
     # calib_weights set a run's one attention
     with pytest.raises(UsageError, match="unknown config keys: policy"):
         parse_config({"policy": "vanilla"})
+    # and the retired training keys, which could not change a result
+    with pytest.raises(UsageError, match="unknown config keys: checkpoint_every, divergence_threshold"):
+        parse_config({"checkpoint_every": 0, "divergence_threshold": 1000.0})
 
 
 def test_config_relative_paths_anchor_to_file(tmp_path):
@@ -197,7 +200,7 @@ def test_parsed_config_digest_is_pinned():
     # JSON integers given for float keys hash as the floats they become
     cfg = parse_config({"lr": 1, "alpha": 3, "beta": 0, "calib_weights": [1, 0, 0], "seed": 5})
     assert (cfg.lr, cfg.alpha, cfg.beta, cfg.calib_weights) == (1.0, 3.0, 0.0, (1.0, 0.0, 0.0))
-    assert cfg.digest() == "80e84de01b6628ef"
+    assert cfg.digest() == "76a3528002c57459"
     assert PipelineConfig(lr=1, alpha=3, beta=0, calib_weights=[1, 0, 0], seed=5).digest() == cfg.digest()
 
 
@@ -205,13 +208,70 @@ def test_default_config_digest_is_pinned():
     # every artifact's provenance stamps this hash, and `run --resume`
     # refuses a tree stamped with another: moving it is a contract change,
     # recorded in CHANGES.md with the old and new value
-    assert PipelineConfig().digest() == "539f1828d7d77299"
+    assert PipelineConfig().digest() == "83c62d0af664344d"
 
 
 def test_config_hash_changes_with_values():
     a = parse_config({"seed": 1})
     b = parse_config({"seed": 2})
     assert a.digest() != b.digest()
+
+
+# one value per config key but the paths, off that of BASE_RUN
+OFF_DEFAULT = {
+    "lr": 1e-3,
+    "weight_decay": 0.5,
+    "iterations": 3,
+    "batch_size": 2,
+    "seed": 1,
+    "tau_fg": 0.65,
+    "tau_bg": 0.3,
+    "alpha": 2.0,
+    "beta": 0.5,
+    "calib_layers": 4,
+    "calib_weights": [0.5, 0.25, 0.25],
+    "topk": 4,
+    "lam": 0.25,
+    "clusters": 8,
+    "d_proj": 32,
+    "d_dyn": 128,
+    "fusion_kernel": 3,
+    "adapter_init_sigma": 0.03,
+    "pair_sample_limit": 8,
+}
+BASE_RUN = {"iterations": 2}
+
+
+def result_payloads(root):
+    """The results of the run tree at `root`, by relative path: each
+    tensor blob and loss curve as its bytes, and each label map as its
+    pixels, without the header that stamps the provenance."""
+    results = {}
+    for p in sorted(root.rglob("*")):
+        if p.suffix in (".bin", ".csv"):
+            results[str(p.relative_to(root))] = p.read_bytes()
+        elif p.suffix == ".pgm":
+            results[str(p.relative_to(root))] = read_pgm(p).tobytes()
+    return results
+
+
+def test_every_config_key_moves_a_result(tmp_path):
+    # a key that no result depends on is a knob to delete: each key's
+    # value off BASE_RUN's must change some result file that both full
+    # runs write (a file only one of them writes does not count), and a
+    # new key must join the table
+    assert set(OFF_DEFAULT) == {f.name for f in dataclasses.fields(PipelineConfig)} - set(PATH_KEYS)
+    paths = generate_fixtures(42, FixtureSpec(images=4), tmp_path / "fx")
+    inputs = {key: str(paths[key]) for key in ("weights", "knowledge", "dataset")}
+    base = parse_config({**inputs, **BASE_RUN, "out_dir": str(tmp_path / "base")})
+    run_pipeline(base, mode="full")
+    baseline, settings = result_payloads(tmp_path / "base"), base.to_dict()
+    for key, value in OFF_DEFAULT.items():
+        cfg = parse_config({**settings, key: value, "out_dir": str(tmp_path / key)})
+        assert {k for k, v in cfg.to_dict().items() if v != settings[k]} == {key, "out_dir"}, key
+        run_pipeline(cfg, mode="full")
+        results = result_payloads(tmp_path / key)
+        assert any(results[name] != baseline[name] for name in results.keys() & baseline.keys()), key
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +292,6 @@ def short_run(tmp_path_factory, fixture_paths):
             "iterations": 4,
             "batch_size": 4,
             "clusters": 8,
-            "checkpoint_every": 2,
         }
     )
     report_path, report = run_pipeline(cfg, mode="full")
@@ -251,11 +310,11 @@ def test_pipeline_emits_all_artifacts(short_run):
 
 
 def test_checkpoint_is_one_tensor_file(short_run):
-    # manifest and blob per checkpoint; no optimizer sidecar next to them
+    # one checkpoint, after the last iteration: a manifest and a blob, and
+    # no optimizer sidecar next to them
     _, _, _, out = short_run
     names = sorted(p.name for p in (out / "train").iterdir())
-    expected = [f"checkpoint_{i:06d}.{ext}" for i in (0, 2, 4) for ext in ("bin", "json")]
-    assert names == expected + ["loss_curve.csv"]
+    assert names == ["checkpoint_000004.bin", "checkpoint_000004.json", "loss_curve.csv"]
     assert not list(out.rglob("*.opt.*"))
 
 

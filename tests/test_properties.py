@@ -285,7 +285,6 @@ def _bank_mutation(meta):
         st.tuples(st.just(("classes",)), not_list(names)),
         st.tuples(st.just(("dim",)), _other_than(meta["dim"])),
         st.tuples(st.just(("lambda",)), st.just(DELETE) | json_values.filter(lambda v: not is_finite_number(v))),
-        st.tuples(st.just(("topk",)), st.just(DELETE) | json_values.filter(lambda v: not is_positive_int(v))),
         st.tuples(st.just(("clustered",)), st.just(DELETE) | json_values.filter(lambda v: type(v) is not bool)),
         st.tuples(st.just(("neighbors",)), _other_than(neighbors)),
         *(entry(i) for i in range(len(classes))),

@@ -6,6 +6,7 @@ Every output goes through `blobio.write_file`, which lands a file with one
 after its n-1-th file landed, as a process killed there would."""
 
 import json
+import math
 import os
 import shutil
 import threading
@@ -38,7 +39,6 @@ def _config(path: Path, fixtures: Path, out_dir: Path, **overrides) -> str:
         "dataset": str(fixtures / "dataset"),
         "out_dir": str(out_dir),
         "iterations": 2,
-        "checkpoint_every": 1,
         "batch_size": 4,
         "clusters": 8,
         **overrides,
@@ -51,7 +51,7 @@ def _config(path: Path, fixtures: Path, out_dir: Path, **overrides) -> str:
 def fresh(tmp_path_factory):
     """(fixtures, the tree of a fresh full run on them with its files in
     the order they landed, its count of files landed): 4 images, 2
-    iterations, a checkpoint at each."""
+    iterations."""
     root = tmp_path_factory.mktemp("faults")
     generate_fixtures(42, FixtureSpec(images=4), root / "fx")
     cfg = _config(root / "cfg.json", root / "fx", root / "out")
@@ -92,7 +92,7 @@ def _assert_no_partial_file(out_dir: Path):
 
 def test_fresh_run_lands_each_file_once(fresh):
     _, tree, landed = fresh
-    assert landed == len(tree) == 36
+    assert landed == len(tree) == 32
 
 
 def test_a_run_lands_its_files_in_order(fresh):
@@ -104,10 +104,9 @@ def test_a_run_lands_its_files_in_order(fresh):
     def cams(stage):
         return [f"{stage}/{stem}.{ext}" for stem in stems for ext in ("cams.bin", "cams.json", "pseudo.pgm")]
 
-    checkpoints = [f"train/checkpoint_{it:06d}.{ext}" for it in (0, 1) for ext in ("bin", "json")]
     assert list(tree) == [
         "attrs.bin", "attrs.json", "run_config.json", *cams("static"),
-        *checkpoints, "train/loss_curve.csv", "train/checkpoint_000002.bin", "train/checkpoint_000002.json",
+        "train/loss_curve.csv", "train/checkpoint_000002.bin", "train/checkpoint_000002.json",
         *cams("dynamic"), "report.json", "report.txt",
     ]
 
@@ -127,12 +126,14 @@ def test_a_run_leaves_no_thread_behind(fresh, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 15], ids=["first-static", "last-static"])
 def test_a_failed_write_is_the_error_of_a_run_that_fails_later(fresh, tmp_path, monkeypatch, capsys, n):
-    # training diverges at its first loss (about 0.99 against 0.5), after
-    # every static file is written and before any other: a failed static
-    # landing is still the run's error, as when the write itself raised
+    # training diverges at its first loss, a NaN, after every static file
+    # is written and before any other: a failed static landing is still
+    # the run's error, as when the write itself raised
     fixtures, _, _ = fresh
+    real = training_eval.diversity_loss_gradient_stack
+    monkeypatch.setattr(training_eval, "diversity_loss_gradient_stack", lambda *a: [math.nan for _ in real(*a)])
     out_dir = tmp_path / "out"
-    cfg = _config(tmp_path / "cfg.json", fixtures, out_dir, divergence_threshold=0.5, checkpoint_every=0)
+    cfg = _config(tmp_path / "cfg.json", fixtures, out_dir)
     assert main(["run", "--config", cfg]) == 3
     assert "training diverged at iteration 0" in capsys.readouterr().err
     shutil.rmtree(out_dir)

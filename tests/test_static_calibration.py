@@ -29,7 +29,6 @@ def bank_from_columns(columns):
         neighbor_indices=[],
         neighbor_scores=[],
         lam=0.5,
-        topk=4,
     )
 
 

@@ -345,7 +345,7 @@ def test_bank_save_load_roundtrip(tmp_path, fixture_kb):
     assert loaded.enriched.tobytes() == bank.enriched.tobytes()
     assert loaded.templates.tobytes() == bank.templates.tobytes()
     assert loaded.class_names == bank.class_names
-    assert loaded.lam == bank.lam and loaded.topk == bank.topk
+    assert loaded.lam == bank.lam
     for a, b in zip(loaded.neighbor_indices, bank.neighbor_indices):
         assert np.array_equal(a, b)
     for a, b in zip(loaded.neighbor_scores, bank.neighbor_scores):

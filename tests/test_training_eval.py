@@ -420,18 +420,26 @@ def test_train_loop_checkpoints_byte_identical(tmp_path, fixture_weights, fixtur
 
 
 def test_train_loop_divergence_aborts(monkeypatch, tmp_path, fixture_weights, fixture_static):
-    cfg = small_config(iterations=2, divergence_threshold=1e-6)
-    with pytest.raises(NumericError, match="diverged"):
-        train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
-    # a non-finite loss aborts too, whatever the threshold
+    # a non-finite mean loss aborts training at its iteration, before the
+    # loss curve and the checkpoint are written
     real = training_eval.diversity_loss_gradient_stack
 
-    def nan_loss(*args):
-        return [float("nan") for _ in real(*args)]
+    def nan_loss_from(iteration):
+        calls = []
 
-    monkeypatch.setattr(training_eval, "diversity_loss_gradient_stack", nan_loss)
-    with pytest.raises(NumericError, match="diverged at iteration 0: diversity loss nan"):
-        train_loop(fixture_static, fixture_weights.dim, small_config(iterations=2), tmp_path, {})
+        def loss(*args):
+            calls.append(None)
+            losses = real(*args)
+            return [float("nan") for _ in losses] if len(calls) > iteration else losses
+
+        return loss
+
+    for it in (0, 1):
+        monkeypatch.setattr(training_eval, "diversity_loss_gradient_stack", nan_loss_from(it))
+        out_dir = tmp_path / str(it)
+        with pytest.raises(NumericError, match=f"diverged at iteration {it}: diversity loss nan"):
+            train_loop(fixture_static, fixture_weights.dim, small_config(iterations=2), out_dir, {})
+        assert not out_dir.exists()
 
 
 def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_static):
@@ -501,11 +509,15 @@ def test_loss_curve_bytes(tmp_path):
 
 
 def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_static):
-    cfg = small_config(iterations=4, checkpoint_every=2)
+    # the checkpoint of a k-iteration run holds the adapter that iteration
+    # k of a longer run starts from, so its loss replays that curve's row k
+    cfg = small_config(iterations=4)
     train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
     curve = dict(read_loss_curve(tmp_path / "loss_curve.csv"))
     for k in (0, 2):
-        adapter = load_checkpoint(tmp_path / f"checkpoint_{k:06d}.json", fixture_weights.dim, cfg.calibration())
+        out_dir = tmp_path / f"run{k}"
+        train_loop(fixture_static, fixture_weights.dim, small_config(iterations=k), out_dir, {})
+        adapter = load_checkpoint(out_dir / f"checkpoint_{k:06d}.json", fixture_weights.dim, cfg.calibration())
         work = np.empty((2, sum(t.size for t in adapter.tensors.values())))
         div = training_eval._iteration_loss(fixture_static, k, cfg, adapter, work)[0]
         assert div == pytest.approx(curve[k], abs=1e-5)

@@ -2,15 +2,17 @@
 # Runs the paper's ablations from configs alone, on the default fixture of
 # each fixture seed given:
 #     tools/ablate.sh SEED...
-# Per seed, four static-only runs: the default config (clustered attributes,
+# Per seed, five static-only runs: the default config (clustered attributes,
 # lam 0.5, calibrated attention), `clusters: 0` (no attribute clustering),
-# `lam: 0` (no text enrichment) and `calib_layers: 0` (vanilla attention);
-# then one full run at the default config. Every run has config seed 7.
+# `lam: 0` (no text enrichment), `calib_layers: 0` (vanilla attention) and
+# `calib_layers: 1` with `calib_weights: [0, 0, 1]` (the value-value
+# baseline: v-v attention in the last block only); then one full run at the
+# default config. Every run has config seed 7.
 # Prints one line per run:
 #     seed config stage miou
 # with the stage and the mIoU that the run's report.json records, the mIoU
 # as a full-precision float. Runs under one BLAS/OpenMP thread in a
-# temporary directory, removed on exit. About 8 s per seed on a 2-vCPU VM.
+# temporary directory, removed on exit. About 11 s per seed on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -lt 1 ]; then
     echo "usage: $0 SEED..." >&2
@@ -37,5 +39,6 @@ for seed in "$@"; do
     run "$seed" clusters0 static-only '"clusters": 0'
     run "$seed" lam0 static-only '"lam": 0'
     run "$seed" calib0 static-only '"calib_layers": 0'
+    run "$seed" valuevalue static-only '"calib_layers": 1, "calib_weights": [0, 0, 1]'
     run "$seed" full full
 done

@@ -47,9 +47,9 @@ excel gen-fixtures --out fx8odd --patch-size 8 --classes 5 --images 3 > gen-fixt
 # 61 images at T=17, 30 to a pass: the static and dynamic loops run chunks of 21, 20 and 20, a pair then one alone
 excel gen-fixtures --out fx61 --images 61 > gen-fixtures-61.log
 
-config full.json full fx '"iterations": 17, "checkpoint_every": 8'
+config full.json full fx '"iterations": 17'
 excel run --config full.json > run-full.log
-config resumed.json resumed fx '"iterations": 17, "checkpoint_every": 8'
+config resumed.json resumed fx '"iterations": 17'
 cp -r full resumed
 excel run --config resumed.json --resume > run-resumed.log
 
@@ -117,7 +117,7 @@ excel run --config train0.json > train0.log
 every_key='"lr": 2e-4, "weight_decay": 0.02, "iterations": 3, "batch_size": 3,
     "tau_fg": 0.6, "tau_bg": 0.2, "alpha": 2.5, "beta": 0.9, "calib_layers": 4, "calib_weights": [0.5, 0.25, 0.25],
     "topk": 6, "lam": 0.4, "clusters": 12, "d_proj": 32, "d_dyn": 128, "fusion_kernel": 3,
-    "adapter_init_sigma": 0.03, "pair_sample_limit": 2048, "checkpoint_every": 2, "divergence_threshold": 500.0'
+    "adapter_init_sigma": 0.03, "pair_sample_limit": 2048'
 SEED=11 config every-key-run.json every-key-run fx32 "$every_key"
 excel run --config every-key-run.json > run-every-key.log
 
