@@ -16,9 +16,8 @@ from . import numerics as nm
 from .blobio import save_tensors
 from .encoder import Calibration, EncoderWeights, LayerTrace, encode_chunks
 from .errors import DataError, UsageError
-from .text_enrichment import TextRepresentation
+from .text_enrichment import IGNORE_LABEL, TextRepresentation
 
-IGNORE_LABEL = 255
 BACKGROUND_LABEL = 0
 
 

@@ -17,12 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .blobio import is_finite_number, is_positive_int, load_tensors, save_tensors
-from .errors import DataError, NumericError, ShapeError, UsageError
+from .blobio import is_positive_int, load_tensors, save_tensors
+from .errors import DataError, NumericError, UsageError
 from .numerics import Rng
 
 TEMPLATE_TEXT = "a clean origami of [CLASS]"
 KMEANS_MAX_ITERS = 100  # Lloyd iterations before k-means stops unconverged
+IGNORE_LABEL = 255  # the label-map value of a pixel no class claims
+# class ids 1..C share a uint8 label map with background 0 and IGNORE_LABEL
+MAX_CLASSES = IGNORE_LABEL - 1
 
 
 @dataclass
@@ -49,8 +52,18 @@ def _is_name_list(value) -> bool:
     return isinstance(value, list) and len(value) > 0 and all(isinstance(v, str) for v in value)
 
 
-_NAMES = "a non-empty list of strings"
 _POSITIVE = "a positive integer"
+
+
+def _class_names(tf) -> list[str]:
+    """The meta `classes` of a knowledge or bank file: at most MAX_CLASSES names."""
+    names = list(tf.meta_value("classes", _is_name_list, "a non-empty list of strings"))
+    if len(names) > MAX_CLASSES:
+        raise DataError(
+            f"manifest {tf.path} meta 'classes' lists {len(names)} classes, "
+            f"more than the {MAX_CLASSES} class ids a label map holds"
+        )
+    return names
 
 
 def save_knowledge(path, class_names, templates, descriptions, provenance=None) -> Path:
@@ -68,7 +81,7 @@ def save_knowledge(path, class_names, templates, descriptions, provenance=None) 
 def ingest_knowledge(path) -> KnowledgeBase:
     """Load a knowledge file and L2-normalize every embedding column."""
     tf = load_tensors(path)
-    class_names = list(tf.meta_value("classes", _is_name_list, _NAMES))
+    class_names = _class_names(tf)
     n = tf.meta_value("n", is_positive_int, _POSITIVE)
     dim = tf.meta_value("dim", is_positive_int, _POSITIVE)
     templates = []
@@ -235,18 +248,11 @@ def enrich(template: np.ndarray, neighbors: np.ndarray, lam: float) -> np.ndarra
 @dataclass
 class TextRepresentation:
     class_names: list[str]
-    templates: np.ndarray  # (D, C)
     enriched: np.ndarray  # (D, C)
-    neighbor_indices: list[np.ndarray]
-    neighbor_scores: list[np.ndarray]
-    lam: float
-    # (D, B) attribute centroids, unit columns and raw member means; None unclustered
-    centroids: np.ndarray | None = None
-    raw_centroids: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
-        return self.templates.shape[0]
+        return self.enriched.shape[0]
 
     @property
     def num_classes(self) -> int:
@@ -272,33 +278,17 @@ def build_text_bank(
     clusters=0 is the no-clustering baseline: no attribute space, and each
     class folds all of its own description embeddings; `topk` is unused.
     """
-    indices, scores, columns = [], [], []
-    centroids = raw = None
     if clusters:
-        attrs = cluster_attributes(kb, clusters, rng.child("clustering"))
-        centroids, raw = attrs.centroids, attrs.raw_centroids
+        centroids = cluster_attributes(kb, clusters, rng.child("clustering")).centroids
+    columns = []
     for c in range(kb.num_classes):
         template = kb.templates[:, c]
         if clusters:
-            idx, sc = hunt_attributes(template, centroids, topk)
-            neighbors = centroids[:, idx]
+            neighbors = centroids[:, hunt_attributes(template, centroids, topk)[0]]
         else:
-            idx = np.nonzero(kb.class_index == c)[0].astype(np.int32)
-            neighbors = kb.embeddings[:, idx]
-            sc = (template.astype(np.float64) @ neighbors.astype(np.float64)).astype(np.float32)
-        indices.append(idx)
-        scores.append(sc)
+            neighbors = kb.embeddings[:, kb.class_index == c]
         columns.append(enrich(template, neighbors, lam))
-    return TextRepresentation(
-        class_names=list(kb.class_names),
-        templates=kb.templates.copy(),
-        enriched=np.stack(columns, axis=1),
-        neighbor_indices=indices,
-        neighbor_scores=scores,
-        lam=lam,
-        centroids=centroids,
-        raw_centroids=raw,
-    )
+    return TextRepresentation(class_names=list(kb.class_names), enriched=np.stack(columns, axis=1))
 
 
 def attribute_bank(knowledge_path, clusters: int, topk: int, lam: float, seed: int) -> TextRepresentation:
@@ -314,77 +304,18 @@ def attribute_bank(knowledge_path, clusters: int, topk: int, lam: float, seed: i
 
 
 def save_bank(path, bank: TextRepresentation, provenance=None) -> Path:
-    tensors = {
-        "templates": nm.transpose(bank.templates),
-        "enriched": nm.transpose(bank.enriched),
-    }
-    if bank.centroids is not None:
-        tensors["centroids"] = nm.transpose(bank.centroids)
-        tensors["raw_centroids"] = nm.transpose(bank.raw_centroids)
-    meta = {
-        "classes": bank.class_names,
-        "dim": bank.dim,
-        "lambda": bank.lam,
-        "clustered": bank.centroids is not None,
-        "neighbors": [
-            {"indices": [int(i) for i in idx], "scores": [float(s) for s in sc]}
-            for idx, sc in zip(bank.neighbor_indices, bank.neighbor_scores)
-        ],
-        "template_text": TEMPLATE_TEXT,
-    }
-    return save_tensors(path, tensors, meta=meta, provenance=provenance)
-
-
-def _is_neighbor_table(value, classes: int) -> bool:
-    """One {indices, scores} entry per class, two equally long lists."""
-    return (
-        isinstance(value, list)
-        and len(value) == classes
-        and all(
-            isinstance(e, dict)
-            and isinstance(e.get("indices"), list)
-            and isinstance(e.get("scores"), list)
-            and len(e["indices"]) == len(e["scores"])
-            and all(type(i) is int for i in e["indices"])
-            and all(is_finite_number(s) for s in e["scores"])
-            for e in value
-        )
-    )
+    """One tensor file: the enriched embeddings as `enriched` (C, dim),
+    and meta `classes` and `dim`."""
+    meta = {"classes": bank.class_names, "dim": bank.dim}
+    return save_tensors(path, {"enriched": nm.transpose(bank.enriched)}, meta=meta, provenance=provenance)
 
 
 def load_bank(path) -> TextRepresentation:
+    """The bank at `path`: meta `classes` and `dim`, and the tensor
+    `enriched` of shape (len(classes), dim). Other meta keys and tensors,
+    which banks written by older versions hold, are ignored."""
     tf = load_tensors(path)
-    class_names = list(tf.meta_value("classes", _is_name_list, _NAMES))
+    class_names = _class_names(tf)
     dim = tf.meta_value("dim", is_positive_int, _POSITIVE)
-    lam = tf.meta_value("lambda", is_finite_number, "a finite number")
-    clustered = tf.meta_value("clustered", lambda v: type(v) is bool, "true or false")
-    neighbors = tf.meta_value(
-        "neighbors",
-        lambda v: _is_neighbor_table(v, len(class_names)),
-        f"a list of {len(class_names)} objects holding equally long 'indices' and 'scores' lists",
-    )
-    templates = nm.transpose(tf.require("templates", (len(class_names), dim)))
     enriched = nm.transpose(tf.require("enriched", (len(class_names), dim)))
-    centroids = raw = None
-    if clustered:
-        centroids = tf.require("centroids")
-        if centroids.ndim != 2 or centroids.shape[0] < 1 or centroids.shape[1] != dim:
-            raise ShapeError(
-                f"tensor 'centroids' in {tf.path} has shape {centroids.shape}, expected (B, {dim}) with B >= 1"
-            )
-        raw = nm.transpose(tf.require("raw_centroids", centroids.shape))
-        count = centroids.shape[0]
-        for name, e in zip(class_names, neighbors):
-            if not all(0 <= i < count for i in e["indices"]):
-                raise DataError(f"bank {tf.path} lists a neighbor of '{name}' outside centroids 0..{count - 1}")
-        centroids = nm.transpose(centroids)
-    return TextRepresentation(
-        class_names=class_names,
-        templates=templates,
-        enriched=enriched,
-        neighbor_indices=[np.asarray(e["indices"], dtype=np.int32) for e in neighbors],
-        neighbor_scores=[np.asarray(e["scores"], dtype=np.float32) for e in neighbors],
-        lam=float(lam),
-        centroids=centroids,
-        raw_centroids=raw,
-    )
+    return TextRepresentation(class_names=class_names, enriched=enriched)

@@ -141,8 +141,8 @@ def checkpoint_path(out_dir, iteration: int) -> Path:
 def save_checkpoint(path, adapter: AdapterParams, meta: dict, provenance=None) -> Path:
     """One tensor file: the adapter tensors, in table order under the
     `adapter.` prefix, and `meta`, which `train_loop` fills with the
-    encoder width `dim`, the `iteration` and the `train_config` that
-    `load_checkpoint` reads the adapter's settings from."""
+    encoder width `dim` and the `train_config` that `load_checkpoint`
+    reads the adapter's settings from."""
     tensors = {f"adapter.{k}": v for k, v in adapter.tensors.items()}
     return save_tensors(path, tensors, meta=meta, provenance=provenance)
 
@@ -292,7 +292,7 @@ def train_loop(
     write_loss_curve(out_dir / "loss_curve.csv", curve)
     # the settings the adapter was trained with, not the run's paths
     settings = {k: v for k, v in config.to_dict().items() if k not in PATH_KEYS}
-    meta = {"train_config": settings, "dim": dim, "iteration": config.iterations}
+    meta = {"train_config": settings, "dim": dim}
     save_checkpoint(checkpoint_path(out_dir, config.iterations), adapter, meta, provenance=provenance)
     return adapter
 

@@ -274,7 +274,7 @@ def test_criterion_4_clustering_oracle():
 def test_criterion_5_tse_identities(fixture_kb, toy_run):
     # lambda = 0 reproduces templates bit for bit
     bank0 = build_text_bank(fixture_kb, clusters=8, topk=4, lam=0.0, rng=Rng(5050))
-    assert bank0.enriched.tobytes() == bank0.templates.tobytes()
+    assert bank0.enriched.tobytes() == fixture_kb.templates.tobytes()
     # TOPK: min selected score >= max unselected score on 1000 random banks
     gen = Rng(5051).generator()
     for trial in range(1000):

@@ -23,10 +23,21 @@ from excel.encoder import LAYER_COUNT, Calibration, encode_stack, load_weights, 
 from excel.errors import UsageError
 from excel.hashing import fnv1a64
 from excel.fixtures import FixtureSpec, generate_fixtures, make_encoder_weights
-from excel.images import read_pgm, read_ppm, rgb_to_chw, write_pgm
+from excel.images import read_pgm, read_ppm, rgb_to_chw, write_pgm, write_ppm
 from excel.numerics import Rng
 from excel.pipeline import run_pipeline
-from excel.text_enrichment import build_text_bank, ingest_knowledge, load_bank, save_bank
+from excel.text_enrichment import (
+    MAX_CLASSES,
+    TEMPLATE_TEXT,
+    KnowledgeBase,
+    build_text_bank,
+    cluster_attributes,
+    hunt_attributes,
+    ingest_knowledge,
+    load_bank,
+    save_bank,
+    save_knowledge,
+)
 from excel.training_eval import attn_report, load_checkpoint
 from conftest import save_non_finite
 
@@ -917,14 +928,48 @@ def test_exit_code_build_attrs_count_not_a_positive_integer(tmp_path, capsys, fl
 
 
 def test_build_attrs_clusters_zero_writes_an_unclustered_bank(cli_fixtures, tmp_path):
+    # the bank holds the no-clustering baseline's enriched embeddings, and
+    # the class names and width they are read by
+    knowledge = cli_fixtures / "knowledge.json"
     out = tmp_path / "bank.json"
-    argv = ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "0", "--out", str(out)]
+    argv = ["build-attrs", "--kb", str(knowledge), "--clusters", "0", "--out", str(out)]
     assert main(argv) == 0
     manifest = json.loads(out.read_text())
-    assert manifest["meta"]["clustered"] is False
-    assert [entry["name"] for entry in manifest["tensors"]] == ["templates", "enriched"]
-    bank = load_bank(out)
-    assert bank.centroids is None and bank.raw_centroids is None
+    assert [entry["name"] for entry in manifest["tensors"]] == ["enriched"]
+    assert set(manifest["meta"]) == {"classes", "dim"}
+    cfg = PipelineConfig()
+    baseline = build_text_bank(ingest_knowledge(knowledge), clusters=0, topk=cfg.topk, lam=cfg.lam, rng=Rng(0))
+    assert load_bank(out).enriched.tobytes() == baseline.enriched.tobytes()
+
+
+def test_a_bank_in_the_older_format_loads(cli_fixtures, tmp_path):
+    # banks of older versions also hold the templates, the centroids and the
+    # neighbor table; a load ignores them, so a static CAM reads such a bank
+    # as it reads the bank of `enriched` alone
+    cfg = PipelineConfig()
+    knowledge = cli_fixtures / "knowledge.json"
+    slim = tmp_path / "slim.json"
+    assert main(["build-attrs", "--kb", str(knowledge), "--clusters", "8", "--out", str(slim)]) == 0
+    kb = ingest_knowledge(knowledge)
+    space = cluster_attributes(kb, 8, Rng(cfg.seed).child("attributes").child("clustering"))
+    hunts = [hunt_attributes(kb.templates[:, c], space.centroids, cfg.topk) for c in range(kb.num_classes)]
+    tf = load_tensors(slim)
+    tensors = {"templates": kb.templates.T, "enriched": tf.tensors["enriched"],
+               "centroids": space.centroids.T, "raw_centroids": space.raw_centroids.T}
+    meta = tf.meta | {
+        "lambda": cfg.lam, "clustered": True, "topk": cfg.topk, "template_text": TEMPLATE_TEXT,
+        "neighbors": [{"indices": idx.tolist(), "scores": scores.tolist()} for idx, scores in hunts],
+    }
+    old = save_tensors(tmp_path / "old.json", tensors, meta=meta, provenance=tf.provenance)
+    assert load_bank(old).enriched.tobytes() == load_bank(slim).enriched.tobytes()
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    outputs = []
+    for bank in (slim, old):
+        out = tmp_path / bank.stem
+        assert main(["cam", "--mode", "static", "--weights", str(cli_fixtures / "encoder.json"), "--bank", str(bank),
+                     "--image", str(image), "--labels", "1,2,3", "--out", str(out)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
 
 
 def test_exit_code_data_error(cli_fixtures, tmp_path):
@@ -1077,13 +1122,10 @@ def _main_error(capsys, argv, expected_code) -> str:
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("lambda", None),
         ("classes", None),
         ("dim", "64"),
-        ("clustered", 1),
-        ("neighbors", [{"indices": [0], "scores": []}]),
     ],
-    ids=["no-lambda", "no-classes", "dim-string", "clustered-int", "neighbors-ragged"],
+    ids=["no-classes", "dim-string"],
 )
 def test_exit_code_malformed_bank_meta(cli_fixtures, cli_trained, tiny_weights, tmp_path, capsys, key, value):
     out_dir, _ = cli_trained
@@ -1094,18 +1136,40 @@ def test_exit_code_malformed_bank_meta(cli_fixtures, cli_trained, tiny_weights, 
     assert f"'{key}'" in _main_error(capsys, argv, 2)
 
 
-def test_exit_code_bank_centroids_wrong_shape(cli_fixtures, cli_trained, tmp_path):
-    # centroids must be (B, dim) and raw_centroids the same shape; a static
-    # CAM never reads them, so only the load can refuse them
-    tf = load_tensors(cli_trained[0] / "attrs.json")
-    tensors = {**tf.tensors, "centroids": np.ones((5, 3), np.float32), "raw_centroids": np.ones(7, np.float32)}
-    bad = save_tensors(tmp_path / "bad.json", tensors, meta=tf.meta, provenance=tf.provenance)
-    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
-    proc = run_excel("cam", "--mode", "static", "--weights", str(cli_fixtures / "encoder.json"), "--bank", str(bad),
-                     "--image", str(image), "--labels", "1", "--out", str(tmp_path / "out"))
-    line = one_error_line(proc.returncode, proc.stderr, 2)
-    assert "'centroids'" in line and "bad.json" in line
-    assert not (tmp_path / "out").exists()
+@pytest.fixture(scope="module")
+def too_many_classes(tmp_path_factory):
+    """MAX_CLASSES + 1 classes of 16-dim embeddings, one description each:
+    (their knowledge file, their unclustered bank, a 32 px image)."""
+    root = tmp_path_factory.mktemp("manyclasses")
+    count = MAX_CLASSES + 1
+    gen = Rng(0).generator()
+    templates = gen.standard_normal((count, 16)).astype(np.float32)
+    descriptions = gen.standard_normal((count, 1, 16)).astype(np.float32)
+    names = [f"class-{c}" for c in range(count)]
+    knowledge = save_knowledge(root / "knowledge.json", names, templates, descriptions)
+    # built in memory: the knowledge file is refused where it is read
+    kb = KnowledgeBase(descriptions[:, 0].T.copy(), np.arange(count, dtype=np.int32), templates.T.copy(), names)
+    bank = save_bank(root / "bank.json", build_text_bank(kb, clusters=0, topk=1, lam=0.5, rng=Rng(0)))
+    image = root / "image.ppm"
+    write_ppm(image, gen.integers(0, 256, (32, 32, 3), dtype=np.uint8))
+    return knowledge, bank, image
+
+
+@pytest.mark.parametrize("command", ["build-attrs", "cam"])
+def test_exit_code_more_classes_than_a_label_map_holds(too_many_classes, tiny_weights, tmp_path, capsys, command):
+    # class ids 1..C share a uint8 label map with background 0 and ignore
+    # 255, so a bank of more classes would write some class as either one
+    knowledge, bank, image = too_many_classes
+    if command == "build-attrs":
+        named = knowledge
+        argv = ["build-attrs", "--kb", str(knowledge), "--clusters", "0", "--out", str(tmp_path / "bank.json")]
+    else:
+        named = bank
+        argv = ["cam", "--mode", "static", "--weights", str(tiny_weights), "--bank", str(bank),
+                "--image", str(image), "--labels", str(MAX_CLASSES + 1), "--out", str(tmp_path / "out")]
+    line = _main_error(capsys, argv, 2)
+    assert str(named) in line and f"more than the {MAX_CLASSES} class ids" in line
+    assert not (tmp_path / "bank.json").exists() and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

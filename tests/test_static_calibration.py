@@ -22,14 +22,7 @@ from excel.config import PipelineConfig
 def bank_from_columns(columns):
     """Minimal bank whose enriched columns are given as (D, C)."""
     columns = columns.astype(np.float32)
-    return TextRepresentation(
-        class_names=[f"c{i}" for i in range(columns.shape[1])],
-        templates=columns.copy(),
-        enriched=columns,
-        neighbor_indices=[],
-        neighbor_scores=[],
-        lam=0.5,
-    )
+    return TextRepresentation(class_names=[f"c{i}" for i in range(columns.shape[1])], enriched=columns)
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from excel.blobio import load_tensors, save_tensors
-from excel.errors import DataError, ShapeError, UsageError
+from excel.blobio import save_tensors
+from excel.errors import DataError, UsageError
 from excel.numerics import Rng, cosine_matrix, minmax_norm
 from excel.text_enrichment import (
     KnowledgeBase,
@@ -296,21 +296,21 @@ def test_enrich_lambda_scaling_exact():
 
 def test_bank_lambda_zero_equals_templates(fixture_kb):
     bank = build_text_bank(fixture_kb, clusters=8, topk=4, lam=0.0, rng=Rng(40))
-    assert bank.enriched.tobytes() == bank.templates.tobytes()
+    assert bank.enriched.tobytes() == fixture_kb.templates.tobytes()
 
 
 def test_bank_deterministic(fixture_kb):
     b1 = build_text_bank(fixture_kb, clusters=8, topk=4, lam=0.5, rng=Rng(41))
     b2 = build_text_bank(fixture_kb, clusters=8, topk=4, lam=0.5, rng=Rng(41))
     assert b1.enriched.tobytes() == b2.enriched.tobytes()
-    assert b1.centroids.tobytes() == b2.centroids.tobytes()
 
 
 def test_bank_matches_independent_recomputation(fixture_kb):
     bank = build_text_bank(fixture_kb, clusters=16, topk=8, lam=0.5, rng=Rng(42))
+    # the bank clusters on its rng's `clustering` stream
+    centroids = cluster_attributes(fixture_kb, 16, Rng(42).child("clustering")).centroids.astype(np.float64)
     for c in range(fixture_kb.num_classes):
         t = fixture_kb.templates[:, c].astype(np.float64)
-        centroids = bank.centroids.astype(np.float64)
         scores = t @ centroids
         order = sorted(range(centroids.shape[1]), key=lambda j: (-scores[j], j))[:8]
         sel = centroids[:, order]
@@ -330,12 +330,15 @@ def test_bank_matches_independent_recomputation(fixture_kb):
 
 
 def test_bank_unclustered_uses_own_descriptions(fixture_kb):
+    # each class folds the softmax-weighted sum of all its own descriptions
     bank = build_text_bank(fixture_kb, clusters=0, topk=8, lam=0.5, rng=Rng(43))
-    assert bank.centroids is None and bank.raw_centroids is None
     for c in range(fixture_kb.num_classes):
-        assert np.array_equal(
-            bank.neighbor_indices[c], np.nonzero(fixture_kb.class_index == c)[0]
-        )
+        t = fixture_kb.templates[:, c].astype(np.float64)
+        own = fixture_kb.embeddings[:, fixture_kb.class_index == c].astype(np.float64)
+        scores = t @ own
+        weights = np.exp(scores - scores.max())
+        weights /= weights.sum()
+        np.testing.assert_allclose(bank.enriched[:, c], t + 0.5 * own @ weights, atol=1e-5)
 
 
 def test_bank_save_load_roundtrip(tmp_path, fixture_kb):
@@ -343,41 +346,8 @@ def test_bank_save_load_roundtrip(tmp_path, fixture_kb):
     path = save_bank(tmp_path / "bank.json", bank, provenance={"stage": "attributes"})
     loaded = load_bank(path)
     assert loaded.enriched.tobytes() == bank.enriched.tobytes()
-    assert loaded.templates.tobytes() == bank.templates.tobytes()
     assert loaded.class_names == bank.class_names
-    assert loaded.lam == bank.lam
-    for a, b in zip(loaded.neighbor_indices, bank.neighbor_indices):
-        assert np.array_equal(a, b)
-    for a, b in zip(loaded.neighbor_scores, bank.neighbor_scores):
-        assert np.array_equal(a, b)  # float32 -> JSON float -> float32 is exact
-    assert loaded.centroids.tobytes() == bank.centroids.tobytes()
-    assert loaded.raw_centroids.tobytes() == bank.raw_centroids.tobytes()
-
-
-@pytest.mark.parametrize(
-    "tensors, neighbor, error, match",
-    [
-        ({"centroids": (5, 3)}, None, ShapeError, r"'centroids' in .*bad\.json has shape \(5, 3\)"),
-        ({"centroids": (7,)}, None, ShapeError, r"'centroids' in .*bad\.json has shape \(7,\)"),
-        ({"centroids": (0, 64), "raw_centroids": (0, 64)}, None, ShapeError, r"'centroids' in .*bad\.json"),
-        ({"raw_centroids": (7,)}, None, ShapeError, r"'raw_centroids' in .*bad\.json has shape \(7,\)"),
-        ({"raw_centroids": (9, 64)}, None, ShapeError, r"'raw_centroids' in .*bad\.json has shape \(9, 64\)"),
-        ({}, 8, DataError, r"bad\.json lists a neighbor of '.*' outside centroids 0\.\.7"),
-        ({}, -1, DataError, r"bad\.json lists a neighbor of '.*' outside centroids 0\.\.7"),
-    ],
-    ids=["centroids-wrong-dim", "centroids-1d", "no-centroids", "raw-1d", "raw-other-count", "index-8", "index-negative"],
-)
-def test_load_bank_checks_centroids_and_neighbors(tmp_path, fixture_kb, tensors, neighbor, error, match):
-    # an 8-centroid bank re-saved with the named tensors replaced by
-    # ones of the given shape, or with a neighbor index out of 0..7
-    bank = build_text_bank(fixture_kb, clusters=8, topk=4, lam=0.5, rng=Rng(44))
-    tf = load_tensors(save_bank(tmp_path / "bank.json", bank))
-    arrays = {**tf.tensors, **{name: np.ones(shape, np.float32) for name, shape in tensors.items()}}
-    if neighbor is not None:
-        tf.meta["neighbors"][1]["indices"][0] = neighbor
-    bad = save_tensors(tmp_path / "bad.json", arrays, meta=tf.meta, provenance=tf.provenance)
-    with pytest.raises(error, match=match):
-        load_bank(bad)
+    assert loaded.dim == bank.dim == fixture_kb.templates.shape[0]
 
 
 def test_argmax_class_invariant_under_positive_scaling(fixture_kb):

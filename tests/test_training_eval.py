@@ -452,7 +452,7 @@ def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_static):
         assert np.array_equal(a, b)
     assert (adapter.alpha, adapter.beta) == (cfg.alpha, cfg.beta)
     meta = load_tensors(path).meta
-    assert meta["iteration"] == 2
+    assert meta["train_config"]["iterations"] == 2
     assert meta["train_config"]["lr"] == cfg.lr
 
 
@@ -496,7 +496,7 @@ def test_checkpoint_layout_is_the_adapter_table(tmp_path, fixture_weights, fixtu
     assert names == deltas + ["adapter.fusion.w", "adapter.fusion.b"]
     fusion_shape = manifest["tensors"][-2]["shape"]
     assert fusion_shape == ([8, 48] if kernel == 1 else [8, 48, 3, 3])
-    assert set(manifest["meta"]) == {"dim", "iteration", "train_config"}
+    assert set(manifest["meta"]) == {"dim", "train_config"}
     assert manifest["meta"]["train_config"]["fusion_kernel"] == kernel
 
 

@@ -6,6 +6,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from excel.blobio import save_tensors
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "tree_diff.py"
 
 
@@ -69,3 +73,19 @@ def test_every_difference_is_named(tmp_path, capsys):
     assert "differs: other-pixels.ppm: pixels differ" in out
     assert "differs: x.bin: bytes differ (1 -> 1 bytes)" in out
     assert "JSON key path format: differs in 1 files" in out
+
+
+def test_a_tensor_file_diff_names_its_tensors(tmp_path, capsys):
+    # each tensor is compared by its shape and its bytes in the blob, not by
+    # its offset, so one the other tree does not hold moves nothing else
+    values = np.arange(6, dtype=np.float32)
+    old = {"templates": values, "enriched": values.reshape(2, 3), "v": values.reshape(2, 3), "w": values}
+    new = {"enriched": values.reshape(2, 3), "v": values.reshape(3, 2), "w": values + 1, "added": values}
+    save_tensors(tmp_path / "old" / "bank.json", old, meta={"lambda": 0.5})
+    save_tensors(tmp_path / "new" / "bank.json", new, meta={})
+    assert _load_tool().main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    line = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("differs: bank.json"))
+    assert line.endswith(
+        "; tensors added (only in NEW), enriched identical, templates (only in OLD), v differs, w differs"
+    )
+    assert "meta.lambda (only in OLD)" in line

@@ -5,15 +5,18 @@
 
 Every file is compared byte for byte. A file that differs is named, with
 what differs in it: for a JSON file, the dotted key paths whose values
-differ (list items by index); for a `.pgm` or `.ppm` file, whether its
-pixel payload differs or only its header. The last lines count each JSON key path over
-all files, so a change confined to a few keys reads at a glance. Exits 0
-when the trees are identical and 1 on any difference; no difference is
+differ (list items by index), and for a tensor-file manifest also each
+tensor, by name, as identical, differing in shape or bytes, or found in one
+tree only; for a `.pgm` or `.ppm` file, whether its pixel payload differs
+or only its header. The last lines count each JSON key path over all
+files, so a change confined to a few keys reads at a glance. Exits 0 when
+the trees are identical and 1 on any difference; no difference is
 accepted or filtered.
 """
 
 import argparse
 import json
+import math
 import re
 import sys
 from collections import Counter
@@ -63,16 +66,54 @@ def netpbm_payload(raw: bytes) -> bytes | None:
     return raw[pos + 1 :]
 
 
+def tensors(manifest_path: Path, manifest) -> dict | None:
+    """name -> (shape, float32 bytes) of each tensor a tensor-file manifest
+    declares, sliced from its blob; None when the JSON value is no manifest
+    or its blob is not beside it."""
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("blob"), str):
+        return None
+    blob_path = manifest_path.parent / manifest["blob"]
+    if not blob_path.is_file():
+        return None
+    blob = blob_path.read_bytes()
+    try:
+        return {
+            entry["name"]: (entry["shape"], blob[entry["offset"] : entry["offset"] + 4 * math.prod(entry["shape"])])
+            for entry in manifest["tensors"]
+        }
+    except (KeyError, TypeError):
+        return None
+
+
+def tensor_diff(old: dict, new: dict) -> list[str]:
+    """Each tensor of two manifests, by name, as identical, differing, or
+    in one tree only."""
+    parts = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            parts.append(f"{name} (only in OLD)")
+        elif name not in old:
+            parts.append(f"{name} (only in NEW)")
+        else:
+            parts.append(f"{name} {'identical' if old[name] == new[name] else 'differs'}")
+    return parts
+
+
 def describe(old_path: Path, new_path: Path) -> tuple[str, list[str]]:
     """What differs between two files whose bytes differ, and the JSON key
     paths that differ when both are JSON."""
     old, new = old_path.read_bytes(), new_path.read_bytes()
     if old_path.suffix == ".json":
         try:
-            paths = json_diff(json.loads(old), json.loads(new))
+            old_value, new_value = json.loads(old), json.loads(new)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             return f"not JSON ({exc})", []
-        return ("keys " + ", ".join(paths) if paths else "same JSON value, different bytes"), paths
+        paths = json_diff(old_value, new_value)
+        what = "keys " + ", ".join(paths) if paths else "same JSON value, different bytes"
+        old_tensors, new_tensors = tensors(old_path, old_value), tensors(new_path, new_value)
+        if old_tensors is not None and new_tensors is not None:
+            what += "; tensors " + ", ".join(tensor_diff(old_tensors, new_tensors))
+        return what, paths
     if old_path.suffix in (".pgm", ".ppm"):
         old_px, new_px = netpbm_payload(old), netpbm_payload(new)
         if old_px is None or new_px is None:
