@@ -1,26 +1,25 @@
 """Command-line entry point.
 
 Subcommands: gen-fixtures, build-attrs, cam, eval, attn-report, run.
+Pipeline settings come from a `--config` file only: build-attrs reads
+its knowledge file and attribute settings there, and cam and attn-report
+their calibration (and cam its thresholds).
 Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric error.
 """
 
 import argparse
 import functools
-import math
 import sys
 import warnings
 from pathlib import Path
-
-import numpy as np
 
 from .blobio import save_tensors, write_json
 from .config import PipelineConfig, load_config
 from .dataset import ImageRecord, load_class_names
 from .dynamic_calibration import biased_relations, dynamic_cams
-from .encoder import VALUE_VALUE, VANILLA, encode_stack, load_weights
+from .encoder import encode_stack, load_weights
 from .errors import EXIT_DATA, EXIT_OK, EXIT_USAGE, DataError, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
-from .hashing import config_digest, provenance
 from .images import read_pgm, read_ppm, rgb_to_chw
 from .pipeline import check_bank_dim, run_pipeline, run_provenance, write_cam_outputs
 from .static_calibration import run_static_passes
@@ -32,31 +31,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
-
-def _non_negative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
-
-
-def _int_at_least(low: int, text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = low - 1
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
-    return value
-
-
-# attn-report's policies: the two fixed baselines, and the config's
-# calibration without (ic) and with (icb) the relation bias
-_REPORT_BASELINES = {"qk": VANILLA, "vv": VALUE_VALUE}
-_REPORT_POLICIES = (*_REPORT_BASELINES, "ic", "icb")
 
 # the FixtureSpec fields gen-fixtures exposes, one flag each
 _FIXTURE_FLAGS = ("classes", "images", "image_size", "dim", "heads", "patch_size")
@@ -75,12 +49,8 @@ def build_parser() -> _Parser:
     for name in _FIXTURE_FLAGS:
         p.add_argument(f"--{name.replace('_', '-')}", type=int, default=getattr(FixtureSpec, name))
 
-    p = sub.add_parser("build-attrs", help="cluster a knowledge file into an attribute bank")
-    p.add_argument("--kb", required=True)
-    p.add_argument("--clusters", type=functools.partial(_int_at_least, 0), required=True, help="0: no clustering")
-    p.add_argument("--topk", type=functools.partial(_int_at_least, 1), default=PipelineConfig.topk)
-    p.add_argument("--lambda", dest="lam", type=_non_negative_float, default=PipelineConfig.lam)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p = sub.add_parser("build-attrs", help="a config's attribute bank, as a run's attribute stage builds it")
+    p.add_argument("--config", required=True, help="pipeline config for knowledge, clusters, topk, lam and seed")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("cam", help="CAMs and pseudo labels for a single image")
@@ -99,12 +69,11 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", required=True, help="classes.json from the dataset root")
     p.add_argument("--out")
 
-    p = sub.add_parser("attn-report", help="attention diagnostics per policy")
+    p = sub.add_parser("attn-report", help="attention diagnostics of one pass over an image")
     p.add_argument("--weights", required=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--policies", default="qk,vv,ic", help="subset of qk,vv,ic,icb")
-    p.add_argument("--adapter", help="checkpoint for the icb policy")
-    p.add_argument("--config", help="pipeline config for the calibration of ic and icb")
+    p.add_argument("--config", help="pipeline config for the calibration")
+    p.add_argument("--adapter", help="checkpoint whose relation biases the pass")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
@@ -123,11 +92,11 @@ def _cmd_gen_fixtures(args) -> int:
 
 
 def _cmd_build_attrs(args) -> int:
-    bank = attribute_bank(args.kb, args.clusters, args.topk, args.lam, args.seed)
-    # the flags without --out, where the bank lands, as a run's hash leaves out out_dir
-    flags = {k: v for k, v in vars(args).items() if k != "out"}
-    prov = provenance("attributes", args.seed, config_digest(flags | {"command": "build-attrs"}))
-    out = save_bank(args.out, bank, provenance=prov)
+    cfg = load_config(args.config)
+    if not cfg.knowledge:
+        raise UsageError(f"config {args.config} names no 'knowledge' file to build a bank from")
+    bank = attribute_bank(cfg.knowledge, cfg.clusters, cfg.topk, cfg.lam, cfg.seed)
+    out = save_bank(args.out, bank, provenance=run_provenance(cfg, "attributes"))
     print(f"bank: {out}")
     return EXIT_OK
 
@@ -194,38 +163,20 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_attn_report(args) -> int:
-    calibrated = (load_config(args.config) if args.config else PipelineConfig()).calibration()
-    names = [name.strip() for name in args.policies.split(",")]
-    for name in names:
-        if name not in _REPORT_POLICIES:
-            raise UsageError(f"unknown policy '{name}' (use {','.join(_REPORT_POLICIES)})")
-    if args.adapter is not None and "icb" not in names:
-        raise UsageError(f"only the icb policy reads --adapter, and --policies {args.policies!r} does not list it")
+    calibration = (load_config(args.config) if args.config else PipelineConfig()).calibration()
     weights = load_weights(args.weights)
     image = rgb_to_chw(read_ppm(args.image))
-    adapter = load_checkpoint(args.adapter, weights.dim, calibrated) if args.adapter else None
-    calibrations = {name: _REPORT_BASELINES.get(name, calibrated) for name in names}  # a repeated name once
-    # one pass over the image per calibration; icb resumes the calibrated
-    # one with the relation bias, as the dynamic stage resumes the static pass
-    passes = {c: encode_stack([image], weights, c)[0] for c in dict.fromkeys(calibrations.values())}
-    traces = {name: passes[calibration] for name, calibration in calibrations.items()}
-    if "icb" in traces:
-        if adapter is None:
-            hw = weights.grid[0] * weights.grid[1]
-            relation = np.zeros((hw, hw), dtype=np.float32)  # uniform bias
-        else:
-            relation = biased_relations([traces["icb"]], adapter)[0]
-        traces["icb"] = encode_stack(None, weights, calibrated, [relation], [traces["icb"]])[0]
-    report = {name: attn_report(trace, weights) for name, trace in traces.items()}
+    adapter = load_checkpoint(args.adapter, weights.dim, calibration) if args.adapter else None
+    trace = encode_stack([image], weights, calibration)[0]
+    if adapter is not None:
+        # the pass resumed at its first calibrated layer with the adapter's
+        # relation bias, as the dynamic stage resumes the static pass
+        trace = encode_stack(None, weights, calibration, biased_relations([trace], adapter), [trace])[0]
+    report = attn_report(trace, weights)
     out_dir = Path(args.out)
-    summary = {}
-    for name, entry in report.items():
-        save_tensors(
-            out_dir / f"relations_{name}.json", {"token_relation": entry["token_relation"]}
-        )
-        summary[name] = {"mean_row_entropy": entry["mean_row_entropy"]}
-        print(f"{name}: mean row entropy {entry['mean_row_entropy']:.4f}")
-    write_json(out_dir / "attn_report.json", summary)
+    save_tensors(out_dir / "relations.json", {"token_relation": report["token_relation"]})
+    write_json(out_dir / "attn_report.json", {"mean_row_entropy": report["mean_row_entropy"]})
+    print(f"mean row entropy {report['mean_row_entropy']:.4f}")
     return EXIT_OK
 
 

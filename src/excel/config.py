@@ -6,7 +6,8 @@ stages. A run has one attention setting, `calibration()`, which every
 stage reads. Unknown keys are rejected so typos never silently fall back
 to defaults, and every value is type- and range-checked where a config
 is made. The config hash in every artifact's provenance is the digest of
-the full flat mapping.
+the flat mapping without the keys the run does not read: `out_dir`, and
+`topk` when `clusters` is 0.
 """
 
 from dataclasses import asdict, dataclass, fields
@@ -93,8 +94,11 @@ class PipelineConfig:
     def digest(self) -> str:
         # identifies the computation: out_dir is where results land, not
         # part of what they are, so identical runs into different
-        # directories stamp identical provenance
-        mapping = {k: v for k, v in self.to_dict().items() if k != "out_dir"}
+        # directories stamp identical provenance; the no-clustering
+        # baseline reads no topk, so two such configs that differ only
+        # there hash alike
+        unread = {"out_dir", "topk"} if self.clusters == 0 else {"out_dir"}
+        mapping = {k: v for k, v in self.to_dict().items() if k not in unread}
         return config_digest(mapping)
 
 

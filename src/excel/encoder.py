@@ -38,11 +38,11 @@ Attention is one `Calibration(layers, weights)`: the q-k map
 softmax(q k^T / sqrt(D_s)) below the last `layers` blocks, and in those
 blocks w1*SA(q,q) + w2*SA(k,k) + w3*SA(v,v) in its place, where
 SA(o,o) = softmax(o o^T / sqrt(D_s)). A run's calibration is its config's
-`calib_layers` and `calib_weights` (default 5 blocks, equal thirds); two
-fixed baselines are compared against it:
-  VANILLA      layers = 0: q-k attention everywhere.
-  VALUE_VALUE  layers = 1, weights = (0, 0, 1): v-v attention in the last
-               block only.
+`calib_layers` and `calib_weights` (default 5 blocks, equal thirds). The
+paper's two baselines are configs too: `calib_layers: 0` is q-k attention
+everywhere, and `calib_layers: 1` with `calib_weights: [0, 0, 1]` is v-v
+attention in the last block only; the tests name them VANILLA and
+VALUE_VALUE.
 A pass may also take one relation per image, which adds softmax(R)
 row-wise in that image's calibrated blocks, where R is the grid-sized
 (hw x hw) token-relation matrix. R is embedded into the (T x T) map with
@@ -180,7 +180,7 @@ class Calibration:
         return LAYER_COUNT - self.layers
 
 
-# the two fixed baselines
+# the two baselines' calibrations, under the names the tests read
 VANILLA = Calibration(layers=0)
 VALUE_VALUE = Calibration(layers=1, weights=(0.0, 0.0, 1.0))
 

@@ -53,35 +53,38 @@ def _is_name_list(value) -> bool:
 
 
 _POSITIVE = "a positive integer"
+_NAMES = "a non-empty list of strings"
 
 
-def _class_names(tf) -> list[str]:
-    """The meta `classes` of a knowledge or bank file: at most MAX_CLASSES names."""
-    names = list(tf.meta_value("classes", _is_name_list, "a non-empty list of strings"))
+def _class_names(names, path) -> list[str]:
+    """`names`, the meta `classes` of the knowledge or bank file at `path`,
+    as it is read or before it is written: at most MAX_CLASSES names, so a
+    writer refuses what its reader would."""
     if len(names) > MAX_CLASSES:
         raise DataError(
-            f"manifest {tf.path} meta 'classes' lists {len(names)} classes, "
+            f"manifest {path} meta 'classes' lists {len(names)} classes, "
             f"more than the {MAX_CLASSES} class ids a label map holds"
         )
-    return names
+    return list(names)
 
 
 def save_knowledge(path, class_names, templates, descriptions, provenance=None) -> Path:
     """Write the knowledge file `ingest_knowledge` reads: per class `c`,
     `templates[c]` of shape (dim,) and `descriptions[c]` of shape (n, dim)."""
+    class_names = _class_names(class_names, path)
     tensors = {}
     for c, (template, desc) in enumerate(zip(templates, descriptions)):
         tensors[f"template.{c:02d}"] = template
         tensors[f"descriptions.{c:02d}"] = desc
     n, dim = len(descriptions[0]), len(templates[0])
-    meta = {"classes": list(class_names), "n": n, "dim": dim, "template_text": TEMPLATE_TEXT}
+    meta = {"classes": class_names, "n": n, "dim": dim, "template_text": TEMPLATE_TEXT}
     return save_tensors(path, tensors, meta=meta, provenance=provenance)
 
 
 def ingest_knowledge(path) -> KnowledgeBase:
     """Load a knowledge file and L2-normalize every embedding column."""
     tf = load_tensors(path)
-    class_names = _class_names(tf)
+    class_names = _class_names(tf.meta_value("classes", _is_name_list, _NAMES), tf.path)
     n = tf.meta_value("n", is_positive_int, _POSITIVE)
     dim = tf.meta_value("dim", is_positive_int, _POSITIVE)
     templates = []
@@ -306,7 +309,7 @@ def attribute_bank(knowledge_path, clusters: int, topk: int, lam: float, seed: i
 def save_bank(path, bank: TextRepresentation, provenance=None) -> Path:
     """One tensor file: the enriched embeddings as `enriched` (C, dim),
     and meta `classes` and `dim`."""
-    meta = {"classes": bank.class_names, "dim": bank.dim}
+    meta = {"classes": _class_names(bank.class_names, path), "dim": bank.dim}
     return save_tensors(path, {"enriched": nm.transpose(bank.enriched)}, meta=meta, provenance=provenance)
 
 
@@ -315,7 +318,7 @@ def load_bank(path) -> TextRepresentation:
     `enriched` of shape (len(classes), dim). Other meta keys and tensors,
     which banks written by older versions hold, are ignored."""
     tf = load_tensors(path)
-    class_names = _class_names(tf)
+    class_names = _class_names(tf.meta_value("classes", _is_name_list, _NAMES), tf.path)
     dim = tf.meta_value("dim", is_positive_int, _POSITIVE)
     enriched = nm.transpose(tf.require("enriched", (len(class_names), dim)))
     return TextRepresentation(class_names=class_names, enriched=enriched)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from excel.cli import main
-from excel.config import PipelineConfig, parse_config
+from excel.config import PipelineConfig, parse_config, save_config
 from excel.dynamic_calibration import (
     AdapterParams,
     adapter_diversity_loss,
@@ -301,14 +301,13 @@ def test_criterion_5_tse_identities(fixture_kb, toy_run):
 def test_criterion_5_unclustered_baseline_is_a_run(tmp_path, fixture_paths, toy_run):
     # the no-clustering baseline as `excel run` reaches it: a static-only
     # run with clusters 0 scores criterion 5's unclustered mIoU to every
-    # digit, and its bank blob is the one `build-attrs --clusters 0` writes
+    # digit, and its bank blob is the one `build-attrs` writes from its config
     inputs = {key: str(fixture_paths[key]) for key in ("weights", "knowledge", "dataset")}
     cfg = parse_config({**inputs, "seed": 7, "clusters": 0, "out_dir": str(tmp_path / "run")})
     _, report = run_pipeline(cfg, mode="static-only")
     assert report.miou == toy_run["miou_unclustered"]
     bank = tmp_path / "cli" / "attrs.json"
-    argv = ["build-attrs", "--kb", inputs["knowledge"], "--clusters", "0", "--topk", "8", "--lambda", "0.5",
-            "--seed", "7", "--out", str(bank)]
+    argv = ["build-attrs", "--config", str(save_config(tmp_path / "run.json", cfg)), "--out", str(bank)]
     assert main(argv) == 0
     assert bank.with_suffix(".bin").read_bytes() == (tmp_path / "run" / "attrs.bin").read_bytes()
     ok(5, f"clusters 0 static-only run mIoU {report.miou!r}, the baseline's to every digit; build-attrs bank identical")

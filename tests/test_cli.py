@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -20,8 +22,8 @@ from excel.cli import build_parser, main
 from excel.config import PATH_KEYS, PipelineConfig, load_config, parse_config, save_config
 from excel.dynamic_calibration import biased_relations
 from excel.encoder import LAYER_COUNT, Calibration, encode_stack, load_weights, save_weights
-from excel.errors import UsageError
-from excel.hashing import fnv1a64
+from excel.errors import DataError, UsageError
+from excel.hashing import config_digest, fnv1a64
 from excel.fixtures import FixtureSpec, generate_fixtures, make_encoder_weights
 from excel.images import read_pgm, read_ppm, rgb_to_chw, write_pgm, write_ppm
 from excel.numerics import Rng
@@ -30,6 +32,7 @@ from excel.text_enrichment import (
     MAX_CLASSES,
     TEMPLATE_TEXT,
     KnowledgeBase,
+    TextRepresentation,
     build_text_bank,
     cluster_attributes,
     hunt_attributes,
@@ -96,6 +99,17 @@ def write_cli_config(path, fixture_root, out_dir, **overrides):
     return path
 
 
+def build_attrs_argv(cfg_path, out):
+    return ["build-attrs", "--config", str(cfg_path), "--out", str(out)]
+
+
+@pytest.fixture(scope="module")
+def attrs_config(cli_fixtures, tmp_path_factory):
+    """A config of the fixtures with 8 clusters, outside every test's tmp_path."""
+    root = tmp_path_factory.mktemp("attrscfg")
+    return write_cli_config(root / "cfg.json", cli_fixtures, root / "run")
+
+
 def test_gen_fixtures_writes_tree(cli_fixtures):
     assert (cli_fixtures / "encoder.json").exists()
     assert (cli_fixtures / "knowledge.json").exists()
@@ -105,36 +119,28 @@ def test_gen_fixtures_writes_tree(cli_fixtures):
 
 def test_build_attrs_cli(cli_fixtures, tmp_path):
     out = tmp_path / "bank.json"
-    code = main(
-        [
-            "build-attrs",
-            "--kb",
-            str(cli_fixtures / "knowledge.json"),
-            "--clusters",
-            "8",
-            "--topk",
-            "4",
-            "--lambda",
-            "0.5",
-            "--seed",
-            "1",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
+    cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", topk=4, lam=0.5, seed=1)
+    assert main(build_attrs_argv(cfg, out)) == 0
     assert out.exists() and out.with_suffix(".bin").exists()
 
 
-def test_build_attrs_manifest_leaves_out_its_path(cli_fixtures, tmp_path):
+def test_build_attrs_needs_a_knowledge_file(tmp_path, capsys):
+    # a config without `knowledge` names nothing to build a bank from
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"clusters": 8}))
+    line = _main_error(capsys, build_attrs_argv(cfg, tmp_path / "bank.json"), 1)
+    assert str(cfg) in line and "'knowledge'" in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_build_attrs_manifest_leaves_out_its_path(attrs_config, tmp_path):
     # --out is where the bank lands, not what it is: the same bank built
     # into two directories stamps the same provenance
     manifests = []
     for sub in ("a", "b"):
         (tmp_path / sub).mkdir()
         out = tmp_path / sub / "bank.json"
-        argv = ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "8", "--out", str(out)]
-        assert main(argv) == 0
+        assert main(build_attrs_argv(attrs_config, out)) == 0
         manifests.append(out.read_bytes())
     assert manifests[0] == manifests[1]
 
@@ -144,8 +150,6 @@ def test_cli_defaults_are_the_types_they_fill():
     parser = build_parser()
     gen = vars(parser.parse_args(["gen-fixtures", "--out", "fx"]))
     assert FixtureSpec(**{k: v for k, v in gen.items() if k not in ("command", "seed", "out")}) == FixtureSpec()
-    attrs = parser.parse_args(["build-attrs", "--kb", "k.json", "--clusters", "4", "--out", "b.json"])
-    assert (attrs.topk, attrs.lam, attrs.seed) == (PipelineConfig().topk, PipelineConfig().lam, PipelineConfig().seed)
     # attn-report without --config calibrates as PipelineConfig() does
     report = parser.parse_args(["attn-report", "--weights", "w.json", "--image", "i.ppm", "--out", "a"])
     assert report.config is None
@@ -153,20 +157,18 @@ def test_cli_defaults_are_the_types_they_fill():
 
 
 def test_build_attrs_writes_the_runs_bank(cli_fixtures, tmp_path):
-    # given a run's clusters, topk, lambda and seed, build-attrs writes the
-    # run's bank blob byte for byte and its manifest up to provenance
+    # given a run's config, build-attrs writes the run's bank blob byte for
+    # byte, and its manifest but for the digests of the run's input files
     settings = {"clusters": 6, "topk": 5, "lam": 0.25, "seed": 9}
     cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", **settings)
     assert main(["run", "--config", str(cfg), "--mode", "static-only"]) == 0
     out = tmp_path / "cli" / "attrs.json"
-    out.parent.mkdir()
-    argv = ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "6", "--topk", "5",
-            "--lambda", "0.25", "--seed", "9", "--out", str(out)]
-    assert main(argv) == 0
+    assert main(build_attrs_argv(cfg, out)) == 0
     run = tmp_path / "run" / "attrs.json"
     assert out.with_suffix(".bin").read_bytes() == run.with_suffix(".bin").read_bytes()
     manifests = [json.loads(path.read_text()) for path in (out, run)]
-    assert manifests[0].pop("provenance") != manifests[1].pop("provenance")
+    assert set(manifests[1]["provenance"].pop("inputs")) == {"weights", "knowledge", "dataset"}
+    assert manifests[0]["provenance"]["config_hash"] == load_config(cfg).digest()
     assert manifests[0] == manifests[1]
 
 
@@ -178,11 +180,9 @@ def test_checkpoint_train_config_holds_the_settings(cli_trained):
     assert len(settings) == 19
 
 
-def test_cam_static_cli(cli_fixtures, tmp_path):
+def test_cam_static_cli(cli_fixtures, attrs_config, tmp_path):
     bank = tmp_path / "bank.json"
-    main(
-        ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "8", "--out", str(bank)]
-    )
+    assert main(build_attrs_argv(attrs_config, bank)) == 0
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
     labels = json.loads((cli_fixtures / "dataset" / "labels.json").read_text())[image.stem]
     out = tmp_path / "cams"
@@ -545,24 +545,129 @@ def test_exit_code_checkpoint_holding_a_retired_key(cli_fixtures, cli_trained, t
 def test_attn_report_cli(cli_fixtures, tmp_path):
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
     out = tmp_path / "attn"
-    code = main(
-        [
-            "attn-report",
-            "--weights",
-            str(cli_fixtures / "encoder.json"),
-            "--image",
-            str(image),
-            "--policies",
-            "qk,vv,ic,icb",
-            "--out",
-            str(out),
-        ]
-    )
+    code = main(["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
+                 "--out", str(out)])
     assert code == 0
     summary = json.loads((out / "attn_report.json").read_text())
-    assert set(summary) == {"qk", "vv", "ic", "icb"}
-    for name in summary:
-        assert (out / f"relations_{name}.json").exists()
+    assert set(summary) == {"mean_row_entropy"}
+    assert sorted(p.name for p in out.iterdir()) == ["attn_report.json", "relations.bin", "relations.json"]
+
+
+@pytest.mark.parametrize(
+    "baseline, settings",
+    [("vanilla", {"calib_layers": 0}), ("value-value", {"calib_layers": 1, "calib_weights": [0, 0, 1]})],
+)
+def test_attn_report_baselines_are_configs(cli_fixtures, tmp_path, baseline, settings):
+    # the paper's two baselines are reported from their configs, as
+    # tools/ablate.sh runs them: the report of a pass under VANILLA or VALUE_VALUE
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", **settings)
+    argv = ["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
+            "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    weights = load_weights(cli_fixtures / "encoder.json")
+    calibration = {"vanilla": encoder.VANILLA, "value-value": encoder.VALUE_VALUE}[baseline]
+    want = attn_report(encode_stack([rgb_to_chw(read_ppm(image))], weights, calibration)[0], weights)
+    got = load_tensors(tmp_path / "out" / "relations.json").tensors["token_relation"]
+    assert got.tobytes() == want["token_relation"].tobytes()
+    assert json.loads((tmp_path / "out" / "attn_report.json").read_text()) == {
+        "mean_row_entropy": want["mean_row_entropy"]
+    }
+
+
+def _declared_flags() -> set:
+    """Every (command, flag) pair that `build_parser()` declares, but --help."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        (command, flag)
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+
+
+def _flag_request(tmp_path, command, flags, setup) -> tuple:
+    """(exit code, output tree) of `command` with `flags` (flag -> value:
+    True for a switch, None to leave the flag out) in a new directory
+    under `tmp_path`, named by each "{out}" in a value, after each file of
+    `setup` (relative path -> text) is written there."""
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    for name, text in setup.items():
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text)
+    argv = [command]
+    for flag, value in flags.items():
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            argv += [flag, str(value).replace("{out}", str(out))]
+    return main(argv), _tree(out)
+
+
+def test_every_cli_flag_moves_a_result(cli_fixtures, cli_trained, attrs_config, seed_43_inputs, tmp_path):
+    # a flag that no output depends on is a knob to delete: for each
+    # (command, flag) pair, one value off the base request's must change
+    # some output byte or the exit code, and a new flag must join the table
+    fx, trained = cli_fixtures, cli_trained[0]
+    weights, checkpoint = fx / "encoder.json", trained / "train" / "checkpoint_000001.json"
+    images = sorted((fx / "dataset" / "images").glob("*.ppm"))
+    configs = tmp_path / "configs"
+    configs.mkdir()
+
+    def config(name, **settings):
+        return write_cli_config(configs / f"{name}.json", fx, configs / name, **settings)
+
+    bank4 = tmp_path / "bank4.json"
+    assert main(build_attrs_argv(config("clusters4", clusters=4), bank4)) == 0
+    alpha2 = _with_setting(checkpoint, tmp_path / "alpha2.json", "alpha", 2.0)
+    gt = shutil.copytree(fx / "dataset" / "masks", tmp_path / "gt")
+    write_pgm(gt / "img_0000.pgm", np.zeros_like(read_pgm(gt / "img_0000.pgm")))
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps({"classes": [*json.loads((fx / "dataset" / "classes.json").read_text())["classes"],
+                                               "extra"]}))
+    inputs = {"weights": str(weights), "knowledge": str(fx / "knowledge.json"), "dataset": str(fx / "dataset")}
+    runs = {name: json.dumps({**inputs, "out_dir": "run", "iterations": 1, "clusters": clusters})
+            for name, clusters in (("a.json", 8), ("b.json", 4))}
+
+    fixture = {"--seed": 42, "--classes": 2, "--images": 1, "--image-size": 32, "--dim": 16, "--heads": 2,
+               "--patch-size": 8, "--out": "{out}/fx"}
+    cam = {"--mode": "static", "--weights": weights, "--bank": trained / "attrs.json", "--image": images[0],
+           "--labels": "1", "--out": "{out}/cams"}
+    evaluate = {"--pred-dir": trained / "static", "--gt-dir": fx / "dataset" / "masks",
+                "--classes": fx / "dataset" / "classes.json", "--out": "{out}/eval.json"}
+    report = {"--weights": weights, "--image": images[0], "--out": "{out}/attn"}
+    run = {"--config": "{out}/a.json", "--mode": "static-only"}
+    # (command, flag) -> (the base request's flags, the flag's value off them, files written before either)
+    table = {
+        **{("gen-fixtures", flag): (fixture, value, {}) for flag, value in [
+            ("--seed", 43), ("--classes", 3), ("--images", 2), ("--image-size", 48), ("--dim", 32), ("--heads", 4),
+            ("--patch-size", 4), ("--out", "{out}/other")]},
+        ("build-attrs", "--config"): ({"--config": attrs_config, "--out": "{out}/bank.json"}, configs / "clusters4.json", {}),
+        ("build-attrs", "--out"): ({"--config": attrs_config, "--out": "{out}/bank.json"}, "{out}/bank.bin", {}),
+        **{("cam", flag): (cam, value, {}) for flag, value in [
+            ("--mode", "dynamic"), ("--weights", seed_43_inputs / "encoder.json"), ("--bank", bank4),
+            ("--image", images[1]), ("--labels", "1,2"), ("--config", config("calib3", calib_layers=3)),
+            ("--out", "{out}/other")]},
+        ("cam", "--adapter"): (cam | {"--mode": "dynamic", "--adapter": checkpoint}, alpha2, {}),
+        **{("eval", flag): (evaluate, value, {}) for flag, value in [
+            ("--pred-dir", fx / "dataset" / "masks"), ("--gt-dir", gt), ("--classes", classes), ("--out", None)]},
+        **{("attn-report", flag): (report, value, {}) for flag, value in [
+            ("--weights", seed_43_inputs / "encoder.json"), ("--image", images[1]),
+            ("--config", config("calib0", calib_layers=0)), ("--adapter", checkpoint), ("--out", "{out}/other")]},
+        ("run", "--config"): (run, "{out}/b.json", runs),
+        ("run", "--mode"): (run, "full", runs),
+        # a run into a directory that holds a file is refused unless it resumes
+        ("run", "--resume"): (run, True, runs | {"run/note.txt": ""}),
+    }
+    assert set(table) == _declared_flags()
+    bases = {}
+    for (command, flag), (base, off, setup) in table.items():
+        assert base.get(flag) != off, (command, flag)
+        key = repr((command, base, setup))
+        if key not in bases:
+            bases[key] = _flag_request(tmp_path, command, base, setup)
+        assert _flag_request(tmp_path, command, base | {flag: off}, setup) != bases[key], (command, flag)
 
 
 # --------------------------------------------------------------------------
@@ -762,15 +867,15 @@ def test_runs_that_train_need_a_calibrated_layer(cli_fixtures, cli_trained, tmp_
     cams = f"{image.stem}.cams.bin"
     assert (tmp_path / "cam" / cams).read_bytes() == (out_dir / "static" / cams).read_bytes()
     attn = ["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
-            "--policies", "icb", "--config", str(cfg), "--out", str(tmp_path / "attn")]
+            "--config", str(cfg), "--out", str(tmp_path / "attn")]
     assert main(attn) == 0
     assert main([*attn, "--adapter", str(checkpoint)]) == 0
 
 
 def test_attn_report_encodes_each_calibration_once_and_resumes_icb(cli_fixtures, cli_trained, tmp_path, monkeypatch):
-    # qk, vv and ic each take one pass over the image; icb resumes the ic
-    # pass at its first calibrated layer (5 layers run) with the adapter's
-    # relation, and makes that pass itself when ic is not reported
+    # one pass over the image; with --adapter the report is of that pass
+    # resumed at its first calibrated layer (5 layers run) with the
+    # adapter's relation
     real = encoder.encode_stack
     passes = []
 
@@ -786,17 +891,12 @@ def test_attn_report_encodes_each_calibration_once_and_resumes_icb(cli_fixtures,
             monkeypatch.setattr(module, "encode_stack", counting)
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
     checkpoint = cli_trained[0] / "train" / "checkpoint_000001.json"
-    argv = ["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
-            "--adapter", str(checkpoint)]
-    for policies, want, layers in (("qk,vv,ic,icb", 3, 41), ("icb", 1, 17)):
+    argv = ["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image)]
+    biased = [("image", LAYER_COUNT), ("resumed", 5)]
+    for adapter, want in (([], biased[:1]), (["--adapter", str(checkpoint)], biased)):
         passes.clear()
-        assert main([*argv, "--policies", policies, "--out", str(tmp_path / policies)]) == 0
-        over_image = [entry for entry in passes if entry[0] == "image"]
-        assert len(over_image) == want and passes[want:] == [("resumed", 5)]
-        assert sum(count for _, count in passes) == layers
-    # icb resumed from its own static pass reports what it does resumed from ic's
-    icb = "relations_icb.bin"
-    assert (tmp_path / "icb" / icb).read_bytes() == (tmp_path / "qk,vv,ic,icb" / icb).read_bytes()
+        assert main([*argv, *adapter, "--out", str(tmp_path / str(len(adapter)))]) == 0
+        assert passes == want
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0], ids=["negative", "zero", "zero-int"])
@@ -810,7 +910,7 @@ def test_exit_code_checkpoint_alpha_not_positive(cli_fixtures, cli_trained, tmp_
     if command == "cam-dynamic":
         argv = ["cam", "--mode", "dynamic", "--bank", str(out_dir / "attrs.json"), "--labels", "1"]
     else:
-        argv = ["attn-report", "--policies", "icb"]
+        argv = ["attn-report"]
     argv += ["--weights", str(cli_fixtures / "encoder.json"), "--image", image, "--adapter", str(bad)]
     line = _main_error(capsys, [*argv, "--out", str(tmp_path / "out")], 2)
     assert str(bad) in line and "meta 'train_config': alpha must be positive" in line
@@ -835,7 +935,7 @@ def test_exit_code_checkpoint_mismatch(cli_fixtures, cli_trained, narrow_weights
         weights, expected = cli_fixtures / "encoder.json", "tensor 'adapter.fusion.w'"
     image = str(next((cli_fixtures / "dataset" / "images").glob("*.ppm")))
     if case == "attn-report-width":
-        argv = ["attn-report", "--weights", str(weights), "--image", image, "--policies", "icb"]
+        argv = ["attn-report", "--weights", str(weights), "--image", image]
     else:
         argv = ["cam", "--mode", "dynamic", "--weights", str(weights), "--bank", str(out_dir / "attrs.json"),
                 "--image", image, "--labels", "1"]
@@ -845,39 +945,40 @@ def test_exit_code_checkpoint_mismatch(cli_fixtures, cli_trained, narrow_weights
 
 
 def test_attn_report_refuses_a_calibration_the_adapter_was_not_trained_under(cli_fixtures, cli_trained, tmp_path):
-    # the adapter was trained over the default 5 calibrated layers: an icb
+    # the adapter was trained over the default 5 calibrated layers: a biased
     # report under a config of 3 is refused before --out exists, one under
     # the defaults is written
     out_dir, _ = cli_trained
     checkpoint = out_dir / "train" / "checkpoint_000001.json"
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
     argv = ["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
-            "--policies", "icb", "--adapter", str(checkpoint)]
+            "--adapter", str(checkpoint)]
     cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", calib_layers=3)
     proc = run_excel(*argv, "--config", str(cfg), "--out", str(tmp_path / "out"))
     line = one_error_line(proc.returncode, proc.stderr, 1)
     assert str(checkpoint) in line and "calib_layers 5" in line and "the config asks for 3" in line
     assert not (tmp_path / "out").exists()
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
-    assert (tmp_path / "out" / "relations_icb.json").exists()
+    assert (tmp_path / "out" / "relations.json").exists()
 
 
 def test_attn_report_reads_the_calibration_an_adapter_was_trained_under_from_its_config(cli_fixtures, tmp_path):
     # an adapter trained under calib_weights off the equal thirds: refused
-    # under the defaults, reported under its run's config, whose icb
-    # report, resumed from the ic pass, is that of a full-depth biased pass
+    # under the defaults, reported under its run's config: the unbiased
+    # report is that of the calibrated pass, and the biased one, resumed
+    # from it, that of a full-depth biased pass
     cfg_path = write_cli_config(
         tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", iterations=1, calib_weights=[0.5, 0.25, 0.25]
     )
     assert main(["run", "--config", str(cfg_path)]) == 0
     checkpoint = tmp_path / "run" / "train" / "checkpoint_000001.json"
     image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
-    argv = ["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image),
-            "--policies", "ic,icb", "--adapter", str(checkpoint), "--out", str(tmp_path / "out")]
-    proc = run_excel(*argv)
+    argv = ["attn-report", "--weights", str(cli_fixtures / "encoder.json"), "--image", str(image)]
+    proc = run_excel(*argv, "--adapter", str(checkpoint), "--out", str(tmp_path / "icb"))
     line = one_error_line(proc.returncode, proc.stderr, 1)
     assert str(checkpoint) in line and "calib_weights [0.5, 0.25, 0.25]" in line and "the config asks for 5" in line
-    assert main([*argv, "--config", str(cfg_path)]) == 0
+    assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "ic")]) == 0
+    assert main([*argv, "--config", str(cfg_path), "--adapter", str(checkpoint), "--out", str(tmp_path / "icb")]) == 0
     calibration = load_config(cfg_path).calibration()
     weights = load_weights(cli_fixtures / "encoder.json")
     chw = rgb_to_chw(read_ppm(image))
@@ -886,11 +987,11 @@ def test_attn_report_reads_the_calibration_an_adapter_was_trained_under_from_its
     relation = biased_relations(static, adapter)[0]
     full_depth = encode_stack([chw], weights, calibration, [relation])
     want = {"ic": attn_report(static[0], weights), "icb": attn_report(full_depth[0], weights)}
-    summary = json.loads((tmp_path / "out" / "attn_report.json").read_text())
     for name in ("ic", "icb"):
-        got = load_tensors(tmp_path / "out" / f"relations_{name}.json").tensors["token_relation"]
+        summary = json.loads((tmp_path / name / "attn_report.json").read_text())
+        got = load_tensors(tmp_path / name / "relations.json").tensors["token_relation"]
         assert got.tobytes() == want[name]["token_relation"].tobytes(), name
-        assert summary[name]["mean_row_entropy"] == want[name]["mean_row_entropy"], name
+        assert summary["mean_row_entropy"] == want[name]["mean_row_entropy"], name
 
 
 @pytest.mark.parametrize("value", ["13", "-1"])
@@ -906,25 +1007,33 @@ def test_exit_code_attn_report_calib_layers_out_of_range(cli_fixtures, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "inf", "x"])
-def test_exit_code_build_attrs_lambda_not_finite_non_negative(cli_fixtures, tmp_path, capsys, value):
-    argv = ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "8",
-            "--lambda", value, "--out", str(tmp_path / "bank.json")]
-    line = _main_error(capsys, argv, 1)
-    assert "--lambda" in line and repr(value) in line
+def _build_attrs_refuses(tmp_path, capsys, **settings) -> str:
+    """The error line of `build-attrs` over a config of a knowledge file
+    that does not exist, with `settings`: refused as the config is made,
+    before the file is opened and before any output."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"knowledge": str(tmp_path / "missing.json"), "clusters": 8, **settings}))
+    line = _main_error(capsys, build_attrs_argv(cfg, tmp_path / "bank.json"), 1)
     assert not (tmp_path / "bank.json").exists()
+    return line
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "x"])
+def test_exit_code_build_attrs_lambda_not_finite_non_negative(tmp_path, capsys, value):
+    lam = {"nan": math.nan, "-1": -1, "inf": math.inf, "x": "x"}[value]
+    line = _build_attrs_refuses(tmp_path, capsys, lam=lam)
+    assert "lam" in line and value in line
 
 
 @pytest.mark.parametrize(
     ("value", "flag"), [("-3", "--clusters"), ("x", "--clusters"), ("0", "--topk"), ("-3", "--topk"), ("x", "--topk")]
 )
 def test_exit_code_build_attrs_count_not_a_positive_integer(tmp_path, capsys, flag, value):
-    # refused as the command line is parsed: the knowledge file, which does
-    # not exist, is never opened; --clusters 0 is the no-clustering baseline
-    argv = ["build-attrs", "--kb", str(tmp_path / "missing.json"), "--clusters", "8", "--out", str(tmp_path / "bank.json")]
-    line = _main_error(capsys, [*argv, flag, value], 1)
-    assert flag in line and repr(value) in line
-    assert not (tmp_path / "bank.json").exists()
+    # the config's `clusters` below 0 or `topk` below 1, or either not an
+    # integer; clusters 0 is the no-clustering baseline
+    key, count = flag.removeprefix("--"), value if value == "x" else int(value)
+    line = _build_attrs_refuses(tmp_path, capsys, **{key: count})
+    assert key in line and repr(count) in line
 
 
 def test_build_attrs_clusters_zero_writes_an_unclustered_bank(cli_fixtures, tmp_path):
@@ -932,8 +1041,8 @@ def test_build_attrs_clusters_zero_writes_an_unclustered_bank(cli_fixtures, tmp_
     # the class names and width they are read by
     knowledge = cli_fixtures / "knowledge.json"
     out = tmp_path / "bank.json"
-    argv = ["build-attrs", "--kb", str(knowledge), "--clusters", "0", "--out", str(out)]
-    assert main(argv) == 0
+    cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", clusters=0)
+    assert main(build_attrs_argv(cfg, out)) == 0
     manifest = json.loads(out.read_text())
     assert [entry["name"] for entry in manifest["tensors"]] == ["enriched"]
     assert set(manifest["meta"]) == {"classes", "dim"}
@@ -949,7 +1058,8 @@ def test_a_bank_in_the_older_format_loads(cli_fixtures, tmp_path):
     cfg = PipelineConfig()
     knowledge = cli_fixtures / "knowledge.json"
     slim = tmp_path / "slim.json"
-    assert main(["build-attrs", "--kb", str(knowledge), "--clusters", "8", "--out", str(slim)]) == 0
+    cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", seed=cfg.seed)
+    assert main(build_attrs_argv(cfg_path, slim)) == 0
     kb = ingest_knowledge(knowledge)
     space = cluster_attributes(kb, 8, Rng(cfg.seed).child("attributes").child("clustering"))
     hunts = [hunt_attributes(kb.templates[:, c], space.centroids, cfg.topk) for c in range(kb.num_classes)]
@@ -1038,7 +1148,8 @@ def test_exit_code_non_finite_knowledge(cli_fixtures, tmp_path, capsys, command,
     poisoned["descriptions.00"][1, 2] = value
     kb = save_non_finite(tmp_path / "kb_bad.json", poisoned, meta=tf.meta, provenance=tf.provenance)
     if command == "build-attrs":
-        argv = ["build-attrs", "--kb", str(kb), "--clusters", "8", "--out", str(tmp_path / "bank.json")]
+        cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", knowledge=str(kb))
+        argv = build_attrs_argv(cfg_path, tmp_path / "bank.json")
     else:
         cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", knowledge=str(kb))
         argv = ["run", "--config", str(cfg_path)]
@@ -1073,16 +1184,13 @@ def test_exit_code_cam_dynamic_without_adapter(cli_fixtures, cli_trained, tmp_pa
 
 
 
-@pytest.mark.parametrize("command", ["cam-static", "attn-report-without-icb"])
+@pytest.mark.parametrize("command", ["cam-static"])
 def test_exit_code_adapter_that_nothing_reads(cli_fixtures, cli_trained, tmp_path, capsys, command):
     # an --adapter that the request would not open is a usage error, raised
     # before the weights, image or checkpoint are read and before --out is created
     out_dir, _ = cli_trained
     image = str(next((cli_fixtures / "dataset" / "images").glob("*.ppm")))
-    if command == "cam-static":
-        argv = ["cam", "--mode", "static", "--bank", str(out_dir / "attrs.json"), "--labels", "1"]
-    else:
-        argv = ["attn-report", "--policies", "qk,vv,ic"]
+    argv = ["cam", "--mode", "static", "--bank", str(out_dir / "attrs.json"), "--labels", "1"]
     argv += ["--weights", str(cli_fixtures / "encoder.json"), "--image", image,
              "--adapter", "/nonexistent/ckpt.json", "--out", str(tmp_path / "out")]
     assert "--adapter" in _main_error(capsys, argv, 1)
@@ -1146,10 +1254,14 @@ def too_many_classes(tmp_path_factory):
     templates = gen.standard_normal((count, 16)).astype(np.float32)
     descriptions = gen.standard_normal((count, 1, 16)).astype(np.float32)
     names = [f"class-{c}" for c in range(count)]
-    knowledge = save_knowledge(root / "knowledge.json", names, templates, descriptions)
-    # built in memory: the knowledge file is refused where it is read
+    # written with save_tensors: save_knowledge and save_bank refuse them
+    tensors = {f"{kind}.{c:02d}": arrays[c] for c in range(count)
+               for kind, arrays in (("template", templates), ("descriptions", descriptions))}
+    meta = {"classes": names, "n": 1, "dim": 16, "template_text": TEMPLATE_TEXT}
+    knowledge = save_tensors(root / "knowledge.json", tensors, meta=meta)
     kb = KnowledgeBase(descriptions[:, 0].T.copy(), np.arange(count, dtype=np.int32), templates.T.copy(), names)
-    bank = save_bank(root / "bank.json", build_text_bank(kb, clusters=0, topk=1, lam=0.5, rng=Rng(0)))
+    enriched = build_text_bank(kb, clusters=0, topk=1, lam=0.5, rng=Rng(0)).enriched
+    bank = save_tensors(root / "bank.json", {"enriched": enriched.T.copy()}, meta={"classes": names, "dim": 16})
     image = root / "image.ppm"
     write_ppm(image, gen.integers(0, 256, (32, 32, 3), dtype=np.uint8))
     return knowledge, bank, image
@@ -1162,7 +1274,9 @@ def test_exit_code_more_classes_than_a_label_map_holds(too_many_classes, tiny_we
     knowledge, bank, image = too_many_classes
     if command == "build-attrs":
         named = knowledge
-        argv = ["build-attrs", "--kb", str(knowledge), "--clusters", "0", "--out", str(tmp_path / "bank.json")]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"knowledge": str(knowledge), "clusters": 0}))
+        argv = build_attrs_argv(cfg, tmp_path / "bank.json")
     else:
         named = bank
         argv = ["cam", "--mode", "static", "--weights", str(tiny_weights), "--bank", str(bank),
@@ -1172,12 +1286,31 @@ def test_exit_code_more_classes_than_a_label_map_holds(too_many_classes, tiny_we
     assert not (tmp_path / "bank.json").exists() and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["bank", "knowledge"])
+def test_writers_refuse_more_classes_than_a_label_map_holds(too_many_classes, tmp_path, kind):
+    # save_bank and save_knowledge refuse the class count that load_bank
+    # and ingest_knowledge refuse, before either file of the pair is written
+    knowledge, bank, _ = too_many_classes
+    out = tmp_path / f"{kind}.json"
+    with pytest.raises(DataError, match=f"manifest {re.escape(str(out))} meta 'classes' lists {MAX_CLASSES + 1}"):
+        if kind == "bank":
+            tf = load_tensors(bank)
+            save_bank(out, TextRepresentation(tf.meta["classes"], tf.tensors["enriched"].T.copy()))
+        else:
+            tf = load_tensors(knowledge)
+            names = tf.meta["classes"]
+            templates = [tf.tensors[f"template.{c:02d}"] for c in range(len(names))]
+            save_knowledge(out, names, templates, [tf.tensors[f"descriptions.{c:02d}"] for c in range(len(names))])
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "key, value", [("n", "x"), ("dim", None), ("classes", "red-shape")], ids=["n-string", "no-dim", "classes-string"]
 )
 def test_exit_code_malformed_knowledge_meta(cli_fixtures, tmp_path, capsys, key, value):
     bad = _with_meta(cli_fixtures / "knowledge.json", tmp_path / "kb.json", key, value)
-    argv = ["build-attrs", "--kb", str(bad), "--clusters", "8", "--out", str(tmp_path / "bank.json")]
+    cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", knowledge=str(bad))
+    argv = build_attrs_argv(cfg, tmp_path / "bank.json")
     assert f"'{key}'" in _main_error(capsys, argv, 2)
 
 
@@ -1309,10 +1442,29 @@ def test_exit_code_resume_over_corrupt_report(cli_fixtures, tmp_path, report):
     assert str(out_dir / "report.json") in one_error_line(proc.returncode, proc.stderr, 2)
 
 
-def _argv_writing_to(cli_fixtures, command, out):
+def test_unclustered_configs_that_differ_only_in_topk_resume_each_other(cli_fixtures, tmp_path):
+    # clusters 0 reads no topk, so the config hash leaves it out: a resume
+    # across such configs is accepted and recomputes nothing; a clustered
+    # config hashes topk, as it always has
+    out_dir = tmp_path / "run"
+    a = write_cli_config(tmp_path / "a.json", cli_fixtures, out_dir, clusters=0, topk=8)
+    b = write_cli_config(tmp_path / "b.json", cli_fixtures, out_dir, clusters=0, topk=3)
+    assert load_config(a).digest() == load_config(b).digest()
+    assert main(["run", "--config", str(a), "--mode", "static-only"]) == 0
+    before = _tree(out_dir)
+    assert main(["run", "--config", str(b), "--mode", "static-only", "--resume"]) == 0
+    after = _tree(out_dir)
+    assert {name for name in after if after[name] != before[name]} == {Path("run_config.json")}
+    for clusters in (1, 8):
+        cfg = PipelineConfig(clusters=clusters, topk=3)
+        assert cfg.digest() != dataclasses.replace(cfg, topk=8).digest()
+        assert cfg.digest() == config_digest({k: v for k, v in cfg.to_dict().items() if k != "out_dir"})
+
+
+def _argv_writing_to(cli_fixtures, attrs_config, command, out):
     """`build-attrs` or `eval` on the fixtures, with `--out out`."""
     if command == "build-attrs":
-        return ["build-attrs", "--kb", str(cli_fixtures / "knowledge.json"), "--clusters", "8", "--out", str(out)]
+        return build_attrs_argv(attrs_config, out)
     masks = str(cli_fixtures / "dataset" / "masks")
     return ["eval", "--pred-dir", masks, "--gt-dir", masks, "--classes",
             str(cli_fixtures / "dataset" / "classes.json"), "--out", str(out)]
@@ -1323,20 +1475,20 @@ def _argv_writing_to(cli_fixtures, command, out):
     [("build-attrs", "afile", "afile/out.json"), ("build-attrs", "bank.bin", "bank.bin"), ("eval", "afile", "afile/out.json")],
     ids=["build-attrs-under-file", "build-attrs-bin-suffix", "eval-under-file"],
 )
-def test_exit_code_unwritable_output_path(cli_fixtures, tmp_path, command, named, out):
+def test_exit_code_unwritable_output_path(cli_fixtures, attrs_config, tmp_path, command, named, out):
     # a directory under a file cannot be made; a `.bin` manifest would be
     # overwritten by its own blob: refused, nothing written
     (tmp_path / "afile").write_text("")
-    proc = run_excel(*_argv_writing_to(cli_fixtures, command, tmp_path / out))
+    proc = run_excel(*_argv_writing_to(cli_fixtures, attrs_config, command, tmp_path / out))
     assert str(tmp_path / named) in one_error_line(proc.returncode, proc.stderr, 2)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
 @pytest.mark.parametrize("command", ["build-attrs", "eval"])
-def test_out_directory_is_made_when_missing(cli_fixtures, tmp_path, command):
+def test_out_directory_is_made_when_missing(cli_fixtures, attrs_config, tmp_path, command):
     # as `cam`, `attn-report` and `run` make theirs
     out = tmp_path / "a" / "b" / "out.json"
-    assert main(_argv_writing_to(cli_fixtures, command, out)) == 0
+    assert main(_argv_writing_to(cli_fixtures, attrs_config, command, out)) == 0
     assert isinstance(json.loads(out.read_text(encoding="utf-8")), dict)
     assert [p.relative_to(tmp_path).as_posix() for p in sorted(tmp_path.rglob("*.json"))] == ["a/b/out.json"]
 

@@ -73,7 +73,8 @@ def small(tmp_path_factory):
     root = tmp_path_factory.mktemp("props")
     spec = FixtureSpec(classes=2, images=2, image_size=32, dim=16, heads=2, patch_size=8, mlp_dim=32)
     generate_fixtures(5, spec, root)
-    assert main(["build-attrs", "--kb", str(root / "knowledge.json"), "--clusters", "4", "--out", str(root / "bank.json")]) == 0
+    (root / "attrs.json").write_text(json.dumps({"knowledge": "knowledge.json", "clusters": 4}))
+    assert main(["build-attrs", "--config", str(root / "attrs.json"), "--out", str(root / "bank.json")]) == 0
     return root
 
 
@@ -246,7 +247,7 @@ def test_mutated_checkpoint_meta_fails_cleanly(small, small_checkpoint, data):
                   "--adapter", str(bad), "--out", str(Path(tmp) / "out")]
         for argv in (
             ["cam", "--mode", "dynamic", "--bank", str(out_dir / "attrs.json"), "--labels", "1", *common],
-            ["attn-report", "--policies", "icb", *common],
+            ["attn-report", *common],
         ):
             _fails_with_one_error_line(argv)
 
@@ -632,7 +633,7 @@ def test_mixed_artifacts_in_attn_report_exit_cleanly(mixed, weights, image, adap
         code = _exits_cleanly(
             [
                 "attn-report", "--weights", str(mixed / weights / "encoder.json"),
-                "--image", str(mixed / image / "dataset" / "images" / "img_0001.ppm"), "--policies", "qk,vv,ic,icb",
+                "--image", str(mixed / image / "dataset" / "images" / "img_0001.ppm"),
                 "--adapter", str(mixed / "runs" / adapter / "train" / "checkpoint_000001.json"),
                 "--config", str(mixed / f"{config}.json"), "--out", tmp,
             ]

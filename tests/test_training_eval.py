@@ -10,7 +10,6 @@ from excel.dynamic_calibration import init_adapter
 from excel.encoder import LAYER_COUNT, VANILLA, Calibration, encode_stack, layer_attention
 from excel.errors import DataError, NumericError, UsageError
 from excel.blobio import load_tensors, save_tensors
-from excel.cli import main
 from excel.config import PATH_KEYS, PipelineConfig
 from excel.numerics import Rng
 from excel.training_eval import (
@@ -320,14 +319,6 @@ def test_attn_report_fixture_policies(fixture_weights, fixture_dataset):
     rows = attn / attn.sum(axis=2, keepdims=True)
     ent = float(np.where(rows > 0, -rows * np.log(rows), 0.0).sum(axis=2).mean())
     assert report["qk"]["mean_row_entropy"] == pytest.approx(ent, abs=1e-9)
-
-
-def test_attn_report_requires_policy(tmp_path):
-    # an empty --policies names no policy, refused before any input is read
-    out = tmp_path / "out"
-    argv = ["attn-report", "--weights", "missing.json", "--image", "missing.ppm", "--out", str(out)]
-    assert main([*argv, "--policies", ""]) == 1
-    assert not out.exists()
 
 
 # --------------------------------------------------------------------------

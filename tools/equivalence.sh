@@ -6,6 +6,12 @@
 #     tools/tree_diff.py /tmp/eq-old /tmp/eq-new
 # exits 0; otherwise it names every file and JSON key that differs.
 # `tools/compare.sh [REV]` runs these three steps against a git revision.
+# It cannot reach back past the change that moved `build-attrs` onto
+# `--config` and made `attn-report` report one pass: older revisions
+# refuse this script's argv for those two commands. Across that change,
+# run each revision's own copy of this script and compare the two trees
+# with tools/tree_diff.py; they then differ in the `build-attrs` and
+# `attn-report` outputs only.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
 # OUT, so the recorded configs and provenance hashes agree.
 # About 30 s on a 2-vCPU VM.
@@ -121,11 +127,13 @@ every_key='"lr": 2e-4, "weight_decay": 0.02, "iterations": 3, "batch_size": 3,
 SEED=11 config every-key-run.json every-key-run fx32 "$every_key"
 excel run --config every-key-run.json > run-every-key.log
 
-excel build-attrs --kb fx/knowledge.json --clusters 16 --lambda 0.5 --seed 7 --out bank-0.5.json > build-attrs-0.5.log
-excel build-attrs --kb fx/knowledge.json --clusters 16 --lambda 0 --seed 7 --out bank-0.json > build-attrs-0.log
-# the unclustered-static run's bank, from flags; exit code and error line kept as above
-{ excel build-attrs --kb fx/knowledge.json --clusters 0 --seed 7 --out bank-unclustered.json \
-    > build-attrs-unclustered.log 2> build-attrs-unclustered.err; echo "$?" > build-attrs-unclustered.exit; } || true
+# banks from configs alone; each config's out_dir is never made
+config bank-0.5.config.json bank-0.5 fx '"lam": 0.5'
+excel build-attrs --config bank-0.5.config.json --out bank-0.5.json > build-attrs-0.5.log
+config bank-0.config.json bank-0 fx '"lam": 0'
+excel build-attrs --config bank-0.config.json --out bank-0.json > build-attrs-0.log
+# the unclustered-static run's bank, from that run's config
+excel build-attrs --config unclustered-static.json --out bank-unclustered.json > build-attrs-unclustered.log
 
 for stem in img_0000 img_0001 img_0002; do
     labels=$(python3 -c 'import json, sys; print(",".join(map(str, json.load(open(sys.argv[1]))[sys.argv[2]])))' \
@@ -158,29 +166,35 @@ excel cam --mode dynamic --weights fx/encoder.json --bank full/attrs.json \
 # a static CAM under a config without calibrated layers, not the default calibration
 excel cam --mode static --weights fx/encoder.json --bank vanilla-static/attrs.json \
     --image fx/dataset/images/img_0002.ppm --labels "$labels" --config vanilla-static.json --out cam-vanilla > cam-vanilla.log
-excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0002.ppm \
-    --policies icb --adapter kernel3/train/checkpoint_000005.json --out attn-kernel3 > attn-kernel3.log
 
-excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.ppm \
-    --policies qk,vv,ic,icb --out attn > attn.log
-excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0000.ppm \
-    --policies icb,qk --adapter full/train/checkpoint_000017.json --out attn-adapter > attn-adapter.log
-# no layer calibrated: icb resumes the ic pass at the final norm
-excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0001.ppm \
-    --policies ic,icb --config vanilla-static.json --out attn-calib0 > attn-calib0.log
-# ic and icb calibrate every layer, read from the config
+# attn_report WEIGHTS IMAGE NAME [FLAG...]: one report into attn/NAME/, its stdout in attn/NAME.log.
+# The calibration is the --config's: vanilla-static.json is q-k attention (qk), valuevalue-static.json
+# v-v attention in the last block (vv), and no --config the default calibration (ic); an --adapter
+# resumes the pass with the adapter's relation bias (icb)
+attn_report() {
+    excel attn-report --weights "$1" --image "$2" --out "attn/$3" "${@:4}" > "attn/$3.log"
+}
+mkdir attn
+attn_report fx/encoder.json fx/dataset/images/img_0002.ppm kernel3-icb --adapter kernel3/train/checkpoint_000005.json
+attn_report fx/encoder.json fx/dataset/images/img_0000.ppm qk --config vanilla-static.json
+attn_report fx/encoder.json fx/dataset/images/img_0000.ppm vv --config valuevalue-static.json
+attn_report fx/encoder.json fx/dataset/images/img_0000.ppm ic
+attn_report fx/encoder.json fx/dataset/images/img_0000.ppm adapter-icb --adapter full/train/checkpoint_000017.json
+attn_report fx/encoder.json fx/dataset/images/img_0001.ppm calib0-ic --config vanilla-static.json
+# every layer calibrated, read from the config
 config all-layers.json attn-all-layers fx '"calib_layers": 12'
-excel attn-report --weights fx/encoder.json --image fx/dataset/images/img_0001.ppm \
-    --policies ic,icb --config all-layers.json --out attn-all-layers > attn-all-layers.log
-excel attn-report --weights fx256/encoder.json --image fx256/dataset/images/img_0003.ppm \
-    --policies qk,vv,ic,icb --adapter full256/train/checkpoint_000002.json --out attn-256 > attn-256.log
-# icb alone, uniform, at T=257: its static pass is made and not reported
-excel attn-report --weights fx256/encoder.json --image fx256/dataset/images/img_0005.ppm \
-    --policies icb --out attn-256-icb > attn-256-icb.log
+attn_report fx/encoder.json fx/dataset/images/img_0001.ppm all-layers-ic --config all-layers.json
+# T=257
+attn_report fx256/encoder.json fx256/dataset/images/img_0003.ppm 256-qk --config vanilla-static.json
+attn_report fx256/encoder.json fx256/dataset/images/img_0003.ppm 256-vv --config valuevalue-static.json
+attn_report fx256/encoder.json fx256/dataset/images/img_0003.ppm 256-ic
+attn_report fx256/encoder.json fx256/dataset/images/img_0003.ppm 256-icb \
+    --adapter full256/train/checkpoint_000002.json
+attn_report fx256/encoder.json fx256/dataset/images/img_0005.ppm 256-img5-ic
 # an adapter trained under calib_layers 4 and calib_weights [0.5, 0.25, 0.25], read from its run's config
-excel attn-report --weights fx32/encoder.json --image fx32/dataset/images/img_0000.ppm --policies ic,icb \
-    --config every-key-run.json --adapter every-key-run/train/checkpoint_000003.json --out attn-every-key \
-    > attn-every-key.log
+attn_report fx32/encoder.json fx32/dataset/images/img_0000.ppm every-key-ic --config every-key-run.json
+attn_report fx32/encoder.json fx32/dataset/images/img_0000.ppm every-key-icb --config every-key-run.json \
+    --adapter every-key-run/train/checkpoint_000003.json
 
 excel eval --pred-dir full/dynamic --gt-dir fx/dataset/masks --classes fx/dataset/classes.json \
     --out eval.json > eval.log
