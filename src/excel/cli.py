@@ -4,7 +4,7 @@ Subcommands: gen-fixtures, build-attrs, cam, eval, attn-report, run.
 Pipeline settings come from a `--config` file only: build-attrs reads
 its knowledge file and attribute settings there, and cam and attn-report
 their calibration (and cam its thresholds).
-Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric error.
+Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric error, 130 interrupted.
 """
 
 import argparse
@@ -18,10 +18,10 @@ from .config import PipelineConfig, load_config
 from .dataset import ImageRecord, load_class_names
 from .dynamic_calibration import biased_relations, dynamic_cams
 from .encoder import encode_stack, load_weights
-from .errors import EXIT_DATA, EXIT_OK, EXIT_USAGE, DataError, ExcelError, UsageError
+from .errors import EXIT_DATA, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, DataError, ExcelError, UsageError
 from .fixtures import FixtureSpec, generate_fixtures
 from .images import read_pgm, read_ppm, rgb_to_chw
-from .pipeline import check_bank_dim, run_pipeline, run_provenance, write_cam_outputs
+from .pipeline import check_bank_dim, file_digest, run_pipeline, run_provenance, write_cam_outputs
 from .static_calibration import run_static_passes
 from .text_enrichment import attribute_bank, load_bank, save_bank
 from .training_eval import attn_report, evaluate, load_checkpoint, report_text
@@ -96,7 +96,8 @@ def _cmd_build_attrs(args) -> int:
     if not cfg.knowledge:
         raise UsageError(f"config {args.config} names no 'knowledge' file to build a bank from")
     bank = attribute_bank(cfg.knowledge, cfg.clusters, cfg.topk, cfg.lam, cfg.seed)
-    out = save_bank(args.out, bank, provenance=run_provenance(cfg, "attributes"))
+    inputs = {"knowledge": file_digest(cfg.knowledge, "knowledge manifest")}
+    out = save_bank(args.out, bank, provenance=run_provenance(cfg, "attributes", inputs))
     print(f"bank: {out}")
     return EXIT_OK
 
@@ -216,6 +217,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a size that a flag or a config key gives and no bound refuses yet
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:  # Ctrl-C; the writer and encoder threads hand theirs to this thread
+        print("error: interrupted; every file written so far is whole, and --resume continues a run", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -5,15 +5,15 @@ writes, and the settings of the attribute, calibration and training
 stages. A run has one attention setting, `calibration()`, which every
 stage reads. Unknown keys are rejected so typos never silently fall back
 to defaults, and every value is type- and range-checked where a config
-is made. The config hash in every artifact's provenance is the digest of
-the flat mapping without the keys the run does not read: `out_dir`, and
-`topk` when `clusters` is 0.
+is made. A run is named by its `settings()`, every key but the paths:
+the config hash in every artifact's provenance digests them, less `topk`
+when `clusters` is 0. The inputs the paths name are stamped by content.
 """
 
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .blobio import is_finite_number, read_json_object, write_json
+from .blobio import is_finite_number, read_json_object
 from .encoder import Calibration
 from .errors import UsageError
 from .hashing import config_digest
@@ -91,15 +91,19 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return asdict(self) | {"calib_weights": list(self.calib_weights)}
 
+    def settings(self) -> dict:
+        """What a run computes: every key but the paths it reads and writes."""
+        return {k: v for k, v in self.to_dict().items() if k not in PATH_KEYS}
+
     def digest(self) -> str:
-        # identifies the computation: out_dir is where results land, not
-        # part of what they are, so identical runs into different
-        # directories stamp identical provenance; the no-clustering
+        # the settings, so one run spelled with other paths, or into
+        # another directory, stamps the same provenance; the no-clustering
         # baseline reads no topk, so two such configs that differ only
         # there hash alike
-        unread = {"out_dir", "topk"} if self.clusters == 0 else {"out_dir"}
-        mapping = {k: v for k, v in self.to_dict().items() if k not in unread}
-        return config_digest(mapping)
+        settings = self.settings()
+        if self.clusters == 0:
+            del settings["topk"]
+        return config_digest(settings)
 
 
 def _typed(key: str, value, kind):
@@ -140,7 +144,3 @@ def load_config(path) -> PipelineConfig:
         if value and not Path(value).is_absolute():
             setattr(cfg, key, str(base / value))
     return cfg
-
-
-def save_config(path, cfg: PipelineConfig) -> Path:
-    return write_json(path, cfg.to_dict())

@@ -1,13 +1,15 @@
 """Exception hierarchy and process exit codes.
 
 Exit code contract: 0 ok, 1 usage/config, 2 data (files, shapes,
-dataset validation), 3 numeric (degenerate math, non-finite values).
+dataset validation), 3 numeric (degenerate math, non-finite values),
+130 interrupted (the shell's code for SIGINT).
 """
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERRUPTED = 130
 
 
 class ExcelError(Exception):

@@ -9,14 +9,13 @@ resume into one that holds any file and a static-only resume over a full
 run's tree.
 """
 
-import dataclasses
 import hashlib
 from pathlib import Path
 
 import numpy as np
 
 from .blobio import read_json_object, write_file, write_json, writes_behind
-from .config import PipelineConfig, save_config
+from .config import PipelineConfig
 from .dataset import ToyDataset, load_dataset
 from .dynamic_calibration import dynamic_cams
 from .encoder import EncoderWeights, load_weights
@@ -78,7 +77,7 @@ def _holds_full_run(out: Path) -> bool:
     return report.exists() and read_json_object(report, "artifact", DataError).get("evaluated_stage") == "dynamic"
 
 
-def _file_digest(path, what: str) -> str:
+def file_digest(path, what: str) -> str:
     """SHA-256 hex digest of the bytes of `path`, the `what` of a run."""
     path = Path(path)
     if not path.is_file():
@@ -133,7 +132,8 @@ def load_inputs(cfg: PipelineConfig, resume: bool = False, train: bool = False):
 
     An output tree holds one run: without `resume`, an `out_dir` that
     holds any file is refused before anything is read, and so is a
-    static-only resume (not `train`) over a full run's tree.
+    static-only resume (not `train`) over a full run's tree. A resume
+    removes every `*.tmp` file in the tree before anything is written.
 
     A run that will `train` the adapter needs a calibrated layer, since
     only those take its relation bias, and `training_bytes` within
@@ -171,11 +171,14 @@ def load_inputs(cfg: PipelineConfig, resume: bool = False, train: bool = False):
             )
     dataset = load_dataset(cfg.dataset, image_size=weights.image_size)
     inputs = {
-        "weights": _file_digest(cfg.weights, "weights manifest"),
-        "knowledge": _file_digest(cfg.knowledge, "knowledge manifest"),
+        "weights": file_digest(cfg.weights, "weights manifest"),
+        "knowledge": file_digest(cfg.knowledge, "knowledge manifest"),
         "dataset": dataset.digest,
     }
     _check_resume(Path(cfg.out_dir) / "report.json", cfg, inputs, resume)
+    if resume:  # a process killed between a write and its rename left `<name>.tmp`
+        for tmp in out.rglob("*.tmp"):
+            tmp.unlink()
     return inputs, weights, dataset, stage_attributes(cfg, inputs, weights, dataset, resume=resume)
 
 
@@ -254,9 +257,7 @@ def run_pipeline(cfg: PipelineConfig, mode: str = "full", resume: bool = False):
         raise UsageError(f"unknown pipeline mode '{mode}'")
     with writes_behind():
         inputs, weights, dataset, bank = load_inputs(cfg, resume=resume, train=mode == "full")
-        # the recorded copy points out_dir at its own directory, so identical
-        # runs into different locations leave byte-identical trees
-        save_config(Path(cfg.out_dir) / "run_config.json", dataclasses.replace(cfg, out_dir="."))
+        write_json(Path(cfg.out_dir) / "run_config.json", cfg.settings())
         # training and dynamic CAMs consume the static stage's pass, so every
         # image is encoded under the run's calibration once per run
         results = stage_static(cfg, inputs, weights, bank, dataset, keep_traces=mode == "full")

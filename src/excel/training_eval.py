@@ -13,7 +13,7 @@ import numpy as np
 
 from . import numerics as nm
 from .blobio import is_positive_int, load_tensors, save_tensors, write_file
-from .config import PATH_KEYS, PipelineConfig, parse_config
+from .config import PipelineConfig, parse_config
 from .dynamic_calibration import (
     AdapterParams,
     adapter_shapes,
@@ -163,8 +163,8 @@ def load_checkpoint(path, dim: int, calibration: Calibration) -> AdapterParams:
     if width != dim:
         raise DataError(f"checkpoint {tf.path} adapts {width}-dim encoder features, the weights have dim {dim}")
     settings = tf.meta_value("train_config", lambda s: isinstance(s, dict), "an object")
-    for key in PipelineConfig().to_dict():
-        if key not in PATH_KEYS and key not in settings:
+    for key in PipelineConfig().settings():
+        if key not in settings:
             raise DataError(f"checkpoint {tf.path} meta 'train_config' lacks config key '{key}'")
     try:
         trained = parse_config(settings)
@@ -290,9 +290,7 @@ def train_loop(
             raise NumericError(f"training diverged at iteration {it}: diversity loss {div_mean:.3f}")
         adamw_step(theta, grad, state)
     write_loss_curve(out_dir / "loss_curve.csv", curve)
-    # the settings the adapter was trained with, not the run's paths
-    settings = {k: v for k, v in config.to_dict().items() if k not in PATH_KEYS}
-    meta = {"train_config": settings, "dim": dim}
+    meta = {"train_config": config.settings(), "dim": dim}
     save_checkpoint(checkpoint_path(out_dir, config.iterations), adapter, meta, provenance=provenance)
     return adapter
 

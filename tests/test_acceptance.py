@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from excel.blobio import write_json
 from excel.cli import main
-from excel.config import PipelineConfig, parse_config, save_config
+from excel.config import PipelineConfig, parse_config
 from excel.dynamic_calibration import (
     AdapterParams,
     adapter_diversity_loss,
@@ -307,7 +308,7 @@ def test_criterion_5_unclustered_baseline_is_a_run(tmp_path, fixture_paths, toy_
     _, report = run_pipeline(cfg, mode="static-only")
     assert report.miou == toy_run["miou_unclustered"]
     bank = tmp_path / "cli" / "attrs.json"
-    argv = ["build-attrs", "--config", str(save_config(tmp_path / "run.json", cfg)), "--out", str(bank)]
+    argv = ["build-attrs", "--config", str(write_json(tmp_path / "run.json", cfg.to_dict())), "--out", str(bank)]
     assert main(argv) == 0
     assert bank.with_suffix(".bin").read_bytes() == (tmp_path / "run" / "attrs.bin").read_bytes()
     ok(5, f"clusters 0 static-only run mIoU {report.miou!r}, the baseline's to every digit; build-attrs bank identical")

@@ -19,7 +19,7 @@ import excel
 from excel import encoder, training_eval
 from excel.blobio import load_tensors, save_tensors, write_json
 from excel.cli import build_parser, main
-from excel.config import PATH_KEYS, PipelineConfig, load_config, parse_config, save_config
+from excel.config import PipelineConfig, load_config, parse_config
 from excel.dynamic_calibration import biased_relations
 from excel.encoder import LAYER_COUNT, Calibration, encode_stack, load_weights, save_weights
 from excel.errors import DataError, UsageError
@@ -95,8 +95,7 @@ def write_cli_config(path, fixture_root, out_dir, **overrides):
         "clusters": 8,
     }
     mapping.update(overrides)
-    save_config(path, parse_config(mapping))
-    return path
+    return write_json(path, parse_config(mapping).to_dict())
 
 
 def build_attrs_argv(cfg_path, out):
@@ -158,7 +157,8 @@ def test_cli_defaults_are_the_types_they_fill():
 
 def test_build_attrs_writes_the_runs_bank(cli_fixtures, tmp_path):
     # given a run's config, build-attrs writes the run's bank blob byte for
-    # byte, and its manifest but for the digests of the run's input files
+    # byte, and its manifest but for the digests of the run's other input
+    # files: it reads only the knowledge file
     settings = {"clusters": 6, "topk": 5, "lam": 0.25, "seed": 9}
     cfg = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "run", **settings)
     assert main(["run", "--config", str(cfg), "--mode", "static-only"]) == 0
@@ -167,7 +167,9 @@ def test_build_attrs_writes_the_runs_bank(cli_fixtures, tmp_path):
     run = tmp_path / "run" / "attrs.json"
     assert out.with_suffix(".bin").read_bytes() == run.with_suffix(".bin").read_bytes()
     manifests = [json.loads(path.read_text()) for path in (out, run)]
-    assert set(manifests[1]["provenance"].pop("inputs")) == {"weights", "knowledge", "dataset"}
+    inputs = [manifest["provenance"].pop("inputs") for manifest in manifests]
+    assert set(inputs[1]) == {"weights", "knowledge", "dataset"}
+    assert inputs[0] == {"knowledge": inputs[1]["knowledge"]}
     assert manifests[0]["provenance"]["config_hash"] == load_config(cfg).digest()
     assert manifests[0] == manifests[1]
 
@@ -175,7 +177,7 @@ def test_build_attrs_writes_the_runs_bank(cli_fixtures, tmp_path):
 def test_checkpoint_train_config_holds_the_settings(cli_trained):
     # every config key but where the run reads and writes
     meta = load_tensors(cli_trained[0] / "train" / "checkpoint_000001.json").meta
-    settings = set(PipelineConfig().to_dict()) - set(PATH_KEYS)
+    settings = set(PipelineConfig().settings())
     assert set(meta["train_config"]) == settings
     assert len(settings) == 19
 
@@ -1458,7 +1460,51 @@ def test_unclustered_configs_that_differ_only_in_topk_resume_each_other(cli_fixt
     for clusters in (1, 8):
         cfg = PipelineConfig(clusters=clusters, topk=3)
         assert cfg.digest() != dataclasses.replace(cfg, topk=8).digest()
-        assert cfg.digest() == config_digest({k: v for k, v in cfg.to_dict().items() if k != "out_dir"})
+        assert cfg.digest() == config_digest(cfg.settings())
+
+
+# where gen-fixtures writes each run input
+INPUTS = {"weights": "encoder.json", "knowledge": "knowledge.json", "dataset": "dataset"}
+TREE_DIFF = Path(__file__).resolve().parent.parent / "tools" / "tree_diff.py"
+
+
+def _assert_trees_identical(old, new):
+    proc = subprocess.run([sys.executable, str(TREE_DIFF), str(old), str(new)], capture_output=True, text=True)
+    assert proc.returncode == 0 and " 0 differ; 0 in one tree only" in proc.stdout, proc.stdout
+
+
+def test_a_run_is_named_by_its_settings_not_its_paths(tmp_path, monkeypatch, capsys):
+    # one config run as `c.json` from its own directory, as its absolute
+    # path from another directory, and as another config into another
+    # out_dir: the config hash covers the settings alone, so the three
+    # trees are byte-identical and a resume across the spellings is
+    # accepted; fixtures regenerated at the same paths are still refused
+    home, elsewhere = tmp_path / "home", tmp_path / "elsewhere"
+    assert main(["gen-fixtures", "--seed", "42", "--out", str(home / "fx"), "--images", "4"]) == 0
+    settings = {"seed": 3, "iterations": 2, "batch_size": 4, "clusters": 8}
+    inputs = {key: f"fx/{name}" for key, name in INPUTS.items()}
+    write_json(home / "c.json", {**settings, **inputs, "out_dir": "run"})
+    moved = {key: str(home / path) for key, path in inputs.items()}
+    write_json(elsewhere / "c.json", {**settings, **moved, "out_dir": "moved"})
+    monkeypatch.chdir(home)
+    assert main(["run", "--config", "c.json"]) == 0
+    (home / "run").rename(tmp_path / "relative")
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", "--config", str(home / "c.json")]) == 0
+    assert main(["run", "--config", "c.json"]) == 0
+    _assert_trees_identical(tmp_path / "relative", home / "run")
+    _assert_trees_identical(tmp_path / "relative", elsewhere / "moved")
+    assert json.loads((home / "run" / "run_config.json").read_text()) == load_config(home / "c.json").settings()
+    # the tree the absolute spelling wrote, resumed under the relative one
+    monkeypatch.chdir(home)
+    before = _tree(home / "run")
+    assert main(["run", "--config", "c.json", "--resume"]) == 0
+    assert _tree(home / "run") == before
+    shutil.rmtree(home / "fx")
+    assert main(["gen-fixtures", "--seed", "43", "--out", str(home / "fx"), "--images", "4"]) == 0
+    line = _main_error(capsys, ["run", "--config", str(home / "c.json"), "--resume"], 1)
+    assert line.startswith(f"error: refusing to resume: {home / 'run' / 'report.json'} was produced from weights ")
+    assert _tree(home / "run") == before
 
 
 def _argv_writing_to(cli_fixtures, attrs_config, command, out):

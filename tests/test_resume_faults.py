@@ -1,5 +1,5 @@
-"""A run that fails at any write leaves no partial file, and `run --resume`
-then finishes it into the tree a fresh run writes.
+"""A run that fails or is interrupted at any write leaves no partial file,
+and `run --resume` then finishes it into the tree a fresh run writes.
 
 Every output goes through `blobio.write_file`, which lands a file with one
 `os.replace`; making that rename fail at its n-th call stops a run right
@@ -15,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from excel import blobio, training_eval
+from excel import blobio, encoder, training_eval
 from excel.blobio import load_tensors
 from excel.cli import main
-from excel.config import load_config, parse_config, save_config
+from excel.config import load_config, parse_config
 from excel.dataset import load_dataset
 from excel.fixtures import FixtureSpec, generate_fixtures
 from excel.pipeline import run_pipeline
@@ -43,7 +43,7 @@ def _config(path: Path, fixtures: Path, out_dir: Path, **overrides) -> str:
         "clusters": 8,
         **overrides,
     }
-    save_config(path, parse_config(mapping))
+    blobio.write_json(path, parse_config(mapping).to_dict())
     return str(path)
 
 
@@ -69,14 +69,14 @@ def fresh(tmp_path_factory):
     return root / "fx", {name: on_disk[name] for name in landed}, len(landed)
 
 
-def _fail_at(n: int):
-    """An `os.replace` that raises at its n-th call (from 1) and renames otherwise."""
+def _fail_at(n: int, error: type[BaseException] = OSError):
+    """An `os.replace` that raises `error` at its n-th call (from 1) and renames otherwise."""
     real, calls = os.replace, [0]
 
     def replace(src, dst):
         calls[0] += 1
         if calls[0] == n:
-            raise OSError(f"injected failure at write {n}")
+            raise error(f"injected failure at write {n}")
         real(src, dst)
 
     return replace
@@ -203,4 +203,76 @@ def test_resume_after_a_failed_loss_curve_writes_it(fresh, tmp_path, monkeypatch
         assert main(["run", "--config", cfg]) == 2
     assert not (out_dir / "train" / "checkpoint_000002.json").exists()
     assert main(["run", "--config", cfg, "--resume"]) == 0
+    assert _tree(out_dir) == tree
+
+
+def _interrupted(argv) -> int:
+    """`main(argv)`'s exit code; a test failure if the interrupt escapes it."""
+    try:
+        return main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+
+
+def _assert_interrupt_line(err: str):
+    assert err.count("\n") == 1 and err.startswith("error: interrupted") and "--resume" in err, err
+
+
+@pytest.mark.parametrize("n", [1, 4, 17, 32], ids=["first", "static", "checkpoint", "last"])
+def test_an_interrupted_run_prints_one_line_and_resumes_to_a_fresh_run(fresh, tmp_path, monkeypatch, capsys, n):
+    # an interrupt at the n-th landing, on the writer thread, reaches the
+    # run as a failed landing does: exit 130 and one line, no traceback
+    fixtures, tree, _ = fresh
+    out_dir = tmp_path / "out"
+    cfg = _config(tmp_path / "cfg.json", fixtures, out_dir)
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "replace", _fail_at(n, KeyboardInterrupt))
+        assert _interrupted(["run", "--config", cfg]) == 130
+    _assert_interrupt_line(capsys.readouterr().err)
+    _assert_no_partial_file(out_dir)
+    assert len(_tree(out_dir)) == n - 1
+    assert main(["run", "--config", cfg, "--resume"]) == 0
+    assert _tree(out_dir) == tree
+
+
+def test_an_interrupt_on_the_encoder_helper_prints_one_line(tmp_path, monkeypatch, capsys):
+    # 9 images at T=65 make two encoder chunks, the first on the helper
+    # thread: an interrupt there is the run's, printed once
+    generate_fixtures(42, FixtureSpec(images=9, patch_size=8), tmp_path / "fx")
+    fresh_cfg = _config(tmp_path / "fresh.json", tmp_path / "fx", tmp_path / "fresh")
+    assert main(["run", "--config", fresh_cfg, "--mode", "static-only"]) == 0
+    out_dir = tmp_path / "out"
+    cfg = _config(tmp_path / "cfg.json", tmp_path / "fx", out_dir)
+    real, helpers = encoder.encode_stack, []
+
+    def encode_stack(*args):
+        if threading.current_thread() is not threading.main_thread():
+            helpers.append(threading.current_thread())
+            raise KeyboardInterrupt
+        return real(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(encoder, "encode_stack", encode_stack)
+        assert _interrupted(["run", "--config", cfg, "--mode", "static-only"]) == 130
+    assert helpers
+    _assert_interrupt_line(capsys.readouterr().err)
+    assert main(["run", "--config", cfg, "--mode", "static-only", "--resume"]) == 0
+    assert _tree(out_dir) == _tree(tmp_path / "fresh")
+
+
+def test_a_resume_removes_the_temp_files_in_the_tree(fresh, tmp_path, monkeypatch):
+    # a process killed between a write and its rename leaves `<name>.tmp`;
+    # a resume removes each one, also beside the bank and the checkpoint
+    # that it reuses and does not rewrite
+    fixtures, tree, _ = fresh
+    out_dir = tmp_path / "out"
+    cfg = _config(tmp_path / "cfg.json", fixtures, out_dir)
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "replace", _fail_at(24))
+        assert main(["run", "--config", cfg]) == 2
+    planted = ["static/img_0000.cams.json.tmp", "attrs.json.tmp", "train/checkpoint_000002.json.tmp"]
+    for name in planted:
+        (out_dir / name).write_bytes(b"{")
+    assert main(["run", "--config", cfg, "--resume"]) == 0
+    assert not list(out_dir.rglob("*.tmp"))
     assert _tree(out_dir) == tree

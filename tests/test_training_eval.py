@@ -10,7 +10,7 @@ from excel.dynamic_calibration import init_adapter
 from excel.encoder import LAYER_COUNT, VANILLA, Calibration, encode_stack, layer_attention
 from excel.errors import DataError, NumericError, UsageError
 from excel.blobio import load_tensors, save_tensors
-from excel.config import PATH_KEYS, PipelineConfig
+from excel.config import PipelineConfig
 from excel.numerics import Rng
 from excel.training_eval import (
     MAX_TRAINING_BYTES,
@@ -453,7 +453,7 @@ def test_checkpoint_roundtrip(tmp_path, fixture_weights, fixture_static):
 def test_checkpoint_shapes_checked_against_meta(tmp_path, case):
     adapter = init_adapter(Rng(1), 8, 4, 6, 1, 0.02, 3.0, 1.0)
     cfg = PipelineConfig(d_proj=4, d_dyn=6)
-    settings = {k: v for k, v in cfg.to_dict().items() if k not in PATH_KEYS}
+    settings = cfg.settings()
     meta, dim = {"dim": 8, "train_config": settings}, 8
     if case == "meta-dim":
         meta["dim"] = 16

@@ -13,7 +13,9 @@
 # with tools/tree_diff.py; they then differ in the `build-attrs` and
 # `attn-report` outputs only.
 # Everything runs under one BLAS/OpenMP thread with paths relative to
-# OUT, so the recorded configs and provenance hashes agree.
+# OUT, so revisions whose config hash covers the paths as spelled stamp
+# the same hashes in both trees; one case, `full-abs`, names its config
+# by an absolute path on purpose.
 # About 30 s on a 2-vCPU VM.
 set -euo pipefail
 if [ $# -ne 2 ]; then
@@ -58,6 +60,13 @@ excel run --config full.json > run-full.log
 config resumed.json resumed fx '"iterations": 17'
 cp -r full resumed
 excel run --config resumed.json --resume > run-resumed.log
+# the same tree resumed under its config named by an absolute path; a revision
+# whose hash covers the paths as spelled refuses it, leaving its exit code and
+# error line instead
+config full-abs.json full-abs fx '"iterations": 17'
+cp -r full full-abs
+{ excel run --config "$PWD/full-abs.json" --resume > run-full-abs.log 2> run-full-abs.err; echo "$?" > run-full-abs.exit; } \
+    || true
 
 config kernel3.json kernel3 fx '"iterations": 5, "fusion_kernel": 3, "d_dyn": 64'
 excel run --config kernel3.json > run-kernel3.log
