@@ -25,23 +25,17 @@ from .numerics import Rng
 from .static_calibration import IGNORE_LABEL, CamResult, PseudoLabelMap, run_static_passes
 
 
-def delta_names(layer: int) -> tuple[str, str]:
-    """The (weight, bias) tensor names of layer `layer`'s projection."""
-    return f"delta.{layer:02d}.w", f"delta.{layer:02d}.b"
-
-
 def adapter_shapes(dim: int, d_proj: int, d_dyn: int, kernel: int) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every trainable adapter tensor, in file order: per
-    layer a (d_proj, dim) weight and a (d_proj,) bias, then `fusion.w`
-    (the 1x1 kernel kept flat) and the (d_dyn,) `fusion.b`."""
-    shapes = {}
-    for layer in range(LAYER_COUNT):
-        w, b = delta_names(layer)
-        shapes[w], shapes[b] = (d_proj, dim), (d_proj,)
-    channels = LAYER_COUNT * d_proj
-    shapes["fusion.w"] = (d_dyn, channels) if kernel == 1 else (d_dyn, channels, kernel, kernel)
-    shapes["fusion.b"] = (d_dyn,)
-    return shapes
+    """Name -> shape of every trainable adapter tensor, in file order: the
+    twelve layers' (d_proj, dim) projection weights and (d_proj,) biases,
+    stacked by layer, then the (d_dyn, 12*d_proj, k, k) fusion kernel and
+    its (d_dyn,) bias."""
+    return {
+        "delta.w": (LAYER_COUNT, d_proj, dim),
+        "delta.b": (LAYER_COUNT, d_proj),
+        "fusion.w": (d_dyn, LAYER_COUNT * d_proj, kernel, kernel),
+        "fusion.b": (d_dyn,),
+    }
 
 
 def flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
@@ -67,22 +61,13 @@ class AdapterParams:
 
     @property
     def kernel(self) -> int:
-        """Fusion kernel size, read from the shape of `fusion.w`."""
-        w = self.tensors["fusion.w"]
-        return 1 if w.ndim == 2 else w.shape[-1]
+        """Fusion kernel size, the last axis of `fusion.w`."""
+        return self.tensors["fusion.w"].shape[-1]
 
-    def fusion_kernel64(self) -> np.ndarray:
-        """`fusion.w` as a float64 (D_d, 12*d_proj, k, k) kernel, whichever
-        of its two stored shapes it has."""
-        w, k = self.tensors["fusion.w"], self.kernel
-        return w.astype(np.float64, copy=False).reshape(w.shape[0], w.shape[1], k, k)
-
-    def flattened(self, out=None) -> tuple[np.ndarray, "AdapterParams"]:
-        """One vector holding the tensors in table order, a new float32 one
-        or `out` written over, and the same adapter with views of that
-        vector as its tensors."""
-        dtype = np.float32 if out is None else None
-        flat = np.concatenate([t.ravel() for t in self.tensors.values()], out=out, dtype=dtype)
+    def flattened(self) -> tuple[np.ndarray, "AdapterParams"]:
+        """One float32 vector holding the tensors in table order, and the
+        same adapter with views of that vector as its tensors."""
+        flat = np.concatenate([t.ravel() for t in self.tensors.values()], dtype=np.float32)
         return flat, AdapterParams(flat_views(flat, self.shapes), self.alpha, self.beta)
 
 
@@ -105,10 +90,9 @@ def init_adapter(
     gen = rng.generator()
     # a nonzero fusion bias keeps the dynamic features away from the zero
     # column degeneracy while the weights are still tiny
-    zero = {delta_names(layer)[1] for layer in range(LAYER_COUNT)}
     tensors = {}
     for name, shape in adapter_shapes(dim, d_proj, d_dyn, fusion_kernel).items():
-        draw = np.zeros(shape) if name in zero else sigma * gen.standard_normal(shape)
+        draw = np.zeros(shape) if name == "delta.b" else sigma * gen.standard_normal(shape)
         tensors[name] = draw.astype(np.float32)
     return AdapterParams(tensors, alpha, beta)
 
@@ -145,19 +129,17 @@ def _adapter_forward64(traces: list[LayerTrace], params: AdapterParams):
     xs = np.empty((count, LAYER_COUNT, gh * gw, traces[0].features.shape[-1]))
     for x, trace in zip(xs, traces):
         x[...] = trace.features[:, 1:]  # CLS dropped
-    names = [delta_names(layer) for layer in range(LAYER_COUNT)]
-    w = np.stack([params.tensors[w_name] for w_name, _ in names], dtype=np.float64)
-    b = np.stack([params.tensors[b_name] for _, b_name in names], dtype=np.float64)
+    w = params.tensors["delta.w"].astype(np.float64)
     z = xs @ w.swapaxes(-1, -2)
-    z += b[:, None]
+    z += params.tensors["delta.b"][:, None]
     # the layers' projections side by side, layer-major, in each padded grid
     zpad = np.zeros((count, gh + 2 * pad, gw + 2 * pad, LAYER_COUNT * w.shape[1]))
     interior = zpad.reshape(*zpad.shape[:3], LAYER_COUNT, -1)[:, pad : pad + gh, pad : pad + gw]
     interior[...] = z.transpose(0, 2, 1, 3).reshape(count, gh, gw, LAYER_COUNT, -1)
     del z
-    wk = params.fusion_kernel64()
+    wk = params.tensors["fusion.w"].astype(np.float64)
     out = sum(zpad[win].reshape(count, gh * gw, -1) @ wk[:, :, dy, dx].T for dy, dx, win in _taps(grid, params.kernel))
-    return out + params.tensors["fusion.b"].astype(np.float64, copy=False), zpad, xs
+    return out + params.tensors["fusion.b"], zpad, xs
 
 
 def adapter_forward_stack(traces: list[LayerTrace], params: AdapterParams) -> list[np.ndarray]:
@@ -292,8 +274,7 @@ def diversity_loss_gradient_stack(
 
     # the fusion convolution's transpose, tap by tap
     (gh, gw), pad = traces[0].grid, params.kernel // 2
-    w = params.fusion_kernel64()
-    g_w = grads["fusion.w"] if params.kernel == 3 else grads["fusion.w"][..., None, None]  # a view either way
+    w, g_w = params.tensors["fusion.w"].astype(np.float64), grads["fusion.w"]
     work = np.empty(w.shape[:2])
     g_zpad = np.zeros_like(zpad)
     for dy, dx, win in _taps(traces[0].grid, params.kernel):
@@ -308,11 +289,8 @@ def diversity_loss_gradient_stack(
     g_zw = np.empty((LAYER_COUNT, g_z.shape[-1], xs.shape[-1]))
     for i in range(count):
         grads["fusion.b"] += g_b[i]
-        np.matmul(g_z[i].transpose(1, 2, 0), xs[i], out=g_zw)
-        for layer in range(LAYER_COUNT):
-            w_name, b_name = delta_names(layer)
-            grads[w_name] += g_zw[layer]
-            grads[b_name] += g_zb[i, layer]
+        grads["delta.w"] += np.matmul(g_z[i].transpose(1, 2, 0), xs[i], out=g_zw)
+        grads["delta.b"] += g_zb[i]
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for adapter parameter '{name}'")

@@ -13,15 +13,16 @@ from .blobio import write_file
 from .errors import DataError
 
 
-def _write_netpbm(path, magic: bytes, dims: tuple[int, int], payload: bytes, comment: str | None):
-    width, height = dims
-    head = [magic]
+def _write_netpbm(path, pixels: np.ndarray, comment: str | None):
+    """The uint8 `pixels` as P6 when (H, W, 3), as P5 when (H, W)."""
+    height, width = pixels.shape[:2]
+    head = [b"P6" if pixels.ndim == 3 else b"P5"]
     if comment:
         for line in comment.splitlines():
             head.append(b"# " + line.encode("utf-8"))
     head.append(f"{width} {height}".encode())
     head.append(b"255")
-    write_file(path, b"\n".join(head) + b"\n" + payload)
+    write_file(path, b"\n".join(head) + b"\n" + pixels.tobytes())
 
 
 def _parse_netpbm(path, expected_magic: bytes, data: bytes | None = None):
@@ -64,6 +65,17 @@ def _parse_netpbm(path, expected_magic: bytes, data: bytes | None = None):
     return width, height, data[pos:], comments
 
 
+def _read_netpbm(path, channels: int, data: bytes | None):
+    """The uint8 pixels of a P5 file as (H, W) when `channels` is 1, of a
+    P6 file as (H, W, 3) when it is 3."""
+    width, height, payload, _ = _parse_netpbm(path, b"P5" if channels == 1 else b"P6", data)
+    need = width * height * channels
+    if len(payload) != need:
+        raise DataError(f"{path}: expected {need} pixel bytes, found {len(payload)}")
+    shape = (height, width) if channels == 1 else (height, width, channels)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape).copy()
+
+
 def rgb_to_chw(rgb: np.ndarray) -> np.ndarray:
     """(H, W, 3) uint8 pixels -> the encoder's (3, H, W) float32 image in [0, 1]."""
     return np.ascontiguousarray(rgb.transpose(2, 0, 1).astype(np.float32) / 255.0)
@@ -74,17 +86,13 @@ def write_ppm(path, rgb: np.ndarray, comment: str | None = None):
     rgb = np.ascontiguousarray(rgb, dtype=np.uint8)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise DataError(f"PPM payload must be (H, W, 3), got {rgb.shape}")
-    _write_netpbm(path, b"P6", (rgb.shape[1], rgb.shape[0]), rgb.tobytes(), comment)
+    _write_netpbm(path, rgb, comment)
 
 
 def read_ppm(path, data: bytes | None = None) -> np.ndarray:
     """The (H, W, 3) uint8 pixels of the PPM at `path`, parsed from `data`
     when the caller has read its bytes already."""
-    width, height, payload, _ = _parse_netpbm(path, b"P6", data)
-    need = width * height * 3
-    if len(payload) != need:
-        raise DataError(f"{path}: expected {need} pixel bytes, found {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
+    return _read_netpbm(path, 3, data)
 
 
 def write_pgm(path, gray: np.ndarray, comment: str | None = None):
@@ -92,14 +100,10 @@ def write_pgm(path, gray: np.ndarray, comment: str | None = None):
     gray = np.ascontiguousarray(gray, dtype=np.uint8)
     if gray.ndim != 2:
         raise DataError(f"PGM payload must be (H, W), got {gray.shape}")
-    _write_netpbm(path, b"P5", (gray.shape[1], gray.shape[0]), gray.tobytes(), comment)
+    _write_netpbm(path, gray, comment)
 
 
 def read_pgm(path, data: bytes | None = None) -> np.ndarray:
     """The (H, W) uint8 pixels of the PGM at `path`, parsed from `data`
     when the caller has read its bytes already."""
-    width, height, payload, _ = _parse_netpbm(path, b"P5", data)
-    need = width * height
-    if len(payload) != need:
-        raise DataError(f"{path}: expected {need} pixel bytes, found {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    return _read_netpbm(path, 1, data)

@@ -139,12 +139,11 @@ def checkpoint_path(out_dir, iteration: int) -> Path:
 
 
 def save_checkpoint(path, adapter: AdapterParams, meta: dict, provenance=None) -> Path:
-    """One tensor file: the adapter tensors, in table order under the
-    `adapter.` prefix, and `meta`, which `train_loop` fills with the
-    encoder width `dim` and the `train_config` that `load_checkpoint`
-    reads the adapter's settings from."""
-    tensors = {f"adapter.{k}": v for k, v in adapter.tensors.items()}
-    return save_tensors(path, tensors, meta=meta, provenance=provenance)
+    """One tensor file: the adapter tensors, in table order under their
+    own names, and `meta`, which `train_loop` fills with the encoder width
+    `dim` and the `train_config` that `load_checkpoint` reads the
+    adapter's settings from."""
+    return save_tensors(path, adapter.tensors, meta=meta, provenance=provenance)
 
 
 def load_checkpoint(path, dim: int, calibration: Calibration) -> AdapterParams:
@@ -154,8 +153,9 @@ def load_checkpoint(path, dim: int, calibration: Calibration) -> AdapterParams:
     paths and pass the config's own checks (a DataError naming the file
     otherwise), and its calibration must be `calibration` (a UsageError
     naming both). Every tensor must have its `adapter_shapes` shape for
-    the `d_proj`, `d_dyn` and `fusion_kernel` there. Other meta keys and
-    tensors other than `adapter.*` are ignored. A `train_config` holding a
+    the `d_proj`, `d_dyn` and `fusion_kernel` there, so a checkpoint in
+    the older per-layer layout is a MissingTensorError naming `delta.w`.
+    Other meta keys and tensors are ignored. A `train_config` holding a
     retired key, as every checkpoint written before the key was retired
     does, is a DataError naming the file and the key."""
     tf = load_tensors(path)
@@ -177,7 +177,7 @@ def load_checkpoint(path, dim: int, calibration: Calibration) -> AdapterParams:
         )
     shapes = adapter_shapes(dim, trained.d_proj, trained.d_dyn, trained.fusion_kernel)
     try:
-        tensors = {name: tf.require(f"adapter.{name}", shape) for name, shape in shapes.items()}
+        tensors = {name: tf.require(name, shape) for name, shape in shapes.items()}
     except ShapeError as exc:
         raise ShapeError(f"{exc} from dim {dim} and the meta 'train_config'") from None
     return AdapterParams(tensors, trained.alpha, trained.beta)
@@ -199,11 +199,13 @@ def training_bytes(config: PipelineConfig, dim: int, grid: tuple[int, int]) -> i
         36 P + 8 batch_size (12 hw (dim + d_proj) + 24 (gh+2p) (gw+2p) d_proj + 4 hw d_dyn + 6 hw^2)
 
     that is, the float32 adapter and its two AdamW moments (12 P), the
-    (2, P) float64 work rows (16 P), the float64 work buffer of the
-    fusion-weight gradient (at most 8 P), and per image of a batch the
-    float64 stacks of the adapter's forward and backward passes: the layer
-    inputs and their projections, the padded projection grids and their
-    gradient, four (hw, d_dyn) feature arrays and six (hw, hw) maps."""
+    float64 gradient (8 P), the transient float64 copies of `delta.w` and
+    `fusion.w` that the forward and backward passes take (at most 8 P),
+    the float64 work buffer of the fusion-weight gradient (at most 8 P),
+    and per image of a batch the float64 stacks of the adapter's forward
+    and backward passes: the layer inputs and their projections, the
+    padded projection grids and their gradient, four (hw, d_dyn) feature
+    arrays and six (hw, hw) maps."""
     (gh, gw), pad = grid, config.fusion_kernel // 2
     shapes = adapter_shapes(dim, config.d_proj, config.d_dyn, config.fusion_kernel)
     params = sum(math.prod(shape) for shape in shapes.values())
@@ -219,16 +221,13 @@ def _iteration_loss(
     iteration: int,
     config: PipelineConfig,
     adapter: AdapterParams,
-    work: np.ndarray,
+    grad: np.ndarray,
 ):
-    """Mean diversity loss and mean gradient, one flat float64 vector in
-    table order, over `iteration`'s batch: `batch_size` consecutive
-    images, wrapping around the dataset, in one stacked pass. The
-    per-image gradients are summed in batch order from zero.
-
-    `work`, a (2, P) float64 array for an adapter of P elements, holds the
-    float64 copy of the adapter (row 0) and the gradient (row 1), which is
-    returned; both are written over."""
+    """Mean diversity loss and mean gradient over `iteration`'s batch:
+    `batch_size` consecutive images, wrapping around the dataset, in one
+    stacked pass. The per-image gradients are summed in batch order from
+    zero into `grad`, a float64 vector of the adapter's elements in table
+    order, which is written over and returned."""
     rng = Rng(config.seed).child(f"it.{iteration}")
     n = config.batch_size
     picked = [static[(iteration * n + j) % len(static)] for j in range(n)]
@@ -236,8 +235,6 @@ def _iteration_loss(
         build_affinity_batch(sres.labels, sample_limit=config.pair_sample_limit, rng=rng.child(f"pairs.{j}"))
         for j, sres in enumerate(picked)
     ]
-    flat, grad = work
-    _, adapter = adapter.flattened(flat)  # converted once, read by the whole stack
     grad.fill(0.0)
     losses = diversity_loss_gradient_stack(
         [sres.trace for sres in picked], adapter, batches, flat_views(grad, adapter.shapes)
@@ -280,11 +277,11 @@ def train_loop(
     # the parameters and both moments are flat float32 vectors; the adapter's tensors are views of `theta`
     theta, adapter = adapter.flattened()
     state = init_adam_state(adapter.shapes, config.lr, config.weight_decay)
-    work = np.empty((2, theta.size))  # each iteration's float64 adapter and gradient
+    grad = np.empty(theta.size)  # each iteration's float64 gradient
     out_dir = Path(out_dir)
     curve: list[tuple[int, float]] = []
     for it in range(config.iterations):
-        div_mean, grad = _iteration_loss(static, it, config, adapter, work)
+        div_mean, _ = _iteration_loss(static, it, config, adapter, grad)
         curve.append((it, div_mean))
         if not math.isfinite(div_mean):
             raise NumericError(f"training diverged at iteration {it}: diversity loss {div_mean:.3f}")

@@ -75,10 +75,9 @@ def one_image_gradient(trace, params, batch):
 
 
 def float64_adapter(adapter):
-    """`adapter` with its tensors as views of one float64 vector, the copy
-    `_iteration_loss` makes each iteration and the finite-difference
-    oracles take."""
-    return adapter.flattened(np.empty(sum(t.size for t in adapter.tensors.values())))[1]
+    """`adapter` with its tensors widened to float64, the copy the
+    finite-difference oracles take."""
+    return dataclasses.replace(adapter, tensors={name: t.astype(np.float64) for name, t in adapter.tensors.items()})
 
 
 def save_non_finite(path, tensors, **kwargs):

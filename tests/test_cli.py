@@ -796,7 +796,7 @@ def test_exit_code_malformed_checkpoint_meta(cli_fixtures, cli_trained, tmp_path
     "setting, message",
     [
         ({"alpha": 1e300}, "relation matrix contains non-finite values"),
-        ({"lr": 1e300}, "non-finite update for parameter 'delta.00.w'"),
+        ({"lr": 1e300}, "non-finite update for parameter 'delta.w'"),
     ],
     ids=["run-alpha", "train-lr"],
 )
@@ -928,13 +928,13 @@ def narrow_weights(tmp_path_factory):
 
 @pytest.mark.parametrize("case", ["cam-width", "attn-report-width", "kernel-3-flat-fusion"])
 def test_exit_code_checkpoint_mismatch(cli_fixtures, cli_trained, narrow_weights, tmp_path, case):
-    # the trained checkpoint adapts 64-dim features and has a kernel-1 (2-D) fusion.w
+    # the trained checkpoint adapts 64-dim features and has a 1x1 fusion.w
     out_dir, _ = cli_trained
     checkpoint = out_dir / "train" / "checkpoint_000001.json"
     weights, expected = narrow_weights, "the weights have dim 32"
     if case == "kernel-3-flat-fusion":
         checkpoint = _with_setting(checkpoint, tmp_path / "k3.json", "fusion_kernel", 3)
-        weights, expected = cli_fixtures / "encoder.json", "tensor 'adapter.fusion.w'"
+        weights, expected = cli_fixtures / "encoder.json", "tensor 'fusion.w'"
     image = str(next((cli_fixtures / "dataset" / "images").glob("*.ppm")))
     if case == "attn-report-width":
         argv = ["attn-report", "--weights", str(weights), "--image", image]
@@ -944,6 +944,27 @@ def test_exit_code_checkpoint_mismatch(cli_fixtures, cli_trained, narrow_weights
     proc = run_excel(*argv, "--adapter", str(checkpoint), "--out", str(tmp_path / "out"))
     line = one_error_line(proc.returncode, proc.stderr, 2)
     assert str(checkpoint) in line and expected in line
+
+
+def test_exit_code_checkpoint_in_the_per_layer_layout(cli_fixtures, cli_trained, tmp_path):
+    # checkpoints once held each layer's delta pair and a 2-D 1x1 fusion.w,
+    # all under an `adapter.` prefix: such a file is refused with one line
+    # naming it and the stacked tensor it lacks, before --out exists
+    out_dir, cfg_path = cli_trained
+    tf = load_tensors(out_dir / "train" / "checkpoint_000001.json")
+    tensors = {}
+    for layer in range(LAYER_COUNT):
+        tensors[f"adapter.delta.{layer:02d}.w"] = tf.tensors["delta.w"][layer]
+        tensors[f"adapter.delta.{layer:02d}.b"] = tf.tensors["delta.b"][layer]
+    tensors["adapter.fusion.w"] = tf.tensors["fusion.w"][:, :, 0, 0]
+    tensors["adapter.fusion.b"] = tf.tensors["fusion.b"]
+    old = save_tensors(tmp_path / "old.json", tensors, meta=tf.meta, provenance=tf.provenance)
+    image = next((cli_fixtures / "dataset" / "images").glob("*.ppm"))
+    argv = _dynamic_cam_argv(cli_fixtures, out_dir, old, image, tmp_path / "out")
+    proc = run_excel(*argv, "--config", str(cfg_path))
+    line = one_error_line(proc.returncode, proc.stderr, 2)
+    assert str(old) in line and "'delta.w'" in line
+    assert not (tmp_path / "out").exists()
 
 
 def test_attn_report_refuses_a_calibration_the_adapter_was_not_trained_under(cli_fixtures, cli_trained, tmp_path):

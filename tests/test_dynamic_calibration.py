@@ -71,8 +71,8 @@ def test_adapter_single_layer_block_selector():
     trace_sparse = trace_from_features(feats, trace.grid)
     # zero every delta except the live layer; fusion = identity-ish slice sum
     tensors = {name: np.zeros(shape) for name, shape in adapter_shapes(8, 4, 6, 1).items()}
-    tensors[f"delta.{only:02d}.w"] = np.eye(4, 8)
-    tensors["fusion.w"] = np.ones((6, 48))
+    tensors["delta.w"][only] = np.eye(4, 8)
+    tensors["fusion.w"] = np.ones((6, 48, 1, 1))
     sel = AdapterParams(tensors, 3.0, 1.0)
     out = adapter_forward_stack([trace_sparse], sel)[0]
     expected_rows = trace.features[only][1:, :4].astype(np.float64).sum(axis=1)
@@ -87,9 +87,9 @@ def test_adapter_matches_per_token_loop_oracle():
         parts = []
         for l in range(LAYER_COUNT):
             x = trace.features[l][1 + tok].astype(np.float64)
-            parts.append(adapter.tensors[f"delta.{l:02d}.w"] @ x + adapter.tensors[f"delta.{l:02d}.b"])
+            parts.append(adapter.tensors["delta.w"][l] @ x + adapter.tensors["delta.b"][l])
         z = np.concatenate(parts)
-        expected = adapter.tensors["fusion.w"] @ z + adapter.tensors["fusion.b"]
+        expected = adapter.tensors["fusion.w"][:, :, 0, 0] @ z + adapter.tensors["fusion.b"]
         np.testing.assert_allclose(out[:, tok], expected, atol=1e-4)
 
 
@@ -99,7 +99,7 @@ def test_adapter_conv3_matches_neighborhood_oracle():
     gh, gw = trace.grid
     z = np.zeros((gh, gw, 48))
     for l in range(LAYER_COUNT):
-        w, b = adapter.tensors[f"delta.{l:02d}.w"], adapter.tensors[f"delta.{l:02d}.b"]
+        w, b = adapter.tensors["delta.w"][l], adapter.tensors["delta.b"][l]
         proj = trace.features[l][1:].astype(np.float64) @ w.T + b
         z[:, :, l * 4 : (l + 1) * 4] = proj.reshape(gh, gw, 4)
     zpad = np.zeros((gh + 2, gw + 2, 48))
@@ -380,8 +380,8 @@ def test_gradient_matches_central_differences(fusion_kernel):
 
 @pytest.mark.parametrize("fusion_kernel", [1, 3])
 def test_gradient_of_float64_copy_equals_float32_adapter(fusion_kernel):
-    # training converts the adapter once per iteration; the gradients of
-    # the copy are the float32 adapter's, byte for byte
+    # training reads the float32 adapter it updates, and the passes widen
+    # what they read: a float64 copy's gradients are the same, byte for byte
     trace, adapter, labels = tiny_setup(seed=14, fusion_kernel=fusion_kernel, float64=False)
     batch = every_pair(labels)
     copy = float64_adapter(adapter)
@@ -408,10 +408,10 @@ def _loop_gradient(trace, params, batch):
     (gh, gw), k = trace.grid, params.kernel
     hw, pad, t = gh * gw, k // 2, params.tensors
     xs = [f[1:].astype(np.float64) for f in trace.features]
-    zs = [x @ t[f"delta.{l:02d}.w"].T + t[f"delta.{l:02d}.b"] for l, x in enumerate(xs)]
+    zs = [x @ t["delta.w"][l].T + t["delta.b"][l] for l, x in enumerate(xs)]
     zpad = np.zeros((gh + 2 * pad, gw + 2 * pad, len(zs) * zs[0].shape[1]))
     zpad[pad : pad + gh, pad : pad + gw] = np.concatenate(zs, axis=1).reshape(gh, gw, -1)
-    w = params.fusion_kernel64()
+    w = t["fusion.w"].astype(np.float64)
     taps = [(dy, dx, np.s_[dy : dy + gh, dx : dx + gw]) for dy in range(k) for dx in range(k)]
     feats = sum(zpad[win].reshape(hw, -1) @ w[:, :, dy, dx].T for dy, dx, win in taps) + t["fusion.b"]
     norms, fhat, u = _pair_affinity(feats)
@@ -424,10 +424,14 @@ def _loop_gradient(trace, params, batch):
     for dy, dx, win in taps:
         g_w[:, :, dy, dx] = g_feats.T @ zpad[win].reshape(hw, -1)
         g_zpad[win] += (g_feats @ w[:, :, dy, dx]).reshape(gh, gw, -1)
-    grads = {"fusion.w": g_w.reshape(t["fusion.w"].shape), "fusion.b": g_feats.sum(axis=0)}
     g_zcat = g_zpad[pad : pad + gh, pad : pad + gw].reshape(hw, -1)
-    for l, (x, g_z) in enumerate(zip(xs, np.split(g_zcat, LAYER_COUNT, axis=1))):
-        grads[f"delta.{l:02d}.w"], grads[f"delta.{l:02d}.b"] = g_z.T @ x, g_z.sum(axis=0)
+    g_zs = np.split(g_zcat, LAYER_COUNT, axis=1)
+    grads = {
+        "delta.w": np.stack([g_z.T @ x for x, g_z in zip(xs, g_zs)]),
+        "delta.b": np.stack([g_z.sum(axis=0) for g_z in g_zs]),
+        "fusion.w": g_w,
+        "fusion.b": g_feats.sum(axis=0),
+    }
     return _pair_loss(u, batch), grads
 
 

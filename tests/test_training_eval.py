@@ -121,7 +121,7 @@ def test_adamw_refuses_values_past_the_float32_range(lr, grad):
 
 def test_train_loop_past_the_float32_range_writes_no_final_checkpoint(tmp_path, fixture_weights, fixture_static):
     cfg = small_config(iterations=1, lr=1e300)
-    with pytest.raises(NumericError, match="non-finite update for parameter 'delta.00.w'"):
+    with pytest.raises(NumericError, match="non-finite update for parameter 'delta.w'"):
         train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
     assert not (tmp_path / "checkpoint_000001.json").exists()
 
@@ -345,7 +345,7 @@ def test_iteration_loss_is_the_per_image_mean_in_batch_order(fixture_weights, fi
     static = fixture_static[:4]
     cfg = small_config(batch_size=6, pair_sample_limit=40)
     adapter = init_adapter(Rng(24), fixture_weights.dim, cfg.d_proj, cfg.d_dyn, 1, 0.05, cfg.alpha, cfg.beta)
-    work = np.empty((2, sum(t.size for t in adapter.tensors.values())))
+    work = np.empty(sum(t.size for t in adapter.tensors.values()))
     loss, grad = training_eval._iteration_loss(static, 1, cfg, adapter, work)
     rng = Rng(cfg.seed).child("it.1")
     div_sum, want = 0.0, {name: np.zeros(shape) for name, shape in adapter.shapes.items()}
@@ -374,7 +374,7 @@ def test_iteration_loss_memory_does_not_grow_by_a_gradient_per_image(fixture_wei
     def peak(batch_size):
         tracemalloc.start()
         try:
-            work = np.empty((2, sum(t.size for t in adapter.tensors.values())))
+            work = np.empty(sum(t.size for t in adapter.tensors.values()))
             training_eval._iteration_loss(fixture_static, 0, PipelineConfig(batch_size=batch_size), adapter, work)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -461,14 +461,14 @@ def test_checkpoint_shapes_checked_against_meta(tmp_path, case):
         dim = 16
     elif case != "kernel-3":
         name, shape = {
-            "delta-width": ("delta.05.w", (4, 9)),
-            "delta-bias": ("delta.11.b", (5,)),
-            "fusion-rows": ("fusion.w", (7, 48)),
+            "delta-width": ("delta.w", (12, 4, 9)),
+            "delta-bias": ("delta.b", (12, 5)),
+            "fusion-rows": ("fusion.w", (7, 48, 1, 1)),
             "fusion-bias": ("fusion.b", (7,)),
         }[case]
         adapter.tensors[name] = np.zeros(shape, np.float32)
     path = save_checkpoint(tmp_path / "ck.json", adapter, meta)
-    if case == "kernel-3":  # a 2-D fusion.w declared as a 3x3 kernel
+    if case == "kernel-3":  # a 1x1 fusion.w declared as a 3x3 kernel
         meta["train_config"] = settings | {"fusion_kernel": 3}
         path = save_tensors(path, load_tensors(path).tensors, meta=meta)
     with pytest.raises(DataError, match="encoder features" if "dim" in case else "expected"):
@@ -477,16 +477,19 @@ def test_checkpoint_shapes_checked_against_meta(tmp_path, case):
 
 @pytest.mark.parametrize("kernel", [1, 3])
 def test_checkpoint_layout_is_the_adapter_table(tmp_path, fixture_weights, fixture_static, kernel):
-    # train_loop writes the tensors in table order: the twelve (w, b) delta
-    # pairs by layer, then the fusion pair, not AdamW's or any sorted order
+    # train_loop writes the four tensors in table order, each in the shape
+    # its math reads: the twelve layers' projections stacked by layer, then
+    # the fusion kernel, 4-D for either size, and its bias
     cfg = small_config(iterations=2, fusion_kernel=kernel, d_proj=4, d_dyn=8)
     train_loop(fixture_static, fixture_weights.dim, cfg, tmp_path, {})
     manifest = json.loads((tmp_path / "checkpoint_000002.json").read_text())
-    names = [entry["name"] for entry in manifest["tensors"]]
-    deltas = [f"adapter.delta.{i:02d}.{part}" for i in range(12) for part in ("w", "b")]
-    assert names == deltas + ["adapter.fusion.w", "adapter.fusion.b"]
-    fusion_shape = manifest["tensors"][-2]["shape"]
-    assert fusion_shape == ([8, 48] if kernel == 1 else [8, 48, 3, 3])
+    layout = [(entry["name"], entry["shape"]) for entry in manifest["tensors"]]
+    assert layout == [
+        ("delta.w", [12, 4, fixture_weights.dim]),
+        ("delta.b", [12, 4]),
+        ("fusion.w", [8, 48, kernel, kernel]),
+        ("fusion.b", [8]),
+    ]
     assert set(manifest["meta"]) == {"dim", "train_config"}
     assert manifest["meta"]["train_config"]["fusion_kernel"] == kernel
 
@@ -509,7 +512,7 @@ def test_loss_replay_from_checkpoint(tmp_path, fixture_weights, fixture_static):
         out_dir = tmp_path / f"run{k}"
         train_loop(fixture_static, fixture_weights.dim, small_config(iterations=k), out_dir, {})
         adapter = load_checkpoint(out_dir / f"checkpoint_{k:06d}.json", fixture_weights.dim, cfg.calibration())
-        work = np.empty((2, sum(t.size for t in adapter.tensors.values())))
+        work = np.empty(sum(t.size for t in adapter.tensors.values()))
         div = training_eval._iteration_loss(fixture_static, k, cfg, adapter, work)[0]
         assert div == pytest.approx(curve[k], abs=1e-5)
 

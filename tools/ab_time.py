@@ -74,8 +74,7 @@ class Requests:
     def __init__(self):
         self.labels = json.loads(Path("fx/dataset/labels.json").read_text(encoding="utf-8"))
         self.stems = sorted(self.labels)
-        checkpoints = Path("ref/train").glob("checkpoint_*.json")
-        self.checkpoint = max(p for p in checkpoints if not p.name.endswith(".opt.json"))
+        self.checkpoint = max(Path("ref/train").glob("checkpoint_*.json"))
 
     def timed(self, modules, side: str, n: int) -> float:
         """Seconds of one request writing to ./SIDE; fails unless it exits 0."""
