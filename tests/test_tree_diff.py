@@ -89,3 +89,43 @@ def test_a_tensor_file_diff_names_its_tensors(tmp_path, capsys):
         "; tensors added (only in NEW), enriched identical, templates (only in OLD), v differs, w differs"
     )
     assert "meta.lambda (only in OLD)" in line
+
+
+def test_deviation_mode_says_by_how_much(tmp_path, capsys):
+    # each differing tensor by its largest absolute difference, each image
+    # by its differing pixels, each CSV of numbers by its largest field
+    # difference; the exit code and every difference stay as without it
+    values = np.arange(6, dtype=np.float32)
+    save_tensors(tmp_path / "old" / "run" / "train" / "c.json", {"w": values, "s": values}, meta={})
+    moved = values + np.array([0, 0.5, 0, -2, 0, 0], np.float32)
+    save_tensors(tmp_path / "new" / "run" / "train" / "c.json", {"w": moved, "s": values[:3]}, meta={})
+    save_tensors(tmp_path / "old" / "run" / "dynamic" / "a.json", {"cam": values}, meta={})
+    save_tensors(tmp_path / "new" / "run" / "dynamic" / "a.json", {"cam": values + 0.25}, meta={})
+    _tree(tmp_path / "old", {
+        "a.pgm": b"P5 4 1 255\n\x01\x02\x03\x04",
+        "b.ppm": b"P6 2 1 255\n\x01\x02\x03\x04\x05\x06",
+        "loss.csv": b"iteration,div\r\n0,0.5\r\n1,0.25\r\n",
+        "notes.csv": b"a\r\nx\r\n",
+    })
+    _tree(tmp_path / "new", {
+        "a.pgm": b"P5 4 1 255\n\x00\x02\x03\x00",
+        "b.ppm": b"P6 2 1 255\n\x01\x02\x03\x04\x05\x07",
+        "loss.csv": b"iteration,div\r\n0,0.5\r\n1,0.125\r\n",
+        "notes.csv": b"a\r\ny\r\n",
+    })
+    assert _load_tool().main(["--deviation", str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "differs: a.pgm: pixels differ (2 of 4)" in out
+    assert "differs: b.ppm: pixels differ (1 of 2)" in out
+    assert "differs: loss.csv: bytes differ (30 -> 31 bytes); largest |difference| of a field 0.125" in out
+    assert "differs: notes.csv: bytes differ (6 -> 6 bytes)" in out
+    assert any(line.startswith("differs: run/train/c.json:") and line.endswith(
+        "; tensors s differs, w differs (largest |difference| 2)") for line in out)
+    assert any(line.startswith("differs: run/dynamic/a.json:") and line.endswith(
+        "; tensors cam differs (largest |difference| 0.25)") for line in out)
+    assert out[-4:] == [
+        "largest |difference| of a tensor under dynamic/: 0.25 (run/dynamic/a.json cam)",
+        "largest |difference| of a tensor under train/: 2 (run/train/c.json w)",
+        "largest |difference| of a CSV field: 0.125 (loss.csv)",
+        "pixels differing: 3 in 2 images",
+    ]

@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Time two checkouts against each other in one process.
 
-    tools/ab_time.py PARENT CHANGE [--workload wide-static|toy-train|cam-cli] [--pairs 12]
+    tools/ab_time.py PARENT CHANGE [--workload wide-static|toy-train|cam-cli|default-full] [--pairs 12]
+        [--fixture-seed 42]
 
 Imports each checkout's `src/excel` under its own package name and
-alternates warm operations of the two on one fixture, under one BLAS
-thread: runs in separate processes on a small shared VM can differ by 2x
-within a minute. An operation is a `run_pipeline` call, or for cam-cli
-one `excel cam --mode dynamic` request (`cli.main`) against the
-checkpoint of a 2-iteration full run made once at set-up; the requests
-cycle through the fixture images, both sides of a pair on the same one.
+alternates warm operations of the two on one fixture, made by CHANGE's
+`gen-fixtures` under `--fixture-seed`, under one BLAS thread: runs in
+separate processes on a small shared VM can differ by 2x within a minute.
+An operation is a `run_pipeline` call (default-full: a full run of the
+default config, 500 iterations), or for cam-cli one `excel cam --mode
+dynamic` request (`cli.main`) against the checkpoint of a 2-iteration
+full run that each side makes once at set-up with its own package; the
+requests cycle through the fixture images, both sides of a pair on the
+same one.
 Prints each side's median and quartiles, the median pair ratio CHANGE /
 PARENT, and whether the outputs are byte-identical: the two output trees,
 or for cam-cli the three files of every request; exits 1 when they are
@@ -38,6 +42,7 @@ WORKLOADS = {
     "wide-static": ({"image_size": 256, "images": 8}, "static-only", {}),
     "toy-train": ({}, "full", {"iterations": 17}),
     "cam-cli": ({}, "full", {"iterations": 2}),
+    "default-full": ({}, "full", {}),
 }
 CONFIG = {"seed": 7, "weights": "fx/encoder.json", "knowledge": "fx/knowledge.json", "dataset": "fx/dataset"}
 
@@ -68,21 +73,23 @@ def timed_run(modules, side: str, mode: str, extra: dict) -> float:
 
 
 class Requests:
-    """cam-cli's operations: warm dynamic `excel cam` requests against the
-    set-up run in ./ref, the n-th on the n-th fixture image in turn."""
+    """cam-cli's operations: warm dynamic `excel cam` requests of a side
+    against its own set-up run in ./ref-SIDE, the n-th on the n-th fixture
+    image in turn."""
 
     def __init__(self):
         self.labels = json.loads(Path("fx/dataset/labels.json").read_text(encoding="utf-8"))
         self.stems = sorted(self.labels)
-        self.checkpoint = max(Path("ref/train").glob("checkpoint_*.json"))
 
     def timed(self, modules, side: str, n: int) -> float:
         """Seconds of one request writing to ./SIDE; fails unless it exits 0."""
         stem = self.stems[n % len(self.stems)]
+        ref = f"ref-{side}"
         argv = [
-            "cam", "--mode", "dynamic", "--weights", "fx/encoder.json", "--bank", "ref/attrs.json",
+            "cam", "--mode", "dynamic", "--weights", "fx/encoder.json", "--bank", f"{ref}/attrs.json",
             "--image", f"fx/dataset/images/{stem}.ppm", "--labels", ",".join(map(str, self.labels[stem])),
-            "--adapter", str(self.checkpoint), "--config", "ref.json", "--out", side,
+            "--adapter", str(max(Path(ref, "train").glob("checkpoint_*.json"))), "--config", f"{ref}.json",
+            "--out", side,
         ]
         shutil.rmtree(side, ignore_errors=True)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -100,6 +107,7 @@ def main() -> int:
     parser.add_argument("change")
     parser.add_argument("--workload", choices=WORKLOADS, default="wide-static")
     parser.add_argument("--pairs", type=int, default=12)
+    parser.add_argument("--fixture-seed", type=int, default=42)
     args = parser.parse_args()
     os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     sides = {"parent": load(args.parent, "excel_parent"), "change": load(args.change, "excel_change")}
@@ -109,9 +117,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         fixtures = sides["change"][1]
-        fixtures.generate_fixtures(42, fixtures.FixtureSpec(**spec), "fx")
+        fixtures.generate_fixtures(args.fixture_seed, fixtures.FixtureSpec(**spec), "fx")
         if args.workload == "cam-cli":
-            timed_run(sides["change"], "ref", mode, extra)
+            for side in sides:
+                timed_run(sides[side], f"ref-{side}", mode, extra)
             requests = Requests()
             op = lambda side, n: requests.timed(sides[side], side, n)  # noqa: E731
         else:
