@@ -7,7 +7,10 @@ derived from those features are masked at zero and added (row-softmaxed)
 as a bias to the calibrated attention maps. The diversity loss supervises
 the dynamic features with pixel-pair affinities from the static pseudo
 labels; its gradients are written out by hand and checked against central
-finite differences in the test suite.
+finite differences in the test suite. The forward and backward passes run
+in the dtype of the adapter's tensors: float32 for the adapter the
+pipeline trains and loads, float64 for the copy a finite-difference
+check takes.
 
 Gradients flow only into adapter parameters: the encoder trace is frozen
 and the pseudo-label targets are fixed, never differentiated through.
@@ -111,10 +114,11 @@ def _taps(grid, kernel: int):
     ]
 
 
-def _adapter_forward64(traces: list[LayerTrace], params: AdapterParams):
-    """Float64 adapter forward over a stack of traces of one grid; returns
-    (features (B, hw, D_d), the zero-padded (B, .., .., 12*d_proj)
-    projection grids the fusion reads, the (B, 12, hw, D) layer inputs).
+def _adapter_forward(traces: list[LayerTrace], params: AdapterParams):
+    """Adapter forward over a stack of traces of one grid, in the dtype of
+    the adapter's tensors; returns (features (B, hw, D_d), the zero-padded
+    (B, .., .., 12*d_proj) projection grids the fusion reads, the (B, 12,
+    hw, D) layer inputs).
 
     The twelve projections of every image are one (B, 12, hw, D) @
     (12, D, d_proj) product and the fusion one product per kernel tap;
@@ -126,18 +130,17 @@ def _adapter_forward64(traces: list[LayerTrace], params: AdapterParams):
         if trace.grid != grid:
             raise UsageError(f"a stacked adapter pass needs one grid, got {trace.grid} and {grid}")
     (gh, gw), pad, count = grid, params.kernel // 2, len(traces)
-    xs = np.empty((count, LAYER_COUNT, gh * gw, traces[0].features.shape[-1]))
+    w, wk = params.tensors["delta.w"], params.tensors["fusion.w"]
+    xs = np.empty((count, LAYER_COUNT, gh * gw, traces[0].features.shape[-1]), w.dtype)
     for x, trace in zip(xs, traces):
         x[...] = trace.features[:, 1:]  # CLS dropped
-    w = params.tensors["delta.w"].astype(np.float64)
     z = xs @ w.swapaxes(-1, -2)
     z += params.tensors["delta.b"][:, None]
     # the layers' projections side by side, layer-major, in each padded grid
-    zpad = np.zeros((count, gh + 2 * pad, gw + 2 * pad, LAYER_COUNT * w.shape[1]))
+    zpad = np.zeros((count, gh + 2 * pad, gw + 2 * pad, LAYER_COUNT * w.shape[1]), w.dtype)
     interior = zpad.reshape(*zpad.shape[:3], LAYER_COUNT, -1)[:, pad : pad + gh, pad : pad + gw]
     interior[...] = z.transpose(0, 2, 1, 3).reshape(count, gh, gw, LAYER_COUNT, -1)
     del z
-    wk = params.tensors["fusion.w"].astype(np.float64)
     out = sum(zpad[win].reshape(count, gh * gw, -1) @ wk[:, :, dy, dx].T for dy, dx, win in _taps(grid, params.kernel))
     return out + params.tensors["fusion.b"], zpad, xs
 
@@ -145,10 +148,10 @@ def _adapter_forward64(traces: list[LayerTrace], params: AdapterParams):
 def adapter_forward_stack(traces: list[LayerTrace], params: AdapterParams) -> list[np.ndarray]:
     """Each trace's dynamic features (D_d, hw), fused from its twelve
     frozen layer features in one stacked pass."""
-    feats = _adapter_forward64(traces, params)[0]
+    feats = _adapter_forward(traces, params)[0]
     if not np.isfinite(feats).all():
         raise NumericError("adapter produced non-finite features")
-    return [np.ascontiguousarray(f.T.astype(np.float32)) for f in feats]
+    return [np.ascontiguousarray(f.T, dtype=np.float32) for f in feats]
 
 
 # --------------------------------------------------------------------------
@@ -201,8 +204,8 @@ def build_affinity_batch(labels: PseudoLabelMap, sample_limit: int, rng: Rng) ->
 
 
 def _pair_affinity(feats: np.ndarray):
-    """Sigmoid-cosine affinities of (.., hw, D_d) float64 features, one
-    grid or a stack of them.
+    """Sigmoid-cosine affinities of (.., hw, D_d) features, one grid or a
+    stack of them, in the features' dtype.
 
     Returns (norms, unit features, u) with u = sigmoid(cos), (.., hw, hw).
     """
@@ -228,19 +231,19 @@ def _pair_loss(u: np.ndarray, batch: AffinityBatch) -> float:
 
 
 def adapter_diversity_loss(trace: LayerTrace, params: AdapterParams, batch: AffinityBatch) -> float:
-    """Diversity loss evaluated end-to-end in float64 from the adapter
+    """Diversity loss evaluated end-to-end in the adapter's dtype from its
     parameters. This is the exact function the analytic gradient
     differentiates, which is what a finite-difference probe must call."""
-    feats = _adapter_forward64([trace], params)[0][0]
+    feats = _adapter_forward([trace], params)[0][0]
     return _pair_loss(_pair_affinity(feats)[2], batch)
 
 
 def _pair_gradient(feats: np.ndarray, batches: list[AffinityBatch]) -> tuple[list[float], np.ndarray]:
     """Each image's loss under its batch and its gradient with respect to
-    its features, for a (B, hw, D_d) float64 stack."""
+    its features, for a (B, hw, D_d) stack, in its dtype."""
     norms, fhat, u = _pair_affinity(feats)
     losses = [_pair_loss(u_i, batch) for u_i, batch in zip(u, batches)]
-    n_pos, n_neg = np.array([batch.counts() for batch in batches], dtype=np.float64).T[..., None, None]
+    n_pos, n_neg = np.array([batch.counts() for batch in batches], dtype=feats.dtype).T[..., None, None]
     positive = np.stack([batch.positive for batch in batches])
     negative = np.stack([batch.negative for batch in batches])
     g_u = np.where(positive, -1.0 / n_pos, np.where(negative, 1.0 / n_neg, 0.0))
@@ -259,7 +262,8 @@ def diversity_loss_gradient_stack(
 ) -> list[float]:
     """Each trace's loss under its batch, in order, with the exact
     reverse-mode gradient of each added, image by image in order, into
-    `grads`: float64 accumulators keyed like `params.tensors`.
+    `grads`: accumulators keyed like `params.tensors`. Every product runs
+    in the dtype of the adapter's tensors.
 
     One stacked forward and backward pass: every product is the per-image
     product, and the fusion-weight gradient of each image passes through
@@ -267,15 +271,15 @@ def diversity_loss_gradient_stack(
     fusion-weight-sized array per image. A NumericError names the first
     accumulator, in table order, that ends non-finite.
     """
-    feats, zpad, xs = _adapter_forward64(traces, params)
+    feats, zpad, xs = _adapter_forward(traces, params)
     losses, g_feats = _pair_gradient(feats, batches)
     del feats
     count, hw, _ = g_feats.shape
 
     # the fusion convolution's transpose, tap by tap
     (gh, gw), pad = traces[0].grid, params.kernel // 2
-    w, g_w = params.tensors["fusion.w"].astype(np.float64), grads["fusion.w"]
-    work = np.empty(w.shape[:2])
+    w, g_w = params.tensors["fusion.w"], grads["fusion.w"]
+    work = np.empty(w.shape[:2], g_feats.dtype)
     g_zpad = np.zeros_like(zpad)
     for dy, dx, win in _taps(traces[0].grid, params.kernel):
         for g_f, z in zip(g_feats, zpad[win].reshape(count, hw, -1)):
@@ -286,7 +290,7 @@ def diversity_loss_gradient_stack(
     # per image and layer: (d_proj, hw) @ (hw, D) weight and (d_proj,) bias gradients
     g_z = g_zpad[:, pad : pad + gh, pad : pad + gw].reshape(count, hw, LAYER_COUNT, -1)
     g_zb = g_z.sum(axis=1)
-    g_zw = np.empty((LAYER_COUNT, g_z.shape[-1], xs.shape[-1]))
+    g_zw = np.empty((LAYER_COUNT, g_z.shape[-1], xs.shape[-1]), xs.dtype)
     for i in range(count):
         grads["fusion.b"] += g_b[i]
         grads["delta.w"] += np.matmul(g_z[i].transpose(1, 2, 0), xs[i], out=g_zw)

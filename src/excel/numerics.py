@@ -2,11 +2,13 @@
 
 Arrays are plain numpy ndarrays in C (row-major) order with float32
 storage. Every reduction or product accumulates in float64 and rounds
-back to float32 once. Every matrix product, here and in the other
-modules, is float64 `@` (BLAS). What is tested is that outputs are
-byte-identical across runs and across 1 or 2 BLAS/OpenMP threads on one
-machine, at T=17 and at T=257 tokens; equal bits across CPUs are not
-promised. -inf is admitted only as the masking sentinel of relation
+back to float32 once. Every matrix product here and in the encoder and
+CAM stages is float64 `@` (BLAS); the relation adapter's passes and
+AdamW (`dynamic_calibration`, `training_eval`) run in the dtype of the
+adapter's tensors, float32 `@` for the pipeline's adapter. What is
+tested is that outputs are byte-identical across runs and across 1 or 2
+BLAS/OpenMP threads on one machine, at T=17 and at T=257 tokens; equal
+bits across CPUs are not promised. -inf is admitted only as the masking sentinel of relation
 matrices fed to softmax_rows; NaN and +inf are rejected at every checked
 boundary. The `*_unchecked` functions skip that input check for the
 encoder's hot loops, which check what they compute instead.

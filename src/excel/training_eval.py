@@ -35,9 +35,6 @@ from .static_calibration import IGNORE_LABEL, CamResult
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Elements an AdamW step updates at a time: its five float64 work
-# buffers of this length stay in a 2 MB L2 cache.
-ADAM_BLOCK = 1 << 14
 
 
 @dataclass
@@ -53,11 +50,11 @@ class AdamState:
     v: np.ndarray
     step: int = 0
 
-    def bias_ranges(self) -> list[tuple[int, int]]:
-        """The (start, stop) of each bias (a name ending '.b') in the flat vector."""
+    def weight_ranges(self) -> list[slice]:
+        """The range of each weight (a name not ending '.b') in the flat vector."""
         sizes = [math.prod(shape) for shape in self.shapes.values()]
         ends = np.cumsum(sizes).tolist()
-        return [(end - size, end) for name, size, end in zip(self.shapes, sizes, ends) if name.endswith(".b")]
+        return [slice(end - size, end) for name, size, end in zip(self.shapes, sizes, ends) if not name.endswith(".b")]
 
 
 def init_adam_state(shapes: dict[str, tuple[int, ...]], lr: float, weight_decay: float) -> AdamState:
@@ -79,10 +76,12 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     """One decoupled-weight-decay Adam update of the flat float32 `params`
     and `state`, in place, from the flat `grads`, which stay as they are.
 
-    Moments are bias-corrected; math runs in float64 over ADAM_BLOCK
-    elements at a time, storage stays float32. A parameter or moment not
-    finite as float32 raises NumericError naming its parameter, with the
-    blocks up to it updated.
+    Moments are bias-corrected. Each operation is one float32 pass over
+    the whole vector, in the formula's order; the learning rate scales in
+    float64, so a rate past the float32 range still leaves a parameter
+    whose moment is zero as it was. A parameter or moment not finite as
+    float32 raises NumericError naming its parameter, with every element
+    updated.
     """
     if not grads.shape == params.shape == state.m.shape:
         raise DataError(
@@ -90,42 +89,31 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
             f"and {state.m.shape}"
         )
     t = state.step + 1
-    f64 = np.float64
-    biases = state.bias_ranges()
-    buffers = np.empty((5, min(ADAM_BLOCK, params.size)))
-    for start in range(0, params.size, ADAM_BLOCK):
-        block = slice(start, start + ADAM_BLOCK)
-        g = grads[block]
-        p, m, v, work, denom = buffers[:, : g.size]
-        # each line is one float64 operation of m*b1 + (1-b1)*g, v*b2 +
-        # (1-b2)*g*g and p*(1 - lr*decay) - lr*m_hat / (sqrt(v_hat) + eps),
-        # in order; the float32 operands are widened as they are read
-        np.multiply(g, 1 - ADAM_BETA1, out=work, dtype=f64)
-        np.multiply(state.m[block], ADAM_BETA1, out=m, dtype=f64)
+    m, v = state.m, state.v
+    work, denom = np.empty_like(params), np.empty_like(params)
+    # a value past the float32 range stores as inf, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # m*b1 + (1-b1)*g, v*b2 + (1-b2)*g*g and p*(1 - lr*decay) - lr*m_hat / (sqrt(v_hat) + eps), in order
+        np.multiply(grads, 1 - ADAM_BETA1, out=work)
+        m *= ADAM_BETA1
         m += work
-        np.multiply(g, 1 - ADAM_BETA2, out=work, dtype=f64)
-        np.multiply(work, g, out=work, dtype=f64)
-        np.multiply(state.v[block], ADAM_BETA2, out=v, dtype=f64)
+        np.multiply(grads, 1 - ADAM_BETA2, out=work)
+        work *= grads
+        v *= ADAM_BETA2
         v += work
         np.divide(m, 1 - ADAM_BETA1**t, out=work)  # m_hat
         np.divide(v, 1 - ADAM_BETA2**t, out=denom)  # v_hat
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
-        work *= state.lr
+        np.multiply(work, np.float64(state.lr), out=work, casting="same_kind")
         work /= denom
-        np.multiply(params[block], state.shrink, out=p, dtype=f64)
-        # a bias is not decayed: its widened value, as a factor of 1.0 gives
-        for lo, hi in biases:
-            lo, hi = max(lo, start), min(hi, start + g.size)
-            if lo < hi:
-                p[lo - start : hi - start] = params[lo:hi]
-        p -= work
-        with np.errstate(over="ignore"):  # a value past the float32 range stores as inf, refused below
-            params[block], state.m[block], state.v[block] = p, m, v
-        finite = np.isfinite(params[block]) & np.isfinite(state.m[block]) & np.isfinite(state.v[block])
-        if not finite.all():
-            first = start + int(np.argmin(finite))
-            raise NumericError(f"non-finite update for parameter '{_name_at(state.shapes, first)}'")
+        for weights in state.weight_ranges():  # a bias is not decayed
+            params[weights] *= state.shrink
+        params -= work
+    del work, denom
+    if not (np.isfinite(params).all() and np.isfinite(m).all() and np.isfinite(v).all()):
+        finite = np.isfinite(params) & np.isfinite(m) & np.isfinite(v)
+        raise NumericError(f"non-finite update for parameter '{_name_at(state.shapes, int(np.argmin(finite)))}'")
     state.step = t
 
 
@@ -196,16 +184,16 @@ def training_bytes(config: PipelineConfig, dim: int, grid: tuple[int, int]) -> i
     patches, with P adapter elements (`adapter_shapes`) and p =
     fusion_kernel // 2:
 
-        36 P + 8 batch_size (12 hw (dim + d_proj) + 24 (gh+2p) (gw+2p) d_proj + 4 hw d_dyn + 6 hw^2)
+        29 P + 4 batch_size (12 hw (dim + d_proj) + 24 (gh+2p) (gw+2p) d_proj + 4 hw d_dyn + 6 hw^2)
 
     that is, the float32 adapter and its two AdamW moments (12 P), the
-    float64 gradient (8 P), the transient float64 copies of `delta.w` and
-    `fusion.w` that the forward and backward passes take (at most 8 P),
-    the float64 work buffer of the fusion-weight gradient (at most 8 P),
-    and per image of a batch the float64 stacks of the adapter's forward
-    and backward passes: the layer inputs and their projections, the
-    padded projection grids and their gradient, four (hw, d_dyn) feature
-    arrays and six (hw, hw) maps."""
+    float32 gradient (4 P), AdamW's two float32 work vectors and the
+    one-byte finiteness mask of its check (9 P), the float32 work buffer of
+    the fusion-weight gradient (at most 4 P), and per image of a batch the
+    float32 stacks of the adapter's forward and backward passes: the layer
+    inputs and their projections, the padded projection grids and their
+    gradient, four (hw, d_dyn) feature arrays and six (hw, hw) maps. The
+    float64 normal draws that initialize the adapter take at most 16 P."""
     (gh, gw), pad = grid, config.fusion_kernel // 2
     shapes = adapter_shapes(dim, config.d_proj, config.d_dyn, config.fusion_kernel)
     params = sum(math.prod(shape) for shape in shapes.values())
@@ -213,7 +201,7 @@ def training_bytes(config: PipelineConfig, dim: int, grid: tuple[int, int]) -> i
     padded = (gh + 2 * pad) * (gw + 2 * pad)
     image = LAYER_COUNT * (hw * (dim + config.d_proj) + 2 * padded * config.d_proj) + 4 * hw * config.d_dyn
     image += 6 * hw * hw
-    return 36 * params + 8 * config.batch_size * image
+    return 29 * params + 4 * config.batch_size * image
 
 
 def _iteration_loss(
@@ -226,8 +214,8 @@ def _iteration_loss(
     """Mean diversity loss and mean gradient over `iteration`'s batch:
     `batch_size` consecutive images, wrapping around the dataset, in one
     stacked pass. The per-image gradients are summed in batch order from
-    zero into `grad`, a float64 vector of the adapter's elements in table
-    order, which is written over and returned."""
+    zero into `grad`, a vector of the adapter's elements in table order in
+    the adapter's dtype, which is written over and returned."""
     rng = Rng(config.seed).child(f"it.{iteration}")
     n = config.batch_size
     picked = [static[(iteration * n + j) % len(static)] for j in range(n)]
@@ -277,7 +265,7 @@ def train_loop(
     # the parameters and both moments are flat float32 vectors; the adapter's tensors are views of `theta`
     theta, adapter = adapter.flattened()
     state = init_adam_state(adapter.shapes, config.lr, config.weight_decay)
-    grad = np.empty(theta.size)  # each iteration's float64 gradient
+    grad = np.empty_like(theta)  # each iteration's float32 gradient
     out_dir = Path(out_dir)
     curve: list[tuple[int, float]] = []
     for it in range(config.iterations):

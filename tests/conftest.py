@@ -69,8 +69,9 @@ def serial_encode_chunks(count, weights, calibration, job, consume):
 
 def one_image_gradient(trace, params, batch):
     """(loss, gradients keyed like `params.tensors`) of one trace:
-    `diversity_loss_gradient_stack` over a stack of one, from zero."""
-    grads = {name: np.zeros(shape) for name, shape in params.shapes.items()}
+    `diversity_loss_gradient_stack` over a stack of one, from zero, in
+    the dtype of the adapter's tensors."""
+    grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     return diversity_loss_gradient_stack([trace], params, [batch], grads)[0], grads
 
 

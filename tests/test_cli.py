@@ -822,14 +822,14 @@ def test_out_of_memory_prints_only_its_error_line(cli_fixtures, tmp_path, comman
     # fails its allocation under a 3 GiB address space: exit 1 and one
     # `error:` line, not a MemoryError traceback. A one-pixel patch keeps
     # a 512 px fixture within its byte bound, but its (T, T) attention
-    # maps at T=262145 take 512 GiB; a d_dyn of 140000 keeps training
-    # within its bound (4.17 GB counted), but its adapter, moments and
-    # work rows alone take 3.0 GB
+    # maps at T=262145 take 512 GiB; a d_dyn of 180000 keeps training
+    # within its bound (4.20 GB counted), but its float32 adapter,
+    # moments, gradient and AdamW work vectors alone take 3.3 GB
     if command == "gen-fixtures":
         argv = ["gen-fixtures", "--image-size", "512", "--patch-size", "1", "--images", "1"]
         argv += ["--out", str(tmp_path / "fx")]
     else:
-        cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", iterations=1, d_dyn=140_000)
+        cfg_path = write_cli_config(tmp_path / "cfg.json", cli_fixtures, tmp_path / "out", iterations=1, d_dyn=180_000)
         argv = ["run", "--config", str(cfg_path)]
     proc = run_excel(*argv, preexec_fn=_cap_address_space)
     assert one_error_line(proc.returncode, proc.stderr, 1).startswith("error: out of memory: ")

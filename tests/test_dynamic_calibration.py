@@ -379,19 +379,44 @@ def test_gradient_matches_central_differences(fusion_kernel):
 
 
 @pytest.mark.parametrize("fusion_kernel", [1, 3])
-def test_gradient_of_float64_copy_equals_float32_adapter(fusion_kernel):
-    # training reads the float32 adapter it updates, and the passes widen
-    # what they read: a float64 copy's gradients are the same, byte for byte
+def test_float64_copy_gives_the_float64_bytes(fusion_kernel):
+    # the passes run in the dtype of the adapter's tensors: a float64 copy
+    # of a float32 adapter gives, byte for byte, the float64 loss and
+    # gradient of the per-layer loop that widens the float32 tensors as it
+    # reads them, the math the float32 adapter itself once ran
     trace, adapter, labels = tiny_setup(seed=14, fusion_kernel=fusion_kernel, float64=False)
     batch = every_pair(labels)
-    copy = float64_adapter(adapter)
-    assert all(a.dtype == np.float64 for a in copy.tensors.values())
-    loss32, grads32 = one_image_gradient(trace, adapter, batch)
-    loss64, grads64 = one_image_gradient(trace, copy, batch)
-    assert loss32 == loss64
-    assert grads32.keys() == grads64.keys()
-    for name in grads32:
-        assert grads32[name].tobytes() == grads64[name].tobytes(), name
+    loss, grads = one_image_gradient(trace, float64_adapter(adapter), batch)
+    want_loss, want = _loop_gradient(trace, adapter, batch)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grads.keys() == want.keys()
+    for name, g in grads.items():
+        assert g.dtype == np.float64 and g.tobytes() == (0.0 + want[name]).tobytes(), name
+
+
+# the largest deviation of a float32 adapter's loss from its float64
+# copy's, relative to that loss, and of each gradient tensor, relative to
+# the largest magnitude in the float64 tensor; the cases below reach
+# 1.3e-7 and 9.1e-7 on a 2-vCPU x86-64 VM
+FLOAT32_RELATIVE_BOUND = 1e-5
+
+
+@pytest.mark.parametrize("fusion_kernel", [1, 3])
+def test_float32_adapter_is_within_a_relative_bound_of_its_float64_copy(fixture_static, fusion_kernel):
+    cfg = PipelineConfig()
+    cases = [tiny_setup(seed=seed, fusion_kernel=fusion_kernel, float64=False) for seed in range(8)]
+    fixture_adapter = init_adapter(
+        Rng(21).child("adapter"), 64, cfg.d_proj, cfg.d_dyn, fusion_kernel, 0.05, cfg.alpha, cfg.beta
+    )
+    cases += [(sres.trace, fixture_adapter, sres.labels) for sres in fixture_static[:4]]
+    for trace, adapter, labels in cases:
+        batch = every_pair(labels)
+        loss32, grads32 = one_image_gradient(trace, adapter, batch)
+        loss64, grads64 = one_image_gradient(trace, float64_adapter(adapter), batch)
+        assert abs(loss32 - loss64) <= FLOAT32_RELATIVE_BOUND * abs(loss64)
+        for name, g in grads32.items():
+            assert g.dtype == np.float32
+            assert np.abs(g - grads64[name]).max() <= FLOAT32_RELATIVE_BOUND * np.abs(grads64[name]).max(), name
 
 
 def test_gradient_loss_matches_forward():

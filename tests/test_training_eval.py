@@ -27,7 +27,7 @@ from excel.training_eval import (
     upsample_labels,
     write_loss_curve,
 )
-from conftest import float64_adapter, one_image_gradient, read_loss_curve
+from conftest import one_image_gradient, read_loss_curve
 
 
 def small_config(**overrides):
@@ -141,32 +141,26 @@ def test_adamw_moment_accumulation_two_steps():
 
 
 def _adamw_reference(params, grads, state, lr, wd):
-    """One AdamW step as whole-array expressions on one tensor at a time,
-    for a byte comparison; `state` is (m, v, step) of per-tensor dicts."""
+    """One AdamW step as whole-array float32 expressions on one tensor at
+    a time, the learning rate's product taken in float64, for a byte
+    comparison; `state` is (m, v, step) of per-tensor dicts."""
     ms, vs, step = state
     t = step + 1
     out, new_m, new_v = {}, {}, {}
-    for name, p32 in params.items():
-        p, g = p32.astype(np.float64), np.asarray(grads[name], dtype=np.float64)
-        m = ms[name].astype(np.float64) * 0.9 + (1 - 0.9) * g
-        v = vs[name].astype(np.float64) * 0.999 + (1 - 0.999) * g * g
+    for name, p in params.items():
+        g = grads[name]
+        m = ms[name] * 0.9 + (1 - 0.9) * g
+        v = vs[name] * 0.999 + (1 - 0.999) * g * g
         m_hat, v_hat = m / (1 - 0.9**t), v / (1 - 0.999**t)
         decay = 0.0 if name.endswith(".b") else wd
-        out[name] = (p * (1 - lr * decay) - lr * m_hat / (np.sqrt(v_hat) + 1e-8)).astype(np.float32)
-        new_m[name], new_v[name] = m.astype(np.float32), v.astype(np.float32)
+        out[name] = p * (1 - lr * decay) - (lr * m_hat.astype(np.float64)).astype(np.float32) / (np.sqrt(v_hat) + 1e-8)
+        new_m[name], new_v[name] = m, v
     return out, (new_m, new_v, t)
 
 
-def test_adamw_bytes_equal_the_expression_form_and_grads_stay_put(monkeypatch):
-    # the blocked in-place update on the flat vectors keeps each operation
-    # and its order, and never writes into the caller's float64 gradients;
-    # a 7-element block also splits every tensor across blocks
-    for block in (training_eval.ADAM_BLOCK, 7):
-        monkeypatch.setattr(training_eval, "ADAM_BLOCK", block)
-        _check_adamw_against_reference()
-
-
-def _check_adamw_against_reference():
+def test_adamw_bytes_equal_the_expression_form_and_grads_stay_put():
+    # the in-place update of the flat float32 vectors keeps each operation
+    # and its order, and never writes into the caller's gradients
     params = {k: np.repeat(v, 50, axis=0) for k, v in _params(12).items()}
     flat, state = _flat(params), _state(params, lr=1e-2, weight_decay=1e-2)
     want = params
@@ -174,11 +168,13 @@ def _check_adamw_against_reference():
     gen = Rng(13).generator()
     for _ in range(17):
         grads = {k: gen.standard_normal(v.shape) * 10.0 ** gen.integers(-6, 2) for k, v in params.items()}
-        flat_grads = _flat(grads, np.float64)
+        grads = {k: g.astype(np.float32) for k, g in grads.items()}
+        flat_grads = _flat(grads)
         before = flat_grads.copy()
         adamw_step(flat, flat_grads, state)
         want, want_state = _adamw_reference(want, grads, want_state, 1e-2, 1e-2)
         assert flat_grads.tobytes() == before.tobytes()
+        assert all(a.dtype == np.float32 for a in (*want.values(), *want_state[0].values(), *want_state[1].values()))
         assert flat.tobytes() == _flat(want).tobytes()
         assert state.m.tobytes() == _flat(want_state[0]).tobytes()
         assert state.v.tobytes() == _flat(want_state[1]).tobytes()
@@ -340,19 +336,20 @@ def test_train_loop_zero_iterations_returns_init(tmp_path, fixture_weights, fixt
 
 def test_iteration_loss_is_the_per_image_mean_in_batch_order(fixture_weights, fixture_static):
     # a batch of 6 over 4 images wraps the dataset and holds two images
-    # twice; the flat mean gradient is the gradients of stacks of one
-    # summed from zero in batch order, then divided, as one tensor at a time
+    # twice; the flat float32 mean gradient is the float32 gradients of
+    # stacks of one summed from zero in batch order, then divided, as one
+    # tensor at a time
     static = fixture_static[:4]
     cfg = small_config(batch_size=6, pair_sample_limit=40)
     adapter = init_adapter(Rng(24), fixture_weights.dim, cfg.d_proj, cfg.d_dyn, 1, 0.05, cfg.alpha, cfg.beta)
-    work = np.empty(sum(t.size for t in adapter.tensors.values()))
+    work = np.empty(sum(t.size for t in adapter.tensors.values()), np.float32)
     loss, grad = training_eval._iteration_loss(static, 1, cfg, adapter, work)
     rng = Rng(cfg.seed).child("it.1")
-    div_sum, want = 0.0, {name: np.zeros(shape) for name, shape in adapter.shapes.items()}
+    div_sum, want = 0.0, {name: np.zeros(shape, np.float32) for name, shape in adapter.shapes.items()}
     for j in range(6):
         sres = static[(6 + j) % 4]
         batch = dynamic_calibration.build_affinity_batch(sres.labels, 40, rng.child(f"pairs.{j}"))
-        div, grads = one_image_gradient(sres.trace, float64_adapter(adapter), batch)
+        div, grads = one_image_gradient(sres.trace, adapter, batch)
         div_sum += div
         for name, g in grads.items():
             want[name] += g
@@ -374,13 +371,13 @@ def test_iteration_loss_memory_does_not_grow_by_a_gradient_per_image(fixture_wei
     def peak(batch_size):
         tracemalloc.start()
         try:
-            work = np.empty(sum(t.size for t in adapter.tensors.values()))
+            work = np.empty(sum(t.size for t in adapter.tensors.values()), np.float32)
             training_eval._iteration_loss(fixture_static, 0, PipelineConfig(batch_size=batch_size), adapter, work)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(4) <= peak(1) + 8 * adapter.tensors["fusion.w"].size
+    assert peak(4) <= peak(1) + adapter.tensors["fusion.w"].nbytes
 
 
 @pytest.mark.parametrize(
